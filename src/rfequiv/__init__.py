@@ -12,8 +12,9 @@ model
 kernels
     Monte Carlo estimation of the feature covariance blocks.
 equiv
-    The scalar fixed point alpha, the error prediction, and the reduced
-    two-block matrix route.
+    One scalar fixed-point iteration on the eigenvalues of K_aa: alpha at
+    z = 0, the reduced two-block resolvent at any z, and the error
+    prediction.
 rdel
     Generic regularized fixed-point solver with a-priori bound checks and
     moment diagnostics.
@@ -26,10 +27,8 @@ cli
 
 from .equiv import (
     AlphaSolution,
-    BlockM0,
     DenominatorDegenerate,
     EquivSolution,
-    assemble_M0,
     build_equiv,
     kernel_ridge_error,
     solve_alpha,

@@ -1,5 +1,5 @@
-"""Scalar fixed point alpha, assembled solution blocks at zero, and the
-closed-form test-error prediction.
+"""Scalar fixed point, the closed-form test-error prediction, and the
+reduced two-block resolvent at any spectral parameter.
 
 The central objects: the unique alpha in [-1, 0) solving
 
@@ -11,24 +11,26 @@ the matrix ``M11 = (delta I - d alpha K_aa)^{-1}``, the variance amplitude
     denom = 1 - || sqrt(d) alpha K_aa^{1/2} M11 K_aa^{1/2} ||_F^2,
 
 and the prediction ``d beta ||K_aa^{1/2} M11 y||^2 + ||d alpha K_ha M11 y + yhat||^2``.
+
+Every solve goes through one eigendecomposition of ``K_aa`` and one scalar
+iteration, ``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``;
+at ``z = 0`` its fixed point is alpha.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import NonConvergence
+from .model import NonConvergence, _check_ridge, _check_symmetric
 
 __all__ = [
     "AlphaSolution",
-    "BlockM0",
     "DENOM_GUARD",
     "DenominatorDegenerate",
     "EquivSolution",
-    "assemble_M0",
     "build_equiv",
     "kernel_ridge_error",
     "solve_alpha",
@@ -83,22 +85,6 @@ class EquivSolution:
         }
 
 
-@dataclass
-class BlockM0:
-    """Blocks of the self-consistent solution matrix at spectral parameter 0.
-
-    ``m34_minus_identity`` marks the constant -I coupling block between the
-    two test slots; it is never materialized.
-    """
-
-    M11: np.ndarray
-    M22_scalar: float
-    M13: np.ndarray
-    M31: np.ndarray
-    M33: np.ndarray
-    m34_minus_identity: bool = True
-
-
 def _clamped_eigh(K):
     """Eigendecomposition of a symmetric PSD matrix with a tolerance for
     Monte Carlo round-off: eigenvalues in [-1e-8 * lam_max, 0) are clamped to
@@ -106,9 +92,7 @@ def _clamped_eigh(K):
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape[0] != K.shape[1]:
         raise ValueError("K_aa must be square")
-    gap = np.linalg.norm(K - K.T)
-    if gap > 1e-12 * max(1.0, np.linalg.norm(K)):
-        raise ValueError(f"K_aa is not symmetric (asymmetry {gap:.3e})")
+    _check_symmetric(K, "K_aa")
     w, V = np.linalg.eigh((K + K.T) / 2)
     lam_max = max(float(w[-1]), 0.0)
     floor = -_EIG_CLAMP_REL * lam_max
@@ -119,20 +103,33 @@ def _clamped_eigh(K):
     return np.clip(w, 0.0, None), V
 
 
-def _iterate_alpha(lam, d, delta, tol, max_iter, alpha0):
-    if alpha0 > 0:
-        raise ValueError("alpha0 must be <= 0")
-    alpha = float(alpha0)
+def _iterate(lam, d, delta, z, nu, tol, max_iter):
+    """The one scalar fixed-point iteration behind every solve.
+
+    Iterates ``nu <- T(nu) = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``
+    over the eigenvalues ``lam`` of K_aa and stops when
+    ``|nu - T(nu)| <= tol``.  With ``z = 0.0`` and a real start everything
+    stays real and the fixed point is alpha (delta - d nu lam_j >= delta > 0
+    while nu <= 0).  With ``Im z > 0`` the iterates must stay in the closed
+    upper half-plane; leaving it by more than 1e-10 raises ``RuntimeError``.
+
+    Returns ``(nu, iterations, residual)``.
+    """
+    shift, one_z = delta - z, 1.0 + z
     residual = np.inf
     for it in range(max_iter):
-        # delta - d*alpha*lam >= delta > 0 whenever alpha <= 0
-        t = -1.0 / (1.0 + float(np.sum(lam / (delta - d * alpha * lam))))
-        residual = abs(alpha - t)
+        t = -1.0 / (one_z + np.sum(lam / (shift - d * nu * lam)).item())
+        residual = abs(nu - t)
         if residual <= tol:
-            return alpha, it, residual
-        alpha = t
+            return nu, it, residual
+        if t.imag < -1e-10:
+            raise RuntimeError(
+                f"lost the upper-half-plane invariant (Im nu {t.imag:.3e})"
+            )
+        nu = t
+    name = "nu" if z else "alpha"
     raise NonConvergence(
-        f"alpha iteration stalled at residual {residual:.3e} "
+        f"{name} iteration stalled at residual {residual:.3e} "
         f"after {max_iter} iterations"
     )
 
@@ -156,12 +153,12 @@ def solve_alpha(K_aa, d, delta, tol=1e-13, max_iter=100_000, alpha0=-1.0):
     ValueError
         If ``K_aa`` has an eigenvalue below -1e-8 * lam_max.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_ridge(delta, d)
+    if alpha0 > 0:
+        raise ValueError("alpha0 must be <= 0")
     w, _ = _clamped_eigh(K_aa)
-    alpha, iterations, residual = _iterate_alpha(w, d, delta, tol, max_iter, alpha0)
+    alpha, iterations, residual = _iterate(w, d, delta, 0.0, float(alpha0),
+                                           tol, max_iter)
     return AlphaSolution(alpha, iterations, residual, w[::-1].copy())
 
 
@@ -183,13 +180,10 @@ def build_equiv(K, y, yhat, d, delta, tol=1e-13):
         raise ValueError("y length must equal the K_aa dimension")
     if yhat.shape[0] != K.n_test:
         raise ValueError("yhat length must equal the K_hh dimension")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_ridge(delta, d)
 
     w, V = _clamped_eigh(K.K_aa)
-    alpha, iterations, residual = _iterate_alpha(w, d, delta, tol, 100_000, -1.0)
+    alpha, iterations, residual = _iterate(w, d, delta, 0.0, -1.0, tol, 100_000)
 
     g = 1.0 / (delta - d * alpha * w)  # eigenvalues of M11
     M11 = (V * g) @ V.T
@@ -224,109 +218,46 @@ def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     )
 
 
-def assemble_M0(K, alpha, d, delta, tol=1e-13):
-    """Assemble the zero-argument solution blocks from a converged alpha.
-
-    The supplied alpha must satisfy the consistency identity
-    ``alpha = -(1 + tr(K_aa M11))^{-1}`` within 10 * tol; anything else is
-    rejected as an inconsistent pairing of alpha with (K_aa, d, delta).
-    """
-    w, V = _clamped_eigh(K.K_aa)
-    g = 1.0 / (delta - d * alpha * w)
-    M11 = (V * g) @ V.T
-    M11 = (M11 + M11.T) / 2
-    trKM = float(np.sum(w * g))
-    consistency = abs(alpha + 1.0 / (1.0 + trKM))
-    if consistency > 10 * tol:
-        raise ValueError(
-            f"inconsistent alpha: consistency residual {consistency:.3e} "
-            f"exceeds {10 * tol:.3e}"
-        )
-    M13 = -d * alpha * (M11 @ K.K_ah)
-    M31 = -d * alpha * (K.K_ha @ M11)
-    M33 = (d * alpha) ** 2 * (K.K_ha @ M11 @ K.K_ah) + d * alpha * K.K_hh
-    return BlockM0(M11, float(alpha), M13, M31, M33)
-
-
-def _nonmonotone(seq):
-    return any(b > a for a, b in zip(seq, seq[1:]))
-
-
 def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
-    """Matrix route: damped Picard iteration on the two-block self-consistent
-    equation with the spectral parameter spanning the full diagonal.
+    """Reduced two-block resolvent at spectral parameter ``z``.
 
-    The update inverts ``diag((delta - z) I - d nu K_aa, -(1 + z + tr(K_aa N11)) I_d)``,
-    so iterates stay block-diagonal with a scalar second block.  ``z`` must
-    be 0 (direct real iteration) or lie in the open upper half-plane.  A 0.5
-    damping factor is switched on permanently if the defect is non-monotone
-    over 10 consecutive steps.
+    The two-block self-consistent equation has the train block
+    ``N11 = ((delta - z) I - d nu K_aa)^{-1}`` and the scalar width block
+    ``nu = -(1 + z + tr(K_aa N11))^{-1}``.  The train block is diagonal in
+    the eigenbasis of K_aa, so the pair reduces to the scalar iteration
+    ``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.  ``z``
+    must be 0 (real iteration from -1, whose fixed point is alpha) or lie
+    in the open upper half-plane (iteration from 1j).  The stopping
+    quantity is the scalar step ``|nu - T(nu)|``, and the iteration stops
+    once it is at most ``tol``; ``N11 = V diag(1 / (delta - z - d nu lam)) V^T``
+    is then formed from the returned ``nu``.  An error in ``nu`` reaches
+    ``N11`` multiplied by up to ``d max_j lam_j |N11_j|^2``, so close to the
+    real axis ``N11`` needs a smaller ``tol`` than ``nu`` does.
 
     Returns
     -------
-    (M11, M22_scalar) : (complex ndarray, complex)
+    (N11, nu) : (complex ndarray, complex)
 
     Raises
     ------
     NonConvergence
-        If the defect never reaches ``tol``.
+        If the step never reaches ``tol`` within ``max_iter`` updates.
     RuntimeError
-        If the imaginary part drops below -1e-10 while Im z > 0.
+        If an iterate leaves the upper half-plane by more than 1e-10 while
+        Im z > 0.
     """
     z = complex(z)
     if z != 0 and not z.imag > 0:
         raise ValueError("z must be 0 or lie in the open upper half-plane")
-    K = np.atleast_2d(np.asarray(K_aa, dtype=float))
-    gap = np.linalg.norm(K - K.T)
-    if gap > 1e-12 * max(1.0, np.linalg.norm(K)):
-        raise ValueError(f"K_aa is not symmetric (asymmetry {gap:.3e})")
-    n = K.shape[0]
-    I = np.eye(n)
-    complex_mode = z != 0
-    if complex_mode:
-        N11 = 1j * I.astype(complex)
-        nu = 1j
+    _check_ridge(delta, d)
+    w, V = _clamped_eigh(K_aa)
+    if z == 0:
+        z, nu0 = 0.0, -1.0
     else:
-        z = 0.0
-        N11 = I.copy()
-        nu = -1.0
-
-    history = []
-    damped = False
-    defect = np.inf
-    for _ in range(max_iter):
-        trKN = np.sum(K * N11)  # tr(K N11); iterates are symmetric
-        u22 = -(1.0 + z + trKN)  # scalar multiplying I_d in the update
-        U11 = (delta - z) * I - (d * nu) * K
-        D11 = U11 @ N11 - I
-        # Frobenius defect over both blocks; the scalar block contributes d copies
-        defect = float(
-            np.sqrt(np.linalg.norm(D11) ** 2 + d * abs(u22 * nu - 1.0) ** 2)
-        )
-        history.append(defect)
-        if defect <= tol:
-            return np.asarray(N11, dtype=complex), complex(nu)
-        if not damped and len(history) >= 10 and _nonmonotone(history[-10:]):
-            damped = True
-        N11_next = np.linalg.inv(U11)
-        nu_next = 1.0 / u22
-        if damped:
-            N11 = 0.5 * (N11 + N11_next)
-            nu = 0.5 * (nu + nu_next)
-        else:
-            N11, nu = N11_next, nu_next
-        if complex_mode:
-            im_min = min(
-                float(np.linalg.eigvalsh((N11 - N11.conj().T) / 2j)[0]),
-                nu.imag,
-            )
-            if im_min < -1e-10:
-                raise RuntimeError(
-                    f"lost the upper-half-plane invariant (min Im eig {im_min:.3e})"
-                )
-    raise NonConvergence(
-        f"matrix iteration stalled at defect {defect:.3e} after {max_iter} iterations"
-    )
+        nu0 = 1j
+    nu, _, _ = _iterate(w, d, delta, z, nu0, tol, max_iter)
+    g = 1.0 / (delta - z - d * nu * w)
+    return np.asarray((V * g) @ V.T, dtype=complex), complex(nu)
 
 
 def kernel_ridge_error(K, y, yhat, d, ridge):
@@ -336,8 +267,7 @@ def kernel_ridge_error(K, y, yhat, d, ridge):
     With ridge equal to -delta/alpha this reproduces the bias term of
     :func:`build_equiv` exactly (implicit-regularization identity).
     """
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
+    _check_ridge(ridge, name="ridge")
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
     G = d * K.K_aa + ridge * np.eye(K.n_train)

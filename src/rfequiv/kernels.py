@@ -17,6 +17,7 @@ import numpy as np
 
 from .model import (
     MatrixFormatError,
+    _check_symmetric,
     apply_activation,
     substream,
     worker_count,
@@ -75,6 +76,9 @@ class KernelSet:
             raise ValueError("K_ha must have the transposed shape of K_ah")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        for name in _BLOCK_NAMES:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite entries")
         _check_symmetric(self.K_aa, "K_aa")
         _check_symmetric(self.K_hh, "K_hh")
         if not np.array_equal(self.K_ha, self.K_ah.T):
@@ -97,12 +101,6 @@ class KernelSet:
     def joint(self):
         """The full (n_train + n_test) block matrix [[K_aa, K_ah], [K_ha, K_hh]]."""
         return np.block([[self.K_aa, self.K_ah], [self.K_ha, self.K_hh]])
-
-
-def _check_symmetric(K, name, rel=1e-12):
-    gap = np.linalg.norm(K - K.T)
-    if gap > rel * max(1.0, np.linalg.norm(K)):
-        raise ValueError(f"{name} is not symmetric (asymmetry {gap:.3e})")
 
 
 def _chunk_sizes(m):

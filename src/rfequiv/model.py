@@ -44,6 +44,24 @@ class NonConvergence(RuntimeError):
     """A fixed-point iteration exhausted its iteration budget."""
 
 
+def _check_ridge(delta, d=None, name="delta"):
+    """Reject a width below 1 and a ridge that is not a positive finite real.
+
+    A NaN ridge would pass a plain ``delta <= 0`` test and spin a solver
+    through its whole iteration budget; an infinite one overflows.
+    """
+    if d is not None and d < 1:
+        raise ValueError("d must be >= 1")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"{name} must be a positive finite real")
+
+
+def _check_symmetric(K, name, rel=1e-12):
+    gap = np.linalg.norm(K - K.T)
+    if gap > rel * max(1.0, np.linalg.norm(K)):
+        raise ValueError(f"{name} is not symmetric (asymmetry {gap:.3e})")
+
+
 # ---------------------------------------------------------------------------
 # Randomness
 # ---------------------------------------------------------------------------
@@ -218,10 +236,7 @@ class RFConfig:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be a positive finite real")
+        _check_ridge(self.delta, self.d)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not (0 <= int(self.seed) < 2 ** 64):

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import equiv
-from .model import NonConvergence, substream
+from .model import NonConvergence, _check_ridge, _check_symmetric, substream
 
 __all__ = [
     "LinearizationSpec",
@@ -102,9 +102,7 @@ class LinearizationSpec:
         E = np.atleast_2d(np.asarray(self.expectation, dtype=float))
         if E.shape[0] != E.shape[1]:
             raise ValueError("expectation must be square")
-        gap = np.linalg.norm(E - E.T)
-        if gap > 1e-12 * max(1.0, np.linalg.norm(E)):
-            raise ValueError(f"expectation is not symmetric (asymmetry {gap:.3e})")
+        _check_symmetric(E, "expectation")
         self.expectation = (E + E.T) / 2
         mask = np.asarray(self.lambda_mask, dtype=float).ravel()
         if mask.shape[0] != E.shape[0]:
@@ -476,8 +474,7 @@ def rf_linearization(K, dims, delta):
     between the two test slots.  The spectral parameter enters on the first
     ``n + d`` coordinates.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_ridge(delta)
     _check_rf_dims(K, dims)
     n, d, t = dims
     s1, s2, s3, s4 = _rf_slices(dims)

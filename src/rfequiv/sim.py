@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from . import equiv
 from .kernels import default_samples, estimate_kernels
-from .model import apply_activation, substream, worker_count
+from .model import _check_ridge, apply_activation, substream, worker_count
 from .rdel import spectral_norm
 
 __all__ = [
@@ -127,8 +127,7 @@ def empirical_test_error(A, Ahat, y, yhat, delta):
     The inner system is symmetric positive definite for ``delta > 0`` and
     is solved by Cholesky; no inverse is ever formed.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_ridge(delta)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -244,8 +243,7 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     z = complex(z)
     if z != 0 and not z.imag > 0:
         raise ValueError("z must be 0 or lie in the open upper half-plane")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_ridge(delta)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
     if A.shape[1] != Ahat.shape[1]:

@@ -55,3 +55,29 @@ def unit_row_dataset(n_train, n_test, n0, seed):
     w = rng.standard_normal(n0)
     w /= np.linalg.norm(w)
     return Dataset(x, xh, x @ w, xh @ w)
+
+
+def dense_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
+    """Independent oracle for ``solve_subdel``: Jacobi iteration on the
+    two-block equation with dense n x n matrices and one inverse per step.
+
+    The update inverts ``diag((delta - z) I - d nu K_aa, -(1 + z + tr(K_aa N11)) I_d)``
+    and stops when the Frobenius defect over both blocks (the scalar block
+    counted d times) is at most ``tol``.  It shares no code with the package.
+    """
+    K = np.asarray(K_aa, dtype=float)
+    n = K.shape[0]
+    I = np.eye(n)
+    if z == 0:
+        z, N11, nu = 0.0, I.copy(), -1.0
+    else:
+        z, N11, nu = complex(z), 1j * I, 1j
+    for _ in range(max_iter):
+        u22 = -(1.0 + z + np.sum(K * N11))  # tr(K N11); iterates are symmetric
+        U11 = (delta - z) * I - (d * nu) * K
+        defect = np.sqrt(np.linalg.norm(U11 @ N11 - I) ** 2
+                         + d * abs(u22 * nu - 1.0) ** 2)
+        if defect <= tol:
+            return np.asarray(N11, dtype=complex), complex(nu)
+        N11, nu = np.linalg.inv(U11), 1.0 / u22
+    raise AssertionError(f"dense oracle stalled at defect {defect:.3e}")

@@ -36,7 +36,7 @@ from rfequiv import (
     anisotropic_gap,
 )
 
-from conftest import rand_kernelset
+from conftest import dense_subdel, rand_kernelset
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -107,9 +107,11 @@ def test_02_route_equivalence_on_random_kernels():
             (lam / (delta - d * a.alpha * lam)) ** 2)
         denoms_ok &= denom > 0
         N11, nu = solve_subdel(K, d, delta, 0.0)
+        N11_o, nu_o = dense_subdel(K, d, delta, 0.0)
         M11 = np.linalg.inv(delta * np.eye(n) - d * a.alpha * K)
-        worst = max(worst, abs(nu - a.alpha),
-                    float(np.linalg.norm(N11 - M11, 2)))
+        worst = max(worst, abs(nu - nu_o), abs(a.alpha - nu_o),
+                    float(np.linalg.norm(N11 - N11_o, 2)),
+                    float(np.linalg.norm(M11 - N11_o, 2)))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-8 and alphas_ok and denoms_ok and dt < 30.0
     assert _verdict(

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rfequiv import equiv
 from rfequiv.cli import main
 
 
@@ -170,6 +171,39 @@ def test_exit_2_on_missing_required_option(tmp_path):
 
 def test_exit_2_on_unknown_verb():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_exit_2_on_non_finite_ridge_before_any_iteration(tmp_path, toy_files,
+                                                         monkeypatch, delta):
+    calls = []
+    iterate = equiv._iterate
+    monkeypatch.setattr(equiv, "_iterate",
+                        lambda *a: calls.append(a) or iterate(*a))
+    kern, y, yhat = toy_files
+    out = tmp_path / "x.json"
+    code = main(["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
+                 str(yhat), "--d", "2", "--delta", delta, "--out", str(out)])
+    assert code == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_exit_2_names_non_finite_kernel_block(tmp_path, toy_files, capsys):
+    _, y, yhat = toy_files
+    kern = tmp_path / "nan.json"
+    kern.write_text(json.dumps({
+        "n_train": 2, "n_test": 1, "samples": 1,
+        "K_aa": [[1.0, 0.0], [0.0, 1.0]],
+        "K_ah": [[0.0], [0.0]],
+        "K_ha": [[0.0, 0.0]],
+        "K_hh": [[float("nan")]],
+    }))
+    code = main(["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
+                 str(yhat), "--d", "2", "--delta", "1", "--out",
+                 str(tmp_path / "x.json")])
+    assert code == 2
+    assert "K_hh contains non-finite entries" in capsys.readouterr().err
 
 
 def test_exit_3_on_missing_input(tmp_path, toy_files):

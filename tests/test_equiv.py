@@ -1,4 +1,4 @@
-"""Scalar fixed point, error prediction, block assembly, matrix route."""
+"""Scalar fixed point, error prediction, solution blocks, two-block resolvent."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,14 @@ from rfequiv import (
     DenominatorDegenerate,
     KernelSet,
     NonConvergence,
-    assemble_M0,
     build_equiv,
     kernel_ridge_error,
+    rf_solution_matrix,
     solve_alpha,
     solve_subdel,
 )
 
-from conftest import rand_psd
+from conftest import dense_subdel, rand_psd
 
 
 def bisect_alpha(K_aa, d, delta, tol=1e-14):
@@ -152,7 +152,7 @@ def test_equiv_report_key_order(toy_kernels):
 
 
 # ---------------------------------------------------------------------------
-# assemble_M0
+# solution blocks at z = 0
 # ---------------------------------------------------------------------------
 
 def coupled_toy():
@@ -160,39 +160,42 @@ def coupled_toy():
     return KernelSet(np.eye(2), v, v.T.copy(), np.eye(1), 1)
 
 
+def blocks_at_zero(ks, d, delta):
+    """(M11, M22 scalar, M13, M31, M33) of the solution matrix at z = 0."""
+    n, t = ks.n_train, ks.n_test
+    M = rf_solution_matrix(ks, (n, d, t), delta, 0.0, tol=1e-13)
+    s1, s3 = slice(0, n), slice(n + d, n + d + t)
+    return (M[s1, s1], M[n, n], M[s1, s3], M[s3, s1], M[s3, s3])
+
+
 def test_m0_decoupled_blocks(toy_kernels):
     alpha = solve_alpha(toy_kernels.K_aa, 2, 1.0).alpha
-    m0 = assemble_M0(toy_kernels, alpha, 2, 1.0)
-    assert np.count_nonzero(m0.M13) == 0
-    assert np.allclose(m0.M33, 2 * alpha * toy_kernels.K_hh, atol=1e-10)
+    _, _, M13, _, M33 = blocks_at_zero(toy_kernels, 2, 1.0)
+    assert np.count_nonzero(M13) == 0
+    assert np.allclose(M33, 2 * alpha * toy_kernels.K_hh, atol=1e-10)
 
 
 def test_m0_coupling_block_by_substitution():
     ks = coupled_toy()
     alpha = solve_alpha(ks.K_aa, 2, 1.0).alpha  # still -1/2: same K_aa
-    m0 = assemble_M0(ks, alpha, 2, 1.0)
-    assert np.allclose(m0.M13, 0.5 * ks.K_ah, atol=1e-10)
-    assert np.allclose(m0.M31, m0.M13.T, atol=1e-12)
-    want33 = ((2 * alpha) ** 2 * ks.K_ha @ m0.M11 @ ks.K_ah
+    M11, _, M13, M31, M33 = blocks_at_zero(ks, 2, 1.0)
+    assert np.allclose(M13, 0.5 * ks.K_ah, atol=1e-10)
+    assert np.allclose(M31, M13.T, atol=1e-12)
+    want33 = ((2 * alpha) ** 2 * ks.K_ha @ M11 @ ks.K_ah
               + 2 * alpha * ks.K_hh)
-    assert np.allclose(m0.M33, want33, atol=1e-10)
+    assert np.allclose(M33, want33, atol=1e-10)
 
 
 def test_m0_scalar_block_consistency(toy_kernels):
     alpha = solve_alpha(toy_kernels.K_aa, 2, 1.0).alpha
-    m0 = assemble_M0(toy_kernels, alpha, 2, 1.0)
-    assert m0.M22_scalar == pytest.approx(alpha, abs=1e-12)
+    M11, M22, _, _, _ = blocks_at_zero(toy_kernels, 2, 1.0)
+    assert M22 == pytest.approx(alpha, abs=1e-12)
     # fixed point restated: tr(K_aa M11) = 1 gives -(1 + 1)^{-1} = alpha
-    assert np.trace(toy_kernels.K_aa @ m0.M11) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_m0_rejects_inconsistent_alpha(toy_kernels):
-    with pytest.raises(ValueError):
-        assemble_M0(toy_kernels, -0.4, 2, 1.0)
+    assert np.trace(toy_kernels.K_aa @ M11) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# solve_subdel (matrix route)
+# solve_subdel (two-block resolvent)
 # ---------------------------------------------------------------------------
 
 def test_subdel_no_self_energy_is_direct_inverse():
@@ -235,6 +238,24 @@ def test_subdel_keeps_upper_half_plane():
     herm = (N11 - N11.conj().T) / 2j
     assert np.linalg.eigvalsh(herm).min() >= -1e-10
     assert nu.imag >= -1e-10
+
+
+def test_subdel_matches_dense_oracle_off_axis():
+    # both routes converged to 1e-12: near the real axis (2 + 0.01j) the
+    # default 1e-10 leaves ~3e-9 of error in N11 on either route
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for z in (1j, 0.2 + 0.8j, 3j, 2 + 0.01j):
+        for _ in range(5):
+            n = int(rng.integers(2, 40))
+            K = rand_psd(rng, n)
+            d = int(rng.integers(2, 65))
+            delta = float(rng.uniform(0.05, 5.0))
+            N11, nu = solve_subdel(K, d, delta, z, tol=1e-12)
+            N11_o, nu_o = dense_subdel(K, d, delta, z, tol=1e-12)
+            worst = max(worst, abs(nu - nu_o),
+                        float(np.linalg.norm(N11 - N11_o, 2)))
+    assert worst <= 1e-9
 
 
 def test_subdel_rejects_lower_half_plane():

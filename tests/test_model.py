@@ -15,8 +15,15 @@ from rfequiv import (
     MatrixFormatError,
     RFConfig,
     apply_activation,
+    build_equiv,
+    build_pseudoresolvent,
     derive_seed,
+    empirical_test_error,
+    kernel_ridge_error,
     load_matrix,
+    rf_linearization,
+    solve_alpha,
+    solve_subdel,
     substream,
     synthetic_regression,
     to_json_text,
@@ -140,7 +147,7 @@ def test_synthetic_rejects_bad_dims():
 
 
 # ---------------------------------------------------------------------------
-# Dataset / RFConfig validation
+# Dataset / RFConfig / ridge validation
 # ---------------------------------------------------------------------------
 
 def test_dataset_rejects_column_mismatch():
@@ -173,6 +180,26 @@ def test_rfconfig_validation():
         RFConfig(d=1, delta=0.0, n=1, seed=0)
     with pytest.raises(ValueError):
         RFConfig(d=1, delta=0.5, n=1, seed=2 ** 64)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_every_ridge_entry_point_rejects_non_positive_or_non_finite(
+        toy_kernels, delta):
+    A, Ahat = np.eye(2), np.ones((1, 2))
+    y, yhat = np.ones(2), np.ones(1)
+    calls = [
+        lambda: RFConfig(d=1, delta=delta, n=1, seed=0),
+        lambda: solve_alpha(np.eye(2), 2, delta),
+        lambda: solve_subdel(np.eye(2), 2, delta, 1j),
+        lambda: build_equiv(toy_kernels, y, yhat, 2, delta),
+        lambda: kernel_ridge_error(toy_kernels, y, yhat, 2, delta),
+        lambda: rf_linearization(toy_kernels, (2, 2, 1), delta),
+        lambda: empirical_test_error(A, Ahat, y, yhat, delta),
+        lambda: build_pseudoresolvent(A, Ahat, delta, 1j),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="positive finite"):
+            call()
 
 
 # ---------------------------------------------------------------------------
