@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from . import equiv
 from .kernels import default_samples, estimate_kernels
 from .model import _check_ridge, apply_activation, substream, worker_count
-from .rdel import spectral_norm
+from .rdel import _rf_expectation, _rf_slices, spectral_norm
 
 __all__ = [
     "DeltaGaussianity",
@@ -197,22 +197,13 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, kernels=None, workers=None):
 
 def _assemble_linearization(A, Ahat, delta):
     """Symmetric pencil holding the feature matrices in its couplings."""
-    n, d = A.shape
-    t = Ahat.shape[0]
-    ell = n + d + 2 * t
-    s1 = slice(0, n)
-    s2 = slice(n, n + d)
-    s3 = slice(n + d, n + d + t)
-    s4 = slice(n + d + t, ell)
-    L = np.zeros((ell, ell))
-    L[s1, s1] = delta * np.eye(n)
+    dims = (A.shape[0], A.shape[1], Ahat.shape[0])
+    s1, s2, _, s4 = _rf_slices(dims)
+    L = _rf_expectation(dims, delta)
     L[s1, s2] = A
     L[s2, s1] = A.T
-    L[s2, s2] = -np.eye(d)
     L[s2, s4] = Ahat.T
     L[s4, s2] = Ahat
-    L[s3, s4] = -np.eye(t)
-    L[s4, s3] = -np.eye(t)
     return L
 
 
@@ -230,8 +221,10 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     """Assemble the pencil and invert it, cross-checking three blocks.
 
     ``z`` must be 0 (with ``delta > 0``) or lie in the open upper
-    half-plane.  The inverse comes from one partial-pivot LU solve; blocks
-    (1,1), (2,2) and (3,1) are then compared against their closed forms
+    half-plane.  The inverse comes from one partial-pivot LU solve, refused
+    with ``RuntimeError`` when the factor is numerically singular (smallest
+    pivot at most machine epsilon times the largest).  Blocks (1,1), (2,2)
+    and (3,1) are then compared against their closed forms
 
         (1,1) = ((1+z)^{-1} A A^T + (delta - z) I)^{-1}
         (2,2) = -((1+z) I + (delta - z)^{-1} A^T A)^{-1}
@@ -256,6 +249,12 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     rows = np.arange(n + d)
     P[rows, rows] -= z
     lu, piv = lu_factor(P)
+    pivots = np.abs(np.diagonal(lu))
+    if pivots.min() <= np.finfo(float).eps * pivots.max():
+        raise RuntimeError(
+            f"pencil is numerically singular at z={z}, delta={delta:.3e}: "
+            f"LU pivots span {pivots.min():.3e} to {pivots.max():.3e}"
+        )
     value = lu_solve((lu, piv), np.eye(ell, dtype=complex))
     defect = np.linalg.norm(P @ value - np.eye(ell))
     if defect > 1e-9:
@@ -265,10 +264,8 @@ def build_pseudoresolvent(A, Ahat, delta, z):
 
 
 def _check_blocks(A, Ahat, delta, z, value, dims):
-    n, d, t = dims
-    s1 = slice(0, n)
-    s2 = slice(n, n + d)
-    s3 = slice(n + d, n + d + t)
+    n, d, _ = dims
+    s1, s2, s3, _ = _rf_slices(dims)
     w = 1.0 / (1.0 + z)
     R = np.linalg.inv(w * (A @ A.T) + (delta - z) * np.eye(n))
     B22 = -np.linalg.inv((1.0 + z) * np.eye(d) + (A.T @ A) / (delta - z))

@@ -1,6 +1,7 @@
 """Command-line front door: verbs, report files, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,13 +139,21 @@ def test_sweep_grid_is_sorted_cartesian_product(tmp_path):
         (4, 0.5), (4, 1.0), (8, 0.5), (8, 1.0)]
 
 
-def test_diagnose_report_fields(tmp_path):
+def test_diagnose_report_fields(tmp_path, monkeypatch):
     out = tmp_path / "d.json"
-    code = main(["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2",
-                 "--d", "8", "--delta", "0.5", "--reps", "6", "--samples",
-                 "300", "--eta-list", "100,1000", "--out", str(out)])
+    argv = ["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2",
+            "--d", "8", "--delta", "0.5", "--reps", "6", "--samples", "300",
+            "--eta-list", "100,1000", "--out", str(out)]
+    code = main(argv)
     assert code == 0
-    rep = json.loads(out.read_text())
+    # the Gaussianity draws and pairs run in a thread pool; the report
+    # bytes must not depend on its size
+    first = out.read_bytes()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+    rep = json.loads(first)
     assert list(rep) == ["delta_gaussianity", "anisotropic_gap",
                          "zeroth_moment", "centering"]
     assert list(rep["delta_gaussianity"]) == ["value", "standard_error",
@@ -222,6 +231,21 @@ def test_exit_3_on_malformed_kernel_json(tmp_path, toy_files):
                  str(yhat), "--d", "2", "--delta", "1", "--out",
                  str(tmp_path / "x.json")])
     assert code == 3
+
+
+def test_exit_4_on_numerically_singular_pencil_without_warnings(tmp_path):
+    out = tmp_path / "sing.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["diagnose", "--synthetic", "12,6,4", "--d", "4",
+                     "--reps", "4", "--samples", "10000", "--eta-list",
+                     "100,1000", "--z", "0", "--delta", "1e-300", "--out",
+                     str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == 4
+    rep = json.loads(out.read_text())
+    assert rep["error"] == "RuntimeError"
+    assert "numerically singular" in rep["message"]
 
 
 def test_exit_4_writes_failure_name_to_report(tmp_path):

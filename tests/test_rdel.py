@@ -41,12 +41,40 @@ def semicircle_spec():
 # spectral_norm
 # ---------------------------------------------------------------------------
 
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(5)
-    for n in (1, 3, 17):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2),
-                                                 rel=1e-6)
+def _unitary(rng, n, complex_):
+    g = rng.standard_normal((n, n))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape, s", [
+    ((1, 1), [2.5]),
+    ((3, 3), [3.0, 1.0, 0.5]),
+    ((17, 17), np.linspace(4.0, 0.1, 17)),
+    ((12, 5), [2.0, 1.5, 1.0, 0.5, 0.25]),
+    ((5, 12), [2.0, 1.5, 1.0, 0.5, 0.25]),
+    ((20, 20), [3.0, 2.0, 1.0] + [0.0] * 17),
+    ((30, 30), [1.0, 1.0 - 1e-4] + list(np.linspace(0.5, 0.01, 28))),
+], ids=["1x1", "3x3", "17x17", "tall", "wide", "rank3", "gap1e-4"])
+def test_spectral_norm_is_the_known_top_singular_value(shape, s, complex_):
+    # U diag(s) V^H with random unitaries: the singular values are s by
+    # construction, so the oracle is max(s), not another norm routine.
+    m, n = shape
+    rng = np.random.default_rng(m * 100 + n + 7 * complex_)
+    S = np.zeros(shape)
+    S[np.diag_indices(min(shape))] = s
+    x = _unitary(rng, m, complex_) @ S @ _unitary(rng, n, complex_).conj().T
+    assert abs(spectral_norm(x) - max(s)) <= 1e-12 * max(s)
+
+
+def test_spectral_norm_rejects_non_finite_input():
+    x = np.eye(3)
+    x[1, 2] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        spectral_norm(x)
 
 
 def test_spectral_norm_zero_matrix():
