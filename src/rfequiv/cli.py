@@ -9,8 +9,8 @@ Exit codes
 0   success
 2   option or validation errors
 3   input file problems (missing, unreadable, malformed)
-4   solver failures; the failure name is written into the report when an
-    output path is available
+4   solver failures, LAPACK's ``LinAlgError`` included; the failure name
+    is written into the report when an output path is available
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from .model import (
     Dataset,
     MatrixFormatError,
     RFConfig,
+    _check_heights,
+    _check_ridge,
+    _check_z,
+    _parallel_map,
     derive_seed,
     load_matrix,
     substream,
@@ -49,7 +53,6 @@ from .rdel import (
     zeroth_moment_check,
 )
 from .sim import (
-    _parallel_map,
     anisotropic_gap,
     build_pseudoresolvent,
     estimate_delta_gaussianity,
@@ -65,19 +68,16 @@ def _parse_complex(text):
     return complex(text.strip().replace("i", "j").replace("I", "j").replace("J", "j"))
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _parse_list(text, kind=float):
+    return tuple(kind(v) for v in text.split(",") if v.strip())
 
 
 def _activation(kind, params_text):
-    return Activation(kind, _parse_floats(params_text) if params_text else ())
+    return Activation(kind, _parse_list(params_text) if params_text else ())
 
 
-def _add_dataset_options(p):
+def _add_model_options(p, *, reps_default=30):
+    """Dataset, activation and sampling options shared by the model verbs."""
     p.add_argument("--x", help="training design matrix file")
     p.add_argument("--xhat", help="test design matrix file")
     p.add_argument("--y", help="training labels file (single column)")
@@ -88,9 +88,6 @@ def _add_dataset_options(p):
                    help="generate a synthetic dataset instead of reading files")
     p.add_argument("--noise-sd", type=float, default=0.0,
                    help="label noise for --synthetic (default 0)")
-
-
-def _add_activation_options(p):
     p.add_argument("--sigma", choices=ACTIVATION_KINDS, default="erf",
                    help="feature activation (default erf)")
     p.add_argument("--phi", choices=ACTIVATION_KINDS, default="identity",
@@ -99,9 +96,6 @@ def _add_activation_options(p):
                    help="comma-separated parameters for --sigma custom-table")
     p.add_argument("--phi-params", default="",
                    help="comma-separated parameters for --phi custom-table")
-
-
-def _add_common_options(p, *, reps_default=30):
     p.add_argument("--n", type=int, default=None,
                    help="feature normalization (default: n_train)")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
@@ -114,7 +108,7 @@ def _add_common_options(p, *, reps_default=30):
 
 def _load_dataset(args, need_labels=True):
     if args.synthetic:
-        parts = _parse_ints(args.synthetic)
+        parts = _parse_list(args.synthetic, int)
         if len(parts) != 3:
             raise ValueError("--synthetic needs exactly NTRAIN,NTEST,N0")
         return synthetic_regression(*parts, args.noise_sd, args.seed)
@@ -133,6 +127,13 @@ def _load_dataset(args, need_labels=True):
     return Dataset(X, Xhat, y, yhat)
 
 
+def _load_model(args, need_labels=True):
+    """The dataset, the activations sigma and phi, and the normalization n."""
+    ds = _load_dataset(args, need_labels)
+    return (ds, _activation(args.sigma, args.sigma_params),
+            _activation(args.phi, args.phi_params), args.n or ds.n_train)
+
+
 def _dataset_kernels(args, ds, sigma, phi, n):
     if getattr(args, "kernels", None):
         return load_kernels(args.kernels)
@@ -145,13 +146,8 @@ def _dataset_kernels(args, ds, sigma, phi, n):
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate_kernels(args):
-    ds = _load_dataset(args, need_labels=False)
-    sigma = _activation(args.sigma, args.sigma_params)
-    phi = _activation(args.phi, args.phi_params)
-    n = args.n or ds.n_train
-    m = args.samples or default_samples(ds.n_train, ds.n_test)
-    ks = estimate_kernels(ds, sigma, phi, n, m, args.seed)
-    save_kernels(ks, args.out)
+    ds, sigma, phi, n = _load_model(args, need_labels=False)
+    save_kernels(_dataset_kernels(args, ds, sigma, phi, n), args.out)
     return 0
 
 
@@ -165,10 +161,7 @@ def _cmd_predict(args):
 
 
 def _run_simulation(args):
-    ds = _load_dataset(args)
-    sigma = _activation(args.sigma, args.sigma_params)
-    phi = _activation(args.phi, args.phi_params)
-    n = args.n or ds.n_train
+    ds, sigma, phi, n = _load_model(args)
     cfg = RFConfig(d=args.d, delta=args.delta, n=n, seed=args.seed)
     kernels = _dataset_kernels(args, ds, sigma, phi, n)
     return run_replicates(ds, sigma, phi, cfg, reps=args.reps, kernels=kernels)
@@ -195,12 +188,9 @@ def _cmd_compare(args):
 
 
 def _cmd_sweep(args):
-    ds = _load_dataset(args)
-    sigma = _activation(args.sigma, args.sigma_params)
-    phi = _activation(args.phi, args.phi_params)
-    n = args.n or ds.n_train
-    d_list = sorted(set(_parse_ints(args.d_list)))
-    delta_list = sorted(set(_parse_floats(args.delta_list)))
+    ds, sigma, phi, n = _load_model(args)
+    d_list = sorted(set(_parse_list(args.d_list, int)))
+    delta_list = sorted(set(_parse_list(args.delta_list)))
     if not d_list or not delta_list:
         raise ValueError("--d-list and --delta-list must be non-empty")
     kernels = _dataset_kernels(args, ds, sigma, phi, n)
@@ -217,23 +207,15 @@ def _cmd_sweep(args):
     reports = _parallel_map(cell, len(grid))
     lines = ["d,delta,predicted,empirical_mean,rel_gap"]
     for (d, delta), rep in zip(grid, reports):
-        lines.append(",".join([
-            str(d),
-            format(delta, ".17g"),
-            format(rep.predicted, ".17g"),
-            format(rep.mean, ".17g"),
-            format(rep.rel_gap, ".17g"),
-        ]))
+        values = (delta, rep.predicted, rep.mean, rep.rel_gap)
+        lines.append(",".join([str(d)] + [format(v, ".17g") for v in values]))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_diagnose(args):
-    ds = _load_dataset(args)
-    sigma = _activation(args.sigma, args.sigma_params)
-    phi = _activation(args.phi, args.phi_params)
-    n = args.n or ds.n_train
+    ds, sigma, phi, n = _load_model(args)
     cfg = RFConfig(d=args.d, delta=args.delta, n=n, seed=args.seed)
     ell = ds.n_train + cfg.d + 2 * ds.n_test
     if ell > args.max_ell:
@@ -241,10 +223,14 @@ def _cmd_diagnose(args):
             f"pencil size ell={ell} exceeds --max-ell {args.max_ell} "
             "(dense solves are O(ell^3); raise the cap explicitly if intended)"
         )
+    # every option is checked before the first Monte Carlo draw
     if args.reps < 4:
         raise ValueError("diagnose needs --reps >= 4 for a spread estimate")
-    z = args.z
-    etas = _parse_floats(args.eta_list)
+    if args.probes < 1:
+        raise ValueError("--probes must be >= 1")
+    z = _check_z(args.z)
+    _check_ridge(args.tau, name="tau")
+    etas = _check_heights(_parse_list(args.eta_list))
     kernels = _dataset_kernels(args, ds, sigma, phi, n)
     dims = (ds.n_train, cfg.d, ds.n_test)
 
@@ -295,9 +281,7 @@ def build_parser():
 
     p = sub.add_parser("estimate-kernels",
                        help="estimate the feature covariance blocks")
-    _add_dataset_options(p)
-    _add_activation_options(p)
-    _add_common_options(p)
+    _add_model_options(p)
     p.add_argument("--out", required=True, help="output kernel JSON path")
     p.set_defaults(func=_cmd_estimate_kernels)
 
@@ -316,9 +300,7 @@ def build_parser():
         ("compare", _cmd_compare, "empirical mean vs. prediction"),
     ):
         p = sub.add_parser(verb, help=extra_help)
-        _add_dataset_options(p)
-        _add_activation_options(p)
-        _add_common_options(p)
+        _add_model_options(p)
         p.add_argument("--kernels", help="precomputed kernel JSON (else estimated)")
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--delta", type=float, required=True)
@@ -329,9 +311,7 @@ def build_parser():
         p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="grid of (d, delta) comparisons to CSV")
-    _add_dataset_options(p)
-    _add_activation_options(p)
-    _add_common_options(p)
+    _add_model_options(p)
     p.add_argument("--kernels", help="precomputed kernel JSON (else estimated)")
     p.add_argument("--d-list", required=True, help="comma-separated widths")
     p.add_argument("--delta-list", required=True, help="comma-separated ridges")
@@ -339,9 +319,7 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("diagnose", help="solver and model-fit diagnostics")
-    _add_dataset_options(p)
-    _add_activation_options(p)
-    _add_common_options(p, reps_default=10)
+    _add_model_options(p, reps_default=10)
     p.add_argument("--kernels", help="precomputed kernel JSON (else estimated)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -373,7 +351,8 @@ def main(argv=None):
     except (MatrixFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"rfequiv: input error: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:  # solver failures, incl. non-convergence
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # solver failures
         _write_failure(args, exc)
         print(f"rfequiv: solver failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import NonConvergence, _check_ridge, _check_symmetric
+from .model import NonConvergence, _check_ridge, _check_z, _clamped_eigh
 
 __all__ = [
     "AlphaSolution",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DENOM_GUARD = 1e-8
-_EIG_CLAMP_REL = 1e-8
 
 
 class DenominatorDegenerate(RuntimeError):
@@ -83,24 +82,6 @@ class EquivSolution:
             "iterations": self.iterations,
             "residual": self.residual,
         }
-
-
-def _clamped_eigh(K):
-    """Eigendecomposition of a symmetric PSD matrix with a tolerance for
-    Monte Carlo round-off: eigenvalues in [-1e-8 * lam_max, 0) are clamped to
-    zero, anything below that is an error."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[0] != K.shape[1]:
-        raise ValueError("K_aa must be square")
-    _check_symmetric(K, "K_aa")
-    w, V = np.linalg.eigh((K + K.T) / 2)
-    lam_max = max(float(w[-1]), 0.0)
-    floor = -_EIG_CLAMP_REL * lam_max
-    if float(w[0]) < floor:
-        raise ValueError(
-            f"negative eigenvalue {w[0]:.6e} below the clamp floor {floor:.6e}"
-        )
-    return np.clip(w, 0.0, None), V
 
 
 def _iterate(lam, d, delta, z, nu, tol, max_iter):
@@ -226,8 +207,8 @@ def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
     ``nu = -(1 + z + tr(K_aa N11))^{-1}``.  The train block is diagonal in
     the eigenbasis of K_aa, so the pair reduces to the scalar iteration
     ``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.  ``z``
-    must be 0 (real iteration from -1, whose fixed point is alpha) or lie
-    in the open upper half-plane (iteration from 1j).  The stopping
+    must be finite, and 0 (real iteration from -1, whose fixed point is
+    alpha) or in the open upper half-plane (iteration from 1j).  The stopping
     quantity is the scalar step ``|nu - T(nu)|``, and the iteration stops
     once it is at most ``tol``; ``N11 = V diag(1 / (delta - z - d nu lam)) V^T``
     is then formed from the returned ``nu``.  An error in ``nu`` reaches
@@ -246,9 +227,7 @@ def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
         If an iterate leaves the upper half-plane by more than 1e-10 while
         Im z > 0.
     """
-    z = complex(z)
-    if z != 0 and not z.imag > 0:
-        raise ValueError("z must be 0 or lie in the open upper half-plane")
+    z = _check_z(z)
     _check_ridge(delta, d)
     w, V = _clamped_eigh(K_aa)
     if z == 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,9 @@ import numpy as np
 from .model import (
     MatrixFormatError,
     _check_symmetric,
+    _parallel_map,
     apply_activation,
     substream,
-    worker_count,
     write_json,
     write_matrix,
     load_matrix,
@@ -103,11 +102,25 @@ class KernelSet:
         return np.block([[self.K_aa, self.K_ah], [self.K_ha, self.K_hh]])
 
 
-def _chunk_sizes(m):
-    sizes = [_CHUNK] * (m // _CHUNK)
-    if m % _CHUNK:
-        sizes.append(m % _CHUNK)
-    return sizes
+def _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
+    """Yield ``reduce(U)`` for each chunk of ``m`` feature columns, in order.
+
+    Chunk ``c`` holds up to 512 columns ``U = n^{-1/2} sigma([X; Xhat] phi(Z))``
+    with ``Z`` from the substream (seed, label, c).  ``reduce`` runs in the
+    pool worker, so only the partials leave it.
+    """
+    stacked = np.vstack([ds.X, ds.Xhat])
+    scale = 1.0 / np.sqrt(n)
+    sizes = [_CHUNK] * (m // _CHUNK) + ([m % _CHUNK] if m % _CHUNK else [])
+
+    def one_chunk(c):
+        Z = substream(seed, label, c).standard_normal((ds.n0, sizes[c]))
+        U = apply_activation(sigma, stacked @ apply_activation(phi, Z)) * scale
+        if not np.all(np.isfinite(U)):
+            raise ValueError("non-finite activation output")
+        return reduce(U)
+
+    return _parallel_map(one_chunk, len(sizes))
 
 
 def estimate_kernels(ds, sigma, phi, n, m, seed):
@@ -140,28 +153,16 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    stacked = np.vstack([ds.X, ds.Xhat])
-    scale = 1.0 / np.sqrt(n)
-    sizes = _chunk_sizes(m)
-
-    def one_chunk(c):
-        rng = substream(seed, "kernels", c)
-        Z = rng.standard_normal((ds.n0, sizes[c]))
-        U = apply_activation(sigma, stacked @ apply_activation(phi, Z)) * scale
-        if not np.all(np.isfinite(U)):
-            raise ValueError("non-finite activation output")
-        return U @ U.T
-
-    k = stacked.shape[0]
+    k = ds.n_train + ds.n_test
     total = np.zeros((k, k))
     comp = np.zeros((k, k))
-    with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-        for part in ex.map(one_chunk, range(len(sizes))):
-            # Kahan step: comp carries the low-order bits lost by total += part
-            y = part - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+    for part in _feature_chunks(ds, sigma, phi, n, m, seed, "kernels",
+                                lambda U: U @ U.T):
+        # Kahan step: comp carries the low-order bits lost by total += part
+        y = part - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
     joint = total / m
     joint = (joint + joint.T) / 2
     nt = ds.n_train
@@ -185,21 +186,19 @@ def verify_centering(sigma, phi, ds, n, m, seed):
     """Centering diagnostic: ||mean column|| / RMS column norm over m draws.
 
     Values near zero support the zero-mean feature hypothesis; values near
-    one indicate clearly non-centered features.
+    one indicate clearly non-centered features.  The columns are drawn in
+    the chunks of :func:`estimate_kernels` under the label "centering", so
+    the value is bit-identical for any worker count.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    stacked = np.vstack([ds.X, ds.Xhat])
-    scale = 1.0 / np.sqrt(n)
-    sizes = _chunk_sizes(m)
-    mean_acc = np.zeros(stacked.shape[0])
+    mean_acc = np.zeros(ds.n_train + ds.n_test)
     sq_acc = 0.0
-    for c, size in enumerate(sizes):
-        rng = substream(seed, "centering", c)
-        Z = rng.standard_normal((ds.n0, size))
-        U = apply_activation(sigma, stacked @ apply_activation(phi, Z)) * scale
-        mean_acc += U.sum(axis=1)
-        sq_acc += float(np.sum(U * U))
+    for col_sum, sq in _feature_chunks(
+            ds, sigma, phi, n, m, seed, "centering",
+            lambda U: (U.sum(axis=1), float(np.sum(U * U)))):
+        mean_acc += col_sum
+        sq_acc += sq
     rms = np.sqrt(sq_acc / m)
     if rms == 0.0:
         return 0.0

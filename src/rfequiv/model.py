@@ -6,12 +6,15 @@ CLI) builds on the types and helpers defined here.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
+import numbers
 import os
 import re
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +51,62 @@ def _check_ridge(delta, d=None, name="delta"):
     """Reject a width below 1 and a ridge that is not a positive finite real.
 
     A NaN ridge would pass a plain ``delta <= 0`` test and spin a solver
-    through its whole iteration budget; an infinite one overflows.
+    through its whole iteration budget; an infinite one overflows.  The
+    resolvent regularization ``tau`` is checked the same way.
     """
     if d is not None and d < 1:
         raise ValueError("d must be >= 1")
-    if not (delta > 0 and math.isfinite(delta)):
+    if not (isinstance(delta, numbers.Real) and delta > 0
+            and math.isfinite(delta)):
         raise ValueError(f"{name} must be a positive finite real")
 
 
+def _check_z(z, regularized=False):
+    """``z`` as a complex: finite, and 0 or in the open upper half-plane, or
+    with ``Im z >= 0`` for a solve ``regularized`` by ``i*tau*I``.  A NaN
+    would pass a plain ``z.imag < 0`` test."""
+    z = complex(z)
+    if not (cmath.isfinite(z) and (z.imag > 0 or z == 0 or regularized and z.imag == 0)):
+        raise ValueError("z must be finite with Im z >= 0" if regularized
+                         else "z must be 0 or finite in the open upper half-plane")
+    return z
+
+
+def _check_heights(eta_list):
+    """Heights of ``z = i*eta`` as floats: two or more, finite, positive and
+    strictly increasing."""
+    etas = [float(e) for e in eta_list]
+    if not (len(etas) >= 2 and all(math.isfinite(e) for e in etas)
+            and etas[0] > 0 and all(b > a for a, b in zip(etas, etas[1:]))):
+        raise ValueError("eta_list needs at least two finite, positive, "
+                         "strictly increasing heights")
+    return etas
+
+
 def _check_symmetric(K, name, rel=1e-12):
+    if not np.all(np.isfinite(K)):
+        raise ValueError(f"{name} contains non-finite entries")
     gap = np.linalg.norm(K - K.T)
     if gap > rel * max(1.0, np.linalg.norm(K)):
         raise ValueError(f"{name} is not symmetric (asymmetry {gap:.3e})")
+
+
+def _clamped_eigh(K, name="K_aa"):
+    """Eigendecomposition of a symmetric PSD matrix with a tolerance for
+    Monte Carlo round-off: eigenvalues in [-1e-8 * lam_max, 0) are clamped to
+    zero, anything below that is an error.  ``name`` labels the messages."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    if K.shape[0] != K.shape[1]:
+        raise ValueError(f"{name} must be square")
+    _check_symmetric(K, name)
+    w, V = np.linalg.eigh((K + K.T) / 2)
+    floor = -1e-8 * max(float(w[-1]), 0.0)
+    if float(w[0]) < floor:
+        raise ValueError(
+            f"{name} is not PSD: negative eigenvalue {w[0]:.6e} below the "
+            f"clamp floor {floor:.6e}"
+        )
+    return np.clip(w, 0.0, None), V
 
 
 # ---------------------------------------------------------------------------
@@ -86,33 +133,48 @@ def substream(seed, label, counter=0):
     -------
     numpy.random.Generator
     """
-    msg = f"{int(seed)}:{label}:{int(counter)}".encode()
-    key = int.from_bytes(hashlib.blake2b(msg, digest_size=16).digest(), "little")
+    key = _digest(seed, label, counter, 16)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(seed, label, counter=0):
     """Collapse (seed, label, counter) into a fresh 64-bit root seed."""
+    return _digest(seed, label, counter, 8)
+
+
+def _digest(seed, label, counter, size):
+    """BLAKE2b of ``"seed:label:counter"`` as a ``size``-byte little-endian int."""
     msg = f"{int(seed)}:{label}:{int(counter)}".encode()
-    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
+    return int.from_bytes(hashlib.blake2b(msg, digest_size=size).digest(), "little")
 
 
 def worker_count():
     """Worker cap for internal thread pools; RF_EQUIV_THREADS overrides."""
     env = os.environ.get("RF_EQUIV_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"RF_EQUIV_THREADS must be a positive integer, got {env!r}"
-            ) from exc
-        if value < 1:
-            raise ValueError(
-                f"RF_EQUIV_THREADS must be a positive integer, got {env!r}"
-            )
-        return value
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"RF_EQUIV_THREADS must be a positive integer, got {env!r}")
+    return value
+
+
+def _parallel_map(fn, count, workers=None):
+    """Yield ``fn(i)`` for ``i`` in ``range(count)`` in index order, on at
+    most ``workers`` threads (default :func:`worker_count`; one runs inline).
+    Results stream, so a fold never holds them all, and index order keeps
+    every fold bit-stable for any worker count."""
+    if workers is None:
+        workers = worker_count()
+    workers = max(1, min(int(workers), count))
+    if workers == 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        yield from ex.map(fn, range(count))
 
 
 # ---------------------------------------------------------------------------

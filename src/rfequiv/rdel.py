@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import equiv
-from .model import NonConvergence, _check_ridge, _check_symmetric, substream
+from .model import (NonConvergence, _check_heights, _check_ridge,
+                    _check_symmetric, _check_z, substream)
 
 __all__ = [
     "LinearizationSpec",
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 _PROBE_ROUNDS = 3
+# Regularization of each zeroth_moment_check solve: positive, so the Picard map
+# contracts, and tiny, so the heights eta dominate it.
+_ZEROTH_TAU = 1e-8
+_TAU0_SCHEDULE = (1e-2, 1e-3, 1e-4)  # solve_rdel_tau0, decreasing
 
 
 def spectral_norm(x):
@@ -73,9 +78,9 @@ class LinearizationSpec:
     superop : callable
         Maps a complex ell x ell matrix to a complex ell x ell matrix.
         Must be linear and positivity-preserving; both are checked on
-        random probes at construction and a failure aborts with
-        ``ValueError`` (a malformed covariance map would otherwise surface
-        as a mysterious solver divergence).
+        random probes at construction and a failure, or a non-finite output
+        on a probe, aborts with ``ValueError`` (a malformed covariance map
+        would otherwise surface as a mysterious solver divergence).
     """
 
     expectation: np.ndarray
@@ -132,6 +137,9 @@ class LinearizationSpec:
             P = G @ G.conj().T
             P /= np.linalg.norm(P)
             SP = np.asarray(S(P))
+            # NaN passes both comparisons, so non-finite output is named here
+            if not all(np.all(np.isfinite(v)) for v in (lhs, rhs, SP)):
+                raise ValueError("superop returned non-finite entries on a probe")
             herm = (SP + SP.conj().T) / 2
             if float(np.linalg.eigvalsh(herm)[0]) < -1e-8:
                 raise ValueError("superop failed a positivity probe")
@@ -157,43 +165,40 @@ class RDELSolution:
     residual_history: np.ndarray
 
 
-def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000, check=True):
+def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000):
     """Solve the regularized equation at spectral parameter ``z``.
 
     Starts from ``i * min(1/tau, 1) * I`` — strictly inside the admissible
     half-plane and already obeying the 1/tau norm bound — and iterates the
     resolvent map until the Frobenius defect drops below ``tol``.  The map
     is a strict contraction for every ``tau > 0``, so no damping is needed.
+    The result is checked against the a-priori bounds with exact spectral
+    norms: ``||M|| <= 1/tau + tol``, mask block ``<= 1/Im z + tol`` when
+    ``Im z > 0``, and ``Im M`` has minimum eigenvalue >= -1e-8.
 
     Parameters
     ----------
     spec : LinearizationSpec
     z : complex
-        Spectral parameter with ``Im z >= 0`` (the regularization supplies
-        the imaginary shift when ``z`` is real).
+        Finite, with ``Im z >= 0`` (the regularization supplies the
+        imaginary shift when ``z`` is real).
     tau : float
-        Positive regularization strength.
+        Positive finite regularization strength.
     tol, max_iter :
         Stopping threshold on the defect and inversion budget.
-    check : bool
-        When true (default), verify on return that the iterate satisfies
-        the a-priori bounds, with exact spectral norms: ``||M|| <= 1/tau +
-        tol``, the mask-block norm is at most ``1/Im z + tol`` when
-        ``Im z > 0``, and the imaginary part has minimum eigenvalue >= -1e-8.
 
     Raises
     ------
+    ValueError
+        On a non-finite ``z`` or ``tau``, before any iteration.
     NonConvergence
         If the inversion budget is exhausted.
     RuntimeError
-        On a singular update matrix (impossible for a well-formed superop)
-        or a failed a-priori bound check.
+        At the first non-finite defect, on a singular update matrix
+        (impossible for a well-formed superop) or a failed bound check.
     """
-    z = complex(z)
-    if z.imag < 0:
-        raise ValueError("z must satisfy Im z >= 0")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    z = _check_z(z, regularized=True)
+    _check_ridge(tau, name="tau")
     ell = spec.ell
     I = np.eye(ell)
     shift = z * spec.lambda_mask + 1j * tau  # diagonal of z*Lambda + i*tau*I
@@ -216,9 +221,10 @@ def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000, check=True):
                 iterations=it,
                 residual_history=np.asarray(history),
             )
-            if check:
-                _check_solution(spec, sol, tol)
+            _check_solution(spec, sol, tol)
             return sol
+        if not np.isfinite(defect):
+            raise RuntimeError(f"non-finite defect after {it} inversions")
         try:
             M = np.linalg.solve(U, I.astype(complex))
         except np.linalg.LinAlgError as exc:
@@ -256,30 +262,24 @@ def _check_solution(spec, sol, tol):
         )
 
 
-def solve_rdel_tau0(spec, z, taus=(1e-2, 1e-3, 1e-4), tol=1e-10, max_iter=10_000):
-    """Solve along a decreasing regularization schedule and extrapolate.
+def solve_rdel_tau0(spec, z):
+    """Solve along a fixed decreasing regularization schedule and extrapolate.
 
+    Solves at ``tau`` = 1e-2, 1e-3, 1e-4 with :func:`solve_rdel`'s defaults.
     The solution is differentiable in ``tau`` near 0 away from singular
-    points, so a linear Richardson step from the two smallest schedule
-    entries removes the leading error term.  Intended for ``z`` on or near
-    the real axis, where solving at ``tau = 0`` directly is not available.
+    points, so a linear Richardson step from 1e-4 and 1e-3 removes the
+    leading error term.  Intended for ``z`` on or near the real axis, where
+    solving at ``tau = 0`` directly is not available.
 
     Returns
     -------
     (M0, solutions)
         ``M0`` is the extrapolated matrix at ``tau = 0``; ``solutions`` is
-        the list of :class:`RDELSolution` in the order the schedule was
-        given.
+        the list of :class:`RDELSolution` in schedule order.
     """
-    ts = [float(t) for t in taus]
-    if len(ts) < 2:
-        raise ValueError("need at least two tau values to extrapolate")
-    if any(t <= 0 for t in ts) or len(set(ts)) != len(ts):
-        raise ValueError("tau schedule must be positive and distinct")
-    sols = [solve_rdel(spec, z, t, tol=tol, max_iter=max_iter) for t in ts]
-    order = np.argsort(ts)
-    t_small, t_mid = ts[order[0]], ts[order[1]]
-    m_small, m_mid = sols[order[0]].M, sols[order[1]].M
+    sols = [solve_rdel(spec, z, t) for t in _TAU0_SCHEDULE]
+    t_mid, t_small = _TAU0_SCHEDULE[1:]
+    m_mid, m_small = sols[1].M, sols[2].M
     M0 = m_small + (m_small - m_mid) * (t_small / (t_mid - t_small))
     return M0, sols
 
@@ -323,8 +323,7 @@ class ZerothMomentReport:
         }
 
 
-def zeroth_moment_check(spec, products, eta_list, tau=1e-8, tol=1e-10,
-                        max_iter=10_000):
+def zeroth_moment_check(spec, products, eta_list):
     """Compare ``-i*eta*(M(i*eta) - M_inf)`` against its zeroth-moment limit.
 
     The limit matrix is assembled from the supplied expectation products of
@@ -341,9 +340,9 @@ def zeroth_moment_check(spec, products, eta_list, tau=1e-8, tol=1e-10,
         Keys ``"EB"`` (q x p), ``"EQ"`` (q x q), ``"EBBt"`` (q x q); ignored
         when the complement block is empty.
     eta_list : sequence of float
-        Strictly increasing heights, all positive, at least two.
-    tau : float
-        Regularization used for each solve (tiny; the heights dominate it).
+        Strictly increasing heights, all positive and finite, at least two;
+        anything else raises ``ValueError`` before any solve.  Each height
+        is solved by :func:`solve_rdel` with its defaults at ``tau = 1e-8``.
 
     Returns
     -------
@@ -351,11 +350,7 @@ def zeroth_moment_check(spec, products, eta_list, tau=1e-8, tol=1e-10,
         Per-height mismatch norms, a strict-monotone-decrease flag, and the
         fitted log-log slope (close to -1 for a 1/eta decay).
     """
-    etas = [float(e) for e in eta_list]
-    if len(etas) < 2:
-        raise ValueError("eta_list needs at least two heights")
-    if etas[0] <= 0 or any(b <= a for a, b in zip(etas, etas[1:])):
-        raise ValueError("eta_list must be positive and strictly increasing")
+    etas = _check_heights(eta_list)
     lam = spec.lambda_indices()
     q = spec.q_indices()
     omega = np.zeros((spec.ell, spec.ell), dtype=complex)
@@ -372,10 +367,10 @@ def zeroth_moment_check(spec, products, eta_list, tau=1e-8, tol=1e-10,
         omega[np.ix_(lam, q)] = -EB.T @ EQi
         omega[np.ix_(q, lam)] = -EQi @ EB
         omega[np.ix_(q, q)] = EQi @ EBBt @ EQi
-    minf = m_infinity(spec, tau)
+    minf = m_infinity(spec, _ZEROTH_TAU)
     deltas = []
     for eta in etas:
-        sol = solve_rdel(spec, 1j * eta, tau, tol=tol, max_iter=max_iter)
+        sol = solve_rdel(spec, 1j * eta, _ZEROTH_TAU)
         mismatch = -1j * eta * (sol.M - minf) - omega
         deltas.append(spectral_norm(mismatch))
     monotone = all(b < a for a, b in zip(deltas, deltas[1:]))

@@ -10,7 +10,6 @@ estimate, and a jointly-Gaussian surrogate run with matching covariance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from . import equiv
 from .kernels import default_samples, estimate_kernels
-from .model import _check_ridge, apply_activation, substream, worker_count
+from .model import (_check_ridge, _check_z, _clamped_eigh, _parallel_map,
+                    apply_activation, substream)
 from .rdel import _rf_expectation, _rf_slices, spectral_norm
 
 __all__ = [
@@ -33,17 +33,6 @@ __all__ = [
     "run_replicates",
     "sample_features",
 ]
-
-
-def _parallel_map(fn, count, workers=None):
-    """Map ``fn`` over ``range(count)``, results in index order (bit-stable)."""
-    if workers is None:
-        workers = worker_count()
-    workers = max(1, min(int(workers), count))
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
 
 
 @dataclass
@@ -174,7 +163,7 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, kernels=None, workers=None):
         A, Ahat = _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
         return empirical_test_error(A, Ahat, ds.y, ds.yhat, cfg.delta)
 
-    errors = _parallel_map(one, reps, workers)
+    errors = list(_parallel_map(one, reps, workers))
     config = {
         "n_train": ds.n_train,
         "n_test": ds.n_test,
@@ -220,7 +209,7 @@ class PseudoResolvent:
 def build_pseudoresolvent(A, Ahat, delta, z):
     """Assemble the pencil and invert it, cross-checking three blocks.
 
-    ``z`` must be 0 (with ``delta > 0``) or lie in the open upper
+    ``z`` must be finite, and 0 (with ``delta > 0``) or in the open upper
     half-plane.  The inverse comes from one partial-pivot LU solve, refused
     with ``RuntimeError`` when the factor is numerically singular (smallest
     pivot at most machine epsilon times the largest).  Blocks (1,1), (2,2)
@@ -233,9 +222,7 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     and a mismatch beyond 1e-8 (relative to the block scale) raises, since
     it can only come from an assembly bug.
     """
-    z = complex(z)
-    if z != 0 and not z.imag > 0:
-        raise ValueError("z must be 0 or lie in the open upper half-plane")
+    z = _check_z(z)
     _check_ridge(delta)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
@@ -306,8 +293,7 @@ class DeltaGaussianity:
     pairs: int
 
 
-def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed,
-                               workers=None):
+def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
     """Estimate how far the sampled pencil is from a Gaussian one.
 
     For each replicate pair (L, L') the statistic
@@ -318,14 +304,15 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed,
     is averaged, with ``Ebar`` the mean of all sampled pencils; the
     expectation of this matrix vanishes exactly when the pencil entries are
     jointly Gaussian.  ``reps`` feature draws give ``reps // 2`` pairs.
+    ``z`` must be finite with ``Im z >= 0`` and ``tau`` a positive finite
+    real; draws and pairs run on the shared thread pool.
 
     Returns
     -------
     DeltaGaussianity
     """
-    z = complex(z)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    z = _check_z(z, regularized=True)
+    _check_ridge(tau, name="tau")
     if reps < 2:
         raise ValueError("need at least two replicates to form a pair")
     pairs = reps // 2
@@ -335,7 +322,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed,
         A, Ahat = _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
         return _assemble_linearization(A, Ahat, cfg.delta)
 
-    mats = _parallel_map(draw, 2 * pairs, workers)
+    mats = list(_parallel_map(draw, 2 * pairs))
     Ebar = sum(mats) / len(mats)
     ell = Ebar.shape[0]
     shift = np.zeros(ell, dtype=complex)
@@ -352,7 +339,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed,
         Xt = (Lt - Ebar) @ R
         return X + Xt @ Xt
 
-    terms = _parallel_map(one_pair, pairs, workers)
+    terms = list(_parallel_map(one_pair, pairs))
     T = sum(terms) / pairs
     value = spectral_norm(T)
     if pairs > 1:
@@ -367,7 +354,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed,
 # Gaussian surrogate
 # ---------------------------------------------------------------------------
 
-def gaussian_surrogate_run(K, y, yhat, cfg, reps, seed, workers=None):
+def gaussian_surrogate_run(K, y, yhat, cfg, reps, seed):
     """Replicate run with surrogate features of matching covariance.
 
     Columns ``(a_j; ahat_j)`` are drawn jointly Gaussian with the joint
@@ -379,14 +366,8 @@ def gaussian_surrogate_run(K, y, yhat, cfg, reps, seed, workers=None):
         raise ValueError("reps must be >= 1")
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
-    joint = K.joint()
-    w, V = np.linalg.eigh((joint + joint.T) / 2)
-    lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -1e-8 * max(lam_max, 1e-300):
-        raise ValueError(
-            f"joint kernel matrix is not PSD (min eigenvalue {w[0]:.3e})"
-        )
-    sqrtC = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    w, V = _clamped_eigh(K.joint(), "joint kernel matrix")
+    sqrtC = (V * np.sqrt(w)) @ V.T
     nt = K.n_train
     sol = equiv.build_equiv(K, y, yhat, cfg.d, cfg.delta)
 
@@ -396,7 +377,7 @@ def gaussian_surrogate_run(K, y, yhat, cfg, reps, seed, workers=None):
         C = sqrtC @ G
         return empirical_test_error(C[:nt], C[nt:], y, yhat, cfg.delta)
 
-    errors = _parallel_map(one, reps, workers)
+    errors = list(_parallel_map(one, reps))
     config = {
         "surrogate": True,
         "n_train": K.n_train,

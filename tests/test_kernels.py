@@ -8,9 +8,11 @@ from rfequiv import (
     Dataset,
     KernelSet,
     MatrixFormatError,
+    RFConfig,
     analytic_identity_kernels,
     default_samples,
     estimate_kernels,
+    gaussian_surrogate_run,
     load_kernels,
     load_kernels_raw,
     save_kernels,
@@ -80,12 +82,25 @@ def test_estimator_is_deterministic_bitwise():
 
 
 def test_estimator_independent_of_worker_count(monkeypatch):
+    # every loop on the shared pool: kernel chunks, centering chunks (m not a
+    # multiple of the 512-draw chunk) and surrogate replicates
     ds = synthetic_regression(8, 4, 6, 0.3, seed=2)
-    a = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
-    monkeypatch.setenv("RF_EQUIV_THREADS", "1")
-    b = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
-    for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
-        assert np.array_equal(getattr(a, f), getattr(b, f))
+    cfg = RFConfig(d=6, delta=0.3, n=8, seed=2)
+
+    def run():
+        ks = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
+        surrogate = gaussian_surrogate_run(ks, ds.y, ds.yhat, cfg, reps=5,
+                                           seed=9)
+        return ([getattr(ks, f) for f in ("K_aa", "K_ah", "K_ha", "K_hh")]
+                + [verify_centering(ERF, IDENTITY, ds, 8, 2900, seed=4),
+                   surrogate.replicate_errors])
+
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        runs[threads] = run()
+    for a, b in zip(runs["1"], runs["2"]):
+        assert np.array_equal(a, b)
 
 
 def test_two_seeds_agree_within_clt_band():
@@ -145,6 +160,15 @@ def test_centering_score_flags_shifted_activation():
     v = verify_centering(shifted, IDENTITY, ds, 1, 20_000, seed=5)
     assert v > 0.5
     assert v == pytest.approx(1 / np.sqrt(2), abs=0.05)
+
+
+def test_centering_rejects_non_finite_features():
+    # X W overflows to inf; one chunk (m < 512) runs inline, under errstate
+    ds = Dataset(np.full((2, 3), 1e308), np.full((1, 3), 1e308), np.zeros(2),
+                 np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite activation output"):
+        verify_centering(IDENTITY, IDENTITY, ds, 1, 300, seed=0)
 
 
 # ---------------------------------------------------------------------------
