@@ -64,8 +64,12 @@ __all__ = ["main"]
 
 
 def _parse_complex(text):
-    """Accept both `1j` and `1i` spellings for the imaginary unit."""
-    return complex(text.strip().replace("i", "j").replace("I", "j").replace("J", "j"))
+    """Python's complex syntax, also accepting a trailing `i` or `I` as the
+    imaginary unit (`1i`); an `i` elsewhere, as in `infj`, is left alone."""
+    text = text.strip()
+    if text.endswith(("i", "I")):
+        text = text[:-1] + "j"
+    return complex(text)
 
 
 def _parse_list(text, kind=float):
@@ -221,7 +225,8 @@ def _cmd_diagnose(args):
     if ell > args.max_ell:
         raise ValueError(
             f"pencil size ell={ell} exceeds --max-ell {args.max_ell} "
-            "(dense solves are O(ell^3); raise the cap explicitly if intended)"
+            "(solve_rdel in the zeroth-moment check and the Gaussianity "
+            "statistic are O(ell^3); raise the cap explicitly if intended)"
         )
     # every option is checked before the first Monte Carlo draw
     if args.reps < 4:

@@ -19,6 +19,7 @@ Every norm reported or bound-checked here is an exact spectral norm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -289,10 +290,11 @@ def m_infinity(spec, tau):
 
     Returns ``diag{0, (E_Q - i*tau*I)^{-1}}`` in the layout induced by the
     mask, where ``E_Q`` is the expectation restricted to the complementary
-    block.  ``tau = 0`` is allowed when ``E_Q`` itself is invertible.
+    block.  ``tau`` must be a finite real ``>= 0``; ``tau = 0`` is allowed
+    when ``E_Q`` itself is invertible.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not (tau >= 0 and math.isfinite(tau)):
+        raise ValueError("tau must be finite and >= 0")
     q = spec.q_indices()
     out = np.zeros((spec.ell, spec.ell), dtype=complex)
     if q.size:

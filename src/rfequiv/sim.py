@@ -2,9 +2,16 @@
 
 Draws actual feature matrices, measures the empirical ridge test error,
 and provides the diagnostic objects the solver predictions are validated
-against: the pseudo-resolvent of the sampled pencil with closed-form block
-cross-checks, the anisotropic trace gap, a Gaussianity discrepancy
-estimate, and a jointly-Gaussian surrogate run with matching covariance.
+against: the pseudo-resolvent of the sampled pencil, the anisotropic trace
+gap, a Gaussianity discrepancy estimate, and a jointly-Gaussian surrogate
+run with matching covariance.
+
+The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is never formed by a dense
+ell x ell solve.  Every block is closed-form in the d x d matrix
+``C = A^T A + (delta - z)(1 + z) I``, which one thin SVD of the train
+features ``A`` diagonalizes for any ``z``; see :func:`build_pseudoresolvent`
+for the blocks, the refusal rule for a numerically singular pencil, and
+the defect check against the assembled pencil.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from . import equiv
 from .kernels import default_samples, estimate_kernels
@@ -198,7 +205,7 @@ def _assemble_linearization(A, Ahat, delta):
 
 @dataclass
 class PseudoResolvent:
-    """``(L - z*Lambda)^{-1}`` of one sampled pencil, block-verified."""
+    """``(L - z*Lambda)^{-1}`` of one sampled pencil, defect-verified."""
 
     L: np.ndarray
     z: complex
@@ -206,21 +213,50 @@ class PseudoResolvent:
     dims: tuple
 
 
+def _real_left(B, X):
+    """``B @ X`` for real ``B`` and complex ``X``, as one real product."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    return (B @ X.view(float)).view(complex)
+
+
+def _complement(Q):
+    """``I - Q Q^T`` for orthonormal columns ``Q``, projected twice so that
+    ``Q^T`` times it stays at rounding level."""
+    P = np.eye(Q.shape[0]) - Q @ Q.T
+    return P - Q @ (Q.T @ P)
+
+
 def build_pseudoresolvent(A, Ahat, delta, z):
-    """Assemble the pencil and invert it, cross-checking three blocks.
+    """Assemble the pencil and invert it through one thin SVD of ``A``.
 
     ``z`` must be finite, and 0 (with ``delta > 0``) or in the open upper
-    half-plane.  The inverse comes from one partial-pivot LU solve, refused
-    with ``RuntimeError`` when the factor is numerically singular (smallest
-    pivot at most machine epsilon times the largest).  Blocks (1,1), (2,2)
-    and (3,1) are then compared against their closed forms
+    half-plane.  In the slot order (train n, width d, test t, test t), with
+    ``a = delta - z``, ``b = a (1 + z)`` and the complex-symmetric d x d
+    matrix ``C = A^T A + b I``, the inverse ``G`` has the blocks
 
-        (1,1) = ((1+z)^{-1} A A^T + (delta - z) I)^{-1}
-        (2,2) = -((1+z) I + (delta - z)^{-1} A^T A)^{-1}
-        (3,1) = (1+z)^{-1} Ahat A^T (1,1)
+        G22 = -a C^{-1}                 G21 = C^{-1} A^T = G12^T
+        G11 = (I - A C^{-1} A^T) / a    G31 = Ahat G21 = G13^T
+        G32 = Ahat G22 = G23^T          G33 = Ahat G22 Ahat^T
+        G34 = G43 = -I
 
-    and a mismatch beyond 1e-8 (relative to the block scale) raises, since
-    it can only come from an assembly bug.
+    and zeros in blocks (1,4), (2,4), (4,1), (4,2) and (4,4).  With the
+    thin SVD ``A = U diag(s) V^T`` (r = min(n, d) columns) and
+    ``g = 1 / (s^2 + b)``, these are evaluated without cancellation as
+
+        G11 = (1 + z) U g U^T  +  (I - U U^T) / a         (second term if n > r)
+        G21 = V (g s) U^T
+        G22 = -a V g V^T  -  (I - V V^T) / (1 + z)        (second term if d > r)
+
+    so every product is real except for complex diagonal scalings, and the
+    route stays accurate as ``a -> 0`` whenever the pencil does.
+
+    Since ``det(L - z*Lambda) = +-a^(n-r) (1+z)^(d-r) prod_j (s_j^2 + b)``,
+    the pencil is refused with ``RuntimeError`` as numerically singular when
+    the smallest modulus among these factors and the unit pivots of the
+    test-slot couplings is at most machine epsilon times the largest; this
+    happens before any division.  The result is then checked against the
+    assembled pencil: ``||(L - z*Lambda) G - I||_F`` must be at most 1e-9,
+    with the coupling and diagonal blocks read from ``L``.
     """
     z = _check_z(z)
     _check_ridge(delta)
@@ -228,51 +264,99 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
     if A.shape[1] != Ahat.shape[1]:
         raise ValueError("A and Ahat must share the width d")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Ahat))):
+        raise ValueError("A and Ahat must be finite")
     n, d = A.shape
     t = Ahat.shape[0]
+    dims = (n, d, t)
     L = _assemble_linearization(A, Ahat, delta)
-    ell = L.shape[0]
-    P = np.asarray(L, dtype=complex)
-    rows = np.arange(n + d)
-    P[rows, rows] -= z
-    lu, piv = lu_factor(P)
-    pivots = np.abs(np.diagonal(lu))
-    if pivots.min() <= np.finfo(float).eps * pivots.max():
+    a = delta - z
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    r = sv.size
+    c = sv ** 2 + a * (1.0 + z)
+    factors = np.abs(np.concatenate([c, [1.0], [a] * (n > r), [1.0 + z] * (d > r)]))
+    if factors.min() <= np.finfo(float).eps * factors.max():
         raise RuntimeError(
             f"pencil is numerically singular at z={z}, delta={delta:.3e}: "
-            f"LU pivots span {pivots.min():.3e} to {pivots.max():.3e}"
+            f"the factors of its determinant span {factors.min():.3e} to "
+            f"{factors.max():.3e} in modulus"
         )
-    value = lu_solve((lu, piv), np.eye(ell, dtype=complex))
-    defect = np.linalg.norm(P @ value - np.eye(ell))
+    g = 1.0 / c
+    V = Vt.T
+    What = Ahat @ V
+
+    def scaled(X, w, Y):  # X diag(w) Y^T for real X and Y
+        return _real_left(X, w[:, None] * Y.T)
+
+    s1, s2, s3, s4 = _rf_slices(dims)
+    ell = n + d + 2 * t
+    value = np.zeros((ell, ell), dtype=complex)
+    value[s1, s1] = scaled(U, (1.0 + z) * g, U)
+    if n > r:
+        value[s1, s1] += _complement(U) / a
+    value[s2, s1] = scaled(V, g * sv, U)
+    value[s3, s1] = scaled(What, g * sv, U)
+    value[s2, s2] = scaled(V, -a * g, V)
+    value[s3, s2] = scaled(What, -a * g, V)
+    value[s3, s3] = scaled(What, -a * g, What)
+    if d > r:
+        P = _complement(V)
+        N = Ahat @ P
+        value[s2, s2] -= P / (1.0 + z)
+        value[s3, s2] -= N / (1.0 + z)
+        value[s3, s3] -= (N @ N.T) / (1.0 + z)
+    value[s1, s2] = value[s2, s1].T
+    value[s1, s3] = value[s3, s1].T
+    value[s2, s3] = value[s3, s2].T
+    value[s3, s4] = value[s4, s3] = -np.eye(t)
+    defect = _pencil_defect(L, z, value, dims)
     if defect > 1e-9:
         raise RuntimeError(f"pseudo-resolvent defect {defect:.3e} exceeds 1e-9")
-    _check_blocks(A, Ahat, delta, z, value, (n, d, t))
-    return PseudoResolvent(L=L, z=z, value=value, dims=(n, d, t))
+    return PseudoResolvent(L=L, z=z, value=value, dims=dims)
 
 
-def _check_blocks(A, Ahat, delta, z, value, dims):
-    n, d, _ = dims
-    s1, s2, s3, _ = _rf_slices(dims)
-    w = 1.0 / (1.0 + z)
-    R = np.linalg.inv(w * (A @ A.T) + (delta - z) * np.eye(n))
-    B22 = -np.linalg.inv((1.0 + z) * np.eye(d) + (A.T @ A) / (delta - z))
-    B31 = w * (Ahat @ (A.T @ R))
-    for name, got, want in (
-        ("(1,1)", value[s1, s1], R),
-        ("(2,2)", value[s2, s2], B22),
-        ("(3,1)", value[s3, s1], B31),
-    ):
-        err = np.linalg.norm(got - want)
-        if err > 1e-8 * max(1.0, np.linalg.norm(want)):
-            raise RuntimeError(
-                f"pseudo-resolvent block {name} mismatch {err:.3e}"
-            )
+def _pencil_defect(L, z, X, dims):
+    """``||(L - z*Lambda) X - I||_F``, one block row at a time.
+
+    Reads the couplings ``L12, L21, L24, L42`` and the diagonals of the
+    blocks ``L11, L22, L34, L43`` from ``L``; the other blocks of the
+    pencil are zero by construction.
+    """
+    s1, s2, s3, s4 = _rf_slices(dims)
+    X = np.ascontiguousarray(X, dtype=complex)
+
+    def diag(i, j):
+        return np.diagonal(L[i, j])[:, None]
+
+    def squared(s, R):  # ||R - I[s]||_F^2 for the block row s of the product
+        k = np.arange(R.shape[0])
+        R[k, s.start + k] -= 1.0
+        return np.linalg.norm(R) ** 2
+
+    # one block row is alive at a time
+    return math.sqrt(
+        squared(s1, (diag(s1, s1) - z) * X[s1] + _real_left(L[s1, s2], X[s2]))
+        + squared(s2, _real_left(L[s2, s1], X[s1]) + (diag(s2, s2) - z) * X[s2]
+                  + _real_left(L[s2, s4], X[s4]))
+        + squared(s3, diag(s3, s4) * X[s4])
+        + squared(s4, _real_left(L[s4, s2], X[s2]) + diag(s4, s3) * X[s3])
+    )
 
 
 def anisotropic_gap(pr, M_theory, U):
-    """``|tr(U (pr.value - M_theory))|`` for a probe of nuclear norm <= 1."""
-    D = np.asarray(pr.value) - np.asarray(M_theory)
-    return float(abs(np.sum(np.asarray(U) * D.T)))
+    """``|tr(U (pr.value - M_theory))|`` for a probe of nuclear norm <= 1.
+
+    ``tr(U X) = sum_ij U_ij X_ji`` is accumulated over slabs of 64 rows of
+    ``X``, each against a contiguous copy of the matching columns of ``U``,
+    so no ell x ell temporary is formed.
+    """
+    U = np.asarray(U)
+    X, M = np.asarray(pr.value), np.asarray(M_theory)
+    total = 0j
+    for r in range(0, U.shape[1], 64):
+        Ut = np.ascontiguousarray(U[:, r:r + 64].T).ravel()
+        total += Ut @ X[r:r + 64].ravel() - Ut @ M[r:r + 64].ravel()
+    return float(abs(total))
 
 
 # ---------------------------------------------------------------------------

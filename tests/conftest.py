@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from rfequiv import Dataset, KernelSet
 
@@ -81,3 +82,55 @@ def dense_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
             return np.asarray(N11, dtype=complex), complex(nu)
         N11, nu = np.linalg.inv(U11), 1.0 / u22
     raise AssertionError(f"dense oracle stalled at defect {defect:.3e}")
+
+
+def dense_pencil(A, Ahat, delta, z):
+    """``L - z*Lambda`` of the sampled pencil, assembled densely.
+
+    Slot order (train n, width d, test t, test t): ``(delta - z) I`` and
+    ``-(1 + z) I`` on the first two diagonal blocks, ``A`` and ``A^T``
+    coupling them, ``Ahat`` and ``Ahat^T`` coupling the width slot to the
+    second test slot, and ``-I`` between the two test slots.
+    """
+    n, d = A.shape
+    t = Ahat.shape[0]
+    i1, i2, i3, i4 = 0, n, n + d, n + d + t
+    P = np.zeros((n + d + 2 * t,) * 2, dtype=complex)
+    P[i1:i2, i1:i2] = (delta - z) * np.eye(n)
+    P[i2:i3, i2:i3] = -(1.0 + z) * np.eye(d)
+    P[i1:i2, i2:i3] = A
+    P[i2:i3, i1:i2] = A.T
+    P[i2:i3, i4:] = Ahat.T
+    P[i4:, i2:i3] = Ahat
+    P[i3:i4, i4:] = -np.eye(t)
+    P[i4:, i3:i4] = -np.eye(t)
+    return P
+
+
+def dense_pseudoresolvent(A, Ahat, delta, z):
+    """Independent oracle for ``build_pseudoresolvent``: the partial-pivot
+    LU inverse of :func:`dense_pencil`, with blocks (1,1), (2,2) and (3,1)
+    checked against their closed forms
+
+        (1,1) = ((1+z)^{-1} A A^T + (delta - z) I)^{-1}
+        (2,2) = -((1+z) I + (delta - z)^{-1} A^T A)^{-1}
+        (3,1) = (1+z)^{-1} Ahat A^T (1,1)
+
+    to 1e-8 relative to the block scale.  It shares no code with the package.
+    """
+    P = dense_pencil(A, Ahat, delta, z)
+    G = lu_solve(lu_factor(P), np.eye(P.shape[0], dtype=complex))
+    n, d = A.shape
+    t = Ahat.shape[0]
+    w = 1.0 / (1.0 + z)
+    R = np.linalg.inv(w * (A @ A.T) + (delta - z) * np.eye(n))
+    closed = {
+        "(1,1)": (G[:n, :n], R),
+        "(2,2)": (G[n:n + d, n:n + d],
+                  -np.linalg.inv((1.0 + z) * np.eye(d) + (A.T @ A) / (delta - z))),
+        "(3,1)": (G[n + d:n + d + t, :n], w * (Ahat @ (A.T @ R))),
+    }
+    for name, (got, want) in closed.items():
+        err = np.linalg.norm(got - want)
+        assert err <= 1e-8 * max(1.0, np.linalg.norm(want)), (name, err)
+    return G

@@ -1,9 +1,11 @@
 """Boundary inputs: each one ends in its documented outcome, without waste.
 
 Every case in the table asserts its exit code (CLI) or exception type
-(library), a failure report on exit 4, and that no ``RuntimeWarning``
-escapes.  Where the fix is to refuse an input before any work, the expensive
-call is replaced by one that fails the test when it is reached.
+(library; ``None`` when the call returns), a failure report on exit 4, and
+that no ``RuntimeWarning`` escapes.  An expected ``(outcome, text)`` pair
+also requires ``text`` in the exception message or in standard error.
+Where the fix is to refuse an input before any work, the expensive call is
+replaced by one that fails the test when it is reached.
 """
 
 import cmath
@@ -77,6 +79,15 @@ def _nan_superop_once():
     solve_rdel(_scalar_spec(superop), 1j, 0.1)
 
 
+def _pencil(dims, delta):
+    """Build the pseudo-resolvent of a fixed unit-scale draw at z = 0."""
+    n, d, t = dims
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, d)) / np.sqrt(n)
+    Ahat = rng.standard_normal((t, d)) / np.sqrt(n)
+    return lambda: sim.build_pseudoresolvent(A, Ahat, delta, 0.0)
+
+
 def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
@@ -86,14 +97,17 @@ def _gaussianity(z):
 
 
 # (run, expected, guarded, patched): run is CLI argv (without --out) or a
-# callable; expected is the exit code or the exception type; guarded calls
-# must never be reached; patched maps (module, name) to a replacement.
+# callable; expected is the exit code or the exception type (None: returns),
+# optionally paired with a message fragment; guarded calls must never be
+# reached; patched maps (module, name) to a replacement.
 CASES = {
     "diagnose-tau-nan": (DIAGNOSE + ["--tau", "nan"], 2, DIAGNOSE_DRAWS, {}),
     "diagnose-tau-inf": (DIAGNOSE + ["--tau", "inf"], 2, DIAGNOSE_DRAWS, {}),
     "diagnose-z-nan": (DIAGNOSE + ["--z", "nanj"], 2, DIAGNOSE_DRAWS, {}),
     "diagnose-z-inf": (DIAGNOSE + ["--z", "1e999j"], 2, DIAGNOSE_DRAWS, {}),
     "diagnose-z-real": (DIAGNOSE + ["--z", "0.5"], 2, DIAGNOSE_DRAWS, {}),
+    "diagnose-z-infj": (DIAGNOSE + ["--z", "infj"],
+                        (2, "z must be 0 or finite"), DIAGNOSE_DRAWS, {}),
     "diagnose-probes-negative": (DIAGNOSE + ["--probes", "-3"], 2,
                                  DIAGNOSE_DRAWS, {}),
     "diagnose-eta-nan": (DIAGNOSE + ["--eta-list", "100,nan"], 2,
@@ -118,6 +132,22 @@ CASES = {
                          ValueError, ((equiv, "_iterate"),), {}),
     "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError,
                           ((sim, "_sample_features"),), {}),
+    "m-infinity-tau-nan": (lambda: rdel.m_infinity(_scalar_spec(), NAN),
+                           ValueError, (), {}),
+    "m-infinity-tau-inf": (lambda: rdel.m_infinity(_scalar_spec(), INF),
+                           ValueError, (), {}),
+    # a tall pencil at z = 0 carries the factor delta^(n-d) in its determinant
+    "pencil-tall-delta-1e-300": (_pencil((12, 4, 4), 1e-300),
+                                 (RuntimeError, "numerically singular"), (), {}),
+    "pencil-tall-delta-1e-17": (_pencil((12, 4, 4), 1e-17),
+                                (RuntimeError, "numerically singular"), (), {}),
+    "pencil-tall-delta-1e-14": (_pencil((12, 4, 4), 1e-14),
+                                (RuntimeError, "defect"), (), {}),
+    "pencil-tall-delta-1e-10": (_pencil((12, 4, 4), 1e-10),
+                                (RuntimeError, "defect"), (), {}),
+    "pencil-tall-delta-1e-6": (_pencil((12, 4, 4), 1e-6), None, (), {}),
+    # a wide one stays invertible as delta -> 0
+    "pencil-wide-delta-1e-300": (_pencil((4, 12, 4), 1e-300), None, (), {}),
 }
 
 
@@ -132,8 +162,9 @@ def files(tmp_path, toy_kernels):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_boundary(case, files, tmp_path, monkeypatch):
+def test_boundary(case, files, tmp_path, monkeypatch, capsys):
     run, expected, guarded, patched = CASES[case]
+    expected, text = expected if isinstance(expected, tuple) else (expected, "")
     for module, name in guarded:
         monkeypatch.setattr(module, name, _forbidden(name))
     for (module, name), fn in patched.items():
@@ -142,13 +173,17 @@ def test_boundary(case, files, tmp_path, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if callable(run):
-            with pytest.raises(Exception) as info:
+            try:
                 run()
-            outcome = type(info.value)
+                outcome, message = None, ""
+            except Exception as exc:
+                outcome, message = type(exc), str(exc)
         else:
             outcome = cli.main([a.format(**files) for a in run]
                                + ["--out", str(out)])
-    assert outcome is expected
+            message = capsys.readouterr().err
+    assert outcome is expected, message
+    assert text in message
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if outcome == 4:
         assert json.loads(out.read_text())["error"] == "LinAlgError"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rfequiv import equiv
-from rfequiv.cli import main
+from rfequiv.cli import _parse_complex, main
 
 
 @pytest.fixture
@@ -162,6 +162,14 @@ def test_diagnose_report_fields(tmp_path, monkeypatch):
     assert len(rep["anisotropic_gap"]) == 5
     assert len(rep["zeroth_moment"]["etas"]) == 2
     assert rep["zeroth_moment"]["deltas"][1] < rep["zeroth_moment"]["deltas"][0]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1i", 1j), (" 0.3+0.2I ", 0.3 + 0.2j), ("0", 0j), ("2J", 2j),
+    ("infj", complex(0, float("inf"))), ("1+infj", complex(1, float("inf"))),
+])
+def test_parse_complex_reads_a_trailing_i_as_the_imaginary_unit(text, want):
+    assert _parse_complex(text) == want
 
 
 def test_exit_2_on_oversize_pencil(tmp_path):

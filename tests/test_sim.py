@@ -22,8 +22,9 @@ from rfequiv import (
     sample_features,
     synthetic_regression,
 )
+from rfequiv.sim import _pencil_defect
 
-from conftest import unit_row_dataset
+from conftest import dense_pencil, dense_pseudoresolvent, unit_row_dataset
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -188,6 +189,40 @@ def test_pseudoresolvent_decoupled_case():
     assert (n, d, t) == (3, 2, 2)
     assert np.allclose(pr.value[:3, :3], np.eye(3) / delta, atol=1e-12)
     assert np.count_nonzero(np.round(pr.value[n + d:n + d + t, :n], 12)) == 0
+
+
+def _features(n, d, t, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, d)) / np.sqrt(n),
+            rng.standard_normal((t, d)) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.3, 10.0])
+@pytest.mark.parametrize("z", [0, 1j, 0.2 + 0.8j, 2 + 0.01j])
+@pytest.mark.parametrize("dims", [(5, 9, 4), (7, 7, 3), (12, 5, 4), (6, 4, 1)],
+                         ids=["n<d", "n=d", "n>d", "t=1"])
+def test_pseudoresolvent_matches_dense_lu_oracle(dims, z, delta):
+    A, Ahat = _features(*dims, seed=sum(dims))
+    got = build_pseudoresolvent(A, Ahat, delta, z).value
+    want = dense_pseudoresolvent(A, Ahat, delta, z)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dims, z", [((5, 9, 4), 1j), ((12, 5, 4), 0.0),
+                                     ((6, 4, 1), 0.2 + 0.8j)])
+def test_blockwise_defect_equals_the_dense_defect(dims, z):
+    # X is no inverse, so every entry of (L - z*Lambda) X - I counts
+    A, Ahat = _features(*dims, seed=3)
+    pr = build_pseudoresolvent(A, Ahat, 0.3, z)
+    rng = np.random.default_rng(4)
+    ell = pr.L.shape[0]
+    X = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
+    lam = np.zeros(ell)
+    lam[:dims[0] + dims[1]] = 1.0
+    dense = np.linalg.norm((pr.L - z * np.diag(lam)) @ X - np.eye(ell))
+    assert _pencil_defect(pr.L, z, X, dims) == pytest.approx(dense, rel=1e-12)
+    assert np.array_equal(pr.L - z * np.diag(lam),
+                          dense_pencil(A, Ahat, 0.3, z))
 
 
 def test_pseudoresolvent_direct_residual():
