@@ -16,8 +16,9 @@ equiv
     z = 0, the reduced two-block resolvent at any z, and the error
     prediction.
 rdel
-    Generic regularized fixed-point solver with a-priori bound checks and
-    moment diagnostics.
+    The random-features solution matrix and its zeroth-moment table, built
+    from the scalar solve; the generic regularized fixed-point solver for
+    other specs, which is also their oracle.
 sim
     Simulation of the actual model: empirical errors, pseudo-resolvents,
     Gaussianity diagnostics, Gaussian surrogate runs.
@@ -40,9 +41,7 @@ from .kernels import (
     default_samples,
     estimate_kernels,
     load_kernels,
-    load_kernels_raw,
     save_kernels,
-    save_kernels_raw,
     verify_centering,
 )
 from .model import (
@@ -70,9 +69,8 @@ from .rdel import (
     rf_linearization,
     rf_solution_matrix,
     rf_superoperator,
-    rf_zeroth_products,
+    rf_zeroth_moment_check,
     solve_rdel,
-    solve_rdel_tau0,
     spectral_norm,
     zeroth_moment_check,
 )

@@ -46,12 +46,7 @@ from .model import (
     synthetic_regression,
     write_json,
 )
-from .rdel import (
-    rf_linearization,
-    rf_solution_matrix,
-    rf_zeroth_products,
-    zeroth_moment_check,
-)
+from .rdel import rf_solution_matrix, rf_zeroth_moment_check
 from .sim import (
     anisotropic_gap,
     build_pseudoresolvent,
@@ -225,8 +220,8 @@ def _cmd_diagnose(args):
     if ell > args.max_ell:
         raise ValueError(
             f"pencil size ell={ell} exceeds --max-ell {args.max_ell} "
-            "(solve_rdel in the zeroth-moment check and the Gaussianity "
-            "statistic are O(ell^3); raise the cap explicitly if intended)"
+            "(the Gaussianity statistic is O(ell^3); raise the cap "
+            "explicitly if intended)"
         )
     # every option is checked before the first Monte Carlo draw
     if args.reps < 4:
@@ -254,8 +249,7 @@ def _cmd_diagnose(args):
         v /= np.linalg.norm(v)
         gaps.append(anisotropic_gap(pr, M_theory, np.outer(u, v.conj())))
 
-    spec = rf_linearization(kernels, dims, cfg.delta)
-    zm = zeroth_moment_check(spec, rf_zeroth_products(kernels, dims), etas)
+    zm = rf_zeroth_moment_check(kernels, dims, cfg.delta, etas)
     m = args.samples or default_samples(ds.n_train, ds.n_test)
     centering = verify_centering(sigma, phi, ds, n, m, args.seed)
 

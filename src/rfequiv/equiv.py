@@ -84,14 +84,15 @@ class EquivSolution:
         }
 
 
-def _iterate(lam, d, delta, z, nu, tol, max_iter):
+def _iterate(lam, d, delta, z, nu, tol, max_iter, pencil=False):
     """The one scalar fixed-point iteration behind every solve.
 
     Iterates ``nu <- T(nu) = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``
-    over the eigenvalues ``lam`` of K_aa and stops when
-    ``|nu - T(nu)| <= tol``.  With ``z = 0.0`` and a real start everything
-    stays real and the fixed point is alpha (delta - d nu lam_j >= delta > 0
-    while nu <= 0).  With ``Im z > 0`` the iterates must stay in the closed
+    over the eigenvalues ``lam`` of K_aa and stops when ``|nu - T(nu)|``, or
+    with ``pencil`` the defect ``sqrt(d) |nu - T(nu)| / |T(nu)|`` of
+    :func:`solve_subdel`, is at most ``tol``.  With ``z = 0.0`` and a real
+    start everything stays real and the fixed point is alpha
+    (delta - d nu lam_j >= delta > 0 while nu <= 0).  With ``Im z > 0`` the iterates must stay in the closed
     upper half-plane; leaving it by more than 1e-10 raises ``RuntimeError``.
 
     Returns ``(nu, iterations, residual)``.
@@ -101,6 +102,8 @@ def _iterate(lam, d, delta, z, nu, tol, max_iter):
     for it in range(max_iter):
         t = -1.0 / (one_z + np.sum(lam / (shift - d * nu * lam)).item())
         residual = abs(nu - t)
+        if pencil:
+            residual *= d ** 0.5 / abs(t)
         if residual <= tol:
             return nu, it, residual
         if t.imag < -1e-10:
@@ -208,12 +211,12 @@ def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
     the eigenbasis of K_aa, so the pair reduces to the scalar iteration
     ``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.  ``z``
     must be finite, and 0 (real iteration from -1, whose fixed point is
-    alpha) or in the open upper half-plane (iteration from 1j).  The stopping
-    quantity is the scalar step ``|nu - T(nu)|``, and the iteration stops
-    once it is at most ``tol``; ``N11 = V diag(1 / (delta - z - d nu lam)) V^T``
-    is then formed from the returned ``nu``.  An error in ``nu`` reaches
-    ``N11`` multiplied by up to ``d max_j lam_j |N11_j|^2``, so close to the
-    real axis ``N11`` needs a smaller ``tol`` than ``nu`` does.
+    alpha) or in the open upper half-plane (iteration from 1j).  It stops
+    once the pencil defect ``||(E - S(M) - z*Lambda)M - I||_F`` of the ``M``
+    that :func:`rfequiv.rdel.rf_solution_matrix` builds from ``nu`` is at
+    most ``tol``: every block row of that ``M`` but the width row is exact
+    by construction, and the width row gives ``sqrt(d) |nu - T(nu)| / |T(nu)|``.
+    ``N11 = V diag(1 / (delta - z - d nu lam)) V^T`` is formed from ``nu``.
 
     Returns
     -------
@@ -222,7 +225,7 @@ def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
     Raises
     ------
     NonConvergence
-        If the step never reaches ``tol`` within ``max_iter`` updates.
+        If the defect never reaches ``tol`` within ``max_iter`` updates.
     RuntimeError
         If an iterate leaves the upper half-plane by more than 1e-10 while
         Im z > 0.
@@ -234,7 +237,7 @@ def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
         z, nu0 = 0.0, -1.0
     else:
         nu0 = 1j
-    nu, _, _ = _iterate(w, d, delta, z, nu0, tol, max_iter)
+    nu, _, _ = _iterate(w, d, delta, z, nu0, tol, max_iter, pencil=True)
     g = 1.0 / (delta - z - d * nu * w)
     return np.asarray((V * g) @ V.T, dtype=complex), complex(nu)
 

@@ -9,7 +9,6 @@ serves as the estimator's oracle.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ from .model import (
     apply_activation,
     substream,
     write_json,
-    write_matrix,
-    load_matrix,
 )
 
 __all__ = [
@@ -31,9 +28,7 @@ __all__ = [
     "default_samples",
     "estimate_kernels",
     "load_kernels",
-    "load_kernels_raw",
     "save_kernels",
-    "save_kernels_raw",
     "verify_centering",
 ]
 
@@ -237,22 +232,3 @@ def load_kernels(path):
         )
     except (KeyError, TypeError) as exc:
         raise MatrixFormatError(f"{path}: malformed kernel JSON ({exc})") from exc
-
-
-def save_kernels_raw(ks, dirpath):
-    """Write each block as raw-f64-le plus a small meta.json."""
-    os.makedirs(dirpath, exist_ok=True)
-    for name in _BLOCK_NAMES:
-        write_matrix(os.path.join(dirpath, name + ".raw"), getattr(ks, name),
-                     layout="raw-f64-le")
-    write_json(os.path.join(dirpath, "meta.json"),
-               {"n_train": ks.n_train, "n_test": ks.n_test, "samples": ks.samples})
-
-
-def load_kernels_raw(dirpath):
-    """Read a KernelSet written by :func:`save_kernels_raw`."""
-    with open(os.path.join(dirpath, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    blocks = [load_matrix(os.path.join(dirpath, name + ".raw"), "raw-f64-le")
-              for name in _BLOCK_NAMES]
-    return KernelSet(*blocks, int(meta["samples"]))

@@ -1,20 +1,20 @@
-"""Fixed-point machinery for self-consistent resolvent equations.
+"""Self-consistent resolvent equations.
 
-A problem instance is a :class:`LinearizationSpec`: a symmetric expectation
+A generic instance is a :class:`LinearizationSpec`: a symmetric expectation
 matrix ``E``, a 0/1 diagonal mask marking where the spectral parameter ``z``
-enters, and a linear positivity-preserving superoperator ``S`` describing the
-covariance of the random part.  :func:`solve_rdel` drives the Picard
-iteration
+enters, and a linear positivity-preserving superoperator ``S``.
+:func:`solve_rdel` drives the Picard iteration
 
     M  <-  (E - S(M) - z*Lambda - i*tau*I)^{-1}
 
-to its unique fixed point with nonnegative imaginary part.  The remaining
-helpers build on that solution: the large-|z| limit :func:`m_infinity`, the
-zeroth-moment diagnostic :func:`zeroth_moment_check`, a regularization
-schedule with extrapolation to tau=0, and constructors for the
-random-features instance assembled from a :class:`~rfequiv.kernels.KernelSet`.
-Every norm reported or bound-checked here is an exact spectral norm
-(:func:`spectral_norm`, one LAPACK SVD), not an iterative estimate.
+to its unique fixed point with nonnegative imaginary part, and
+:func:`m_infinity` and :func:`zeroth_moment_check` build on it.  The
+random-features pencil has its own route: its superoperator reads ``M``
+through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
+``tau = 0`` from one scalar solve and :func:`rf_zeroth_moment_check` takes
+the zeroth-moment table from it; on that pencil :func:`rf_linearization`
+and :func:`solve_rdel` are the test oracle.  Every norm here is an exact
+spectral norm (:func:`spectral_norm`, one LAPACK SVD).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import equiv
 from .model import (NonConvergence, _check_heights, _check_ridge,
@@ -37,9 +38,8 @@ __all__ = [
     "rf_linearization",
     "rf_solution_matrix",
     "rf_superoperator",
-    "rf_zeroth_products",
+    "rf_zeroth_moment_check",
     "solve_rdel",
-    "solve_rdel_tau0",
     "spectral_norm",
     "zeroth_moment_check",
 ]
@@ -48,7 +48,6 @@ _PROBE_ROUNDS = 3
 # Regularization of each zeroth_moment_check solve: positive, so the Picard map
 # contracts, and tiny, so the heights eta dominate it.
 _ZEROTH_TAU = 1e-8
-_TAU0_SCHEDULE = (1e-2, 1e-3, 1e-4)  # solve_rdel_tau0, decreasing
 
 
 def spectral_norm(x):
@@ -263,28 +262,6 @@ def _check_solution(spec, sol, tol):
         )
 
 
-def solve_rdel_tau0(spec, z):
-    """Solve along a fixed decreasing regularization schedule and extrapolate.
-
-    Solves at ``tau`` = 1e-2, 1e-3, 1e-4 with :func:`solve_rdel`'s defaults.
-    The solution is differentiable in ``tau`` near 0 away from singular
-    points, so a linear Richardson step from 1e-4 and 1e-3 removes the
-    leading error term.  Intended for ``z`` on or near the real axis, where
-    solving at ``tau = 0`` directly is not available.
-
-    Returns
-    -------
-    (M0, solutions)
-        ``M0`` is the extrapolated matrix at ``tau = 0``; ``solutions`` is
-        the list of :class:`RDELSolution` in schedule order.
-    """
-    sols = [solve_rdel(spec, z, t) for t in _TAU0_SCHEDULE]
-    t_mid, t_small = _TAU0_SCHEDULE[1:]
-    m_mid, m_small = sols[1].M, sols[2].M
-    M0 = m_small + (m_small - m_mid) * (t_small / (t_mid - t_small))
-    return M0, sols
-
-
 def m_infinity(spec, tau):
     """Limit of the solution as ``|z| -> infinity`` at fixed ``tau``.
 
@@ -375,15 +352,16 @@ def zeroth_moment_check(spec, products, eta_list):
         sol = solve_rdel(spec, 1j * eta, _ZEROTH_TAU)
         mismatch = -1j * eta * (sol.M - minf) - omega
         deltas.append(spectral_norm(mismatch))
+    return _decay_report(etas, deltas)
+
+
+def _decay_report(etas, deltas):
+    """The table with its strict-decrease flag and fitted log-log slope."""
     monotone = all(b < a for a, b in zip(deltas, deltas[1:]))
     floored = np.maximum(deltas, 1e-300)
     slope = float(np.polyfit(np.log(etas), np.log(floored), 1)[0])
-    return ZerothMomentReport(
-        etas=np.asarray(etas),
-        deltas=np.asarray(deltas),
-        monotone=monotone,
-        slope=slope,
-    )
+    return ZerothMomentReport(np.asarray(etas), np.asarray(deltas), monotone,
+                              slope)
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +415,29 @@ def rf_superoperator(K, dims):
     """
     _check_rf_dims(K, dims)
     n, d, t = dims
-    s1, s2, s3, s4 = _rf_slices(dims)
+    s1, s2, _, s4 = _rf_slices(dims)
     ell = n + d + 2 * t
-    K_aa, K_ah, K_ha, K_hh = K.K_aa, K.K_ah, K.K_ha, K.K_hh
 
     def superop(M):
         M = np.asarray(M)
         out = np.zeros((ell, ell), dtype=np.result_type(M.dtype, np.float64))
-        t22 = np.trace(M[s2, s2])
-        out[s1, s1] = t22 * K_aa
-        out[s1, s4] = t22 * K_ah
-        out[s4, s1] = t22 * K_ha
-        out[s4, s4] = t22 * K_hh
-        rho = (
-            np.sum(K_aa * M[s1, s1].T)
-            + np.sum(K_ah * M[s4, s1].T)
-            + np.sum(K_ha * M[s1, s4].T)
-            + np.sum(K_hh * M[s4, s4].T)
-        )
+        t22, rho = _rf_contractions(K, M, dims)
+        out[s1, s1] = t22 * K.K_aa
+        out[s1, s4] = t22 * K.K_ah
+        out[s4, s1] = t22 * K.K_ha
+        out[s4, s4] = t22 * K.K_hh
         out[s2, s2] = rho * np.eye(d)
         return out
 
     return superop
+
+
+def _rf_contractions(K, M, dims):
+    """``tr(M[2,2])`` and ``rho(M)``, the two scalars the superoperator reads."""
+    s1, s2, _, s4 = _rf_slices(dims)
+    rho = (np.sum(K.K_aa * M[s1, s1].T) + np.sum(K.K_ah * M[s4, s1].T)
+           + np.sum(K.K_ha * M[s1, s4].T) + np.sum(K.K_hh * M[s4, s4].T))
+    return np.trace(M[s2, s2]), rho
 
 
 def rf_linearization(K, dims, delta):
@@ -478,32 +457,16 @@ def rf_linearization(K, dims, delta):
                              rf_superoperator(K, dims))
 
 
-def rf_zeroth_products(K, dims):
-    """Expectation products of the random part for :func:`zeroth_moment_check`.
-
-    The random block ``B`` couples the complement rows to the masked
-    columns; its only nonzero entries are the test features, so ``E[B] = 0``
-    and ``E[B B^T]`` carries ``d * K_hh`` on the second test slot.
-    """
-    _check_rf_dims(K, dims)
-    n, d, t = dims
-    EB = np.zeros((2 * t, n + d))
-    EQ = np.zeros((2 * t, 2 * t))
-    EQ[:t, t:] = -np.eye(t)
-    EQ[t:, :t] = -np.eye(t)
-    EBBt = np.zeros((2 * t, 2 * t))
-    EBBt[t:, t:] = d * K.K_hh
-    return {"EB": EB, "EQ": EQ, "EBBt": EBBt}
-
-
 def rf_solution_matrix(K, dims, delta, z, tol=1e-10):
     """Full deterministic-equivalent matrix ``M(z)`` of the pencil.
 
     Solves the two-block reduced equation for the train/width slots and
     fills the remaining blocks with their closed-form expressions in terms
-    of ``M[1,1]`` and ``tr(M[2,2])``; the result satisfies the tau = 0
-    equation ``(E - S(M) - z*Lambda)M = I`` to solver accuracy.  Much
-    cheaper than iterating on the full ell x ell pencil.
+    of ``M[1,1]`` and ``tr(M[2,2])``.  The result satisfies the tau = 0
+    equation with Frobenius defect ``||(E - S(M) - z*Lambda)M - I||_F <= tol``
+    up to rounding in the exact blocks, because ``tol`` bounds the width
+    row's defect, the stopping quantity of
+    :func:`rfequiv.equiv.solve_subdel`.  No ell x ell solve is involved.
     """
     _check_rf_dims(K, dims)
     n, d, t = dims
@@ -520,3 +483,76 @@ def rf_solution_matrix(K, dims, delta, z, tol=1e-10):
     M[s3, s4] = -np.eye(t)
     M[s4, s3] = -np.eye(t)
     return M
+
+
+def _real_left(B, X):
+    """``B @ X`` for real ``B`` and complex ``X``, as one real product."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    return (B @ X.view(float)).view(complex)
+
+
+def _row_defect(s, R):
+    """``||R - I[s]||_F^2`` for the block row ``s`` of a product meant to be I."""
+    k = np.arange(R.shape[0])
+    R[k, s.start + k] -= 1.0
+    return np.linalg.norm(R) ** 2
+
+
+def _rf_defect(K, dims, delta, z, M):
+    """``||(E - S(M) - z*Lambda)M - I||_F``, one block row at a time.
+
+    ``E - S(M) - z*Lambda`` is nonzero only in the blocks (1,1), (1,4),
+    (2,2), (3,4), (4,1), (4,3) and (4,4); ``S(M)`` enters through
+    :func:`_rf_contractions` of ``M``, and every block row of ``M`` is read.
+    """
+    s1, s2, s3, s4 = _rf_slices(dims)
+    t22, rho = _rf_contractions(K, M, dims)
+    M = np.ascontiguousarray(M, dtype=complex)
+
+    def kernel_rows(K_a, K_h):  # t22 (K_a M[1] + K_h M[4])
+        return t22 * (_real_left(K_a, M[s1]) + _real_left(K_h, M[s4]))
+
+    return math.sqrt(
+        _row_defect(s1, (delta - z) * M[s1] - kernel_rows(K.K_aa, K.K_ah))
+        + _row_defect(s2, -(1.0 + rho + z) * M[s2])
+        + _row_defect(s3, -M[s4])
+        + _row_defect(s4, -M[s3] - kernel_rows(K.K_ha, K.K_hh))
+    )
+
+
+def rf_zeroth_moment_check(K, dims, delta, eta_list):
+    """:func:`zeroth_moment_check` of the random-features pencil, with
+    ``M(i*eta)`` from :func:`rf_solution_matrix` at ``tau = 0``.
+
+    Here ``M_inf = E_Q^{-1} = E_Q`` and ``Omega_0 = diag(I_{n+d}, d K_hh, 0)``,
+    so the mismatch is ``-(1 + i*eta*nu) I_d`` on the width slot, zero on
+    the second test slot, and one (n+t)-sized block on the train and first
+    test slots: its exact norm needs no ell x ell SVD.  Each solution must
+    pass :func:`solve_rdel`'s checks in structured form (else
+    ``RuntimeError``): pencil defect ``<= 1e-10``; mask block
+    ``max(||M[1,1]||, |nu|) <= 1/eta + 1e-10``; ``Im M >= -1e-8`` on the
+    (n+t) block and ``Im nu >= 0``.  ``||M|| <= 1/tau`` is vacuous at
+    ``tau = 0``.  ``eta_list`` is checked before any solve.
+    """
+    etas = _check_heights(eta_list)
+    n, d, t = dims
+    s1, _, s3, _ = _rf_slices(dims)
+    idx = np.r_[s1, s3]
+    omega = block_diag(np.eye(n), d * K.K_hh)  # Omega_0 on the (n+t) block
+    deltas = []
+    for eta in etas:
+        z = 1j * eta
+        M = rf_solution_matrix(K, dims, delta, z)
+        nu, block = M[n, n], M[np.ix_(idx, idx)]
+        defect = _rf_defect(K, dims, delta, z, M)
+        if not defect <= 1e-10:
+            raise RuntimeError(f"pencil defect {defect:.3e} > 1e-10 at z={z}")
+        block_norm = max(spectral_norm(M[s1, s1]), abs(nu))
+        if block_norm > 1.0 / eta + 1e-10:
+            raise RuntimeError(f"mask block {block_norm:.6e} > 1/eta at z={z}")
+        im_min = float(np.linalg.eigvalsh((block - block.conj().T) / 2j)[0])
+        if im_min < -1e-8 or nu.imag < 0:
+            raise RuntimeError(f"left the half-plane at z={z} (Im eig "
+                               f"{im_min:.3e}, Im nu {nu.imag:.3e})")
+        deltas.append(max(abs(1.0 + z * nu), spectral_norm(-z * block - omega)))
+    return _decay_report(etas, deltas)

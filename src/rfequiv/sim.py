@@ -26,7 +26,8 @@ from . import equiv
 from .kernels import default_samples, estimate_kernels
 from .model import (_check_ridge, _check_z, _clamped_eigh, _parallel_map,
                     apply_activation, substream)
-from .rdel import _rf_expectation, _rf_slices, spectral_norm
+from .rdel import (_real_left, _rf_expectation, _rf_slices, _row_defect,
+                   spectral_norm)
 
 __all__ = [
     "DeltaGaussianity",
@@ -213,12 +214,6 @@ class PseudoResolvent:
     dims: tuple
 
 
-def _real_left(B, X):
-    """``B @ X`` for real ``B`` and complex ``X``, as one real product."""
-    X = np.ascontiguousarray(X, dtype=complex)
-    return (B @ X.view(float)).view(complex)
-
-
 def _complement(Q):
     """``I - Q Q^T`` for orthonormal columns ``Q``, projected twice so that
     ``Q^T`` times it stays at rounding level."""
@@ -328,18 +323,13 @@ def _pencil_defect(L, z, X, dims):
     def diag(i, j):
         return np.diagonal(L[i, j])[:, None]
 
-    def squared(s, R):  # ||R - I[s]||_F^2 for the block row s of the product
-        k = np.arange(R.shape[0])
-        R[k, s.start + k] -= 1.0
-        return np.linalg.norm(R) ** 2
-
     # one block row is alive at a time
     return math.sqrt(
-        squared(s1, (diag(s1, s1) - z) * X[s1] + _real_left(L[s1, s2], X[s2]))
-        + squared(s2, _real_left(L[s2, s1], X[s1]) + (diag(s2, s2) - z) * X[s2]
-                  + _real_left(L[s2, s4], X[s4]))
-        + squared(s3, diag(s3, s4) * X[s4])
-        + squared(s4, _real_left(L[s4, s2], X[s2]) + diag(s4, s3) * X[s3])
+        _row_defect(s1, (diag(s1, s1) - z) * X[s1] + _real_left(L[s1, s2], X[s2]))
+        + _row_defect(s2, _real_left(L[s2, s1], X[s1])
+                      + (diag(s2, s2) - z) * X[s2] + _real_left(L[s2, s4], X[s4]))
+        + _row_defect(s3, diag(s3, s4) * X[s4])
+        + _row_defect(s4, _real_left(L[s4, s2], X[s2]) + diag(s4, s3) * X[s3])
     )
 
 

@@ -84,6 +84,24 @@ def dense_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
     raise AssertionError(f"dense oracle stalled at defect {defect:.3e}")
 
 
+def rf_zeroth_products(K, dims):
+    """Expectation products of the random-features pencil for the generic
+    ``zeroth_moment_check`` on ``rf_linearization(K, dims, delta)``.
+
+    The random block ``B`` couples the two test slots (the complement) to
+    the train and width slots (the mask); its only nonzero entries are the
+    test features, so ``E[B] = 0``, ``E[Q]`` holds the ``-I`` test
+    couplings, and ``E[B B^T]`` carries ``d * K_hh`` on the second test slot.
+    """
+    n, d, t = dims
+    EQ = np.zeros((2 * t, 2 * t))
+    EQ[:t, t:] = -np.eye(t)
+    EQ[t:, :t] = -np.eye(t)
+    EBBt = np.zeros((2 * t, 2 * t))
+    EBBt[t:, t:] = d * K.K_hh
+    return {"EB": np.zeros((2 * t, n + d)), "EQ": EQ, "EBBt": EBBt}
+
+
 def dense_pencil(A, Ahat, delta, z):
     """``L - z*Lambda`` of the sampled pencil, assembled densely.
 

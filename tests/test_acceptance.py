@@ -23,7 +23,7 @@ from rfequiv import (
     m_infinity,
     rf_linearization,
     rf_solution_matrix,
-    rf_zeroth_products,
+    rf_zeroth_moment_check,
     run_replicates,
     sample_features,
     solve_alpha,
@@ -36,7 +36,7 @@ from rfequiv import (
     anisotropic_gap,
 )
 
-from conftest import dense_subdel, rand_kernelset
+from conftest import dense_subdel, rand_kernelset, rf_zeroth_products
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -153,16 +153,22 @@ def test_03_apriori_bound_suite():
 
 
 def test_04_zeroth_moment_decay():
+    # the same criterion on the structured route (the one diagnose runs) and
+    # on the generic Picard route it replaced
     K, dims, spec = _rf_instance()
-    rep = zeroth_moment_check(spec, rf_zeroth_products(K, dims),
-                              [1e2, 1e3, 1e4])
-    decreasing = bool(np.all(np.diff(rep.deltas) < 0))
-    ok = decreasing and -1.3 <= rep.slope <= -0.7
+    etas = [1e2, 1e3, 1e4]
+    reports = {
+        "structured": rf_zeroth_moment_check(K, dims, 0.3, etas),
+        "generic": zeroth_moment_check(spec, rf_zeroth_products(K, dims), etas),
+    }
+    ok = all(bool(np.all(np.diff(rep.deltas) < 0)) and -1.3 <= rep.slope <= -0.7
+             for rep in reports.values())
     assert _verdict(
         "criterion-04 zeroth-moment-decay",
         ok,
-        f"deltas={np.array2string(rep.deltas, precision=3)} "
-        f"slope={rep.slope:.3f} (want [-1.3,-0.7])",
+        "; ".join(f"{name} deltas={np.array2string(rep.deltas, precision=3)} "
+                  f"slope={rep.slope:.3f}" for name, rep in reports.items())
+        + " (want strict decrease, slope in [-1.3,-0.7])",
     )
 
 

@@ -19,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from rfequiv import (
     Activation,
+    KernelSet,
     LinearizationSpec,
     RFConfig,
     cli,
     equiv,
     estimate_delta_gaussianity,
     rdel,
+    rf_zeroth_moment_check,
     save_kernels,
     sim,
     solve_alpha,
@@ -44,6 +46,8 @@ SCALAR_PRODUCTS = {"EB": np.zeros((0, 1)), "EQ": np.zeros((0, 0)),
                    "EBBt": np.zeros((0, 0))}
 NAN = float("nan")
 INF = float("inf")
+# the structured zeroth-moment check must refuse bad heights before a solve
+RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
 
 
 def _forbidden(name):
@@ -77,6 +81,11 @@ def _nan_superop_once():
         return np.full_like(M, NAN)
 
     solve_rdel(_scalar_spec(superop), 1j, 0.1)
+
+
+def _rf_zeroth(etas):
+    K = KernelSet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 1)
+    return lambda: rf_zeroth_moment_check(K, (2, 3, 1), 0.5, etas)
 
 
 def _pencil(dims, delta):
@@ -122,6 +131,22 @@ CASES = {
     "zeroth-moment-eta-nan": (
         lambda: zeroth_moment_check(_scalar_spec(), SCALAR_PRODUCTS, [100.0, NAN]),
         ValueError, ((rdel, "solve_rdel"),), {}),
+    "rf-zeroth-moment-eta-nan": (_rf_zeroth([100.0, NAN]), ValueError,
+                                 RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-inf": (_rf_zeroth([100.0, INF]), ValueError,
+                                 RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-zero": (_rf_zeroth([0.0, 100.0]), ValueError,
+                                  RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-negative": (_rf_zeroth([-10.0, 100.0]), ValueError,
+                                      RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-decreasing": (_rf_zeroth([1000.0, 100.0]),
+                                        ValueError, RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-repeated": (_rf_zeroth([100.0, 100.0]), ValueError,
+                                      RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-single": (_rf_zeroth([100.0]), ValueError,
+                                    RF_SOLVES, {}),
+    "rf-zeroth-moment-eta-accepted": (_rf_zeroth([100.0, 1000.0]), None,
+                                      (), {}),
     "superop-probe-nan": (
         lambda: LinearizationSpec(np.eye(3), [1, 1, 0], lambda M: M * np.nan),
         ValueError, (), {}),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rfequiv import equiv
+from rfequiv import equiv, rdel
 from rfequiv.cli import _parse_complex, main
 
 
@@ -162,6 +162,20 @@ def test_diagnose_report_fields(tmp_path, monkeypatch):
     assert len(rep["anisotropic_gap"]) == 5
     assert len(rep["zeroth_moment"]["etas"]) == 2
     assert rep["zeroth_moment"]["deltas"][1] < rep["zeroth_moment"]["deltas"][0]
+
+
+def test_diagnose_runs_without_the_generic_solver(tmp_path, monkeypatch):
+    # the zeroth-moment table comes from the structured solution alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diagnose reached the generic solver")
+
+    monkeypatch.setattr(rdel, "solve_rdel", forbidden)
+    monkeypatch.setattr(rdel, "LinearizationSpec", forbidden)
+    out = tmp_path / "d.json"
+    assert main(["diagnose", "--synthetic", "16,8,10", "--d", "8",
+                 "--delta", "0.5", "--reps", "4", "--samples", "300",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["zeroth_moment"]["monotone"] is True
 
 
 @pytest.mark.parametrize("text, want", [

@@ -14,9 +14,7 @@ from rfequiv import (
     estimate_kernels,
     gaussian_surrogate_run,
     load_kernels,
-    load_kernels_raw,
     save_kernels,
-    save_kernels_raw,
     synthetic_regression,
     verify_centering,
 )
@@ -201,16 +199,6 @@ def test_kernels_json_round_trip(tmp_path):
     save_kernels(ks, p)
     back = load_kernels(p)
     assert back.samples == ks.samples
-    for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
-        assert np.array_equal(getattr(back, f), getattr(ks, f))
-
-
-def test_kernels_raw_round_trip(tmp_path):
-    ds = synthetic_regression(5, 2, 3, 0.2, seed=9)
-    ks = estimate_kernels(ds, ERF, IDENTITY, 5, 200, seed=3)
-    d = tmp_path / "kern"
-    save_kernels_raw(ks, d)
-    back = load_kernels_raw(d)
     for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
         assert np.array_equal(getattr(back, f), getattr(ks, f))
 

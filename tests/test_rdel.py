@@ -9,17 +9,19 @@ from rfequiv import (
     analytic_identity_kernels,
     estimate_kernels,
     m_infinity,
+    rdel,
     rf_linearization,
     rf_solution_matrix,
     rf_superoperator,
-    rf_zeroth_products,
+    rf_zeroth_moment_check,
     solve_alpha,
     solve_rdel,
-    solve_rdel_tau0,
     spectral_norm,
     synthetic_regression,
     zeroth_moment_check,
 )
+
+from conftest import rf_zeroth_products
 
 DIMS = (40, 60, 10)  # (n_train, d, n_test); pencil size 40 + 60 + 2*10 = 120
 DELTA = 0.3
@@ -176,18 +178,8 @@ def test_rdel_nonconvergence_raises(rf_spec):
 
 def test_tau_continuity_gaps_shrink(rf_spec):
     _, spec = rf_spec
-    _, sols = solve_rdel_tau0(spec, 1j)
-    g1 = spectral_norm(sols[0].M - sols[1].M)
-    g2 = spectral_norm(sols[1].M - sols[2].M)
-    assert g2 < g1
-
-
-def test_tau_extrapolation_matches_closed_form(rf_spec):
-    K, spec = rf_spec
-    for z in (1j, 0.2 + 0.8j):
-        m0, _ = solve_rdel_tau0(spec, z)
-        ref = rf_solution_matrix(K, DIMS, DELTA, z)
-        assert spectral_norm(m0 - ref) <= 1e-3
+    ms = [solve_rdel(spec, 1j, tau).M for tau in (1e-2, 1e-3, 1e-4)]
+    assert spectral_norm(ms[1] - ms[2]) < spectral_norm(ms[0] - ms[1])
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +263,57 @@ def test_zeroth_moment_rf_is_monotone(rf_spec):
     assert list(rep.to_report()) == ["etas", "deltas", "monotone", "slope"]
 
 
+def diagnose_shaped(seed):
+    """The diagnose benchmark's shape at a fifth of its size: sign features,
+    sin weight map, d = n_train = 2 n_test, delta = 0.1."""
+    ds = synthetic_regression(40, 20, 40, 0.5, seed=seed)
+    sign, sin = Activation("sign"), Activation("sin")
+    return estimate_kernels(ds, sign, sin, 40, 10_000, seed=seed), (40, 40, 20)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rf_zeroth_moment_matches_the_generic_route(seed):
+    K, dims = diagnose_shaped(seed)
+    etas = [100.0, 1000.0, 10_000.0]
+    got = rf_zeroth_moment_check(K, dims, 0.1, etas)
+    want = zeroth_moment_check(rf_linearization(K, dims, 0.1),
+                               rf_zeroth_products(K, dims), etas)
+    assert np.all(np.abs(got.deltas / want.deltas - 1.0) <= 1e-7)
+    assert got.monotone == want.monotone
+    assert abs(got.slope - want.slope) <= 1e-7
+
+
+def test_rf_zeroth_moment_is_the_tau_zero_limit_of_the_generic_route(
+        rf_spec, monkeypatch):
+    # the generic route solves at tau > 0; on this instance its deltas sit
+    # 3e-7 (relative) from the structured tau = 0 ones at tau = 1e-8, and
+    # the gap falls with tau
+    K, spec = rf_spec
+    etas = [100.0, 1000.0]
+    got = rf_zeroth_moment_check(K, DIMS, DELTA, etas).deltas
+    gaps = {}
+    for tau in (1e-8, 1e-10):
+        monkeypatch.setattr(rdel, "_ZEROTH_TAU", tau)
+        want = zeroth_moment_check(spec, rf_zeroth_products(K, DIMS), etas)
+        gaps[tau] = np.max(np.abs(got / want.deltas - 1.0))
+    assert gaps[1e-10] <= 1e-7
+    assert gaps[1e-10] < gaps[1e-8] / 10
+
+
+def test_rf_zeroth_moment_refuses_a_perturbed_solution(rf_spec, monkeypatch):
+    K, _ = rf_spec
+    exact = rdel.rf_solution_matrix
+
+    def perturbed(*args, **kwargs):
+        M = exact(*args, **kwargs)
+        M[0, 0] += 1e-6
+        return M
+
+    monkeypatch.setattr(rdel, "rf_solution_matrix", perturbed)
+    with pytest.raises(RuntimeError, match="pencil defect"):
+        rf_zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
+
+
 # ---------------------------------------------------------------------------
 # the random-features linearization
 # ---------------------------------------------------------------------------
@@ -339,16 +382,28 @@ def test_rf_superoperator_preserves_psd(rf_spec):
     assert np.linalg.eigvalsh(herm).min() >= -1e-10
 
 
+def dense_defect(K, spec, z, m):
+    """``||(E - S(M) - z*Lambda)M - I||_F`` with the dense spec."""
+    lam = np.diag(spec.lambda_mask.astype(float))
+    pencil = spec.expectation - rf_superoperator(K, DIMS)(m) - z * lam
+    return np.linalg.norm(pencil @ m - np.eye(spec.ell))
+
+
 def test_rf_solution_matrix_satisfies_the_equation(rf_spec):
     K, spec = rf_spec
-    n, d, t = DIMS
-    ell = n + d + 2 * t
-    s = rf_superoperator(K, DIMS)
-    lam = np.diag(spec.lambda_mask.astype(float))
-    for z in (1j, 0.2 + 0.8j):
+    for z in (1j, 0.2 + 0.8j, 100j, 1000j, 10_000j):
         m = rf_solution_matrix(K, DIMS, DELTA, z)
-        defect = (spec.expectation - s(m) - z * lam) @ m - np.eye(ell)
-        assert np.linalg.norm(defect, 2) <= 1e-8
+        assert dense_defect(K, spec, z, m) <= 1e-10
+
+
+def test_rf_blockwise_defect_equals_the_dense_defect(rf_spec):
+    K, spec = rf_spec
+    rng = np.random.default_rng(3)
+    for z in (1j, 0.2 + 0.8j, 0.0):
+        m = rng.standard_normal((spec.ell,) * 2) + 1j * rng.standard_normal(
+            (spec.ell,) * 2)
+        want = dense_defect(K, spec, z, m)
+        assert abs(rdel._rf_defect(K, DIMS, DELTA, z, m) - want) <= 1e-12 * want
 
 
 def test_rf_solution_matrix_at_zero_matches_scalar_route(rf_spec):
