@@ -7,13 +7,18 @@ CLI) builds on the types and helpers defined here.
 from __future__ import annotations
 
 import cmath
+import ctypes
+import functools
+import glob
 import hashlib
+import importlib
 import json
 import math
 import numbers
 import os
 import re
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -162,19 +167,99 @@ def worker_count():
     return value
 
 
+# (package, library file prefix, thread-count symbol with {} for get/set)
+_OPENBLAS_BUILDS = (
+    ("numpy", "libscipy_openblas64_", "scipy_openblas_{}_num_threads64_"),
+    ("scipy", "libscipy_openblas-", "scipy_openblas_{}_num_threads"),
+)
+
+
+@functools.cache
+def _blas_controls():
+    """``(get, set)`` thread-count functions of each OpenBLAS that numpy and
+    scipy bundle in ``numpy.libs/`` and ``scipy.libs/``, reached through
+    ``ctypes``.  A build whose library or symbols are missing, such as a
+    numpy linked to another BLAS, is left out, so the pin that uses these
+    is then a no-op for it."""
+    controls = []
+    for package, prefix, symbol in _OPENBLAS_BUILDS:
+        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in sorted(glob.glob(os.path.join(root, package + ".libs", prefix + "*"))):
+            try:
+                lib = ctypes.CDLL(path)
+                get, set_ = (getattr(lib, symbol.format(op)) for op in ("get", "set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+class _SingleThreadBlas:
+    """Holds every OpenBLAS of :func:`_blas_controls` at one thread while
+    any holder is inside; the outermost exit restores the counts that the
+    first entry found.  The count is process-wide, so holders in several
+    threads share one reference count under a lock."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((set_, get()) for get, set_ in _blas_controls())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_SINGLE_THREAD_BLAS = _SingleThreadBlas()
+
+
 def _parallel_map(fn, count, workers=None):
     """Yield ``fn(i)`` for ``i`` in ``range(count)`` in index order, on at
     most ``workers`` threads (default :func:`worker_count`; one runs inline).
     Results stream, so a fold never holds them all, and index order keeps
-    every fold bit-stable for any worker count."""
+    every fold bit-stable for any worker count.
+
+    While the map runs, from its first result until it is exhausted,
+    closed or raises, numpy's and scipy's OpenBLAS run on one thread; the
+    counts found at the start are then restored.  The pool is the one
+    level of parallelism: a multithreaded BLAS inside every worker
+    oversubscribed the cores and made the benchmark sweep about four times
+    slower (README, "Determinism and threads").  The pin holds on the
+    inline path too, so a result depends neither on ``workers`` or
+    ``RF_EQUIV_THREADS`` nor on the count the caller left set, although
+    OpenBLAS rounds differently with its thread count.  Calls outside a
+    map keep the caller's count, which ``OPENBLAS_NUM_THREADS`` sets.
+    Where a build lacks the thread-count symbols (a BLAS other than the
+    bundled OpenBLAS) the pin is a no-op for it.
+
+    The pin uses ``scipy_openblas_set_num_threads*``, never
+    ``openblas_set_num_threads_local``: in OpenBLAS 0.3.31 the latter,
+    called from a worker, changes the count that every thread reads, so
+    pinning and restoring inside the workers would race with the caller.
+    """
     if workers is None:
         workers = worker_count()
     workers = max(1, min(int(workers), count))
-    if workers == 1:
-        yield from map(fn, range(count))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(fn, range(count))
+    with _SINGLE_THREAD_BLAS:
+        if workers == 1:
+            yield from map(fn, range(count))
+            return
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            yield from ex.map(fn, range(count))
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,12 @@ def zeroth_moment_check(spec, products, eta_list):
         Strictly increasing heights, all positive and finite, at least two;
         anything else raises ``ValueError`` before any solve.  Each height
         is solved by :func:`solve_rdel` with its defaults at ``tau = 1e-8``.
+        That fixed regularization biases each ``Delta(eta)`` by
+        ``O(tau * eta)``, a floor on what this generic check can resolve:
+        on identity-activation kernels with n = 40, d = 60, t = 10 and
+        delta = 0.3, ``Delta(100)`` is 3.0e-7 relative above its
+        ``tau = 0`` value, which :func:`rf_zeroth_moment_check` computes
+        for the random-features pencil.
 
     Returns
     -------

@@ -409,8 +409,8 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
         P = np.asarray(L, dtype=complex)
         P[diag] -= shift
         R = np.linalg.inv(P)
-        X = (L - Ebar) @ R
-        Xt = (Lt - Ebar) @ R
+        X = _real_left(L - Ebar, R)
+        Xt = _real_left(Lt - Ebar, R)
         return X + Xt @ Xt
 
     terms = list(_parallel_map(one_pair, pairs))

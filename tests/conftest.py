@@ -1,10 +1,50 @@
 """Shared builders for the test suite."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from rfequiv import Dataset, KernelSet
+from rfequiv.model import _blas_controls
+
+
+def blas_threads():
+    """The current thread count of each bundled OpenBLAS build."""
+    return tuple(get() for get, _ in _blas_controls())
+
+
+@contextmanager
+def caller_blas_threads(count):
+    """Run the block with every bundled OpenBLAS set to ``count`` threads,
+    as a caller would leave it, and restore the previous counts after."""
+    saved = blas_threads()
+    for _, set_ in _blas_controls():
+        set_(count)
+    try:
+        yield
+    finally:
+        for (_, set_), old in zip(_blas_controls(), saved):
+            set_(old)
+
+
+@pytest.fixture(scope="session")
+def session_blas_threads():
+    return blas_threads()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_blas_pin(session_blas_threads):
+    """Fail a test after which a BLAS thread count differs from its value at
+    session start, then put the count back so that later tests run clean."""
+    yield
+    now = blas_threads()
+    if now != session_blas_threads:
+        for (_, set_), old in zip(_blas_controls(), session_blas_threads):
+            set_(old)
+        pytest.fail(f"BLAS thread counts {now} differ from "
+                    f"{session_blas_threads} at session start")
 
 
 @pytest.fixture

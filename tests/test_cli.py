@@ -9,6 +9,8 @@ import pytest
 from rfequiv import equiv, rdel
 from rfequiv.cli import _parse_complex, main
 
+from conftest import caller_blas_threads
+
 
 @pytest.fixture
 def toy_files(tmp_path):
@@ -110,6 +112,25 @@ def test_simulate_honors_explicit_csv_path(tmp_path, toy_files):
                  str(csv)])
     assert code == 0
     assert csv.exists()
+
+
+def test_simulate_bytes_ignore_caller_blas_and_pool_threads(tmp_path,
+                                                            monkeypatch):
+    # at n_train=200, d=400 OpenBLAS splits the replicate products over its
+    # threads and rounds differently for each thread count; the pool pins
+    # it to one thread, so the count the caller left set does not matter
+    out = tmp_path / "s.json"
+    argv = ["simulate", "--synthetic", "200,50,30", "--d", "400",
+            "--delta", "0.1", "--reps", "3", "--samples", "2000",
+            "--out", str(out)]
+    reports = set()
+    for blas in (1, 2):
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+            with caller_blas_threads(blas):
+                assert main(argv) == 0
+            reports.add(out.read_bytes())
+    assert len(reports) == 1
 
 
 def test_compare_reports_toy_prediction(tmp_path, toy_files):

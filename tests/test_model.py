@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +32,10 @@ from rfequiv import (
     worker_count,
     write_matrix,
 )
+from rfequiv import model
+from rfequiv.model import _parallel_map
+
+from conftest import blas_threads, caller_blas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +293,97 @@ def test_worker_count_honors_environment(monkeypatch):
     assert worker_count() == 3
     monkeypatch.setenv("RF_EQUIV_THREADS", "1")
     assert worker_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# _parallel_map and its single-thread BLAS pin
+# ---------------------------------------------------------------------------
+
+def test_blas_controls_find_both_bundled_openblas_builds():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy is linked to {blas}, not the bundled OpenBLAS")
+    assert len(model._blas_controls()) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_map_pins_blas_to_one_thread_then_restores(workers):
+    ones = (1,) * len(blas_threads())
+    with caller_blas_threads(2):
+        inside = list(_parallel_map(lambda i: blas_threads(), 6, workers))
+        assert inside == [ones] * 6
+        assert blas_threads() == (2,) * len(ones)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_map_restores_blas_after_raise_and_close(workers):
+    def fn(i):
+        if i == 2:
+            raise KeyError(i)
+        return blas_threads()
+
+    with caller_blas_threads(2):
+        caller = blas_threads()
+        with pytest.raises(KeyError):
+            list(_parallel_map(fn, 5, workers))
+        assert blas_threads() == caller
+        results = _parallel_map(fn, 5, workers)
+        assert next(results) == (1,) * len(caller)
+        assert blas_threads() == (1,) * len(caller)  # pinned between results
+        results.close()
+        assert blas_threads() == caller
+
+
+def test_nested_inline_map_keeps_the_outer_pin():
+    # the sweep shape: pooled cells, each running an inline replicate map
+    def cell(i):
+        inner = list(_parallel_map(lambda j: blas_threads(), 3, workers=1))
+        return inner + [blas_threads()]
+
+    with caller_blas_threads(2):
+        ones = (1,) * len(blas_threads())
+        for seen in _parallel_map(cell, 4, workers=2):
+            assert seen == [ones] * 4
+            assert blas_threads() == ones
+        assert blas_threads() == (2,) * len(ones)
+
+
+def test_concurrent_maps_share_one_pin():
+    # maps started from several caller threads: every worker reads one
+    # thread, and the last map to end restores the caller's count
+    seen = set()
+
+    def caller():
+        for _ in range(20):
+            seen.update(_parallel_map(lambda i: blas_threads(), 4, workers=2))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with caller_blas_threads(2):
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == {(1,) * len(blas_threads())}
+            assert blas_threads() == (2,) * len(blas_threads())
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_map_without_blas_controls_is_unchanged(monkeypatch, workers):
+    rng = np.random.default_rng(0)
+    mats = [rng.standard_normal((40, 40)) for _ in range(4)]
+
+    def fn(i):
+        return (mats[i] @ mats[i].T).tobytes()
+
+    pinned = list(_parallel_map(fn, 4, workers))
+    monkeypatch.setattr(model, "_blas_controls", lambda: ())
+    assert list(_parallel_map(fn, 4, workers)) == pinned
 
 
 # ---------------------------------------------------------------------------
