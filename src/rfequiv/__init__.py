@@ -12,27 +12,30 @@ model
 kernels
     Monte Carlo estimation of the feature covariance blocks.
 equiv
-    One scalar fixed-point iteration on the eigenvalues of K_aa: alpha at
-    z = 0, the reduced two-block resolvent at any z, and the error
-    prediction.
+    One scalar fixed-point iteration on the eigenvalues of K_aa: the error
+    prediction (``build_equiv``, whose alpha is the fixed point at z = 0)
+    and the reduced two-block resolvent at any z.
 rdel
     The random-features solution matrix and its zeroth-moment table, built
     from the scalar solve; the generic regularized fixed-point solver for
-    other specs, which is also their oracle.
+    other specs, which is also their oracle.  The four-slot pencils are
+    tables of block rows, assembled densely or checked block row by block
+    row by one function each.
 sim
-    Simulation of the actual model: empirical errors, pseudo-resolvents,
-    Gaussianity diagnostics, Gaussian surrogate runs.
+    Simulation of the actual model: empirical errors, pseudo-resolvents
+    checked against the sampled pencil's table, Gaussianity diagnostics,
+    Gaussian surrogate runs.
 cli
     The ``rfequiv`` command-line front door.
+
+The names below are every library module's ``__all__``, and nothing else.
 """
 
 from .equiv import (
-    AlphaSolution,
     DenominatorDegenerate,
     EquivSolution,
     build_equiv,
     kernel_ridge_error,
-    solve_alpha,
     solve_subdel,
 )
 from .kernels import (

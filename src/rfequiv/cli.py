@@ -127,10 +127,12 @@ def _load_dataset(args, need_labels=True):
 
 
 def _load_model(args, need_labels=True):
-    """The dataset, the activations sigma and phi, and the normalization n."""
+    """The dataset, the activations sigma and phi, and the normalization n
+    (n_train only when ``--n`` is absent)."""
     ds = _load_dataset(args, need_labels)
+    n = ds.n_train if args.n is None else args.n
     return (ds, _activation(args.sigma, args.sigma_params),
-            _activation(args.phi, args.phi_params), args.n or ds.n_train)
+            _activation(args.phi, args.phi_params), n)
 
 
 def _dataset_kernels(args, ds, sigma, phi, n):

@@ -27,31 +27,18 @@ from scipy.linalg import cho_factor, cho_solve
 from .model import NonConvergence, _check_ridge, _check_z, _clamped_eigh
 
 __all__ = [
-    "AlphaSolution",
-    "DENOM_GUARD",
     "DenominatorDegenerate",
     "EquivSolution",
     "build_equiv",
     "kernel_ridge_error",
-    "solve_alpha",
     "solve_subdel",
 ]
 
-DENOM_GUARD = 1e-8
+_DENOM_GUARD = 1e-8
 
 
 class DenominatorDegenerate(RuntimeError):
     """The variance-series denominator fell to or below the positivity guard."""
-
-
-@dataclass
-class AlphaSolution:
-    """Converged scalar fixed point together with the spectrum it used."""
-
-    alpha: float
-    iterations: int
-    residual: float
-    eigenvalues: np.ndarray  # spectrum of K_aa, descending
 
 
 @dataclass
@@ -118,34 +105,6 @@ def _iterate(lam, d, delta, z, nu, tol, max_iter, pencil=False):
     )
 
 
-def solve_alpha(K_aa, d, delta, tol=1e-13, max_iter=100_000, alpha0=-1.0):
-    """Solve the scalar fixed point by iterating in eigenvalue form.
-
-    One symmetric eigendecomposition up front turns each update into a
-    scalar sum, alpha <- -(1 + sum_j lam_j / (delta - d alpha lam_j))^{-1}.
-    The iteration starts at ``alpha0`` (default -1, which keeps all iterates
-    inside [-1, 0)) and stops when |alpha - T(alpha)| <= tol.
-
-    Returns
-    -------
-    AlphaSolution
-
-    Raises
-    ------
-    NonConvergence
-        If the budget of ``max_iter`` updates is exhausted.
-    ValueError
-        If ``K_aa`` has an eigenvalue below -1e-8 * lam_max.
-    """
-    _check_ridge(delta, d)
-    if alpha0 > 0:
-        raise ValueError("alpha0 must be <= 0")
-    w, _ = _clamped_eigh(K_aa)
-    alpha, iterations, residual = _iterate(w, d, delta, 0.0, float(alpha0),
-                                           tol, max_iter)
-    return AlphaSolution(alpha, iterations, residual, w[::-1].copy())
-
-
 def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     """Assemble the deterministic test-error prediction for one instance.
 
@@ -174,9 +133,9 @@ def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     M11 = (M11 + M11.T) / 2
 
     denom = 1.0 - d * alpha ** 2 * float(np.sum((w * g) ** 2))
-    if denom <= DENOM_GUARD:
+    if denom <= _DENOM_GUARD:
         raise DenominatorDegenerate(
-            f"variance-series denominator {denom:.6e} <= {DENOM_GUARD:g}"
+            f"variance-series denominator {denom:.6e} <= {_DENOM_GUARD:g}"
         )
 
     P = M11 + delta * (M11 @ M11)  # M11 (I + delta M11)

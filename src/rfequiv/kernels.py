@@ -102,8 +102,11 @@ def _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
 
     Chunk ``c`` holds up to 512 columns ``U = n^{-1/2} sigma([X; Xhat] phi(Z))``
     with ``Z`` from the substream (seed, label, c).  ``reduce`` runs in the
-    pool worker, so only the partials leave it.
+    pool worker, so only the partials leave it.  ``n`` below 1 raises
+    ``ValueError`` before any draw.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     stacked = np.vstack([ds.X, ds.Xhat])
     scale = 1.0 / np.sqrt(n)
     sizes = [_CHUNK] * (m // _CHUNK) + ([m % _CHUNK] if m % _CHUNK else [])
@@ -146,8 +149,6 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k = ds.n_train + ds.n_test
     total = np.zeros((k, k))
     comp = np.zeros((k, k))

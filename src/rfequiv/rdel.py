@@ -15,6 +15,13 @@ through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
 the zeroth-moment table from it; on that pencil :func:`rf_linearization`
 and :func:`solve_rdel` are the test oracle.  Every norm here is an exact
 spectral norm (:func:`spectral_norm`, one LAPACK SVD).
+
+A four-slot pencil (train n, width d, test t, test t) is written once, as
+a table of four block rows of terms ``(column slot, coefficient, real
+matrix or None for I)``: :func:`_rf_rows` here for ``E - S(M) - z*Lambda``
+and :func:`rfequiv.sim._pencil_rows` for the sampled ``L - z*Lambda``.
+:func:`_pencil_matrix` assembles a table densely and :func:`_pencil_defect`
+computes ``||P X - I||_F`` from it one block row at a time.
 """
 
 from __future__ import annotations
@@ -385,16 +392,61 @@ def _rf_slices(dims):
     return s1, s2, s3, s4
 
 
-def _rf_expectation(dims, delta):
-    """Deterministic part of the pencil: ``delta*I``, ``-I`` and test couplings."""
-    n, d, t = dims
-    s1, s2, s3, s4 = _rf_slices(dims)
-    E = np.zeros((n + d + 2 * t, n + d + 2 * t))
-    E[s1, s1] = delta * np.eye(n)
-    E[s2, s2] = -np.eye(d)
-    E[s3, s4] = -np.eye(t)
-    E[s4, s3] = -np.eye(t)
-    return E
+def _rf_rows(K, delta, z=0.0, t22=0.0, rho=0.0):
+    """Table of ``E - S(M) - z*Lambda`` for the deterministic pencil, with
+    ``t22 = tr(M[2,2])`` and ``rho(M)`` from :func:`_rf_contractions`; with
+    ``z``, ``t22`` and ``rho`` all zero it is the expectation ``E``."""
+    k = -t22
+    return [[(0, delta - z, None), (0, k, K.K_aa), (3, k, K.K_ah)],
+            [(1, -(1.0 + rho + z), None)],
+            [(3, -1.0, None)],
+            [(0, k, K.K_ha), (2, -1.0, None), (3, k, K.K_hh)]]
+
+
+def _pencil_matrix(dims, rows):
+    """Dense ell x ell matrix of a four-slot pencil table.
+
+    ``rows[i]`` lists the terms ``(j, c, B)`` of block row ``i`` in the slot
+    order (train n, width d, test t, test t): block ``(i, j)`` gains
+    ``c * B``, or ``c * I`` when ``B`` is None.  A term with ``c == 0`` adds
+    nothing and is skipped, so ``E``'s table (:func:`_rf_rows` with zero
+    contractions) writes no kernel block.  The matrix is real unless a
+    coefficient is complex.
+    """
+    slots = _rf_slices(dims)
+    ell = slots[3].stop
+    complex_ = any(isinstance(c, complex) for row in rows for _, c, _ in row)
+    P = np.zeros((ell, ell), dtype=complex if complex_ else float)
+    filled = set()  # the first term of a block is assigned, later ones added
+    for i, row in enumerate(rows):
+        for j, c, B in row:
+            if c == 0:
+                continue
+            if B is None:
+                B = np.eye(slots[j].stop - slots[j].start)
+            term = B if c == 1 else c * B
+            block = (slots[i], slots[j])
+            if (i, j) in filled:
+                P[block] += term
+            else:
+                P[block] = term
+                filled.add((i, j))
+    return P
+
+
+def _pencil_defect(dims, rows, X):
+    """``||P X - I||_F`` for the pencil ``P`` of a table (see
+    :func:`_pencil_matrix`), with one block row alive at a time."""
+    slots = _rf_slices(dims)
+    X = np.ascontiguousarray(X, dtype=complex)
+    total = 0.0
+    for si, row in zip(slots, rows):
+        R = 0
+        for j, c, B in row:
+            term = X[slots[j]] if B is None else _real_left(B, X[slots[j]])
+            R = R + (term if c == 1 else c * term)
+        total += _row_defect(si, R)
+    return math.sqrt(total)
 
 
 def _check_rf_dims(K, dims):
@@ -459,7 +511,7 @@ def rf_linearization(K, dims, delta):
     n, d, t = dims
     mask = np.zeros(n + d + 2 * t)
     mask[: n + d] = 1.0
-    return LinearizationSpec(_rf_expectation(dims, delta), mask,
+    return LinearizationSpec(_pencil_matrix(dims, _rf_rows(K, delta)), mask,
                              rf_superoperator(K, dims))
 
 
@@ -504,28 +556,6 @@ def _row_defect(s, R):
     return np.linalg.norm(R) ** 2
 
 
-def _rf_defect(K, dims, delta, z, M):
-    """``||(E - S(M) - z*Lambda)M - I||_F``, one block row at a time.
-
-    ``E - S(M) - z*Lambda`` is nonzero only in the blocks (1,1), (1,4),
-    (2,2), (3,4), (4,1), (4,3) and (4,4); ``S(M)`` enters through
-    :func:`_rf_contractions` of ``M``, and every block row of ``M`` is read.
-    """
-    s1, s2, s3, s4 = _rf_slices(dims)
-    t22, rho = _rf_contractions(K, M, dims)
-    M = np.ascontiguousarray(M, dtype=complex)
-
-    def kernel_rows(K_a, K_h):  # t22 (K_a M[1] + K_h M[4])
-        return t22 * (_real_left(K_a, M[s1]) + _real_left(K_h, M[s4]))
-
-    return math.sqrt(
-        _row_defect(s1, (delta - z) * M[s1] - kernel_rows(K.K_aa, K.K_ah))
-        + _row_defect(s2, -(1.0 + rho + z) * M[s2])
-        + _row_defect(s3, -M[s4])
-        + _row_defect(s4, -M[s3] - kernel_rows(K.K_ha, K.K_hh))
-    )
-
-
 def rf_zeroth_moment_check(K, dims, delta, eta_list):
     """:func:`zeroth_moment_check` of the random-features pencil, with
     ``M(i*eta)`` from :func:`rf_solution_matrix` at ``tau = 0``.
@@ -550,7 +580,8 @@ def rf_zeroth_moment_check(K, dims, delta, eta_list):
         z = 1j * eta
         M = rf_solution_matrix(K, dims, delta, z)
         nu, block = M[n, n], M[np.ix_(idx, idx)]
-        defect = _rf_defect(K, dims, delta, z, M)
+        rows = _rf_rows(K, delta, z, *_rf_contractions(K, M, dims))
+        defect = _pencil_defect(dims, rows, M)
         if not defect <= 1e-10:
             raise RuntimeError(f"pencil defect {defect:.3e} > 1e-10 at z={z}")
         block_norm = max(spectral_norm(M[s1, s1]), abs(nu))

@@ -9,9 +9,11 @@ run with matching covariance.
 The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is never formed by a dense
 ell x ell solve.  Every block is closed-form in the d x d matrix
 ``C = A^T A + (delta - z)(1 + z) I``, which one thin SVD of the train
-features ``A`` diagonalizes for any ``z``; see :func:`build_pseudoresolvent`
-for the blocks, the refusal rule for a numerically singular pencil, and
-the defect check against the assembled pencil.
+features ``A`` diagonalizes for any ``z``, and no ell x ell pencil is
+stored: the pseudo-resolvent is checked against a table of the pencil's
+block rows (:func:`_pencil_rows`).  See :func:`build_pseudoresolvent` for
+the blocks, the refusal rule for a numerically singular pencil, and the
+defect check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import equiv
 from .kernels import default_samples, estimate_kernels
 from .model import (_check_ridge, _check_z, _clamped_eigh, _parallel_map,
                     apply_activation, substream)
-from .rdel import (_real_left, _rf_expectation, _rf_slices, _row_defect,
+from .rdel import (_pencil_defect, _pencil_matrix, _real_left, _rf_slices,
                    spectral_norm)
 
 __all__ = [
@@ -114,6 +116,8 @@ def sample_features(ds, sigma, phi, d, n, seed):
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = substream(seed, "features")
     return _sample_features(ds, sigma, phi, d, n, rng)
 
@@ -192,23 +196,22 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, kernels=None, workers=None):
 # Sampled pencil and its pseudo-resolvent
 # ---------------------------------------------------------------------------
 
-def _assemble_linearization(A, Ahat, delta):
-    """Symmetric pencil holding the feature matrices in its couplings."""
-    dims = (A.shape[0], A.shape[1], Ahat.shape[0])
-    s1, s2, _, s4 = _rf_slices(dims)
-    L = _rf_expectation(dims, delta)
-    L[s1, s2] = A
-    L[s2, s1] = A.T
-    L[s2, s4] = Ahat.T
-    L[s4, s2] = Ahat
-    return L
+def _pencil_rows(A, Ahat, delta, z=0.0):
+    """Table of the sampled pencil ``L - z*Lambda`` in the layout of
+    :func:`rfequiv.rdel._pencil_matrix`: ``(delta - z) I`` and ``-(1 + z) I``
+    on the train and width slots, ``A`` coupling them, ``Ahat`` coupling the
+    width slot to the second test slot, and ``-I`` between the test slots."""
+    return [[(0, delta - z, None), (1, 1.0, A)],
+            [(0, 1.0, A.T), (1, -(1.0 + z), None), (3, 1.0, Ahat.T)],
+            [(3, -1.0, None)],
+            [(1, 1.0, Ahat), (2, -1.0, None)]]
 
 
 @dataclass
 class PseudoResolvent:
-    """``(L - z*Lambda)^{-1}`` of one sampled pencil, defect-verified."""
+    """``(L - z*Lambda)^{-1}`` of one sampled pencil, defect-verified against
+    the table of the pencil built from ``A`` and ``Ahat``."""
 
-    L: np.ndarray
     z: complex
     value: np.ndarray
     dims: tuple
@@ -222,7 +225,7 @@ def _complement(Q):
 
 
 def build_pseudoresolvent(A, Ahat, delta, z):
-    """Assemble the pencil and invert it through one thin SVD of ``A``.
+    """Invert the sampled pencil through one thin SVD of ``A``.
 
     ``z`` must be finite, and 0 (with ``delta > 0``) or in the open upper
     half-plane.  In the slot order (train n, width d, test t, test t), with
@@ -250,8 +253,8 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     the smallest modulus among these factors and the unit pivots of the
     test-slot couplings is at most machine epsilon times the largest; this
     happens before any division.  The result is then checked against the
-    assembled pencil: ``||(L - z*Lambda) G - I||_F`` must be at most 1e-9,
-    with the coupling and diagonal blocks read from ``L``.
+    pencil's table (:func:`_pencil_rows`): ``||(L - z*Lambda) G - I||_F``,
+    computed block row by block row, must be at most 1e-9.
     """
     z = _check_z(z)
     _check_ridge(delta)
@@ -264,7 +267,6 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     n, d = A.shape
     t = Ahat.shape[0]
     dims = (n, d, t)
-    L = _assemble_linearization(A, Ahat, delta)
     a = delta - z
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
     r = sv.size
@@ -304,33 +306,10 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     value[s1, s3] = value[s3, s1].T
     value[s2, s3] = value[s3, s2].T
     value[s3, s4] = value[s4, s3] = -np.eye(t)
-    defect = _pencil_defect(L, z, value, dims)
+    defect = _pencil_defect(dims, _pencil_rows(A, Ahat, delta, z), value)
     if defect > 1e-9:
         raise RuntimeError(f"pseudo-resolvent defect {defect:.3e} exceeds 1e-9")
-    return PseudoResolvent(L=L, z=z, value=value, dims=dims)
-
-
-def _pencil_defect(L, z, X, dims):
-    """``||(L - z*Lambda) X - I||_F``, one block row at a time.
-
-    Reads the couplings ``L12, L21, L24, L42`` and the diagonals of the
-    blocks ``L11, L22, L34, L43`` from ``L``; the other blocks of the
-    pencil are zero by construction.
-    """
-    s1, s2, s3, s4 = _rf_slices(dims)
-    X = np.ascontiguousarray(X, dtype=complex)
-
-    def diag(i, j):
-        return np.diagonal(L[i, j])[:, None]
-
-    # one block row is alive at a time
-    return math.sqrt(
-        _row_defect(s1, (diag(s1, s1) - z) * X[s1] + _real_left(L[s1, s2], X[s2]))
-        + _row_defect(s2, _real_left(L[s2, s1], X[s1])
-                      + (diag(s2, s2) - z) * X[s2] + _real_left(L[s2, s4], X[s4]))
-        + _row_defect(s3, diag(s3, s4) * X[s4])
-        + _row_defect(s4, _real_left(L[s4, s2], X[s2]) + diag(s4, s3) * X[s3])
-    )
+    return PseudoResolvent(z=z, value=value, dims=dims)
 
 
 def anisotropic_gap(pr, M_theory, U):
@@ -390,11 +369,12 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
     if reps < 2:
         raise ValueError("need at least two replicates to form a pair")
     pairs = reps // 2
+    dims = (ds.n_train, cfg.d, ds.n_test)
 
     def draw(i):
         rng = substream(seed, "delta", i)
         A, Ahat = _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
-        return _assemble_linearization(A, Ahat, cfg.delta)
+        return _pencil_matrix(dims, _pencil_rows(A, Ahat, cfg.delta))
 
     mats = list(_parallel_map(draw, 2 * pairs))
     Ebar = sum(mats) / len(mats)

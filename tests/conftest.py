@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from rfequiv import Dataset, KernelSet
+from rfequiv import Dataset, KernelSet, build_equiv
 from rfequiv.model import _blas_controls
 
 
@@ -80,6 +80,14 @@ def rand_kernelset(rng, n, t):
         K_hh=joint[n:, n:],
         samples=1,
     )
+
+
+def equiv_alpha(K_aa, d, delta):
+    """``build_equiv`` on a bare ``K_aa`` (one uncoupled test point, zero
+    labels), for its alpha and the quantities solved with it."""
+    n = K_aa.shape[0]
+    ks = KernelSet(K_aa, np.zeros((n, 1)), np.zeros((1, n)), np.eye(1), 1)
+    return build_equiv(ks, np.zeros(n), np.zeros(1), d, delta)
 
 
 def unit_row_dataset(n_train, n_test, n0, seed):

@@ -26,7 +26,6 @@ from rfequiv import (
     rf_zeroth_moment_check,
     run_replicates,
     sample_features,
-    solve_alpha,
     solve_rdel,
     solve_subdel,
     spectral_norm,
@@ -36,7 +35,8 @@ from rfequiv import (
     anisotropic_gap,
 )
 
-from conftest import dense_subdel, rand_kernelset, rf_zeroth_products
+from conftest import (dense_pencil, dense_subdel, equiv_alpha, rand_kernelset,
+                      rf_zeroth_products)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -69,11 +69,10 @@ def _bisect_alpha(K_aa, d, delta, tol=1e-14):
 
 def test_01_alpha_quadratic_oracle():
     t0 = time.perf_counter()
-    sol = solve_alpha(np.eye(2), 2, 1.0)
-    gap_root = abs(sol.alpha - (-0.5))
-    gap_bisect = abs(sol.alpha - _bisect_alpha(np.eye(2), 2, 1.0))
     ks = KernelSet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 1)
     eq = build_equiv(ks, np.array([1.0, 0.0]), np.array([2.0]), 2, 1.0)
+    gap_root = abs(eq.alpha - (-0.5))
+    gap_bisect = abs(eq.alpha - _bisect_alpha(np.eye(2), 2, 1.0))
     gap_beta = abs(eq.beta - 1 / 3)
     gap_pred = abs(eq.predicted_error - (1 / 6 + 4.0))
     dt = time.perf_counter() - t0
@@ -100,12 +99,9 @@ def test_02_route_equivalence_on_random_kernels():
         K = g @ g.T / (n + 2)
         d = int(rng.integers(2, 65))
         delta = float(rng.uniform(0.05, 5.0))
-        a = solve_alpha(K, d, delta)
+        a = equiv_alpha(K, d, delta)
         alphas_ok &= -1.0 <= a.alpha < 0.0
-        lam = a.eigenvalues
-        denom = 1.0 - d * a.alpha ** 2 * np.sum(
-            (lam / (delta - d * a.alpha * lam)) ** 2)
-        denoms_ok &= denom > 0
+        denoms_ok &= a.denom > 0
         N11, nu = solve_subdel(K, d, delta, 0.0)
         N11_o, nu_o = dense_subdel(K, d, delta, 0.0)
         M11 = np.linalg.inv(delta * np.eye(n) - d * a.alpha * K)
@@ -271,10 +267,8 @@ def test_09_pseudoresolvent_consistency():
         got = pr.value[n + d:n + d + t, :n]
         worst_block = max(worst_block, float(np.linalg.norm(got - want, 2)))
         pri = build_pseudoresolvent(A, Ahat, delta, 1j)
-        ell = pri.L.shape[0]
-        lam = np.zeros(ell)
-        lam[:n + d] = 1.0
-        base = pri.L - 1j * np.diag(lam)
+        ell = pri.value.shape[0]
+        base = dense_pencil(A, Ahat, delta, 1j)
         norm_sq = np.linalg.norm(pri.value, 2) ** 2
         for tau in (1e-1, 1e-3):
             shifted = np.linalg.inv(base - 1j * tau * np.eye(ell))

@@ -25,13 +25,14 @@ from rfequiv import (
     cli,
     equiv,
     estimate_delta_gaussianity,
+    kernels,
     rdel,
     rf_zeroth_moment_check,
     save_kernels,
     sim,
-    solve_alpha,
     solve_rdel,
     synthetic_regression,
+    verify_centering,
     zeroth_moment_check,
 )
 from rfequiv.model import _check_ridge, _check_z
@@ -48,6 +49,10 @@ NAN = float("nan")
 INF = float("inf")
 # the structured zeroth-moment check must refuse bad heights before a solve
 RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
+# every feature draw applies an activation; a refused n must come before one
+DRAWS = ((kernels, "apply_activation"), (sim, "_sample_features"))
+IDENT = Activation("identity")
+SMALL = synthetic_regression(4, 2, 3, 0.0, seed=0)
 
 
 def _forbidden(name):
@@ -100,8 +105,7 @@ def _pencil(dims, delta):
 def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
-    ident = Activation("identity")
-    return lambda: estimate_delta_gaussianity(ds, ident, ident, cfg, z, 0.1,
+    return lambda: estimate_delta_gaussianity(ds, IDENT, IDENT, cfg, z, 0.1,
                                               reps=4, seed=0)
 
 
@@ -121,6 +125,19 @@ CASES = {
                                  DIAGNOSE_DRAWS, {}),
     "diagnose-eta-nan": (DIAGNOSE + ["--eta-list", "100,nan"], 2,
                          DIAGNOSE_DRAWS, {}),
+    # DIAGNOSE has ell = 12 + 4 + 2 * 4 = 24
+    "diagnose-ell-above-max": (DIAGNOSE + ["--max-ell", "23"],
+                               (2, "exceeds --max-ell 23"),
+                               DIAGNOSE_DRAWS + DRAWS, {}),
+    "estimate-kernels-n-zero": (
+        ["estimate-kernels", "--synthetic", "4,2,3", "--n", "0"],
+        (2, "n must be >= 1"), DRAWS, {}),
+    "sample-features-n-zero": (
+        lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
+        (ValueError, "n must be >= 1"), DRAWS, {}),
+    "verify-centering-n-zero": (
+        lambda: verify_centering(IDENT, IDENT, SMALL, 0, 100, 0),
+        (ValueError, "n must be >= 1"), DRAWS, {}),
     "predict-linalg-error": (PREDICT, 4, (),
                              {(cli, "build_equiv"): _raise_linalg_error}),
     "solve-rdel-z-nan": (_solve(complex(0, NAN), 0.1), ValueError, (), {}),
@@ -153,8 +170,10 @@ CASES = {
     "expectation-nan": (
         lambda: LinearizationSpec(np.diag([NAN, 1.0]), [1, 0], lambda M: 0 * M),
         ValueError, (), {}),
-    "alpha-kernel-nan": (lambda: solve_alpha(np.diag([NAN, 1.0]), 1, 1.0),
-                         ValueError, ((equiv, "_iterate"),), {}),
+    # at z = 0 solve_subdel is the alpha solve
+    "alpha-kernel-nan": (
+        lambda: equiv.solve_subdel(np.diag([NAN, 1.0]), 1, 1.0, 0.0),
+        ValueError, ((equiv, "_iterate"),), {}),
     "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError,
                           ((sim, "_sample_features"),), {}),
     "m-infinity-tau-nan": (lambda: rdel.m_infinity(_scalar_spec(), NAN),

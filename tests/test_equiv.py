@@ -9,12 +9,12 @@ from rfequiv import (
     NonConvergence,
     build_equiv,
     kernel_ridge_error,
+    equiv,
     rf_solution_matrix,
-    solve_alpha,
     solve_subdel,
 )
 
-from conftest import dense_subdel, rand_psd
+from conftest import dense_subdel, equiv_alpha, rand_psd
 
 
 def bisect_alpha(K_aa, d, delta, tol=1e-14):
@@ -45,17 +45,17 @@ def bisect_alpha(K_aa, d, delta, tol=1e-14):
 
 
 # ---------------------------------------------------------------------------
-# solve_alpha
+# alpha, the fixed point build_equiv solves
 # ---------------------------------------------------------------------------
 
 def test_alpha_zero_kernel_is_minus_one():
-    sol = solve_alpha(np.zeros((3, 3)), 4, 0.7)
+    sol = equiv_alpha(np.zeros((3, 3)), 4, 0.7)
     assert sol.alpha == -1.0
     assert sol.residual <= 1e-13
 
 
 def test_alpha_quadratic_instance_matches_bisection():
-    sol = solve_alpha(np.eye(2), 2, 1.0)
+    sol = equiv_alpha(np.eye(2), 2, 1.0)
     assert sol.alpha == pytest.approx(-0.5, abs=1e-10)
     assert sol.alpha == pytest.approx(bisect_alpha(np.eye(2), 2, 1.0), abs=1e-10)
 
@@ -63,16 +63,8 @@ def test_alpha_quadratic_instance_matches_bisection():
 def test_alpha_large_ridge_limit():
     rng = np.random.default_rng(0)
     K = rand_psd(rng, 6)
-    sol = solve_alpha(K, 8, 1e9)
+    sol = equiv_alpha(K, 8, 1e9)
     assert abs(sol.alpha + 1.0) <= 1e-6
-
-
-def test_alpha_is_start_independent():
-    rng = np.random.default_rng(3)
-    K = rand_psd(rng, 10)
-    roots = [solve_alpha(K, 12, 0.3, alpha0=a0).alpha
-             for a0 in (-1.0, -0.5, -1e-6)]
-    assert max(roots) - min(roots) <= 1e-11
 
 
 def test_alpha_random_instances_match_bisection():
@@ -82,21 +74,20 @@ def test_alpha_random_instances_match_bisection():
         K = rand_psd(rng, n)
         d = int(rng.integers(1, 40))
         delta = float(rng.uniform(0.01, 10.0))
-        sol = solve_alpha(K, d, delta)
+        sol = equiv_alpha(K, d, delta)
         assert -1.0 <= sol.alpha < 0.0
         assert sol.alpha == pytest.approx(bisect_alpha(K, d, delta), abs=1e-10)
-        assert np.all(np.diff(sol.eigenvalues) <= 0)
 
 
 def test_alpha_rejects_indefinite_kernel():
     bad = np.diag([1.0, -0.5])
     with pytest.raises(ValueError):
-        solve_alpha(bad, 2, 1.0)
+        solve_subdel(bad, 2, 1.0, 0.0)  # the alpha solve at z = 0
 
 
 def test_alpha_nonconvergence_is_reported():
     with pytest.raises(NonConvergence):
-        solve_alpha(np.eye(2), 2, 1.0, max_iter=3)
+        equiv._iterate(np.ones(2), 2, 1.0, 0.0, -1.0, 1e-13, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,7 @@ def blocks_at_zero(ks, d, delta):
 
 
 def test_m0_decoupled_blocks(toy_kernels):
-    alpha = solve_alpha(toy_kernels.K_aa, 2, 1.0).alpha
+    alpha = equiv_alpha(toy_kernels.K_aa, 2, 1.0).alpha
     _, _, M13, _, M33 = blocks_at_zero(toy_kernels, 2, 1.0)
     assert np.count_nonzero(M13) == 0
     assert np.allclose(M33, 2 * alpha * toy_kernels.K_hh, atol=1e-10)
@@ -177,7 +168,7 @@ def test_m0_decoupled_blocks(toy_kernels):
 
 def test_m0_coupling_block_by_substitution():
     ks = coupled_toy()
-    alpha = solve_alpha(ks.K_aa, 2, 1.0).alpha  # still -1/2: same K_aa
+    alpha = equiv_alpha(ks.K_aa, 2, 1.0).alpha  # still -1/2: same K_aa
     M11, _, M13, M31, M33 = blocks_at_zero(ks, 2, 1.0)
     assert np.allclose(M13, 0.5 * ks.K_ah, atol=1e-10)
     assert np.allclose(M31, M13.T, atol=1e-12)
@@ -187,7 +178,7 @@ def test_m0_coupling_block_by_substitution():
 
 
 def test_m0_scalar_block_consistency(toy_kernels):
-    alpha = solve_alpha(toy_kernels.K_aa, 2, 1.0).alpha
+    alpha = equiv_alpha(toy_kernels.K_aa, 2, 1.0).alpha
     M11, M22, _, _, _ = blocks_at_zero(toy_kernels, 2, 1.0)
     assert M22 == pytest.approx(alpha, abs=1e-12)
     # fixed point restated: tr(K_aa M11) = 1 gives -(1 + 1)^{-1} = alpha
@@ -219,7 +210,7 @@ def test_subdel_random_instances_match_scalar_route():
         K = rand_psd(rng, n)
         d = int(rng.integers(2, 30))
         delta = float(rng.uniform(0.05, 3.0))
-        a = solve_alpha(K, d, delta)
+        a = equiv_alpha(K, d, delta)
         N11, nu = solve_subdel(K, d, delta, 0.0)
         M11 = np.linalg.inv(delta * np.eye(n) - d * a.alpha * K)
         assert abs(nu - a.alpha) <= 1e-8

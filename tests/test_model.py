@@ -24,7 +24,6 @@ from rfequiv import (
     kernel_ridge_error,
     load_matrix,
     rf_linearization,
-    solve_alpha,
     solve_subdel,
     substream,
     synthetic_regression,
@@ -195,7 +194,6 @@ def test_every_ridge_entry_point_rejects_non_positive_or_non_finite(
     y, yhat = np.ones(2), np.ones(1)
     calls = [
         lambda: RFConfig(d=1, delta=delta, n=1, seed=0),
-        lambda: solve_alpha(np.eye(2), 2, delta),
         lambda: solve_subdel(np.eye(2), 2, delta, 1j),
         lambda: build_equiv(toy_kernels, y, yhat, 2, delta),
         lambda: kernel_ridge_error(toy_kernels, y, yhat, 2, delta),

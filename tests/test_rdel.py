@@ -14,14 +14,13 @@ from rfequiv import (
     rf_solution_matrix,
     rf_superoperator,
     rf_zeroth_moment_check,
-    solve_alpha,
     solve_rdel,
     spectral_norm,
     synthetic_regression,
     zeroth_moment_check,
 )
 
-from conftest import rf_zeroth_products
+from conftest import equiv_alpha, rf_zeroth_products
 
 DIMS = (40, 60, 10)  # (n_train, d, n_test); pencil size 40 + 60 + 2*10 = 120
 DELTA = 0.3
@@ -403,14 +402,15 @@ def test_rf_blockwise_defect_equals_the_dense_defect(rf_spec):
         m = rng.standard_normal((spec.ell,) * 2) + 1j * rng.standard_normal(
             (spec.ell,) * 2)
         want = dense_defect(K, spec, z, m)
-        assert abs(rdel._rf_defect(K, DIMS, DELTA, z, m) - want) <= 1e-12 * want
+        rows = rdel._rf_rows(K, DELTA, z, *rdel._rf_contractions(K, m, DIMS))
+        assert abs(rdel._pencil_defect(DIMS, rows, m) - want) <= 1e-12 * want
 
 
 def test_rf_solution_matrix_at_zero_matches_scalar_route(rf_spec):
     K, _ = rf_spec
     n, d, t = DIMS
     m = rf_solution_matrix(K, DIMS, DELTA, 0.0)
-    alpha = solve_alpha(K.K_aa, d, DELTA).alpha
+    alpha = equiv_alpha(K.K_aa, d, DELTA).alpha
     M11 = np.linalg.inv(DELTA * np.eye(n) - d * alpha * K.K_aa)
     assert np.allclose(m[:n, :n], M11, atol=1e-8)
     assert np.allclose(m[n:n + d, n:n + d], alpha * np.eye(d), atol=1e-8)

@@ -22,7 +22,8 @@ from rfequiv import (
     sample_features,
     synthetic_regression,
 )
-from rfequiv.sim import _pencil_defect
+from rfequiv.rdel import _pencil_defect, _pencil_matrix
+from rfequiv.sim import _pencil_rows
 
 from conftest import dense_pencil, dense_pseudoresolvent, unit_row_dataset
 
@@ -213,16 +214,14 @@ def test_pseudoresolvent_matches_dense_lu_oracle(dims, z, delta):
 def test_blockwise_defect_equals_the_dense_defect(dims, z):
     # X is no inverse, so every entry of (L - z*Lambda) X - I counts
     A, Ahat = _features(*dims, seed=3)
-    pr = build_pseudoresolvent(A, Ahat, 0.3, z)
+    rows = _pencil_rows(A, Ahat, 0.3, z)
+    P = dense_pencil(A, Ahat, 0.3, z)
     rng = np.random.default_rng(4)
-    ell = pr.L.shape[0]
+    ell = P.shape[0]
     X = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
-    lam = np.zeros(ell)
-    lam[:dims[0] + dims[1]] = 1.0
-    dense = np.linalg.norm((pr.L - z * np.diag(lam)) @ X - np.eye(ell))
-    assert _pencil_defect(pr.L, z, X, dims) == pytest.approx(dense, rel=1e-12)
-    assert np.array_equal(pr.L - z * np.diag(lam),
-                          dense_pencil(A, Ahat, 0.3, z))
+    dense = np.linalg.norm(P @ X - np.eye(ell))
+    assert _pencil_defect(dims, rows, X) == pytest.approx(dense, rel=1e-12)
+    assert np.array_equal(_pencil_matrix(dims, rows), P)
 
 
 def test_pseudoresolvent_direct_residual():
@@ -230,10 +229,7 @@ def test_pseudoresolvent_direct_residual():
     a = rng.standard_normal((4, 3)) / 2
     ah = rng.standard_normal((2, 3)) / 2
     pr = build_pseudoresolvent(a, ah, 0.5, 1j)
-    n, d, t = pr.dims
-    lam = np.zeros(pr.L.shape[0])
-    lam[:n + d] = 1.0
-    defect = (pr.L - 1j * np.diag(lam)) @ pr.value - np.eye(pr.L.shape[0])
+    defect = dense_pencil(a, ah, 0.5, 1j) @ pr.value - np.eye(pr.value.shape[0])
     assert np.linalg.norm(defect, 2) <= 1e-9
 
 
@@ -271,11 +267,8 @@ def test_regularized_resolvent_distance_bound():
         a = rng.standard_normal((4, 3)) / 2
         ah = rng.standard_normal((3, 3)) / 2
         pr = build_pseudoresolvent(a, ah, 0.5, 1j)
-        ell = pr.L.shape[0]
-        n, d, t = pr.dims
-        lam = np.zeros(ell)
-        lam[:n + d] = 1.0
-        base = pr.L - 1j * np.diag(lam)
+        ell = pr.value.shape[0]
+        base = dense_pencil(a, ah, 0.5, 1j)
         norm_sq = np.linalg.norm(pr.value, 2) ** 2
         for tau in (1e-1, 1e-3):
             shifted = np.linalg.inv(base - 1j * tau * np.eye(ell))
@@ -288,7 +281,7 @@ def test_anisotropic_gap_rank_one_probe():
     a = rng.standard_normal((4, 3)) / 2
     ah = rng.standard_normal((2, 3)) / 2
     pr = build_pseudoresolvent(a, ah, 0.5, 1j)
-    ell = pr.L.shape[0]
+    ell = pr.value.shape[0]
     m_theory = np.zeros((ell, ell), dtype=complex)
     assert anisotropic_gap(pr, m_theory, np.zeros((ell, ell))) == 0.0
     e1 = np.zeros((ell, ell))
