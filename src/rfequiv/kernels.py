@@ -1,9 +1,10 @@
 """Monte Carlo estimation of the covariance blocks of feature columns.
 
 A feature column pair is ``u = n^{-1/2} sigma([X; Xhat] phi(z))`` with
-``z ~ N(0, I_{n0})``; the four blocks of ``E[u u^T]`` drive every prediction
-downstream.  The identity-activation case has an exact closed form that
-serves as the estimator's oracle.
+``z ~ N(0, I_{n0})``; the blocks ``K_aa``, ``K_ah``, ``K_hh`` of the symmetric
+``E[u u^T]`` (``K_ha = K_ah^T`` is derived) drive every prediction downstream.
+The identity-activation case has an exact closed form that serves as the
+estimator's oracle.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ __all__ = [
 
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
 
-_BLOCK_NAMES = ("K_aa", "K_ah", "K_ha", "K_hh")
-
 
 def default_samples(n_train, n_test):
     """Default Monte Carlo sample count: max(20 * (n_train + n_test), 10^4)."""
@@ -47,36 +46,32 @@ class KernelSet:
     """Second-moment blocks of the stacked feature column (a_j, ahat_j).
 
     ``K_aa = E[a a^T]`` (n_train x n_train), ``K_ah = E[a ahat^T]``,
-    ``K_ha = K_ah^T`` exactly, ``K_hh = E[ahat ahat^T]``; ``samples`` is the
-    number of Monte Carlo draws behind the estimate.
+    ``K_hh = E[ahat ahat^T]``; ``samples`` is the number of Monte Carlo draws
+    behind the estimate.  ``K_ha`` is derived, a C-contiguous copy of
+    ``K_ah^T``.
     """
 
     K_aa: np.ndarray
     K_ah: np.ndarray
-    K_ha: np.ndarray
     K_hh: np.ndarray
     samples: int
 
     def __post_init__(self):
         self.K_aa = np.atleast_2d(np.asarray(self.K_aa, dtype=float))
         self.K_ah = np.atleast_2d(np.asarray(self.K_ah, dtype=float))
-        self.K_ha = np.atleast_2d(np.asarray(self.K_ha, dtype=float))
         self.K_hh = np.atleast_2d(np.asarray(self.K_hh, dtype=float))
+        self.K_ha = self.K_ah.T.copy()
         self.samples = int(self.samples)
         n, t = self.K_ah.shape
         if self.K_aa.shape != (n, n) or self.K_hh.shape != (t, t):
             raise ValueError("kernel block shapes are inconsistent")
-        if self.K_ha.shape != (t, n):
-            raise ValueError("K_ha must have the transposed shape of K_ah")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        for name in _BLOCK_NAMES:
+        for name in ("K_aa", "K_ah", "K_hh"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
         _check_symmetric(self.K_aa, "K_aa")
         _check_symmetric(self.K_hh, "K_hh")
-        if not np.array_equal(self.K_ha, self.K_ah.T):
-            raise ValueError("K_ha must be the exact transpose of K_ah")
         w = np.linalg.eigvalsh(self.joint())
         lam_max = max(float(w[-1]), 0.0)
         if float(w[0]) < -1e-10 * lam_max - 1e-300:
@@ -165,7 +160,7 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
     K_aa = joint[:nt, :nt].copy()
     K_ah = joint[:nt, nt:].copy()
     K_hh = joint[nt:, nt:].copy()
-    return KernelSet(K_aa, K_ah, K_ah.T.copy(), K_hh, m)
+    return KernelSet(K_aa, K_ah, K_hh, m)
 
 
 def analytic_identity_kernels(ds, n):
@@ -175,7 +170,7 @@ def analytic_identity_kernels(ds, n):
     K_hh = ds.Xhat @ ds.Xhat.T / n
     K_aa = (K_aa + K_aa.T) / 2
     K_hh = (K_hh + K_hh.T) / 2
-    return KernelSet(K_aa, K_ah, K_ah.T.copy(), K_hh, 1)
+    return KernelSet(K_aa, K_ah, K_hh, 1)
 
 
 def verify_centering(sigma, phi, ds, n, m, seed):
@@ -213,23 +208,30 @@ def save_kernels(ks, path):
         "samples": ks.samples,
         "K_aa": ks.K_aa,
         "K_ah": ks.K_ah,
-        "K_ha": ks.K_ha,
         "K_hh": ks.K_hh,
     }
     write_json(path, report)
 
 
 def load_kernels(path):
-    """Read a KernelSet from JSON written by :func:`save_kernels`."""
+    """Read a KernelSet from JSON written by :func:`save_kernels`.
+
+    Parse faults raise :class:`MatrixFormatError`; a header, or the ``K_ha``
+    of an older file, that disagrees with the blocks raises ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        return KernelSet(
-            np.array(raw["K_aa"], dtype=float),
-            np.array(raw["K_ah"], dtype=float),
-            np.array(raw["K_ha"], dtype=float),
-            np.array(raw["K_hh"], dtype=float),
-            int(raw["samples"]),
-        )
-    except (KeyError, TypeError) as exc:
+        header = (raw["n_train"], raw["n_test"])
+        blocks = [np.array(raw[name], dtype=float)
+                  for name in ("K_aa", "K_ah", "K_hh")]
+        K_ha = np.array(raw["K_ha"], dtype=float) if "K_ha" in raw else None
+        samples = int(raw["samples"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"{path}: malformed kernel JSON ({exc})") from exc
+    ks = KernelSet(*blocks, samples)
+    if header != (ks.n_train, ks.n_test):
+        raise ValueError(f"{path}: header {header} disagrees with the blocks")
+    if K_ha is not None and not np.array_equal(K_ha, ks.K_ha):
+        raise ValueError("K_ha must be the exact transpose of K_ah")
+    return ks

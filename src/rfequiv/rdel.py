@@ -309,12 +309,12 @@ class ZerothMomentReport:
         }
 
 
-def zeroth_moment_check(spec, products, eta_list):
+def zeroth_moment_check(spec, eta_list):
     """Compare ``-i*eta*(M(i*eta) - M_inf)`` against its zeroth-moment limit.
 
-    The limit matrix is assembled from the supplied expectation products of
-    the off-diagonal block ``B`` (coupling mask rows to the complement) and
-    the complement block ``Q``:
+    The limit matrix is assembled from the expectation products of the
+    off-diagonal block ``B`` (coupling mask rows to the complement) and the
+    complement block ``Q``, which :func:`_zeroth_products` reads off the spec:
 
         [[I, -E[B]^T (E Q)^{-1}],
          [-(E Q)^{-1} E[B], (E Q)^{-1} E[B B^T] (E Q)^{-1}]]
@@ -322,9 +322,6 @@ def zeroth_moment_check(spec, products, eta_list):
     Parameters
     ----------
     spec : LinearizationSpec
-    products : mapping
-        Keys ``"EB"`` (q x p), ``"EQ"`` (q x q), ``"EBBt"`` (q x q); ignored
-        when the complement block is empty.
     eta_list : sequence of float
         Strictly increasing heights, all positive and finite, at least two;
         anything else raises ``ValueError`` before any solve.  Each height
@@ -348,13 +345,7 @@ def zeroth_moment_check(spec, products, eta_list):
     omega = np.zeros((spec.ell, spec.ell), dtype=complex)
     omega[np.ix_(lam, lam)] = np.eye(lam.size)
     if q.size:
-        EB = np.atleast_2d(np.asarray(products["EB"], dtype=float))
-        EQ = np.atleast_2d(np.asarray(products["EQ"], dtype=float))
-        EBBt = np.atleast_2d(np.asarray(products["EBBt"], dtype=float))
-        if EB.shape != (q.size, lam.size):
-            raise ValueError(f"EB must be {q.size} x {lam.size}, got {EB.shape}")
-        if EQ.shape != (q.size, q.size) or EBBt.shape != (q.size, q.size):
-            raise ValueError("EQ and EBBt must match the complement block size")
+        EB, EQ, EBBt = _zeroth_products(spec)
         EQi = np.linalg.inv(EQ)
         omega[np.ix_(lam, q)] = -EB.T @ EQi
         omega[np.ix_(q, lam)] = -EQi @ EB
@@ -366,6 +357,15 @@ def zeroth_moment_check(spec, products, eta_list):
         mismatch = -1j * eta * (sol.M - minf) - omega
         deltas.append(spectral_norm(mismatch))
     return _decay_report(etas, deltas)
+
+
+def _zeroth_products(spec):
+    """``(E[B], E[Q], E[B B^T])`` of a spec: ``E[q, lam]``, ``E[q, q]`` and
+    ``E[B] E[B]^T + S(Pi)[q, q]`` with ``Pi = diag(lambda_mask)``."""
+    q, lam = spec.q_indices(), spec.lambda_indices()
+    EB = spec.expectation[np.ix_(q, lam)]
+    cov = np.asarray(spec.superop(np.diag(spec.lambda_mask)))[np.ix_(q, q)]
+    return EB, spec.expectation[np.ix_(q, q)], EB @ EB.T + cov
 
 
 def _decay_report(etas, deltas):
@@ -396,11 +396,16 @@ def _rf_rows(K, delta, z=0.0, t22=0.0, rho=0.0):
     """Table of ``E - S(M) - z*Lambda`` for the deterministic pencil, with
     ``t22 = tr(M[2,2])`` and ``rho(M)`` from :func:`_rf_contractions`; with
     ``z``, ``t22`` and ``rho`` all zero it is the expectation ``E``."""
-    k = -t22
-    return [[(0, delta - z, None), (0, k, K.K_aa), (3, k, K.K_ah)],
-            [(1, -(1.0 + rho + z), None)],
-            [(3, -1.0, None)],
-            [(0, k, K.K_ha), (2, -1.0, None), (3, k, K.K_hh)]]
+    fixed = [[(0, delta - z, None)], [(1, -(1.0 + z), None)],
+             [(3, -1.0, None)], [(2, -1.0, None)]]
+    return [a + b for a, b in zip(fixed, _rf_superop_rows(K, -t22, -rho))]
+
+
+def _rf_superop_rows(K, t22, rho):
+    """Table of the superoperator ``S(M)`` given its two contractions
+    ``t22 = tr(M[2,2])`` and ``rho(M)`` (see :func:`rf_superoperator`)."""
+    return [[(0, t22, K.K_aa), (3, t22, K.K_ah)], [(1, rho, None)], [],
+            [(0, t22, K.K_ha), (3, t22, K.K_hh)]]
 
 
 def _pencil_matrix(dims, rows):
@@ -468,26 +473,13 @@ def rf_superoperator(K, dims):
         out[2,2] = rho(M) I_d
 
     with ``rho(M) = tr(K_aa M[1,1] + K_ah M[4,1] + K_ha M[1,4] + K_hh M[4,4])``
-    and zeros elsewhere.  Linear by construction, and positivity-preserving
-    because the joint kernel block matrix is PSD.
+    and zeros elsewhere: the table :func:`_rf_superop_rows`, whose terms
+    :func:`_rf_rows` subtracts.  Linear by construction, and
+    positivity-preserving because the joint kernel block matrix is PSD.
     """
     _check_rf_dims(K, dims)
-    n, d, t = dims
-    s1, s2, _, s4 = _rf_slices(dims)
-    ell = n + d + 2 * t
-
-    def superop(M):
-        M = np.asarray(M)
-        out = np.zeros((ell, ell), dtype=np.result_type(M.dtype, np.float64))
-        t22, rho = _rf_contractions(K, M, dims)
-        out[s1, s1] = t22 * K.K_aa
-        out[s1, s4] = t22 * K.K_ah
-        out[s4, s1] = t22 * K.K_ha
-        out[s4, s4] = t22 * K.K_hh
-        out[s2, s2] = rho * np.eye(d)
-        return out
-
-    return superop
+    return lambda M: _pencil_matrix(
+        dims, _rf_superop_rows(K, *_rf_contractions(K, M, dims)))
 
 
 def _rf_contractions(K, M, dims):

@@ -58,7 +58,6 @@ def toy_kernels():
     return KernelSet(
         K_aa=np.eye(2),
         K_ah=np.zeros((2, 1)),
-        K_ha=np.zeros((1, 2)),
         K_hh=np.eye(1),
         samples=1,
     )
@@ -76,7 +75,6 @@ def rand_kernelset(rng, n, t):
     return KernelSet(
         K_aa=joint[:n, :n],
         K_ah=joint[:n, n:],
-        K_ha=joint[:n, n:].T.copy(),
         K_hh=joint[n:, n:],
         samples=1,
     )
@@ -86,7 +84,7 @@ def equiv_alpha(K_aa, d, delta):
     """``build_equiv`` on a bare ``K_aa`` (one uncoupled test point, zero
     labels), for its alpha and the quantities solved with it."""
     n = K_aa.shape[0]
-    ks = KernelSet(K_aa, np.zeros((n, 1)), np.zeros((1, n)), np.eye(1), 1)
+    ks = KernelSet(K_aa, np.zeros((n, 1)), np.eye(1), 1)
     return build_equiv(ks, np.zeros(n), np.zeros(1), d, delta)
 
 
@@ -130,24 +128,6 @@ def dense_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
             return np.asarray(N11, dtype=complex), complex(nu)
         N11, nu = np.linalg.inv(U11), 1.0 / u22
     raise AssertionError(f"dense oracle stalled at defect {defect:.3e}")
-
-
-def rf_zeroth_products(K, dims):
-    """Expectation products of the random-features pencil for the generic
-    ``zeroth_moment_check`` on ``rf_linearization(K, dims, delta)``.
-
-    The random block ``B`` couples the two test slots (the complement) to
-    the train and width slots (the mask); its only nonzero entries are the
-    test features, so ``E[B] = 0``, ``E[Q]`` holds the ``-I`` test
-    couplings, and ``E[B B^T]`` carries ``d * K_hh`` on the second test slot.
-    """
-    n, d, t = dims
-    EQ = np.zeros((2 * t, 2 * t))
-    EQ[:t, t:] = -np.eye(t)
-    EQ[t:, :t] = -np.eye(t)
-    EBBt = np.zeros((2 * t, 2 * t))
-    EBBt[t:, t:] = d * K.K_hh
-    return {"EB": np.zeros((2 * t, n + d)), "EQ": EQ, "EBBt": EBBt}
 
 
 def dense_pencil(A, Ahat, delta, z):

@@ -35,8 +35,7 @@ from rfequiv import (
     anisotropic_gap,
 )
 
-from conftest import (dense_pencil, dense_subdel, equiv_alpha, rand_kernelset,
-                      rf_zeroth_products)
+from conftest import dense_pencil, dense_subdel, equiv_alpha, rand_kernelset
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -69,7 +68,7 @@ def _bisect_alpha(K_aa, d, delta, tol=1e-14):
 
 def test_01_alpha_quadratic_oracle():
     t0 = time.perf_counter()
-    ks = KernelSet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 1)
+    ks = KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1)
     eq = build_equiv(ks, np.array([1.0, 0.0]), np.array([2.0]), 2, 1.0)
     gap_root = abs(eq.alpha - (-0.5))
     gap_bisect = abs(eq.alpha - _bisect_alpha(np.eye(2), 2, 1.0))
@@ -155,7 +154,7 @@ def test_04_zeroth_moment_decay():
     etas = [1e2, 1e3, 1e4]
     reports = {
         "structured": rf_zeroth_moment_check(K, dims, 0.3, etas),
-        "generic": zeroth_moment_check(spec, rf_zeroth_products(K, dims), etas),
+        "generic": zeroth_moment_check(spec, etas),
     }
     ok = all(bool(np.all(np.diff(rep.deltas) < 0)) and -1.3 <= rep.slope <= -0.7
              for rep in reports.values())

@@ -43,10 +43,21 @@ DIAGNOSE = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
 DIAGNOSE_DRAWS = ((cli, "estimate_kernels"), (cli, "estimate_delta_gaussianity"))
 PREDICT = ["predict", "--kernels", "{kernels}", "--y", "{y}", "--yhat", "{yhat}",
            "--d", "2", "--delta", "1"]
-SCALAR_PRODUCTS = {"EB": np.zeros((0, 1)), "EQ": np.zeros((0, 0)),
-                   "EBBt": np.zeros((0, 0))}
 NAN = float("nan")
 INF = float("inf")
+# malformed variants of the toy kernel file predict reads, each replacing
+# some keys of the file save_kernels writes, with the expected outcome:
+# parse faults are format errors, as in the CSV loader, and a header that
+# disagrees with the block shapes is an inconsistent input
+PARSE_FAULT = (3, "malformed kernel JSON")
+BAD_KERNELS = {
+    "samples-text": ({"samples": "many"}, PARSE_FAULT),
+    "samples-inf": ({"samples": INF}, PARSE_FAULT),
+    "cell-text": ({"K_aa": [[1.0, "x"], [0.0, 1.0]]}, PARSE_FAULT),
+    "block-ragged": ({"K_aa": [[1.0, 0.0], [0.0]]}, PARSE_FAULT),
+    "header-shape": ({"n_train": 5, "n_test": 9},
+                     (2, "disagrees with the blocks")),
+}
 # the structured zeroth-moment check must refuse bad heights before a solve
 RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
 # every feature draw applies an activation; a refused n must come before one
@@ -89,7 +100,7 @@ def _nan_superop_once():
 
 
 def _rf_zeroth(etas):
-    K = KernelSet(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 1)
+    K = KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1)
     return lambda: rf_zeroth_moment_check(K, (2, 3, 1), 0.5, etas)
 
 
@@ -100,6 +111,11 @@ def _pencil(dims, delta):
     A = rng.standard_normal((n, d)) / np.sqrt(n)
     Ahat = rng.standard_normal((t, d)) / np.sqrt(n)
     return lambda: sim.build_pseudoresolvent(A, Ahat, delta, 0.0)
+
+
+def _predict_bad(name):
+    """PREDICT on the malformed kernel file ``BAD_KERNELS[name]``."""
+    return [f"{{{name}}}" if a == "{kernels}" else a for a in PREDICT]
 
 
 def _gaussianity(z):
@@ -138,6 +154,9 @@ CASES = {
     "verify-centering-n-zero": (
         lambda: verify_centering(IDENT, IDENT, SMALL, 0, 100, 0),
         (ValueError, "n must be >= 1"), DRAWS, {}),
+    **{f"predict-kernels-{name}": (_predict_bad(name), expected,
+                                   ((cli, "build_equiv"),), {})
+       for name, (_, expected) in BAD_KERNELS.items()},
     "predict-linalg-error": (PREDICT, 4, (),
                              {(cli, "build_equiv"): _raise_linalg_error}),
     "solve-rdel-z-nan": (_solve(complex(0, NAN), 0.1), ValueError, (), {}),
@@ -146,7 +165,7 @@ CASES = {
     "solve-rdel-tau-inf": (_solve(1j, INF), ValueError, (), {}),
     "solve-rdel-nan-defect": (_nan_superop_once, RuntimeError, (), {}),
     "zeroth-moment-eta-nan": (
-        lambda: zeroth_moment_check(_scalar_spec(), SCALAR_PRODUCTS, [100.0, NAN]),
+        lambda: zeroth_moment_check(_scalar_spec(), [100.0, NAN]),
         ValueError, ((rdel, "solve_rdel"),), {}),
     "rf-zeroth-moment-eta-nan": (_rf_zeroth([100.0, NAN]), ValueError,
                                  RF_SOLVES, {}),
@@ -202,6 +221,10 @@ def files(tmp_path, toy_kernels):
     save_kernels(toy_kernels, paths["kernels"])
     paths["y"].write_text("1\n0\n")
     paths["yhat"].write_text("0.7\n")
+    toy = json.loads(paths["kernels"].read_text())
+    for name, (changes, _) in BAD_KERNELS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**toy, **changes}))
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -266,6 +266,49 @@ def test_exit_3_on_missing_input(tmp_path, toy_files):
     assert code == 3
 
 
+def _old_format_files(tmp_path):
+    """A kernel file from estimate-kernels, the same file with the K_ha block
+    that files written before it was derived still carry, and labels."""
+    new = tmp_path / "new.json"
+    assert main(["estimate-kernels", "--synthetic", "8,4,5", "--sigma", "erf",
+                 "--samples", "600", "--seed", "2", "--out", str(new)]) == 0
+    raw = json.loads(new.read_text())
+    raw["K_ha"] = np.asarray(raw["K_ah"]).T.tolist()
+    y, yhat = tmp_path / "y.csv", tmp_path / "yhat.csv"
+    y.write_text("\n".join(str(v) for v in np.linspace(-1.0, 1.0, 8)))
+    yhat.write_text("0.3\n-0.2\n0.9\n0.1\n")
+    return new, raw, y, yhat
+
+
+def _predict(kern, y, yhat, out):
+    return main(["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
+                 str(yhat), "--d", "6", "--delta", "0.2", "--out", str(out)])
+
+
+def test_old_format_kernel_file_predicts_the_same_bytes(tmp_path):
+    new, raw, y, yhat = _old_format_files(tmp_path)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(raw))
+    reports = []
+    for kern in (new, old):
+        out = tmp_path / f"p-{kern.stem}.json"
+        assert _predict(kern, y, yhat, out) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_exit_2_when_k_ha_is_not_the_exact_transpose(tmp_path, capsys):
+    _, raw, y, yhat = _old_format_files(tmp_path)
+    raw["K_ha"][0][1] = float(np.nextafter(raw["K_ha"][0][1], np.inf))
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(raw))
+    out = tmp_path / "p.json"
+    assert _predict(old, y, yhat, out) == 2
+    err = capsys.readouterr().err
+    assert "K_ha must be the exact transpose of K_ah" in err
+    assert not out.exists()
+
+
 def test_exit_3_on_malformed_kernel_json(tmp_path, toy_files):
     _, y, yhat = toy_files
     bad = tmp_path / "bad.json"

@@ -109,8 +109,7 @@ def test_equiv_worked_instance(toy_kernels):
 
 
 def test_equiv_zero_test_covariance_kills_variance_term(toy_kernels):
-    ks = KernelSet(toy_kernels.K_aa, toy_kernels.K_ah, toy_kernels.K_ha,
-                   np.zeros((1, 1)), 1)
+    ks = KernelSet(toy_kernels.K_aa, toy_kernels.K_ah, np.zeros((1, 1)), 1)
     sol = build_equiv(ks, np.array([1.0, 0.0]), np.array([0.3]), 2, 1.0)
     assert sol.beta == 0.0
     assert sol.predicted_error == pytest.approx(0.3 ** 2, rel=1e-12)
@@ -129,7 +128,7 @@ def test_equiv_prediction_decomposes(toy_kernels):
 
 
 def test_equiv_degenerate_denominator_raises():
-    ks = KernelSet(np.eye(4), np.zeros((4, 1)), np.zeros((1, 4)), np.eye(1), 1)
+    ks = KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1)
     with pytest.raises(DenominatorDegenerate):
         build_equiv(ks, np.ones(4), np.zeros(1), 4, 1e-18, tol=1e-7)
 
@@ -148,7 +147,7 @@ def test_equiv_report_key_order(toy_kernels):
 
 def coupled_toy():
     v = np.array([[0.3], [0.1]])
-    return KernelSet(np.eye(2), v, v.T.copy(), np.eye(1), 1)
+    return KernelSet(np.eye(2), v, np.eye(1), 1)
 
 
 def blocks_at_zero(ks, d, delta):

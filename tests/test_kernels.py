@@ -1,5 +1,7 @@
 """Monte Carlo kernel-block estimation and its analytic identity oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -176,20 +178,24 @@ def test_centering_rejects_non_finite_features():
 def test_kernelset_rejects_asymmetric_block():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        KernelSet(bad, np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 1)
+        KernelSet(bad, np.zeros((2, 1)), np.eye(1), 1)
 
 
-def test_kernelset_requires_exact_transpose_pair():
-    with pytest.raises(ValueError):
-        KernelSet(np.eye(2), np.full((2, 1), 0.1),
-                  np.full((1, 2), 0.1 + 1e-16), np.eye(1), 1)
+def test_kernelset_derives_k_ha_from_k_ah():
+    rng = np.random.default_rng(5)
+    K_ah = 0.1 * rng.standard_normal((3, 2))
+    ks = KernelSet(np.eye(3), K_ah, np.eye(2), 1)
+    assert np.array_equal(ks.K_ha, K_ah.T)
+    assert ks.K_ha.flags.c_contiguous
+    assert not np.shares_memory(ks.K_ha, ks.K_ah)
+    with pytest.raises(TypeError):
+        KernelSet(np.eye(3), K_ah, K_ah.T, np.eye(2), 1)
 
 
 def test_kernelset_rejects_indefinite_joint():
     # off-diagonal coupling stronger than the diagonal blocks allow
     with pytest.raises(ValueError):
-        KernelSet(np.eye(2), np.full((2, 2), 0.9), np.full((2, 2), 0.9),
-                  np.eye(2), 1)
+        KernelSet(np.eye(2), np.full((2, 2), 0.9), np.eye(2), 1)
 
 
 def test_kernels_json_round_trip(tmp_path):
@@ -201,6 +207,14 @@ def test_kernels_json_round_trip(tmp_path):
     assert back.samples == ks.samples
     for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
         assert np.array_equal(getattr(back, f), getattr(ks, f))
+
+
+def test_save_kernels_writes_three_blocks_in_order(tmp_path):
+    ds = synthetic_regression(4, 2, 3, 0.2, seed=1)
+    p = tmp_path / "k.json"
+    save_kernels(analytic_identity_kernels(ds, 3), p)
+    assert list(json.loads(p.read_text())) == [
+        "n_train", "n_test", "samples", "K_aa", "K_ah", "K_hh"]
 
 
 def test_load_kernels_rejects_missing_key(tmp_path):

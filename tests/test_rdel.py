@@ -20,7 +20,7 @@ from rfequiv import (
     zeroth_moment_check,
 )
 
-from conftest import equiv_alpha, rf_zeroth_products
+from conftest import equiv_alpha
 
 DIMS = (40, 60, 10)  # (n_train, d, n_test); pencil size 40 + 60 + 2*10 = 120
 DELTA = 0.3
@@ -235,16 +235,12 @@ def test_zeroth_moment_free_resolvent_bound():
     e[:3, :3] = ep
     e[3:, 3:] = np.eye(2)
     spec = LinearizationSpec(e, np.array([1, 1, 1, 0, 0]), lambda M: 0.0 * M)
-    prods = {"EB": np.zeros((2, 3)), "EQ": np.eye(2),
-             "EBBt": np.zeros((2, 2))}
-    rep = zeroth_moment_check(spec, prods, [10.0, 100.0, 1000.0])
+    rep = zeroth_moment_check(spec, [10.0, 100.0, 1000.0])
     assert np.all(rep.deltas <= 2.0 / rep.etas)
 
 
 def test_zeroth_moment_semicircle_scalar():
-    prods = {"EB": np.zeros((0, 1)), "EQ": np.zeros((0, 0)),
-             "EBBt": np.zeros((0, 0))}
-    rep = zeroth_moment_check(semicircle_spec(), prods, [10.0, 100.0])
+    rep = zeroth_moment_check(semicircle_spec(), [10.0, 100.0])
     assert rep.deltas[0] < 0.02
     # exact scalar value from the quadratic equation at z = 10i
     roots = np.roots([1.0, 10j, 1.0])
@@ -255,8 +251,7 @@ def test_zeroth_moment_semicircle_scalar():
 
 def test_zeroth_moment_rf_is_monotone(rf_spec):
     K, spec = rf_spec
-    rep = zeroth_moment_check(spec, rf_zeroth_products(K, DIMS),
-                              [100.0, 1000.0])
+    rep = zeroth_moment_check(spec, [100.0, 1000.0])
     assert rep.deltas[1] < rep.deltas[0]
     assert rep.monotone
     assert list(rep.to_report()) == ["etas", "deltas", "monotone", "slope"]
@@ -275,8 +270,7 @@ def test_rf_zeroth_moment_matches_the_generic_route(seed):
     K, dims = diagnose_shaped(seed)
     etas = [100.0, 1000.0, 10_000.0]
     got = rf_zeroth_moment_check(K, dims, 0.1, etas)
-    want = zeroth_moment_check(rf_linearization(K, dims, 0.1),
-                               rf_zeroth_products(K, dims), etas)
+    want = zeroth_moment_check(rf_linearization(K, dims, 0.1), etas)
     assert np.all(np.abs(got.deltas / want.deltas - 1.0) <= 1e-7)
     assert got.monotone == want.monotone
     assert abs(got.slope - want.slope) <= 1e-7
@@ -293,7 +287,7 @@ def test_rf_zeroth_moment_is_the_tau_zero_limit_of_the_generic_route(
     gaps = {}
     for tau in (1e-8, 1e-10):
         monkeypatch.setattr(rdel, "_ZEROTH_TAU", tau)
-        want = zeroth_moment_check(spec, rf_zeroth_products(K, DIMS), etas)
+        want = zeroth_moment_check(spec, etas)
         gaps[tau] = np.max(np.abs(got / want.deltas - 1.0))
     assert gaps[1e-10] <= 1e-7
     assert gaps[1e-10] < gaps[1e-8] / 10
@@ -332,18 +326,22 @@ def test_rf_expectation_and_mask_layout(rf_spec):
 
 
 def test_rf_zeroth_products_layout(rf_spec):
-    K, _ = rf_spec
+    # the products zeroth_moment_check derives from the spec, against the
+    # ones written by hand: the random block B couples the two test slots
+    # (the complement) to the train and width slots (the mask); its only
+    # nonzero entries are the test features, so E[B] = 0, E[Q] holds the -I
+    # test couplings, and E[B B^T] carries d * K_hh on the second test slot
+    K, spec = rf_spec
     n, d, t = DIMS
-    prods = rf_zeroth_products(K, DIMS)
-    assert prods["EB"].shape == (2 * t, n + d)
-    assert np.count_nonzero(prods["EB"]) == 0
     eq = np.zeros((2 * t, 2 * t))
     eq[:t, t:] = -np.eye(t)
     eq[t:, :t] = -np.eye(t)
-    assert np.array_equal(prods["EQ"], eq)
-    bbt = prods["EBBt"]
-    assert np.count_nonzero(bbt[:t, :]) == 0
-    assert np.allclose(bbt[t:, t:], d * K.K_hh, atol=1e-12)
+    bbt = np.zeros((2 * t, 2 * t))
+    bbt[t:, t:] = d * K.K_hh
+    want = (np.zeros((2 * t, n + d)), eq, bbt)
+    for got, hand in zip(rdel._zeroth_products(spec), want):
+        assert got.shape == hand.shape
+        assert np.array_equal(got, hand)
 
 
 def test_rf_superoperator_on_identity(rf_spec):

@@ -348,8 +348,7 @@ def test_sign_features_measurably_less_gaussian_than_identity():
 # ---------------------------------------------------------------------------
 
 def test_surrogate_degenerate_covariance_pins_every_replicate():
-    k = KernelSet(np.eye(3), np.zeros((3, 2)), np.zeros((2, 3)),
-                  np.zeros((2, 2)), 10)
+    k = KernelSet(np.eye(3), np.zeros((3, 2)), np.zeros((2, 2)), 10)
     cfg = RFConfig(d=5, delta=0.4, n=3, seed=6)
     yhat = np.array([1.5, -0.5])
     rep = gaussian_surrogate_run(k, np.ones(3), yhat, cfg, reps=4, seed=6)
@@ -358,8 +357,7 @@ def test_surrogate_degenerate_covariance_pins_every_replicate():
 
 
 def test_surrogate_reproducible():
-    k = KernelSet(np.eye(3), np.zeros((3, 2)), np.zeros((2, 3)),
-                  0.5 * np.eye(2), 10)
+    k = KernelSet(np.eye(3), np.zeros((3, 2)), 0.5 * np.eye(2), 10)
     cfg = RFConfig(d=5, delta=0.4, n=3, seed=6)
     y, yhat = np.ones(3), np.array([1.0, 2.0])
     r1 = gaussian_surrogate_run(k, y, yhat, cfg, reps=5, seed=9)
