@@ -38,6 +38,7 @@ from .model import (
     RFConfig,
     _check_heights,
     _check_ridge,
+    _check_seed,
     _check_z,
     _parallel_map,
     derive_seed,
@@ -128,18 +129,26 @@ def _load_dataset(args, need_labels=True):
 
 def _load_model(args, need_labels=True):
     """The dataset, the activations sigma and phi, and the normalization n
-    (n_train only when ``--n`` is absent)."""
+    (n_train only when ``--n`` is absent).  ``--seed`` and ``--samples`` are
+    checked first."""
+    _check_seed(args.seed)
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     ds = _load_dataset(args, need_labels)
     n = ds.n_train if args.n is None else args.n
     return (ds, _activation(args.sigma, args.sigma_params),
             _activation(args.phi, args.phi_params), n)
 
 
+def _samples(args, ds):
+    """``--samples``, or the default budget only when the option is absent."""
+    return default_samples(ds.n_train, ds.n_test) if args.samples is None else args.samples
+
+
 def _dataset_kernels(args, ds, sigma, phi, n):
     if getattr(args, "kernels", None):
         return load_kernels(args.kernels)
-    m = args.samples or default_samples(ds.n_train, ds.n_test)
-    return estimate_kernels(ds, sigma, phi, n, m, args.seed)
+    return estimate_kernels(ds, sigma, phi, n, _samples(args, ds), args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +239,9 @@ def _cmd_diagnose(args):
         raise ValueError("diagnose needs --reps >= 4 for a spread estimate")
     if args.probes < 1:
         raise ValueError("--probes must be >= 1")
+    m = _samples(args, ds)
+    if m < 2:
+        raise ValueError("diagnose needs --samples >= 2 for the centering check")
     z = _check_z(args.z)
     _check_ridge(args.tau, name="tau")
     etas = _check_heights(_parse_list(args.eta_list))
@@ -252,7 +264,6 @@ def _cmd_diagnose(args):
         gaps.append(anisotropic_gap(pr, M_theory, np.outer(u, v.conj())))
 
     zm = rf_zeroth_moment_check(kernels, dims, cfg.delta, etas)
-    m = args.samples or default_samples(ds.n_train, ds.n_test)
     centering = verify_centering(sigma, phi, ds, n, m, args.seed)
 
     write_json(args.out, {

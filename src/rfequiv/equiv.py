@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .model import NonConvergence, _check_ridge, _check_z, _clamped_eigh
+from .model import (NonConvergence, _check_ridge, _check_z, _clamped_eigh,
+                    _ridge_solve)
 
 __all__ = [
     "DenominatorDegenerate",
@@ -211,8 +211,6 @@ def kernel_ridge_error(K, y, yhat, d, ridge):
     _check_ridge(ridge, name="ridge")
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
-    G = d * K.K_aa + ridge * np.eye(K.n_train)
-    c = cho_factor((G + G.T) / 2, lower=True)
-    v = cho_solve(c, y)
+    v = _ridge_solve(d * K.K_aa, ridge, y)
     r = yhat - d * (K.K_ha @ v)
     return float(r @ r)

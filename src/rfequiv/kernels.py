@@ -216,8 +216,9 @@ def save_kernels(ks, path):
 def load_kernels(path):
     """Read a KernelSet from JSON written by :func:`save_kernels`.
 
-    Parse faults raise :class:`MatrixFormatError`; a header, or the ``K_ha``
-    of an older file, that disagrees with the blocks raises ``ValueError``.
+    Parse faults, a block that is not 2-D among them, raise
+    :class:`MatrixFormatError`; a header, or the ``K_ha`` of an older file,
+    that disagrees with the blocks raises ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -229,6 +230,10 @@ def load_kernels(path):
         samples = int(raw["samples"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"{path}: malformed kernel JSON ({exc})") from exc
+    for name, block in zip(("K_aa", "K_ah", "K_hh"), blocks):
+        if block.ndim != 2:
+            raise MatrixFormatError(f"{path}: malformed kernel JSON (block "
+                                    f"{name} is {block.ndim}-D, not 2-D)")
     ks = KernelSet(*blocks, samples)
     if header != (ks.n_train, ks.n_test):
         raise ValueError(f"{path}: header {header} disagrees with the blocks")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "ACTIVATION_KINDS",
@@ -64,6 +65,12 @@ def _check_ridge(delta, d=None, name="delta"):
     if not (isinstance(delta, numbers.Real) and delta > 0
             and math.isfinite(delta)):
         raise ValueError(f"{name} must be a positive finite real")
+
+
+def _check_seed(seed):
+    """Reject a root seed outside the unsigned 64-bit range ``[0, 2^64)``."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def _check_z(z, regularized=False):
@@ -112,6 +119,13 @@ def _clamped_eigh(K, name="K_aa"):
             f"clamp floor {floor:.6e}"
         )
     return np.clip(w, 0.0, None), V
+
+
+def _ridge_solve(gram, ridge, y):
+    """``(gram + ridge I)^{-1} y`` for a symmetric PSD ``gram`` and a positive
+    ridge, by Cholesky of the symmetrized matrix; no inverse is formed."""
+    G = gram + ridge * np.eye(gram.shape[0])
+    return cho_solve(cho_factor((G + G.T) / 2, lower=True), y)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +400,7 @@ class RFConfig:
         _check_ridge(self.delta, self.d)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 def synthetic_regression(n_train, n_test, n0, noise_sd, seed):

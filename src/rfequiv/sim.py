@@ -3,8 +3,9 @@
 Draws actual feature matrices, measures the empirical ridge test error,
 and provides the diagnostic objects the solver predictions are validated
 against: the pseudo-resolvent of the sampled pencil, the anisotropic trace
-gap, a Gaussianity discrepancy estimate, and a jointly-Gaussian surrogate
-run with matching covariance.
+gap, and a Gaussianity discrepancy estimate.  Sampled-feature replicates
+and jointly-Gaussian surrogate ones with the same kernel covariance share
+one loop, which compares them with a prediction on the caller's kernels.
 
 The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is never formed by a dense
 ell x ell solve.  Every block is closed-form in the d x d matrix
@@ -22,12 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-
 from . import equiv
-from .kernels import default_samples, estimate_kernels
 from .model import (_check_ridge, _check_z, _clamped_eigh, _parallel_map,
-                    apply_activation, substream)
+                    _ridge_solve, apply_activation, substream)
 from .rdel import (_pencil_defect, _pencil_matrix, _real_left, _rf_slices,
                    spectral_norm)
 
@@ -77,23 +75,6 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _make_report(errors, predicted, config):
-    errors = np.asarray([float(e) for e in errors], dtype=float)
-    mean = float(errors.mean())
-    std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
-    predicted = float(predicted)
-    gap = abs(mean - predicted)
-    rel_gap = gap / predicted if predicted > 0 else gap
-    return SimReport(
-        replicate_errors=errors,
-        mean=mean,
-        std=std,
-        predicted=predicted,
-        rel_gap=rel_gap,
-        config=dict(config),
-    )
-
-
 def _sample_features(ds, sigma, phi, d, n, rng):
     Z = rng.standard_normal((ds.n0, d))
     W = apply_activation(phi, Z)
@@ -133,14 +114,34 @@ def empirical_test_error(A, Ahat, y, yhat, delta):
     Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
-    G = A @ A.T + delta * np.eye(A.shape[0])
-    c = cho_factor((G + G.T) / 2, lower=True)
-    v = cho_solve(c, y)
+    v = _ridge_solve(A @ A.T, delta, y)
     r = yhat - Ahat @ (A.T @ v)
     return float(r @ r)
 
 
-def run_replicates(ds, sigma, phi, cfg, reps=30, kernels=None, workers=None):
+def _replicates(draw, K, y, yhat, cfg, reps, config, workers=None):
+    """Errors of the draws ``draw(i) -> (A, Ahat)``, ``i < reps``, against
+    ``build_equiv`` on ``K``; ``config`` heads the report's config."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    sol = equiv.build_equiv(K, y, yhat, cfg.d, cfg.delta)
+    predicted = float(sol.predicted_error)
+
+    def one(i):
+        A, Ahat = draw(i)
+        return empirical_test_error(A, Ahat, y, yhat, cfg.delta)
+
+    errors = np.array(list(_parallel_map(one, reps, workers)), dtype=float)
+    mean = float(errors.mean())
+    std = float(errors.std(ddof=1)) if reps > 1 else 0.0
+    gap = abs(mean - predicted)
+    config = {**config, "d": cfg.d, "delta": cfg.delta, "n": cfg.n,
+              "seed": cfg.seed, "reps": reps, "kernel_samples": K.samples}
+    return SimReport(errors, mean, std, predicted,
+                     gap / predicted if predicted > 0 else gap, config)
+
+
+def run_replicates(ds, sigma, phi, cfg, reps=30, *, kernels, workers=None):
     """Independent feature draws vs. the deterministic prediction.
 
     Parameters
@@ -153,9 +154,8 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, kernels=None, workers=None):
         and independent of worker count.
     reps : int
         Number of replicates (>= 1).
-    kernels : KernelSet, optional
-        Covariance blocks for the prediction; estimated afresh with the
-        default sample budget when omitted.
+    kernels : KernelSet
+        Covariance blocks for the prediction (required).
     workers : int, optional
         Thread cap (defaults to the environment-controlled worker count).
 
@@ -163,33 +163,13 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, kernels=None, workers=None):
     -------
     SimReport
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if kernels is None:
-        m = default_samples(ds.n_train, ds.n_test)
-        kernels = estimate_kernels(ds, sigma, phi, cfg.n, m, cfg.seed)
-    sol = equiv.build_equiv(kernels, ds.y, ds.yhat, cfg.d, cfg.delta)
-
-    def one(i):
+    def draw(i):
         rng = substream(cfg.seed, "replicate", i)
-        A, Ahat = _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
-        return empirical_test_error(A, Ahat, ds.y, ds.yhat, cfg.delta)
+        return _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
 
-    errors = list(_parallel_map(one, reps, workers))
-    config = {
-        "n_train": ds.n_train,
-        "n_test": ds.n_test,
-        "n0": ds.n0,
-        "sigma": sigma.kind,
-        "phi": phi.kind,
-        "d": cfg.d,
-        "delta": cfg.delta,
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "reps": reps,
-        "kernel_samples": kernels.samples,
-    }
-    return _make_report(errors, sol.predicted_error, config)
+    config = {"n_train": ds.n_train, "n_test": ds.n_test, "n0": ds.n0,
+              "sigma": sigma.kind, "phi": phi.kind}
+    return _replicates(draw, kernels, ds.y, ds.yhat, cfg, reps, config, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -408,39 +388,23 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
 # Gaussian surrogate
 # ---------------------------------------------------------------------------
 
-def gaussian_surrogate_run(K, y, yhat, cfg, reps, seed):
+def gaussian_surrogate_run(K, y, yhat, cfg, reps):
     """Replicate run with surrogate features of matching covariance.
 
     Columns ``(a_j; ahat_j)`` are drawn jointly Gaussian with the joint
     kernel block matrix as covariance, through one symmetric PSD square
-    root computed up front.  The report carries the same predicted value
+    root computed up front; replicate ``i`` uses the substream
+    (cfg.seed, "surrogate", i).  The report carries the same predicted value
     as the true-features run on the same kernels.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    y = np.asarray(y, dtype=float).ravel()
-    yhat = np.asarray(yhat, dtype=float).ravel()
     w, V = _clamped_eigh(K.joint(), "joint kernel matrix")
     sqrtC = (V * np.sqrt(w)) @ V.T
     nt = K.n_train
-    sol = equiv.build_equiv(K, y, yhat, cfg.d, cfg.delta)
 
-    def one(i):
-        rng = substream(seed, "surrogate", i)
-        G = rng.standard_normal((nt + K.n_test, cfg.d))
-        C = sqrtC @ G
-        return empirical_test_error(C[:nt], C[nt:], y, yhat, cfg.delta)
+    def draw(i):
+        rng = substream(cfg.seed, "surrogate", i)
+        C = sqrtC @ rng.standard_normal((nt + K.n_test, cfg.d))
+        return C[:nt], C[nt:]
 
-    errors = list(_parallel_map(one, reps))
-    config = {
-        "surrogate": True,
-        "n_train": K.n_train,
-        "n_test": K.n_test,
-        "d": cfg.d,
-        "delta": cfg.delta,
-        "n": cfg.n,
-        "seed": seed,
-        "reps": reps,
-        "kernel_samples": K.samples,
-    }
-    return _make_report(errors, sol.predicted_error, config)
+    config = {"surrogate": True, "n_train": K.n_train, "n_test": K.n_test}
+    return _replicates(draw, K, y, yhat, cfg, reps, config)

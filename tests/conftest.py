@@ -153,6 +153,34 @@ def dense_pencil(A, Ahat, delta, z):
     return P
 
 
+def dense_delta_gaussianity(draws, delta, z, tau):
+    """Independent oracle for ``estimate_delta_gaussianity`` on given draws.
+
+    ``draws`` is a list of feature pairs ``(A, Ahat)``; draws ``2i`` and
+    ``2i + 1`` form pair ``i``, and an odd last draw is left out.  With the
+    sampled pencils ``L_k = dense_pencil(A_k, Ahat_k, delta, 0)``, their mean
+    ``Ebar`` and ``R_i = (L_2i - z*Lambda - i*tau*I)^{-1}``, pair ``i``
+    contributes ``T_i = (L_2i - Ebar) R_i + ((L_2i+1 - Ebar) R_i)^2``.
+    Returns ``(||T||_2, sqrt(sum_i ||T_i - T||_F^2 / (p (p - 1))))`` for
+    the mean ``T`` of the ``p >= 2`` terms.  It shares no code with the
+    package.
+    """
+    p = len(draws) // 2
+    L = [dense_pencil(A, Ahat, delta, 0.0) for A, Ahat in draws[:2 * p]]
+    Ebar = sum(L) / len(L)
+    I = np.eye(Ebar.shape[0])
+    terms = []
+    for i in range(p):
+        A, Ahat = draws[2 * i]
+        R = np.linalg.inv(dense_pencil(A, Ahat, delta, z) - 1j * tau * I)
+        X = (L[2 * i] - Ebar) @ R
+        Xt = (L[2 * i + 1] - Ebar) @ R
+        terms.append(X + Xt @ Xt)
+    T = sum(terms) / p
+    spread = sum(np.linalg.norm(Ti - T) ** 2 for Ti in terms)
+    return np.linalg.svd(T, compute_uv=False)[0], np.sqrt(spread / (p * (p - 1)))
+
+
 def dense_pseudoresolvent(A, Ahat, delta, z):
     """Independent oracle for ``build_pseudoresolvent``: the partial-pivot
     LU inverse of :func:`dense_pencil`, with blocks (1,1), (2,2) and (3,1)

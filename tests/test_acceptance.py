@@ -226,7 +226,7 @@ def test_07_gaussian_equivalence():
     for d, delta in ((100, 1e-3), (200, 1e-1), (400, 10.0)):
         cfg = RFConfig(d=d, delta=delta, n=200, seed=2)
         rf_rep = run_replicates(ds, ERF, IDENTITY, cfg, reps=30, kernels=K)
-        surr = gaussian_surrogate_run(K, ds.y, ds.yhat, cfg, reps=30, seed=2)
+        surr = gaussian_surrogate_run(K, ds.y, ds.yhat, cfg, reps=30)
         gap = abs(rf_rep.mean - surr.mean)
         limit = (2 * (rf_rep.std + surr.std) / np.sqrt(30)
                  + 0.05 * rf_rep.predicted)

@@ -57,6 +57,11 @@ BAD_KERNELS = {
     "block-ragged": ({"K_aa": [[1.0, 0.0], [0.0]]}, PARSE_FAULT),
     "header-shape": ({"n_train": 5, "n_test": 9},
                      (2, "disagrees with the blocks")),
+    # every block must be 2-D, whatever its shape would broadcast to
+    "block-3d": ({"K_ah": [[[0.0], [0.0]]]}, (3, "K_ah is 3-D")),
+    "block-1d": ({"K_ah": [0.0, 0.0]}, (3, "K_ah is 1-D")),
+    "block-scalar": ({"n_train": 1, "n_test": 1, "K_aa": 1.0, "K_ah": 0.0,
+                      "K_hh": 1.0}, (3, "K_aa is 0-D")),
 }
 # the structured zeroth-moment check must refuse bad heights before a solve
 RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
@@ -148,6 +153,26 @@ CASES = {
     "estimate-kernels-n-zero": (
         ["estimate-kernels", "--synthetic", "4,2,3", "--n", "0"],
         (2, "n must be >= 1"), DRAWS, {}),
+    # an explicit --samples is checked, never replaced by the default
+    "estimate-kernels-samples-zero": (
+        ["estimate-kernels", "--synthetic", "4,2,3", "--samples", "0"],
+        (2, "--samples must be >= 1"), DRAWS, {}),
+    "diagnose-samples-zero": (DIAGNOSE + ["--samples", "0"],
+                              (2, "--samples must be >= 1"),
+                              DIAGNOSE_DRAWS + DRAWS, {}),
+    "diagnose-samples-one": (DIAGNOSE + ["--samples", "1"],
+                             (2, "--samples >= 2"), DIAGNOSE_DRAWS + DRAWS, {}),
+    # every verb checks --seed against [0, 2^64) before any draw
+    "estimate-kernels-seed-negative": (
+        ["estimate-kernels", "--synthetic", "4,2,3", "--seed", "-1"],
+        (2, "unsigned 64-bit"), DRAWS, {}),
+    "estimate-kernels-seed-2-64": (
+        ["estimate-kernels", "--synthetic", "4,2,3", "--seed", str(2 ** 64)],
+        (2, "unsigned 64-bit"), DRAWS, {}),
+    "sweep-seed-negative": (
+        ["sweep", "--synthetic", "4,2,3", "--d-list", "2", "--delta-list", "0.1",
+         "--reps", "2", "--seed", "-1"],
+        (2, "unsigned 64-bit"), DRAWS, {}),
     "sample-features-n-zero": (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
         (ValueError, "n must be >= 1"), DRAWS, {}),

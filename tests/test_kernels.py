@@ -89,8 +89,7 @@ def test_estimator_independent_of_worker_count(monkeypatch):
 
     def run():
         ks = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
-        surrogate = gaussian_surrogate_run(ks, ds.y, ds.yhat, cfg, reps=5,
-                                           seed=9)
+        surrogate = gaussian_surrogate_run(ks, ds.y, ds.yhat, cfg, reps=5)
         return ([getattr(ks, f) for f in ("K_aa", "K_ah", "K_ha", "K_hh")]
                 + [verify_centering(ERF, IDENTITY, ds, 8, 2900, seed=4),
                    surrogate.replicate_errors])

@@ -1,13 +1,18 @@
-"""The benchmark harness reaches the package by name; every name must exist.
+"""The benchmark harness reaches the package by name; every name must exist,
+and every library call it makes must bind to the function's signature.
 
 ``perfbench/spans.py`` wraps the functions listed in ``TRACED`` by looking
 them up in their defining ``rfequiv`` module, and ``perfbench/workloads.py``
 imports package names at load time.  A deletion in the package that one of
-them still names would break the benchmark; this test breaks first.
+them still names would break the benchmark; this test breaks first.  So does
+a signature change that one of the calls in ``perfbench/workloads.py`` or
+``perfbench/reference.py`` no longer fits, including calls that run only on
+some seeds.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -44,3 +49,30 @@ def test_facts_name_traced_functions():
 def test_workloads_module_loads():
     assert set(_load("workloads").WORKLOADS) == {
         "theory_curve", "replicate_sweep", "diagnose", "resolvent_probe"}
+
+
+# Each library call of perfbench/workloads.py and perfbench/reference.py, as
+# (module, function, positional argument count, keyword names), in the shape
+# of the call there.
+CALLS = {
+    "workloads-run_replicates": ("sim", "run_replicates", 4,
+                                 ("reps", "kernels", "workers")),
+    "reference-run_replicates": ("sim", "run_replicates", 4, ("reps", "kernels")),
+    "sample_features": ("sim", "sample_features", 5, ("seed",)),
+    "build_pseudoresolvent": ("sim", "build_pseudoresolvent", 4, ()),
+    "anisotropic_gap": ("sim", "anisotropic_gap", 3, ()),
+    "rf_solution_matrix": ("rdel", "rf_solution_matrix", 4, ()),
+    "estimate_kernels": ("kernels", "estimate_kernels", 6, ()),
+    "build_equiv": ("equiv", "build_equiv", 5, ()),
+    "kernel_ridge_error": ("equiv", "kernel_ridge_error", 5, ()),
+    "analytic_identity_kernels": ("kernels", "analytic_identity_kernels", 2, ()),
+    "load_kernels": ("kernels", "load_kernels", 1, ()),
+    "save_kernels": ("kernels", "save_kernels", 2, ()),
+}
+
+
+@pytest.mark.parametrize("call", list(CALLS))
+def test_perfbench_call_binds(call):
+    module, func, positional, keywords = CALLS[call]
+    f = getattr(importlib.import_module(f"rfequiv.{module}"), func)
+    inspect.signature(f).bind(*range(positional), **dict.fromkeys(keywords))

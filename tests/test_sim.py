@@ -20,12 +20,14 @@ from rfequiv import (
     rf_solution_matrix,
     run_replicates,
     sample_features,
+    substream,
     synthetic_regression,
 )
 from rfequiv.rdel import _pencil_defect, _pencil_matrix
-from rfequiv.sim import _pencil_rows
+from rfequiv.sim import _pencil_rows, _sample_features
 
-from conftest import dense_pencil, dense_pseudoresolvent, unit_row_dataset
+from conftest import (dense_delta_gaussianity, dense_pencil,
+                      dense_pseudoresolvent, unit_row_dataset)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -305,6 +307,22 @@ def test_delta_gaussianity_is_deterministic_and_counts_pairs():
     assert a.pairs == 5
 
 
+@pytest.mark.parametrize("n, d, z", [(12, 5, 1j), (5, 12, 0.5 + 1j),
+                                     (9, 6, 0.5)],
+                         ids=["n-above-d", "n-below-d", "z-real"])
+def test_delta_gaussianity_matches_dense_oracle(n, d, z):
+    ds = synthetic_regression(n, 4, 6, 0.3, seed=n)
+    cfg = RFConfig(d=d, delta=0.3, n=n, seed=1)
+    reps, seed, tau = 7, 5, 0.1
+    dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, z, tau, reps, seed)
+    draws = [_sample_features(ds, ERF, IDENTITY, d, n, substream(seed, "delta", i))
+             for i in range(reps)]
+    value, se = dense_delta_gaussianity(draws, cfg.delta, z, tau)
+    assert dg.pairs == 3
+    assert dg.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert dg.standard_error == pytest.approx(se, rel=1e-12, abs=0)
+
+
 def test_delta_gaussianity_single_pair_has_no_spread_estimate():
     ds = synthetic_regression(8, 4, 5, 0.3, seed=1)
     cfg = RFConfig(d=5, delta=0.4, n=8, seed=1)
@@ -351,7 +369,7 @@ def test_surrogate_degenerate_covariance_pins_every_replicate():
     k = KernelSet(np.eye(3), np.zeros((3, 2)), np.zeros((2, 2)), 10)
     cfg = RFConfig(d=5, delta=0.4, n=3, seed=6)
     yhat = np.array([1.5, -0.5])
-    rep = gaussian_surrogate_run(k, np.ones(3), yhat, cfg, reps=4, seed=6)
+    rep = gaussian_surrogate_run(k, np.ones(3), yhat, cfg, reps=4)
     assert np.allclose(rep.replicate_errors, float(yhat @ yhat), rtol=1e-12)
     assert rep.config.get("surrogate") is True
 
@@ -360,8 +378,8 @@ def test_surrogate_reproducible():
     k = KernelSet(np.eye(3), np.zeros((3, 2)), 0.5 * np.eye(2), 10)
     cfg = RFConfig(d=5, delta=0.4, n=3, seed=6)
     y, yhat = np.ones(3), np.array([1.0, 2.0])
-    r1 = gaussian_surrogate_run(k, y, yhat, cfg, reps=5, seed=9)
-    r2 = gaussian_surrogate_run(k, y, yhat, cfg, reps=5, seed=9)
+    r1 = gaussian_surrogate_run(k, y, yhat, cfg, reps=5)
+    r2 = gaussian_surrogate_run(k, y, yhat, cfg, reps=5)
     assert np.array_equal(r1.replicate_errors, r2.replicate_errors)
 
 
@@ -374,5 +392,4 @@ def test_surrogate_rejects_indefinite_covariance():
     object.__setattr__(bad, "samples", 1)
     cfg = RFConfig(d=4, delta=0.4, n=2, seed=0)
     with pytest.raises(ValueError):
-        gaussian_surrogate_run(bad, np.ones(2), np.ones(2), cfg, reps=2,
-                               seed=0)
+        gaussian_surrogate_run(bad, np.ones(2), np.ones(2), cfg, reps=2)
