@@ -76,7 +76,7 @@ def _activation(kind, params_text):
     return Activation(kind, _parse_list(params_text) if params_text else ())
 
 
-def _add_model_options(p, *, reps_default=30):
+def _add_model_options(p):
     """Dataset, activation and sampling options shared by the model verbs."""
     p.add_argument("--x", help="training design matrix file")
     p.add_argument("--xhat", help="test design matrix file")
@@ -102,8 +102,6 @@ def _add_model_options(p, *, reps_default=30):
     p.add_argument("--samples", type=int, default=None,
                    help="kernel Monte Carlo draws (default: 20*(n_train+n_test), "
                         "at least 10000)")
-    p.add_argument("--reps", type=int, default=reps_default,
-                   help=f"simulation replicates (default {reps_default})")
 
 
 def _load_dataset(args, need_labels=True):
@@ -127,13 +125,15 @@ def _load_dataset(args, need_labels=True):
     return Dataset(X, Xhat, y, yhat)
 
 
-def _load_model(args, need_labels=True):
+def _load_model(args, need_labels=True, min_reps=1):
     """The dataset, the activations sigma and phi, and the normalization n
-    (n_train only when ``--n`` is absent).  ``--seed`` and ``--samples`` are
-    checked first."""
+    (n_train only when ``--n`` is absent).  ``--seed``, ``--samples`` and,
+    unless ``min_reps`` is 0, ``--reps`` are checked first."""
     _check_seed(args.seed)
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if min_reps and args.reps < min_reps:
+        raise ValueError(f"--reps must be >= {min_reps}")
     ds = _load_dataset(args, need_labels)
     n = ds.n_train if args.n is None else args.n
     return (ds, _activation(args.sigma, args.sigma_params),
@@ -156,7 +156,7 @@ def _dataset_kernels(args, ds, sigma, phi, n):
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate_kernels(args):
-    ds, sigma, phi, n = _load_model(args, need_labels=False)
+    ds, sigma, phi, n = _load_model(args, need_labels=False, min_reps=0)
     save_kernels(_dataset_kernels(args, ds, sigma, phi, n), args.out)
     return 0
 
@@ -225,7 +225,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_diagnose(args):
-    ds, sigma, phi, n = _load_model(args)
+    ds, sigma, phi, n = _load_model(args, min_reps=4)  # a spread needs 4 draws
     cfg = RFConfig(d=args.d, delta=args.delta, n=n, seed=args.seed)
     ell = ds.n_train + cfg.d + 2 * ds.n_test
     if ell > args.max_ell:
@@ -235,8 +235,6 @@ def _cmd_diagnose(args):
             "explicitly if intended)"
         )
     # every option is checked before the first Monte Carlo draw
-    if args.reps < 4:
-        raise ValueError("diagnose needs --reps >= 4 for a spread estimate")
     if args.probes < 1:
         raise ValueError("--probes must be >= 1")
     m = _samples(args, ds)
@@ -316,6 +314,8 @@ def build_parser():
         p.add_argument("--kernels", help="precomputed kernel JSON (else estimated)")
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--reps", type=int, default=30,
+                       help="simulation replicates (default 30)")
         p.add_argument("--out", required=True, help="output report JSON path")
         if verb == "simulate":
             p.add_argument("--csv", help="replicate CSV path "
@@ -327,14 +327,18 @@ def build_parser():
     p.add_argument("--kernels", help="precomputed kernel JSON (else estimated)")
     p.add_argument("--d-list", required=True, help="comma-separated widths")
     p.add_argument("--delta-list", required=True, help="comma-separated ridges")
+    p.add_argument("--reps", type=int, default=30,
+                   help="simulation replicates per grid cell (default 30)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("diagnose", help="solver and model-fit diagnostics")
-    _add_model_options(p, reps_default=10)
+    _add_model_options(p)
     p.add_argument("--kernels", help="precomputed kernel JSON (else estimated)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--reps", type=int, default=10,
+                   help="Gaussianity feature draws, at least 4 (default 10)")
     p.add_argument("--z", type=_parse_complex, default=1j,
                    help="spectral parameter (default 1j)")
     p.add_argument("--tau", type=float, default=0.1,

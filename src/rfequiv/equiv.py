@@ -12,14 +12,17 @@ the matrix ``M11 = (delta I - d alpha K_aa)^{-1}``, the variance amplitude
 
 and the prediction ``d beta ||K_aa^{1/2} M11 y||^2 + ||d alpha K_ha M11 y + yhat||^2``.
 
-Every solve goes through one eigendecomposition of ``K_aa`` and one scalar
-iteration, ``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``;
-at ``z = 0`` its fixed point is alpha.
+Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``
+and one scalar iteration,
+``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``; at
+``z = 0`` its fixed point is alpha.  ``M11`` is diagonal in that
+eigenbasis, with eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so the
+prediction is evaluated there and ``M11`` is never formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +49,6 @@ class EquivSolution:
     """Prediction of the test error and every intermediate the formula uses."""
 
     alpha: float
-    M11: np.ndarray
     beta: float
     denom: float
     effective_ridge: float
@@ -57,18 +59,8 @@ class EquivSolution:
     residual: float
 
     def to_report(self):
-        """Report dict with the fixed serialization key order."""
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "denom": self.denom,
-            "effective_ridge": self.effective_ridge,
-            "predicted_error": self.predicted_error,
-            "term_variance": self.term_variance,
-            "term_bias": self.term_bias,
-            "iterations": self.iterations,
-            "residual": self.residual,
-        }
+        """Report dict; the field order is the serialization key order."""
+        return asdict(self)
 
 
 def _iterate(lam, d, delta, z, nu, tol, max_iter, pencil=False):
@@ -108,8 +100,10 @@ def _iterate(lam, d, delta, z, nu, tol, max_iter, pencil=False):
 def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     """Assemble the deterministic test-error prediction for one instance.
 
-    Solves alpha, forms ``M11``, checks the variance-series denominator
-    against the positivity guard, and evaluates both prediction terms.
+    Solves alpha, checks the variance-series denominator against the
+    positivity guard, and evaluates both prediction terms in the eigenbasis
+    of K_aa.  After the eigendecomposition no n x n matrix is formed:
+    ``V^T K_ah`` is the only product of order n^2 t.
 
     Raises
     ------
@@ -129,27 +123,24 @@ def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     alpha, iterations, residual = _iterate(w, d, delta, 0.0, -1.0, tol, 100_000)
 
     g = 1.0 / (delta - d * alpha * w)  # eigenvalues of M11
-    M11 = (V * g) @ V.T
-    M11 = (M11 + M11.T) / 2
-
     denom = 1.0 - d * alpha ** 2 * float(np.sum((w * g) ** 2))
     if denom <= _DENOM_GUARD:
         raise DenominatorDegenerate(
             f"variance-series denominator {denom:.6e} <= {_DENOM_GUARD:g}"
         )
 
-    P = M11 + delta * (M11 @ M11)  # M11 (I + delta M11)
-    cross = float(np.sum(K.K_ah * (P @ K.K_ah)))  # tr(K_ha P K_ah)
+    W = V.T @ K.K_ah
+    # tr(K_ha M11 (I + delta M11) K_ah) = sum_j (g_j + delta g_j^2) ||W_j||^2
+    cross = float(np.sum((g + delta * g ** 2) * np.sum(W ** 2, axis=1)))
     beta = alpha ** 2 * (float(np.trace(K.K_hh)) + d * alpha * cross) / denom
 
-    My = M11 @ y
-    term_variance = d * beta * float(My @ (K.K_aa @ My))
-    resid = d * alpha * (K.K_ha @ My) + yhat
+    c = g * (V.T @ y)  # V^T M11 y
+    term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
+    resid = d * alpha * (W.T @ c) + yhat
     term_bias = float(resid @ resid)
 
     return EquivSolution(
         alpha=alpha,
-        M11=M11,
         beta=beta,
         denom=denom,
         effective_ridge=-delta / alpha,

@@ -57,9 +57,13 @@ class KernelSet:
     samples: int
 
     def __post_init__(self):
-        self.K_aa = np.atleast_2d(np.asarray(self.K_aa, dtype=float))
-        self.K_ah = np.atleast_2d(np.asarray(self.K_ah, dtype=float))
-        self.K_hh = np.atleast_2d(np.asarray(self.K_hh, dtype=float))
+        for name in ("K_aa", "K_ah", "K_hh"):
+            block = np.asarray(getattr(self, name), dtype=float)
+            if block.ndim != 2:
+                raise ValueError(f"{name} is {block.ndim}-D, not 2-D")
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{name} contains non-finite entries")
+            setattr(self, name, block)
         self.K_ha = self.K_ah.T.copy()
         self.samples = int(self.samples)
         n, t = self.K_ah.shape
@@ -67,9 +71,6 @@ class KernelSet:
             raise ValueError("kernel block shapes are inconsistent")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        for name in ("K_aa", "K_ah", "K_hh"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
         _check_symmetric(self.K_aa, "K_aa")
         _check_symmetric(self.K_hh, "K_hh")
         w = np.linalg.eigvalsh(self.joint())

@@ -88,6 +88,27 @@ def equiv_alpha(K_aa, d, delta):
     return build_equiv(ks, np.zeros(n), np.zeros(1), d, delta)
 
 
+def dense_equiv(K, y, yhat, d, delta, alpha):
+    """Independent oracle for ``build_equiv`` at a given ``alpha``: beta and
+    the prediction terms from the dense ``M11 = (delta I - d alpha K_aa)^{-1}``,
+    ``P = M11 + delta M11^2`` and ``My = M11 y``.  It reads only the three
+    blocks of ``K`` and shares no code with the package.
+    """
+    K_aa, K_ah, K_hh = K.K_aa, K.K_ah, K.K_hh
+    M11 = np.linalg.inv(delta * np.eye(K_aa.shape[0]) - d * alpha * K_aa)
+    KM = K_aa @ M11
+    denom = 1.0 - d * alpha ** 2 * np.trace(KM @ KM)
+    P = M11 + delta * (M11 @ M11)
+    cross = np.trace(K_ah.T @ P @ K_ah)
+    beta = alpha ** 2 * (np.trace(K_hh) + d * alpha * cross) / denom
+    My = M11 @ y
+    term_variance = d * beta * (My @ K_aa @ My)
+    resid = d * alpha * (K_ah.T @ My) + yhat
+    term_bias = resid @ resid
+    return {"beta": beta, "term_variance": term_variance, "term_bias": term_bias,
+            "predicted_error": term_variance + term_bias}
+
+
 def unit_row_dataset(n_train, n_test, n0, seed):
     """Gaussian design with rows normalized to unit Euclidean norm.
 

@@ -173,6 +173,17 @@ CASES = {
         ["sweep", "--synthetic", "4,2,3", "--d-list", "2", "--delta-list", "0.1",
          "--reps", "2", "--seed", "-1"],
         (2, "unsigned 64-bit"), DRAWS, {}),
+    # the replicate verbs check --reps before any kernel draw
+    **{f"{verb}-reps-zero": (
+        [verb, "--synthetic", "4,2,3", *grid, "--reps", "0"],
+        (2, "--reps must be >= 1"), DRAWS, {})
+       for verb, grid in (("simulate", ["--d", "2", "--delta", "0.1"]),
+                          ("compare", ["--d", "2", "--delta", "0.1"]),
+                          ("sweep", ["--d-list", "2", "--delta-list", "0.1"]))},
+    # estimate-kernels runs no replicates, so it has no --reps to ignore
+    "estimate-kernels-reps": (
+        ["estimate-kernels", "--synthetic", "4,2,3", "--reps", "3"],
+        (2, "unrecognized arguments: --reps"), DRAWS, {}),
     "sample-features-n-zero": (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
         (ValueError, "n must be >= 1"), DRAWS, {}),
@@ -184,6 +195,12 @@ CASES = {
        for name, (_, expected) in BAD_KERNELS.items()},
     "predict-linalg-error": (PREDICT, 4, (),
                              {(cli, "build_equiv"): _raise_linalg_error}),
+    # a kernel block must be 2-D, not reshaped to one
+    "kernelset-block-3d": (
+        lambda: KernelSet(np.eye(1), np.zeros((1, 1, 1)), np.eye(1), 1),
+        (ValueError, "K_ah is 3-D"), (), {}),
+    "kernelset-block-0d": (lambda: KernelSet(1.0, np.zeros((1, 1)), np.eye(1), 1),
+                           (ValueError, "K_aa is 0-D"), (), {}),
     "solve-rdel-z-nan": (_solve(complex(0, NAN), 0.1), ValueError, (), {}),
     "solve-rdel-z-inf": (_solve(complex(0, INF), 0.1), ValueError, (), {}),
     "solve-rdel-z-nan-real": (_solve(complex(NAN, 1), 0.1), ValueError, (), {}),

@@ -133,6 +133,26 @@ def test_simulate_bytes_ignore_caller_blas_and_pool_threads(tmp_path,
     assert len(reports) == 1
 
 
+def test_predict_bytes_ignore_caller_blas_threads(tmp_path):
+    # predict runs no pool: its BLAS work, the eigendecomposition of K_aa and
+    # the rotation V^T K_ah, runs at the thread count the caller left set
+    kern, y, yhat = (tmp_path / name for name in ("k.json", "y.csv", "yhat.csv"))
+    assert main(["estimate-kernels", "--synthetic", "200,200,30", "--samples",
+                 "2000", "--out", str(kern)]) == 0
+    rng = np.random.default_rng(4)
+    np.savetxt(y, rng.standard_normal(200))
+    np.savetxt(yhat, rng.standard_normal(200))
+    out = tmp_path / "p.json"
+    reports = set()
+    for blas in (1, 2):
+        with caller_blas_threads(blas):
+            assert main(["predict", "--kernels", str(kern), "--y", str(y),
+                         "--yhat", str(yhat), "--d", "800", "--delta", "0.1",
+                         "--out", str(out)]) == 0
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
+
+
 def test_compare_reports_toy_prediction(tmp_path, toy_files):
     kern, y, yhat = toy_files
     x, xh = write_design(tmp_path)

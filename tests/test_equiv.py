@@ -14,7 +14,8 @@ from rfequiv import (
     solve_subdel,
 )
 
-from conftest import dense_subdel, equiv_alpha, rand_psd
+from conftest import (dense_equiv, dense_subdel, equiv_alpha, rand_kernelset,
+                      rand_psd)
 
 
 def bisect_alpha(K_aa, d, delta, tol=1e-14):
@@ -99,7 +100,8 @@ def test_equiv_worked_instance(toy_kernels):
     yhat = np.array([2.0])
     sol = build_equiv(toy_kernels, y, yhat, 2, 1.0)
     assert sol.alpha == pytest.approx(-0.5, abs=1e-10)
-    assert np.allclose(sol.M11, 0.5 * np.eye(2), atol=1e-10)
+    # M11 = I/2 gives y^T M11 K_aa M11 y = 1/4
+    assert sol.term_variance == pytest.approx(2 * sol.beta / 4, abs=1e-10)
     assert sol.denom == pytest.approx(0.75, abs=1e-10)
     assert sol.beta == pytest.approx(1 / 3, abs=1e-9)
     assert sol.term_variance == pytest.approx(1 / 6, abs=1e-9)
@@ -131,6 +133,40 @@ def test_equiv_degenerate_denominator_raises():
     ks = KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1)
     with pytest.raises(DenominatorDegenerate):
         build_equiv(ks, np.ones(4), np.zeros(1), 4, 1e-18, tol=1e-7)
+
+
+def _identity_kernels(rng, n, t, n0):
+    """Exact identity-activation kernels of a Gaussian design with n0
+    columns; K_aa has rank n0 when n > n0."""
+    X = rng.standard_normal((n + t, n0))
+    joint = X @ X.T / n
+    return KernelSet(joint[:n, :n], joint[:n, n:], joint[n:, n:], 1)
+
+
+@pytest.mark.parametrize("shape, d, delta", [
+    ("coupled", 10, 0.1),             # d < n
+    ("coupled", 45, 0.1),             # d > n
+    ("coupled", 20, 1e-4),            # d = n, small ridge
+    ("rank-deficient", 15, 0.1),      # n > n0
+    ("rank-deficient", 40, 0.1),
+])
+def test_equiv_matches_dense_oracle(shape, d, delta):
+    rng = np.random.default_rng(d)
+    ks = (rand_kernelset(rng, 20, 7) if shape == "coupled"
+          else _identity_kernels(rng, 30, 6, 8))
+    y = rng.standard_normal(ks.n_train)
+    yhat = rng.standard_normal(ks.n_test)
+    sol = build_equiv(ks, y, yhat, d, delta)
+    want = dense_equiv(ks, y, yhat, d, delta, sol.alpha)
+    rel = dict.fromkeys(want, 1e-12)
+    if shape == "rank-deficient":
+        # the test features lie in the span of the train features, so the
+        # two terms of beta cancel to below 1e-3 of their size; beta and
+        # the variance term are compared at the size of those terms
+        size = sol.alpha ** 2 * np.trace(ks.K_hh) / sol.denom
+        rel["beta"] = rel["term_variance"] = 1e-12 * size / sol.beta
+    for name, value in want.items():
+        assert getattr(sol, name) == pytest.approx(value, rel=rel[name], abs=0), name
 
 
 def test_equiv_report_key_order(toy_kernels):
@@ -273,8 +309,6 @@ def test_ridge_error_matches_bias_term_on_worked_instance():
 
 
 def test_ridge_error_matches_bias_term_on_random_instances():
-    from conftest import rand_kernelset
-
     rng = np.random.default_rng(77)
     for _ in range(5):
         n = int(rng.integers(2, 20))
