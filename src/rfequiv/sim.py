@@ -14,7 +14,10 @@ features ``A`` diagonalizes for any ``z``, and no ell x ell pencil is
 stored: the pseudo-resolvent is checked against a table of the pencil's
 block rows (:func:`_pencil_rows`).  See :func:`build_pseudoresolvent` for
 the blocks, the refusal rule for a numerically singular pencil, and the
-defect check.
+defect check.  The Gaussianity statistic regularizes by ``i*tau`` on every
+slot, so it takes its own route (:func:`estimate_delta_gaussianity`): one
+d x d Schur complement per pair, checked on the width block row to 1e-9,
+and no sampled pencil assembled.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import numpy as np
 from . import equiv
 from .model import (_check_ridge, _check_z, _clamped_eigh, _parallel_map,
                     _ridge_solve, apply_activation, substream)
-from .rdel import (_pencil_defect, _pencil_matrix, _real_left, _rf_slices,
-                   spectral_norm)
+from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
     "DeltaGaussianity",
@@ -331,7 +333,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
 
     For each replicate pair (L, L') the statistic
 
-        (L - Ebar) R  +  (L' - Ebar) R (L' - Ebar) R,
+        T_i = (L - Ebar) R  +  (L' - Ebar) R (L' - Ebar) R,
         R = (L - z*Lambda - i*tau*I)^{-1}
 
     is averaged, with ``Ebar`` the mean of all sampled pencils; the
@@ -339,6 +341,34 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
     jointly Gaussian.  ``reps`` feature draws give ``reps // 2`` pairs.
     ``z`` must be finite with ``Im z >= 0`` and ``tau`` a positive finite
     real; draws and pairs run on the shared thread pool.
+
+    No pencil is assembled and no ell x ell matrix inverted.  A draw is kept
+    as its features ``J = [A; Ahat]``, and ``L - Ebar`` has only the blocks
+    ``A - Abar``, ``Ahat - Ahat_bar`` and their transposes.  In the slot
+    order (train n, width d, test t, test t), with ``a1 = delta - z - i*tau``,
+    ``a2 = 1 + z + i*tau``, ``e = 1 / (1 + tau^2)`` and ``c = i*tau*e``,
+    eliminating the other slots leaves the d x d Schur complement
+
+        S = -a2 I - A^T A / a1 - c Ahat^T Ahat,     G = S^{-1},
+
+    invertible because ``Im S < 0``.  The width block row of ``R`` is
+    ``R2 = G B`` with ``B = [-A^T / a1, I, e Ahat^T, -c Ahat^T]``; the train
+    and second test rows are ``[R1; R4] = E14 - [A / a1; c Ahat] R2``, where
+    ``E14`` holds ``I / a1`` in block (1,1) and ``-e I``, ``c I`` in blocks
+    (4,3), (4,4); ``R3`` is never needed.  Block row 3 of ``(L - Ebar) R``
+    is zero, so ``T_i`` is formed on the other ell - t rows and its square
+    contracts over those indices only.  Rows 1, 3 and 4 of
+    ``(L - z*Lambda - i*tau*I) R - I`` vanish by construction and the width
+    row is ``(S G - I) B``: its Frobenius norm must be at most 1e-9 for
+    every pair, else ``RuntimeError``.  The route equals a dense ell x ell
+    inverse up to rounding (the tests hold it to 1e-12 relative); forming
+    ``A^T A`` costs some accuracy only where the pencil is ill-conditioned.
+
+    Pair terms are folded as the pool yields them, so memory does not grow
+    with ``reps``: ``T`` is their running sum in index order over
+    ``pairs``, and ``sum_i ||T_i - T||_F^2`` comes from Welford's update.
+    ``value`` is ``||T||_2`` from one LAPACK SVD outside the pool, at the
+    caller's BLAS thread count.
 
     Returns
     -------
@@ -349,38 +379,75 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
     if reps < 2:
         raise ValueError("need at least two replicates to form a pair")
     pairs = reps // 2
-    dims = (ds.n_train, cfg.d, ds.n_test)
+    n, d, t = ds.n_train, cfg.d, ds.n_test
 
     def draw(i):
         rng = substream(seed, "delta", i)
-        A, Ahat = _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
-        return _pencil_matrix(dims, _pencil_rows(A, Ahat, cfg.delta))
+        return np.vstack(_sample_features(ds, sigma, phi, d, cfg.n, rng))
 
-    mats = list(_parallel_map(draw, 2 * pairs))
-    Ebar = sum(mats) / len(mats)
-    ell = Ebar.shape[0]
-    shift = np.zeros(ell, dtype=complex)
-    shift[: ds.n_train + cfg.d] = z
-    shift += 1j * tau
-    diag = np.diag_indices(ell)
+    draws = list(_parallel_map(draw, 2 * pairs))
+    Jbar = sum(draws) / len(draws)
+
+    s1, s2, s3, s4 = _rf_slices((n, d, t))
+    ell = s4.stop
+    keep = np.r_[0:s2.stop, s4]  # rows of (L - Ebar) R that can be nonzero
+    a1, a2 = cfg.delta - z - 1j * tau, 1.0 + z + 1j * tau
+    e = 1.0 / (1.0 + tau * tau)
+    c = 1j * tau * e
+    w = np.r_[np.full(n, 1.0 / a1), np.full(t, c)][:, None]
+    # ||(S G - I) B||_F^2 = ||F||^2 + ||F (bnorm J)^T||^2, as the test blocks
+    # of B give ||e F Ahat^T||^2 + ||c F Ahat^T||^2 = e ||F Ahat^T||^2
+    bnorm = np.r_[np.full(n, 1.0 / abs(a1)), np.full(t, math.sqrt(e))][:, None]
+    E14 = np.zeros((n + t, ell), dtype=complex)
+    E14[:n, s1] = np.eye(n) / a1
+    E14[n:, s3] = -e * np.eye(t)
+    E14[n:, s4] = c * np.eye(t)
+    diag = np.diag_indices(d)
 
     def one_pair(i):
-        L, Lt = mats[2 * i], mats[2 * i + 1]
-        P = np.asarray(L, dtype=complex)
-        P[diag] -= shift
-        R = np.linalg.inv(P)
-        X = _real_left(L - Ebar, R)
-        Xt = _real_left(Lt - Ebar, R)
-        return X + Xt @ Xt
+        J, Jt = draws[2 * i], draws[2 * i + 1]
+        S = -_real_left(J.T, J * w)
+        S[diag] -= a2
+        G = np.linalg.inv(S)
+        F = S @ G
+        F[diag] -= 1.0
+        defect = math.hypot(np.linalg.norm(F),
+                            np.linalg.norm(_real_left(J * bnorm, F.T)))
+        if not defect <= 1e-9:
+            raise RuntimeError(
+                f"Gaussianity pseudo-resolvent defect {defect:.3e} exceeds 1e-9")
+        GJ = _real_left(J, G.T)  # (G J^T)^T
+        R2 = np.empty((d, ell), dtype=complex)
+        R2[:, s1] = GJ[:n].T / -a1
+        R2[:, s2] = G
+        R2[:, s3] = e * GJ[n:].T
+        R2[:, s4] = -c * GJ[n:].T
+        R14 = E14 - w * _real_left(J, R2)
+        R2r, R14r = R2.view(float), R14.view(float)
 
-    terms = list(_parallel_map(one_pair, pairs))
-    T = sum(terms) / pairs
-    value = spectral_norm(T)
-    if pairs > 1:
-        spread = sum(float(np.linalg.norm(Ti - T)) ** 2 for Ti in terms)
-        se = math.sqrt(spread / (pairs * (pairs - 1)))
-    else:
-        se = math.inf
+        def rows(dJ):  # block rows 1, 2 and 4 of (L - Ebar) R, as one matrix
+            X = np.empty((ell - t, ell), dtype=complex)
+            Xr = X.view(float)
+            np.matmul(dJ[:n], R2r, out=Xr[:n])
+            np.matmul(dJ.T, R14r, out=Xr[n:n + d])
+            np.matmul(dJ[n:], R2r, out=Xr[n + d:])
+            return X
+
+        X = rows(J - Jbar)
+        Xt = rows(Jt - Jbar)
+        return X + Xt[:, keep] @ Xt
+
+    terms = _parallel_map(one_pair, pairs)
+    total = next(terms)
+    mean = total.copy()
+    spread = 0.0
+    for k, Ti in enumerate(terms, 2):
+        total += Ti
+        step = Ti - mean
+        mean += step / k
+        spread += float(np.linalg.norm(step)) ** 2 * (k - 1) / k
+    value = spectral_norm(total / pairs)
+    se = math.sqrt(spread / (pairs * (pairs - 1))) if pairs > 1 else math.inf
     return DeltaGaussianity(value=value, standard_error=se, pairs=pairs)
 
 

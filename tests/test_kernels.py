@@ -13,6 +13,7 @@ from rfequiv import (
     RFConfig,
     analytic_identity_kernels,
     default_samples,
+    estimate_delta_gaussianity,
     estimate_kernels,
     gaussian_surrogate_run,
     load_kernels,
@@ -83,16 +84,22 @@ def test_estimator_is_deterministic_bitwise():
 
 def test_estimator_independent_of_worker_count(monkeypatch):
     # every loop on the shared pool: kernel chunks, centering chunks (m not a
-    # multiple of the 512-draw chunk) and surrogate replicates
+    # multiple of the 512-draw chunk), surrogate replicates, and the
+    # Gaussianity draws and pairs at a width d = 64 where OpenBLAS would
+    # split the d x d Schur-complement products over its threads
     ds = synthetic_regression(8, 4, 6, 0.3, seed=2)
     cfg = RFConfig(d=6, delta=0.3, n=8, seed=2)
+    wide = RFConfig(d=64, delta=0.3, n=8, seed=2)
 
     def run():
         ks = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
         surrogate = gaussian_surrogate_run(ks, ds.y, ds.yhat, cfg, reps=5)
+        dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, wide, 1j, 0.1,
+                                        reps=6, seed=4)
         return ([getattr(ks, f) for f in ("K_aa", "K_ah", "K_ha", "K_hh")]
                 + [verify_centering(ERF, IDENTITY, ds, 8, 2900, seed=4),
-                   surrogate.replicate_errors])
+                   surrogate.replicate_errors,
+                   np.array([dg.value, dg.standard_error])])
 
     runs = {}
     for threads in ("1", "2"):

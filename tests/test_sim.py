@@ -1,6 +1,7 @@
 """Monte Carlo pipeline: features, test error, pencils, diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,13 +308,16 @@ def test_delta_gaussianity_is_deterministic_and_counts_pairs():
     assert a.pairs == 5
 
 
-@pytest.mark.parametrize("n, d, z", [(12, 5, 1j), (5, 12, 0.5 + 1j),
-                                     (9, 6, 0.5)],
-                         ids=["n-above-d", "n-below-d", "z-real"])
-def test_delta_gaussianity_matches_dense_oracle(n, d, z):
-    ds = synthetic_regression(n, 4, 6, 0.3, seed=n)
+@pytest.mark.parametrize("n, t, d, z, tau", [
+    (12, 4, 5, 1j, 0.1), (5, 4, 12, 0.5 + 1j, 0.1), (9, 4, 6, 0.5, 0.1),
+    (30, 40, 20, 1j, 0.1), (9, 4, 6, 0.5 + 1j, 1e-3), (9, 4, 6, 1j, 10.0),
+    (12, 4, 5, 0, 0.1)],
+    ids=["n-above-d", "n-below-d", "z-real", "t-above-d", "tau-small",
+         "tau-large", "z-zero"])
+def test_delta_gaussianity_matches_dense_oracle(n, t, d, z, tau):
+    ds = synthetic_regression(n, t, 6, 0.3, seed=n)
     cfg = RFConfig(d=d, delta=0.3, n=n, seed=1)
-    reps, seed, tau = 7, 5, 0.1
+    reps, seed = 7, 5
     dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, z, tau, reps, seed)
     draws = [_sample_features(ds, ERF, IDENTITY, d, n, substream(seed, "delta", i))
              for i in range(reps)]
@@ -321,6 +325,34 @@ def test_delta_gaussianity_matches_dense_oracle(n, d, z):
     assert dg.pairs == 3
     assert dg.value == pytest.approx(value, rel=1e-12, abs=0)
     assert dg.standard_error == pytest.approx(se, rel=1e-12, abs=0)
+
+
+def test_delta_gaussianity_refuses_an_inaccurate_width_solve(monkeypatch):
+    # the width block row of R comes from the inverse of the d x d Schur
+    # complement; a relative error of 1e-6 in it must trip the defect check
+    inverse = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda S: inverse(S) * (1 + 1e-6))
+    ds = synthetic_regression(12, 4, 6, 0.3, seed=1)
+    cfg = RFConfig(d=5, delta=0.3, n=12, seed=1)
+    with pytest.raises(RuntimeError, match="defect"):
+        estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, 4, 5)
+
+
+def test_delta_gaussianity_memory_does_not_grow_with_reps(monkeypatch):
+    # draws are kept as features and the pair terms are folded as they
+    # arrive, so five times the pairs must not cost five times the memory
+    monkeypatch.setenv("RF_EQUIV_THREADS", "1")
+    ds = synthetic_regression(60, 30, 20, 0.3, seed=3)
+    cfg = RFConfig(d=40, delta=0.3, n=60, seed=3)
+    peaks = {}
+    for reps in (8, 40):
+        tracemalloc.start()
+        try:
+            estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, reps, 7)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= 2 * peaks[8]
 
 
 def test_delta_gaussianity_single_pair_has_no_spread_estimate():
