@@ -12,9 +12,8 @@ model
 kernels
     Monte Carlo estimation of the feature covariance blocks.
 equiv
-    One scalar fixed-point iteration on the eigenvalues of K_aa: the error
-    prediction (``build_equiv``, whose alpha is the fixed point at z = 0)
-    and the reduced two-block resolvent at any z.
+    The error prediction (``build_equiv``, alpha from a Newton solve in the
+    effective ridge) and the reduced two-block resolvent at any z.
 rdel
     The random-features solution matrix and its zeroth-moment table, built
     from the scalar solve; the generic regularized fixed-point solver for

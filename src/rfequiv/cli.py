@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -266,11 +267,7 @@ def _cmd_diagnose(args):
     centering = verify_centering(sigma, phi, ds, n, m, args.seed)
 
     write_json(args.out, {
-        "delta_gaussianity": {
-            "value": dg.value,
-            "standard_error": dg.standard_error,
-            "pairs": dg.pairs,
-        },
+        "delta_gaussianity": asdict(dg),
         "anisotropic_gap": gaps,
         "zeroth_moment": zm.to_report(),
         "centering": float(centering),

@@ -2,22 +2,21 @@
 reduced two-block resolvent at any spectral parameter.
 
 The central objects: the unique alpha in [-1, 0) solving
-
-    alpha = -(1 + tr(K_aa (delta I - d alpha K_aa)^{-1}))^{-1},
-
-the matrix ``M11 = (delta I - d alpha K_aa)^{-1}``, the variance amplitude
+``alpha = -(1 + tr(K_aa M11))^{-1}`` for the matrix
+``M11 = (delta I - d alpha K_aa)^{-1}``, the variance amplitude
 
     beta = alpha^2 tr(K_hh + d alpha K_ha M11 (I + delta M11) K_ah) / denom,
     denom = 1 - || sqrt(d) alpha K_aa^{1/2} M11 K_aa^{1/2} ||_F^2,
 
 and the prediction ``d beta ||K_aa^{1/2} M11 y||^2 + ||d alpha K_ha M11 y + yhat||^2``.
 
-Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``
-and one scalar iteration,
-``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``; at
-``z = 0`` its fixed point is alpha.  ``M11`` is diagonal in that
-eigenbasis, with eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so the
-prediction is evaluated there and ``M11`` is never formed.
+Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``,
+in which ``M11`` has eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so
+``M11`` is never formed.  At ``z = 0``, ``alpha = -delta/kappa`` for the
+effective ridge ``kappa > 0`` that Newton's method finds as the root of the
+degrees-of-freedom equation ``f(kappa) = kappa (1 - sum_j lam_j / (kappa + d lam_j)) = delta``,
+and ``denom = f'(kappa)``.  At ``Im z > 0`` a fixed-point iteration solves
+``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.
 """
 
 from __future__ import annotations
@@ -63,47 +62,68 @@ class EquivSolution:
         return asdict(self)
 
 
-def _iterate(lam, d, delta, z, nu, tol, max_iter, pencil=False):
-    """The one scalar fixed-point iteration behind every solve.
+def _solve_alpha(lam, d, delta):
+    """alpha at ``z = 0`` by Newton's method in ``kappa = -delta/alpha``.
 
-    Iterates ``nu <- T(nu) = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``
-    over the eigenvalues ``lam`` of K_aa and stops when ``|nu - T(nu)|``, or
-    with ``pencil`` the defect ``sqrt(d) |nu - T(nu)| / |T(nu)|`` of
-    :func:`solve_subdel`, is at most ``tol``.  With ``z = 0.0`` and a real
-    start everything stays real and the fixed point is alpha
-    (delta - d nu lam_j >= delta > 0 while nu <= 0).  With ``Im z > 0`` the iterates must stay in the closed
-    upper half-plane; leaving it by more than 1e-10 raises ``RuntimeError``.
-
-    Returns ``(nu, iterations, residual)``.
+    ``f(kappa) = kappa (1 - sum_j lam_j / (kappa + d lam_j))`` is convex, with
+    ``f(0) = 0`` and ``f(kappa) >= kappa - sum_j lam_j``, so steps from
+    ``delta + sum_j lam_j`` fall monotonically to the root of ``f = delta``.
+    With ``r_j = kappa / (kappa + d lam_j)`` over the m positive ``lam_j``,
+    ``f / kappa = (1 - m/d) + sum_j r_j / d`` and ``f' = 1 - d sum_j (lam_j /
+    (kappa + d lam_j))^2 = (1 - m/d) + sum_j r_j (2 - r_j) / d`` do not cancel
+    as ``kappa -> 0`` when ``d >= m``.  The first step of at most 4 ulp of
+    ``kappa`` ends the loop untaken.  Returns ``(alpha, g, kappa, f'(kappa),
+    steps)``, ``g_j = kappa / (delta (kappa + d lam_j))`` the eigenvalues of M11.
     """
-    shift, one_z = delta - z, 1.0 + z
+    pos = lam[lam > 0]
+    base = 1.0 - pos.size / d
+    kappa, iterations = delta + float(np.sum(pos)), 0
+    while True:
+        r = kappa / (kappa + d * pos)
+        denom = base + float(np.sum(r * (2.0 - r))) / d
+        step = (kappa * (base + float(np.sum(r)) / d) - delta) / denom
+        if not step > 4 * np.spacing(kappa):  # also ends on a NaN step
+            break
+        kappa -= step
+        iterations += 1
+    g = kappa / (delta * (kappa + d * lam))
+    return -delta / kappa, g, kappa, denom, iterations
+
+
+def _iterate(lam, d, delta, z, tol, max_iter=10_000):
+    """``nu <- T(nu) = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``
+    at ``Im z > 0`` from ``nu = 1j``, until the pencil defect
+    ``sqrt(d) |nu - T(nu)| / |T(nu)|`` is at most ``tol``.  Returns ``nu``
+    and the eigenvalues ``1 / (delta - z - d nu lam_j)`` of ``N11``.  An
+    iterate below the real axis by more than 1e-10 raises ``RuntimeError``;
+    ``max_iter`` updates short of ``tol`` raise :class:`NonConvergence`.
+    """
+    shift, one_z, nu = delta - z, 1.0 + z, 1j
     residual = np.inf
-    for it in range(max_iter):
+    for _ in range(max_iter):
         t = -1.0 / (one_z + np.sum(lam / (shift - d * nu * lam)).item())
-        residual = abs(nu - t)
-        if pencil:
-            residual *= d ** 0.5 / abs(t)
+        residual = abs(nu - t) * (d ** 0.5 / abs(t))
         if residual <= tol:
-            return nu, it, residual
+            return nu, 1.0 / (shift - d * nu * lam)
         if t.imag < -1e-10:
             raise RuntimeError(
                 f"lost the upper-half-plane invariant (Im nu {t.imag:.3e})"
             )
         nu = t
-    name = "nu" if z else "alpha"
     raise NonConvergence(
-        f"{name} iteration stalled at residual {residual:.3e} "
+        f"nu iteration stalled at residual {residual:.3e} "
         f"after {max_iter} iterations"
     )
 
 
-def build_equiv(K, y, yhat, d, delta, tol=1e-13):
+def build_equiv(K, y, yhat, d, delta):
     """Assemble the deterministic test-error prediction for one instance.
 
-    Solves alpha, checks the variance-series denominator against the
-    positivity guard, and evaluates both prediction terms in the eigenbasis
-    of K_aa.  After the eigendecomposition no n x n matrix is formed:
-    ``V^T K_ah`` is the only product of order n^2 t.
+    Solves alpha, checks ``denom = f'(kappa)`` against the positivity guard
+    and evaluates both terms in the eigenbasis of K_aa, where ``V^T K_ah`` is
+    the only product of order n^2 t.  ``effective_ridge`` is ``kappa``,
+    ``iterations`` counts Newton steps, and ``residual`` is
+    ``|alpha - T(alpha)| / |alpha|`` for ``T(a) = -(1 + sum_j lam_j g_j)^{-1}``.
 
     Raises
     ------
@@ -120,10 +140,7 @@ def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     _check_ridge(delta, d)
 
     w, V = _clamped_eigh(K.K_aa)
-    alpha, iterations, residual = _iterate(w, d, delta, 0.0, -1.0, tol, 100_000)
-
-    g = 1.0 / (delta - d * alpha * w)  # eigenvalues of M11
-    denom = 1.0 - d * alpha ** 2 * float(np.sum((w * g) ** 2))
+    alpha, g, kappa, denom, iterations = _solve_alpha(w, d, delta)
     if denom <= _DENOM_GUARD:
         raise DenominatorDegenerate(
             f"variance-series denominator {denom:.6e} <= {_DENOM_GUARD:g}"
@@ -138,57 +155,45 @@ def build_equiv(K, y, yhat, d, delta, tol=1e-13):
     term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
     resid = d * alpha * (W.T @ c) + yhat
     term_bias = float(resid @ resid)
+    t = -1.0 / (1.0 + float(np.sum(w * g)))  # T(alpha)
 
     return EquivSolution(
         alpha=alpha,
         beta=beta,
         denom=denom,
-        effective_ridge=-delta / alpha,
+        effective_ridge=kappa,
         predicted_error=term_variance + term_bias,
         term_variance=term_variance,
         term_bias=term_bias,
         iterations=iterations,
-        residual=residual,
+        residual=abs(alpha - t) / abs(alpha),
     )
 
 
-def solve_subdel(K_aa, d, delta, z, tol=1e-10, max_iter=10_000):
+def solve_subdel(K_aa, d, delta, z, tol=1e-10):
     """Reduced two-block resolvent at spectral parameter ``z``.
 
     The two-block self-consistent equation has the train block
     ``N11 = ((delta - z) I - d nu K_aa)^{-1}`` and the scalar width block
     ``nu = -(1 + z + tr(K_aa N11))^{-1}``.  The train block is diagonal in
-    the eigenbasis of K_aa, so the pair reduces to the scalar iteration
-    ``nu <- -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.  ``z``
-    must be finite, and 0 (real iteration from -1, whose fixed point is
-    alpha) or in the open upper half-plane (iteration from 1j).  It stops
-    once the pencil defect ``||(E - S(M) - z*Lambda)M - I||_F`` of the ``M``
-    that :func:`rfequiv.rdel.rf_solution_matrix` builds from ``nu`` is at
-    most ``tol``: every block row of that ``M`` but the width row is exact
-    by construction, and the width row gives ``sqrt(d) |nu - T(nu)| / |T(nu)|``.
-    ``N11 = V diag(1 / (delta - z - d nu lam)) V^T`` is formed from ``nu``.
-
-    Returns
-    -------
-    (N11, nu) : (complex ndarray, complex)
-
-    Raises
-    ------
-    NonConvergence
-        If the defect never reaches ``tol`` within ``max_iter`` updates.
-    RuntimeError
-        If an iterate leaves the upper half-plane by more than 1e-10 while
-        Im z > 0.
+    the eigenbasis of K_aa, so the pair reduces to the scalar equation
+    ``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.  ``z``
+    must be finite, and 0 or in the open upper half-plane.  At ``z = 0``,
+    ``nu`` is the alpha of :func:`build_equiv`, bit for bit, and ``tol`` is
+    unused.  Otherwise the iteration stops once the pencil defect
+    ``||(E - S(M) - z*Lambda)M - I||_F`` of the ``M`` that
+    :func:`rfequiv.rdel.rf_solution_matrix` builds from ``nu`` is at most
+    ``tol``: every block row of that ``M`` but the width row is exact by
+    construction, and the width row gives ``sqrt(d) |nu - T(nu)| / |T(nu)|``.
+    Returns ``(N11, nu)``, complex.  Only ``Im z > 0`` can raise: 10 000
+    updates short of ``tol`` raise :class:`NonConvergence`, and an iterate
+    below the real axis by more than 1e-10 raises ``RuntimeError``.
     """
     z = _check_z(z)
     _check_ridge(delta, d)
     w, V = _clamped_eigh(K_aa)
-    if z == 0:
-        z, nu0 = 0.0, -1.0
-    else:
-        nu0 = 1j
-    nu, _, _ = _iterate(w, d, delta, z, nu0, tol, max_iter, pencil=True)
-    g = 1.0 / (delta - z - d * nu * w)
+    nu, g = (_solve_alpha(w, d, delta)[:2] if z == 0
+             else _iterate(w, d, delta, z, tol))
     return np.asarray((V * g) @ V.T, dtype=complex), complex(nu)
 
 

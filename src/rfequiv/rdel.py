@@ -27,7 +27,7 @@ computes ``||P X - I||_F`` from it one block row at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -301,12 +301,7 @@ class ZerothMomentReport:
     slope: float
 
     def to_report(self):
-        return {
-            "etas": [float(e) for e in self.etas],
-            "deltas": [float(v) for v in self.deltas],
-            "monotone": bool(self.monotone),
-            "slope": float(self.slope),
-        }
+        return asdict(self)
 
 
 def zeroth_moment_check(spec, eta_list):
@@ -515,8 +510,8 @@ def rf_solution_matrix(K, dims, delta, z, tol=1e-10):
     of ``M[1,1]`` and ``tr(M[2,2])``.  The result satisfies the tau = 0
     equation with Frobenius defect ``||(E - S(M) - z*Lambda)M - I||_F <= tol``
     up to rounding in the exact blocks, because ``tol`` bounds the width
-    row's defect, the stopping quantity of
-    :func:`rfequiv.equiv.solve_subdel`.  No ell x ell solve is involved.
+    row's defect in :func:`rfequiv.equiv.solve_subdel` (at ``z = 0`` it is
+    solved to rounding).  No ell x ell solve is involved.
     """
     _check_rf_dims(K, dims)
     n, d, t = dims

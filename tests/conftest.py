@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
+import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +88,36 @@ def equiv_alpha(K_aa, d, delta):
     n = K_aa.shape[0]
     ks = KernelSet(K_aa, np.zeros((n, 1)), np.eye(1), 1)
     return build_equiv(ks, np.zeros(n), np.zeros(1), d, delta)
+
+
+def rational_alpha(K_aa, d, delta):
+    """Independent oracle for alpha at z = 0, to about one ulp at any size.
+
+    ``kappa = -delta/alpha`` is the one root of
+    ``F(kappa) = kappa - sum_j kappa lam_j / (kappa + d lam_j) = delta`` over
+    the positive eigenvalues of ``K_aa``; ``F < delta`` below it and
+    ``F > delta`` above it, on ``[delta, 2 (delta + sum_j lam_j)]``.  The
+    bracket is bisected in log kappa until its ends are adjacent floats,
+    each sign decided in exact rational arithmetic, so no tolerance is
+    absolute and no cancellation is rounded.  It shares no code with the
+    package.
+    """
+    lam = [Fraction(float(v))
+           for v in np.linalg.eigvalsh((K_aa + K_aa.T) / 2) if v > 0]
+
+    def above(kappa):
+        k = Fraction(kappa)
+        return k - sum(k * v / (k + d * v) for v in lam) > delta
+
+    lo, hi = delta, 2.0 * (delta + float(sum(lam)))
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return -delta / hi
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def dense_equiv(K, y, yhat, d, delta, alpha):

@@ -3,7 +3,8 @@
 Every case in the table asserts its exit code (CLI) or exception type
 (library; ``None`` when the call returns), a failure report on exit 4, and
 that no ``RuntimeWarning`` escapes.  An expected ``(outcome, text)`` pair
-also requires ``text`` in the exception message or in standard error.
+also requires ``text`` in the exception message or in standard error; on
+exit 4, ``text`` is the failure name that the report must carry.
 Where the fix is to refuse an input before any work, the expensive call is
 replaced by one that fails the test when it is reached.
 """
@@ -123,6 +124,24 @@ def _predict_bad(name):
     return [f"{{{name}}}" if a == "{kernels}" else a for a in PREDICT]
 
 
+def _predict_identity4(delta):
+    """PREDICT on K_aa = I_4 at d = 4, the interpolation threshold, where
+    kappa ~ 2 sqrt(delta) and denom ~ sqrt(delta)."""
+    return ["predict", "--kernels", "{identity4}", "--y", "{y4}", "--yhat",
+            "{yhat}", "--d", "4", "--delta", delta]
+
+
+def _newton_steps_below(limit):
+    """The alpha solve, failing the test once it takes ``limit`` steps."""
+    solve = equiv._solve_alpha
+
+    def call(*args):
+        out = solve(*args)
+        assert out[-1] < limit, f"alpha solve took {out[-1]} Newton steps"
+        return out
+    return call
+
+
 def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
@@ -193,8 +212,15 @@ CASES = {
     **{f"predict-kernels-{name}": (_predict_bad(name), expected,
                                    ((cli, "build_equiv"),), {})
        for name, (_, expected) in BAD_KERNELS.items()},
-    "predict-linalg-error": (PREDICT, 4, (),
+    "predict-linalg-error": (PREDICT, (4, "LinAlgError"), (),
                              {(cli, "build_equiv"): _raise_linalg_error}),
+    # a small ridge at the interpolation threshold returns a report until
+    # denom ~ sqrt(delta) falls below its guard, in a few Newton steps
+    **{f"predict-identity4-delta-{delta}": (
+        _predict_identity4(delta), expected, (),
+        {(equiv, "_solve_alpha"): _newton_steps_below(100)})
+       for delta, expected in (("1e-10", 0), ("1e-14", 0),
+                               ("1e-18", (4, "DenominatorDegenerate")))},
     # a kernel block must be 2-D, not reshaped to one
     "kernelset-block-3d": (
         lambda: KernelSet(np.eye(1), np.zeros((1, 1, 1)), np.eye(1), 1),
@@ -234,7 +260,7 @@ CASES = {
     # at z = 0 solve_subdel is the alpha solve
     "alpha-kernel-nan": (
         lambda: equiv.solve_subdel(np.diag([NAN, 1.0]), 1, 1.0, 0.0),
-        ValueError, ((equiv, "_iterate"),), {}),
+        ValueError, ((equiv, "_solve_alpha"),), {}),
     "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError,
                           ((sim, "_sample_features"),), {}),
     "m-infinity-tau-nan": (lambda: rdel.m_infinity(_scalar_spec(), NAN),
@@ -259,9 +285,13 @@ CASES = {
 @pytest.fixture
 def files(tmp_path, toy_kernels):
     paths = {"kernels": tmp_path / "k.json", "y": tmp_path / "y.csv",
-             "yhat": tmp_path / "yhat.csv"}
+             "yhat": tmp_path / "yhat.csv", "identity4": tmp_path / "i4.json",
+             "y4": tmp_path / "y4.csv"}
     save_kernels(toy_kernels, paths["kernels"])
+    save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
+                 paths["identity4"])
     paths["y"].write_text("1\n0\n")
+    paths["y4"].write_text("1\n1\n1\n1\n")
     paths["yhat"].write_text("0.7\n")
     toy = json.loads(paths["kernels"].read_text())
     for name, (changes, _) in BAD_KERNELS.items():
@@ -295,7 +325,7 @@ def test_boundary(case, files, tmp_path, monkeypatch, capsys):
     assert text in message
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if outcome == 4:
-        assert json.loads(out.read_text())["error"] == "LinAlgError"
+        assert json.loads(out.read_text())["error"] == text
     elif outcome == 2:
         assert not out.exists()
 

@@ -1,11 +1,15 @@
 """Command-line front door: verbs, report files, exit codes."""
 
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfequiv
 from rfequiv import equiv, rdel
 from rfequiv.cli import _parse_complex, main
 
@@ -28,6 +32,17 @@ def toy_files(tmp_path):
     yhat = tmp_path / "yhat.csv"
     yhat.write_text("0.7\n")
     return kern, y, yhat
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # scipy.optimize would add ~0.17 s to every verb's start-up; the alpha
+    # solve is a hand-rolled Newton loop for that reason
+    code = "import sys, rfequiv.cli; print('scipy.optimize' in sys.modules)"
+    src = Path(rfequiv.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_estimate_kernels_writes_valid_report(tmp_path):
@@ -249,9 +264,9 @@ def test_exit_2_on_unknown_verb():
 def test_exit_2_on_non_finite_ridge_before_any_iteration(tmp_path, toy_files,
                                                          monkeypatch, delta):
     calls = []
-    iterate = equiv._iterate
-    monkeypatch.setattr(equiv, "_iterate",
-                        lambda *a: calls.append(a) or iterate(*a))
+    solve = equiv._solve_alpha
+    monkeypatch.setattr(equiv, "_solve_alpha",
+                        lambda *a: calls.append(a) or solve(*a))
     kern, y, yhat = toy_files
     out = tmp_path / "x.json"
     code = main(["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
@@ -373,5 +388,5 @@ def test_exit_4_writes_failure_name_to_report(tmp_path):
                  str(out)])
     assert code == 4
     rep = json.loads(out.read_text())
-    assert rep["error"] in ("NonConvergence", "DenominatorDegenerate")
+    assert rep["error"] == "DenominatorDegenerate"
     assert "message" in rep

@@ -15,7 +15,7 @@ from rfequiv import (
 )
 
 from conftest import (dense_equiv, dense_subdel, equiv_alpha, rand_kernelset,
-                      rand_psd)
+                      rand_psd, rational_alpha)
 
 
 def bisect_alpha(K_aa, d, delta, tol=1e-14):
@@ -80,6 +80,24 @@ def test_alpha_random_instances_match_bisection():
         assert sol.alpha == pytest.approx(bisect_alpha(K, d, delta), abs=1e-10)
 
 
+@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 1e-14])
+@pytest.mark.parametrize("shape, d", [("d-below-n", 10), ("d-above-n", 60),
+                                      ("identity-4", 4)])
+def test_alpha_matches_rational_oracle_to_relative_tolerance(shape, d, delta):
+    # alpha ~ -delta/kappa shrinks with delta when d < n; a relative
+    # tolerance must hold at every size, and K_aa = I_4 at d = 4 is the
+    # interpolation threshold, where kappa ~ 2 sqrt(delta)
+    K = (np.eye(4) if shape == "identity-4"
+         else rand_psd(np.random.default_rng(40), 40))
+    want = rational_alpha(K, d, delta)
+    sol = equiv_alpha(K, d, delta)
+    assert sol.alpha == pytest.approx(want, rel=1e-13, abs=0)
+    assert sol.effective_ridge == pytest.approx(-delta / want, rel=1e-13, abs=0)
+    assert sol.residual <= 1e-13
+    # solve_subdel at z = 0 is the same solve, bit for bit
+    assert solve_subdel(K, d, delta, 0.0)[1] == sol.alpha
+
+
 def test_alpha_rejects_indefinite_kernel():
     bad = np.diag([1.0, -0.5])
     with pytest.raises(ValueError):
@@ -88,7 +106,7 @@ def test_alpha_rejects_indefinite_kernel():
 
 def test_alpha_nonconvergence_is_reported():
     with pytest.raises(NonConvergence):
-        equiv._iterate(np.ones(2), 2, 1.0, 0.0, -1.0, 1e-13, 3)
+        equiv._iterate(np.ones(2), 2, 1.0, 1j, 1e-13, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +150,7 @@ def test_equiv_prediction_decomposes(toy_kernels):
 def test_equiv_degenerate_denominator_raises():
     ks = KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1)
     with pytest.raises(DenominatorDegenerate):
-        build_equiv(ks, np.ones(4), np.zeros(1), 4, 1e-18, tol=1e-7)
+        build_equiv(ks, np.ones(4), np.zeros(1), 4, 1e-18)
 
 
 def _identity_kernels(rng, n, t, n0):
