@@ -12,8 +12,9 @@ model
 kernels
     Monte Carlo estimation of the feature covariance blocks.
 equiv
-    The error prediction (``build_equiv``, alpha from a Newton solve in the
-    effective ridge) and the reduced two-block resolvent at any z.
+    The error prediction (``build_equiv``) and the reduced two-block
+    resolvent at any z, from one safeguarded Newton solve of the scalar
+    fixed point.
 rdel
     The random-features solution matrix and its zeroth-moment table, built
     from the scalar solve; the generic regularized fixed-point solver for

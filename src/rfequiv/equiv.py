@@ -12,11 +12,12 @@ and the prediction ``d beta ||K_aa^{1/2} M11 y||^2 + ||d alpha K_ha M11 y + yhat
 
 Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``,
 in which ``M11`` has eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so
-``M11`` is never formed.  At ``z = 0``, ``alpha = -delta/kappa`` for the
-effective ridge ``kappa > 0`` that Newton's method finds as the root of the
-degrees-of-freedom equation ``f(kappa) = kappa (1 - sum_j lam_j / (kappa + d lam_j)) = delta``,
-and ``denom = f'(kappa)``.  At ``Im z > 0`` a fixed-point iteration solves
-``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.
+``M11`` is never formed.  One scalar solve serves every spectral parameter:
+``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}`` is solved to
+rounding by a safeguarded Newton loop in ``x = -1/nu``.  At ``z = 0`` it is
+Newton's method on the degrees-of-freedom equation for the effective ridge
+``kappa = delta x``, so ``alpha = -delta/kappa``, and ``denom`` is the slope
+of the equation at the root.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _DENOM_GUARD = 1e-8
+_MAX_STEPS = 10_000
 
 
 class DenominatorDegenerate(RuntimeError):
@@ -62,67 +64,65 @@ class EquivSolution:
         return asdict(self)
 
 
-def _solve_alpha(lam, d, delta):
-    """alpha at ``z = 0`` by Newton's method in ``kappa = -delta/alpha``.
+def _solve_nu(lam, d, delta, z):
+    """``nu`` at ``z`` by a safeguarded Newton loop in ``x = -1/nu``.
 
-    ``f(kappa) = kappa (1 - sum_j lam_j / (kappa + d lam_j))`` is convex, with
-    ``f(0) = 0`` and ``f(kappa) >= kappa - sum_j lam_j``, so steps from
-    ``delta + sum_j lam_j`` fall monotonically to the root of ``f = delta``.
-    With ``r_j = kappa / (kappa + d lam_j)`` over the m positive ``lam_j``,
-    ``f / kappa = (1 - m/d) + sum_j r_j / d`` and ``f' = 1 - d sum_j (lam_j /
-    (kappa + d lam_j))^2 = (1 - m/d) + sum_j r_j (2 - r_j) / d`` do not cancel
-    as ``kappa -> 0`` when ``d >= m``.  The first step of at most 4 ulp of
-    ``kappa`` ends the loop untaken.  Returns ``(alpha, g, kappa, f'(kappa),
-    steps)``, ``g_j = kappa / (delta (kappa + d lam_j))`` the eigenvalues of M11.
+    With ``mu_j = d lam_j / (delta - z)`` and ``r_j = 1 / (1 + mu_j / x)``
+    over the m positive ``lam_j``, the scalar equation reads
+    ``F(x) = x ((1 - m/d) + sum_j r_j / d) = 1 + z``, and
+    ``F'(x) = (1 - m/d) + sum_j r_j (2 - r_j) / d``; neither cancels as
+    ``mu_j / x`` grows when ``d >= m``, and nothing squares ``z``.  From
+    ``x = 1 + z + sum_j lam_j / (delta - z)`` a Newton step is taken if it
+    keeps ``Im x >= 0`` and lowers ``|F - 1 - z|``; otherwise the Picard step
+    ``x <- 1 + z + sum_j mu_j r_j / d``, which maps the upper half-plane into
+    itself, is.  At ``z = 0``, ``delta F(kappa/delta) = kappa (1 - sum_j
+    lam_j / (kappa + d lam_j))`` is the convex degrees-of-freedom function of
+    the effective ridge ``kappa = delta x``, and every Newton step is taken.
+    The loop ends once ``|F - 1 - z|`` is within 4 ulp of the size of the
+    terms it is computed from, or the Newton step is at most 4 ulp of
+    ``|x|``; past that point a step only moves ``x`` within its rounding
+    error.  ``_MAX_STEPS`` steps raise :class:`NonConvergence`.  The
+    arithmetic is real when ``z`` is.  Returns ``(x, g, F'(x), steps)``,
+    ``g_j = 1 / (delta - z + d lam_j / x)`` the eigenvalues of ``N11``.
     """
     pos = lam[lam > 0]
     base = 1.0 - pos.size / d
-    kappa, iterations = delta + float(np.sum(pos)), 0
-    while True:
-        r = kappa / (kappa + d * pos)
-        denom = base + float(np.sum(r * (2.0 - r))) / d
-        step = (kappa * (base + float(np.sum(r)) / d) - delta) / denom
-        if not step > 4 * np.spacing(kappa):  # also ends on a NaN step
+    shift, rhs = delta - z, 1.0 + z
+    mu = d * pos / shift
+
+    def gap(x):
+        r = 1.0 / (1.0 + mu / x)
+        return r, x * (base + np.sum(r).item() / d) - rhs
+
+    x = rhs + np.sum(pos / shift).item()
+    r, f = gap(x)
+    for steps in range(_MAX_STEPS):
+        slope = base + np.sum(r * (2.0 - r)).item() / d
+        step = f / slope
+        size = abs(x) * (abs(base) + np.sum(np.abs(r)).item() / d) + abs(rhs)
+        if (abs(f) <= 4 * np.spacing(size)
+                or not abs(step) > 4 * np.spacing(abs(x))):  # or a NaN step
             break
-        kappa -= step
-        iterations += 1
-    g = kappa / (delta * (kappa + d * lam))
-    return -delta / kappa, g, kappa, denom, iterations
-
-
-def _iterate(lam, d, delta, z, tol, max_iter=10_000):
-    """``nu <- T(nu) = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``
-    at ``Im z > 0`` from ``nu = 1j``, until the pencil defect
-    ``sqrt(d) |nu - T(nu)| / |T(nu)|`` is at most ``tol``.  Returns ``nu``
-    and the eigenvalues ``1 / (delta - z - d nu lam_j)`` of ``N11``.  An
-    iterate below the real axis by more than 1e-10 raises ``RuntimeError``;
-    ``max_iter`` updates short of ``tol`` raise :class:`NonConvergence`.
-    """
-    shift, one_z, nu = delta - z, 1.0 + z, 1j
-    residual = np.inf
-    for _ in range(max_iter):
-        t = -1.0 / (one_z + np.sum(lam / (shift - d * nu * lam)).item())
-        residual = abs(nu - t) * (d ** 0.5 / abs(t))
-        if residual <= tol:
-            return nu, 1.0 / (shift - d * nu * lam)
-        if t.imag < -1e-10:
-            raise RuntimeError(
-                f"lost the upper-half-plane invariant (Im nu {t.imag:.3e})"
-            )
-        nu = t
-    raise NonConvergence(
-        f"nu iteration stalled at residual {residual:.3e} "
-        f"after {max_iter} iterations"
-    )
+        x_new = x - step
+        r_new, f_new = gap(x_new)
+        if not (x_new.imag >= 0 and abs(f_new) < abs(f)):
+            x_new = rhs + np.sum(mu * r).item() / d
+            r_new, f_new = gap(x_new)
+        x, r, f = x_new, r_new, f_new
+    else:
+        raise NonConvergence(f"nu solve stalled at |F - 1 - z| {abs(f):.3e} "
+                             f"after {_MAX_STEPS} steps")
+    return x, 1.0 / (shift + d * lam / x), slope, steps
 
 
 def build_equiv(K, y, yhat, d, delta):
     """Assemble the deterministic test-error prediction for one instance.
 
-    Solves alpha, checks ``denom = f'(kappa)`` against the positivity guard
-    and evaluates both terms in the eigenbasis of K_aa, where ``V^T K_ah`` is
-    the only product of order n^2 t.  ``effective_ridge`` is ``kappa``,
-    ``iterations`` counts Newton steps, and ``residual`` is
+    Solves alpha at ``z = 0``, checks ``denom = F'(x)`` against the
+    positivity guard and evaluates both terms in the eigenbasis of K_aa,
+    where ``V^T K_ah`` is the only product of order n^2 t.
+    ``effective_ridge`` is ``kappa = delta x = -delta/alpha``, ``iterations``
+    counts Newton steps, and ``residual`` is
     ``|alpha - T(alpha)| / |alpha|`` for ``T(a) = -(1 + sum_j lam_j g_j)^{-1}``.
 
     Raises
@@ -140,7 +140,8 @@ def build_equiv(K, y, yhat, d, delta):
     _check_ridge(delta, d)
 
     w, V = _clamped_eigh(K.K_aa)
-    alpha, g, kappa, denom, iterations = _solve_alpha(w, d, delta)
+    x, g, denom, iterations = _solve_nu(w, d, delta, 0.0)
+    alpha = -1.0 / x
     if denom <= _DENOM_GUARD:
         raise DenominatorDegenerate(
             f"variance-series denominator {denom:.6e} <= {_DENOM_GUARD:g}"
@@ -161,7 +162,7 @@ def build_equiv(K, y, yhat, d, delta):
         alpha=alpha,
         beta=beta,
         denom=denom,
-        effective_ridge=kappa,
+        effective_ridge=delta * x,
         predicted_error=term_variance + term_bias,
         term_variance=term_variance,
         term_bias=term_bias,
@@ -170,7 +171,7 @@ def build_equiv(K, y, yhat, d, delta):
     )
 
 
-def solve_subdel(K_aa, d, delta, z, tol=1e-10):
+def solve_subdel(K_aa, d, delta, z):
     """Reduced two-block resolvent at spectral parameter ``z``.
 
     The two-block self-consistent equation has the train block
@@ -178,23 +179,18 @@ def solve_subdel(K_aa, d, delta, z, tol=1e-10):
     ``nu = -(1 + z + tr(K_aa N11))^{-1}``.  The train block is diagonal in
     the eigenbasis of K_aa, so the pair reduces to the scalar equation
     ``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``.  ``z``
-    must be finite, and 0 or in the open upper half-plane.  At ``z = 0``,
-    ``nu`` is the alpha of :func:`build_equiv`, bit for bit, and ``tol`` is
-    unused.  Otherwise the iteration stops once the pencil defect
-    ``||(E - S(M) - z*Lambda)M - I||_F`` of the ``M`` that
-    :func:`rfequiv.rdel.rf_solution_matrix` builds from ``nu`` is at most
-    ``tol``: every block row of that ``M`` but the width row is exact by
-    construction, and the width row gives ``sqrt(d) |nu - T(nu)| / |T(nu)|``.
-    Returns ``(N11, nu)``, complex.  Only ``Im z > 0`` can raise: 10 000
-    updates short of ``tol`` raise :class:`NonConvergence`, and an iterate
-    below the real axis by more than 1e-10 raises ``RuntimeError``.
+    must be finite, and 0 or in the open upper half-plane.  ``nu`` is solved
+    to rounding at every ``z``, by the Newton loop of :func:`build_equiv`;
+    at ``z = 0`` it is that function's alpha, bit for bit.  Returns
+    ``(N11, nu)``, complex.  A solve that has not ended after 10 000 steps
+    raises :class:`NonConvergence`.
     """
     z = _check_z(z)
     _check_ridge(delta, d)
     w, V = _clamped_eigh(K_aa)
-    nu, g = (_solve_alpha(w, d, delta)[:2] if z == 0
-             else _iterate(w, d, delta, z, tol))
-    return np.asarray((V * g) @ V.T, dtype=complex), complex(nu)
+    # real arithmetic on the axis, so that nu(0) is build_equiv's alpha
+    x, g = _solve_nu(w, d, delta, z if z.imag else z.real)[:2]
+    return np.asarray((V * g) @ V.T, dtype=complex), complex(-1.0 / x)
 
 
 def kernel_ridge_error(K, y, yhat, d, ridge):

@@ -11,10 +11,11 @@ to its unique fixed point with nonnegative imaginary part, and
 :func:`m_infinity` and :func:`zeroth_moment_check` build on it.  The
 random-features pencil has its own route: its superoperator reads ``M``
 through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
-``tau = 0`` from one scalar solve and :func:`rf_zeroth_moment_check` takes
-the zeroth-moment table from it; on that pencil :func:`rf_linearization`
-and :func:`solve_rdel` are the test oracle.  Every norm here is an exact
-spectral norm (:func:`spectral_norm`, one LAPACK SVD).
+``tau = 0`` to rounding from one scalar solve, and
+:func:`rf_zeroth_moment_check` takes the zeroth-moment table from it; on
+that pencil :func:`rf_linearization` and :func:`solve_rdel` are the test
+oracle.  Every norm here is an exact spectral norm (:func:`spectral_norm`,
+one LAPACK SVD).
 
 A four-slot pencil (train n, width d, test t, test t) is written once, as
 a table of four block rows of terms ``(column slot, coefficient, real
@@ -502,22 +503,21 @@ def rf_linearization(K, dims, delta):
                              rf_superoperator(K, dims))
 
 
-def rf_solution_matrix(K, dims, delta, z, tol=1e-10):
+def rf_solution_matrix(K, dims, delta, z):
     """Full deterministic-equivalent matrix ``M(z)`` of the pencil.
 
     Solves the two-block reduced equation for the train/width slots and
     fills the remaining blocks with their closed-form expressions in terms
-    of ``M[1,1]`` and ``tr(M[2,2])``.  The result satisfies the tau = 0
-    equation with Frobenius defect ``||(E - S(M) - z*Lambda)M - I||_F <= tol``
-    up to rounding in the exact blocks, because ``tol`` bounds the width
-    row's defect in :func:`rfequiv.equiv.solve_subdel` (at ``z = 0`` it is
-    solved to rounding).  No ell x ell solve is involved.
+    of ``M[1,1]`` and ``tr(M[2,2])``.  Every block row but the width row is
+    exact by construction, and :func:`rfequiv.equiv.solve_subdel` solves
+    the width row to rounding, so the result satisfies the tau = 0 equation
+    up to rounding.  No ell x ell solve is involved.
     """
     _check_rf_dims(K, dims)
     n, d, t = dims
     s1, s2, s3, s4 = _rf_slices(dims)
     ell = n + d + 2 * t
-    N11, nu = equiv.solve_subdel(K.K_aa, d, delta, z, tol=tol)
+    N11, nu = equiv.solve_subdel(K.K_aa, d, delta, z)
     t22 = d * nu
     M = np.zeros((ell, ell), dtype=complex)
     M[s1, s1] = N11

@@ -35,7 +35,8 @@ from rfequiv import (
     anisotropic_gap,
 )
 
-from conftest import dense_pencil, dense_subdel, equiv_alpha, rand_kernelset
+from conftest import (dense_pencil, dense_subdel, equiv_alpha, rand_kernelset,
+                      rational_alpha)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -47,40 +48,22 @@ def _verdict(name, ok, detail):
     return ok
 
 
-def _bisect_alpha(K_aa, d, delta, tol=1e-14):
-    lam = np.linalg.eigvalsh((K_aa + K_aa.T) / 2)
-
-    def f(a):
-        return a + 1.0 / (1.0 + np.sum(lam / (delta - d * a * lam)))
-
-    lo, hi = -1.0, -1e-15
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def test_01_alpha_quadratic_oracle():
     t0 = time.perf_counter()
     ks = KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1)
     eq = build_equiv(ks, np.array([1.0, 0.0]), np.array([2.0]), 2, 1.0)
     gap_root = abs(eq.alpha - (-0.5))
-    gap_bisect = abs(eq.alpha - _bisect_alpha(np.eye(2), 2, 1.0))
+    want = rational_alpha(np.eye(2), 2, 1.0)
+    gap_bisect = abs(eq.alpha - want) / abs(want)
     gap_beta = abs(eq.beta - 1 / 3)
     gap_pred = abs(eq.predicted_error - (1 / 6 + 4.0))
     dt = time.perf_counter() - t0
-    ok = (gap_root <= 1e-10 and gap_bisect <= 1e-10 and gap_beta <= 1e-9
+    ok = (gap_root <= 1e-10 and gap_bisect <= 1e-13 and gap_beta <= 1e-9
           and gap_pred <= 1e-9 and dt < 1.0)
     assert _verdict(
         "criterion-01 alpha-oracle",
         ok,
-        f"|alpha+0.5|={gap_root:.2e} |alpha-bisect|={gap_bisect:.2e} "
+        f"|alpha+0.5|={gap_root:.2e} |alpha-bisect|/|alpha|={gap_bisect:.2e} "
         f"|beta-1/3|={gap_beta:.2e} |pred-(1/6+4)|={gap_pred:.2e} "
         f"time={dt:.3f}s",
     )

@@ -110,6 +110,32 @@ def _rf_zeroth(etas):
     return lambda: rf_zeroth_moment_check(K, (2, 3, 1), 0.5, etas)
 
 
+def _width_defect(K_aa, d, delta, z, nu):
+    """``sqrt(d) |nu - T(nu)| / |T(nu)|`` for the scalar map
+    ``T(nu) = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}``."""
+    lam = np.clip(np.linalg.eigvalsh(K_aa), 0.0, None)
+    t = -1.0 / (1.0 + z + np.sum(lam / (delta - z - d * nu * lam)))
+    return np.sqrt(d) * abs(nu - t) / abs(t)
+
+
+def _subdel_solved(K_aa, d, delta, z):
+    """solve_subdel returns nu in the upper half-plane, solved to rounding."""
+    def run():
+        _, nu = equiv.solve_subdel(K_aa, d, delta, z)
+        assert nu.imag > 0, nu
+        defect = _width_defect(K_aa, d, delta, z, nu)
+        assert defect <= 1e-13, defect
+    return run
+
+
+def _subdel_far(K_aa, d, delta, z):
+    """At ``|z| -> inf``, ``nu = -1/(1 + z)`` to rounding, with no overflow."""
+    def run():
+        _, nu = equiv.solve_subdel(K_aa, d, delta, z)
+        assert nu == pytest.approx(-1.0 / (1.0 + z), rel=1e-12, abs=0), nu
+    return run
+
+
 def _pencil(dims, delta):
     """Build the pseudo-resolvent of a fixed unit-scale draw at z = 0."""
     n, d, t = dims
@@ -132,12 +158,12 @@ def _predict_identity4(delta):
 
 
 def _newton_steps_below(limit):
-    """The alpha solve, failing the test once it takes ``limit`` steps."""
-    solve = equiv._solve_alpha
+    """The nu solve, failing the test once it takes ``limit`` steps."""
+    solve = equiv._solve_nu
 
     def call(*args):
         out = solve(*args)
-        assert out[-1] < limit, f"alpha solve took {out[-1]} Newton steps"
+        assert out[-1] < limit, f"nu solve took {out[-1]} Newton steps"
         return out
     return call
 
@@ -218,7 +244,7 @@ CASES = {
     # denom ~ sqrt(delta) falls below its guard, in a few Newton steps
     **{f"predict-identity4-delta-{delta}": (
         _predict_identity4(delta), expected, (),
-        {(equiv, "_solve_alpha"): _newton_steps_below(100)})
+        {(equiv, "_solve_nu"): _newton_steps_below(100)})
        for delta, expected in (("1e-10", 0), ("1e-14", 0),
                                ("1e-18", (4, "DenominatorDegenerate")))},
     # a kernel block must be 2-D, not reshaped to one
@@ -260,7 +286,17 @@ CASES = {
     # at z = 0 solve_subdel is the alpha solve
     "alpha-kernel-nan": (
         lambda: equiv.solve_subdel(np.diag([NAN, 1.0]), 1, 1.0, 0.0),
-        ValueError, ((equiv, "_solve_alpha"),), {}),
+        ValueError, ((equiv, "_solve_nu"),), {}),
+    # near the real axis the nu solve ends in a handful of steps
+    "subdel-identity4-near-axis": (
+        _subdel_solved(np.eye(4), 4, 0.3, 2 + 1e-3j), None, (), {}),
+    "subdel-identity4-small-ridge": (
+        _subdel_solved(np.eye(4), 4, 1e-7, 1e-6j), None, (), {}),
+    "subdel-far-z": (_subdel_far(0.5 * np.eye(3), 4, 0.3, 1e300j), None, (), {}),
+    "diagnose-identity4-near-axis": (
+        ["diagnose", "--synthetic", "4,1,3", "--kernels", "{identity4}",
+         "--d", "4", "--delta", "0.3", "--z", "2+0.001j", "--reps", "4",
+         "--samples", "100"], 0, (), {}),
     "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError,
                           ((sim, "_sample_features"),), {}),
     "m-infinity-tau-nan": (lambda: rdel.m_infinity(_scalar_spec(), NAN),
@@ -359,3 +395,28 @@ def test_ridge_and_z_checks_accept_or_raise_value_error(x):
         assert accepted == want[name], (name, x)
     if want["z"]:
         assert _check_z(x) == complex(x)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# PSD spectra with zero eigenvalues among them, from a few thousandths to
+# a thousand
+SPECTRA = st.lists(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e3)),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPECTRA, st.integers(1, 60), _log_uniform(1e-8, 1e3),
+       st.floats(-4.0, 6.0), _log_uniform(1e-12, 1e4))
+def test_subdel_solves_every_admissible_z(lam, d, delta, x, eta):
+    # K_aa is diagonal, so its spectrum is exact and the defect measures the
+    # solve alone; by uniqueness, a defect at rounding level with Im nu > 0
+    # identifies the solution
+    K = np.diag(lam)
+    z = complex(x, eta)
+    N11, nu = equiv.solve_subdel(K, d, delta, z)
+    assert nu.imag > 0
+    assert np.linalg.eigvalsh((N11 - N11.conj().T) / 2j).min() >= -1e-12
+    assert _width_defect(K, d, delta, z, nu) <= 1e-12

@@ -264,8 +264,8 @@ def test_exit_2_on_unknown_verb():
 def test_exit_2_on_non_finite_ridge_before_any_iteration(tmp_path, toy_files,
                                                          monkeypatch, delta):
     calls = []
-    solve = equiv._solve_alpha
-    monkeypatch.setattr(equiv, "_solve_alpha",
+    solve = equiv._solve_nu
+    monkeypatch.setattr(equiv, "_solve_nu",
                         lambda *a: calls.append(a) or solve(*a))
     kern, y, yhat = toy_files
     out = tmp_path / "x.json"

@@ -18,33 +18,6 @@ from conftest import (dense_equiv, dense_subdel, equiv_alpha, rand_kernelset,
                       rand_psd, rational_alpha)
 
 
-def bisect_alpha(K_aa, d, delta, tol=1e-14):
-    """Independent root-finder for a + 1/(1 + sum_j lam_j/(delta - d a lam_j)).
-
-    The function is continuous and changes sign on [-1, 0), so plain
-    bisection brackets the unique root without using the fixed-point map.
-    """
-    lam = np.linalg.eigvalsh((K_aa + K_aa.T) / 2)
-
-    def f(a):
-        return a + 1.0 / (1.0 + np.sum(lam / (delta - d * a * lam)))
-
-    lo, hi = -1.0, -1e-15
-    flo = f(lo)
-    if flo == 0:
-        return lo
-    assert flo * f(hi) < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # alpha, the fixed point build_equiv solves
 # ---------------------------------------------------------------------------
@@ -58,7 +31,8 @@ def test_alpha_zero_kernel_is_minus_one():
 def test_alpha_quadratic_instance_matches_bisection():
     sol = equiv_alpha(np.eye(2), 2, 1.0)
     assert sol.alpha == pytest.approx(-0.5, abs=1e-10)
-    assert sol.alpha == pytest.approx(bisect_alpha(np.eye(2), 2, 1.0), abs=1e-10)
+    assert sol.alpha == pytest.approx(rational_alpha(np.eye(2), 2, 1.0),
+                                      rel=1e-13, abs=0)
 
 
 def test_alpha_large_ridge_limit():
@@ -77,7 +51,8 @@ def test_alpha_random_instances_match_bisection():
         delta = float(rng.uniform(0.01, 10.0))
         sol = equiv_alpha(K, d, delta)
         assert -1.0 <= sol.alpha < 0.0
-        assert sol.alpha == pytest.approx(bisect_alpha(K, d, delta), abs=1e-10)
+        assert sol.alpha == pytest.approx(rational_alpha(K, d, delta),
+                                          rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 1e-14])
@@ -104,9 +79,10 @@ def test_alpha_rejects_indefinite_kernel():
         solve_subdel(bad, 2, 1.0, 0.0)  # the alpha solve at z = 0
 
 
-def test_alpha_nonconvergence_is_reported():
+def test_alpha_nonconvergence_is_reported(monkeypatch):
+    monkeypatch.setattr(equiv, "_MAX_STEPS", 3)
     with pytest.raises(NonConvergence):
-        equiv._iterate(np.ones(2), 2, 1.0, 1j, 1e-13, 3)
+        solve_subdel(np.eye(4), 4, 0.3, 2 + 1e-3j)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +183,7 @@ def coupled_toy():
 def blocks_at_zero(ks, d, delta):
     """(M11, M22 scalar, M13, M31, M33) of the solution matrix at z = 0."""
     n, t = ks.n_train, ks.n_test
-    M = rf_solution_matrix(ks, (n, d, t), delta, 0.0, tol=1e-13)
+    M = rf_solution_matrix(ks, (n, d, t), delta, 0.0)
     s1, s3 = slice(0, n), slice(n + d, n + d + t)
     return (M[s1, s1], M[n, n], M[s1, s3], M[s3, s1], M[s3, s3])
 
@@ -251,7 +227,7 @@ def test_subdel_no_self_energy_is_direct_inverse():
 
 def test_subdel_matches_scalar_route_at_zero():
     tol = 1e-10
-    N11, nu = solve_subdel(np.eye(2), 2, 1.0, 0.0, tol=tol)
+    N11, nu = solve_subdel(np.eye(2), 2, 1.0, 0.0)
     assert abs(nu - (-0.5)) <= 10 * tol
     assert np.linalg.norm(N11 - 0.5 * np.eye(2), 2) <= 10 * tol
 
@@ -285,8 +261,8 @@ def test_subdel_keeps_upper_half_plane():
 
 
 def test_subdel_matches_dense_oracle_off_axis():
-    # both routes converged to 1e-12: near the real axis (2 + 0.01j) the
-    # default 1e-10 leaves ~3e-9 of error in N11 on either route
+    # the oracle converged to 1e-12, the package to rounding: near the real
+    # axis (2 + 0.01j) a 1e-10 stop leaves ~3e-9 of error in N11
     rng = np.random.default_rng(29)
     worst = 0.0
     for z in (1j, 0.2 + 0.8j, 3j, 2 + 0.01j):
@@ -295,7 +271,7 @@ def test_subdel_matches_dense_oracle_off_axis():
             K = rand_psd(rng, n)
             d = int(rng.integers(2, 65))
             delta = float(rng.uniform(0.05, 5.0))
-            N11, nu = solve_subdel(K, d, delta, z, tol=1e-12)
+            N11, nu = solve_subdel(K, d, delta, z)
             N11_o, nu_o = dense_subdel(K, d, delta, z, tol=1e-12)
             worst = max(worst, abs(nu - nu_o),
                         float(np.linalg.norm(N11 - N11_o, 2)))
