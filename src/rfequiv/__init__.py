@@ -19,12 +19,12 @@ rdel
     The random-features solution matrix and its zeroth-moment table, built
     from the scalar solve; the generic regularized fixed-point solver for
     other specs, which is also their oracle.  The four-slot pencils are
-    tables of block rows, assembled densely or checked block row by block
-    row by one function each.
+    tables of block rows with one operation, a block row of ``P X``; the
+    dense matrix and the defect ``||P X - I||_F`` are built from it.
 sim
     Simulation of the actual model: empirical errors, pseudo-resolvents
-    checked against the sampled pencil's table, Gaussianity diagnostics,
-    Gaussian surrogate runs.
+    (plain arrays, checked against the sampled pencil's table), Gaussianity
+    diagnostics, Gaussian surrogate runs.
 cli
     The ``rfequiv`` command-line front door.
 
@@ -79,7 +79,6 @@ from .rdel import (
 )
 from .sim import (
     DeltaGaussianity,
-    PseudoResolvent,
     SimReport,
     anisotropic_gap,
     build_pseudoresolvent,

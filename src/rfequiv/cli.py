@@ -16,6 +16,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -204,22 +205,21 @@ def _cmd_sweep(args):
     delta_list = sorted(set(_parse_list(args.delta_list)))
     if not d_list or not delta_list:
         raise ValueError("--d-list and --delta-list must be non-empty")
+    # every cell's config is checked before the kernel draw
+    grid = [RFConfig(d=d, delta=delta, n=n, seed=derive_seed(args.seed, "sweep", i))
+            for i, (d, delta) in enumerate(itertools.product(d_list, delta_list))]
     kernels = _dataset_kernels(args, ds, sigma, phi, n)
-    grid = [(d, delta) for d in d_list for delta in delta_list]
 
     def cell(i):
-        d, delta = grid[i]
-        cfg = RFConfig(d=d, delta=delta, n=n,
-                       seed=derive_seed(args.seed, "sweep", i))
         # grid cells run in the outer pool; keep the inner one sequential
-        return run_replicates(ds, sigma, phi, cfg, reps=args.reps,
+        return run_replicates(ds, sigma, phi, grid[i], reps=args.reps,
                               kernels=kernels, workers=1)
 
     reports = _parallel_map(cell, len(grid))
     lines = ["d,delta,predicted,empirical_mean,rel_gap"]
-    for (d, delta), rep in zip(grid, reports):
-        values = (delta, rep.predicted, rep.mean, rep.rel_gap)
-        lines.append(",".join([str(d)] + [format(v, ".17g") for v in values]))
+    for cfg, rep in zip(grid, reports):
+        values = (cfg.delta, rep.predicted, rep.mean, rep.rel_gap)
+        lines.append(",".join([str(cfg.d)] + [format(v, ".17g") for v in values]))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -248,11 +248,10 @@ def _cmd_diagnose(args):
     kernels = _dataset_kernels(args, ds, sigma, phi, n)
     dims = (ds.n_train, cfg.d, ds.n_test)
 
-    dg = estimate_delta_gaussianity(ds, sigma, phi, cfg, z, args.tau,
-                                    args.reps, args.seed)
+    dg = estimate_delta_gaussianity(ds, sigma, phi, cfg, z, args.tau, args.reps)
     A, Ahat = sample_features(ds, sigma, phi, cfg.d, cfg.n,
                               derive_seed(args.seed, "diagnose-features"))
-    pr = build_pseudoresolvent(A, Ahat, cfg.delta, z)
+    G = build_pseudoresolvent(A, Ahat, cfg.delta, z)
     M_theory = rf_solution_matrix(kernels, dims, cfg.delta, z)
     gaps = []
     for p in range(args.probes):
@@ -261,7 +260,7 @@ def _cmd_diagnose(args):
         v = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        gaps.append(anisotropic_gap(pr, M_theory, np.outer(u, v.conj())))
+        gaps.append(anisotropic_gap(G, M_theory, np.outer(u, v.conj())))
 
     zm = rf_zeroth_moment_check(kernels, dims, cfg.delta, etas)
     centering = verify_centering(sigma, phi, ds, n, m, args.seed)

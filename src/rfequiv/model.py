@@ -346,15 +346,12 @@ class Dataset:
         counts must agree.
     y, yhat : ndarray
         Labels, one per row of the corresponding design matrix.
-    w_star : ndarray, optional
-        Hidden teacher coefficients when the data are synthetic.
     """
 
     X: np.ndarray
     Xhat: np.ndarray
     y: np.ndarray
     yhat: np.ndarray
-    w_star: np.ndarray | None = None
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -407,8 +404,8 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
     """Gaussian design with a unit-norm linear teacher and additive noise.
 
     Rows of ``X`` and ``Xhat`` are i.i.d. standard normal; a hidden
-    coefficient vector ``w_star`` with unit Euclidean norm is drawn once and
-    ``y = X w_star + noise``, ``yhat = Xhat w_star + noise``.  Deterministic
+    coefficient vector ``w`` with unit Euclidean norm is drawn once and
+    ``y = X w + noise``, ``yhat = Xhat w + noise``.  Deterministic
     given ``seed``.
     """
     if min(n_train, n_test, n0) < 1:
@@ -425,7 +422,7 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
     if noise_sd > 0:
         y = y + noise_sd * rng.standard_normal(n_train)
         yhat = yhat + noise_sd * rng.standard_normal(n_test)
-    return Dataset(X, Xhat, y, yhat, w_star=w)
+    return Dataset(X, Xhat, y, yhat)
 
 
 # ---------------------------------------------------------------------------

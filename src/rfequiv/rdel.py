@@ -21,8 +21,9 @@ A four-slot pencil (train n, width d, test t, test t) is written once, as
 a table of four block rows of terms ``(column slot, coefficient, real
 matrix or None for I)``: :func:`_rf_rows` here for ``E - S(M) - z*Lambda``
 and :func:`rfequiv.sim._pencil_rows` for the sampled ``L - z*Lambda``.
-:func:`_pencil_matrix` assembles a table densely and :func:`_pencil_defect`
-computes ``||P X - I||_F`` from it one block row at a time.
+A table has one operation, :func:`_pencil_times`, which yields ``P X`` one
+block row at a time: :func:`_pencil_matrix` is that product with ``X = I``
+and :func:`_pencil_defect` sums ``||P X - I||_F^2`` over its block rows.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ _PROBE_ROUNDS = 3
 # Regularization of each zeroth_moment_check solve: positive, so the Picard map
 # contracts, and tiny, so the heights eta dominate it.
 _ZEROTH_TAU = 1e-8
+# solve_rdel's stopping defect and inversion budget.
+_TOL = 1e-10
+_MAX_STEPS = 10_000
 
 
 def spectral_norm(x):
@@ -173,16 +177,16 @@ class RDELSolution:
     residual_history: np.ndarray
 
 
-def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000):
+def solve_rdel(spec, z, tau):
     """Solve the regularized equation at spectral parameter ``z``.
 
     Starts from ``i * min(1/tau, 1) * I`` — strictly inside the admissible
     half-plane and already obeying the 1/tau norm bound — and iterates the
-    resolvent map until the Frobenius defect drops below ``tol``.  The map
-    is a strict contraction for every ``tau > 0``, so no damping is needed.
-    The result is checked against the a-priori bounds with exact spectral
-    norms: ``||M|| <= 1/tau + tol``, mask block ``<= 1/Im z + tol`` when
-    ``Im z > 0``, and ``Im M`` has minimum eigenvalue >= -1e-8.
+    resolvent map until the Frobenius defect drops below ``_TOL`` (1e-10).
+    The map is a strict contraction for every ``tau > 0``, so no damping is
+    needed.  The result is checked against the a-priori bounds with exact
+    spectral norms: ``||M|| <= 1/tau + _TOL``, mask block ``<= 1/Im z + _TOL``
+    when ``Im z > 0``, and ``Im M`` has minimum eigenvalue >= -1e-8.
 
     Parameters
     ----------
@@ -192,15 +196,13 @@ def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000):
         imaginary shift when ``z`` is real).
     tau : float
         Positive finite regularization strength.
-    tol, max_iter :
-        Stopping threshold on the defect and inversion budget.
 
     Raises
     ------
     ValueError
         On a non-finite ``z`` or ``tau``, before any iteration.
     NonConvergence
-        If the inversion budget is exhausted.
+        After ``_MAX_STEPS`` (10 000) inversions.
     RuntimeError
         At the first non-finite defect, on a singular update matrix
         (impossible for a well-formed superop) or a failed bound check.
@@ -214,13 +216,13 @@ def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000):
     diag = np.diag_indices(ell)
     history = []
     defect = np.inf
-    for it in range(max_iter + 1):
+    for it in range(_MAX_STEPS + 1):
         U = np.asarray(spec.expectation - np.asarray(spec.superop(M)), dtype=complex)
         U[diag] -= shift
         defect_mat = U @ M - I
         defect = float(np.linalg.norm(defect_mat))
         history.append(defect)
-        if defect <= tol:
+        if defect <= _TOL:
             sol = RDELSolution(
                 M=M,
                 z=z,
@@ -229,7 +231,7 @@ def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000):
                 iterations=it,
                 residual_history=np.asarray(history),
             )
-            _check_solution(spec, sol, tol)
+            _check_solution(spec, sol)
             return sol
         if not np.isfinite(defect):
             raise RuntimeError(f"non-finite defect after {it} inversions")
@@ -241,14 +243,14 @@ def solve_rdel(spec, z, tau, tol=1e-10, max_iter=10_000):
             ) from exc
     raise NonConvergence(
         f"fixed-point iteration stalled at defect {defect:.3e} "
-        f"after {max_iter} inversions"
+        f"after {_MAX_STEPS} inversions"
     )
 
 
-def _check_solution(spec, sol, tol):
+def _check_solution(spec, sol):
     """A-priori bound checks every converged iterate must satisfy."""
     norm = spectral_norm(sol.M)
-    bound = 1.0 / sol.tau + tol
+    bound = 1.0 / sol.tau + _TOL
     if norm > bound:
         raise RuntimeError(
             f"converged iterate violates the norm bound: {norm:.6e} > {bound:.6e}"
@@ -256,7 +258,7 @@ def _check_solution(spec, sol, tol):
     if sol.z.imag > 0:
         idx = spec.lambda_indices()
         block = sol.M[np.ix_(idx, idx)]
-        block_bound = 1.0 / sol.z.imag + tol
+        block_bound = 1.0 / sol.z.imag + _TOL
         block_norm = spectral_norm(block)
         if block_norm > block_bound:
             raise RuntimeError(
@@ -321,7 +323,7 @@ def zeroth_moment_check(spec, eta_list):
     eta_list : sequence of float
         Strictly increasing heights, all positive and finite, at least two;
         anything else raises ``ValueError`` before any solve.  Each height
-        is solved by :func:`solve_rdel` with its defaults at ``tau = 1e-8``.
+        is solved by :func:`solve_rdel` at ``tau = 1e-8``.
         That fixed regularization biases each ``Delta(eta)`` by
         ``O(tau * eta)``, a floor on what this generic check can resolve:
         on identity-activation kernels with n = 40, d = 60, t = 10 and
@@ -404,50 +406,38 @@ def _rf_superop_rows(K, t22, rho):
             [(0, t22, K.K_ha), (3, t22, K.K_hh)]]
 
 
-def _pencil_matrix(dims, rows):
-    """Dense ell x ell matrix of a four-slot pencil table.
+def _pencil_times(dims, rows, X):
+    """Yield ``(s, P[s] X)`` for each block row ``s`` of the pencil ``P`` of
+    a four-slot table, in the slot order (train n, width d, test t, test t).
 
-    ``rows[i]`` lists the terms ``(j, c, B)`` of block row ``i`` in the slot
-    order (train n, width d, test t, test t): block ``(i, j)`` gains
-    ``c * B``, or ``c * I`` when ``B`` is None.  A term with ``c == 0`` adds
-    nothing and is skipped, so ``E``'s table (:func:`_rf_rows` with zero
-    contractions) writes no kernel block.  The matrix is real unless a
-    coefficient is complex.
+    ``rows[i]`` lists the terms ``(j, c, B)`` of block row ``i``: block
+    ``(i, j)`` of ``P`` is the sum of ``c * B``, or ``c * I`` when ``B`` is
+    None.  A term with ``c == 0`` adds nothing and is skipped, so ``E``'s
+    table (:func:`_rf_rows` with zero contractions) reads no kernel block.
+    The product is real when ``X`` and every coefficient are.
     """
     slots = _rf_slices(dims)
-    ell = slots[3].stop
-    complex_ = any(isinstance(c, complex) for row in rows for _, c, _ in row)
-    P = np.zeros((ell, ell), dtype=complex if complex_ else float)
-    filled = set()  # the first term of a block is assigned, later ones added
-    for i, row in enumerate(rows):
+    for si, row in zip(slots, rows):
+        R = np.zeros((si.stop - si.start, X.shape[1]))
         for j, c, B in row:
             if c == 0:
                 continue
-            if B is None:
-                B = np.eye(slots[j].stop - slots[j].start)
-            term = B if c == 1 else c * B
-            block = (slots[i], slots[j])
-            if (i, j) in filled:
-                P[block] += term
-            else:
-                P[block] = term
-                filled.add((i, j))
-    return P
+            term = X[slots[j]] if B is None else _real_left(B, X[slots[j]])
+            R = R + (term if c == 1 else c * term)
+        yield si, R
+
+
+def _pencil_matrix(dims, rows):
+    """Dense ell x ell matrix of a pencil table: :func:`_pencil_times` of I."""
+    ell = _rf_slices(dims)[3].stop
+    return np.vstack([R for _, R in _pencil_times(dims, rows, np.eye(ell))])
 
 
 def _pencil_defect(dims, rows, X):
-    """``||P X - I||_F`` for the pencil ``P`` of a table (see
-    :func:`_pencil_matrix`), with one block row alive at a time."""
-    slots = _rf_slices(dims)
+    """``||P X - I||_F`` for the pencil ``P`` of a table, with one block row
+    of ``P X`` (:func:`_pencil_times`) alive at a time."""
     X = np.ascontiguousarray(X, dtype=complex)
-    total = 0.0
-    for si, row in zip(slots, rows):
-        R = 0
-        for j, c, B in row:
-            term = X[slots[j]] if B is None else _real_left(B, X[slots[j]])
-            R = R + (term if c == 1 else c * term)
-        total += _row_defect(si, R)
-    return math.sqrt(total)
+    return math.sqrt(sum(_row_defect(s, R) for s, R in _pencil_times(dims, rows, X)))
 
 
 def _check_rf_dims(K, dims):
@@ -531,7 +521,9 @@ def rf_solution_matrix(K, dims, delta, z):
 
 
 def _real_left(B, X):
-    """``B @ X`` for real ``B`` and complex ``X``, as one real product."""
+    """``B @ X`` for real ``B``; a complex ``X`` costs one real product."""
+    if not np.iscomplexobj(X):
+        return B @ X
     X = np.ascontiguousarray(X, dtype=complex)
     return (B @ X.view(float)).view(complex)
 

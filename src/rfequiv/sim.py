@@ -7,17 +7,18 @@ gap, and a Gaussianity discrepancy estimate.  Sampled-feature replicates
 and jointly-Gaussian surrogate ones with the same kernel covariance share
 one loop, which compares them with a prediction on the caller's kernels.
 
-The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is never formed by a dense
-ell x ell solve.  Every block is closed-form in the d x d matrix
-``C = A^T A + (delta - z)(1 + z) I``, which one thin SVD of the train
-features ``A`` diagonalizes for any ``z``, and no ell x ell pencil is
-stored: the pseudo-resolvent is checked against a table of the pencil's
-block rows (:func:`_pencil_rows`).  See :func:`build_pseudoresolvent` for
+The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is a plain complex ell x ell
+array, never formed by a dense ell x ell solve.  Every block is closed-form
+in the d x d matrix ``C = A^T A + (delta - z)(1 + z) I``, which one thin
+SVD of the train features ``A`` diagonalizes for any ``z``, and no ell x ell
+pencil is stored: the pseudo-resolvent is checked against a table of the
+pencil's block rows (:func:`_pencil_rows`).  See :func:`build_pseudoresolvent` for
 the blocks, the refusal rule for a numerically singular pencil, and the
 defect check.  The Gaussianity statistic regularizes by ``i*tau`` on every
 slot, so it takes its own route (:func:`estimate_delta_gaussianity`): one
 d x d Schur complement per pair, checked on the width block row to 1e-9,
-and no sampled pencil assembled.
+and no sampled pencil assembled.  Like the replicate loops, it draws from
+the root seed of its ``RFConfig``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
     "DeltaGaussianity",
-    "PseudoResolvent",
     "SimReport",
     "anisotropic_gap",
     "build_pseudoresolvent",
@@ -189,16 +189,6 @@ def _pencil_rows(A, Ahat, delta, z=0.0):
             [(1, 1.0, Ahat), (2, -1.0, None)]]
 
 
-@dataclass
-class PseudoResolvent:
-    """``(L - z*Lambda)^{-1}`` of one sampled pencil, defect-verified against
-    the table of the pencil built from ``A`` and ``Ahat``."""
-
-    z: complex
-    value: np.ndarray
-    dims: tuple
-
-
 def _complement(Q):
     """``I - Q Q^T`` for orthonormal columns ``Q``, projected twice so that
     ``Q^T`` times it stays at rounding level."""
@@ -236,7 +226,8 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     test-slot couplings is at most machine epsilon times the largest; this
     happens before any division.  The result is then checked against the
     pencil's table (:func:`_pencil_rows`): ``||(L - z*Lambda) G - I||_F``,
-    computed block row by block row, must be at most 1e-9.
+    computed block row by block row, must be at most 1e-9.  Returns the
+    complex ell x ell array ``G``.
     """
     z = _check_z(z)
     _check_ridge(delta)
@@ -248,7 +239,6 @@ def build_pseudoresolvent(A, Ahat, delta, z):
         raise ValueError("A and Ahat must be finite")
     n, d = A.shape
     t = Ahat.shape[0]
-    dims = (n, d, t)
     a = delta - z
     U, sv, Vt = np.linalg.svd(A, full_matrices=False)
     r = sv.size
@@ -267,46 +257,46 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     def scaled(X, w, Y):  # X diag(w) Y^T for real X and Y
         return _real_left(X, w[:, None] * Y.T)
 
-    s1, s2, s3, s4 = _rf_slices(dims)
+    s1, s2, s3, s4 = _rf_slices((n, d, t))
     ell = n + d + 2 * t
-    value = np.zeros((ell, ell), dtype=complex)
-    value[s1, s1] = scaled(U, (1.0 + z) * g, U)
+    G = np.zeros((ell, ell), dtype=complex)
+    G[s1, s1] = scaled(U, (1.0 + z) * g, U)
     if n > r:
-        value[s1, s1] += _complement(U) / a
-    value[s2, s1] = scaled(V, g * sv, U)
-    value[s3, s1] = scaled(What, g * sv, U)
-    value[s2, s2] = scaled(V, -a * g, V)
-    value[s3, s2] = scaled(What, -a * g, V)
-    value[s3, s3] = scaled(What, -a * g, What)
+        G[s1, s1] += _complement(U) / a
+    G[s2, s1] = scaled(V, g * sv, U)
+    G[s3, s1] = scaled(What, g * sv, U)
+    G[s2, s2] = scaled(V, -a * g, V)
+    G[s3, s2] = scaled(What, -a * g, V)
+    G[s3, s3] = scaled(What, -a * g, What)
     if d > r:
         P = _complement(V)
         N = Ahat @ P
-        value[s2, s2] -= P / (1.0 + z)
-        value[s3, s2] -= N / (1.0 + z)
-        value[s3, s3] -= (N @ N.T) / (1.0 + z)
-    value[s1, s2] = value[s2, s1].T
-    value[s1, s3] = value[s3, s1].T
-    value[s2, s3] = value[s3, s2].T
-    value[s3, s4] = value[s4, s3] = -np.eye(t)
-    defect = _pencil_defect(dims, _pencil_rows(A, Ahat, delta, z), value)
+        G[s2, s2] -= P / (1.0 + z)
+        G[s3, s2] -= N / (1.0 + z)
+        G[s3, s3] -= (N @ N.T) / (1.0 + z)
+    G[s1, s2] = G[s2, s1].T
+    G[s1, s3] = G[s3, s1].T
+    G[s2, s3] = G[s3, s2].T
+    G[s3, s4] = G[s4, s3] = -np.eye(t)
+    defect = _pencil_defect((n, d, t), _pencil_rows(A, Ahat, delta, z), G)
     if defect > 1e-9:
         raise RuntimeError(f"pseudo-resolvent defect {defect:.3e} exceeds 1e-9")
-    return PseudoResolvent(z=z, value=value, dims=dims)
+    return G
 
 
-def anisotropic_gap(pr, M_theory, U):
-    """``|tr(U (pr.value - M_theory))|`` for a probe of nuclear norm <= 1.
+def anisotropic_gap(G, M_theory, U):
+    """``|tr(U (G - M_theory))|`` for a probe of nuclear norm <= 1.
 
-    ``tr(U X) = sum_ij U_ij X_ji`` is accumulated over slabs of 64 rows of
-    ``X``, each against a contiguous copy of the matching columns of ``U``,
+    ``tr(U G) = sum_ij U_ij G_ji`` and ``tr(U M_theory)`` are accumulated
+    over slabs of 64 rows, each against a contiguous copy of the matching columns of ``U``,
     so no ell x ell temporary is formed.
     """
     U = np.asarray(U)
-    X, M = np.asarray(pr.value), np.asarray(M_theory)
+    G, M = np.asarray(G), np.asarray(M_theory)
     total = 0j
     for r in range(0, U.shape[1], 64):
         Ut = np.ascontiguousarray(U[:, r:r + 64].T).ravel()
-        total += Ut @ X[r:r + 64].ravel() - Ut @ M[r:r + 64].ravel()
+        total += Ut @ G[r:r + 64].ravel() - Ut @ M[r:r + 64].ravel()
     return float(abs(total))
 
 
@@ -328,7 +318,7 @@ class DeltaGaussianity:
     pairs: int
 
 
-def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
+def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     """Estimate how far the sampled pencil is from a Gaussian one.
 
     For each replicate pair (L, L') the statistic
@@ -338,9 +328,10 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
 
     is averaged, with ``Ebar`` the mean of all sampled pencils; the
     expectation of this matrix vanishes exactly when the pencil entries are
-    jointly Gaussian.  ``reps`` feature draws give ``reps // 2`` pairs.
-    ``z`` must be finite with ``Im z >= 0`` and ``tau`` a positive finite
-    real; draws and pairs run on the shared thread pool.
+    jointly Gaussian.  ``reps`` feature draws give ``reps // 2`` pairs;
+    draw ``i`` uses the substream (cfg.seed, "delta", i).  ``z`` must be
+    finite with ``Im z >= 0`` and ``tau`` a positive finite real; draws and
+    pairs run on the shared thread pool.
 
     No pencil is assembled and no ell x ell matrix inverted.  A draw is kept
     as its features ``J = [A; Ahat]``, and ``L - Ebar`` has only the blocks
@@ -382,7 +373,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps, seed):
     n, d, t = ds.n_train, cfg.d, ds.n_test
 
     def draw(i):
-        rng = substream(seed, "delta", i)
+        rng = substream(cfg.seed, "delta", i)
         return np.vstack(_sample_features(ds, sigma, phi, d, cfg.n, rng))
 
     draws = list(_parallel_map(draw, 2 * pairs))

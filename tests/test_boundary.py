@@ -172,7 +172,7 @@ def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
     return lambda: estimate_delta_gaussianity(ds, IDENT, IDENT, cfg, z, 0.1,
-                                              reps=4, seed=0)
+                                              reps=4)
 
 
 # (run, expected, guarded, patched): run is CLI argv (without --out) or a
@@ -218,6 +218,17 @@ CASES = {
         ["sweep", "--synthetic", "4,2,3", "--d-list", "2", "--delta-list", "0.1",
          "--reps", "2", "--seed", "-1"],
         (2, "unsigned 64-bit"), DRAWS, {}),
+    # sweep checks every grid cell before the kernel draw
+    **{f"sweep-{name}": (
+        ["sweep", "--synthetic", "4,2,3", *grid, "--reps", "2"],
+        (2, text), DRAWS, {})
+       for name, grid, text in (
+           ("d-list-zero", ["--d-list", "0", "--delta-list", "0.1"],
+            "d must be >= 1"),
+           ("delta-list-negative", ["--d-list", "2", "--delta-list=-1"],
+            "delta must be a positive finite real"),
+           ("delta-list-nan", ["--d-list", "2", "--delta-list", "nan"],
+            "delta must be a positive finite real"))},
     # the replicate verbs check --reps before any kernel draw
     **{f"{verb}-reps-zero": (
         [verb, "--synthetic", "4,2,3", *grid, "--reps", "0"],

@@ -89,13 +89,12 @@ def test_estimator_independent_of_worker_count(monkeypatch):
     # split the d x d Schur-complement products over its threads
     ds = synthetic_regression(8, 4, 6, 0.3, seed=2)
     cfg = RFConfig(d=6, delta=0.3, n=8, seed=2)
-    wide = RFConfig(d=64, delta=0.3, n=8, seed=2)
+    wide = RFConfig(d=64, delta=0.3, n=8, seed=4)
 
     def run():
         ks = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
         surrogate = gaussian_surrogate_run(ks, ds.y, ds.yhat, cfg, reps=5)
-        dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, wide, 1j, 0.1,
-                                        reps=6, seed=4)
+        dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, wide, 1j, 0.1, reps=6)
         return ([getattr(ks, f) for f in ("K_aa", "K_ah", "K_ha", "K_hh")]
                 + [verify_centering(ERF, IDENTITY, ds, 8, 2900, seed=4),
                    surrogate.replicate_errors,

@@ -6,6 +6,7 @@ import pytest
 from rfequiv import (
     Activation,
     LinearizationSpec,
+    NonConvergence,
     analytic_identity_kernels,
     estimate_kernels,
     m_infinity,
@@ -137,7 +138,7 @@ def test_no_self_energy_solves_in_one_inversion():
 
 def test_semicircle_root():
     z = 2j
-    sol = solve_rdel(semicircle_spec(), z, 1e-8, tol=1e-12)
+    sol = solve_rdel(semicircle_spec(), z, 1e-8)
     roots = np.roots([1.0, z, 1.0])  # m^2 + z m + 1 = 0
     root = roots[np.argmax(roots.imag)]
     assert abs(sol.M[0, 0] - root) <= 1e-6
@@ -169,10 +170,11 @@ def test_residual_history_tail_is_monotone(rf_spec):
     assert sol.residual <= 1e-10
 
 
-def test_rdel_nonconvergence_raises(rf_spec):
+def test_rdel_nonconvergence_raises(rf_spec, monkeypatch):
     _, spec = rf_spec
-    with pytest.raises(RuntimeError):
-        solve_rdel(spec, 1j, 0.1, max_iter=2)
+    monkeypatch.setattr(rdel, "_MAX_STEPS", 2)
+    with pytest.raises(NonConvergence):
+        solve_rdel(spec, 1j, 0.1)
 
 
 def test_tau_continuity_gaps_shrink(rf_spec):

@@ -188,11 +188,11 @@ def test_training_error_median_decreases_with_width():
 
 def test_pseudoresolvent_decoupled_case():
     delta = 0.8
-    pr = build_pseudoresolvent(np.zeros((3, 2)), np.zeros((2, 2)), delta, 0.0)
-    n, d, t = pr.dims
-    assert (n, d, t) == (3, 2, 2)
-    assert np.allclose(pr.value[:3, :3], np.eye(3) / delta, atol=1e-12)
-    assert np.count_nonzero(np.round(pr.value[n + d:n + d + t, :n], 12)) == 0
+    G = build_pseudoresolvent(np.zeros((3, 2)), np.zeros((2, 2)), delta, 0.0)
+    n, d, t = 3, 2, 2
+    assert G.shape == (n + d + 2 * t,) * 2
+    assert np.allclose(G[:3, :3], np.eye(3) / delta, atol=1e-12)
+    assert np.count_nonzero(np.round(G[n + d:n + d + t, :n], 12)) == 0
 
 
 def _features(n, d, t, seed):
@@ -207,7 +207,7 @@ def _features(n, d, t, seed):
                          ids=["n<d", "n=d", "n>d", "t=1"])
 def test_pseudoresolvent_matches_dense_lu_oracle(dims, z, delta):
     A, Ahat = _features(*dims, seed=sum(dims))
-    got = build_pseudoresolvent(A, Ahat, delta, z).value
+    got = build_pseudoresolvent(A, Ahat, delta, z)
     want = dense_pseudoresolvent(A, Ahat, delta, z)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -231,8 +231,8 @@ def test_pseudoresolvent_direct_residual():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 3)) / 2
     ah = rng.standard_normal((2, 3)) / 2
-    pr = build_pseudoresolvent(a, ah, 0.5, 1j)
-    defect = dense_pencil(a, ah, 0.5, 1j) @ pr.value - np.eye(pr.value.shape[0])
+    G = build_pseudoresolvent(a, ah, 0.5, 1j)
+    defect = dense_pencil(a, ah, 0.5, 1j) @ G - np.eye(G.shape[0])
     assert np.linalg.norm(defect, 2) <= 1e-9
 
 
@@ -241,10 +241,11 @@ def test_pseudoresolvent_block31_is_the_ridge_hat_matrix():
     a = rng.standard_normal((5, 4)) / np.sqrt(5)
     ah = rng.standard_normal((3, 4)) / np.sqrt(5)
     delta = 0.4
-    pr = build_pseudoresolvent(a, ah, delta, 0.0)
-    n, d, t = pr.dims
+    G = build_pseudoresolvent(a, ah, delta, 0.0)
+    n, d, t = 5, 4, 3
+    assert G.shape == (n + d + 2 * t,) * 2
     want = ah @ a.T @ np.linalg.inv(a @ a.T + delta * np.eye(n))
-    got = pr.value[n + d:n + d + t, :n]
+    got = G[n + d:n + d + t, :n]
     assert np.linalg.norm(got - want, 2) <= 1e-8
 
 
@@ -255,9 +256,10 @@ def test_pseudoresolvent_route_reproduces_test_error():
     y = rng.standard_normal(6)
     yhat = rng.standard_normal(4)
     delta = 0.6
-    pr = build_pseudoresolvent(a, ah, delta, 0.0)
-    n, d, t = pr.dims
-    pred = pr.value[n + d:n + d + t, :n].real @ y
+    G = build_pseudoresolvent(a, ah, delta, 0.0)
+    n, d, t = 6, 5, 4
+    assert G.shape == (n + d + 2 * t,) * 2
+    pred = G[n + d:n + d + t, :n].real @ y
     route = float(np.sum((yhat - pred) ** 2))
     direct = empirical_test_error(a, ah, y, yhat, delta)
     assert route == pytest.approx(direct, rel=1e-8)
@@ -269,13 +271,13 @@ def test_regularized_resolvent_distance_bound():
     for _ in range(4):
         a = rng.standard_normal((4, 3)) / 2
         ah = rng.standard_normal((3, 3)) / 2
-        pr = build_pseudoresolvent(a, ah, 0.5, 1j)
-        ell = pr.value.shape[0]
+        G = build_pseudoresolvent(a, ah, 0.5, 1j)
+        ell = G.shape[0]
         base = dense_pencil(a, ah, 0.5, 1j)
-        norm_sq = np.linalg.norm(pr.value, 2) ** 2
+        norm_sq = np.linalg.norm(G, 2) ** 2
         for tau in (1e-1, 1e-3):
             shifted = np.linalg.inv(base - 1j * tau * np.eye(ell))
-            gap = np.linalg.norm(shifted - pr.value, 2)
+            gap = np.linalg.norm(shifted - G, 2)
             assert gap <= tau * norm_sq * (1 + 1e-10)
 
 
@@ -283,14 +285,13 @@ def test_anisotropic_gap_rank_one_probe():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((4, 3)) / 2
     ah = rng.standard_normal((2, 3)) / 2
-    pr = build_pseudoresolvent(a, ah, 0.5, 1j)
-    ell = pr.value.shape[0]
+    G = build_pseudoresolvent(a, ah, 0.5, 1j)
+    ell = G.shape[0]
     m_theory = np.zeros((ell, ell), dtype=complex)
-    assert anisotropic_gap(pr, m_theory, np.zeros((ell, ell))) == 0.0
+    assert anisotropic_gap(G, m_theory, np.zeros((ell, ell))) == 0.0
     e1 = np.zeros((ell, ell))
     e1[0, 0] = 1.0
-    assert anisotropic_gap(pr, m_theory, e1) == pytest.approx(
-        abs(pr.value[0, 0]))
+    assert anisotropic_gap(G, m_theory, e1) == pytest.approx(abs(G[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +300,9 @@ def test_anisotropic_gap_rank_one_probe():
 
 def test_delta_gaussianity_is_deterministic_and_counts_pairs():
     ds = synthetic_regression(10, 5, 6, 0.3, seed=2)
-    cfg = RFConfig(d=6, delta=0.4, n=10, seed=2)
-    a = estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1,
-                                   reps=10, seed=4)
-    b = estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1,
-                                   reps=10, seed=4)
+    cfg = RFConfig(d=6, delta=0.4, n=10, seed=4)
+    a = estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1, reps=10)
+    b = estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1, reps=10)
     assert a.value == b.value and a.standard_error == b.standard_error
     assert a.pairs == 5
 
@@ -316,10 +315,11 @@ def test_delta_gaussianity_is_deterministic_and_counts_pairs():
          "tau-large", "z-zero"])
 def test_delta_gaussianity_matches_dense_oracle(n, t, d, z, tau):
     ds = synthetic_regression(n, t, 6, 0.3, seed=n)
-    cfg = RFConfig(d=d, delta=0.3, n=n, seed=1)
-    reps, seed = 7, 5
-    dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, z, tau, reps, seed)
-    draws = [_sample_features(ds, ERF, IDENTITY, d, n, substream(seed, "delta", i))
+    cfg = RFConfig(d=d, delta=0.3, n=n, seed=5)
+    reps = 7
+    dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, z, tau, reps)
+    draws = [_sample_features(ds, ERF, IDENTITY, d, n,
+                              substream(cfg.seed, "delta", i))
              for i in range(reps)]
     value, se = dense_delta_gaussianity(draws, cfg.delta, z, tau)
     assert dg.pairs == 3
@@ -333,9 +333,9 @@ def test_delta_gaussianity_refuses_an_inaccurate_width_solve(monkeypatch):
     inverse = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda S: inverse(S) * (1 + 1e-6))
     ds = synthetic_regression(12, 4, 6, 0.3, seed=1)
-    cfg = RFConfig(d=5, delta=0.3, n=12, seed=1)
+    cfg = RFConfig(d=5, delta=0.3, n=12, seed=5)
     with pytest.raises(RuntimeError, match="defect"):
-        estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, 4, 5)
+        estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, 4)
 
 
 def test_delta_gaussianity_memory_does_not_grow_with_reps(monkeypatch):
@@ -343,12 +343,12 @@ def test_delta_gaussianity_memory_does_not_grow_with_reps(monkeypatch):
     # arrive, so five times the pairs must not cost five times the memory
     monkeypatch.setenv("RF_EQUIV_THREADS", "1")
     ds = synthetic_regression(60, 30, 20, 0.3, seed=3)
-    cfg = RFConfig(d=40, delta=0.3, n=60, seed=3)
+    cfg = RFConfig(d=40, delta=0.3, n=60, seed=7)
     peaks = {}
     for reps in (8, 40):
         tracemalloc.start()
         try:
-            estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, reps, 7)
+            estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, reps)
             peaks[reps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -357,20 +357,19 @@ def test_delta_gaussianity_memory_does_not_grow_with_reps(monkeypatch):
 
 def test_delta_gaussianity_single_pair_has_no_spread_estimate():
     ds = synthetic_regression(8, 4, 5, 0.3, seed=1)
-    cfg = RFConfig(d=5, delta=0.4, n=8, seed=1)
-    dg = estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1,
-                                    reps=2, seed=3)
+    cfg = RFConfig(d=5, delta=0.4, n=8, seed=3)
+    dg = estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1, reps=2)
     assert dg.pairs == 1
     assert math.isinf(dg.standard_error)
 
 
 def test_delta_gaussianity_se_shrinks_like_inverse_sqrt_reps():
     ds = synthetic_regression(50, 25, 40, 0.5, seed=9)
-    cfg = RFConfig(d=40, delta=0.2, n=50, seed=9)
+    cfg = RFConfig(d=40, delta=0.2, n=50, seed=21)
     reps_list = [8, 16, 32, 64]
     ses = [
         estimate_delta_gaussianity(ds, IDENTITY, IDENTITY, cfg, 1j, 0.1,
-                                   reps, seed=21).standard_error
+                                   reps).standard_error
         for reps in reps_list
     ]
     slope = np.polyfit(np.log(reps_list), np.log(ses), 1)[0]
@@ -387,8 +386,7 @@ def test_sign_features_measurably_less_gaussian_than_identity():
         vals = {}
         for name in ("identity", "sign"):
             dg = estimate_delta_gaussianity(ds, Activation(name), IDENTITY,
-                                            cfg, 1j, 0.1, reps=4000,
-                                            seed=seed)
+                                            cfg, 1j, 0.1, reps=4000)
             vals[name] = dg.value
         assert vals["sign"] > 1.5 * vals["identity"]
 
