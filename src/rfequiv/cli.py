@@ -43,6 +43,7 @@ from .model import (
     _check_seed,
     _check_z,
     _parallel_map,
+    _write_csv,
     derive_seed,
     load_matrix,
     substream,
@@ -182,9 +183,8 @@ def _run_simulation(args):
 def _cmd_simulate(args):
     rep = _run_simulation(args)
     write_json(args.out, rep.to_report())
-    csv_path = args.csv or os.path.splitext(args.out)[0] + ".csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(rep.to_csv_text())
+    _write_csv(args.csv or os.path.splitext(args.out)[0] + ".csv",
+               enumerate(rep.replicate_errors.tolist()), ("replicate", "error"))
     return 0
 
 
@@ -216,12 +216,9 @@ def _cmd_sweep(args):
                               kernels=kernels, workers=1)
 
     reports = _parallel_map(cell, len(grid))
-    lines = ["d,delta,predicted,empirical_mean,rel_gap"]
-    for cfg, rep in zip(grid, reports):
-        values = (cfg.delta, rep.predicted, rep.mean, rep.rel_gap)
-        lines.append(",".join([str(cfg.d)] + [format(v, ".17g") for v in values]))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, ((cfg.d, cfg.delta, rep.predicted, rep.mean, rep.rel_gap)
+                          for cfg, rep in zip(grid, reports)),
+               ("d", "delta", "predicted", "empirical_mean", "rel_gap"))
     return 0
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .model import (
     MatrixFormatError,
     _check_symmetric,
+    _features,
     _parallel_map,
-    apply_activation,
     substream,
     write_json,
 )
@@ -97,21 +97,15 @@ def _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
     """Yield ``reduce(U)`` for each chunk of ``m`` feature columns, in order.
 
     Chunk ``c`` holds up to 512 columns ``U = n^{-1/2} sigma([X; Xhat] phi(Z))``
-    with ``Z`` from the substream (seed, label, c).  ``reduce`` runs in the
-    pool worker, so only the partials leave it.  ``n`` below 1 raises
-    ``ValueError`` before any draw.
+    from :func:`rfequiv.model._features` on the stacked design, with ``Z``
+    from the substream (seed, label, c).  ``reduce`` runs in the pool
+    worker, so only the partials leave it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     stacked = np.vstack([ds.X, ds.Xhat])
-    scale = 1.0 / np.sqrt(n)
     sizes = [_CHUNK] * (m // _CHUNK) + ([m % _CHUNK] if m % _CHUNK else [])
 
     def one_chunk(c):
-        Z = substream(seed, label, c).standard_normal((ds.n0, sizes[c]))
-        U = apply_activation(sigma, stacked @ apply_activation(phi, Z)) * scale
-        if not np.all(np.isfinite(U)):
-            raise ValueError("non-finite activation output")
+        (U,) = _features([stacked], sigma, phi, n, sizes[c], substream(seed, label, c))
         return reduce(U)
 
     return _parallel_map(one_chunk, len(sizes))

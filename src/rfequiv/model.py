@@ -287,9 +287,9 @@ ACTIVATION_KINDS = ("identity", "erf", "sign", "sin", "relu", "custom-table")
 class Activation:
     """Entrywise scalar function applied to pre-activations.
 
-    ``params`` is ignored except for kind ``"custom-table"``, where it holds
-    k strictly increasing abscissae followed by their k ordinates; evaluation
-    is linear interpolation and inputs outside the grid raise.
+    Only kind ``"custom-table"`` takes ``params``, all finite: k strictly
+    increasing abscissae followed by their k ordinates; evaluation is linear
+    interpolation and inputs outside the grid raise.
     """
 
     kind: str
@@ -299,6 +299,10 @@ class Activation:
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if self.params and self.kind != "custom-table":
+            raise ValueError(f"activation {self.kind!r} takes no parameters")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError("activation parameters must be finite")
         if self.kind == "custom-table":
             p = self.params
             if len(p) < 4 or len(p) % 2:
@@ -329,6 +333,26 @@ def apply_activation(a, M):
     if x.size and (x.min() < xs[0] or x.max() > xs[-1]):
         raise ValueError("custom-table input outside the abscissa grid")
     return np.interp(x, xs, ys)
+
+
+def _features(designs, sigma, phi, n, k, rng):
+    """``n^{-1/2} sigma(D phi(Z))`` for each design block ``D``, as a tuple,
+    with ``Z`` (n0 x k) one standard normal draw from ``rng``: the one
+    feature map of kernel chunks and sampled draws.  Each block is its own
+    product (``vstack([X, Xhat]) @ W`` rounds unlike ``X @ W``).  ``n`` or
+    ``k`` below 1 raises ``ValueError`` before the draw, and a feature that
+    is not finite after it, with no ``RuntimeWarning``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 1:
+        raise ValueError("the feature count must be >= 1")
+    scale = 1.0 / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = apply_activation(phi, rng.standard_normal((designs[0].shape[1], k)))
+        blocks = tuple(scale * apply_activation(sigma, D @ W) for D in designs)
+    if not all(np.all(np.isfinite(U)) for U in blocks):
+        raise ValueError("non-finite activation output")
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +521,22 @@ def write_matrix(path, M, layout="csv"):
     """Write a real matrix; the raw layout round-trips bit-exactly."""
     m = np.atleast_2d(np.asarray(M, dtype=float))
     if layout == "csv":
-        lines = [",".join(format(v, ".17g") for v in row) for row in m]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, m.tolist())
     elif layout == "raw-f64-le":
         with open(path, "wb") as fh:
             fh.write(_RAW_HEADER.pack(*m.shape))
             fh.write(m.astype("<f8").tobytes(order="C"))
     else:
         raise ValueError(f"unknown matrix layout {layout!r}")
+
+
+def _write_csv(path, rows, header=None):
+    """Write comma-separated ``rows`` under an optional ``header`` of column
+    names, each value at 17 significant digits (an integer below 10^17 as itself)."""
+    lines = [] if header is None else [",".join(header)]
+    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

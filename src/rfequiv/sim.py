@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import equiv
-from .model import (_check_ridge, _check_z, _clamped_eigh, _parallel_map,
-                    _ridge_solve, apply_activation, substream)
+from .model import (_check_ridge, _check_z, _clamped_eigh, _features,
+                    _parallel_map, _ridge_solve, substream)
 from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
@@ -67,24 +67,6 @@ class SimReport:
             "rel_gap": self.rel_gap,
         }
 
-    def to_csv_text(self):
-        """One row per replicate, for external plotting."""
-        lines = ["replicate,error"]
-        lines.extend(
-            f"{i},{format(float(e), '.17g')}"
-            for i, e in enumerate(self.replicate_errors)
-        )
-        return "\n".join(lines) + "\n"
-
-
-def _sample_features(ds, sigma, phi, d, n, rng):
-    Z = rng.standard_normal((ds.n0, d))
-    W = apply_activation(phi, Z)
-    scale = 1.0 / math.sqrt(n)
-    A = scale * apply_activation(sigma, ds.X @ W)
-    Ahat = scale * apply_activation(sigma, ds.Xhat @ W)
-    return A, Ahat
-
 
 def sample_features(ds, sigma, phi, d, n, seed):
     """One draw of the feature matrices.
@@ -95,14 +77,10 @@ def sample_features(ds, sigma, phi, d, n, seed):
         A    = n^{-1/2} sigma(X W)       (n_train x d)
         Ahat = n^{-1/2} sigma(Xhat W)    (n_test x d)
 
-    Deterministic given ``seed``.
+    Deterministic given ``seed``.  ``d`` or ``n`` below 1, and features
+    that are not finite, raise ``ValueError``.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = substream(seed, "features")
-    return _sample_features(ds, sigma, phi, d, n, rng)
+    return _features([ds.X, ds.Xhat], sigma, phi, n, d, substream(seed, "features"))
 
 
 def empirical_test_error(A, Ahat, y, yhat, delta):
@@ -166,8 +144,8 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, *, kernels, workers=None):
     SimReport
     """
     def draw(i):
-        rng = substream(cfg.seed, "replicate", i)
-        return _sample_features(ds, sigma, phi, cfg.d, cfg.n, rng)
+        return _features([ds.X, ds.Xhat], sigma, phi, cfg.n, cfg.d,
+                         substream(cfg.seed, "replicate", i))
 
     config = {"n_train": ds.n_train, "n_test": ds.n_test, "n0": ds.n0,
               "sigma": sigma.kind, "phi": phi.kind}
@@ -373,8 +351,8 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     n, d, t = ds.n_train, cfg.d, ds.n_test
 
     def draw(i):
-        rng = substream(cfg.seed, "delta", i)
-        return np.vstack(_sample_features(ds, sigma, phi, d, cfg.n, rng))
+        return np.vstack(_features([ds.X, ds.Xhat], sigma, phi, cfg.n, d,
+                                   substream(cfg.seed, "delta", i)))
 
     draws = list(_parallel_map(draw, 2 * pairs))
     Jbar = sum(draws) / len(draws)

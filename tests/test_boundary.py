@@ -26,7 +26,7 @@ from rfequiv import (
     cli,
     equiv,
     estimate_delta_gaussianity,
-    kernels,
+    model,
     rdel,
     rf_zeroth_moment_check,
     save_kernels,
@@ -66,8 +66,8 @@ BAD_KERNELS = {
 }
 # the structured zeroth-moment check must refuse bad heights before a solve
 RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
-# every feature draw applies an activation; a refused n must come before one
-DRAWS = ((kernels, "apply_activation"), (sim, "_sample_features"))
+# every feature draw applies an activation; a refused input must come before one
+DRAWS = ((model, "apply_activation"),)
 IDENT = Activation("identity")
 SMALL = synthetic_regression(4, 2, 3, 0.0, seed=0)
 
@@ -168,6 +168,20 @@ def _newton_steps_below(limit):
     return call
 
 
+def _overflow(verb, kernels):
+    """``verb`` on a design whose every entry is 1e308, so that ``X phi(Z)``
+    overflows, with ``--sigma sin``; with ``kernels``, from a kernel file,
+    so that only the replicate or Gaussianity draws meet the design."""
+    grid = {"estimate-kernels": [],
+            "sweep": ["--d-list", "4", "--delta-list", "0.1", "--reps", "3"],
+            "diagnose": ["--d", "4", "--delta", "0.1", "--reps", "4",
+                         "--eta-list", "100,1000"]}
+    return [verb, "--x", "{huge-x}", "--xhat", "{huge-xhat}", "--y", "{y4}",
+            "--yhat", "{yhat2}", "--sigma", "sin", "--samples", "1000",
+            *grid.get(verb, ["--d", "4", "--delta", "0.1", "--reps", "3"]),
+            *(["--kernels", "{identity4x2}"] if kernels else [])]
+
+
 def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
@@ -240,6 +254,27 @@ CASES = {
     "estimate-kernels-reps": (
         ["estimate-kernels", "--synthetic", "4,2,3", "--reps", "3"],
         (2, "unrecognized arguments: --reps"), DRAWS, {}),
+    # an activation refuses parameters it cannot use before any draw
+    **{f"estimate-kernels-{name}": (
+        ["estimate-kernels", "--synthetic", "4,2,3", *options], (2, text),
+        DRAWS, {})
+       for name, options, text in (
+           ("table-nan-abscissa", ["--sigma", "custom-table",
+                                   "--sigma-params=-50,nan,50,-1,0,1"],
+            "parameters must be finite"),
+           ("table-inf-ordinate", ["--sigma", "custom-table",
+                                   "--sigma-params=-50,0,50,-1,inf,1"],
+            "parameters must be finite"),
+           ("erf-params", ["--sigma", "erf", "--sigma-params", "1,2"],
+            "'erf' takes no parameters"),
+           ("phi-sin-params", ["--phi", "sin", "--phi-params", "1"],
+            "'sin' takes no parameters"))},
+    # features that overflow end the same way on every route: no report
+    # and no RuntimeWarning
+    **{f"{verb}-overflow{'-kernels' * kernels}": (
+        _overflow(verb, kernels), (2, "non-finite activation output"), (), {})
+       for verb in ("estimate-kernels", "simulate", "compare", "sweep", "diagnose")
+       for kernels in (False, True) if verb != "estimate-kernels" or not kernels},
     "sample-features-n-zero": (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
         (ValueError, "n must be >= 1"), DRAWS, {}),
@@ -308,8 +343,7 @@ CASES = {
         ["diagnose", "--synthetic", "4,1,3", "--kernels", "{identity4}",
          "--d", "4", "--delta", "0.3", "--z", "2+0.001j", "--reps", "4",
          "--samples", "100"], 0, (), {}),
-    "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError,
-                          ((sim, "_sample_features"),), {}),
+    "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError, DRAWS, {}),
     "m-infinity-tau-nan": (lambda: rdel.m_infinity(_scalar_spec(), NAN),
                            ValueError, (), {}),
     "m-infinity-tau-inf": (lambda: rdel.m_infinity(_scalar_spec(), INF),
@@ -333,13 +367,20 @@ CASES = {
 def files(tmp_path, toy_kernels):
     paths = {"kernels": tmp_path / "k.json", "y": tmp_path / "y.csv",
              "yhat": tmp_path / "yhat.csv", "identity4": tmp_path / "i4.json",
-             "y4": tmp_path / "y4.csv"}
+             "y4": tmp_path / "y4.csv", "identity4x2": tmp_path / "i4x2.json",
+             "huge-x": tmp_path / "hx.csv", "huge-xhat": tmp_path / "hxh.csv",
+             "yhat2": tmp_path / "yhat2.csv"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
+    save_kernels(KernelSet(np.eye(4), np.zeros((4, 2)), np.eye(2), 1),
+                 paths["identity4x2"])
     paths["y"].write_text("1\n0\n")
     paths["y4"].write_text("1\n1\n1\n1\n")
     paths["yhat"].write_text("0.7\n")
+    paths["yhat2"].write_text("0\n0\n")
+    paths["huge-x"].write_text("1e308,1e308,1e308\n" * 4)
+    paths["huge-xhat"].write_text("1e308,1e308,1e308\n" * 2)
     toy = json.loads(paths["kernels"].read_text())
     for name, (changes, _) in BAD_KERNELS.items():
         paths[name] = tmp_path / f"{name}.json"

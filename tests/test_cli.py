@@ -114,6 +114,9 @@ def test_simulate_writes_json_and_csv(tmp_path, toy_files):
     csv_lines = (tmp_path / "s.csv").read_text().splitlines()
     assert csv_lines[0] == "replicate,error"
     assert len(csv_lines) == 4
+    for i, line in enumerate(csv_lines[1:]):
+        index, error = line.split(",")
+        assert int(index) == i and float(error) == rep["replicates"][i]
 
 
 def test_simulate_honors_explicit_csv_path(tmp_path, toy_files):
@@ -166,6 +169,54 @@ def test_predict_bytes_ignore_caller_blas_threads(tmp_path):
                          "--out", str(out)]) == 0
         reports.add(out.read_bytes())
     assert len(reports) == 1
+
+
+def test_raw_layout_gives_the_csv_bytes(tmp_path):
+    ds = rfequiv.synthetic_regression(12, 6, 5, 0.3, seed=4)
+    reports = []
+    for layout in ("csv", "raw-f64-le"):
+        paths = {name: tmp_path / f"{name}.{layout}"
+                 for name in ("X", "Xhat", "y", "yhat")}
+        for name, path in paths.items():
+            value = getattr(ds, name)
+            rfequiv.write_matrix(path, value.reshape(len(value), -1), layout)
+        kern, pred = tmp_path / f"k-{layout}.json", tmp_path / f"p-{layout}.json"
+        assert main(["estimate-kernels", "--x", str(paths["X"]), "--xhat",
+                     str(paths["Xhat"]), "--layout", layout, "--samples", "700",
+                     "--seed", "3", "--out", str(kern)]) == 0
+        assert main(["predict", "--kernels", str(kern), "--y", str(paths["y"]),
+                     "--yhat", str(paths["yhat"]), "--layout", layout, "--d", "9",
+                     "--delta", "0.2", "--out", str(pred)]) == 0
+        reports.append((kern.read_bytes(), pred.read_bytes()))
+    assert reports[0] == reports[1]
+
+
+def test_sigma_params_reach_the_estimator(tmp_path):
+    # a piecewise-linear sigma on a grid wide enough for every pre-activation
+    params = (-50.0, -1.0, 0.5, 50.0, -40.0, -1.5, 0.25, 60.0)
+    out = tmp_path / "k.json"
+    assert main(["estimate-kernels", "--synthetic", "10,5,4", "--noise-sd", "0.1",
+                 "--sigma", "custom-table",
+                 "--sigma-params=" + ",".join(map(repr, params)),
+                 "--samples", "900", "--seed", "6", "--out", str(out)]) == 0
+    ds = rfequiv.synthetic_regression(10, 5, 4, 0.1, 6)
+    K = rfequiv.estimate_kernels(ds, rfequiv.Activation("custom-table", params),
+                                 rfequiv.Activation("identity"), 10, 900, 6)
+    rfequiv.save_kernels(K, tmp_path / "lib.json")
+    assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+def test_exit_2_when_phi_grid_misses_the_gaussian_draws(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate-kernels", "--synthetic", "6,3,4", "--phi",
+                     "custom-table", "--phi-params=-0.5,0.5,-1,1", "--samples",
+                     "300", "--out", str(out)])
+    assert code == 2
+    assert "outside the abscissa grid" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
 
 
 def test_compare_reports_toy_prediction(tmp_path, toy_files):

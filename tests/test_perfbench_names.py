@@ -5,9 +5,9 @@ and every library call it makes must bind to the function's signature.
 them up in their defining ``rfequiv`` module, and ``perfbench/workloads.py``
 imports package names at load time.  A deletion in the package that one of
 them still names would break the benchmark; this test breaks first.  So does
-a signature change that one of the calls in ``perfbench/workloads.py`` or
-``perfbench/reference.py`` no longer fits, including calls that run only on
-some seeds.
+a signature change that one of the calls in ``perfbench/workloads.py``,
+``perfbench/reference.py`` or ``perfbench/selftest.py`` no longer fits,
+including calls that run only on some seeds.
 """
 
 import importlib
@@ -51,9 +51,9 @@ def test_workloads_module_loads():
         "theory_curve", "replicate_sweep", "diagnose", "resolvent_probe"}
 
 
-# Each library call of perfbench/workloads.py and perfbench/reference.py, as
-# (module, function, positional argument count, keyword names), in the shape
-# of the call there.
+# Each library call of perfbench/workloads.py, perfbench/reference.py and
+# perfbench/selftest.py, as (module, function, positional argument count,
+# keyword names), in the shape of the call there.
 CALLS = {
     "workloads-run_replicates": ("sim", "run_replicates", 4,
                                  ("reps", "kernels", "workers")),
@@ -68,6 +68,9 @@ CALLS = {
     "analytic_identity_kernels": ("kernels", "analytic_identity_kernels", 2, ()),
     "load_kernels": ("kernels", "load_kernels", 1, ()),
     "save_kernels": ("kernels", "save_kernels", 2, ()),
+    "write_matrix": ("model", "write_matrix", 2, ()),
+    "to_json_text": ("model", "to_json_text", 1, ()),
+    "synthetic_regression": ("model", "synthetic_regression", 4, ("seed",)),
 }
 
 
@@ -76,3 +79,9 @@ def test_perfbench_call_binds(call):
     module, func, positional, keywords = CALLS[call]
     f = getattr(importlib.import_module(f"rfequiv.{module}"), func)
     inspect.signature(f).bind(*range(positional), **dict.fromkeys(keywords))
+
+
+def test_equiv_report_method_binds():
+    # selftest.py serializes build_equiv(...).to_report()
+    solution = importlib.import_module("rfequiv.equiv").EquivSolution
+    inspect.signature(solution.to_report).bind("self")

@@ -25,7 +25,8 @@ from rfequiv import (
     synthetic_regression,
 )
 from rfequiv.rdel import _pencil_defect, _pencil_matrix
-from rfequiv.sim import _pencil_rows, _sample_features
+from rfequiv import model
+from rfequiv.sim import _pencil_rows
 
 from conftest import (dense_delta_gaussianity, dense_pencil,
                       dense_pseudoresolvent, unit_row_dataset)
@@ -150,16 +151,6 @@ def test_replicates_desk_scale_gap():
     k = estimate_kernels(ds, ERF, IDENTITY, 200, 100_000, seed=1)
     rep = run_replicates(ds, ERF, IDENTITY, cfg, reps=30, kernels=k)
     assert rep.rel_gap < 0.05
-
-
-def test_report_csv_shape():
-    ds = synthetic_regression(10, 5, 6, 0.2, seed=7)
-    cfg = RFConfig(d=8, delta=0.4, n=10, seed=7)
-    k = estimate_kernels(ds, ERF, IDENTITY, 10, 400, seed=2)
-    rep = run_replicates(ds, ERF, IDENTITY, cfg, reps=4, kernels=k)
-    lines = rep.to_csv_text().splitlines()
-    assert lines[0] == "replicate,error"
-    assert len(lines) == 5
 
 
 def test_training_error_median_decreases_with_width():
@@ -318,8 +309,8 @@ def test_delta_gaussianity_matches_dense_oracle(n, t, d, z, tau):
     cfg = RFConfig(d=d, delta=0.3, n=n, seed=5)
     reps = 7
     dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, z, tau, reps)
-    draws = [_sample_features(ds, ERF, IDENTITY, d, n,
-                              substream(cfg.seed, "delta", i))
+    draws = [model._features([ds.X, ds.Xhat], ERF, IDENTITY, n, d,
+                             substream(cfg.seed, "delta", i))
              for i in range(reps)]
     value, se = dense_delta_gaussianity(draws, cfg.delta, z, tau)
     assert dg.pairs == 3
