@@ -14,10 +14,10 @@ Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``,
 in which ``M11`` has eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so
 ``M11`` is never formed.  One scalar solve serves every spectral parameter:
 ``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}`` is solved to
-rounding by a safeguarded Newton loop in ``x = -1/nu``.  At ``z = 0`` it is
-Newton's method on the degrees-of-freedom equation for the effective ridge
-``kappa = delta x``, so ``alpha = -delta/kappa``, and ``denom`` is the slope
-of the equation at the root.
+rounding by guarded Newton steps in ``x = -1/nu``, restarted from the root at
+``4 Im z`` where a step is refused.  At ``z = 0`` it is Newton's method on the
+degrees-of-freedom equation for the effective ridge ``kappa = delta x``, so
+``alpha = -delta/kappa``, and ``denom`` is the slope of the equation there.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _DENOM_GUARD = 1e-8
-_MAX_STEPS = 10_000
+_MAX_STEPS = 1_000
 
 
 class DenominatorDegenerate(RuntimeError):
@@ -64,37 +64,43 @@ class EquivSolution:
         return asdict(self)
 
 
-def _solve_nu(lam, d, delta, z):
-    """``nu`` at ``z`` by a safeguarded Newton loop in ``x = -1/nu``.
+def _solve_nu(lam, d, delta, z, x0=None):
+    """``nu`` at ``z`` by guarded Newton steps in ``x = -1/nu``.
 
     With ``mu_j = d lam_j / (delta - z)`` and ``r_j = 1 / (1 + mu_j / x)``
-    over the m positive ``lam_j``, the scalar equation reads
+    (0 at ``x = 0``) over the m positive ``lam_j``, the scalar equation reads
     ``F(x) = x ((1 - m/d) + sum_j r_j / d) = 1 + z``, and
     ``F'(x) = (1 - m/d) + sum_j r_j (2 - r_j) / d``; neither cancels as
     ``mu_j / x`` grows when ``d >= m``, and nothing squares ``z``.  From
-    ``x = 1 + z + sum_j lam_j / (delta - z)`` a Newton step is taken if it
-    keeps ``Im x >= 0`` and lowers ``|F - 1 - z|``; otherwise the Picard step
-    ``x <- 1 + z + sum_j mu_j r_j / d``, which maps the upper half-plane into
-    itself, is.  At ``z = 0``, ``delta F(kappa/delta) = kappa (1 - sum_j
-    lam_j / (kappa + d lam_j))`` is the convex degrees-of-freedom function of
-    the effective ridge ``kappa = delta x``, and every Newton step is taken.
-    The loop ends once ``|F - 1 - z|`` is within 4 ulp of the size of the
-    terms it is computed from, or the Newton step is at most 4 ulp of
-    ``|x|``; past that point a step only moves ``x`` within its rounding
-    error.  ``_MAX_STEPS`` steps raise :class:`NonConvergence`.  The
-    arithmetic is real when ``z`` is.  Returns ``(x, g, F'(x), steps)``,
-    ``g_j = 1 / (delta - z + d lam_j / x)`` the eigenvalues of ``N11``.
+    ``x = 1 + z + sum_j lam_j / (delta - z)``, or the warm start ``x0``, a
+    Newton step is taken if it keeps ``Im x >= 0`` and lowers ``|F - 1 - z|``.
+    At ``z = 0``, ``delta F(kappa/delta)`` is the convex degrees-of-freedom
+    function of the effective ridge ``kappa = delta x``, and every step is.
+    At ``Im z > 0`` a refused step restarts the loop from the root at
+    ``4 Im z``, solved by the same rule, which climbs further if it must:
+    the root in the upper half-plane is unique and stable in ``z``.  The
+    loop ends once ``|F - 1 - z|`` is within 4 ulp of the size of the terms
+    it is computed from, or the step is at most 4 ulp of ``|x|``.  A
+    non-finite ``mu`` or start, a refused step at ``z = 0`` or from ``x0``,
+    and ``_MAX_STEPS`` steps at one height raise :class:`NonConvergence`.
+    The arithmetic is real when ``z`` is.  Returns ``(x, g, F'(x), steps)``,
+    ``g_j = 1 / (delta - z + d lam_j / x)`` the eigenvalues of ``N11`` and
+    ``steps`` the Newton steps taken at every height.
     """
     pos = lam[lam > 0]
     base = 1.0 - pos.size / d
     shift, rhs = delta - z, 1.0 + z
-    mu = d * pos / shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = d * pos / shift
+        x = rhs + np.sum(pos / shift).item() if x0 is None else x0
+    if not (np.isfinite(mu).all() and np.isfinite(x)):
+        raise NonConvergence("nu solve cannot start: lam / (delta - z) "
+                             f"overflows at delta {delta:.3e}")
 
     def gap(x):
-        r = 1.0 / (1.0 + mu / x)
+        r = 1.0 / (1.0 + mu / x) if x else np.zeros_like(mu)
         return r, x * (base + np.sum(r).item() / d) - rhs
 
-    x = rhs + np.sum(pos / shift).item()
     r, f = gap(x)
     for steps in range(_MAX_STEPS):
         slope = base + np.sum(r * (2.0 - r)).item() / d
@@ -106,8 +112,12 @@ def _solve_nu(lam, d, delta, z):
         x_new = x - step
         r_new, f_new = gap(x_new)
         if not (x_new.imag >= 0 and abs(f_new) < abs(f)):
-            x_new = rhs + np.sum(mu * r).item() / d
-            r_new, f_new = gap(x_new)
+            if x0 is not None or not z.imag:
+                raise NonConvergence(f"nu solve refused a Newton step at "
+                                     f"|F - 1 - z| {abs(f):.3e}")
+            up = _solve_nu(lam, d, delta, complex(z.real, 4 * z.imag))
+            x, g, slope, more = _solve_nu(lam, d, delta, z, up[0])
+            return x, g, slope, steps + up[3] + more
         x, r, f = x_new, r_new, f_new
     else:
         raise NonConvergence(f"nu solve stalled at |F - 1 - z| {abs(f):.3e} "
@@ -182,8 +192,8 @@ def solve_subdel(K_aa, d, delta, z):
     must be finite, and 0 or in the open upper half-plane.  ``nu`` is solved
     to rounding at every ``z``, by the Newton loop of :func:`build_equiv`;
     at ``z = 0`` it is that function's alpha, bit for bit.  Returns
-    ``(N11, nu)``, complex.  A solve that has not ended after 10 000 steps
-    raises :class:`NonConvergence`.
+    ``(N11, nu)``, complex.  A refused step from the root at ``4 Im z``, or
+    1 000 steps at one height, raise :class:`NonConvergence`.
     """
     z = _check_z(z)
     _check_ridge(delta, d)

@@ -50,7 +50,7 @@ class MatrixFormatError(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """A fixed-point iteration exhausted its iteration budget."""
+    """A fixed-point solve exhausted its step budget or could not proceed."""
 
 
 def _check_ridge(delta, d=None, name="delta"):

@@ -4,6 +4,7 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -139,6 +140,85 @@ def dense_equiv(K, y, yhat, d, delta, alpha):
     term_bias = resid @ resid
     return {"beta": beta, "term_variance": term_variance, "term_bias": term_bias,
             "predicted_error": term_variance + term_bias}
+
+
+def mp_equiv(K, y, yhat, d, delta):
+    """Extended-precision oracle for ``build_equiv``: the dense formulas of
+    the ``equiv`` module docstring in 60-digit arithmetic on the same kernel
+    blocks, so the two terms of beta cancel far above the working precision.
+
+    alpha is the root in [-1, 0) of ``G(a) = a (1 + tr(K_aa M11(a))) + 1``,
+    ``G'(a) = 1 + tr(K_aa M11) + d a tr((K_aa M11)^2)``, by Newton's method
+    from :func:`rational_alpha` until the step is below 1e-20 of alpha; the
+    returned alpha, which the dense ``M11`` is built from, is within about
+    that step of the root.  It shares no code with the package.
+    """
+    with mp.workdps(60):
+        K_aa, K_ah = mp.matrix(K.K_aa.tolist()), mp.matrix(K.K_ah.tolist())
+        y, yhat = mp.matrix(list(y)), mp.matrix(list(yhat))
+        I = mp.eye(K_aa.rows)
+
+        def trace(A, B):  # tr(A B)
+            return mp.fsum(A[i, j] * B[j, i]
+                           for i in range(A.rows) for j in range(A.cols))
+
+        alpha = mp.mpf(rational_alpha(K.K_aa, d, delta))
+        for _ in range(10):
+            M11 = mp.inverse(delta * I - d * alpha * K_aa)
+            KM = K_aa * M11
+            t, kmkm = trace(K_aa, M11), trace(KM, KM)
+            step = (alpha * (1 + t) + 1) / (1 + t + d * alpha * kmkm)
+            if abs(step) <= mp.mpf("1e-20") * abs(alpha):
+                break
+            alpha -= step
+        else:
+            raise AssertionError("mp_equiv: alpha did not converge")
+        denom = 1 - d * alpha ** 2 * kmkm
+        P = M11 + delta * (M11 * M11)
+        cross = trace(K_ah.T, P * K_ah)
+        beta = alpha ** 2 * (mp.fsum(np.diag(K.K_hh)) + d * alpha * cross) / denom
+        My = M11 * y
+        term_variance = d * beta * (My.T * K_aa * My)[0]
+        resid = d * alpha * (K_ah.T * My) + yhat
+        term_bias = (resid.T * resid)[0]
+        out = {"alpha": alpha, "beta": beta, "term_variance": term_variance,
+               "term_bias": term_bias,
+               "predicted_error": term_variance + term_bias}
+        return {name: float(value) for name, value in out.items()}
+
+
+def continued_nu(lam, d, delta, z):
+    """Independent oracle for ``nu`` at ``Im z > 0``: the root of
+    ``G(nu) = nu (1 + z + sum_j lam_j / (delta - z - d nu lam_j)) + 1``
+    continued down in 50-digit arithmetic from ``Im z = 100`` (or ``Im z``
+    itself, if higher), halving the height to ``Im z``, with
+    ``mp.findroot``'s Newton solver started at each height from the root
+    above and at ``-1/(1 + z)`` at the first.  The root in the upper
+    half-plane is unique and continuous in ``z``, so this follows it, where a
+    point that only meets a rounding-level defect may lie near the real axis
+    instead.  It shares no code with the package.
+    """
+    with mp.workdps(50):
+        lam = [mp.mpf(float(v)) for v in lam if v > 0]
+        eta = mp.mpf(z.imag)
+        height = max(mp.mpf(100), eta)
+        nu = -1 / (1 + mp.mpc(z.real, height))
+        while True:
+            w = mp.mpc(z.real, height)
+
+            def terms(nu):
+                return [v / (delta - w - d * nu * v) for v in lam]
+
+            def G(nu):
+                return nu * (1 + w + mp.fsum(terms(nu))) + 1
+
+            def dG(nu):
+                return 1 + w + mp.fsum(t + d * nu * t * t for t in terms(nu))
+
+            nu = mp.findroot(G, nu, solver="newton", df=dG)
+            if height == eta:
+                return complex(nu)
+            height = max(height / 2, eta)
 
 
 def unit_row_dataset(n_train, n_test, n0, seed):

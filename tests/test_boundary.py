@@ -13,15 +13,17 @@ import cmath
 import functools
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfequiv import (
     Activation,
     KernelSet,
     LinearizationSpec,
+    NonConvergence,
     RFConfig,
     cli,
     equiv,
@@ -37,6 +39,8 @@ from rfequiv import (
     zeroth_moment_check,
 )
 from rfequiv.model import _check_ridge, _check_z
+
+from conftest import continued_nu
 
 DIAGNOSE = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
             "--reps", "4", "--samples", "10000", "--eta-list", "100,1000"]
@@ -69,6 +73,17 @@ RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
 # every feature draw applies an activation; a refused input must come before one
 DRAWS = ((model, "apply_activation"),)
 IDENT = Activation("identity")
+# two admissible inputs on which Newton steps near the axis are refused; a
+# Picard fallback took 10 000 steps on each without ending
+STALLS = (
+    ([461.56481671708735, 0.033496864999248428, 94.934277888896261,
+      0.46769263262473498, 0.0047901019855080109, 0.0], 2, 0.543,
+     -1.3010854826500902, 2.637062778397088e-12),
+    ([3.5288861029926553, 8.1099448337520596e-3, 0.5169118740030707,
+      11.062519529247815, 0.59624279039582018, 1.7061936432323933e-2,
+      14.440135745962325, 1.3717481668274595e-3], 2, 18.197300238164903,
+     -3.899822708651392, 6.363284980435887e-9),
+)
 SMALL = synthetic_regression(4, 2, 3, 0.0, seed=0)
 
 
@@ -136,6 +151,24 @@ def _subdel_far(K_aa, d, delta, z):
     return run
 
 
+def _alpha_is(K_aa, d, delta, want):
+    """The alpha solve (solve_subdel at z = 0) returns exactly ``want``."""
+    def run():
+        _, nu = equiv.solve_subdel(K_aa, d, delta, 0.0)
+        assert nu == want, nu
+    return run
+
+
+def _subdel_continued(lam, d, delta, z):
+    """solve_subdel on ``diag(lam)`` returns the root continued from far
+    above the axis, within 1e-12 relative."""
+    def run():
+        _, nu = equiv.solve_subdel(np.diag(lam), d, delta, z)
+        want = continued_nu(lam, d, delta, z)
+        assert abs(nu - want) <= 1e-12 * abs(want), (nu, want)
+    return run
+
+
 def _pencil(dims, delta):
     """Build the pseudo-resolvent of a fixed unit-scale draw at z = 0."""
     n, d, t = dims
@@ -150,6 +183,13 @@ def _predict_bad(name):
     return [f"{{{name}}}" if a == "{kernels}" else a for a in PREDICT]
 
 
+def _predict_tiny_ridge(kernels, d, delta):
+    """PREDICT on a six-point kernel file with ``K_ah = 0`` and
+    ``K_hh = I_3`` at a ridge near the smallest positive double."""
+    return ["predict", "--kernels", f"{{{kernels}}}", "--y", "{y6}", "--yhat",
+            "{yhat3}", "--d", str(d), "--delta", delta]
+
+
 def _predict_identity4(delta):
     """PREDICT on K_aa = I_4 at d = 4, the interpolation threshold, where
     kappa ~ 2 sqrt(delta) and denom ~ sqrt(delta)."""
@@ -158,7 +198,8 @@ def _predict_identity4(delta):
 
 
 def _newton_steps_below(limit):
-    """The nu solve, failing the test once it takes ``limit`` steps."""
+    """The nu solve, failing the test once it takes ``limit`` steps over all
+    its heights."""
     solve = equiv._solve_nu
 
     def call(*args):
@@ -293,6 +334,21 @@ CASES = {
         {(equiv, "_solve_nu"): _newton_steps_below(100)})
        for delta, expected in (("1e-10", 0), ("1e-14", 0),
                                ("1e-18", (4, "DenominatorDegenerate")))},
+    # near the smallest positive double a Newton step may land on x = 0,
+    # where r = 0 is taken, and d lam / delta may overflow, which is refused
+    # before the first step
+    "predict-tiny-ridge-x-zero": (_predict_tiny_ridge("half6", 64, "1e-300"),
+                                  0, (), {}),
+    "alpha-tiny-ridge-x-zero": (
+        _alpha_is(0.5 * np.eye(6), 64, 1e-300, -0.90625),
+        None, (), {}),
+    **{f"predict-tiny-ridge-overflow-{name}": (
+        _predict_tiny_ridge(kernels, d, delta), (4, "NonConvergence"), (), {})
+       for name, kernels, d, delta in (("1e-307", "hundred6", 64, "1e-307"),
+                                       ("5e-324", "half6", 6, "5e-324"))},
+    "alpha-tiny-ridge-overflow": (
+        lambda: equiv.solve_subdel(100 * np.eye(6), 64, 1e-307, 0.0),
+        (NonConvergence, "overflows"), (), {}),
     # a kernel block must be 2-D, not reshaped to one
     "kernelset-block-3d": (
         lambda: KernelSet(np.eye(1), np.zeros((1, 1, 1)), np.eye(1), 1),
@@ -339,6 +395,17 @@ CASES = {
     "subdel-identity4-small-ridge": (
         _subdel_solved(np.eye(4), 4, 1e-7, 1e-6j), None, (), {}),
     "subdel-far-z": (_subdel_far(0.5 * np.eye(3), 4, 0.3, 1e300j), None, (), {}),
+    # where a Newton step is refused the solve climbs to 4 Im z and comes
+    # back down, which lands on the continued root in a bounded number of
+    # steps; a Picard fallback stalled on the first two and ended on a
+    # near-real root of rounding-level defect on the third
+    **{f"subdel-stall-eta-{eta:.0e}": (
+        _subdel_continued(lam, d, delta, complex(x, eta)), None, (),
+        {(equiv, "_solve_nu"): _newton_steps_below(301)})
+       for lam, d, delta, x, eta in STALLS},
+    "subdel-near-real-root": (
+        _subdel_continued([0.5, 1.0, 2.0, 0.0], 4, 0.3, 2 + 1e-30j), None, (),
+        {(equiv, "_solve_nu"): _newton_steps_below(301)}),
     "diagnose-identity4-near-axis": (
         ["diagnose", "--synthetic", "4,1,3", "--kernels", "{identity4}",
          "--d", "4", "--delta", "0.3", "--z", "2+0.001j", "--reps", "4",
@@ -369,16 +436,23 @@ def files(tmp_path, toy_kernels):
              "yhat": tmp_path / "yhat.csv", "identity4": tmp_path / "i4.json",
              "y4": tmp_path / "y4.csv", "identity4x2": tmp_path / "i4x2.json",
              "huge-x": tmp_path / "hx.csv", "huge-xhat": tmp_path / "hxh.csv",
-             "yhat2": tmp_path / "yhat2.csv"}
+             "yhat2": tmp_path / "yhat2.csv", "half6": tmp_path / "h6.json",
+             "hundred6": tmp_path / "c6.json", "y6": tmp_path / "y6.csv",
+             "yhat3": tmp_path / "yhat3.csv"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 2)), np.eye(2), 1),
                  paths["identity4x2"])
+    for name, scale in (("half6", 0.5), ("hundred6", 100.0)):
+        save_kernels(KernelSet(scale * np.eye(6), np.zeros((6, 3)), np.eye(3),
+                               1), paths[name])
     paths["y"].write_text("1\n0\n")
     paths["y4"].write_text("1\n1\n1\n1\n")
     paths["yhat"].write_text("0.7\n")
     paths["yhat2"].write_text("0\n0\n")
+    paths["y6"].write_text("1\n" * 6)
+    paths["yhat3"].write_text("0\n" * 3)
     paths["huge-x"].write_text("1e308,1e308,1e308\n" * 4)
     paths["huge-xhat"].write_text("1e308,1e308,1e308\n" * 2)
     toy = json.loads(paths["kernels"].read_text())
@@ -462,13 +536,18 @@ SPECTRA = st.lists(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e3)),
 @settings(max_examples=300, deadline=None)
 @given(SPECTRA, st.integers(1, 60), _log_uniform(1e-8, 1e3),
        st.floats(-4.0, 6.0), _log_uniform(1e-12, 1e4))
+@example(*STALLS[0])
+@example(*STALLS[1])
 def test_subdel_solves_every_admissible_z(lam, d, delta, x, eta):
     # K_aa is diagonal, so its spectrum is exact and the defect measures the
-    # solve alone; by uniqueness, a defect at rounding level with Im nu > 0
-    # identifies the solution
+    # solve alone.  A defect at rounding level with Im nu > 0 does not
+    # identify the solution: near the axis a near-real point with
+    # Im nu ~ Im z can meet both, so the subdel-near-real-root boundary row
+    # checks against the continued root
     K = np.diag(lam)
     z = complex(x, eta)
-    N11, nu = equiv.solve_subdel(K, d, delta, z)
+    with mock.patch.object(equiv, "_solve_nu", _newton_steps_below(301)):
+        N11, nu = equiv.solve_subdel(K, d, delta, z)
     assert nu.imag > 0
     assert np.linalg.eigvalsh((N11 - N11.conj().T) / 2j).min() >= -1e-12
     assert _width_defect(K, d, delta, z, nu) <= 1e-12

@@ -14,8 +14,8 @@ from rfequiv import (
     solve_subdel,
 )
 
-from conftest import (dense_equiv, dense_subdel, equiv_alpha, rand_kernelset,
-                      rand_psd, rational_alpha)
+from conftest import (dense_equiv, dense_subdel, equiv_alpha, mp_equiv,
+                      rand_kernelset, rand_psd, rational_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,29 @@ def test_equiv_matches_dense_oracle(shape, d, delta):
         # the variance term are compared at the size of those terms
         size = sol.alpha ** 2 * np.trace(ks.K_hh) / sol.denom
         rel["beta"] = rel["term_variance"] = 1e-12 * size / sol.beta
+    for name, value in want.items():
+        assert getattr(sol, name) == pytest.approx(value, rel=rel[name], abs=0), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_equiv_matches_extended_precision_oracle(seed):
+    # n = 30 > n0 = 8 puts the test features in the span of the train
+    # features, and at d = 15, delta = 1e-4 the two terms of beta cancel to
+    # about 1e-9 of their size, below what dense_equiv resolves; beta is
+    # checked against the same formulas in 60-digit arithmetic instead
+    rng = np.random.default_rng(seed)
+    ks = _identity_kernels(rng, 30, 6, 8)
+    y = rng.standard_normal(ks.n_train)
+    yhat = rng.standard_normal(ks.n_test)
+    d, delta = 15, 1e-4
+    sol = build_equiv(ks, y, yhat, d, delta)
+    want = mp_equiv(ks, y, yhat, d, delta)
+    # rounding leaves the n - n0 = 22 null eigenvalues of the stored K_aa at
+    # up to eps ||K_aa|| either side of 0, and each moves alpha by about
+    # its size over delta, so the blocks fix alpha to that much
+    null = 22 * np.finfo(float).eps * np.linalg.norm(ks.K_aa, 2) / delta
+    rel = {"alpha": 1e-13 + null, "beta": 1e-5, "term_variance": 1e-5,
+           "term_bias": 1e-10, "predicted_error": 1e-10}
     for name, value in want.items():
         assert getattr(sol, name) == pytest.approx(value, rel=rel[name], abs=0), name
 
