@@ -18,9 +18,10 @@ equiv
 rdel
     The random-features solution matrix and its zeroth-moment table, built
     from the scalar solve; the generic regularized fixed-point solver for
-    other specs, which is also their oracle.  The four-slot pencils are
-    tables of block rows with one operation, a block row of ``P X``; the
-    dense matrix and the defect ``||P X - I||_F`` are built from it.
+    any spec, which the tests use as the oracle of that route.  The
+    four-slot pencils are tables of block rows with one operation, a block
+    row of ``P X``; the dense matrix and the defect ``||P X - I||_F`` are
+    built from it.
 sim
     Simulation of the actual model: empirical errors, pseudo-resolvents
     (plain arrays, checked against the sampled pencil's table), Gaussianity
@@ -68,11 +69,9 @@ from .rdel import (
     LinearizationSpec,
     RDELSolution,
     ZerothMomentReport,
-    m_infinity,
     rf_linearization,
     rf_solution_matrix,
     rf_superoperator,
-    rf_zeroth_moment_check,
     solve_rdel,
     spectral_norm,
     zeroth_moment_check,

@@ -50,7 +50,7 @@ from .model import (
     synthetic_regression,
     write_json,
 )
-from .rdel import rf_solution_matrix, rf_zeroth_moment_check
+from .rdel import rf_solution_matrix, zeroth_moment_check
 from .sim import (
     anisotropic_gap,
     build_pseudoresolvent,
@@ -259,7 +259,7 @@ def _cmd_diagnose(args):
         v /= np.linalg.norm(v)
         gaps.append(anisotropic_gap(G, M_theory, np.outer(u, v.conj())))
 
-    zm = rf_zeroth_moment_check(kernels, dims, cfg.delta, etas)
+    zm = zeroth_moment_check(kernels, dims, cfg.delta, etas)
     centering = verify_centering(sigma, phi, ds, n, m, args.seed)
 
     write_json(args.out, {

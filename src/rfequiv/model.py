@@ -434,8 +434,8 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
     """
     if min(n_train, n_test, n0) < 1:
         raise ValueError("all dimensions must be >= 1")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
+    if not 0 <= noise_sd < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"noise_sd must be a finite real >= 0, not {noise_sd}")
     rng = substream(seed, "synthetic")
     X = rng.standard_normal((n_train, n0))
     Xhat = rng.standard_normal((n_test, n0))

@@ -7,13 +7,12 @@ enters, and a linear positivity-preserving superoperator ``S``.
 
     M  <-  (E - S(M) - z*Lambda - i*tau*I)^{-1}
 
-to its unique fixed point with nonnegative imaginary part, and
-:func:`m_infinity` and :func:`zeroth_moment_check` build on it.  The
+to its unique fixed point with nonnegative imaginary part.  The
 random-features pencil has its own route: its superoperator reads ``M``
 through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
 ``tau = 0`` to rounding from one scalar solve, and
-:func:`rf_zeroth_moment_check` takes the zeroth-moment table from it; on
-that pencil :func:`rf_linearization` and :func:`solve_rdel` are the test
+:func:`zeroth_moment_check` takes the zeroth-moment table from it.  On that
+pencil :func:`rf_linearization` and :func:`solve_rdel` serve as the test
 oracle.  Every norm here is an exact spectral norm (:func:`spectral_norm`,
 one LAPACK SVD).
 
@@ -43,20 +42,15 @@ __all__ = [
     "LinearizationSpec",
     "RDELSolution",
     "ZerothMomentReport",
-    "m_infinity",
     "rf_linearization",
     "rf_solution_matrix",
     "rf_superoperator",
-    "rf_zeroth_moment_check",
     "solve_rdel",
     "spectral_norm",
     "zeroth_moment_check",
 ]
 
 _PROBE_ROUNDS = 3
-# Regularization of each zeroth_moment_check solve: positive, so the Picard map
-# contracts, and tiny, so the heights eta dominate it.
-_ZEROTH_TAU = 1e-8
 # solve_rdel's stopping defect and inversion budget.
 _TOL = 1e-10
 _MAX_STEPS = 10_000
@@ -124,10 +118,6 @@ class LinearizationSpec:
     def lambda_indices(self):
         """Indices where the spectral parameter enters."""
         return np.flatnonzero(self.lambda_mask == 1)
-
-    def q_indices(self):
-        """Complementary indices (the self-adjoint remainder block)."""
-        return np.flatnonzero(self.lambda_mask == 0)
 
     def _probe_superop(self):
         ell = self.ell
@@ -270,109 +260,6 @@ def _check_solution(spec, sol):
         raise RuntimeError(
             f"converged iterate left the admissible half-plane (min Im eig {im_min:.3e})"
         )
-
-
-def m_infinity(spec, tau):
-    """Limit of the solution as ``|z| -> infinity`` at fixed ``tau``.
-
-    Returns ``diag{0, (E_Q - i*tau*I)^{-1}}`` in the layout induced by the
-    mask, where ``E_Q`` is the expectation restricted to the complementary
-    block.  ``tau`` must be a finite real ``>= 0``; ``tau = 0`` is allowed
-    when ``E_Q`` itself is invertible.
-    """
-    if not (tau >= 0 and math.isfinite(tau)):
-        raise ValueError("tau must be finite and >= 0")
-    q = spec.q_indices()
-    out = np.zeros((spec.ell, spec.ell), dtype=complex)
-    if q.size:
-        EQ = spec.expectation[np.ix_(q, q)].astype(complex)
-        EQ[np.diag_indices(q.size)] -= 1j * tau
-        try:
-            out[np.ix_(q, q)] = np.linalg.inv(EQ)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("E_Q - i*tau*I is singular") from exc
-    return out
-
-
-@dataclass
-class ZerothMomentReport:
-    """Decay table of the zeroth-moment mismatch along the imaginary axis."""
-
-    etas: np.ndarray
-    deltas: np.ndarray
-    monotone: bool
-    slope: float
-
-    def to_report(self):
-        return asdict(self)
-
-
-def zeroth_moment_check(spec, eta_list):
-    """Compare ``-i*eta*(M(i*eta) - M_inf)`` against its zeroth-moment limit.
-
-    The limit matrix is assembled from the expectation products of the
-    off-diagonal block ``B`` (coupling mask rows to the complement) and the
-    complement block ``Q``, which :func:`_zeroth_products` reads off the spec:
-
-        [[I, -E[B]^T (E Q)^{-1}],
-         [-(E Q)^{-1} E[B], (E Q)^{-1} E[B B^T] (E Q)^{-1}]]
-
-    Parameters
-    ----------
-    spec : LinearizationSpec
-    eta_list : sequence of float
-        Strictly increasing heights, all positive and finite, at least two;
-        anything else raises ``ValueError`` before any solve.  Each height
-        is solved by :func:`solve_rdel` at ``tau = 1e-8``.
-        That fixed regularization biases each ``Delta(eta)`` by
-        ``O(tau * eta)``, a floor on what this generic check can resolve:
-        on identity-activation kernels with n = 40, d = 60, t = 10 and
-        delta = 0.3, ``Delta(100)`` is 3.0e-7 relative above its
-        ``tau = 0`` value, which :func:`rf_zeroth_moment_check` computes
-        for the random-features pencil.
-
-    Returns
-    -------
-    ZerothMomentReport
-        Per-height mismatch norms, a strict-monotone-decrease flag, and the
-        fitted log-log slope (close to -1 for a 1/eta decay).
-    """
-    etas = _check_heights(eta_list)
-    lam = spec.lambda_indices()
-    q = spec.q_indices()
-    omega = np.zeros((spec.ell, spec.ell), dtype=complex)
-    omega[np.ix_(lam, lam)] = np.eye(lam.size)
-    if q.size:
-        EB, EQ, EBBt = _zeroth_products(spec)
-        EQi = np.linalg.inv(EQ)
-        omega[np.ix_(lam, q)] = -EB.T @ EQi
-        omega[np.ix_(q, lam)] = -EQi @ EB
-        omega[np.ix_(q, q)] = EQi @ EBBt @ EQi
-    minf = m_infinity(spec, _ZEROTH_TAU)
-    deltas = []
-    for eta in etas:
-        sol = solve_rdel(spec, 1j * eta, _ZEROTH_TAU)
-        mismatch = -1j * eta * (sol.M - minf) - omega
-        deltas.append(spectral_norm(mismatch))
-    return _decay_report(etas, deltas)
-
-
-def _zeroth_products(spec):
-    """``(E[B], E[Q], E[B B^T])`` of a spec: ``E[q, lam]``, ``E[q, q]`` and
-    ``E[B] E[B]^T + S(Pi)[q, q]`` with ``Pi = diag(lambda_mask)``."""
-    q, lam = spec.q_indices(), spec.lambda_indices()
-    EB = spec.expectation[np.ix_(q, lam)]
-    cov = np.asarray(spec.superop(np.diag(spec.lambda_mask)))[np.ix_(q, q)]
-    return EB, spec.expectation[np.ix_(q, q)], EB @ EB.T + cov
-
-
-def _decay_report(etas, deltas):
-    """The table with its strict-decrease flag and fitted log-log slope."""
-    monotone = all(b < a for a, b in zip(deltas, deltas[1:]))
-    floored = np.maximum(deltas, 1e-300)
-    slope = float(np.polyfit(np.log(etas), np.log(floored), 1)[0])
-    return ZerothMomentReport(np.asarray(etas), np.asarray(deltas), monotone,
-                              slope)
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +422,40 @@ def _row_defect(s, R):
     return np.linalg.norm(R) ** 2
 
 
-def rf_zeroth_moment_check(K, dims, delta, eta_list):
-    """:func:`zeroth_moment_check` of the random-features pencil, with
-    ``M(i*eta)`` from :func:`rf_solution_matrix` at ``tau = 0``.
+@dataclass
+class ZerothMomentReport:
+    """Decay table of the zeroth-moment mismatch along the imaginary axis."""
 
-    Here ``M_inf = E_Q^{-1} = E_Q`` and ``Omega_0 = diag(I_{n+d}, d K_hh, 0)``,
-    so the mismatch is ``-(1 + i*eta*nu) I_d`` on the width slot, zero on
-    the second test slot, and one (n+t)-sized block on the train and first
-    test slots: its exact norm needs no ell x ell SVD.  Each solution must
-    pass :func:`solve_rdel`'s checks in structured form (else
-    ``RuntimeError``): pencil defect ``<= 1e-10``; mask block
+    etas: np.ndarray
+    deltas: np.ndarray
+    monotone: bool
+    slope: float
+
+    def to_report(self):
+        return asdict(self)
+
+
+def zeroth_moment_check(K, dims, delta, eta_list):
+    """Decay table of ``Delta(eta) = ||-i*eta*(M(i*eta) - M_inf) - Omega_0||``
+    for the random-features pencil, with ``M(i*eta)`` from
+    :func:`rf_solution_matrix` at ``tau = 0``.
+
+    ``M_inf``, the limit of ``M`` as ``|z| -> infinity``, is ``E_Q^{-1} = E_Q``
+    on the two test slots (the complement ``Q`` of the mask), and the
+    zeroth moment is ``Omega_0 = diag(I_{n+d}, d K_hh, 0)``.  So the mismatch
+    is ``-(1 + i*eta*nu) I_d`` on the width slot, zero on the second test
+    slot, and one (n+t)-sized block on the train and first test slots: its
+    exact norm needs no ell x ell SVD.  Each solution must pass
+    :func:`solve_rdel`'s checks in structured form (else ``RuntimeError``):
+    pencil defect ``<= 1e-10``; mask block
     ``max(||M[1,1]||, |nu|) <= 1/eta + 1e-10``; ``Im M >= -1e-8`` on the
     (n+t) block and ``Im nu >= 0``.  ``||M|| <= 1/tau`` is vacuous at
-    ``tau = 0``.  ``eta_list`` is checked before any solve.
+    ``tau = 0``.  ``eta_list`` (at least two strictly increasing positive
+    finite heights) is checked before any solve.
+
+    Returns a :class:`ZerothMomentReport`: the per-height norms, a
+    strict-decrease flag, and the fitted log-log slope (close to -1 for a
+    ``1/eta`` decay).
     """
     etas = _check_heights(eta_list)
     n, d, t = dims
@@ -571,4 +479,8 @@ def rf_zeroth_moment_check(K, dims, delta, eta_list):
             raise RuntimeError(f"left the half-plane at z={z} (Im eig "
                                f"{im_min:.3e}, Im nu {nu.imag:.3e})")
         deltas.append(max(abs(1.0 + z * nu), spectral_norm(-z * block - omega)))
-    return _decay_report(etas, deltas)
+    monotone = all(b < a for a, b in zip(deltas, deltas[1:]))
+    floored = np.maximum(deltas, 1e-300)
+    slope = float(np.polyfit(np.log(etas), np.log(floored), 1)[0])
+    return ZerothMomentReport(np.asarray(etas), np.asarray(deltas), monotone,
+                              slope)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from rfequiv import Dataset, KernelSet, build_equiv
+from rfequiv import (Dataset, KernelSet, ZerothMomentReport, build_equiv,
+                     solve_rdel, spectral_norm)
 from rfequiv.model import _blas_controls
 
 
@@ -219,6 +220,70 @@ def continued_nu(lam, d, delta, z):
             if height == eta:
                 return complex(nu)
             height = max(height / 2, eta)
+
+
+def m_infinity(spec, tau):
+    """Limit of ``solve_rdel(spec, z, tau).M`` as ``|z| -> infinity``:
+    ``diag{0, (E_Q - i*tau*I)^{-1}}`` in the layout of the mask, where
+    ``E_Q`` is the expectation on the complement ``Q`` of the mask.  ``tau``
+    may be 0 when ``E_Q`` is invertible; a singular one is ``RuntimeError``.
+    """
+    q = np.flatnonzero(spec.lambda_mask == 0)
+    out = np.zeros((spec.ell, spec.ell), dtype=complex)
+    if q.size:
+        EQ = spec.expectation[np.ix_(q, q)] - 1j * tau * np.eye(q.size)
+        try:
+            out[np.ix_(q, q)] = np.linalg.inv(EQ)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("E_Q - i*tau*I is singular") from exc
+    return out
+
+
+def zeroth_products(spec):
+    """``(E[B], E[Q], E[B B^T])`` of a spec: ``E[q, lam]``, ``E[q, q]`` and
+    ``E[B] E[B]^T + S(Pi)[q, q]`` with ``Pi = diag(lambda_mask)``, for the
+    mask indices ``lam`` and their complement ``q``."""
+    lam = np.flatnonzero(spec.lambda_mask == 1)
+    q = np.flatnonzero(spec.lambda_mask == 0)
+    EB = spec.expectation[np.ix_(q, lam)]
+    cov = np.asarray(spec.superop(np.diag(spec.lambda_mask)))[np.ix_(q, q)]
+    return EB, spec.expectation[np.ix_(q, q)], EB @ EB.T + cov
+
+
+def generic_zeroth_moment(spec, eta_list, tau=1e-8):
+    """Oracle for ``zeroth_moment_check`` on any spec: the table of
+    ``Delta(eta) = ||-i*eta*(M(i*eta) - M_inf) - Omega_0||`` with ``M`` from
+    the generic Picard solve ``solve_rdel(spec, i*eta, tau)`` and ``M_inf``
+    from :func:`m_infinity` at the same ``tau``.  The zeroth moment is
+
+        Omega_0 = [[I, -E[B]^T (E Q)^{-1}],
+                   [-(E Q)^{-1} E[B], (E Q)^{-1} E[B B^T] (E Q)^{-1}]]
+
+    in the (mask, complement) layout, from :func:`zeroth_products`.  At
+    ``tau > 0`` each ``Delta(eta)`` carries a bias of order ``tau * eta``.
+    Returns a ``ZerothMomentReport`` whose flag and slope are computed here.
+    It shares no code with the structured route (Helton, Rashidi Far and
+    Speicher, IMRN 2007, for the averaged fixed point).
+    """
+    etas = [float(e) for e in eta_list]
+    lam = np.flatnonzero(spec.lambda_mask == 1)
+    q = np.flatnonzero(spec.lambda_mask == 0)
+    omega = np.zeros((spec.ell, spec.ell), dtype=complex)
+    omega[np.ix_(lam, lam)] = np.eye(lam.size)
+    if q.size:
+        EB, EQ, EBBt = zeroth_products(spec)
+        EQi = np.linalg.inv(EQ)
+        omega[np.ix_(lam, q)] = -EB.T @ EQi
+        omega[np.ix_(q, lam)] = -EQi @ EB
+        omega[np.ix_(q, q)] = EQi @ EBBt @ EQi
+    minf = m_infinity(spec, tau)
+    deltas = np.array([
+        spectral_norm(-1j * eta * (solve_rdel(spec, 1j * eta, tau).M - minf)
+                      - omega)
+        for eta in etas])
+    monotone = bool(np.all(np.diff(deltas) < 0))
+    slope = float(np.polyfit(np.log(etas), np.log(deltas), 1)[0])
+    return ZerothMomentReport(np.asarray(etas), deltas, monotone, slope)
 
 
 def unit_row_dataset(n_train, n_test, n0, seed):

@@ -20,10 +20,8 @@ from rfequiv import (
     estimate_kernels,
     gaussian_surrogate_run,
     kernel_ridge_error,
-    m_infinity,
     rf_linearization,
     rf_solution_matrix,
-    rf_zeroth_moment_check,
     run_replicates,
     sample_features,
     solve_rdel,
@@ -35,8 +33,8 @@ from rfequiv import (
     anisotropic_gap,
 )
 
-from conftest import (dense_pencil, dense_subdel, equiv_alpha, rand_kernelset,
-                      rational_alpha)
+from conftest import (dense_pencil, dense_subdel, equiv_alpha,
+                      generic_zeroth_moment, rand_kernelset, rational_alpha)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -132,12 +130,12 @@ def test_03_apriori_bound_suite():
 
 def test_04_zeroth_moment_decay():
     # the same criterion on the structured route (the one diagnose runs) and
-    # on the generic Picard route it replaced
+    # on the generic Picard route of the test oracle
     K, dims, spec = _rf_instance()
     etas = [1e2, 1e3, 1e4]
     reports = {
-        "structured": rf_zeroth_moment_check(K, dims, 0.3, etas),
-        "generic": zeroth_moment_check(spec, etas),
+        "structured": zeroth_moment_check(K, dims, 0.3, etas),
+        "generic": generic_zeroth_moment(spec, etas),
     }
     ok = all(bool(np.all(np.diff(rep.deltas) < 0)) and -1.3 <= rep.slope <= -0.7
              for rep in reports.values())

@@ -30,7 +30,6 @@ from rfequiv import (
     estimate_delta_gaussianity,
     model,
     rdel,
-    rf_zeroth_moment_check,
     save_kernels,
     sim,
     solve_rdel,
@@ -58,6 +57,10 @@ PARSE_FAULT = (3, "malformed kernel JSON")
 BAD_KERNELS = {
     "samples-text": ({"samples": "many"}, PARSE_FAULT),
     "samples-inf": ({"samples": INF}, PARSE_FAULT),
+    # a count is a JSON integer; none of these may be converted into one
+    "samples-fraction": ({"samples": 2.7}, PARSE_FAULT),
+    "samples-bool": ({"samples": True}, PARSE_FAULT),
+    "samples-numeric-text": ({"samples": "12"}, PARSE_FAULT),
     "cell-text": ({"K_aa": [[1.0, "x"], [0.0, 1.0]]}, PARSE_FAULT),
     "block-ragged": ({"K_aa": [[1.0, 0.0], [0.0]]}, PARSE_FAULT),
     "header-shape": ({"n_train": 5, "n_test": 9},
@@ -122,7 +125,7 @@ def _nan_superop_once():
 
 def _rf_zeroth(etas):
     K = KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1)
-    return lambda: rf_zeroth_moment_check(K, (2, 3, 1), 0.5, etas)
+    return lambda: zeroth_moment_check(K, (2, 3, 1), 0.5, etas)
 
 
 def _width_defect(K_aa, d, delta, z, nu):
@@ -316,6 +319,16 @@ CASES = {
         _overflow(verb, kernels), (2, "non-finite activation output"), (), {})
        for verb in ("estimate-kernels", "simulate", "compare", "sweep", "diagnose")
        for kernels in (False, True) if verb != "estimate-kernels" or not kernels},
+    # a noise level must be a finite real >= 0; NaN passes "< 0"
+    **{f"{verb}-noise-sd-{value}": (
+        [verb, "--synthetic", "10,5,4", "--noise-sd", value, *grid],
+        (2, "noise_sd must be a finite real >= 0"), DRAWS, {})
+       for verb, grid in (("estimate-kernels", []),
+                          ("simulate", ["--d", "2", "--delta", "0.1"]))
+       for value in ("nan", "inf")},
+    "synthetic-noise-sd-nan": (
+        lambda: synthetic_regression(10, 5, 4, NAN, seed=0),
+        (ValueError, "noise_sd must be a finite real >= 0"), DRAWS, {}),
     "sample-features-n-zero": (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
         (ValueError, "n must be >= 1"), DRAWS, {}),
@@ -360,9 +373,6 @@ CASES = {
     "solve-rdel-z-nan-real": (_solve(complex(NAN, 1), 0.1), ValueError, (), {}),
     "solve-rdel-tau-inf": (_solve(1j, INF), ValueError, (), {}),
     "solve-rdel-nan-defect": (_nan_superop_once, RuntimeError, (), {}),
-    "zeroth-moment-eta-nan": (
-        lambda: zeroth_moment_check(_scalar_spec(), [100.0, NAN]),
-        ValueError, ((rdel, "solve_rdel"),), {}),
     "rf-zeroth-moment-eta-nan": (_rf_zeroth([100.0, NAN]), ValueError,
                                  RF_SOLVES, {}),
     "rf-zeroth-moment-eta-inf": (_rf_zeroth([100.0, INF]), ValueError,
@@ -411,10 +421,6 @@ CASES = {
          "--d", "4", "--delta", "0.3", "--z", "2+0.001j", "--reps", "4",
          "--samples", "100"], 0, (), {}),
     "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError, DRAWS, {}),
-    "m-infinity-tau-nan": (lambda: rdel.m_infinity(_scalar_spec(), NAN),
-                           ValueError, (), {}),
-    "m-infinity-tau-inf": (lambda: rdel.m_infinity(_scalar_spec(), INF),
-                           ValueError, (), {}),
     # a tall pencil at z = 0 carries the factor delta^(n-d) in its determinant
     "pencil-tall-delta-1e-300": (_pencil((12, 4, 4), 1e-300),
                                  (RuntimeError, "numerically singular"), (), {}),

@@ -7,7 +7,9 @@ imports package names at load time.  A deletion in the package that one of
 them still names would break the benchmark; this test breaks first.  So does
 a signature change that one of the calls in ``perfbench/workloads.py``,
 ``perfbench/reference.py`` or ``perfbench/selftest.py`` no longer fits,
-including calls that run only on some seeds.
+including calls that run only on some seeds.  A name can also resolve and
+still read 0 because no verb calls it any more; the traced ``diagnose`` run
+below guards that for the zeroth-moment table.
 """
 
 import importlib
@@ -85,3 +87,22 @@ def test_equiv_report_method_binds():
     # selftest.py serializes build_equiv(...).to_report()
     solution = importlib.import_module("rfequiv.equiv").EquivSolution
     inspect.signature(solution.to_report).bind("self")
+
+
+def test_diagnose_traces_its_zeroth_moment_check(tmp_path):
+    # the table diagnose reports is timed under its own span, with its
+    # solves inside it, and tracing leaves the report bytes alone
+    cli = importlib.import_module("rfequiv.cli")
+    argv = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
+            "--reps", "4", "--samples", "100", "--eta-list", "100,1000,10000"]
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert cli.main(argv + ["--out", str(plain)]) == 0
+    with SPANS.Tracer() as tracer:
+        tracer.op = 1
+        assert cli.main(argv + ["--out", str(traced)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    checks = [s.id for s in tracer.spans if s.name == "rdel.zeroth_moment_check"]
+    assert len(checks) == 1
+    solves = [s for s in tracer.spans if s.name == "rdel.rf_solution_matrix"
+              and s.parent == checks[0]]
+    assert len(solves) == 3

@@ -9,19 +9,18 @@ from rfequiv import (
     NonConvergence,
     analytic_identity_kernels,
     estimate_kernels,
-    m_infinity,
     rdel,
     rf_linearization,
     rf_solution_matrix,
     rf_superoperator,
-    rf_zeroth_moment_check,
     solve_rdel,
     spectral_norm,
     synthetic_regression,
     zeroth_moment_check,
 )
 
-from conftest import equiv_alpha
+from conftest import (equiv_alpha, generic_zeroth_moment, m_infinity,
+                      zeroth_products)
 
 DIMS = (40, 60, 10)  # (n_train, d, n_test); pencil size 40 + 60 + 2*10 = 120
 DELTA = 0.3
@@ -119,7 +118,6 @@ def test_spec_index_helpers():
                           lambda M: M.copy())
     assert s.ell == 3
     assert list(s.lambda_indices()) == [0, 1]
-    assert list(s.q_indices()) == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def test_tau_continuity_gaps_shrink(rf_spec):
 
 
 # ---------------------------------------------------------------------------
-# m_infinity and the zeroth-moment diagnostic
+# the zeroth-moment table and its generic oracle
 # ---------------------------------------------------------------------------
 
 def identity_q_spec(p=1, q=2):
@@ -237,12 +235,12 @@ def test_zeroth_moment_free_resolvent_bound():
     e[:3, :3] = ep
     e[3:, 3:] = np.eye(2)
     spec = LinearizationSpec(e, np.array([1, 1, 1, 0, 0]), lambda M: 0.0 * M)
-    rep = zeroth_moment_check(spec, [10.0, 100.0, 1000.0])
+    rep = generic_zeroth_moment(spec, [10.0, 100.0, 1000.0])
     assert np.all(rep.deltas <= 2.0 / rep.etas)
 
 
 def test_zeroth_moment_semicircle_scalar():
-    rep = zeroth_moment_check(semicircle_spec(), [10.0, 100.0])
+    rep = generic_zeroth_moment(semicircle_spec(), [10.0, 100.0])
     assert rep.deltas[0] < 0.02
     # exact scalar value from the quadratic equation at z = 10i
     roots = np.roots([1.0, 10j, 1.0])
@@ -253,7 +251,7 @@ def test_zeroth_moment_semicircle_scalar():
 
 def test_zeroth_moment_rf_is_monotone(rf_spec):
     K, spec = rf_spec
-    rep = zeroth_moment_check(spec, [100.0, 1000.0])
+    rep = generic_zeroth_moment(spec, [100.0, 1000.0])
     assert rep.deltas[1] < rep.deltas[0]
     assert rep.monotone
     assert list(rep.to_report()) == ["etas", "deltas", "monotone", "slope"]
@@ -271,26 +269,24 @@ def diagnose_shaped(seed):
 def test_rf_zeroth_moment_matches_the_generic_route(seed):
     K, dims = diagnose_shaped(seed)
     etas = [100.0, 1000.0, 10_000.0]
-    got = rf_zeroth_moment_check(K, dims, 0.1, etas)
-    want = zeroth_moment_check(rf_linearization(K, dims, 0.1), etas)
+    got = zeroth_moment_check(K, dims, 0.1, etas)
+    want = generic_zeroth_moment(rf_linearization(K, dims, 0.1), etas)
     assert np.all(np.abs(got.deltas / want.deltas - 1.0) <= 1e-7)
     assert got.monotone == want.monotone
     assert abs(got.slope - want.slope) <= 1e-7
 
 
-def test_rf_zeroth_moment_is_the_tau_zero_limit_of_the_generic_route(
-        rf_spec, monkeypatch):
+def test_rf_zeroth_moment_is_the_tau_zero_limit_of_the_generic_route(rf_spec):
     # the generic route solves at tau > 0; on this instance its deltas sit
     # 3e-7 (relative) from the structured tau = 0 ones at tau = 1e-8, and
     # the gap falls with tau
     K, spec = rf_spec
     etas = [100.0, 1000.0]
-    got = rf_zeroth_moment_check(K, DIMS, DELTA, etas).deltas
+    got = zeroth_moment_check(K, DIMS, DELTA, etas).deltas
     gaps = {}
     for tau in (1e-8, 1e-10):
-        monkeypatch.setattr(rdel, "_ZEROTH_TAU", tau)
-        want = zeroth_moment_check(spec, etas)
-        gaps[tau] = np.max(np.abs(got / want.deltas - 1.0))
+        want = generic_zeroth_moment(spec, etas, tau).deltas
+        gaps[tau] = np.max(np.abs(got / want - 1.0))
     assert gaps[1e-10] <= 1e-7
     assert gaps[1e-10] < gaps[1e-8] / 10
 
@@ -306,7 +302,7 @@ def test_rf_zeroth_moment_refuses_a_perturbed_solution(rf_spec, monkeypatch):
 
     monkeypatch.setattr(rdel, "rf_solution_matrix", perturbed)
     with pytest.raises(RuntimeError, match="pencil defect"):
-        rf_zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
+        zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def test_rf_expectation_and_mask_layout(rf_spec):
 
 
 def test_rf_zeroth_products_layout(rf_spec):
-    # the products zeroth_moment_check derives from the spec, against the
+    # the products the generic oracle derives from the spec, against the
     # ones written by hand: the random block B couples the two test slots
     # (the complement) to the train and width slots (the mask); its only
     # nonzero entries are the test features, so E[B] = 0, E[Q] holds the -I
@@ -341,7 +337,7 @@ def test_rf_zeroth_products_layout(rf_spec):
     bbt = np.zeros((2 * t, 2 * t))
     bbt[t:, t:] = d * K.K_hh
     want = (np.zeros((2 * t, n + d)), eq, bbt)
-    for got, hand in zip(rdel._zeroth_products(spec), want):
+    for got, hand in zip(zeroth_products(spec), want):
         assert got.shape == hand.shape
         assert np.array_equal(got, hand)
 
