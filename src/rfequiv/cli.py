@@ -83,8 +83,8 @@ def _add_model_options(p):
     """Dataset, activation and sampling options shared by the model verbs."""
     p.add_argument("--x", help="training design matrix file")
     p.add_argument("--xhat", help="test design matrix file")
-    p.add_argument("--y", help="training labels file (single column)")
-    p.add_argument("--yhat", help="test labels file (single column)")
+    p.add_argument("--y", help="training labels file (one column or one row)")
+    p.add_argument("--yhat", help="test labels file (one column or one row)")
     p.add_argument("--layout", choices=["csv", "raw-f64-le"], default="csv",
                    help="matrix file layout (default csv)")
     p.add_argument("--synthetic", metavar="NTRAIN,NTEST,N0",
@@ -118,8 +118,8 @@ def _load_dataset(args, need_labels=True):
     X = load_matrix(args.x, args.layout)
     Xhat = load_matrix(args.xhat, args.layout)
     if args.y and args.yhat:
-        y = load_matrix(args.y, args.layout).ravel()
-        yhat = load_matrix(args.yhat, args.layout).ravel()
+        y = load_matrix(args.y, args.layout)
+        yhat = load_matrix(args.yhat, args.layout)
     elif need_labels:
         raise ValueError("provide --y and --yhat")
     else:
@@ -166,8 +166,8 @@ def _cmd_estimate_kernels(args):
 
 def _cmd_predict(args):
     K = load_kernels(args.kernels)
-    y = load_matrix(args.y, args.layout).ravel()
-    yhat = load_matrix(args.yhat, args.layout).ravel()
+    y = load_matrix(args.y, args.layout)
+    yhat = load_matrix(args.yhat, args.layout)
     sol = build_equiv(K, y, yhat, args.d, args.delta)
     write_json(args.out, sol.to_report())
     return 0
@@ -291,8 +291,8 @@ def build_parser():
 
     p = sub.add_parser("predict", help="deterministic test-error prediction")
     p.add_argument("--kernels", required=True, help="kernel JSON path")
-    p.add_argument("--y", required=True, help="training labels file")
-    p.add_argument("--yhat", required=True, help="test labels file")
+    p.add_argument("--y", required=True, help="training labels (one column or one row)")
+    p.add_argument("--yhat", required=True, help="test labels (one column or one row)")
     p.add_argument("--layout", choices=["csv", "raw-f64-le"], default="csv")
     p.add_argument("--d", type=int, required=True, help="hidden width")
     p.add_argument("--delta", type=float, required=True, help="ridge parameter")

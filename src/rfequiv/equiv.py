@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (NonConvergence, _check_ridge, _check_z, _clamped_eigh,
-                    _ridge_solve)
+                    _ridge_solve, _vector)
 
 __all__ = [
     "DenominatorDegenerate",
@@ -140,13 +140,12 @@ def build_equiv(K, y, yhat, d, delta):
     DenominatorDegenerate
         If denom <= 1e-8, which signals inputs outside the regime where the
         prediction is meaningful (e.g. near-interpolation with tiny ridge).
+    ValueError
+        On labels that are not finite vectors of the block sizes, and on a
+        predicted error that overflows.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    yhat = np.asarray(yhat, dtype=float).ravel()
-    if y.shape[0] != K.n_train:
-        raise ValueError("y length must equal the K_aa dimension")
-    if yhat.shape[0] != K.n_test:
-        raise ValueError("yhat length must equal the K_hh dimension")
+    y = _vector(y, "y", K.n_train)
+    yhat = _vector(yhat, "yhat", K.n_test)
     _check_ridge(delta, d)
 
     w, V = _clamped_eigh(K.K_aa)
@@ -162,10 +161,13 @@ def build_equiv(K, y, yhat, d, delta):
     cross = float(np.sum((g + delta * g ** 2) * np.sum(W ** 2, axis=1)))
     beta = alpha ** 2 * (float(np.trace(K.K_hh)) + d * alpha * cross) / denom
 
-    c = g * (V.T @ y)  # V^T M11 y
-    term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
-    resid = d * alpha * (W.T @ c) + yhat
-    term_bias = float(resid @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = g * (V.T @ y)  # V^T M11 y
+        term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
+        resid = d * alpha * (W.T @ c) + yhat
+        term_bias = float(resid @ resid)
+    if not np.isfinite(term_variance + term_bias):
+        raise ValueError(f"the predicted error overflows ({term_variance + term_bias})")
     t = -1.0 / (1.0 + float(np.sum(w * g)))  # T(alpha)
 
     return EquivSolution(
@@ -210,9 +212,9 @@ def kernel_ridge_error(K, y, yhat, d, ridge):
     With ridge equal to -delta/alpha this reproduces the bias term of
     :func:`build_equiv` exactly (implicit-regularization identity).
     """
-    _check_ridge(ridge, name="ridge")
-    y = np.asarray(y, dtype=float).ravel()
-    yhat = np.asarray(yhat, dtype=float).ravel()
+    _check_ridge(ridge, d, name="ridge")
+    y = _vector(y, "y", K.n_train)
+    yhat = _vector(yhat, "yhat", K.n_test)
     v = _ridge_solve(d * K.K_aa, ridge, y)
     r = yhat - d * (K.K_ha @ v)
     return float(r @ r)

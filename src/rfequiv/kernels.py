@@ -16,8 +16,8 @@ import numpy as np
 
 from .model import (
     MatrixFormatError,
-    _check_symmetric,
     _features,
+    _matrix,
     _parallel_map,
     substream,
     write_json,
@@ -57,22 +57,17 @@ class KernelSet:
     samples: int
 
     def __post_init__(self):
-        for name in ("K_aa", "K_ah", "K_hh"):
-            block = np.asarray(getattr(self, name), dtype=float)
-            if block.ndim != 2:
-                raise ValueError(f"{name} is {block.ndim}-D, not 2-D")
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"{name} contains non-finite entries")
-            setattr(self, name, block)
-        self.K_ha = self.K_ah.T.copy()
+        if isinstance(self.samples, bool) or not (
+                isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
+            raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
         self.samples = int(self.samples)
+        self.K_aa = _matrix(self.K_aa, "K_aa", square=True)
+        self.K_ah = _matrix(self.K_ah, "K_ah")
+        self.K_hh = _matrix(self.K_hh, "K_hh", square=True)
+        self.K_ha = self.K_ah.T.copy()
         n, t = self.K_ah.shape
         if self.K_aa.shape != (n, n) or self.K_hh.shape != (t, t):
             raise ValueError("kernel block shapes are inconsistent")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        _check_symmetric(self.K_aa, "K_aa")
-        _check_symmetric(self.K_hh, "K_hh")
         w = np.linalg.eigvalsh(self.joint())
         lam_max = max(float(w[-1]), 0.0)
         if float(w[0]) < -1e-10 * lam_max - 1e-300:

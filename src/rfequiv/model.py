@@ -95,22 +95,45 @@ def _check_heights(eta_list):
     return etas
 
 
-def _check_symmetric(K, name, rel=1e-12):
-    if not np.all(np.isfinite(K)):
+def _matrix(x, name, square=False):
+    """``x`` as a finite 2-D float array, never reshaped; with ``square``, also
+    square and symmetric to 1e-12 relative in Frobenius norm, taken on
+    ``b = x / max(1, max|x|)`` so that no norm overflows.  Faults name ``name``."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} is {a.ndim}-D, not 2-D")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    gap = np.linalg.norm(K - K.T)
-    if gap > rel * max(1.0, np.linalg.norm(K)):
-        raise ValueError(f"{name} is not symmetric (asymmetry {gap:.3e})")
+    if square:
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"{name} must be square, not {a.shape}")
+        s = max(1.0, float(np.abs(a).max(initial=0.0)))
+        b = a / s
+        gap = float(np.linalg.norm(b - b.T))
+        if gap > 1e-12 * max(1.0 / s, np.linalg.norm(b)):
+            raise ValueError(f"{name} is not symmetric (asymmetry {gap * s:.3e})")
+    return a
+
+
+def _vector(x, name, n):
+    """``x``, a 1-D array or a matrix of one row or one column, as a finite
+    float vector of length ``n``.  Faults name ``name``."""
+    a = np.asarray(x, dtype=float)
+    a = a.reshape(-1) if a.ndim == 2 and 1 in a.shape else a
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be one row or one column, not shape {a.shape}")
+    if a.shape[0] != n:
+        raise ValueError(f"{name} has {a.shape[0]} entries, not {n}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
 
 
 def _clamped_eigh(K, name="K_aa"):
     """Eigendecomposition of a symmetric PSD matrix with a tolerance for
     Monte Carlo round-off: eigenvalues in [-1e-8 * lam_max, 0) are clamped to
     zero, anything below that is an error.  ``name`` labels the messages."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[0] != K.shape[1]:
-        raise ValueError(f"{name} must be square")
-    _check_symmetric(K, name)
+    K = _matrix(K, name, square=True)
     w, V = np.linalg.eigh((K + K.T) / 2)
     floor = -1e-8 * max(float(w[-1]), 0.0)
     if float(w[0]) < floor:
@@ -378,22 +401,13 @@ class Dataset:
     yhat: np.ndarray
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Xhat = np.atleast_2d(np.asarray(self.Xhat, dtype=float))
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        self.yhat = np.asarray(self.yhat, dtype=float).ravel()
+        self.X = _matrix(self.X, "X")
+        self.Xhat = _matrix(self.Xhat, "Xhat")
         if self.X.shape[1] != self.Xhat.shape[1]:
-            raise ValueError(
-                f"X and Xhat must share a column count, got {self.X.shape[1]} "
-                f"and {self.Xhat.shape[1]}"
-            )
-        if self.y.shape[0] != self.X.shape[0]:
-            raise ValueError("y length must equal the row count of X")
-        if self.yhat.shape[0] != self.Xhat.shape[0]:
-            raise ValueError("yhat length must equal the row count of Xhat")
-        for name in ("X", "Xhat", "y", "yhat"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
+            raise ValueError(f"X and Xhat must share a column count, got "
+                             f"{self.X.shape[1]} and {self.Xhat.shape[1]}")
+        self.y = _vector(self.y, "y", self.X.shape[0])
+        self.yhat = _vector(self.yhat, "yhat", self.Xhat.shape[0])
 
     @property
     def n_train(self):

@@ -35,8 +35,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import equiv
-from .model import (NonConvergence, _check_heights, _check_ridge,
-                    _check_symmetric, _check_z, substream)
+from .model import (NonConvergence, _check_heights, _check_ridge, _check_z,
+                    _matrix, _vector, substream)
 
 __all__ = [
     "LinearizationSpec",
@@ -94,18 +94,11 @@ class LinearizationSpec:
     superop: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        E = np.atleast_2d(np.asarray(self.expectation, dtype=float))
-        if E.shape[0] != E.shape[1]:
-            raise ValueError("expectation must be square")
-        _check_symmetric(E, "expectation")
+        E = _matrix(self.expectation, "expectation", square=True)
         self.expectation = (E + E.T) / 2
-        mask = np.asarray(self.lambda_mask, dtype=float).ravel()
-        if mask.shape[0] != E.shape[0]:
-            raise ValueError("lambda_mask length must match the expectation size")
-        if not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("lambda_mask entries must be 0 or 1")
-        if not np.any(mask == 1):
-            raise ValueError("lambda_mask needs at least one 1 entry")
+        mask = _vector(self.lambda_mask, "lambda_mask", E.shape[0])
+        if not (np.all((mask == 0) | (mask == 1)) and np.any(mask == 1)):
+            raise ValueError("lambda_mask entries must be 0 or 1, at least one of them 1")
         self.lambda_mask = mask
         if not callable(self.superop):
             raise ValueError("superop must be callable")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import equiv
-from .model import (_check_ridge, _check_z, _clamped_eigh, _features,
-                    _parallel_map, _ridge_solve, substream)
+from .model import (_check_ridge, _check_z, _clamped_eigh, _features, _matrix,
+                    _parallel_map, _ridge_solve, _vector, substream)
 from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
@@ -90,10 +90,8 @@ def empirical_test_error(A, Ahat, y, yhat, delta):
     is solved by Cholesky; no inverse is ever formed.
     """
     _check_ridge(delta)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    yhat = np.asarray(yhat, dtype=float).ravel()
+    A, Ahat = _matrix(A, "A"), _matrix(Ahat, "Ahat")
+    y, yhat = _vector(y, "y", A.shape[0]), _vector(yhat, "yhat", Ahat.shape[0])
     v = _ridge_solve(A @ A.T, delta, y)
     r = yhat - Ahat @ (A.T @ v)
     return float(r @ r)
@@ -209,12 +207,9 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     """
     z = _check_z(z)
     _check_ridge(delta)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Ahat = np.atleast_2d(np.asarray(Ahat, dtype=float))
+    A, Ahat = _matrix(A, "A"), _matrix(Ahat, "Ahat")
     if A.shape[1] != Ahat.shape[1]:
         raise ValueError("A and Ahat must share the width d")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Ahat))):
-        raise ValueError("A and Ahat must be finite")
     n, d = A.shape
     t = Ahat.shape[0]
     a = delta - z

@@ -226,6 +226,17 @@ def _overflow(verb, kernels):
             *(["--kernels", "{identity4x2}"] if kernels else [])]
 
 
+def _labels(verb, y):
+    """``verb`` on the four-point identity kernels with the train labels of
+    file ``y``; ``simulate`` also reads a four-by-three design."""
+    if verb == "predict":
+        return ["predict", "--kernels", "{identity4}", "--y", f"{{{y}}}",
+                "--yhat", "{yhat}", "--d", "2", "--delta", "0.1"]
+    return ["simulate", "--kernels", "{identity4}", "--x", "{x4}", "--xhat",
+            "{xhat1}", "--y", f"{{{y}}}", "--yhat", "{yhat}", "--d", "2",
+            "--delta", "0.1", "--reps", "3"]
+
+
 def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
@@ -338,6 +349,17 @@ CASES = {
     **{f"predict-kernels-{name}": (_predict_bad(name), expected,
                                    ((cli, "build_equiv"),), {})
        for name, (_, expected) in BAD_KERNELS.items()},
+    # a label file is one column or one row of finite values; a prediction
+    # that overflows is refused before any replicate is drawn
+    **{f"{verb}-labels-{name}": (_labels(verb, y), (2, text),
+                                 ((equiv, "_solve_nu"),) + DRAWS, {})
+       for verb in ("predict", "simulate")
+       for name, y, text in (
+           ("two-column", "y2x2", "y must be one row or one column"),
+           ("inf", "y4-inf", "y contains non-finite entries"))},
+    **{f"{verb}-labels-overflow": (_labels(verb, "y4-huge"),
+                                   (2, "the predicted error overflows"), DRAWS, {})
+       for verb in ("predict", "simulate")},
     "predict-linalg-error": (PREDICT, (4, "LinAlgError"), (),
                              {(cli, "build_equiv"): _raise_linalg_error}),
     # a small ridge at the interpolation threshold returns a report until
@@ -368,6 +390,19 @@ CASES = {
         (ValueError, "K_ah is 3-D"), (), {}),
     "kernelset-block-0d": (lambda: KernelSet(1.0, np.zeros((1, 1)), np.eye(1), 1),
                            (ValueError, "K_aa is 0-D"), (), {}),
+    # a sample count is an integer, not converted into one
+    **{f"kernelset-samples-{name}": (
+        lambda samples=samples: KernelSet(np.eye(1), np.zeros((1, 1)), np.eye(1),
+                                          samples),
+        (ValueError, "samples must be an integer >= 1"), (), {})
+       for name, samples in (("fraction", 2.7), ("bool", True))},
+    # kernel ridge regression needs a width d >= 1, as build_equiv does
+    **{f"kernel-ridge-error-d-{name}": (
+        lambda d=d: equiv.kernel_ridge_error(
+            KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1), [1.0, 0.0],
+            [0.7], d, 0.1),
+        (ValueError, "d must be >= 1"), ((equiv, "_ridge_solve"),), {})
+       for name, d in (("zero", 0), ("negative", -1))},
     "solve-rdel-z-nan": (_solve(complex(0, NAN), 0.1), ValueError, (), {}),
     "solve-rdel-z-inf": (_solve(complex(0, INF), 0.1), ValueError, (), {}),
     "solve-rdel-z-nan-real": (_solve(complex(NAN, 1), 0.1), ValueError, (), {}),
@@ -444,7 +479,9 @@ def files(tmp_path, toy_kernels):
              "huge-x": tmp_path / "hx.csv", "huge-xhat": tmp_path / "hxh.csv",
              "yhat2": tmp_path / "yhat2.csv", "half6": tmp_path / "h6.json",
              "hundred6": tmp_path / "c6.json", "y6": tmp_path / "y6.csv",
-             "yhat3": tmp_path / "yhat3.csv"}
+             "yhat3": tmp_path / "yhat3.csv", "x4": tmp_path / "x4.csv",
+             "xhat1": tmp_path / "xhat1.csv", "y2x2": tmp_path / "y2x2.csv",
+             "y4-inf": tmp_path / "y4-inf.csv", "y4-huge": tmp_path / "y4-huge.csv"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
@@ -459,6 +496,12 @@ def files(tmp_path, toy_kernels):
     paths["yhat2"].write_text("0\n0\n")
     paths["y6"].write_text("1\n" * 6)
     paths["yhat3"].write_text("0\n" * 3)
+    paths["x4"].write_text("1,0,0\n0,1,0\n0,0,1\n1,1,0\n")
+    paths["xhat1"].write_text("1,0,1\n")
+    # four labels in two columns would fill y4 if flattened
+    paths["y2x2"].write_text("1,1\n1,1\n")
+    paths["y4-inf"].write_text("1\ninf\n1\n1\n")
+    paths["y4-huge"].write_text("1e200\n-1e200\n1e200\n1e200\n")
     paths["huge-x"].write_text("1e308,1e308,1e308\n" * 4)
     paths["huge-xhat"].write_text("1e308,1e308,1e308\n" * 2)
     toy = json.loads(paths["kernels"].read_text())

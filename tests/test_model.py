@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from rfequiv import (
     Activation,
     Dataset,
+    KernelSet,
+    LinearizationSpec,
     MatrixFormatError,
     RFConfig,
     apply_activation,
@@ -204,6 +207,102 @@ def test_every_ridge_entry_point_rejects_non_positive_or_non_finite(
     for call in calls:
         with pytest.raises(ValueError, match="positive finite"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Array arguments
+# ---------------------------------------------------------------------------
+
+# every site that takes arrays: its call on keyword arrays, and valid ones;
+# four train and four test points, so that a two-column label of the right
+# size would fill the vector if it were flattened
+_K4 = KernelSet(np.eye(4), np.zeros((4, 4)), np.eye(4), 1)
+_LABELS = {"y": np.arange(1.0, 5.0), "yhat": np.ones(4)}
+_FEATURES = {"A": np.eye(4, 3), "Ahat": np.ones((4, 3))}
+ARRAY_SITES = {
+    "Dataset": (Dataset, {"X": np.eye(4, 2), "Xhat": np.ones((4, 2)), **_LABELS}),
+    "KernelSet": (lambda **k: KernelSet(**k, samples=1),
+                  {"K_aa": np.eye(4), "K_ah": np.zeros((4, 4)), "K_hh": np.eye(4)}),
+    "LinearizationSpec": (lambda **k: LinearizationSpec(**k, superop=lambda M: 0 * M),
+                          {"expectation": np.eye(4),
+                           "lambda_mask": np.array([1.0, 0.0, 0.0, 0.0])}),
+    "build_equiv": (lambda **k: build_equiv(_K4, **k, d=2, delta=1.0), _LABELS),
+    "kernel_ridge_error": (lambda **k: kernel_ridge_error(_K4, **k, d=2, ridge=1.0),
+                           _LABELS),
+    "empirical_test_error": (lambda **k: empirical_test_error(**k, delta=1.0),
+                             {**_FEATURES, **_LABELS}),
+    "build_pseudoresolvent": (lambda **k: build_pseudoresolvent(**k, delta=1.0, z=1j),
+                              _FEATURES),
+    "solve_subdel": (lambda K_aa: solve_subdel(K_aa, 2, 1.0, 1j), {"K_aa": np.eye(4)}),
+}
+
+
+def _array_faults(value):
+    """Faulty variants of the valid array ``value``: a NaN entry; for a
+    matrix, its first row as a 1-D array; for a vector, two columns and one
+    entry too few."""
+    nan = value.copy()
+    nan.flat[0] = math.nan
+    if value.ndim == 2:
+        return {"nan": nan, "1d": value[0]}
+    return {"nan": nan, "two-column": value.reshape(-1, 2), "short": value[:-1]}
+
+
+ARRAY_FAULTS = [(site, arg, fault) for site, (_, valid) in ARRAY_SITES.items()
+                for arg, value in valid.items() for fault in _array_faults(value)]
+
+
+@pytest.mark.parametrize("site, arg, fault", ARRAY_FAULTS,
+                         ids=["-".join(case) for case in ARRAY_FAULTS])
+def test_array_fault_raises_value_error_naming_the_argument(site, arg, fault):
+    call, valid = ARRAY_SITES[site]
+    call(**valid)
+    bad = _array_faults(valid[arg])[fault]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{arg} "):
+            call(**{**valid, arg: bad})
+
+
+def _value_or_none(call):
+    """``call()``, or None if it raises ``ValueError``; a warning or any
+    other exception escapes and fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except ValueError:
+            return None
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([5e-324, -5e-324, 1.7e308, -1.7e308, math.nan, math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                       max_side=3), elements=FLOATS),
+       st.sampled_from([0, 0, 1, -1]))
+def test_matrix_and_vector_return_their_promise_or_raise_value_error(a, shift):
+    finite = bool(np.all(np.isfinite(a)))
+    m = _value_or_none(lambda: model._matrix(a, "a"))
+    assert (m is not None) == (a.ndim == 2 and finite)
+    if m is not None:
+        assert np.array_equal(m, a) and m.shape == a.shape
+    sq = _value_or_none(lambda: model._matrix(a, "a", square=True))
+    if sq is not None:
+        assert sq.shape == a.shape == a.shape[::-1] and np.all(np.isfinite(sq))
+    if m is not None and a.shape[0] == a.shape[1]:
+        sym = np.triu(a) + np.triu(a, 1).T  # each sum has a zero term
+        assert _value_or_none(lambda: model._matrix(sym, "a", square=True)) is not None
+    n = a.size + shift
+    v = _value_or_none(lambda: model._vector(a, "a", n))
+    one_axis = a.ndim == 1 or a.ndim == 2 and 1 in a.shape
+    assert (v is not None) == (one_axis and a.size == n and finite)
+    if v is not None:
+        assert v.shape == (n,) and np.array_equal(v, a.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
