@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -358,7 +357,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (MatrixFormatError, json.JSONDecodeError, OSError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"rfequiv: input error: {exc}", file=sys.stderr)
         return 3
     # LinAlgError subclasses ValueError, so it must be caught first

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .model import (
     MatrixFormatError,
@@ -203,6 +204,25 @@ def save_kernels(ks, path):
     write_json(path, report)
 
 
+def _read_json(path):
+    """Parse the JSON file at ``path`` with orjson, whose floats are the
+    correctly rounded values of their text, as the stdlib's are.  Where
+    orjson refuses the text, the stdlib parses it: it also reads ``NaN``,
+    ``Infinity`` and numbers that overflow to inf, which the checks after
+    the parse then name.  Invalid UTF-8 and other parse faults raise
+    :class:`MatrixFormatError` naming ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MatrixFormatError(f"{path}: malformed kernel JSON ({exc})") from exc
+
+
 def load_kernels(path):
     """Read a KernelSet from JSON written by :func:`save_kernels`.
 
@@ -211,8 +231,7 @@ def load_kernels(path):
     the ``K_ha`` of an older file, that disagrees with the blocks raises
     ``ValueError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     try:
         header = (raw["n_train"], raw["n_test"])
         blocks = [np.array(raw[name], dtype=float)

@@ -46,7 +46,8 @@ __all__ = [
 
 
 class MatrixFormatError(ValueError):
-    """A matrix file could not be parsed (ragged rows, bad cell, bad header)."""
+    """A matrix or kernel file could not be parsed (text that is not UTF-8,
+    ragged rows, bad cell, bad header)."""
 
 
 class NonConvergence(RuntimeError):
@@ -95,11 +96,20 @@ def _check_heights(eta_list):
     return etas
 
 
+def _real(x, name):
+    """``x`` as a float array.  A complex one is refused: the cast would
+    drop its imaginary part with only a ``ComplexWarning``."""
+    a = np.asarray(x)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} is complex, not real")
+    return np.asarray(a, dtype=float)
+
+
 def _matrix(x, name, square=False):
     """``x`` as a finite 2-D float array, never reshaped; with ``square``, also
     square and symmetric to 1e-12 relative in Frobenius norm, taken on
     ``b = x / max(1, max|x|)`` so that no norm overflows.  Faults name ``name``."""
-    a = np.asarray(x, dtype=float)
+    a = _real(x, name)
     if a.ndim != 2:
         raise ValueError(f"{name} is {a.ndim}-D, not 2-D")
     if not np.all(np.isfinite(a)):
@@ -118,7 +128,7 @@ def _matrix(x, name, square=False):
 def _vector(x, name, n):
     """``x``, a 1-D array or a matrix of one row or one column, as a finite
     float vector of length ``n``.  Faults name ``name``."""
-    a = np.asarray(x, dtype=float)
+    a = _real(x, name)
     a = a.reshape(-1) if a.ndim == 2 and 1 in a.shape else a
     if a.ndim != 1:
         raise ValueError(f"{name} must be one row or one column, not shape {a.shape}")
@@ -484,7 +494,8 @@ def load_matrix(path, layout="csv"):
     Raises
     ------
     MatrixFormatError
-        On ragged rows, non-numeric cells, or a header/body size mismatch.
+        On a CSV file that is not UTF-8 text, ragged rows, non-numeric
+        cells, or a header/body size mismatch.
     OSError
         On I/O failure.
     """
@@ -496,18 +507,22 @@ def load_matrix(path, layout="csv"):
 
 
 def _load_csv(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
-            if not tokens:
-                continue
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise MatrixFormatError(
-                    f"{path}:{lineno}: non-numeric cell"
-                ) from exc
+    for lineno, line in enumerate(lines, 1):
+        tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
+        if not tokens:
+            continue
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise MatrixFormatError(
+                f"{path}:{lineno}: non-numeric cell"
+            ) from exc
     if not rows:
         raise MatrixFormatError(f"{path}: no numeric rows")
     width = len(rows[0])

@@ -70,6 +70,16 @@ BAD_KERNELS = {
     "block-1d": ({"K_ah": [0.0, 0.0]}, (3, "K_ah is 1-D")),
     "block-scalar": ({"n_train": 1, "n_test": 1, "K_aa": 1.0, "K_ah": 0.0,
                       "K_hh": 1.0}, (3, "K_aa is 0-D")),
+    # orjson reads an integer beyond 64 bits as a float, which is no count
+    "samples-2-64": ({"samples": 2 ** 64}, PARSE_FAULT),
+    "samples-below-int64": ({"samples": -2 ** 63 - 1}, PARSE_FAULT),
+}
+# byte-level damage to the toy kernel file: every parse fault names the file
+# and says "malformed kernel JSON"
+MANGLED_KERNELS = {
+    "truncated": lambda data: data[:len(data) // 2],
+    "utf8-bom": lambda data: b"\xef\xbb\xbf" + data,
+    "invalid-utf8": lambda data: data.replace(b'"samples"', b'"samples\xff"'),
 }
 # the structured zeroth-moment check must refuse bad heights before a solve
 RF_SOLVES = ((rdel, "rf_solution_matrix"), (equiv, "solve_subdel"))
@@ -349,6 +359,17 @@ CASES = {
     **{f"predict-kernels-{name}": (_predict_bad(name), expected,
                                    ((cli, "build_equiv"),), {})
        for name, (_, expected) in BAD_KERNELS.items()},
+    **{f"predict-kernels-{name}": (_predict_bad(name), PARSE_FAULT,
+                                   ((cli, "build_equiv"),), {})
+       for name in MANGLED_KERNELS},
+    # a matrix or label file that is not UTF-8 is an input fault naming it
+    "estimate-kernels-x-invalid-utf8": (
+        ["estimate-kernels", "--x", "{x4-ff}", "--xhat", "{xhat1}", "--y", "{y4}",
+         "--yhat", "{yhat}", "--samples", "100"],
+        (3, "x4-ff.csv: not UTF-8 text"), DRAWS, {}),
+    "predict-y-invalid-utf8": (_labels("predict", "y4-ff"),
+                               (3, "y4-ff.csv: not UTF-8 text"),
+                               ((equiv, "_solve_nu"),), {}),
     # a label file is one column or one row of finite values; a prediction
     # that overflows is refused before any replicate is drawn
     **{f"{verb}-labels-{name}": (_labels(verb, y), (2, text),
@@ -481,7 +502,8 @@ def files(tmp_path, toy_kernels):
              "hundred6": tmp_path / "c6.json", "y6": tmp_path / "y6.csv",
              "yhat3": tmp_path / "yhat3.csv", "x4": tmp_path / "x4.csv",
              "xhat1": tmp_path / "xhat1.csv", "y2x2": tmp_path / "y2x2.csv",
-             "y4-inf": tmp_path / "y4-inf.csv", "y4-huge": tmp_path / "y4-huge.csv"}
+             "y4-inf": tmp_path / "y4-inf.csv", "y4-huge": tmp_path / "y4-huge.csv",
+             "x4-ff": tmp_path / "x4-ff.csv", "y4-ff": tmp_path / "y4-ff.csv"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
@@ -502,12 +524,18 @@ def files(tmp_path, toy_kernels):
     paths["y2x2"].write_text("1,1\n1,1\n")
     paths["y4-inf"].write_text("1\ninf\n1\n1\n")
     paths["y4-huge"].write_text("1e200\n-1e200\n1e200\n1e200\n")
+    # x4 and y4, each with one byte that is not UTF-8
+    paths["x4-ff"].write_bytes(b"1,0,0\n0,\xff,0\n0,0,1\n1,1,0\n")
+    paths["y4-ff"].write_bytes(b"1\n\xff\n1\n1\n")
     paths["huge-x"].write_text("1e308,1e308,1e308\n" * 4)
     paths["huge-xhat"].write_text("1e308,1e308,1e308\n" * 2)
     toy = json.loads(paths["kernels"].read_text())
     for name, (changes, _) in BAD_KERNELS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**toy, **changes}))
+    for name, mangle in MANGLED_KERNELS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(mangle(paths["kernels"].read_bytes()))
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfequiv import (
     Activation,
@@ -20,7 +22,9 @@ from rfequiv import (
     save_kernels,
     synthetic_regression,
     verify_centering,
+    write_json,
 )
+from rfequiv.kernels import _read_json
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -212,6 +216,41 @@ def test_kernels_json_round_trip(tmp_path):
     assert back.samples == ks.samples
     for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
         assert np.array_equal(getattr(back, f), getattr(ks, f))
+
+
+# finite doubles at the edges of the format; 1.0, -3.0, 2^53 and the largest
+# double below 1e17 are written without a point and read as integers
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53,
+               99999999999999984.0, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+    st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=40))
+def test_kernel_file_parse_is_bit_identical(tmp_path_factory, values):
+    """Every finite double written at 17 significant digits reads back with
+    the same bits, as the stdlib reads it.  The one exception is -0.0: the
+    writer prints it as "-0", an integer token, which any JSON reader takes
+    as 0, so it comes back as +0.0 on either route."""
+    p = tmp_path_factory.mktemp("parse") / "v.json"
+    write_json(p, {"v": values})
+    back = np.array(_read_json(p)["v"], dtype=float)
+    stdlib = np.array(json.loads(p.read_text())["v"], dtype=float)
+    want = np.array(values) + 0.0  # -0.0 + 0.0 is +0.0; every other value stays
+    assert back.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert stdlib.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_load_kernels_keeps_samples_up_to_2_64_minus_1(tmp_path):
+    """The largest count orjson reads as an integer; 2^64 is refused (see
+    the boundary table)."""
+    p = tmp_path / "k.json"
+    save_kernels(KernelSet(np.eye(1), np.zeros((1, 1)), np.eye(1), 2 ** 64 - 1), p)
+    assert load_kernels(p).samples == 2 ** 64 - 1
 
 
 def test_save_kernels_writes_three_blocks_in_order(tmp_path):

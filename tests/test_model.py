@@ -238,14 +238,18 @@ ARRAY_SITES = {
 
 
 def _array_faults(value):
-    """Faulty variants of the valid array ``value``: a NaN entry; for a
-    matrix, its first row as a 1-D array; for a vector, two columns and one
-    entry too few."""
+    """Faulty variants of the valid array ``value``: a NaN entry; a complex
+    entry, whose imaginary part a cast to float would drop; for a matrix,
+    its first row as a 1-D array; for a vector, two columns and one entry
+    too few."""
     nan = value.copy()
     nan.flat[0] = math.nan
+    imaginary = value + 0j
+    imaginary.flat[0] += 2j
+    faults = {"nan": nan, "complex": imaginary}
     if value.ndim == 2:
-        return {"nan": nan, "1d": value[0]}
-    return {"nan": nan, "two-column": value.reshape(-1, 2), "short": value[:-1]}
+        return {**faults, "1d": value[0]}
+    return {**faults, "two-column": value.reshape(-1, 2), "short": value[:-1]}
 
 
 ARRAY_FAULTS = [(site, arg, fault) for site, (_, valid) in ARRAY_SITES.items()
