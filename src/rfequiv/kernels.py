@@ -69,7 +69,19 @@ class KernelSet:
         n, t = self.K_ah.shape
         if self.K_aa.shape != (n, n) or self.K_hh.shape != (t, t):
             raise ValueError("kernel block shapes are inconsistent")
-        w = np.linalg.eigvalsh(self.joint())
+        # Fast accept: shift by half the tolerance (max J_ii <= lam_max); the
+        # Cholesky's backward error, about m(m+1) eps lam_max, fits in the
+        # other half for m <= 474.  Larger or failing matrices go to eigvalsh.
+        J = self.joint()
+        m = len(J)
+        if m * (m + 1) * np.finfo(float).eps <= 0.5e-10:
+            shift = 0.5e-10 * max(float(J.diagonal().max()), 0.0) + 1e-300
+            try:
+                np.linalg.cholesky(J + shift * np.eye(m))
+                return
+            except np.linalg.LinAlgError:
+                pass
+        w = np.linalg.eigvalsh(J)
         lam_max = max(float(w[-1]), 0.0)
         if float(w[0]) < -1e-10 * lam_max - 1e-300:
             raise ValueError(

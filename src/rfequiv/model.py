@@ -23,8 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "ACTIVATION_KINDS",
@@ -157,6 +155,7 @@ def _clamped_eigh(K, name="K_aa"):
 def _ridge_solve(gram, ridge, y):
     """``(gram + ridge I)^{-1} y`` for a symmetric PSD ``gram`` and a positive
     ridge, by Cholesky of the symmetrized matrix; no inverse is formed."""
+    from scipy.linalg import cho_factor, cho_solve  # only the ridge solves pay for it
     G = gram + ridge * np.eye(gram.shape[0])
     return cho_solve(cho_factor((G + G.T) / 2, lower=True), y)
 
@@ -353,6 +352,7 @@ def apply_activation(a, M):
     if a.kind == "identity":
         return x.copy()
     if a.kind == "erf":
+        from scipy import special  # only erf pays for the import
         return special.erf(x)
     if a.kind == "sign":
         return np.sign(x)  # sign(0) = 0
@@ -576,8 +576,9 @@ def to_json_text(obj):
     """Serialize a report to canonical JSON.
 
     Keys keep their insertion order, floats are printed with 17 significant
-    digits (lossless for float64), and non-finite values are rejected, so a
-    given report always produces identical bytes.
+    digits (lossless for float64; a negative zero as ``-0.0``), and
+    non-finite values are rejected, so a given report always produces
+    identical bytes.
     """
     out = []
     _emit(obj, out)
@@ -595,7 +596,8 @@ def _emit(obj, out):
         v = float(obj)
         if not math.isfinite(v):
             raise ValueError("non-finite value in JSON report")
-        out.append(format(v, ".17g"))
+        text = format(v, ".17g")
+        out.append("-0.0" if text == "-0" else text)  # "-0" would read back as +0
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

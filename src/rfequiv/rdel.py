@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import equiv
 from .model import (NonConvergence, _check_heights, _check_ridge, _check_z,
@@ -454,7 +453,10 @@ def zeroth_moment_check(K, dims, delta, eta_list):
     n, d, t = dims
     s1, _, s3, _ = _rf_slices(dims)
     idx = np.r_[s1, s3]
-    omega = block_diag(np.eye(n), d * K.K_hh)  # Omega_0 on the (n+t) block
+    _check_rf_dims(K, dims)
+    omega = np.zeros((n + t, n + t))  # Omega_0 on the (n+t) block
+    omega[:n, :n] = np.eye(n)
+    omega[n:, n:] = d * K.K_hh
     deltas = []
     for eta in etas:
         z = 1j * eta

@@ -1,6 +1,7 @@
 """Command-line front door: verbs, report files, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -34,15 +35,68 @@ def toy_files(tmp_path):
     return kern, y, yhat
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # scipy.optimize would add ~0.17 s to every verb's start-up; the alpha
-    # solve is a hand-rolled Newton loop for that reason
-    code = "import sys, rfequiv.cli; print('scipy.optimize' in sys.modules)"
-    src = Path(rfequiv.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
-                          capture_output=True, text=True, timeout=60,
+SRC = Path(rfequiv.__file__).resolve().parents[1]
+PRINT_SCIPY = ("import sys; print(' '.join(sorted(m for m in sys.modules "
+               "if m == 'scipy' or m.startswith('scipy.'))))")
+
+
+def _fresh_python(code):
+    """stdout of a new interpreter that runs ``code`` in the source tree."""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                          capture_output=True, text=True, timeout=120,
                           check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def _fresh_cli(argv, **env):
+    """Exit code of ``rfequiv argv`` in a new interpreter, with ``env`` added."""
+    return subprocess.run([sys.executable, "-m", "rfequiv.cli", *argv], cwd=SRC,
+                          env={**os.environ, **env}, capture_output=True,
+                          timeout=120).returncode
+
+
+@pytest.mark.parametrize("module", ["rfequiv", "rfequiv.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy.special and scipy.linalg cost ~0.25 s of start-up; only the erf
+    # activation and the ridge solves import them, when they run.
+    # scipy.optimize would add ~0.4 s more (it pulls in both); the alpha
+    # solve is a hand-rolled Newton loop for that reason
+    assert _fresh_python(f"import {module}; {PRINT_SCIPY}").strip() == ""
+
+
+def test_predict_loads_no_scipy(tmp_path, toy_files):
+    kern, y, yhat = toy_files
+    out = tmp_path / "p.json"
+    argv = ["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
+            str(yhat), "--d", "2", "--delta", "1", "--out", str(out)]
+    code = f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}"
+    assert _fresh_python(code).strip() == ""
+    assert out.exists()
+
+
+def test_sign_sin_diagnose_loads_neither_special_nor_linalg(tmp_path):
+    # the BLAS pin of the pool imports the scipy package itself, for the
+    # path of scipy.libs/, and nothing below it
+    argv = ["diagnose", "--synthetic", "12,6,4", "--sigma", "sign", "--phi",
+            "sin", "--d", "4", "--delta", "0.1", "--samples", "600",
+            "--reps", "4", "--probes", "1", "--out", str(tmp_path / "d.json")]
+    code = f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}"
+    loaded = _fresh_python(code).split()
+    assert "scipy.special" not in loaded and "scipy.linalg" not in loaded
+
+
+def test_first_erf_import_in_pool_workers_keeps_the_bytes(tmp_path):
+    # 2048 draws are four chunks, so at two workers the first erf call, and
+    # with it the import of scipy.special, happens in both pool threads
+    argv = ["estimate-kernels", "--synthetic", "10,6,5", "--sigma", "erf",
+            "--samples", "2048", "--seed", "5", "--out"]
+    for threads in ("1", "2"):
+        assert _fresh_cli(argv + [str(tmp_path / f"k{threads}.json")],
+                          RF_EQUIV_THREADS=threads) == 0
+    assert main(argv + [str(tmp_path / "k.json")]) == 0
+    want = (tmp_path / "k.json").read_bytes()
+    assert (tmp_path / "k1.json").read_bytes() == want
+    assert (tmp_path / "k2.json").read_bytes() == want
 
 
 def test_estimate_kernels_writes_valid_report(tmp_path):

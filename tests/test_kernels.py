@@ -1,6 +1,7 @@
 """Monte Carlo kernel-block estimation and its analytic identity oracle."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,69 @@ def test_kernelset_rejects_indefinite_joint():
         KernelSet(np.eye(2), np.full((2, 2), 0.9), np.eye(2), 1)
 
 
+def _joint_with_min_eig(c, flat, m=12):
+    """An exactly symmetric m x m matrix with largest eigenvalue 1 and
+    smallest ``c * 1e-10``.  With ``flat`` the top eigenvector is the
+    all-ones direction, so every diagonal entry is near 1/m: the Cholesky
+    shift, half the tolerance scaled by the largest diagonal entry, is then
+    far below half of ``1e-10 * lam_max``."""
+    rng = np.random.default_rng(11)
+    start = rng.standard_normal((m, m))
+    if flat:
+        start[:, 0] = 1.0
+        w = np.r_[1.0, c * 1e-10, np.geomspace(1e-6, 1e-3, m - 2)]
+    else:
+        w = np.r_[np.linspace(0.1, 1.0, m - 1)[::-1], c * 1e-10]
+    Q = np.linalg.qr(start)[0]
+    J = (Q * w) @ Q.T
+    return (J + J.T) / 2
+
+
+def _psd_decision(J, monkeypatch):
+    """Build a KernelSet on J's blocks and check its decision against the
+    eigvalsh rule, min eig ``>= -1e-10 * lam_max - 1e-300``, and that a
+    refusal names the min eig.  Returns (accepted, whether eigvalsh ran)."""
+    w = np.linalg.eigvalsh(J)
+    accept = w[0] >= -1e-10 * max(w[-1], 0.0) - 1e-300
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or eigvalsh(a))
+    n = len(J) * 2 // 3
+    blocks = J[:n, :n], J[:n, n:], J[n:, n:]
+    if accept:
+        KernelSet(*blocks, 1)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"joint kernel block matrix is not PSD (min eig {w[0]:.3e})")):
+            KernelSet(*blocks, 1)
+    return accept, bool(calls)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("c", [-3, -1.05, -0.95, -0.3, 0, 0.5])
+def test_kernelset_psd_decision_at_the_tolerance(c, flat, monkeypatch):
+    """The Cholesky fast accept decides as the eigvalsh rule does."""
+    accept, ran_eigvalsh = _psd_decision(_joint_with_min_eig(c, flat), monkeypatch)
+    assert accept == (c > -1)  # the matrix lands on the intended side
+    if c >= 0:
+        assert not ran_eigvalsh  # the Cholesky accepted alone
+    if flat and c == -0.3:
+        assert ran_eigvalsh  # a shift of 0.5e-10 / 12 is too small
+
+
+@pytest.mark.parametrize("m", [474, 475, 1000])
+@pytest.mark.parametrize("c", [-1.05, -0.95, 0.5])
+def test_kernelset_psd_decision_on_large_joint(c, m, monkeypatch):
+    """Cholesky's backward error, about m(m+1) eps lam_max, fits in the other
+    half of the tolerance only up to m = 474; a larger joint matrix is
+    decided by eigvalsh alone, with the same rule."""
+    accept, ran_eigvalsh = _psd_decision(_joint_with_min_eig(c, False, m),
+                                         monkeypatch)
+    assert accept == (c > -1)
+    assert ran_eigvalsh == (c < 0 or m > 474)
+
+
 def test_kernels_json_round_trip(tmp_path):
     ds = synthetic_regression(6, 3, 4, 0.2, seed=1)
     ks = estimate_kernels(ds, ERF, IDENTITY, 6, 300, seed=7)
@@ -232,15 +296,13 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
     st.integers(-2 ** 53, 2 ** 53).map(float),
     st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=40))
 def test_kernel_file_parse_is_bit_identical(tmp_path_factory, values):
-    """Every finite double written at 17 significant digits reads back with
-    the same bits, as the stdlib reads it.  The one exception is -0.0: the
-    writer prints it as "-0", an integer token, which any JSON reader takes
-    as 0, so it comes back as +0.0 on either route."""
+    """Every finite double written at 17 significant digits, -0.0 included,
+    reads back with the same bits, as the stdlib reads it."""
     p = tmp_path_factory.mktemp("parse") / "v.json"
     write_json(p, {"v": values})
     back = np.array(_read_json(p)["v"], dtype=float)
     stdlib = np.array(json.loads(p.read_text())["v"], dtype=float)
-    want = np.array(values) + 0.0  # -0.0 + 0.0 is +0.0; every other value stays
+    want = np.array(values, dtype=float)
     assert back.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert stdlib.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
