@@ -14,10 +14,12 @@ Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``,
 in which ``M11`` has eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so
 ``M11`` is never formed.  One scalar solve serves every spectral parameter:
 ``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}`` is solved to
-rounding by guarded Newton steps in ``x = -1/nu``, restarted from the root at
-``4 Im z`` where a step is refused.  At ``z = 0`` it is Newton's method on the
-degrees-of-freedom equation for the effective ridge ``kappa = delta x``, so
-``alpha = -delta/kappa``, and ``denom`` is the slope of the equation there.
+rounding by guarded Newton steps in ``x = -1/nu``; where a step is refused,
+one loop climbs the heights ``4 Im z``, ``16 Im z``, ... and comes back
+down, restarting each rung from the root of the one above.  At ``z = 0`` it
+is Newton's method on the degrees-of-freedom equation for the effective
+ridge ``kappa = delta x``, so ``alpha = -delta/kappa``, and ``denom`` is the
+slope of the equation there.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class EquivSolution:
         return asdict(self)
 
 
-def _solve_nu(lam, d, delta, z, x0=None):
+def _solve_nu(lam, d, delta, z):
     """``nu`` at ``z`` by guarded Newton steps in ``x = -1/nu``.
 
     With ``mu_j = d lam_j / (delta - z)`` and ``r_j = 1 / (1 + mu_j / x)``
@@ -72,57 +74,66 @@ def _solve_nu(lam, d, delta, z, x0=None):
     ``F(x) = x ((1 - m/d) + sum_j r_j / d) = 1 + z``, and
     ``F'(x) = (1 - m/d) + sum_j r_j (2 - r_j) / d``; neither cancels as
     ``mu_j / x`` grows when ``d >= m``, and nothing squares ``z``.  From
-    ``x = 1 + z + sum_j lam_j / (delta - z)``, or the warm start ``x0``, a
-    Newton step is taken if it keeps ``Im x >= 0`` and lowers ``|F - 1 - z|``.
-    At ``z = 0``, ``delta F(kappa/delta)`` is the convex degrees-of-freedom
-    function of the effective ridge ``kappa = delta x``, and every step is.
-    At ``Im z > 0`` a refused step restarts the loop from the root at
-    ``4 Im z``, solved by the same rule, which climbs further if it must:
-    the root in the upper half-plane is unique and stable in ``z``.  The
-    loop ends once ``|F - 1 - z|`` is within 4 ulp of the size of the terms
-    it is computed from, or the step is at most 4 ulp of ``|x|``.  A
-    non-finite ``mu`` or start, a refused step at ``z = 0`` or from ``x0``,
-    and ``_MAX_STEPS`` steps at one height raise :class:`NonConvergence`.
-    The arithmetic is real when ``z`` is.  Returns ``(x, g, F'(x), steps)``,
-    ``g_j = 1 / (delta - z + d lam_j / x)`` the eigenvalues of ``N11`` and
-    ``steps`` the Newton steps taken at every height.
+    ``x = 1 + z + sum_j lam_j / (delta - z)`` a Newton step is taken if it
+    keeps ``Im x >= 0`` and lowers ``|F - 1 - z|``.  At ``z = 0``,
+    ``delta F(kappa/delta)`` is the convex degrees-of-freedom function of
+    the effective ridge ``kappa = delta x = -delta/alpha``, and every step is.
+    At ``Im z > 0`` the solve is continuation in ``z`` over a ladder of
+    heights: a step refused from the explicit start pushes the rung
+    ``4 Im z``, solved from its own explicit start, which climbs further if
+    it must; a rung that converges is popped, and its root starts the rung
+    below.  The root in the upper half-plane is unique and stable in ``z``.
+    Each rung ends once ``|F - 1 - z|`` is within 4 ulp of the size of the
+    terms it is computed from, or the step is at most 4 ulp of ``|x|``.  A
+    non-finite ``mu`` or start at any rung, a refused step at ``z = 0`` or
+    from a root above, and ``_MAX_STEPS`` steps at one height raise
+    :class:`NonConvergence`.  The arithmetic is real when ``z`` is.  Returns
+    ``(x, g, F'(x), steps)``, ``g_j = 1 / (delta - z + d lam_j / x)`` the
+    eigenvalues of ``N11`` and ``steps`` the Newton steps taken at every
+    height.
     """
     pos = lam[lam > 0]
     base = 1.0 - pos.size / d
-    shift, rhs = delta - z, 1.0 + z
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = d * pos / shift
-        x = rhs + np.sum(pos / shift).item() if x0 is None else x0
-    if not (np.isfinite(mu).all() and np.isfinite(x)):
-        raise NonConvergence("nu solve cannot start: lam / (delta - z) "
-                             f"overflows at delta {delta:.3e}")
+    rungs, x, total = [z], None, 0  # x: the root of the rung above, if any
 
-    def gap(x):
+    def gap(x):  # at the current rung's mu and rhs
         r = 1.0 / (1.0 + mu / x) if x else np.zeros_like(mu)
         return r, x * (base + np.sum(r).item() / d) - rhs
 
-    r, f = gap(x)
-    for steps in range(_MAX_STEPS):
-        slope = base + np.sum(r * (2.0 - r)).item() / d
-        step = f / slope
-        size = abs(x) * (abs(base) + np.sum(np.abs(r)).item() / d) + abs(rhs)
-        if (abs(f) <= 4 * np.spacing(size)
-                or not abs(step) > 4 * np.spacing(abs(x))):  # or a NaN step
-            break
-        x_new = x - step
-        r_new, f_new = gap(x_new)
-        if not (x_new.imag >= 0 and abs(f_new) < abs(f)):
-            if x0 is not None or not z.imag:
-                raise NonConvergence(f"nu solve refused a Newton step at "
-                                     f"|F - 1 - z| {abs(f):.3e}")
-            up = _solve_nu(lam, d, delta, complex(z.real, 4 * z.imag))
-            x, g, slope, more = _solve_nu(lam, d, delta, z, up[0])
-            return x, g, slope, steps + up[3] + more
-        x, r, f = x_new, r_new, f_new
-    else:
-        raise NonConvergence(f"nu solve stalled at |F - 1 - z| {abs(f):.3e} "
-                             f"after {_MAX_STEPS} steps")
-    return x, 1.0 / (shift + d * lam / x), slope, steps
+    while rungs:
+        z, warm = rungs[-1], x is not None
+        shift, rhs = delta - z, 1.0 + z
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = d * pos / shift
+            if not warm:
+                x = rhs + np.sum(pos / shift).item()
+        if not (np.isfinite(mu).all() and np.isfinite(x)):
+            raise NonConvergence("nu solve cannot start: lam / (delta - z) "
+                                 f"overflows at delta {delta:.3e}")
+        r, f = gap(x)
+        for steps in range(_MAX_STEPS):
+            slope = base + np.sum(r * (2.0 - r)).item() / d
+            step = f / slope
+            size = abs(x) * (abs(base) + np.sum(np.abs(r)).item() / d) + abs(rhs)
+            if (abs(f) <= 4 * np.spacing(size)
+                    or not abs(step) > 4 * np.spacing(abs(x))):  # or a NaN step
+                rungs.pop()
+                break
+            x_new = x - step
+            r_new, f_new = gap(x_new)
+            if not (x_new.imag >= 0 and abs(f_new) < abs(f)):
+                if warm or not z.imag:
+                    raise NonConvergence(f"nu solve refused a Newton step at "
+                                         f"|F - 1 - z| {abs(f):.3e}")
+                rungs.append(complex(z.real, 4 * z.imag))
+                x = None
+                break
+            x, r, f = x_new, r_new, f_new
+        else:
+            raise NonConvergence(f"nu solve stalled at |F - 1 - z| "
+                                 f"{abs(f):.3e} after {_MAX_STEPS} steps")
+        total += steps
+    return x, 1.0 / (shift + d * lam / x), slope, total
 
 
 def build_equiv(K, y, yhat, d, delta):

@@ -238,10 +238,10 @@ def _read_json(path):
 def load_kernels(path):
     """Read a KernelSet from JSON written by :func:`save_kernels`.
 
-    Parse faults, a block that is not 2-D and a ``samples`` that is not a
-    JSON integer among them, raise :class:`MatrixFormatError`; a header, or
-    the ``K_ha`` of an older file, that disagrees with the blocks raises
-    ``ValueError``.
+    Parse faults, a block that is not 2-D and an ``n_train``, ``n_test`` or
+    ``samples`` that is not a JSON integer among them, raise
+    :class:`MatrixFormatError`; a header, or the ``K_ha`` of an older file,
+    that disagrees with the blocks raises ``ValueError``.
     """
     raw = _read_json(path)
     try:
@@ -250,8 +250,9 @@ def load_kernels(path):
                   for name in ("K_aa", "K_ah", "K_hh")]
         K_ha = np.array(raw["K_ha"], dtype=float) if "K_ha" in raw else None
         samples = raw["samples"]
-        if type(samples) is not int:  # 2.7, true and "12" would convert
-            raise TypeError(f"samples must be a JSON integer, not {samples!r}")
+        for name, count in zip(("n_train", "n_test", "samples"), (*header, samples)):
+            if type(count) is not int:  # 2.7, true and "12" would convert
+                raise TypeError(f"{name} must be a JSON integer, not {count!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"{path}: malformed kernel JSON ({exc})") from exc
     for name, block in zip(("K_aa", "K_ah", "K_hh"), blocks):

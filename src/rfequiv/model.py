@@ -104,12 +104,15 @@ def _real(x, name):
 
 
 def _matrix(x, name, square=False):
-    """``x`` as a finite 2-D float array, never reshaped; with ``square``, also
-    square and symmetric to 1e-12 relative in Frobenius norm, taken on
-    ``b = x / max(1, max|x|)`` so that no norm overflows.  Faults name ``name``."""
+    """``x`` as a finite 2-D float array with at least one row and one column,
+    never reshaped; with ``square``, also square and symmetric to 1e-12
+    relative in Frobenius norm, taken on ``b = x / max(1, max|x|)`` so that no
+    norm overflows.  Faults name ``name``."""
     a = _real(x, name)
     if a.ndim != 2:
         raise ValueError(f"{name} is {a.ndim}-D, not 2-D")
+    if not a.size:
+        raise ValueError(f"{name} is empty (shape {a.shape})")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     if square:
@@ -486,7 +489,8 @@ def load_matrix(path, layout="csv"):
     Layouts
     -------
     ``"csv"``
-        Rows of comma- or whitespace-separated numbers, no header row.
+        Rows of comma- or whitespace-separated numbers, no header row; an
+        empty comma-separated cell (``1,,2``, ``1,2,``) is refused.
     ``"raw-f64-le"``
         16-byte header of (rows, cols) as little-endian uint64 followed by
         row-major little-endian float64 values.
@@ -494,8 +498,8 @@ def load_matrix(path, layout="csv"):
     Raises
     ------
     MatrixFormatError
-        On a CSV file that is not UTF-8 text, ragged rows, non-numeric
-        cells, or a header/body size mismatch.
+        On a CSV file that is not UTF-8 text, ragged rows, empty or
+        non-numeric cells, or a header/body size mismatch.
     OSError
         On I/O failure.
     """
@@ -515,6 +519,10 @@ def _load_csv(path):
     rows = []
     for lineno, line in enumerate(lines, 1):
         tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
+        # n commas bound n + 1 cells; fewer tokens means an empty one
+        commas = line.count(",")
+        if commas and len(tokens) <= commas:
+            raise MatrixFormatError(f"{path}:{lineno}: empty cell")
         if not tokens:
             continue
         try:

@@ -11,7 +11,10 @@ replaced by one that fails the test when it is reached.
 
 import cmath
 import functools
+import inspect
 import json
+import struct
+import sys
 import warnings
 from unittest import mock
 
@@ -65,6 +68,12 @@ BAD_KERNELS = {
     "block-ragged": ({"K_aa": [[1.0, 0.0], [0.0]]}, PARSE_FAULT),
     "header-shape": ({"n_train": 5, "n_test": 9},
                      (2, "disagrees with the blocks")),
+    # the header counts are JSON integers too; 2.0 and true equal 2 and 1
+    "header-fraction": ({"n_train": 2.0}, PARSE_FAULT),
+    "header-bool": ({"n_test": True}, PARSE_FAULT),
+    "header-text": ({"n_train": "2"}, PARSE_FAULT),
+    "block-shapes": ({"n_train": 3, "K_aa": np.eye(3).tolist()},
+                     (2, "kernel block shapes are inconsistent")),
     # every block must be 2-D, whatever its shape would broadcast to
     "block-3d": ({"K_ah": [[[0.0], [0.0]]]}, (3, "K_ah is 3-D")),
     "block-1d": ({"K_ah": [0.0, 0.0]}, (3, "K_ah is 1-D")),
@@ -172,11 +181,18 @@ def _alpha_is(K_aa, d, delta, want):
     return run
 
 
-def _subdel_continued(lam, d, delta, z):
+def _subdel_continued(lam, d, delta, z, frames=None):
     """solve_subdel on ``diag(lam)`` returns the root continued from far
-    above the axis, within 1e-12 relative."""
+    above the axis, within 1e-12 relative; with ``frames``, the solve runs
+    under a recursion limit that many frames above the caller's depth."""
     def run():
-        _, nu = equiv.solve_subdel(np.diag(lam), d, delta, z)
+        limit = sys.getrecursionlimit()
+        if frames:
+            sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+        try:
+            _, nu = equiv.solve_subdel(np.diag(lam), d, delta, z)
+        finally:
+            sys.setrecursionlimit(limit)
         want = continued_nu(lam, d, delta, z)
         assert abs(nu - want) <= 1e-12 * abs(want), (nu, want)
     return run
@@ -307,7 +323,9 @@ CASES = {
            ("delta-list-negative", ["--d-list", "2", "--delta-list=-1"],
             "delta must be a positive finite real"),
            ("delta-list-nan", ["--d-list", "2", "--delta-list", "nan"],
-            "delta must be a positive finite real"))},
+            "delta must be a positive finite real"),
+           ("d-list-empty", ["--d-list", ",", "--delta-list", "0.1"],
+            "--d-list and --delta-list must be non-empty"))},
     # the replicate verbs check --reps before any kernel draw
     **{f"{verb}-reps-zero": (
         [verb, "--synthetic", "4,2,3", *grid, "--reps", "0"],
@@ -330,6 +348,9 @@ CASES = {
            ("table-inf-ordinate", ["--sigma", "custom-table",
                                    "--sigma-params=-50,0,50,-1,inf,1"],
             "parameters must be finite"),
+           ("table-odd-params", ["--sigma", "custom-table",
+                                 "--sigma-params", "0,1,2"],
+            "custom-table needs k >= 2 abscissae followed by k ordinates"),
            ("erf-params", ["--sigma", "erf", "--sigma-params", "1,2"],
             "'erf' takes no parameters"),
            ("phi-sin-params", ["--phi", "sin", "--phi-params", "1"],
@@ -367,6 +388,38 @@ CASES = {
         ["estimate-kernels", "--x", "{x4-ff}", "--xhat", "{xhat1}", "--y", "{y4}",
          "--yhat", "{yhat}", "--samples", "100"],
         (3, "x4-ff.csv: not UTF-8 text"), DRAWS, {}),
+    # a trailing comma is an empty cell, not the end of the row
+    "estimate-kernels-x-empty-cell": (
+        ["estimate-kernels", "--x", "{x4-empty-cell}", "--xhat", "{xhat1}",
+         "--samples", "100"],
+        (3, "x4-empty-cell.csv:2: empty cell"), DRAWS, {}),
+    "estimate-kernels-x-blank": (
+        ["estimate-kernels", "--x", "{blank}", "--xhat", "{xhat1}"],
+        (3, "blank.csv: no numeric rows"), DRAWS, {}),
+    "estimate-kernels-x-raw-short": (
+        ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-short}",
+         "--xhat", "{raw-1x3}"], (3, "short.bin: missing 16-byte header"),
+        DRAWS, {}),
+    # a design with no rows or no columns is refused, naming it, before any
+    # draw: it would give empty or all-zero kernel blocks
+    "estimate-kernels-raw-no-rows": (
+        ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-0x3}",
+         "--xhat", "{raw-1x3}", "--samples", "100", "--n", "1"],
+        (2, "X is empty (shape (0, 3))"), DRAWS, {}),
+    "estimate-kernels-raw-no-columns": (
+        ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-3x0}",
+         "--xhat", "{raw-1x0}", "--samples", "100"],
+        (2, "X is empty (shape (3, 0))"), DRAWS, {}),
+    "estimate-kernels-synthetic-two-dims": (
+        ["estimate-kernels", "--synthetic", "4,2"],
+        (2, "--synthetic needs exactly NTRAIN,NTEST,N0"), DRAWS, {}),
+    "estimate-kernels-no-design": (
+        ["estimate-kernels"], (2, "provide --x and --xhat, or use --synthetic"),
+        DRAWS, {}),
+    "simulate-no-labels": (
+        ["simulate", "--kernels", "{identity4}", "--x", "{x4}", "--xhat",
+         "{xhat1}", "--d", "2", "--delta", "0.1", "--reps", "3"],
+        (2, "provide --y and --yhat"), DRAWS, {}),
     "predict-y-invalid-utf8": (_labels("predict", "y4-ff"),
                                (3, "y4-ff.csv: not UTF-8 text"),
                                ((equiv, "_solve_nu"),), {}),
@@ -472,6 +525,11 @@ CASES = {
     "subdel-near-real-root": (
         _subdel_continued([0.5, 1.0, 2.0, 0.0], 4, 0.3, 2 + 1e-30j), None, (),
         {(equiv, "_solve_nu"): _newton_steps_below(301)}),
+    # at the smallest positive height the ladder has about 540 rungs; they
+    # are a loop, so 50 frames above the caller suffice, under a wrapper too
+    "subdel-near-real-root-5e-324": (
+        _subdel_continued([0.5, 1.0, 2.0, 0.0], 4, 0.3, 2 + 5e-324j, frames=50),
+        None, (), {(equiv, "_solve_nu"): _newton_steps_below(1000)}),
     "diagnose-identity4-near-axis": (
         ["diagnose", "--synthetic", "4,1,3", "--kernels", "{identity4}",
          "--d", "4", "--delta", "0.3", "--z", "2+0.001j", "--reps", "4",
@@ -489,6 +547,10 @@ CASES = {
     "pencil-tall-delta-1e-6": (_pencil((12, 4, 4), 1e-6), None, (), {}),
     # a wide one stays invertible as delta -> 0
     "pencil-wide-delta-1e-300": (_pencil((4, 12, 4), 1e-300), None, (), {}),
+    "pencil-width-mismatch": (
+        lambda: sim.build_pseudoresolvent(np.ones((3, 2)), np.ones((1, 3)), 0.1,
+                                          0.0),
+        (ValueError, "A and Ahat must share the width d"), (), {}),
 }
 
 
@@ -503,7 +565,9 @@ def files(tmp_path, toy_kernels):
              "yhat3": tmp_path / "yhat3.csv", "x4": tmp_path / "x4.csv",
              "xhat1": tmp_path / "xhat1.csv", "y2x2": tmp_path / "y2x2.csv",
              "y4-inf": tmp_path / "y4-inf.csv", "y4-huge": tmp_path / "y4-huge.csv",
-             "x4-ff": tmp_path / "x4-ff.csv", "y4-ff": tmp_path / "y4-ff.csv"}
+             "x4-ff": tmp_path / "x4-ff.csv", "y4-ff": tmp_path / "y4-ff.csv",
+             "blank": tmp_path / "blank.csv", "raw-short": tmp_path / "short.bin",
+             "x4-empty-cell": tmp_path / "x4-empty-cell.csv"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
@@ -527,6 +591,13 @@ def files(tmp_path, toy_kernels):
     # x4 and y4, each with one byte that is not UTF-8
     paths["x4-ff"].write_bytes(b"1,0,0\n0,\xff,0\n0,0,1\n1,1,0\n")
     paths["y4-ff"].write_bytes(b"1\n\xff\n1\n1\n")
+    paths["x4-empty-cell"].write_text("1,0,0\n0,1,0,\n0,0,1\n1,1,0\n")
+    paths["blank"].write_text("\n  \n")
+    paths["raw-short"].write_bytes(struct.pack("<Q", 1))
+    for rows, cols in ((0, 3), (1, 3), (3, 0), (1, 0)):
+        path = paths[f"raw-{rows}x{cols}"] = tmp_path / f"raw-{rows}x{cols}.bin"
+        path.write_bytes(struct.pack("<QQ", rows, cols)
+                         + np.ones(rows * cols, "<f8").tobytes())
     paths["huge-x"].write_text("1e308,1e308,1e308\n" * 4)
     paths["huge-xhat"].write_text("1e308,1e308,1e308\n" * 2)
     toy = json.loads(paths["kernels"].read_text())

@@ -58,8 +58,17 @@ def test_csv_column_vector(tmp_path):
 
 def test_csv_accepts_whitespace_separators(tmp_path):
     p = tmp_path / "w.csv"
-    p.write_text("1 2\n3\t4\n")
-    assert np.array_equal(load_matrix(p, "csv"), [[1.0, 2.0], [3.0, 4.0]])
+    p.write_text("1 2\n3\t4\n5, 6\n7 , 8\n")
+    assert np.array_equal(load_matrix(p, "csv"),
+                          [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+
+
+@pytest.mark.parametrize("row", ["1,,2", "1,2,", ",1,2", "1, ,2", ","])
+def test_csv_empty_cell_rejected(tmp_path, row):
+    p = tmp_path / "e.csv"
+    p.write_text(f"1,2,3\n{row}\n")
+    with pytest.raises(MatrixFormatError, match="e.csv:2: empty cell"):
+        load_matrix(p, "csv")
 
 
 def test_csv_ragged_rows_rejected(tmp_path):
@@ -292,7 +301,7 @@ FLOATS = st.one_of(
 def test_matrix_and_vector_return_their_promise_or_raise_value_error(a, shift):
     finite = bool(np.all(np.isfinite(a)))
     m = _value_or_none(lambda: model._matrix(a, "a"))
-    assert (m is not None) == (a.ndim == 2 and finite)
+    assert (m is not None) == (a.ndim == 2 and a.size > 0 and finite)
     if m is not None:
         assert np.array_equal(m, a) and m.shape == a.shape
     sq = _value_or_none(lambda: model._matrix(a, "a", square=True))
