@@ -10,7 +10,8 @@ Modules
 model
     Domain types, activations, seeding, matrix I/O, canonical JSON.
 kernels
-    Monte Carlo estimation of the feature covariance blocks.
+    The feature covariance blocks: closed forms where they exist, Monte
+    Carlo estimation otherwise.
 equiv
     The error prediction (``build_equiv``) and the reduced two-block
     resolvent at any z, from one safeguarded Newton solve of the scalar
@@ -44,6 +45,7 @@ from .kernels import (
     analytic_identity_kernels,
     default_samples,
     estimate_kernels,
+    exact_kernels,
     load_kernels,
     save_kernels,
     verify_centering,

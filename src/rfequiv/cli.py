@@ -19,14 +19,16 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .equiv import build_equiv
 from .kernels import (
+    _has_closed_form,
     default_samples,
     estimate_kernels,
+    exact_kernels,
     load_kernels,
     save_kernels,
     verify_centering,
@@ -37,6 +39,7 @@ from .model import (
     Dataset,
     MatrixFormatError,
     RFConfig,
+    _SINGLE_THREAD_BLAS,
     _check_heights,
     _check_ridge,
     _check_seed,
@@ -102,8 +105,8 @@ def _add_model_options(p):
                    help="feature normalization (default: n_train)")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     p.add_argument("--samples", type=int, default=None,
-                   help="kernel Monte Carlo draws (default: 20*(n_train+n_test), "
-                        "at least 10000)")
+                   help="kernel Monte Carlo draws, used where no closed form "
+                        "exists (default: 20*(n_train+n_test), at least 10000)")
 
 
 def _load_dataset(args, need_labels=True):
@@ -148,9 +151,19 @@ def _samples(args, ds):
 
 
 def _dataset_kernels(args, ds, sigma, phi, n):
+    """The blocks of ``--kernels``; else the closed form where one exists (a
+    built-in sigma with phi = identity), which records the Monte Carlo
+    budget as its ``samples``; else that many Monte Carlo draws.  Both
+    routes run OpenBLAS on one thread, so neither file depends on the
+    thread count the caller left set."""
     if getattr(args, "kernels", None):
         return load_kernels(args.kernels)
-    return estimate_kernels(ds, sigma, phi, n, _samples(args, ds), args.seed)
+    m = _samples(args, ds)
+    if _has_closed_form(sigma, phi):
+        with _SINGLE_THREAD_BLAS:  # OpenBLAS rounds D D^T with its thread count
+            K = exact_kernels(ds, sigma, phi, n)
+        return replace(K, samples=m)
+    return estimate_kernels(ds, sigma, phi, n, m, args.seed)
 
 
 # ---------------------------------------------------------------------------

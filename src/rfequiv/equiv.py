@@ -85,12 +85,13 @@ def _solve_nu(lam, d, delta, z):
     below.  The root in the upper half-plane is unique and stable in ``z``.
     Each rung ends once ``|F - 1 - z|`` is within 4 ulp of the size of the
     terms it is computed from, or the step is at most 4 ulp of ``|x|``.  A
-    non-finite ``mu`` or start at any rung, a refused step at ``z = 0`` or
-    from a root above, and ``_MAX_STEPS`` steps at one height raise
+    non-finite ``mu`` or start at any rung, a zero slope (``m = d`` with
+    every ``r_j`` underflowed), a refused step at ``z = 0`` or from a root
+    above, and ``_MAX_STEPS`` steps at one height raise
     :class:`NonConvergence`.  The arithmetic is real when ``z`` is.  Returns
     ``(x, g, F'(x), steps)``, ``g_j = 1 / (delta - z + d lam_j / x)`` the
-    eigenvalues of ``N11`` and ``steps`` the Newton steps taken at every
-    height.
+    eigenvalues of ``N11`` (inf, without a warning, where the division
+    overflows) and ``steps`` the Newton steps taken at every height.
     """
     pos = lam[lam > 0]
     base = 1.0 - pos.size / d
@@ -113,6 +114,9 @@ def _solve_nu(lam, d, delta, z):
         r, f = gap(x)
         for steps in range(_MAX_STEPS):
             slope = base + np.sum(r * (2.0 - r)).item() / d
+            if not slope:  # m = d and every r_j underflowed: F is flat
+                raise NonConvergence(f"nu solve met a zero slope at "
+                                     f"|F - 1 - z| {abs(f):.3e}")
             step = f / slope
             size = abs(x) * (abs(base) + np.sum(np.abs(r)).item() / d) + abs(rhs)
             if (abs(f) <= 4 * np.spacing(size)
@@ -133,7 +137,9 @@ def _solve_nu(lam, d, delta, z):
             raise NonConvergence(f"nu solve stalled at |F - 1 - z| "
                                  f"{abs(f):.3e} after {_MAX_STEPS} steps")
         total += steps
-    return x, 1.0 / (shift + d * lam / x), slope, total
+    with np.errstate(over="ignore", divide="ignore"):
+        g = 1.0 / (shift + d * lam / x)
+    return x, g, slope, total
 
 
 def build_equiv(K, y, yhat, d, delta):
@@ -168,11 +174,10 @@ def build_equiv(K, y, yhat, d, delta):
         )
 
     W = V.T @ K.K_ah
-    # tr(K_ha M11 (I + delta M11) K_ah) = sum_j (g_j + delta g_j^2) ||W_j||^2
-    cross = float(np.sum((g + delta * g ** 2) * np.sum(W ** 2, axis=1)))
-    beta = alpha ** 2 * (float(np.trace(K.K_hh)) + d * alpha * cross) / denom
-
     with np.errstate(over="ignore", invalid="ignore"):
+        # tr(K_ha M11 (I + delta M11) K_ah) = sum_j (g_j + delta g_j^2) ||W_j||^2
+        cross = float(np.sum((g + delta * g ** 2) * np.sum(W ** 2, axis=1)))
+        beta = alpha ** 2 * (float(np.trace(K.K_hh)) + d * alpha * cross) / denom
         c = g * (V.T @ y)  # V^T M11 y
         term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
         resid = d * alpha * (W.T @ c) + yhat

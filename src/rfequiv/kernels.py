@@ -1,21 +1,27 @@
-"""Monte Carlo estimation of the covariance blocks of feature columns.
+"""The covariance blocks of feature columns: in closed form where one
+exists, by Monte Carlo otherwise.
 
 A feature column pair is ``u = n^{-1/2} sigma([X; Xhat] phi(z))`` with
 ``z ~ N(0, I_{n0})``; the blocks ``K_aa``, ``K_ah``, ``K_hh`` of the symmetric
 ``E[u u^T]`` (``K_ha = K_ah^T`` is derived) drive every prediction downstream.
-The identity-activation case has an exact closed form that serves as the
-estimator's oracle.
+With ``phi`` = identity and a built-in ``sigma`` (identity, erf, sign, relu,
+sin), :func:`exact_kernels` computes the blocks from the Gram matrix of the
+design; :func:`estimate_kernels` averages sampled columns for any pair of
+activations and is the closed forms' test oracle.  A kernel file records
+``samples``, the Monte Carlo budget, and ``"exact": true`` when its blocks
+are a closed form (no draw was taken); a file without the key is Monte Carlo.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
 
 from .model import (
+    Activation,
     MatrixFormatError,
     _features,
     _matrix,
@@ -29,12 +35,14 @@ __all__ = [
     "analytic_identity_kernels",
     "default_samples",
     "estimate_kernels",
+    "exact_kernels",
     "load_kernels",
     "save_kernels",
     "verify_centering",
 ]
 
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
+_IDENTITY = Activation("identity")
 
 
 def default_samples(n_train, n_test):
@@ -48,19 +56,23 @@ class KernelSet:
 
     ``K_aa = E[a a^T]`` (n_train x n_train), ``K_ah = E[a ahat^T]``,
     ``K_hh = E[ahat ahat^T]``; ``samples`` is the number of Monte Carlo draws
-    behind the estimate.  ``K_ha`` is derived, a C-contiguous copy of
-    ``K_ah^T``.
+    behind the estimate, or, when ``exact`` is true and the blocks are a
+    closed form, the budget a draw would have had.  ``K_ha`` is derived, a
+    C-contiguous copy of ``K_ah^T``.
     """
 
     K_aa: np.ndarray
     K_ah: np.ndarray
     K_hh: np.ndarray
     samples: int
+    exact: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if isinstance(self.samples, bool) or not (
                 isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
             raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
+        if not isinstance(self.exact, bool):
+            raise ValueError(f"exact must be True or False, not {self.exact!r}")
         self.samples = int(self.samples)
         self.K_aa = _matrix(self.K_aa, "K_aa", square=True)
         self.K_ah = _matrix(self.K_ah, "K_ah")
@@ -158,22 +170,108 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
         comp = (t - total) - y
         total = t
     joint = total / m
-    joint = (joint + joint.T) / 2
+    return _split(ds, (joint + joint.T) / 2, m)
+
+
+def _split(ds, joint, samples, exact=False):
+    """The :class:`KernelSet` of a symmetric joint matrix over ``[X; Xhat]``."""
     nt = ds.n_train
-    K_aa = joint[:nt, :nt].copy()
-    K_ah = joint[:nt, nt:].copy()
-    K_hh = joint[nt:, nt:].copy()
-    return KernelSet(K_aa, K_ah, K_hh, m)
+    return KernelSet(joint[:nt, :nt].copy(), joint[:nt, nt:].copy(),
+                     joint[nt:, nt:].copy(), samples, exact=exact)
+
+
+def _arcsine(t):
+    """``(2/pi) arcsin t`` on ``t`` clipped to [-1, 1]; exactly 1 at 1."""
+    return np.arcsin(np.clip(t, -1.0, 1.0)) / (np.pi / 2)
+
+
+def _cosines(C, s):
+    """``sqrt(s_i s_j)`` and ``cos theta_ij = c_ij / sqrt(s_i s_j)``, clipped
+    to [-1, 1], 0 beside a zero row and exactly 1 on the diagonal of a
+    nonzero one (``arcsin`` turns an ulp below 1 into 1e-8)."""
+    r = np.sqrt(s)
+    rr = np.outer(r, r)
+    t = np.clip(np.divide(C, rr, out=np.zeros_like(C), where=rr > 0), -1.0, 1.0)
+    np.fill_diagonal(t, s > 0)
+    return rr, t
+
+
+def _erf_kernel(C, s):
+    # 2c / sqrt((1 + 2 s_i)(1 + 2 s_j)), with no factor that can overflow
+    p = np.sqrt(0.5 + s)
+    return _arcsine(C / np.outer(p, p))
+
+
+def _relu_kernel(C, s):
+    rr, t = _cosines(C, s)
+    return rr * (np.sqrt(1.0 - t * t) + (np.pi - np.arccos(t)) * t) / (2 * np.pi)
+
+
+def _sin_kernel(C, s):
+    # e^{-(s_i + s_j)/2} sinh c_ij, as a difference of two factors <= 1:
+    # h_ij -+ c_ij = ||x_i -+ x_j||^2 / 2 >= 0, and h_ii - c_ii = 0 exactly
+    h = s[:, None] / 2 + s / 2
+    return 0.5 * (np.exp(C - h) - np.exp(-(h + C)))
+
+
+# E[sigma(u) sigma(v)] for (u, v) ~ N(0, [[s_i, c_ij], [c_ij, s_j]]), from the
+# Gram matrix C and its diagonal s
+_CLOSED_FORMS = {
+    "identity": lambda C, s: C,
+    "erf": _erf_kernel,
+    "sign": lambda C, s: _arcsine(_cosines(C, s)[1]),
+    "relu": _relu_kernel,
+    "sin": _sin_kernel,
+}
+
+
+def _has_closed_form(sigma, phi):
+    """Whether :func:`exact_kernels` takes ``sigma`` and ``phi``."""
+    return phi.kind == "identity" and sigma.kind in _CLOSED_FORMS
+
+
+def exact_kernels(ds, sigma, phi, n):
+    """The kernel blocks in closed form, for a built-in ``sigma`` with
+    ``phi`` = identity.
+
+    The preactivations ``x_i . z`` of ``D = [X; Xhat]`` are then jointly
+    Gaussian with covariance ``C = D D^T``, so each entry of ``E[u u^T]``
+    is a function of ``(s_i, s_j, c_ij) = (C_ii, C_jj, C_ij)``, divided by
+    ``n``: ``c`` for identity; the arcsine kernels
+    ``(2/pi) arcsin(2c / sqrt((1 + 2 s_i)(1 + 2 s_j)))`` for erf and
+    ``(2/pi) arcsin(c / sqrt(s_i s_j))`` for sign (Williams 1998); the
+    arc-cosine kernel ``sqrt(s_i s_j) (sin theta + (pi - theta) cos theta)
+    / (2 pi)`` with ``cos theta = c / sqrt(s_i s_j)`` for relu (Cho and
+    Saul 2009); and ``e^{-(s_i + s_j)/2} sinh c`` for sin.  A zero row has
+    a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  Returns a
+    symmetrised :class:`KernelSet` with ``samples`` 1 and ``exact`` true.
+
+    ``ValueError`` is raised for a ``custom-table`` ``sigma`` or a ``phi``
+    other than identity, for ``n < 1``, and where ``C`` or the kernel is
+    not finite (``non-finite activation output``, as the draw would say),
+    with no ``RuntimeWarning``.
+    """
+    if not _has_closed_form(sigma, phi):
+        raise ValueError(f"no closed-form kernel for sigma {sigma.kind!r} "
+                         f"with phi {phi.kind!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_ah = ds.X @ ds.Xhat.T
+        C = np.block([[ds.X @ ds.X.T, C_ah], [C_ah.T, ds.Xhat @ ds.Xhat.T]])
+        J = _CLOSED_FORMS[sigma.kind](C, C.diagonal().copy()) / n
+        J = (J + J.T) / 2
+    # a form can map inf entries of C to finite ones, so C is checked too
+    if not (np.isfinite(C).all() and np.isfinite(J).all()):
+        raise ValueError("non-finite activation output (the Gram matrix of "
+                         "the design or its closed-form kernel overflows)")
+    return _split(ds, J, 1, exact=True)
 
 
 def analytic_identity_kernels(ds, n):
-    """Exact kernels for sigma = phi = identity: blocks of [X; Xhat] [X; Xhat]^T / n."""
-    K_aa = ds.X @ ds.X.T / n
-    K_ah = ds.X @ ds.Xhat.T / n
-    K_hh = ds.Xhat @ ds.Xhat.T / n
-    K_aa = (K_aa + K_aa.T) / 2
-    K_hh = (K_hh + K_hh.T) / 2
-    return KernelSet(K_aa, K_ah, K_hh, 1)
+    """Exact kernels for sigma = phi = identity: blocks of [X; Xhat] [X; Xhat]^T / n,
+    the identity branch of :func:`exact_kernels`."""
+    return exact_kernels(ds, _IDENTITY, _IDENTITY, n)
 
 
 def verify_centering(sigma, phi, ds, n, m, seed):
@@ -209,6 +307,7 @@ def save_kernels(ks, path):
         "n_train": ks.n_train,
         "n_test": ks.n_test,
         "samples": ks.samples,
+        **({"exact": True} if ks.exact else {}),
         "K_aa": ks.K_aa,
         "K_ah": ks.K_ah,
         "K_hh": ks.K_hh,
@@ -238,9 +337,10 @@ def _read_json(path):
 def load_kernels(path):
     """Read a KernelSet from JSON written by :func:`save_kernels`.
 
-    Parse faults, a block that is not 2-D and an ``n_train``, ``n_test`` or
-    ``samples`` that is not a JSON integer among them, raise
-    :class:`MatrixFormatError`; a header, or the ``K_ha`` of an older file,
+    Parse faults, a block that is not 2-D, an ``n_train``, ``n_test`` or
+    ``samples`` that is not a JSON integer and an ``exact`` that is not a
+    JSON boolean among them, raise :class:`MatrixFormatError`; a missing
+    ``exact`` reads as false (Monte Carlo).  A header, or the ``K_ha`` of an older file,
     that disagrees with the blocks raises ``ValueError``.
     """
     raw = _read_json(path)
@@ -253,13 +353,16 @@ def load_kernels(path):
         for name, count in zip(("n_train", "n_test", "samples"), (*header, samples)):
             if type(count) is not int:  # 2.7, true and "12" would convert
                 raise TypeError(f"{name} must be a JSON integer, not {count!r}")
+        exact = raw.get("exact", False)
+        if type(exact) is not bool:
+            raise TypeError(f"exact must be a JSON boolean, not {exact!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"{path}: malformed kernel JSON ({exc})") from exc
     for name, block in zip(("K_aa", "K_ah", "K_hh"), blocks):
         if block.ndim != 2:
             raise MatrixFormatError(f"{path}: malformed kernel JSON (block "
                                     f"{name} is {block.ndim}-D, not 2-D)")
-    ks = KernelSet(*blocks, samples)
+    ks = KernelSet(*blocks, samples, exact=exact)
     if header != (ks.n_train, ks.n_test):
         raise ValueError(f"{path}: header {header} disagrees with the blocks")
     if K_ha is not None and not np.array_equal(K_ha, ks.K_ha):

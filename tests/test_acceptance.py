@@ -18,6 +18,7 @@ from rfequiv import (
     build_pseudoresolvent,
     estimate_delta_gaussianity,
     estimate_kernels,
+    exact_kernels,
     gaussian_surrogate_run,
     kernel_ridge_error,
     rf_linearization,
@@ -179,7 +180,7 @@ def test_06_desk_scale_error_grid():
     worst = {}
     ok = True
     for act in (ERF, SIGN):
-        K = estimate_kernels(ds, act, IDENTITY, 200, 100_000, seed=1)
+        K = exact_kernels(ds, act, IDENTITY, 200)
         gaps = []
         for d in (100, 200, 400):
             for delta in (1e-3, 1e-1, 10.0):
@@ -201,7 +202,7 @@ def test_06_desk_scale_error_grid():
 
 def test_07_gaussian_equivalence():
     ds = _figure_grid_dataset()
-    K = estimate_kernels(ds, ERF, IDENTITY, 200, 100_000, seed=1)
+    K = exact_kernels(ds, ERF, IDENTITY, 200)
     ok = True
     details = []
     for d, delta in ((100, 1e-3), (200, 1e-1), (400, 10.0)):

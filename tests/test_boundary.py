@@ -46,8 +46,10 @@ from conftest import continued_nu
 
 DIAGNOSE = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
             "--reps", "4", "--samples", "10000", "--eta-list", "100,1000"]
-# the Monte Carlo draws of diagnose; options must be checked before either
-DIAGNOSE_DRAWS = ((cli, "estimate_kernels"), (cli, "estimate_delta_gaussianity"))
+# the kernel routes and the Monte Carlo draws of diagnose; options must be
+# checked before any of them
+DIAGNOSE_DRAWS = ((cli, "exact_kernels"), (cli, "estimate_kernels"),
+                  (cli, "estimate_delta_gaussianity"))
 PREDICT = ["predict", "--kernels", "{kernels}", "--y", "{y}", "--yhat", "{yhat}",
            "--d", "2", "--delta", "1"]
 NAN = float("nan")
@@ -82,6 +84,10 @@ BAD_KERNELS = {
     # orjson reads an integer beyond 64 bits as a float, which is no count
     "samples-2-64": ({"samples": 2 ** 64}, PARSE_FAULT),
     "samples-below-int64": ({"samples": -2 ** 63 - 1}, PARSE_FAULT),
+    # the closed-form flag is a JSON boolean, not a truthy value
+    "exact-text": ({"exact": "true"}, PARSE_FAULT),
+    "exact-one": ({"exact": 1}, PARSE_FAULT),
+    "exact-null": ({"exact": None}, PARSE_FAULT),
 }
 # byte-level damage to the toy kernel file: every parse fault names the file
 # and says "malformed kernel JSON"
@@ -361,6 +367,11 @@ CASES = {
         _overflow(verb, kernels), (2, "non-finite activation output"), (), {})
        for verb in ("estimate-kernels", "simulate", "compare", "sweep", "diagnose")
        for kernels in (False, True) if verb != "estimate-kernels" or not kernels},
+    # without --kernels the rows above take the closed form; phi = sin has
+    # none, so the kernel draws meet the design
+    "estimate-kernels-overflow-monte-carlo": (
+        _overflow("estimate-kernels", False) + ["--phi", "sin"],
+        (2, "non-finite activation output"), ((cli, "exact_kernels"),), {}),
     # a noise level must be a finite real >= 0; NaN passes "< 0"
     **{f"{verb}-noise-sd-{value}": (
         [verb, "--synthetic", "10,5,4", "--noise-sd", value, *grid],
@@ -458,6 +469,18 @@ CASES = {
     "alpha-tiny-ridge-overflow": (
         lambda: equiv.solve_subdel(100 * np.eye(6), 64, 1e-307, 0.0),
         (NonConvergence, "overflows"), (), {}),
+    # at m = d, once every r_j = 1 / (1 + mu_j / x) underflows the slope
+    # F'(x) is 0, which is a failure, not a ZeroDivisionError
+    "predict-zero-slope": (
+        ["predict", "--kernels", "{underflow4}", "--y", "{y4}", "--yhat", "{yhat}",
+         "--d", "4", "--delta", "3.171139148026149e-09"],
+        (4, "NonConvergence"), (), {}),
+    # at a subnormal ridge g = 1 / delta overflows; the report is refused
+    # by name, with no RuntimeWarning from the solve or from build_equiv
+    "predict-subnormal-ridge-g-overflow": (
+        ["predict", "--kernels", "{zero2}", "--y", "{y}", "--yhat", "{yhat}",
+         "--d", "3", "--delta", "3.5e-309"],
+        (2, "the predicted error overflows"), (), {}),
     # a kernel block must be 2-D, not reshaped to one
     "kernelset-block-3d": (
         lambda: KernelSet(np.eye(1), np.zeros((1, 1, 1)), np.eye(1), 1),
@@ -567,7 +590,8 @@ def files(tmp_path, toy_kernels):
              "y4-inf": tmp_path / "y4-inf.csv", "y4-huge": tmp_path / "y4-huge.csv",
              "x4-ff": tmp_path / "x4-ff.csv", "y4-ff": tmp_path / "y4-ff.csv",
              "blank": tmp_path / "blank.csv", "raw-short": tmp_path / "short.bin",
-             "x4-empty-cell": tmp_path / "x4-empty-cell.csv"}
+             "x4-empty-cell": tmp_path / "x4-empty-cell.csv",
+             "underflow4": tmp_path / "u4.json", "zero2": tmp_path / "z2.json"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
@@ -576,6 +600,11 @@ def files(tmp_path, toy_kernels):
     for name, scale in (("half6", 0.5), ("hundred6", 100.0)):
         save_kernels(KernelSet(scale * np.eye(6), np.zeros((6, 3)), np.eye(3),
                                1), paths[name])
+    lam = [1.14262314e-219, 1.39677140e-114, 1.63152407e15, 7.81635213e132]
+    save_kernels(KernelSet(np.diag(lam), np.zeros((4, 1)), np.zeros((1, 1)), 1),
+                 paths["underflow4"])
+    save_kernels(KernelSet(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(1), 1),
+                 paths["zero2"])
     paths["y"].write_text("1\n0\n")
     paths["y4"].write_text("1\n1\n1\n1\n")
     paths["yhat"].write_text("0.7\n")

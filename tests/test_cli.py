@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +86,22 @@ def test_sign_sin_diagnose_loads_neither_special_nor_linalg(tmp_path):
     assert "scipy.special" not in loaded and "scipy.linalg" not in loaded
 
 
+def test_default_estimate_kernels_loads_neither_special_nor_linalg(tmp_path):
+    # erf with phi = identity is a closed form: no draw, so no erf call
+    out = tmp_path / "k.json"
+    argv = ["estimate-kernels", "--synthetic", "12,6,4", "--out", str(out)]
+    code = f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}"
+    loaded = _fresh_python(code).split()
+    assert "scipy.special" not in loaded and "scipy.linalg" not in loaded
+    assert json.loads(out.read_text())["exact"] is True
+
+
 def test_first_erf_import_in_pool_workers_keeps_the_bytes(tmp_path):
     # 2048 draws are four chunks, so at two workers the first erf call, and
-    # with it the import of scipy.special, happens in both pool threads
+    # with it the import of scipy.special, happens in both pool threads;
+    # --phi sign has no closed form, so the draws are taken
     argv = ["estimate-kernels", "--synthetic", "10,6,5", "--sigma", "erf",
-            "--samples", "2048", "--seed", "5", "--out"]
+            "--phi", "sign", "--samples", "2048", "--seed", "5", "--out"]
     for threads in ("1", "2"):
         assert _fresh_cli(argv + [str(tmp_path / f"k{threads}.json")],
                           RF_EQUIV_THREADS=threads) == 0
@@ -113,11 +125,54 @@ def test_estimate_kernels_writes_valid_report(tmp_path):
 
 def test_estimate_kernels_rerun_is_byte_identical(tmp_path):
     args = ["estimate-kernels", "--synthetic", "8,4,5", "--noise-sd", "0.2",
-            "--samples", "300", "--seed", "1"]
+            "--phi", "sign", "--samples", "300", "--seed", "1"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["erf", "sign", "relu", "sin", "identity"])
+def test_estimate_kernels_takes_the_closed_form_where_one_exists(tmp_path, kind):
+    # a built-in sigma with phi = identity is computed, not drawn; the file
+    # records the draw budget it was given, or the default, and "exact": true
+    ds = rfequiv.synthetic_regression(12, 6, 4, 0.2, 4)
+    ks = rfequiv.exact_kernels(ds, rfequiv.Activation(kind),
+                               rfequiv.Activation("identity"), 12)
+    for samples, budget in (([], rfequiv.default_samples(12, 6)),
+                            (["--samples", "300"], 300)):
+        out = tmp_path / f"{kind}.json"
+        assert main(["estimate-kernels", "--synthetic", "12,6,4", "--noise-sd",
+                     "0.2", "--sigma", kind, "--seed", "4", *samples,
+                     "--out", str(out)]) == 0
+        rfequiv.save_kernels(replace(ks, samples=budget), tmp_path / "lib.json")
+        assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+def test_estimate_kernels_keeps_monte_carlo_without_a_closed_form(tmp_path):
+    # phi other than identity: the draws, and a file with no "exact" key
+    out = tmp_path / "k.json"
+    assert main(["estimate-kernels", "--synthetic", "10,5,4", "--phi", "sign",
+                 "--samples", "900", "--seed", "6", "--out", str(out)]) == 0
+    ds = rfequiv.synthetic_regression(10, 5, 4, 0.0, 6)
+    K = rfequiv.estimate_kernels(ds, rfequiv.Activation("erf"),
+                                 rfequiv.Activation("sign"), 10, 900, 6)
+    rfequiv.save_kernels(K, tmp_path / "lib.json")
+    assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+    assert "exact" not in json.loads(out.read_text())
+
+
+def test_exact_estimate_kernels_bytes_ignore_caller_blas_threads(tmp_path):
+    # at 600 x 300 OpenBLAS splits the Gram matrix of the design over its
+    # threads and rounds differently for each count; the verb pins it to one
+    out = tmp_path / "k.json"
+    reports = set()
+    for blas in (1, 2):
+        with caller_blas_threads(blas):
+            assert main(["estimate-kernels", "--synthetic", "300,300,300",
+                         "--out", str(out)]) == 0
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
 
 
 def test_predict_toy_instance(tmp_path, toy_files):

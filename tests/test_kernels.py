@@ -1,4 +1,5 @@
-"""Monte Carlo kernel-block estimation and its analytic identity oracle."""
+"""Kernel blocks: the closed forms, the Monte Carlo estimator that is their
+oracle, and the kernel file."""
 
 import json
 import re
@@ -18,8 +19,10 @@ from rfequiv import (
     default_samples,
     estimate_delta_gaussianity,
     estimate_kernels,
+    exact_kernels,
     gaussian_surrogate_run,
     load_kernels,
+    sample_features,
     save_kernels,
     synthetic_regression,
     verify_centering,
@@ -57,6 +60,94 @@ def test_identity_kernels_match_brute_force():
     assert np.allclose(ks.K_aa, x @ x.T / 3, rtol=1e-15, atol=0)
     assert np.allclose(ks.K_ah, x @ xh.T / 3, rtol=1e-15, atol=0)
     assert np.allclose(ks.K_hh, xh @ xh.T / 3, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms for phi = identity
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_KINDS = ("identity", "erf", "sign", "relu", "sin")
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_exact_kernels_agree_with_monte_carlo_within_its_error(kind):
+    # each entry of the 200 000-draw mean of u u^T against the closed form,
+    # in units of its standard error, which an independent draw of 20 000
+    # columns estimates; the sign diagonal, sign(.)^2 = 1, has no variance
+    sigma, m = Activation(kind), 200_000
+    ds = synthetic_regression(12, 6, 5, 0.3, seed=4)
+    exact = exact_kernels(ds, sigma, IDENTITY, 12).joint()
+    est = estimate_kernels(ds, sigma, IDENTITY, 12, m, seed=3).joint()
+    U = np.vstack(sample_features(ds, sigma, IDENTITY, 20_000, 12, seed=8))
+    k = U.shape[1]
+    se = np.sqrt(((U * U) @ (U * U).T / k - (U @ U.T / k) ** 2) / m)
+    keep = ~np.eye(len(se), dtype=bool) if kind == "sign" else se > 0
+    z = (est - exact)[keep] / se[keep]
+    assert np.abs(z).max() <= 4.5
+    assert 0.5 <= z.std() <= 1.5  # the error is not overstated either
+    assert np.allclose(est[~keep], exact[~keep], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_exact_kernels_give_a_zero_row_a_zero_kernel_row(kind):
+    # as the draws do: sigma(0) = 0 for every kind, sign and relu included
+    ds = synthetic_regression(6, 3, 4, 0.3, seed=2)
+    X, Xhat = ds.X.copy(), ds.Xhat.copy()
+    X[2] = 0.0
+    Xhat[0] = 0.0
+    ds = Dataset(X, Xhat, ds.y, ds.yhat)
+    exact = exact_kernels(ds, Activation(kind), IDENTITY, 6).joint()
+    est = estimate_kernels(ds, Activation(kind), IDENTITY, 6, 64, seed=1).joint()
+    for row in (2, 6):
+        assert np.count_nonzero(exact[row]) == 0
+        assert np.count_nonzero(est[row]) == 0
+    assert np.count_nonzero(exact[0]) == len(exact) - 2
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_exact_kernels_refuse_an_overflowing_design(kind):
+    # C = D D^T overflows; the suite's filter fails a leaked RuntimeWarning
+    ds = Dataset(np.full((2, 3), 1e308), np.full((1, 3), 1e308), np.zeros(2),
+                 np.zeros(1))
+    with pytest.raises(ValueError, match="non-finite activation output"):
+        exact_kernels(ds, Activation(kind), IDENTITY, 2)
+
+
+@pytest.mark.parametrize("sigma, phi", [
+    (Activation("custom-table", (-50.0, 50.0, -1.0, 1.0)), IDENTITY),
+    (ERF, Activation("sign")),
+    (IDENTITY, ERF),
+])
+def test_exact_kernels_refuse_inputs_without_a_closed_form(sigma, phi):
+    ds = synthetic_regression(4, 2, 3, 0.0, seed=0)
+    with pytest.raises(ValueError, match="no closed-form kernel"):
+        exact_kernels(ds, sigma, phi, 4)
+
+
+@pytest.mark.parametrize("kind, diag, across", [
+    ("identity", 1.0, 0.0), ("sign", 1.0, 0.0),
+    ("erf", 2 / np.pi * np.arcsin(2 / 3), 0.0),
+    ("sin", (1 - np.exp(-2.0)) / 2, 0.0),
+    # relu features have a mean, so orthogonal rows keep 1 / (2 pi)
+    ("relu", 0.5, 1 / (2 * np.pi)),
+])
+def test_exact_kernels_on_orthogonal_unit_rows(kind, diag, across):
+    ds = Dataset(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0]]),
+                 np.zeros(2), np.zeros(1))
+    J = exact_kernels(ds, Activation(kind), IDENTITY, 1).joint()
+    want = np.array([[diag, 0.0, across], [0.0, 0.0, 0.0], [across, 0.0, diag]])
+    assert J == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_exact_sign_and_relu_are_exact_on_the_diagonal():
+    # the cosine of a row with itself is 1, not an ulp below, which arcsin
+    # would turn into a relative error of 1e-8
+    ds = synthetic_regression(30, 10, 7, 0.0, seed=5)
+    s = np.concatenate([np.sum(ds.X ** 2, axis=1), np.sum(ds.Xhat ** 2, axis=1)])
+    sign = exact_kernels(ds, Activation("sign"), IDENTITY, 4).joint()
+    relu = exact_kernels(ds, Activation("relu"), IDENTITY, 4).joint()
+    assert np.all(np.diag(sign) == 0.25)
+    assert np.diag(relu) == pytest.approx(s / 8, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +407,32 @@ def test_load_kernels_keeps_samples_up_to_2_64_minus_1(tmp_path):
 
 
 def test_save_kernels_writes_three_blocks_in_order(tmp_path):
+    # a closed form adds "exact": true after the count; Monte Carlo does not
     ds = synthetic_regression(4, 2, 3, 0.2, seed=1)
     p = tmp_path / "k.json"
     save_kernels(analytic_identity_kernels(ds, 3), p)
     assert list(json.loads(p.read_text())) == [
+        "n_train", "n_test", "samples", "exact", "K_aa", "K_ah", "K_hh"]
+    save_kernels(estimate_kernels(ds, IDENTITY, IDENTITY, 3, 10, seed=0), p)
+    assert list(json.loads(p.read_text())) == [
         "n_train", "n_test", "samples", "K_aa", "K_ah", "K_hh"]
+
+
+def test_exact_flag_round_trips_and_a_missing_one_is_monte_carlo(tmp_path):
+    ds = synthetic_regression(6, 3, 4, 0.2, seed=1)
+    p = tmp_path / "k.json"
+    ks = exact_kernels(ds, ERF, IDENTITY, 6)
+    assert ks.exact and ks.samples == 1
+    save_kernels(ks, p)
+    assert json.loads(p.read_text())["exact"] is True
+    back = load_kernels(p)
+    assert back.exact
+    for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
+        assert np.array_equal(getattr(back, f), getattr(ks, f))
+    save_kernels(estimate_kernels(ds, ERF, IDENTITY, 6, 300, seed=7), p)
+    assert not load_kernels(p).exact
+    with pytest.raises(ValueError, match="exact must be True or False"):
+        KernelSet(np.eye(1), np.zeros((1, 1)), np.eye(1), 1, exact=1)
 
 
 def test_load_kernels_rejects_missing_key(tmp_path):
