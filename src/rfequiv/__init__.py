@@ -11,7 +11,7 @@ model
     Domain types, activations, seeding, matrix I/O, canonical JSON.
 kernels
     The feature covariance blocks: closed forms where they exist, Monte
-    Carlo estimation otherwise.
+    Carlo estimation otherwise; both on one BLAS thread.
 equiv
     The error prediction (``build_equiv``) and the reduced two-block
     resolvent at any z, from one safeguarded Newton solve of the scalar
@@ -42,7 +42,6 @@ from .equiv import (
 )
 from .kernels import (
     KernelSet,
-    analytic_identity_kernels,
     default_samples,
     estimate_kernels,
     exact_kernels,
@@ -73,7 +72,6 @@ from .rdel import (
     ZerothMomentReport,
     rf_linearization,
     rf_solution_matrix,
-    rf_superoperator,
     solve_rdel,
     spectral_norm,
     zeroth_moment_check,

@@ -39,7 +39,6 @@ from .model import (
     Dataset,
     MatrixFormatError,
     RFConfig,
-    _SINGLE_THREAD_BLAS,
     _check_heights,
     _check_ridge,
     _check_seed,
@@ -153,16 +152,14 @@ def _samples(args, ds):
 def _dataset_kernels(args, ds, sigma, phi, n):
     """The blocks of ``--kernels``; else the closed form where one exists (a
     built-in sigma with phi = identity), which records the Monte Carlo
-    budget as its ``samples``; else that many Monte Carlo draws.  Both
-    routes run OpenBLAS on one thread, so neither file depends on the
-    thread count the caller left set."""
+    budget as its ``samples``; else that many Monte Carlo draws.  Each
+    route pins OpenBLAS to one thread itself, so neither file depends on
+    the thread count the caller left set."""
     if getattr(args, "kernels", None):
         return load_kernels(args.kernels)
     m = _samples(args, ds)
     if _has_closed_form(sigma, phi):
-        with _SINGLE_THREAD_BLAS:  # OpenBLAS rounds D D^T with its thread count
-            K = exact_kernels(ds, sigma, phi, n)
-        return replace(K, samples=m)
+        return replace(exact_kernels(ds, sigma, phi, n), samples=m)
     return estimate_kernels(ds, sigma, phi, n, m, args.seed)
 
 

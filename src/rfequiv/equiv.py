@@ -211,13 +211,17 @@ def solve_subdel(K_aa, d, delta, z):
     to rounding at every ``z``, by the Newton loop of :func:`build_equiv`;
     at ``z = 0`` it is that function's alpha, bit for bit.  Returns
     ``(N11, nu)``, complex.  A refused step from the root at ``4 Im z``, or
-    1 000 steps at one height, raise :class:`NonConvergence`.
+    1 000 steps at one height, raise :class:`NonConvergence`; an ``N11``
+    that overflows (``1/delta`` on a null eigenvalue at ``z = 0``) raises
+    ``ValueError`` before it is formed.
     """
     z = _check_z(z)
     _check_ridge(delta, d)
     w, V = _clamped_eigh(K_aa)
     # real arithmetic on the axis, so that nu(0) is build_equiv's alpha
     x, g = _solve_nu(w, d, delta, z if z.imag else z.real)[:2]
+    if not np.isfinite(g).all():
+        raise ValueError(f"the train block N11 overflows at delta {delta:.3e}")
     return np.asarray((V * g) @ V.T, dtype=complex), complex(-1.0 / x)
 
 

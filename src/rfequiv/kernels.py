@@ -6,10 +6,10 @@ A feature column pair is ``u = n^{-1/2} sigma([X; Xhat] phi(z))`` with
 ``E[u u^T]`` (``K_ha = K_ah^T`` is derived) drive every prediction downstream.
 With ``phi`` = identity and a built-in ``sigma`` (identity, erf, sign, relu,
 sin), :func:`exact_kernels` computes the blocks from the Gram matrix of the
-design; :func:`estimate_kernels` averages sampled columns for any pair of
-activations and is the closed forms' test oracle.  A kernel file records
-``samples``, the Monte Carlo budget, and ``"exact": true`` when its blocks
-are a closed form (no draw was taken); a file without the key is Monte Carlo.
+design on one BLAS thread; :func:`estimate_kernels` averages sampled columns
+for any pair of activations and is the closed forms' test oracle.  A kernel
+file records ``samples``, the Monte Carlo budget, and ``"exact": true`` when
+its blocks are a closed form (no draw); a file without the key is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import orjson
 from .model import (
     Activation,
     MatrixFormatError,
+    _SINGLE_THREAD_BLAS,
     _features,
     _matrix,
     _parallel_map,
@@ -32,7 +33,6 @@ from .model import (
 
 __all__ = [
     "KernelSet",
-    "analytic_identity_kernels",
     "default_samples",
     "estimate_kernels",
     "exact_kernels",
@@ -244,7 +244,9 @@ def exact_kernels(ds, sigma, phi, n):
     / (2 pi)`` with ``cos theta = c / sqrt(s_i s_j)`` for relu (Cho and
     Saul 2009); and ``e^{-(s_i + s_j)/2} sinh c`` for sin.  A zero row has
     a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  Returns a
-    symmetrised :class:`KernelSet` with ``samples`` 1 and ``exact`` true.
+    symmetrised :class:`KernelSet` with ``samples`` 1 and ``exact`` true,
+    computed on one BLAS thread (OpenBLAS rounds ``D D^T`` with its thread
+    count), so the blocks do not depend on the count the caller left set.
 
     ``ValueError`` is raised for a ``custom-table`` ``sigma`` or a ``phi``
     other than identity, for ``n < 1``, and where ``C`` or the kernel is
@@ -256,7 +258,7 @@ def exact_kernels(ds, sigma, phi, n):
                          f"with phi {phi.kind!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _SINGLE_THREAD_BLAS, np.errstate(over="ignore", invalid="ignore"):
         C_ah = ds.X @ ds.Xhat.T
         C = np.block([[ds.X @ ds.X.T, C_ah], [C_ah.T, ds.Xhat @ ds.Xhat.T]])
         J = _CLOSED_FORMS[sigma.kind](C, C.diagonal().copy()) / n
@@ -268,6 +270,7 @@ def exact_kernels(ds, sigma, phi, n):
     return _split(ds, J, 1, exact=True)
 
 
+# not exported; perfbench imports this name from rfequiv.kernels
 def analytic_identity_kernels(ds, n):
     """Exact kernels for sigma = phi = identity: blocks of [X; Xhat] [X; Xhat]^T / n,
     the identity branch of :func:`exact_kernels`."""

@@ -43,7 +43,6 @@ __all__ = [
     "ZerothMomentReport",
     "rf_linearization",
     "rf_solution_matrix",
-    "rf_superoperator",
     "solve_rdel",
     "spectral_norm",
     "zeroth_moment_check",
@@ -280,7 +279,7 @@ def _rf_rows(K, delta, z=0.0, t22=0.0, rho=0.0):
 
 def _rf_superop_rows(K, t22, rho):
     """Table of the superoperator ``S(M)`` given its two contractions
-    ``t22 = tr(M[2,2])`` and ``rho(M)`` (see :func:`rf_superoperator`)."""
+    ``t22 = tr(M[2,2])`` and ``rho(M)`` (see :func:`rf_linearization`)."""
     return [[(0, t22, K.K_aa), (3, t22, K.K_ah)], [(1, rho, None)], [],
             [(0, t22, K.K_ha), (3, t22, K.K_hh)]]
 
@@ -327,26 +326,6 @@ def _check_rf_dims(K, dims):
         )
 
 
-def rf_superoperator(K, dims):
-    """Covariance superoperator of the random-features pencil.
-
-    In the four-slot layout (train rows, width, and two test slots) the map
-    fills, for input ``M``:
-
-        out[1,1] = tr(M[2,2]) K_aa     out[1,4] = tr(M[2,2]) K_ah
-        out[4,1] = tr(M[2,2]) K_ha     out[4,4] = tr(M[2,2]) K_hh
-        out[2,2] = rho(M) I_d
-
-    with ``rho(M) = tr(K_aa M[1,1] + K_ah M[4,1] + K_ha M[1,4] + K_hh M[4,4])``
-    and zeros elsewhere: the table :func:`_rf_superop_rows`, whose terms
-    :func:`_rf_rows` subtracts.  Linear by construction, and
-    positivity-preserving because the joint kernel block matrix is PSD.
-    """
-    _check_rf_dims(K, dims)
-    return lambda M: _pencil_matrix(
-        dims, _rf_superop_rows(K, *_rf_contractions(K, M, dims)))
-
-
 def _rf_contractions(K, M, dims):
     """``tr(M[2,2])`` and ``rho(M)``, the two scalars the superoperator reads."""
     s1, s2, _, s4 = _rf_slices(dims)
@@ -362,14 +341,28 @@ def rf_linearization(K, dims, delta):
     train slot, ``-I`` on the width slot, and the constant ``-I`` couplings
     between the two test slots.  The spectral parameter enters on the first
     ``n + d`` coordinates.
+
+    In the four-slot layout (train rows, width, and two test slots) the
+    superoperator fills, for input ``M``:
+
+        out[1,1] = tr(M[2,2]) K_aa     out[1,4] = tr(M[2,2]) K_ah
+        out[4,1] = tr(M[2,2]) K_ha     out[4,4] = tr(M[2,2]) K_hh
+        out[2,2] = rho(M) I_d
+
+    with ``rho(M) = tr(K_aa M[1,1] + K_ah M[4,1] + K_ha M[1,4] + K_hh M[4,4])``
+    and zeros elsewhere: the table :func:`_rf_superop_rows`, whose terms
+    :func:`_rf_rows` subtracts.  Linear by construction, and
+    positivity-preserving because the joint kernel block matrix is PSD.
     """
     _check_ridge(delta)
     _check_rf_dims(K, dims)
     n, d, t = dims
     mask = np.zeros(n + d + 2 * t)
     mask[: n + d] = 1.0
-    return LinearizationSpec(_pencil_matrix(dims, _rf_rows(K, delta)), mask,
-                             rf_superoperator(K, dims))
+    return LinearizationSpec(
+        _pencil_matrix(dims, _rf_rows(K, delta)), mask,
+        lambda M: _pencil_matrix(
+            dims, _rf_superop_rows(K, *_rf_contractions(K, M, dims))))
 
 
 def rf_solution_matrix(K, dims, delta, z):

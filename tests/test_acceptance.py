@@ -13,7 +13,6 @@ from rfequiv import (
     Activation,
     KernelSet,
     RFConfig,
-    analytic_identity_kernels,
     build_equiv,
     build_pseudoresolvent,
     estimate_delta_gaussianity,
@@ -101,7 +100,7 @@ def test_02_route_equivalence_on_random_kernels():
 
 def _rf_instance():
     ds = synthetic_regression(40, 10, 30, 0.5, seed=11)
-    K = analytic_identity_kernels(ds, 40)
+    K = exact_kernels(ds, IDENTITY, IDENTITY, 40)
     dims = (40, 60, 10)
     return K, dims, rf_linearization(K, dims, 0.3)
 
@@ -151,7 +150,7 @@ def test_04_zeroth_moment_decay():
 
 def test_05_identity_kernel_oracle():
     ds = synthetic_regression(30, 10, 5, 0.5, seed=6)
-    ref = analytic_identity_kernels(ds, 30)
+    ref = exact_kernels(ds, IDENTITY, IDENTITY, 30)
     den = np.linalg.norm(ref.K_aa)
     ms = [100, 1000, 10_000]
     rels = [
@@ -295,7 +294,7 @@ def test_11_anisotropic_law_trend():
     for n in (100, 400):
         d, t = n // 2, n
         ds = synthetic_regression(n, t, n, 0.0, seed=5)
-        K = analytic_identity_kernels(ds, n)
+        K = exact_kernels(ds, IDENTITY, IDENTITY, n)
         dims = (n, d, t)
         M = rf_solution_matrix(K, dims, delta, z)
         ell = n + d + 2 * t

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rfequiv import (
     Activation,
+    Dataset,
     KernelSet,
     LinearizationSpec,
     NonConvergence,
@@ -31,6 +32,7 @@ from rfequiv import (
     cli,
     equiv,
     estimate_delta_gaussianity,
+    estimate_kernels,
     model,
     rdel,
     save_kernels,
@@ -113,12 +115,34 @@ STALLS = (
      -3.899822708651392, 6.363284980435887e-9),
 )
 SMALL = synthetic_regression(4, 2, 3, 0.0, seed=0)
+SMALL_CFG = RFConfig(d=2, delta=0.1, n=4, seed=0)
+SMALL_KERNELS = KernelSet(np.eye(4), np.zeros((4, 2)), np.eye(2), 1)
+# every feature of sign on this design is sign(0) = 0
+ZERO_DESIGN = Dataset(np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(3), np.zeros(1))
+# K_aa = 0, so at z = 0 every eigenvalue of N11 is 1 / delta
+ZERO2 = KernelSet(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(1), 1)
 
 
 def _forbidden(name):
     def call(*args, **kwargs):
         raise AssertionError(f"{name} was reached")
     return call
+
+
+def _returns(call, want):
+    """Run ``call`` and require that it return ``want``."""
+    def run():
+        got = call()
+        assert got == want, got
+    return run
+
+
+def _finite_solution(K, dims, delta, z):
+    """rf_solution_matrix returns a finite ``M``."""
+    def run():
+        M = rdel.rf_solution_matrix(K, dims, delta, z)
+        assert np.isfinite(M).all()
+    return run
 
 
 def _raise_linalg_error(*args, **kwargs):
@@ -574,6 +598,69 @@ CASES = {
         lambda: sim.build_pseudoresolvent(np.ones((3, 2)), np.ones((1, 3)), 0.1,
                                           0.0),
         (ValueError, "A and Ahat must share the width d"), (), {}),
+    # at a subnormal ridge and z = 0, 1 / delta overflows on a null
+    # eigenvalue of K_aa; the overflow is named before N11 is formed, as
+    # build_equiv names it, and off the axis the same blocks still solve
+    "subdel-subnormal-ridge-overflow": (
+        lambda: equiv.solve_subdel(np.zeros((2, 2)), 3, 3.5e-309, 0.0),
+        (ValueError, "N11 overflows"), (), {}),
+    "rf-solution-subnormal-ridge-overflow": (
+        lambda: rdel.rf_solution_matrix(ZERO2, (2, 3, 1), 3.5e-309, 0.0),
+        (ValueError, "N11 overflows"), (), {}),
+    "rf-solution-subnormal-ridge-off-axis": (
+        _finite_solution(ZERO2, (2, 3, 1), 3.5e-309, 1j), None, (), {}),
+    "rf-solution-d-zero": (
+        lambda: rdel.rf_solution_matrix(ZERO2, (2, 0, 1), 0.5, 1j),
+        (ValueError, "dims must be positive"), ((equiv, "solve_subdel"),), {}),
+    "spec-superop-not-callable": (
+        lambda: LinearizationSpec(np.eye(2), [1, 0], "S"),
+        (ValueError, "superop must be callable"), (), {}),
+    "spectral-norm-empty": (
+        _returns(lambda: rdel.spectral_norm(np.zeros((0, 3))), 0.0), None, (),
+        {}),
+    # a draw budget too small for its statistic is refused before a draw
+    "estimate-kernels-m-zero": (
+        lambda: estimate_kernels(SMALL, IDENT, IDENT, 4, 0, 0),
+        (ValueError, "m must be >= 1"), DRAWS, {}),
+    "verify-centering-m-one": (
+        lambda: verify_centering(IDENT, IDENT, SMALL, 4, 1, 0),
+        (ValueError, "m must be >= 2"), DRAWS, {}),
+    # all-zero features have no RMS norm to divide by; the ratio is 0
+    "verify-centering-zero-features": (
+        _returns(lambda: verify_centering(Activation("sign"), IDENT,
+                                          ZERO_DESIGN, 3, 100, 0), 0.0),
+        None, (), {}),
+    "run-replicates-reps-zero": (
+        lambda: sim.run_replicates(SMALL, IDENT, IDENT, SMALL_CFG, reps=0,
+                                   kernels=SMALL_KERNELS),
+        (ValueError, "reps must be >= 1"), DRAWS + ((equiv, "build_equiv"),),
+        {}),
+    "gaussianity-reps-one": (
+        lambda: estimate_delta_gaussianity(SMALL, IDENT, IDENT, SMALL_CFG, 1j,
+                                           0.1, reps=1),
+        (ValueError, "need at least two replicates"), DRAWS, {}),
+    "sample-features-d-zero": (
+        lambda: sim.sample_features(SMALL, IDENT, IDENT, 0, 4, 0),
+        (ValueError, "the feature count must be >= 1"), DRAWS, {}),
+    "rfconfig-n-zero": (lambda: RFConfig(d=2, delta=0.1, n=0, seed=0),
+                        (ValueError, "n must be >= 1"), (), {}),
+    # an unknown layout is refused before the file is opened
+    "load-matrix-unknown-layout": (
+        lambda: model.load_matrix("no-such-dir/m.npy", layout="npy"),
+        (ValueError, "unknown matrix layout 'npy'"),
+        ((model, "_load_csv"), (model, "_load_raw")), {}),
+    "write-matrix-unknown-layout": (
+        lambda: model.write_matrix("no-such-dir/m.npy", np.eye(2), layout="npy"),
+        (ValueError, "unknown matrix layout 'npy'"), ((model, "_write_csv"),),
+        {}),
+    "json-null-value": (_returns(lambda: model.to_json_text({"a": None}),
+                                 '{"a":null}'), None, (), {}),
+    "json-key-not-string": (lambda: model.to_json_text({1: 2.0}),
+                            (TypeError, "JSON report keys must be strings"),
+                            (), {}),
+    "json-unsupported-type": (
+        lambda: model.to_json_text({"a": {1, 2}}),
+        (TypeError, "cannot serialize set in a JSON report"), (), {}),
 }
 
 

@@ -175,6 +175,26 @@ def test_exact_estimate_kernels_bytes_ignore_caller_blas_threads(tmp_path):
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize("kind", ["identity", "erf"])
+def test_library_exact_kernels_bytes_equal_the_verb_under_caller_blas_threads(
+        tmp_path, kind):
+    # the closed form pins OpenBLAS itself, so at a size where two threads
+    # split the Gram matrix the library and the verb still write one file
+    ds = rfequiv.synthetic_regression(300, 300, 300, 0.5, 3)
+    x, xhat = tmp_path / "X.csv", tmp_path / "Xhat.csv"
+    rfequiv.write_matrix(x, ds.X)
+    rfequiv.write_matrix(xhat, ds.Xhat)
+    out, lib = tmp_path / "k.json", tmp_path / "lib.json"
+    with caller_blas_threads(2):
+        ks = rfequiv.exact_kernels(ds, rfequiv.Activation(kind),
+                                   rfequiv.Activation("identity"), 300)
+        assert main(["estimate-kernels", "--x", str(x), "--xhat", str(xhat),
+                     "--sigma", kind, "--out", str(out)]) == 0
+    rfequiv.save_kernels(replace(ks, samples=rfequiv.default_samples(300, 300)),
+                         lib)
+    assert out.read_bytes() == lib.read_bytes()
+
+
 def test_predict_toy_instance(tmp_path, toy_files):
     kern, y, yhat = toy_files
     out = tmp_path / "p.json"
@@ -226,6 +246,21 @@ def test_simulate_writes_json_and_csv(tmp_path, toy_files):
     for i, line in enumerate(csv_lines[1:]):
         index, error = line.split(",")
         assert int(index) == i and float(error) == rep["replicates"][i]
+
+
+def test_simulate_refuses_a_bad_thread_count_without_a_report(
+        tmp_path, toy_files, monkeypatch, capsys):
+    _, y, yhat = toy_files
+    x, xh = write_design(tmp_path)
+    out = tmp_path / "s.json"
+    monkeypatch.setenv("RF_EQUIV_THREADS", "0")
+    code = main(["simulate", "--x", str(x), "--xhat", str(xh), "--y", str(y),
+                 "--yhat", str(yhat), "--d", "2", "--delta", "1", "--reps",
+                 "3", "--samples", "400", "--out", str(out)])
+    assert code == 2
+    assert "RF_EQUIV_THREADS must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
 
 
 def test_simulate_honors_explicit_csv_path(tmp_path, toy_files):

@@ -10,6 +10,8 @@ import rfequiv
 
 # reached as ``rfequiv.cli``; its ``main`` is not a library name
 FRONT_DOOR = {"cli"}
+# the most names the package may re-export; a new export raises it on purpose
+MAX_EXPORTS = 44
 
 
 def _reexports():
@@ -28,3 +30,8 @@ def test_package_reexports_exactly_each_module_all():
         listed = importlib.import_module(f"rfequiv.{module}").__all__
         assert sorted(names) == sorted(listed), module
         assert all(hasattr(rfequiv, name) for name in names), module
+
+
+def test_package_surface_stays_within_its_bound():
+    names = [name for names in _reexports().values() for name in names]
+    assert len(names) <= MAX_EXPORTS, sorted(names)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfequiv
 from rfequiv import (
     Activation,
     Dataset,
     KernelSet,
     MatrixFormatError,
     RFConfig,
-    analytic_identity_kernels,
     default_samples,
     estimate_delta_gaussianity,
     estimate_kernels,
@@ -35,20 +35,31 @@ ERF = Activation("erf")
 
 
 # ---------------------------------------------------------------------------
-# analytic identity oracle
+# identity closed form, the oracle of the Monte Carlo tests
 # ---------------------------------------------------------------------------
 
 def test_identity_kernels_on_eye():
     ds = Dataset(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2))
-    ks = analytic_identity_kernels(ds, 2)
+    ks = exact_kernels(ds, IDENTITY, IDENTITY, 2)
     assert np.array_equal(ks.K_aa, np.eye(2) / 2)
 
 
 def test_identity_kernels_orthogonal_rows():
     ds = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
                  np.zeros(1), np.zeros(1))
-    ks = analytic_identity_kernels(ds, 1)
+    ks = exact_kernels(ds, IDENTITY, IDENTITY, 1)
     assert ks.K_ah == pytest.approx(np.zeros((1, 1)))
+
+
+def test_unexported_identity_alias_is_the_identity_branch():
+    ds = synthetic_regression(7, 3, 4, 0.2, seed=9)
+    alias = rfequiv.kernels.analytic_identity_kernels(ds, 5)
+    ks = exact_kernels(ds, IDENTITY, IDENTITY, 5)
+    for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
+        assert np.array_equal(getattr(alias, f), getattr(ks, f))
+    assert (alias.samples, alias.exact) == (ks.samples, ks.exact)
+    assert "analytic_identity_kernels" not in rfequiv.kernels.__all__
+    assert not hasattr(rfequiv, "analytic_identity_kernels")
 
 
 def test_identity_kernels_match_brute_force():
@@ -56,7 +67,7 @@ def test_identity_kernels_match_brute_force():
     x = rng.standard_normal((5, 3))
     xh = rng.standard_normal((2, 3))
     ds = Dataset(x, xh, np.zeros(5), np.zeros(2))
-    ks = analytic_identity_kernels(ds, 3)
+    ks = exact_kernels(ds, IDENTITY, IDENTITY, 3)
     assert np.allclose(ks.K_aa, x @ x.T / 3, rtol=1e-15, atol=0)
     assert np.allclose(ks.K_ah, x @ xh.T / 3, rtol=1e-15, atol=0)
     assert np.allclose(ks.K_hh, xh @ xh.T / 3, rtol=1e-15, atol=0)
@@ -157,7 +168,7 @@ def test_exact_sign_and_relu_are_exact_on_the_diagonal():
 def test_estimator_converges_to_identity_oracle():
     # second moment of X z / sqrt(n) over z ~ N(0, I) is X X^T / n
     ds = synthetic_regression(30, 10, 5, 0.5, seed=6)
-    ref = analytic_identity_kernels(ds, 30)
+    ref = exact_kernels(ds, IDENTITY, IDENTITY, 30)
     est = estimate_kernels(ds, IDENTITY, IDENTITY, 30, 50_000, seed=0)
     rel = np.linalg.norm(est.K_aa - ref.K_aa) / np.linalg.norm(ref.K_aa)
     assert rel <= 3 / np.sqrt(50_000)
@@ -206,7 +217,7 @@ def test_estimator_independent_of_worker_count(monkeypatch):
 
 def test_two_seeds_agree_within_clt_band():
     ds = synthetic_regression(30, 10, 5, 0.5, seed=6)
-    ref = analytic_identity_kernels(ds, 30)
+    ref = exact_kernels(ds, IDENTITY, IDENTITY, 30)
     a = estimate_kernels(ds, IDENTITY, IDENTITY, 30, 4000, seed=10)
     b = estimate_kernels(ds, IDENTITY, IDENTITY, 30, 4000, seed=11)
     gap = np.linalg.norm(a.K_aa - b.K_aa) / np.linalg.norm(ref.K_aa)
@@ -222,7 +233,7 @@ def test_estimated_joint_matrix_is_psd_up_to_roundoff():
 
 def test_mc_error_scales_like_inverse_sqrt_m():
     ds = synthetic_regression(30, 10, 5, 0.5, seed=6)
-    ref = analytic_identity_kernels(ds, 30)
+    ref = exact_kernels(ds, IDENTITY, IDENTITY, 30)
     den = np.linalg.norm(ref.K_aa)
     ms = [100, 1000, 10_000]
     errs = [
@@ -410,7 +421,7 @@ def test_save_kernels_writes_three_blocks_in_order(tmp_path):
     # a closed form adds "exact": true after the count; Monte Carlo does not
     ds = synthetic_regression(4, 2, 3, 0.2, seed=1)
     p = tmp_path / "k.json"
-    save_kernels(analytic_identity_kernels(ds, 3), p)
+    save_kernels(exact_kernels(ds, IDENTITY, IDENTITY, 3), p)
     assert list(json.loads(p.read_text())) == [
         "n_train", "n_test", "samples", "exact", "K_aa", "K_ah", "K_hh"]
     save_kernels(estimate_kernels(ds, IDENTITY, IDENTITY, 3, 10, seed=0), p)

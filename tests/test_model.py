@@ -405,6 +405,15 @@ def test_worker_count_honors_environment(monkeypatch):
     assert worker_count() == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_worker_count_refuses_a_count_below_one_or_not_an_integer(
+        monkeypatch, value):
+    monkeypatch.setenv("RF_EQUIV_THREADS", value)
+    with pytest.raises(ValueError, match="RF_EQUIV_THREADS must be a positive "
+                                         f"integer, got '{value}'"):
+        worker_count()
+
+
 # ---------------------------------------------------------------------------
 # _parallel_map and its single-thread BLAS pin
 # ---------------------------------------------------------------------------

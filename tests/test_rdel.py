@@ -7,12 +7,11 @@ from rfequiv import (
     Activation,
     LinearizationSpec,
     NonConvergence,
-    analytic_identity_kernels,
     estimate_kernels,
+    exact_kernels,
     rdel,
     rf_linearization,
     rf_solution_matrix,
-    rf_superoperator,
     solve_rdel,
     spectral_norm,
     synthetic_regression,
@@ -29,7 +28,8 @@ DELTA = 0.3
 @pytest.fixture(scope="module")
 def rf_spec():
     ds = synthetic_regression(40, 10, 30, 0.5, seed=11)
-    K = analytic_identity_kernels(ds, 40)
+    identity = Activation("identity")
+    K = exact_kernels(ds, identity, identity, 40)
     return K, rf_linearization(K, DIMS, DELTA)
 
 
@@ -343,10 +343,9 @@ def test_rf_zeroth_products_layout(rf_spec):
 
 
 def test_rf_superoperator_on_identity(rf_spec):
-    K, _ = rf_spec
+    K, spec = rf_spec
     n, d, t = DIMS
-    s = rf_superoperator(K, DIMS)
-    out = s(np.eye(n + d + 2 * t))
+    out = spec.superop(np.eye(n + d + 2 * t))
     assert np.allclose(out[:n, :n], d * K.K_aa, atol=1e-12)
     # rho(I) = tr(K_aa) + tr(K_hh) fills the middle diagonal block
     rho = np.trace(K.K_aa) + np.trace(K.K_hh)
@@ -354,33 +353,33 @@ def test_rf_superoperator_on_identity(rf_spec):
 
 
 def test_rf_superoperator_annihilates_uncontracted_blocks(rf_spec):
-    K, _ = rf_spec
+    _, spec = rf_spec
     n, d, t = DIMS
     ell = n + d + 2 * t
     m = np.zeros((ell, ell))
     m[:n, n:n + d] = 1.0  # off-diagonal slots the contraction never reads
     m[n + d:n + d + t, n + d + t:] = -2.0
-    out = rf_superoperator(K, DIMS)(m)
+    out = spec.superop(m)
     assert np.count_nonzero(out) == 0
 
 
 def test_rf_superoperator_preserves_psd(rf_spec):
-    K, _ = rf_spec
+    _, spec = rf_spec
     n, d, t = DIMS
     ell = n + d + 2 * t
     rng = np.random.default_rng(4)
     g = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
     p = g @ g.conj().T
     p /= np.linalg.norm(p, 2)
-    out = rf_superoperator(K, DIMS)(p)
+    out = spec.superop(p)
     herm = (out + out.conj().T) / 2
     assert np.linalg.eigvalsh(herm).min() >= -1e-10
 
 
-def dense_defect(K, spec, z, m):
+def dense_defect(spec, z, m):
     """``||(E - S(M) - z*Lambda)M - I||_F`` with the dense spec."""
     lam = np.diag(spec.lambda_mask.astype(float))
-    pencil = spec.expectation - rf_superoperator(K, DIMS)(m) - z * lam
+    pencil = spec.expectation - spec.superop(m) - z * lam
     return np.linalg.norm(pencil @ m - np.eye(spec.ell))
 
 
@@ -388,7 +387,7 @@ def test_rf_solution_matrix_satisfies_the_equation(rf_spec):
     K, spec = rf_spec
     for z in (1j, 0.2 + 0.8j, 100j, 1000j, 10_000j):
         m = rf_solution_matrix(K, DIMS, DELTA, z)
-        assert dense_defect(K, spec, z, m) <= 1e-10
+        assert dense_defect(spec, z, m) <= 1e-10
 
 
 def test_rf_blockwise_defect_equals_the_dense_defect(rf_spec):
@@ -397,7 +396,7 @@ def test_rf_blockwise_defect_equals_the_dense_defect(rf_spec):
     for z in (1j, 0.2 + 0.8j, 0.0):
         m = rng.standard_normal((spec.ell,) * 2) + 1j * rng.standard_normal(
             (spec.ell,) * 2)
-        want = dense_defect(K, spec, z, m)
+        want = dense_defect(spec, z, m)
         rows = rdel._rf_rows(K, DELTA, z, *rdel._rf_contractions(K, m, DIMS))
         assert abs(rdel._pencil_defect(DIMS, rows, m) - want) <= 1e-12 * want
 
