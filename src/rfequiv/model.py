@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 import os
-import re
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -489,8 +488,8 @@ def load_matrix(path, layout="csv"):
     Layouts
     -------
     ``"csv"``
-        Rows of comma- or whitespace-separated numbers, no header row; an
-        empty comma-separated cell (``1,,2``, ``1,2,``) is refused.
+        Rows of numbers split at commas and ``str.isspace`` whitespace, no
+        header row; an empty comma-separated cell (``1,,2``, ``1,2,``) is refused.
     ``"raw-f64-le"``
         16-byte header of (rows, cols) as little-endian uint64 followed by
         row-major little-endian float64 values.
@@ -518,7 +517,7 @@ def _load_csv(path):
         raise MatrixFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = []
     for lineno, line in enumerate(lines, 1):
-        tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
+        tokens = line.replace(",", " ").split()
         # n commas bound n + 1 cells; fewer tokens means an empty one
         commas = line.count(",")
         if commas and len(tokens) <= commas:
@@ -526,7 +525,7 @@ def _load_csv(path):
         if not tokens:
             continue
         try:
-            rows.append([float(t) for t in tokens])
+            rows.append(list(map(float, tokens)))
         except ValueError as exc:
             raise MatrixFormatError(
                 f"{path}:{lineno}: non-numeric cell"
@@ -567,11 +566,21 @@ def write_matrix(path, M, layout="csv"):
         raise ValueError(f"unknown matrix layout {layout!r}")
 
 
+def _row_texts(rows):
+    """Yield each row of numbers as its values at 17 significant digits, the
+    bytes of ``format(v, ".17g")``, joined by commas: one ``%`` call a row."""
+    templates = {}
+    for row in map(tuple, rows):
+        if len(row) not in templates:
+            templates[len(row)] = ",".join(["%.17g"] * len(row))
+        yield templates[len(row)] % row
+
+
 def _write_csv(path, rows, header=None):
     """Write comma-separated ``rows`` under an optional ``header`` of column
-    names, each value at 17 significant digits (an integer below 10^17 as itself)."""
+    names, each at 17 significant digits (an integer of magnitude <= 2^53 as itself)."""
     lines = [] if header is None else [",".join(header)]
-    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    lines.extend(_row_texts(rows))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -619,6 +628,16 @@ def _emit(obj, out):
             out.append(":")
             _emit(v, out)
         out.append("}")
+    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+          and obj.ndim in (1, 2) and obj.size):
+        # the bytes of emitting obj.tolist(), with one % call a row
+        if not np.isfinite(obj).all():
+            raise ValueError("non-finite value in JSON report")
+        rows = list(_row_texts(obj.tolist() if obj.ndim == 2 else [obj.tolist()]))
+        if np.any(np.signbit(obj) & (obj == 0)):  # "-0" would read back as +0
+            rows = [",".join("-0.0" if t == "-0" else t for t in r.split(","))
+                    for r in rows]
+        out.append(f"[[{'],['.join(rows)}]]" if obj.ndim == 2 else f"[{rows[0]}]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -9,9 +10,45 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from rfequiv import (Dataset, KernelSet, ZerothMomentReport, build_equiv,
-                     solve_rdel, spectral_norm)
+from rfequiv import (Dataset, KernelSet, MatrixFormatError, ZerothMomentReport,
+                     build_equiv, solve_rdel, spectral_norm)
 from rfequiv.model import _blas_controls
+
+
+# finite doubles at the edges of the format; 1.0, -3.0, 2^53 and the largest
+# double below 1e17 are written without a point and read as integers
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53,
+               99999999999999984.0, 0.1]
+
+
+def load_csv_oracle(path):
+    """``load_matrix(path, "csv")`` with cells split by a regular expression
+    (runs of commas and ``\\s`` whitespace, empty pieces dropped) and
+    converted one value at a time, with the loader's messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        tokens = [t for t in re.split(r"[,\s]+", line.strip()) if t]
+        commas = line.count(",")
+        if commas and len(tokens) <= commas:
+            raise MatrixFormatError(f"{path}:{lineno}: empty cell")
+        if not tokens:
+            continue
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}:{lineno}: non-numeric cell") from exc
+    if not rows:
+        raise MatrixFormatError(f"{path}: no numeric rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise MatrixFormatError(f"{path}: ragged rows")
+    return np.array(rows, dtype=float)
 
 
 def blas_threads():

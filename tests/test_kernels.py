@@ -30,6 +30,8 @@ from rfequiv import (
 )
 from rfequiv.kernels import _read_json
 
+from conftest import EDGE_FLOATS
+
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
 
@@ -382,14 +384,6 @@ def test_kernels_json_round_trip(tmp_path):
     assert back.samples == ks.samples
     for f in ("K_aa", "K_ah", "K_ha", "K_hh"):
         assert np.array_equal(getattr(back, f), getattr(ks, f))
-
-
-# finite doubles at the edges of the format; 1.0, -3.0, 2^53 and the largest
-# double below 1e17 are written without a point and read as integers
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-               2.2250738585072014e-308, 1.7976931348623157e308,
-               -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53,
-               99999999999999984.0, 0.1]
 
 
 @settings(max_examples=200, deadline=None)

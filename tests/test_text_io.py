@@ -1,0 +1,254 @@
+"""Text I/O byte for byte: the CSV reader and writer and the canonical JSON
+array route against one-value-at-a-time oracles, and golden digests of the
+files they write."""
+
+import hashlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from rfequiv import (KernelSet, MatrixFormatError, load_matrix, save_kernels,
+                     to_json_text, write_json, write_matrix)
+from rfequiv import model
+
+from conftest import EDGE_FLOATS, load_csv_oracle
+
+
+def _value_text(v):
+    """One value as the JSON report writes it: 17 significant digits and a
+    negative zero as ``-0.0``."""
+    text = format(v, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
+def _json_oracle(values):
+    """Nested lists of floats as JSON, formatted one value at a time."""
+    if isinstance(values, list):
+        return "[" + ",".join(_json_oracle(v) for v in values) + "]"
+    return _value_text(values)
+
+
+def _csv_oracle(m):
+    """A matrix as ``write_matrix`` writes a CSV, one value at a time."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in np.atleast_2d(m).tolist())
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from(EDGE_FLOATS))
+SHAPES = st.one_of(array_shapes(min_dims=1, max_dims=2, max_side=6),
+                   st.integers(1, 8).map(lambda k: (1, k)),
+                   st.integers(1, 8).map(lambda k: (k, 1)))
+
+
+# ---------------------------------------------------------------------------
+# JSON arrays
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, SHAPES, elements=FINITE))
+@example(np.array(EDGE_FLOATS))
+@example(np.array(EDGE_FLOATS).reshape(1, -1))
+@example(np.array(EDGE_FLOATS).reshape(-1, 1))
+@example(np.array([[-0.0, -0.0], [-0.5, -0.0]]))
+def test_float_array_json_equals_the_per_value_oracle(a):
+    text = to_json_text({"v": a})
+    assert text == '{"v":' + _json_oracle(a.tolist()) + "}"
+    assert text == to_json_text({"v": a.tolist()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, SHAPES, elements=FINITE), st.integers(0),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_array_entry_raises_as_a_list_entry_does(a, where, bad):
+    a = a.copy()
+    a.flat[where % a.size] = bad
+    for v in (a, a.tolist()):
+        with pytest.raises(ValueError, match="^non-finite value in JSON report$"):
+            to_json_text({"v": v})
+
+
+@pytest.mark.parametrize("a, text", [
+    (np.array([1, -2, 3]), "[1,-2,3]"),
+    (np.array([[True, False]]), "[[true,false]]"),
+    (np.array([0.1, -0.0], dtype=np.float32), "[0.10000000149011612,-0.0]"),
+    (np.zeros((0, 3)), "[]"),
+    (np.zeros((2, 0)), "[[],[]]"),
+    (np.array(2.5), "2.5"),
+    (np.array(-0.0), "-0.0"),
+    (np.arange(8.0).reshape(2, 2, 2) - 4, "[[[-4,-3],[-2,-1]],[[0,1],[2,3]]]"),
+])
+def test_other_arrays_keep_the_list_route(a, text):
+    assert to_json_text({"v": a}) == '{"v":' + text + "}"
+    assert to_json_text({"v": a}) == to_json_text({"v": a.tolist()})
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+def test_csv_separators_are_the_regex_whitespace_class():
+    """``str.split()`` and the ``\\s`` of ``re`` split on the same code
+    points, over all of Unicode."""
+    text = "a".join(map(chr, range(0x110000)))
+    assert "".join(text.split()) == re.sub(r"\s", "", text)
+
+
+CELLS = st.sampled_from(["0", "-0", "1", "-2.5", "0.1", "+3", ".5", "5.", "1e-310",
+                         "1.7976931348623157e308", "1e999", "nan", "-inf", "7_5",
+                         "1e", "frog", "0x1"])
+SEPARATORS = st.sampled_from([",", " ", "\t", ", ", " ,\t", ",,", "\r", "\x0b", "\x0c",
+                              "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+                              "\u3000", "\u200b", "\ufeff"])
+EDGES = st.one_of(st.just(""), SEPARATORS)
+
+
+@st.composite
+def csv_texts(draw):
+    """Lines of ``width`` cells mixed with blank lines and lines of any
+    width, under random separators, line ends and edges."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        count = draw(st.sampled_from([width, width, width, 0, None]))
+        if count is None:
+            count = draw(st.integers(1, 5))
+        cells = draw(st.lists(CELLS, min_size=count, max_size=count))
+        line = draw(EDGES)
+        for i, cell in enumerate(cells):
+            line += (draw(SEPARATORS) if i else "") + cell
+        lines.append(line + draw(EDGES) + draw(st.sampled_from(["\n", "\r\n", ""])))
+    return "".join(line if line[-1:] == "\n" else line + "\n" for line in lines)
+
+
+def _outcome(load, path):
+    try:
+        m = load(path)
+    except MatrixFormatError as exc:
+        return "error", str(exc)
+    return m.shape, m.view(np.uint64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+@example("1,2\n3\t4\n\n5\xa06\r\n")
+@example("1\u200b2\n")
+@example("1,2\n3,\n")
+@example(",\n")
+@example(" \u3000\n")
+def test_csv_reader_equals_the_regex_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_matrix, path) == _outcome(load_csv_oracle, path)
+
+
+def test_csv_splits_at_unicode_whitespace_but_not_at_format_characters(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_bytes("\x1c1\x1f2\x85 3\xa04\u20285\u30006\n".encode("utf-8"))
+    assert load_matrix(path).tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+    for joiner in ("\u200b", "\ufeff"):
+        path.write_bytes(f"1{joiner}2\n".encode("utf-8"))
+        with pytest.raises(MatrixFormatError, match="u.csv:1: non-numeric cell"):
+            load_matrix(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, SHAPES,
+              elements=st.one_of(st.floats(allow_subnormal=True),
+                                 st.sampled_from(EDGE_FLOATS))))
+@example(np.array(EDGE_FLOATS).reshape(-1, 1))
+def test_write_matrix_equals_the_per_value_oracle(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_matrix(path, m)
+    assert path.read_bytes() == _csv_oracle(m).encode()
+
+
+def test_csv_writes_integers_up_to_2_53_as_themselves(tmp_path):
+    """17 significant digits print every integer of magnitude <= 2^53 as
+    itself; above that an integer prints as the double nearest to it."""
+    path = tmp_path / "i.csv"
+    model._write_csv(path, [(2 ** 53, -2 ** 53, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 17 - 1)],
+                     ("a", "b", "c", "d", "e"))
+    assert path.read_text() == ("a,b,c,d,e\n9007199254740992,-9007199254740992,"
+                                "9007199254740991,9007199254740992,1e+17\n")
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+# ---------------------------------------------------------------------------
+
+def _ratios(shape, a, b, c):
+    """``(i*a mod b - b//2) / (i mod c + 10)`` for ``i = 0, 1, ...`` in
+    ``shape``: small integers divided elementwise, so each entry is one
+    correctly rounded division and the same on every platform."""
+    i = np.arange(int(np.prod(shape)))
+    return ((i * a % b - b // 2) / (i % c + 10)).reshape(shape)
+
+
+def _golden_kernels():
+    """A 5 + 3 joint matrix with off-diagonal entries below 1 in magnitude and
+    8 on the diagonal, PSD by diagonal dominance, with a negative zero and a
+    subnormal placed symmetrically."""
+    J = _ratios((8, 8), 37, 19, 7)
+    lower = np.tril_indices(8, -1)
+    J[lower] = J.T[lower]
+    np.fill_diagonal(J, 8.0)
+    for i, j, v in ((1, 2, -0.0), (0, 6, -0.0), (3, 7, 5e-324)):
+        J[i, j] = J[j, i] = v
+    return KernelSet(J[:5, :5], J[:5, 5:], J[5:, 5:], 12345, exact=True)
+
+
+def _golden_report():
+    edge = np.array(EDGE_FLOATS)
+    return {
+        "name": "golden \u00e9\"", "flag": True, "none": None, "count": -3,
+        "scalar": np.float64(-0.0), "float": 0.1, "vector": edge,
+        "matrix": _ratios((3, 4), 11, 23, 5), "row": _ratios((1, 5), 7, 13, 3),
+        "column": _ratios((5, 1), 5, 17, 4), "ints": np.arange(-2, 3),
+        "bools": np.array([True, False]),
+        "float32": np.array([0.1, -0.0, 3e-40], dtype=np.float32),
+        "empty": np.zeros((0, 3)), "zero_d": np.array(2.5),
+        "cube": _ratios((2, 2, 2), 3, 9, 2), "list": [1.5, -0.0, [2, 3.25, edge]],
+        "tuple": (1, 2.5, False),
+        "nested": {"inner": _ratios((2, 3), 13, 29, 6),
+                   "negative_zeros": np.array([[-0.0, 1.0], [2.0, -0.0]])},
+    }
+
+
+def _golden_files(tmp_path):
+    matrix = _ratios((4, len(EDGE_FLOATS)), 17, 31, 8)
+    matrix[0] = EDGE_FLOATS
+    save_kernels(_golden_kernels(), tmp_path / "kernels.json")
+    write_matrix(tmp_path / "matrix.csv", matrix)
+    write_matrix(tmp_path / "column.csv", np.array(EDGE_FLOATS).reshape(-1, 1))
+    model._write_csv(tmp_path / "replicates.csv",
+                     enumerate(EDGE_FLOATS + [2 ** 53 + 1]), ("replicate", "error"))
+    write_json(tmp_path / "report.json", _golden_report())
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("kernels.json", "matrix.csv", "column.csv",
+                         "replicates.csv", "report.json")}
+
+
+# SHA-256 of the files as the one-value-at-a-time writers wrote them.  A
+# changed digest is a change of the report format: state it in CHANGES.md.
+GOLDEN_SHA256 = {
+    "kernels.json":
+        "6fd4ee375fd58458675459413cfc8d902d7034119c4d19dfe5736fbf2cc096d5",
+    "matrix.csv":
+        "17a4436a13eb57480a018e5b39579bd25c6349e41ed6dcf3f7992f918f646831",
+    "column.csv":
+        "0d3240611bc6dc5ad2f7f14422f7e4362a013d0e828d8ebad3700f68d01162e8",
+    "replicates.csv":
+        "7f29825e133df635eb96eabd934650b22ee3ed4b659e2c31c7ebd07d5d260690",
+    "report.json":
+        "195b1513cdf7389dfec18e815ffec8f9e353a8a55397fffc2b28e244d1154f4b",
+}
+
+
+def test_written_files_match_their_golden_digests(tmp_path):
+    assert _golden_files(tmp_path) == GOLDEN_SHA256
