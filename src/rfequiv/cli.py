@@ -16,10 +16,11 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _dataset_kernels(args, ds, sigma, phi, n):
         return load_kernels(args.kernels)
     m = _samples(args, ds)
     if _has_closed_form(sigma, phi):
-        return replace(exact_kernels(ds, sigma, phi, n), samples=m)
+        return exact_kernels(ds, sigma, phi, n, samples=m)
     return estimate_kernels(ds, sigma, phi, n, m, args.seed)
 
 
@@ -284,6 +285,7 @@ def _cmd_diagnose(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # argparse keeps no state between parses
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rfequiv",

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import (NonConvergence, _check_ridge, _check_z, _clamped_eigh,
-                    _ridge_solve, _vector)
+from .model import (_SINGLE_THREAD_BLAS, NonConvergence, _check_ridge, _check_z,
+                    _clamped_eigh, _ridge_solve, _vector)
 
 __all__ = [
     "DenominatorDegenerate",
@@ -146,8 +146,10 @@ def build_equiv(K, y, yhat, d, delta):
     """Assemble the deterministic test-error prediction for one instance.
 
     Solves alpha at ``z = 0``, checks ``denom = F'(x)`` against the
-    positivity guard and evaluates both terms in the eigenbasis of K_aa,
-    where ``V^T K_ah`` is the only product of order n^2 t.
+    positivity guard and evaluates both terms in the eigenbasis of K_aa.
+    That basis and ``V^T K_ah``, the only product of order n^2 t, are
+    computed once per :class:`KernelSet`, on one OpenBLAS thread as the whole
+    call is, so no bit depends on the caller's count or on which call came first.
     ``effective_ridge`` is ``kappa = delta x = -delta/alpha``, ``iterations``
     counts Newton steps, and ``residual`` is
     ``|alpha - T(alpha)| / |alpha|`` for ``T(a) = -(1 + sum_j lam_j g_j)^{-1}``.
@@ -165,26 +167,26 @@ def build_equiv(K, y, yhat, d, delta):
     yhat = _vector(yhat, "yhat", K.n_test)
     _check_ridge(delta, d)
 
-    w, V = _clamped_eigh(K.K_aa)
-    x, g, denom, iterations = _solve_nu(w, d, delta, 0.0)
-    alpha = -1.0 / x
-    if denom <= _DENOM_GUARD:
-        raise DenominatorDegenerate(
-            f"variance-series denominator {denom:.6e} <= {_DENOM_GUARD:g}"
-        )
+    with _SINGLE_THREAD_BLAS:  # OpenBLAS rounds eigh and GEMV by its thread count
+        w, V, W = K._eigenbasis()
+        x, g, denom, iterations = _solve_nu(w, d, delta, 0.0)
+        alpha = -1.0 / x
+        if denom <= _DENOM_GUARD:
+            raise DenominatorDegenerate(
+                f"variance-series denominator {denom:.6e} <= {_DENOM_GUARD:g}"
+            )
 
-    W = V.T @ K.K_ah
-    with np.errstate(over="ignore", invalid="ignore"):
-        # tr(K_ha M11 (I + delta M11) K_ah) = sum_j (g_j + delta g_j^2) ||W_j||^2
-        cross = float(np.sum((g + delta * g ** 2) * np.sum(W ** 2, axis=1)))
-        beta = alpha ** 2 * (float(np.trace(K.K_hh)) + d * alpha * cross) / denom
-        c = g * (V.T @ y)  # V^T M11 y
-        term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
-        resid = d * alpha * (W.T @ c) + yhat
-        term_bias = float(resid @ resid)
-    if not np.isfinite(term_variance + term_bias):
-        raise ValueError(f"the predicted error overflows ({term_variance + term_bias})")
-    t = -1.0 / (1.0 + float(np.sum(w * g)))  # T(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # tr(K_ha M11 (I + delta M11) K_ah) = sum_j (g_j + delta g_j^2) ||W_j||^2
+            cross = float(np.sum((g + delta * g ** 2) * np.sum(W ** 2, axis=1)))
+            beta = alpha ** 2 * (float(np.trace(K.K_hh)) + d * alpha * cross) / denom
+            c = g * (V.T @ y)  # V^T M11 y
+            term_variance = d * beta * float(np.sum(w * c ** 2))  # y^T M11 K_aa M11 y
+            resid = d * alpha * (W.T @ c) + yhat
+            term_bias = float(resid @ resid)
+        if not np.isfinite(term_variance + term_bias):
+            raise ValueError(f"the predicted error overflows ({term_variance + term_bias})")
+        t = -1.0 / (1.0 + float(np.sum(w * g)))  # T(alpha)
 
     return EquivSolution(
         alpha=alpha,

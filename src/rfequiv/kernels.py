@@ -14,7 +14,9 @@ its blocks are a closed form (no draw); a file without the key is Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ from .model import (
     Activation,
     MatrixFormatError,
     _SINGLE_THREAD_BLAS,
+    _clamped_eigh,
     _features,
     _matrix,
     _parallel_map,
@@ -43,6 +46,8 @@ __all__ = [
 
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
 _IDENTITY = Activation("identity")
+_BASIS_LOCK = threading.Lock()
+_last_file = (None, None)  # (bytes, KernelSet) of the last file load_kernels accepted
 
 
 def default_samples(n_train, n_test):
@@ -50,7 +55,7 @@ def default_samples(n_train, n_test):
     return max(20 * (n_train + n_test), 10_000)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSet:
     """Second-moment blocks of the stacked feature column (a_j, ahat_j).
 
@@ -58,7 +63,8 @@ class KernelSet:
     ``K_hh = E[ahat ahat^T]``; ``samples`` is the number of Monte Carlo draws
     behind the estimate, or, when ``exact`` is true and the blocks are a
     closed form, the budget a draw would have had.  ``K_ha`` is derived, a
-    C-contiguous copy of ``K_ah^T``.
+    C-contiguous copy of ``K_ah^T``.  The set is immutable: its four blocks
+    are read-only arrays that share no memory with the caller's.
     """
 
     K_aa: np.ndarray
@@ -73,11 +79,15 @@ class KernelSet:
             raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
         if not isinstance(self.exact, bool):
             raise ValueError(f"exact must be True or False, not {self.exact!r}")
-        self.samples = int(self.samples)
-        self.K_aa = _matrix(self.K_aa, "K_aa", square=True)
-        self.K_ah = _matrix(self.K_ah, "K_ah")
-        self.K_hh = _matrix(self.K_hh, "K_hh", square=True)
-        self.K_ha = self.K_ah.T.copy()
+        set_ = functools.partial(object.__setattr__, self)
+        set_("samples", int(self.samples))
+        set_("_basis", None)
+        blocks = {name: _matrix(getattr(self, name), name, square=name != "K_ah")
+                  for name in ("K_aa", "K_ah", "K_hh")}
+        for name, block in (*blocks.items(), ("K_ha", blocks["K_ah"].T)):
+            block = block.copy()  # C-contiguous, and shares nothing with the caller
+            block.flags.writeable = False
+            set_(name, block)
         n, t = self.K_ah.shape
         if self.K_aa.shape != (n, n) or self.K_hh.shape != (t, t):
             raise ValueError("kernel block shapes are inconsistent")
@@ -99,6 +109,15 @@ class KernelSet:
             raise ValueError(
                 f"joint kernel block matrix is not PSD (min eig {w[0]:.3e})"
             )
+
+    def _eigenbasis(self):
+        """``(lam, V, V^T K_ah)`` for the clamped ``K_aa = V diag(lam) V^T``,
+        computed by the first call, under the caller's BLAS pin, for all."""
+        with _BASIS_LOCK:  # sweep's cells ask at once; one of them computes
+            if self._basis is None:
+                w, V = _clamped_eigh(self.K_aa)
+                object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
+        return self._basis
 
     @property
     def n_train(self):
@@ -176,8 +195,8 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
 def _split(ds, joint, samples, exact=False):
     """The :class:`KernelSet` of a symmetric joint matrix over ``[X; Xhat]``."""
     nt = ds.n_train
-    return KernelSet(joint[:nt, :nt].copy(), joint[:nt, nt:].copy(),
-                     joint[nt:, nt:].copy(), samples, exact=exact)
+    return KernelSet(joint[:nt, :nt], joint[:nt, nt:], joint[nt:, nt:], samples,
+                     exact=exact)
 
 
 def _arcsine(t):
@@ -230,7 +249,7 @@ def _has_closed_form(sigma, phi):
     return phi.kind == "identity" and sigma.kind in _CLOSED_FORMS
 
 
-def exact_kernels(ds, sigma, phi, n):
+def exact_kernels(ds, sigma, phi, n, *, samples=1):
     """The kernel blocks in closed form, for a built-in ``sigma`` with
     ``phi`` = identity.
 
@@ -244,8 +263,9 @@ def exact_kernels(ds, sigma, phi, n):
     / (2 pi)`` with ``cos theta = c / sqrt(s_i s_j)`` for relu (Cho and
     Saul 2009); and ``e^{-(s_i + s_j)/2} sinh c`` for sin.  A zero row has
     a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  Returns a
-    symmetrised :class:`KernelSet` with ``samples`` 1 and ``exact`` true,
-    computed on one BLAS thread (OpenBLAS rounds ``D D^T`` with its thread
+    symmetrised :class:`KernelSet` with ``exact`` true and the given
+    ``samples`` (the CLI records its Monte Carlo budget there), computed on
+    one BLAS thread (OpenBLAS rounds ``D D^T`` with its thread
     count), so the blocks do not depend on the count the caller left set.
 
     ``ValueError`` is raised for a ``custom-table`` ``sigma`` or a ``phi``
@@ -267,7 +287,7 @@ def exact_kernels(ds, sigma, phi, n):
     if not (np.isfinite(C).all() and np.isfinite(J).all()):
         raise ValueError("non-finite activation output (the Gram matrix of "
                          "the design or its closed-form kernel overflows)")
-    return _split(ds, J, 1, exact=True)
+    return _split(ds, J, samples, exact=True)
 
 
 # not exported; perfbench imports this name from rfequiv.kernels
@@ -318,15 +338,13 @@ def save_kernels(ks, path):
     write_json(path, report)
 
 
-def _read_json(path):
-    """Parse the JSON file at ``path`` with orjson, whose floats are the
-    correctly rounded values of their text, as the stdlib's are.  Where
-    orjson refuses the text, the stdlib parses it: it also reads ``NaN``,
-    ``Infinity`` and numbers that overflow to inf, which the checks after
-    the parse then name.  Invalid UTF-8 and other parse faults raise
-    :class:`MatrixFormatError` naming ``path``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _parse_json(path, data):
+    """Parse the bytes ``data`` of the JSON file at ``path`` with orjson,
+    whose floats are the correctly rounded values of their text, as the
+    stdlib's are.  Where orjson refuses the text, the stdlib parses it: it
+    also reads ``NaN``, ``Infinity`` and numbers that overflow to inf, which
+    the checks after the parse then name.  Invalid UTF-8 and other parse
+    faults raise :class:`MatrixFormatError` naming ``path``."""
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError:
@@ -345,8 +363,20 @@ def load_kernels(path):
     JSON boolean among them, raise :class:`MatrixFormatError`; a missing
     ``exact`` reads as false (Monte Carlo).  A header, or the ``K_ha`` of an older file,
     that disagrees with the blocks raises ``ValueError``.
+
+    The file is read on every call, and the last one accepted is kept with
+    its exact bytes: a call that reads the same bytes again, from any path,
+    returns that same immutable set without parsing or checking them again.
+    Only the bytes are the key (never a name, size or mtime), and a file
+    that fails a check is never kept.
     """
-    raw = _read_json(path)
+    global _last_file
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kept, ks = _last_file
+    if data == kept:
+        return ks
+    raw = _parse_json(path, data)
     try:
         header = (raw["n_train"], raw["n_test"])
         blocks = [np.array(raw[name], dtype=float)
@@ -370,4 +400,5 @@ def load_kernels(path):
         raise ValueError(f"{path}: header {header} disagrees with the blocks")
     if K_ha is not None and not np.array_equal(K_ha, ks.K_ha):
         raise ValueError("K_ha must be the exact transpose of K_ah")
+    _last_file = (data, ks)
     return ks

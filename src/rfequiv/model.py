@@ -11,7 +11,7 @@ import ctypes
 import functools
 import glob
 import hashlib
-import importlib
+import importlib.util
 import json
 import math
 import numbers
@@ -226,12 +226,16 @@ _OPENBLAS_BUILDS = (
 def _blas_controls():
     """``(get, set)`` thread-count functions of each OpenBLAS that numpy and
     scipy bundle in ``numpy.libs/`` and ``scipy.libs/``, reached through
-    ``ctypes``.  A build whose library or symbols are missing, such as a
-    numpy linked to another BLAS, is left out, so the pin that uses these
+    ``ctypes``.  The packages are located, never imported, so a pin costs
+    no scipy import.  A build whose library or symbols are missing, such as
+    a numpy linked to another BLAS, is left out, so the pin that uses these
     is then a no-op for it."""
     controls = []
     for package, prefix, symbol in _OPENBLAS_BUILDS:
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.origin:
+            continue
+        root = os.path.dirname(os.path.dirname(spec.origin))
         for path in sorted(glob.glob(os.path.join(root, package + ".libs", prefix + "*"))):
             try:
                 lib = ctypes.CDLL(path)

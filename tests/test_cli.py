@@ -14,6 +14,7 @@ import pytest
 import rfequiv
 from rfequiv import equiv, rdel
 from rfequiv.cli import _parse_complex, main
+from rfequiv.model import _parallel_map
 
 from conftest import caller_blas_threads
 
@@ -76,8 +77,7 @@ def test_predict_loads_no_scipy(tmp_path, toy_files):
 
 
 def test_sign_sin_diagnose_loads_neither_special_nor_linalg(tmp_path):
-    # the BLAS pin of the pool imports the scipy package itself, for the
-    # path of scipy.libs/, and nothing below it
+    # the BLAS pin of the pool locates scipy.libs/ without importing scipy
     argv = ["diagnose", "--synthetic", "12,6,4", "--sigma", "sign", "--phi",
             "sin", "--d", "4", "--delta", "0.1", "--samples", "600",
             "--reps", "4", "--probes", "1", "--out", str(tmp_path / "d.json")]
@@ -295,24 +295,55 @@ def test_simulate_bytes_ignore_caller_blas_and_pool_threads(tmp_path,
     assert len(reports) == 1
 
 
-def test_predict_bytes_ignore_caller_blas_threads(tmp_path):
-    # predict runs no pool: its BLAS work, the eigendecomposition of K_aa and
-    # the rotation V^T K_ah, runs at the thread count the caller left set
+def test_predict_bytes_ignore_caller_blas_threads(tmp_path, monkeypatch):
+    # at 400/400 OpenBLAS splits eigh(K_aa) and the products of build_equiv
+    # over its threads and rounds differently for each count; build_equiv
+    # pins it to one, so neither the count the caller left set nor a kernel
+    # memo filled inside a pool changes a byte
     kern, y, yhat = (tmp_path / name for name in ("k.json", "y.csv", "yhat.csv"))
-    assert main(["estimate-kernels", "--synthetic", "200,200,30", "--samples",
-                 "2000", "--out", str(kern)]) == 0
+    assert main(["estimate-kernels", "--synthetic", "400,400,30", "--out",
+                 str(kern)]) == 0
     rng = np.random.default_rng(4)
-    np.savetxt(y, rng.standard_normal(200))
-    np.savetxt(yhat, rng.standard_normal(200))
+    np.savetxt(y, rng.standard_normal(400))
+    np.savetxt(yhat, rng.standard_normal(400))
     out = tmp_path / "p.json"
+    argv = ["predict", "--kernels", str(kern), "--y", str(y), "--yhat", str(yhat),
+            "--d", "800", "--delta", "0.1", "--out", str(out)]
     reports = set()
     for blas in (1, 2):
-        with caller_blas_threads(blas):
-            assert main(["predict", "--kernels", str(kern), "--y", str(y),
-                         "--yhat", str(yhat), "--d", "800", "--delta", "0.1",
-                         "--out", str(out)]) == 0
-        reports.add(out.read_bytes())
+        for pooled in (False, True):
+            monkeypatch.setattr(rfequiv.kernels, "_last_file", (None, None))
+            with caller_blas_threads(blas):
+                if pooled:  # parse and factorise inside a pool, reuse outside
+                    assert list(_parallel_map(lambda _: main(argv), 1)) == [0]
+                    reports.add(out.read_bytes())
+                assert main(argv) == 0
+            reports.add(out.read_bytes())
     assert len(reports) == 1
+
+
+def test_exact_route_builds_its_kernel_set_once(tmp_path, monkeypatch):
+    built = []
+    post_init = rfequiv.KernelSet.__post_init__
+    monkeypatch.setattr(rfequiv.KernelSet, "__post_init__",
+                        lambda self: built.append(post_init(self)))
+    out = tmp_path / "k.json"
+    assert main(["estimate-kernels", "--synthetic", "12,6,4", "--samples", "300",
+                 "--out", str(out)]) == 0
+    assert len(built) == 1
+    assert json.loads(out.read_text())["samples"] == 300
+
+
+def test_a_reused_parser_keeps_each_verbs_defaults(tmp_path, capsys):
+    common = ["--synthetic", "12,6,4", "--samples", "300", "--delta", "0.5"]
+    assert main(["sweep", *common[:4], "--d-list", "4", "--delta-list", "0.5",
+                 "--reps", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    out = tmp_path / "sim.json"
+    assert main(["simulate", *common, "--d", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["reps"] == 30
+    capsys.readouterr()
+    assert main(["predict", "--kernels"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_raw_layout_gives_the_csv_bytes(tmp_path):

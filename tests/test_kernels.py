@@ -1,10 +1,18 @@
 """Kernel blocks: the closed forms, the Monte Carlo estimator that is their
 oracle, and the kernel file."""
 
+import collections
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +36,8 @@ from rfequiv import (
     verify_centering,
     write_json,
 )
-from rfequiv.kernels import _read_json
+from rfequiv.cli import main
+from rfequiv.kernels import _parse_json
 
 from conftest import EDGE_FLOATS
 
@@ -396,7 +405,7 @@ def test_kernel_file_parse_is_bit_identical(tmp_path_factory, values):
     reads back with the same bits, as the stdlib reads it."""
     p = tmp_path_factory.mktemp("parse") / "v.json"
     write_json(p, {"v": values})
-    back = np.array(_read_json(p)["v"], dtype=float)
+    back = np.array(_parse_json(p, p.read_bytes())["v"], dtype=float)
     stdlib = np.array(json.loads(p.read_text())["v"], dtype=float)
     want = np.array(values, dtype=float)
     assert back.view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -445,3 +454,142 @@ def test_load_kernels_rejects_missing_key(tmp_path):
     p.write_text('{"n_train": 2, "n_test": 1}')
     with pytest.raises(MatrixFormatError):
         load_kernels(p)
+
+
+# ---------------------------------------------------------------------------
+# one parse and one factorisation per kernel file
+# ---------------------------------------------------------------------------
+
+SMALL_FILE = ('{"n_train": 1, "n_test": 1, "samples": 1, '
+              '"K_aa": [[%s]], "K_ah": [[%s]], "K_hh": [[1.0]]}')
+GRID = [(d, delta) for d in (25, 50, 100, 150, 200, 300, 400, 800)
+        for delta in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)]
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """load_kernels with nothing kept from an earlier test."""
+    monkeypatch.setattr(rfequiv.kernels, "_last_file", (None, None))
+
+
+def test_memo_key_is_the_bytes_not_the_size_or_mtime(tmp_path, empty_memo):
+    p = tmp_path / "k.json"
+    p.write_text(SMALL_FILE % ("2.0", "0.5"))
+    first = load_kernels(p)
+    assert load_kernels(p) is first
+    stat = p.stat()
+    p.write_text(SMALL_FILE % ("3.0", "0.5"))
+    os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (p.stat().st_size, p.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert load_kernels(p).K_aa.tolist() == [[3.0]]
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    (SMALL_FILE.replace('"K_hh"', '"K_xx"') % ("2.0", "0.5"), 3,
+     "malformed kernel JSON"),
+    (SMALL_FILE % ("2.0", "5.0"), 2, "not PSD"),
+])
+def test_a_bad_file_after_a_good_one_fails_as_it_does_alone(
+        tmp_path, empty_memo, capsys, bad, code, message):
+    kern, y, yhat = (tmp_path / name for name in ("k.json", "y.csv", "yhat.csv"))
+    y.write_text("1\n")
+    yhat.write_text("0.5\n")
+    argv = ["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
+            str(yhat), "--d", "2", "--delta", "1", "--out", str(tmp_path / "p.json")]
+    kern.write_text(bad)
+    assert main(argv) == code
+    alone = capsys.readouterr().err
+    assert message in alone
+    kern.write_text(SMALL_FILE % ("2.0", "0.5"))
+    assert main(argv) == 0
+    kern.write_text(bad)
+    assert main(argv) == code
+    assert capsys.readouterr().err == alone
+
+
+def test_kernel_set_is_immutable_and_owns_its_blocks(tmp_path, empty_memo):
+    K_aa, K_ah, K_hh = np.eye(2), np.full((2, 1), 0.5), np.eye(1)
+    ks = KernelSet(K_aa, K_ah, K_hh, 1)
+    K_aa[0, 0] = K_ah[0, 0] = K_hh[0, 0] = 9.0
+    assert ks.K_aa[0, 0] == ks.K_ah[0, 0] * 2 == ks.K_ha[0, 0] * 2 == ks.K_hh[0, 0] == 1.0
+    p = tmp_path / "k.json"
+    save_kernels(ks, p)
+    for kernels in (ks, load_kernels(p)):
+        for name in ("K_aa", "K_ah", "K_ha", "K_hh"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(kernels, name)[0, 0] = 2.0
+        for name, value in (("K_aa", np.eye(2)), ("samples", 3), ("exact", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(kernels, name, value)
+
+
+def test_predict_grid_parses_and_factorises_once(tmp_path, monkeypatch, empty_memo):
+    """The 48 points of one file: one parse and one eigendecomposition, and
+    the bytes of a new interpreter that parses and factorises anew at every
+    point, as one process per point would."""
+    ds = synthetic_regression(100, 100, 100, 0.5, seed=3)
+    kern, y, yhat = (tmp_path / name for name in ("k.json", "y.csv", "yhat.csv"))
+    save_kernels(exact_kernels(ds, ERF, IDENTITY, 100), kern)
+    rfequiv.write_matrix(y, ds.y[:, None])
+    rfequiv.write_matrix(yhat, ds.yhat[:, None])
+
+    def argv(out):
+        return [["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
+                 str(yhat), "--d", str(d), "--delta", repr(delta),
+                 "--out", str(out / f"p-{d}-{delta}.json")] for d, delta in GRID]
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orjson, "loads", counted("loads", orjson.loads))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    (tmp_path / "memo").mkdir()
+    for args in argv(tmp_path / "memo"):
+        assert main(args) == 0
+    assert calls == {"loads": 1, "eigh": 1}
+
+    (tmp_path / "fresh").mkdir()
+    code = ("import rfequiv.kernels as kernels\n"
+            "from rfequiv.cli import main\n"
+            f"for args in {argv(tmp_path / 'fresh')!r}:\n"
+            "    kernels._last_file = (None, None)\n"
+            "    assert main(args) == 0\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   cwd=Path(rfequiv.__file__).resolve().parents[1])
+    for d, delta in GRID:
+        name = f"p-{d}-{delta}.json"
+        assert (tmp_path / "memo" / name).read_bytes() == \
+            (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_threads_share_one_eigendecomposition(monkeypatch):
+    """More threads than cores ask a new set for its basis at once, with a
+    short switch interval: one eigendecomposition, and equal reports."""
+    ds = synthetic_regression(40, 10, 20, 0.5, seed=5)
+    ks = exact_kernels(ds, ERF, IDENTITY, 40)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    reports = []
+
+    def work():
+        reports.append(rfequiv.build_equiv(ks, ds.y, ds.yhat, 30, 0.1).to_report())
+
+    threads = [threading.Thread(target=work) for _ in range(4 * (os.cpu_count() or 1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(reports) == len(threads) and all(r == reports[0] for r in reports)
