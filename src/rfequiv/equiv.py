@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import (_SINGLE_THREAD_BLAS, NonConvergence, _check_ridge, _check_z,
-                    _clamped_eigh, _ridge_solve, _vector)
+from .model import (_SINGLE_THREAD_NUMPY_BLAS, NonConvergence, _check_ridge,
+                    _check_z, _clamped_eigh, _ridge_solve, _vector)
 
 __all__ = [
     "DenominatorDegenerate",
@@ -146,10 +146,8 @@ def build_equiv(K, y, yhat, d, delta):
     """Assemble the deterministic test-error prediction for one instance.
 
     Solves alpha at ``z = 0``, checks ``denom = F'(x)`` against the
-    positivity guard and evaluates both terms in the eigenbasis of K_aa.
-    That basis and ``V^T K_ah``, the only product of order n^2 t, are
-    computed once per :class:`KernelSet`, on one OpenBLAS thread as the whole
-    call is, so no bit depends on the caller's count or on which call came first.
+    positivity guard and evaluates both terms in the eigenbasis of K_aa, which
+    with ``V^T K_ah`` is made once per :class:`KernelSet`, on one BLAS thread.
     ``effective_ridge`` is ``kappa = delta x = -delta/alpha``, ``iterations``
     counts Newton steps, and ``residual`` is
     ``|alpha - T(alpha)| / |alpha|`` for ``T(a) = -(1 + sum_j lam_j g_j)^{-1}``.
@@ -167,7 +165,7 @@ def build_equiv(K, y, yhat, d, delta):
     yhat = _vector(yhat, "yhat", K.n_test)
     _check_ridge(delta, d)
 
-    with _SINGLE_THREAD_BLAS:  # OpenBLAS rounds eigh and GEMV by its thread count
+    with _SINGLE_THREAD_NUMPY_BLAS:  # OpenBLAS rounds eigh and GEMV by its thread count
         w, V, W = K._eigenbasis()
         x, g, denom, iterations = _solve_nu(w, d, delta, 0.0)
         alpha = -1.0 / x

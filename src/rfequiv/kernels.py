@@ -15,6 +15,7 @@ its blocks are a closed form (no draw); a file without the key is Monte Carlo.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ __all__ = [
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
 _IDENTITY = Activation("identity")
 _BASIS_LOCK = threading.Lock()
-_last_file = (None, None)  # (bytes, KernelSet) of the last file load_kernels accepted
+_last_file = (None, None)  # (SHA-256 of the bytes, KernelSet) of the last file accepted
 
 
 def default_samples(n_train, n_test):
@@ -63,8 +64,8 @@ class KernelSet:
     ``K_hh = E[ahat ahat^T]``; ``samples`` is the number of Monte Carlo draws
     behind the estimate, or, when ``exact`` is true and the blocks are a
     closed form, the budget a draw would have had.  ``K_ha`` is derived, a
-    C-contiguous copy of ``K_ah^T``.  The set is immutable: its four blocks
-    are read-only arrays that share no memory with the caller's.
+    C-contiguous copy of ``K_ah^T``.  The set is immutable: its blocks are read-only
+    copies, but a read-only C-contiguous array that owns its memory is kept.
     """
 
     K_aa: np.ndarray
@@ -85,8 +86,10 @@ class KernelSet:
         blocks = {name: _matrix(getattr(self, name), name, square=name != "K_ah")
                   for name in ("K_aa", "K_ah", "K_hh")}
         for name, block in (*blocks.items(), ("K_ha", blocks["K_ah"].T)):
-            block = block.copy()  # C-contiguous, and shares nothing with the caller
-            block.flags.writeable = False
+            flags = block.flags
+            if flags.writeable or not (flags.owndata and flags.c_contiguous):
+                block = block.copy()  # shares nothing with the caller
+                block.flags.writeable = False
             set_(name, block)
         n, t = self.K_ah.shape
         if self.K_aa.shape != (n, n) or self.K_hh.shape != (t, t):
@@ -111,8 +114,7 @@ class KernelSet:
             )
 
     def _eigenbasis(self):
-        """``(lam, V, V^T K_ah)`` for the clamped ``K_aa = V diag(lam) V^T``,
-        computed by the first call, under the caller's BLAS pin, for all."""
+        """``(lam, V, V^T K_ah)`` of the clamped ``K_aa``, made by the first call."""
         with _BASIS_LOCK:  # sweep's cells ask at once; one of them computes
             if self._basis is None:
                 w, V = _clamped_eigh(self.K_aa)
@@ -263,10 +265,9 @@ def exact_kernels(ds, sigma, phi, n, *, samples=1):
     / (2 pi)`` with ``cos theta = c / sqrt(s_i s_j)`` for relu (Cho and
     Saul 2009); and ``e^{-(s_i + s_j)/2} sinh c`` for sin.  A zero row has
     a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  Returns a
-    symmetrised :class:`KernelSet` with ``exact`` true and the given
-    ``samples`` (the CLI records its Monte Carlo budget there), computed on
-    one BLAS thread (OpenBLAS rounds ``D D^T`` with its thread
-    count), so the blocks do not depend on the count the caller left set.
+    symmetrised :class:`KernelSet` with ``exact`` true and ``samples`` (the
+    CLI's Monte Carlo budget), computed on one BLAS thread (OpenBLAS rounds
+    ``D D^T`` by its thread count), so no block depends on the caller's.
 
     ``ValueError`` is raised for a ``custom-table`` ``sigma`` or a ``phi``
     other than identity, for ``n < 1``, and where ``C`` or the kernel is
@@ -364,23 +365,24 @@ def load_kernels(path):
     ``exact`` reads as false (Monte Carlo).  A header, or the ``K_ha`` of an older file,
     that disagrees with the blocks raises ``ValueError``.
 
-    The file is read on every call, and the last one accepted is kept with
-    its exact bytes: a call that reads the same bytes again, from any path,
-    returns that same immutable set without parsing or checking them again.
-    Only the bytes are the key (never a name, size or mtime), and a file
-    that fails a check is never kept.
+    The last file accepted is kept, keyed by the SHA-256 of its bytes (never
+    a name, size or mtime), until another is: the same bytes again, from any
+    path, return that same set unparsed and unchecked.  A bad file is never kept.
     """
     global _last_file
     with open(path, "rb") as fh:
         data = fh.read()
-    kept, ks = _last_file
-    if data == kept:
-        return ks
+    key = hashlib.sha256(data).digest()
+    if key == _last_file[0]:
+        return _last_file[1]
     raw = _parse_json(path, data)
+    del data  # not held through the checks: it is 3x the size of the blocks
     try:
         header = (raw["n_train"], raw["n_test"])
         blocks = [np.array(raw[name], dtype=float)
                   for name in ("K_aa", "K_ah", "K_hh")]
+        for block in blocks:
+            block.flags.writeable = False  # KernelSet keeps it without a copy
         K_ha = np.array(raw["K_ha"], dtype=float) if "K_ha" in raw else None
         samples = raw["samples"]
         for name, count in zip(("n_train", "n_test", "samples"), (*header, samples)):
@@ -400,5 +402,5 @@ def load_kernels(path):
         raise ValueError(f"{path}: header {header} disagrees with the blocks")
     if K_ha is not None and not np.array_equal(K_ha, ks.K_ha):
         raise ValueError("K_ha must be the exact transpose of K_ah")
-    _last_file = (data, ks)
+    _last_file = (key, ks)
     return ks

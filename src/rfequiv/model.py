@@ -215,68 +215,69 @@ def worker_count():
     return value
 
 
-# (package, library file prefix, thread-count symbol with {} for get/set)
-_OPENBLAS_BUILDS = (
-    ("numpy", "libscipy_openblas64_", "scipy_openblas_{}_num_threads64_"),
-    ("scipy", "libscipy_openblas-", "scipy_openblas_{}_num_threads"),
-)
+# package -> (library file prefix, thread-count symbol with {} for get/set)
+_OPENBLAS_BUILDS = {
+    "numpy": ("libscipy_openblas64_", "scipy_openblas_{}_num_threads64_"),
+    "scipy": ("libscipy_openblas-", "scipy_openblas_{}_num_threads"),
+}
 
 
 @functools.cache
-def _blas_controls():
-    """``(get, set)`` thread-count functions of each OpenBLAS that numpy and
-    scipy bundle in ``numpy.libs/`` and ``scipy.libs/``, reached through
-    ``ctypes``.  The packages are located, never imported, so a pin costs
-    no scipy import.  A build whose library or symbols are missing, such as
-    a numpy linked to another BLAS, is left out, so the pin that uses these
-    is then a no-op for it."""
-    controls = []
-    for package, prefix, symbol in _OPENBLAS_BUILDS:
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.origin:
+def _blas_control(package):
+    """``(get, set)`` thread-count functions of the OpenBLAS in ``<package>.libs/``
+    (the package is located, never imported), through ``ctypes``; None where its
+    library or symbols are missing (a numpy linked to another BLAS)."""
+    prefix, symbol = _OPENBLAS_BUILDS[package]
+    root = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+    for path in sorted(glob.glob(os.path.join(root, package + ".libs", prefix + "*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = (getattr(lib, symbol.format(op)) for op in ("get", "set"))
+        except (OSError, AttributeError):
             continue
-        root = os.path.dirname(os.path.dirname(spec.origin))
-        for path in sorted(glob.glob(os.path.join(root, package + ".libs", prefix + "*"))):
-            try:
-                lib = ctypes.CDLL(path)
-                get, set_ = (getattr(lib, symbol.format(op)) for op in ("get", "set"))
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-            break
-    return tuple(controls)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _blas_controls(packages=tuple(_OPENBLAS_BUILDS)):
+    """The controls of :func:`_blas_control` that ``packages`` have, in order."""
+    return tuple(c for c in map(_blas_control, packages) if c)
 
 
 class _SingleThreadBlas:
-    """Holds every OpenBLAS of :func:`_blas_controls` at one thread while
-    any holder is inside; the outermost exit restores the counts that the
-    first entry found.  The count is process-wide, so holders in several
-    threads share one reference count under a lock."""
+    """Holds the OpenBLAS of each of ``packages`` at one thread while any
+    holder is inside; the last exit restores the count that the first entry
+    found.  The count is process-wide, so all pins share one holder count
+    per build, under one lock, whatever thread or pin holds it."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = ()
+    _lock = threading.Lock()
+    _held = {}  # id of a set function -> [holders, count the first one found]
+
+    def __init__(self, packages=tuple(_OPENBLAS_BUILDS)):
+        self._packages = packages
 
     def __enter__(self):
         with self._lock:
-            if self._depth == 0:
-                self._saved = tuple((set_, get()) for get, set_ in _blas_controls())
-                for set_, _ in self._saved:
+            for get, set_ in _blas_controls(self._packages):
+                held = self._held.setdefault(id(set_), [0, None])
+                if not held[0]:
+                    held[1] = get()
                     set_(1)
-            self._depth += 1
+                held[0] += 1
 
     def __exit__(self, *exc):
         with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for set_, count in self._saved:
-                    set_(count)
+            for _, set_ in _blas_controls(self._packages):
+                held = self._held[id(set_)]
+                held[0] -= 1
+                if not held[0]:
+                    set_(held[1])
 
 
 _SINGLE_THREAD_BLAS = _SingleThreadBlas()
+_SINGLE_THREAD_NUMPY_BLAS = _SingleThreadBlas(("numpy",))  # scipy's costs ~10 ms to load
 
 
 def _parallel_map(fn, count, workers=None):

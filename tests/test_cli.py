@@ -67,11 +67,15 @@ def test_import_loads_no_scipy(module):
 
 
 def test_predict_loads_no_scipy(tmp_path, toy_files):
+    # nor scipy's OpenBLAS: build_equiv pins numpy's alone, and loading the
+    # other library costs a predict process about 10 ms
     kern, y, yhat = toy_files
     out = tmp_path / "p.json"
     argv = ["predict", "--kernels", str(kern), "--y", str(y), "--yhat",
             str(yhat), "--d", "2", "--delta", "1", "--out", str(out)]
-    code = f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}"
+    code = (f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}; "
+            "from rfequiv.model import _blas_control as c; "
+            "assert c.cache_info().currsize == 1, 'scipy OpenBLAS loaded'")
     assert _fresh_python(code).strip() == ""
     assert out.exists()
 

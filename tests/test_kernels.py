@@ -477,6 +477,7 @@ def test_memo_key_is_the_bytes_not_the_size_or_mtime(tmp_path, empty_memo):
     p.write_text(SMALL_FILE % ("2.0", "0.5"))
     first = load_kernels(p)
     assert load_kernels(p) is first
+    assert len(rfequiv.kernels._last_file[0]) == 32  # a digest, not the file
     stat = p.stat()
     p.write_text(SMALL_FILE % ("3.0", "0.5"))
     os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
@@ -512,6 +513,11 @@ def test_kernel_set_is_immutable_and_owns_its_blocks(tmp_path, empty_memo):
     ks = KernelSet(K_aa, K_ah, K_hh, 1)
     K_aa[0, 0] = K_ah[0, 0] = K_hh[0, 0] = 9.0
     assert ks.K_aa[0, 0] == ks.K_ah[0, 0] * 2 == ks.K_ha[0, 0] * 2 == ks.K_hh[0, 0] == 1.0
+    # a read-only array that owns its memory, as load_kernels builds, is kept
+    frozen = np.eye(2)
+    frozen.flags.writeable = False
+    assert KernelSet(frozen, K_ah / 18, K_hh / 9, 1).K_aa is frozen
+    assert KernelSet(frozen[::-1, ::-1], K_ah / 18, K_hh / 9, 1).K_aa.base is None
     p = tmp_path / "k.json"
     save_kernels(ks, p)
     for kernels in (ks, load_kernels(p)):

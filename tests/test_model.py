@@ -468,25 +468,38 @@ def test_nested_inline_map_keeps_the_outer_pin():
 
 
 def test_concurrent_maps_share_one_pin():
-    # maps started from several caller threads: every worker reads one
-    # thread, and the last map to end restores the caller's count
-    seen = set()
+    # maps and numpy-only pins (build_equiv's) started from several caller
+    # threads: every worker and holder reads one thread, and the last
+    # holder to end restores the caller's count
+    seen, numpy_seen, done = set(), set(), threading.Event()
 
     def caller():
         for _ in range(20):
             seen.update(_parallel_map(lambda i: blas_threads(), 4, workers=2))
 
+    def numpy_caller():
+        while True:
+            with model._SINGLE_THREAD_NUMPY_BLAS:
+                numpy_seen.add(blas_threads()[:1])
+            if done.is_set():
+                return
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with caller_blas_threads(2):
-            threads = [threading.Thread(target=caller) for _ in range(4)]
-            for t in threads:
+            maps = [threading.Thread(target=caller) for _ in range(4)]
+            pins = [threading.Thread(target=numpy_caller) for _ in range(2)]
+            for t in maps + pins:
                 t.start()
-            for t in threads:
+            for t in maps:
                 t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
+            done.set()
+            for t in pins:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in maps + pins)
             assert seen == {(1,) * len(blas_threads())}
+            assert numpy_seen == {(1,)[:len(blas_threads())]}
             assert blas_threads() == (2,) * len(blas_threads())
     finally:
         sys.setswitchinterval(interval)
@@ -501,7 +514,7 @@ def test_parallel_map_without_blas_controls_is_unchanged(monkeypatch, workers):
         return (mats[i] @ mats[i].T).tobytes()
 
     pinned = list(_parallel_map(fn, 4, workers))
-    monkeypatch.setattr(model, "_blas_controls", lambda: ())
+    monkeypatch.setattr(model, "_blas_controls", lambda *packages: ())
     assert list(_parallel_map(fn, 4, workers)) == pinned
 
 
