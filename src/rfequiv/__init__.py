@@ -30,62 +30,17 @@ sim
 cli
     The ``rfequiv`` command-line front door.
 
-The names below are every library module's ``__all__``, and nothing else.
+Each library module's ``__all__`` is the one list of what it exports, and
+the star imports below re-export exactly those names (README's "Public
+names" groups them by job).  Plumbing helpers (seeding, activation, JSON
+text, worker count, sample budget, spectral norm) are reached under their
+module only, as ``rfequiv.model.substream``.
 """
 
-from .equiv import (
-    DenominatorDegenerate,
-    EquivSolution,
-    build_equiv,
-    kernel_ridge_error,
-    solve_subdel,
-)
-from .kernels import (
-    KernelSet,
-    default_samples,
-    estimate_kernels,
-    exact_kernels,
-    load_kernels,
-    save_kernels,
-    verify_centering,
-)
-from .model import (
-    ACTIVATION_KINDS,
-    Activation,
-    Dataset,
-    MatrixFormatError,
-    NonConvergence,
-    RFConfig,
-    apply_activation,
-    derive_seed,
-    load_matrix,
-    substream,
-    synthetic_regression,
-    to_json_text,
-    worker_count,
-    write_json,
-    write_matrix,
-)
-from .rdel import (
-    LinearizationSpec,
-    RDELSolution,
-    ZerothMomentReport,
-    rf_linearization,
-    rf_solution_matrix,
-    solve_rdel,
-    spectral_norm,
-    zeroth_moment_check,
-)
-from .sim import (
-    DeltaGaussianity,
-    SimReport,
-    anisotropic_gap,
-    build_pseudoresolvent,
-    empirical_test_error,
-    estimate_delta_gaussianity,
-    gaussian_surrogate_run,
-    run_replicates,
-    sample_features,
-)
+from .equiv import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .rdel import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

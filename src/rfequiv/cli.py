@@ -155,9 +155,15 @@ def _dataset_kernels(args, ds, sigma, phi, n):
     built-in sigma with phi = identity), which records the Monte Carlo
     budget as its ``samples``; else that many Monte Carlo draws.  Each
     route pins OpenBLAS to one thread itself, so neither file depends on
-    the thread count the caller left set."""
+    the thread count the caller left set.  A file whose blocks do not fit
+    the dataset is refused here, before any draw."""
     if getattr(args, "kernels", None):
-        return load_kernels(args.kernels)
+        K = load_kernels(args.kernels)
+        if (K.n_train, K.n_test) != (ds.n_train, ds.n_test):
+            raise ValueError(
+                f"{args.kernels}: kernel blocks are {K.n_train} x {K.n_test}, "
+                f"the dataset is {ds.n_train} x {ds.n_test} (n_train x n_test)")
+        return K
     m = _samples(args, ds)
     if _has_closed_form(sigma, phi):
         return exact_kernels(ds, sigma, phi, n, samples=m)
@@ -191,10 +197,13 @@ def _run_simulation(args):
 
 
 def _cmd_simulate(args):
+    csv = args.csv or os.path.splitext(args.out)[0] + ".csv"
+    if os.path.realpath(csv) == os.path.realpath(args.out):  # links too
+        raise ValueError(f"the replicate CSV {csv} would overwrite the report "
+                         "--out; give --csv another path")
     rep = _run_simulation(args)
     write_json(args.out, rep.to_report())
-    _write_csv(args.csv or os.path.splitext(args.out)[0] + ".csv",
-               enumerate(rep.replicate_errors.tolist()), ("replicate", "error"))
+    _write_csv(csv, enumerate(rep.replicate_errors.tolist()), ("replicate", "error"))
     return 0
 
 

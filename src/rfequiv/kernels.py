@@ -26,7 +26,7 @@ import orjson
 from .model import (
     Activation,
     MatrixFormatError,
-    _SINGLE_THREAD_BLAS,
+    _SINGLE_THREAD_NUMPY_BLAS,
     _clamped_eigh,
     _features,
     _matrix,
@@ -37,7 +37,6 @@ from .model import (
 
 __all__ = [
     "KernelSet",
-    "default_samples",
     "estimate_kernels",
     "exact_kernels",
     "load_kernels",
@@ -56,7 +55,7 @@ def default_samples(n_train, n_test):
     return max(20 * (n_train + n_test), 10_000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal only to itself
 class KernelSet:
     """Second-moment blocks of the stacked feature column (a_j, ahat_j).
 
@@ -266,8 +265,9 @@ def exact_kernels(ds, sigma, phi, n, *, samples=1):
     Saul 2009); and ``e^{-(s_i + s_j)/2} sinh c`` for sin.  A zero row has
     a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  Returns a
     symmetrised :class:`KernelSet` with ``exact`` true and ``samples`` (the
-    CLI's Monte Carlo budget), computed on one BLAS thread (OpenBLAS rounds
-    ``D D^T`` by its thread count), so no block depends on the caller's.
+    CLI's Monte Carlo budget), computed on one thread of numpy's OpenBLAS
+    (it rounds ``D D^T`` by its thread count; the body is numpy only, so
+    scipy's is left unloaded), so no block depends on the caller's count.
 
     ``ValueError`` is raised for a ``custom-table`` ``sigma`` or a ``phi``
     other than identity, for ``n < 1``, and where ``C`` or the kernel is
@@ -279,7 +279,7 @@ def exact_kernels(ds, sigma, phi, n, *, samples=1):
                          f"with phi {phi.kind!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _SINGLE_THREAD_BLAS, np.errstate(over="ignore", invalid="ignore"):
+    with _SINGLE_THREAD_NUMPY_BLAS, np.errstate(over="ignore", invalid="ignore"):
         C_ah = ds.X @ ds.Xhat.T
         C = np.block([[ds.X @ ds.X.T, C_ah], [C_ah.T, ds.Xhat @ ds.Xhat.T]])
         J = _CLOSED_FORMS[sigma.kind](C, C.diagonal().copy()) / n

@@ -24,19 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ACTIVATION_KINDS",
     "Activation",
     "Dataset",
     "MatrixFormatError",
     "NonConvergence",
     "RFConfig",
-    "apply_activation",
-    "derive_seed",
     "load_matrix",
-    "substream",
     "synthetic_regression",
-    "to_json_text",
-    "worker_count",
     "write_json",
     "write_matrix",
 ]
@@ -399,7 +393,7 @@ def _features(designs, sigma, phi, n, k, rng):
 # Domain configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equal only to itself
 class Dataset:
     """Train/test design matrices with their labels.
 

@@ -44,7 +44,6 @@ __all__ = [
     "rf_linearization",
     "rf_solution_matrix",
     "solve_rdel",
-    "spectral_norm",
     "zeroth_moment_check",
 ]
 
@@ -68,7 +67,7 @@ def spectral_norm(x):
     return float(np.linalg.norm(a, 2))
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equal only to itself
 class LinearizationSpec:
     """One self-consistent resolvent problem.
 
@@ -138,7 +137,7 @@ class LinearizationSpec:
                 raise ValueError("superop failed a positivity probe")
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equal only to itself
 class RDELSolution:
     """A converged iterate together with its convergence diagnostics.
 
@@ -407,7 +406,7 @@ def _row_defect(s, R):
     return np.linalg.norm(R) ** 2
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equal only to itself
 class ZerothMomentReport:
     """Decay table of the zeroth-moment mismatch along the imaginary axis."""
 

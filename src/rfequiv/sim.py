@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equal only to itself
 class SimReport:
     """Per-replicate empirical errors with their theory comparison."""
 

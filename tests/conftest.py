@@ -11,8 +11,9 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from rfequiv import (Dataset, KernelSet, MatrixFormatError, ZerothMomentReport,
-                     build_equiv, solve_rdel, spectral_norm)
+                     build_equiv, solve_rdel)
 from rfequiv.model import _blas_controls
+from rfequiv.rdel import spectral_norm
 
 
 # finite doubles at the edges of the format; 1.0, -3.0, 2^53 and the largest

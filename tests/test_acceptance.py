@@ -26,12 +26,12 @@ from rfequiv import (
     sample_features,
     solve_rdel,
     solve_subdel,
-    spectral_norm,
-    substream,
     synthetic_regression,
     zeroth_moment_check,
     anisotropic_gap,
 )
+from rfequiv.model import substream
+from rfequiv.rdel import spectral_norm
 
 from conftest import (dense_pencil, dense_subdel, equiv_alpha,
                       generic_zeroth_moment, rand_kernelset, rational_alpha)

@@ -455,6 +455,15 @@ CASES = {
         ["simulate", "--kernels", "{identity4}", "--x", "{x4}", "--xhat",
          "{xhat1}", "--d", "2", "--delta", "0.1", "--reps", "3"],
         (2, "provide --y and --yhat"), DRAWS, {}),
+    # a kernel file that does not fit the dataset is refused before any draw,
+    # and blamed, not the labels or the width
+    **{f"{verb}-kernels-shape": (
+        [verb, "--synthetic", "5,1,3", "--kernels", "{identity4}", *grid],
+        (2, "i4.json: kernel blocks are 4 x 1, the dataset is 5 x 1"),
+        DIAGNOSE_DRAWS + DRAWS, {})
+       for verb, grid in (("simulate", ["--d", "2", "--delta", "0.1"]),
+                          ("sweep", ["--d-list", "2", "--delta-list", "0.1"]),
+                          ("diagnose", ["--d", "2", "--delta", "0.1"]))},
     "predict-y-invalid-utf8": (_labels("predict", "y4-ff"),
                                (3, "y4-ff.csv: not UTF-8 text"),
                                ((equiv, "_solve_nu"),), {}),

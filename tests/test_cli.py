@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rfequiv
-from rfequiv import equiv, rdel
+from rfequiv import equiv, kernels, model, rdel, sim
 from rfequiv.cli import _parse_complex, main
 from rfequiv.model import _parallel_map
 
@@ -91,10 +91,13 @@ def test_sign_sin_diagnose_loads_neither_special_nor_linalg(tmp_path):
 
 
 def test_default_estimate_kernels_loads_neither_special_nor_linalg(tmp_path):
-    # erf with phi = identity is a closed form: no draw, so no erf call
+    # erf with phi = identity is a closed form: no draw, so no erf call, and
+    # no scipy OpenBLAS either, since the closed form pins numpy's alone
     out = tmp_path / "k.json"
     argv = ["estimate-kernels", "--synthetic", "12,6,4", "--out", str(out)]
-    code = f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}"
+    code = (f"from rfequiv.cli import main; assert main({argv!r}) == 0; {PRINT_SCIPY}; "
+            "from rfequiv.model import _blas_control as c; "
+            "assert c.cache_info().currsize == 1, 'scipy OpenBLAS loaded'")
     loaded = _fresh_python(code).split()
     assert "scipy.special" not in loaded and "scipy.linalg" not in loaded
     assert json.loads(out.read_text())["exact"] is True
@@ -143,7 +146,7 @@ def test_estimate_kernels_takes_the_closed_form_where_one_exists(tmp_path, kind)
     ds = rfequiv.synthetic_regression(12, 6, 4, 0.2, 4)
     ks = rfequiv.exact_kernels(ds, rfequiv.Activation(kind),
                                rfequiv.Activation("identity"), 12)
-    for samples, budget in (([], rfequiv.default_samples(12, 6)),
+    for samples, budget in (([], rfequiv.kernels.default_samples(12, 6)),
                             (["--samples", "300"], 300)):
         out = tmp_path / f"{kind}.json"
         assert main(["estimate-kernels", "--synthetic", "12,6,4", "--noise-sd",
@@ -194,8 +197,8 @@ def test_library_exact_kernels_bytes_equal_the_verb_under_caller_blas_threads(
                                    rfequiv.Activation("identity"), 300)
         assert main(["estimate-kernels", "--x", str(x), "--xhat", str(xhat),
                      "--sigma", kind, "--out", str(out)]) == 0
-    rfequiv.save_kernels(replace(ks, samples=rfequiv.default_samples(300, 300)),
-                         lib)
+    budget = rfequiv.kernels.default_samples(300, 300)
+    rfequiv.save_kernels(replace(ks, samples=budget), lib)
     assert out.read_bytes() == lib.read_bytes()
 
 
@@ -278,6 +281,31 @@ def test_simulate_honors_explicit_csv_path(tmp_path, toy_files):
                  str(csv)])
     assert code == 0
     assert csv.exists()
+
+
+@pytest.mark.parametrize("csv", [None, "./s.csv", "link.csv"])
+def test_simulate_refuses_a_csv_path_that_is_its_report(
+        tmp_path, toy_files, monkeypatch, capsys, csv):
+    # --out s.csv derives the replicate CSV s.csv, which would replace the
+    # report; so would an explicit --csv that names the same file
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a feature was drawn")
+    for module in (model, sim, kernels):
+        monkeypatch.setattr(module, "_features", forbidden)
+    _, y, yhat = toy_files
+    x, xh = write_design(tmp_path)
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--x", str(x), "--xhat", str(xh), "--y", str(y),
+            "--yhat", str(yhat), "--d", "2", "--delta", "1", "--reps", "3",
+            "--samples", "400", "--out", str(out)]
+    if csv == "link.csv":
+        (tmp_path / csv).symlink_to(out)
+    if csv:
+        argv += ["--csv", os.path.join(str(tmp_path), csv)]  # keeps the "./"
+    files = set(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert "would overwrite the report" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == files
 
 
 def test_simulate_bytes_ignore_caller_blas_and_pool_threads(tmp_path,

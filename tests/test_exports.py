@@ -4,6 +4,7 @@ modules list in ``__all__``, so neither side can drift from the other."""
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import rfequiv
@@ -11,27 +12,39 @@ import rfequiv
 # reached as ``rfequiv.cli``; its ``main`` is not a library name
 FRONT_DOOR = {"cli"}
 # the most names the package may re-export; a new export raises it on purpose
-MAX_EXPORTS = 44
+MAX_EXPORTS = 36
 
 
-def _reexports():
-    """``{module: names}`` of the ``from .module import ...`` lines."""
-    tree = ast.parse(Path(rfequiv.__file__).read_text(encoding="utf-8"))
-    return {node.module: [alias.name for alias in node.names]
-            for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1}
+def _library():
+    return {m.name for m in pkgutil.iter_modules(rfequiv.__path__)} - FRONT_DOOR
+
+
+def _exports():
+    """``[(name, module)]`` over every library module's ``__all__``."""
+    return [(name, module) for module in sorted(_library())
+            for name in importlib.import_module(f"rfequiv.{module}").__all__]
 
 
 def test_package_reexports_exactly_each_module_all():
-    reexports = _reexports()
-    library = {m.name for m in pkgutil.iter_modules(rfequiv.__path__)}
-    assert set(reexports) == library - FRONT_DOOR
-    for module, names in reexports.items():
-        listed = importlib.import_module(f"rfequiv.{module}").__all__
-        assert sorted(names) == sorted(listed), module
-        assert all(hasattr(rfequiv, name) for name in names), module
+    # __init__ holds one star import per library module and no name list
+    tree = ast.parse(Path(rfequiv.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1
+               and [alias.name for alias in node.names] == ["*"]
+               for node in imports)
+    assert sorted(node.module for node in imports) == sorted(_library())
+    # every public attribute that is not a module is one module's export
+    exports = dict(_exports())
+    assert len(exports) == len(_exports()), "a name in two modules' __all__"
+    public = {name for name in dir(rfequiv) if not name.startswith("_")
+              and not isinstance(getattr(rfequiv, name), types.ModuleType)}
+    assert public == set(exports), sorted(public ^ set(exports))
+    for name, module in exports.items():
+        source = importlib.import_module(f"rfequiv.{module}")
+        assert getattr(rfequiv, name) is getattr(source, name), name
 
 
 def test_package_surface_stays_within_its_bound():
-    names = [name for names in _reexports().values() for name in names]
+    names = [name for name, _ in _exports()]
     assert len(names) <= MAX_EXPORTS, sorted(names)

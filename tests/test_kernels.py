@@ -22,9 +22,12 @@ from rfequiv import (
     Activation,
     Dataset,
     KernelSet,
+    LinearizationSpec,
     MatrixFormatError,
+    RDELSolution,
     RFConfig,
-    default_samples,
+    SimReport,
+    ZerothMomentReport,
     estimate_delta_gaussianity,
     estimate_kernels,
     exact_kernels,
@@ -37,7 +40,7 @@ from rfequiv import (
     write_json,
 )
 from rfequiv.cli import main
-from rfequiv.kernels import _parse_json
+from rfequiv.kernels import _parse_json, default_samples
 
 from conftest import EDGE_FLOATS
 
@@ -527,6 +530,21 @@ def test_kernel_set_is_immutable_and_owns_its_blocks(tmp_path, empty_memo):
         for name, value in (("K_aa", np.eye(2)), ("samples", 3), ("exact", True)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(kernels, name, value)
+
+
+@pytest.mark.parametrize("cls", [KernelSet, Dataset, RDELSolution, SimReport,
+                                 LinearizationSpec, ZerothMomentReport])
+def test_array_holders_compare_by_identity(cls):
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_kernel_set_is_equal_only_to_itself_and_a_dict_key():
+    a = KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1)
+    b = KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1)
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert {a: 1, b: 2}[a] == 1
 
 
 def test_predict_grid_parses_and_factorises_once(tmp_path, monkeypatch, empty_memo):

@@ -19,23 +19,19 @@ from rfequiv import (
     LinearizationSpec,
     MatrixFormatError,
     RFConfig,
-    apply_activation,
     build_equiv,
     build_pseudoresolvent,
-    derive_seed,
     empirical_test_error,
     kernel_ridge_error,
     load_matrix,
     rf_linearization,
     solve_subdel,
-    substream,
     synthetic_regression,
-    to_json_text,
-    worker_count,
     write_matrix,
 )
 from rfequiv import model
-from rfequiv.model import _parallel_map
+from rfequiv.model import (_parallel_map, apply_activation, derive_seed,
+                           substream, to_json_text, worker_count)
 
 from conftest import blas_threads, caller_blas_threads
 

@@ -13,10 +13,10 @@ from rfequiv import (
     rf_linearization,
     rf_solution_matrix,
     solve_rdel,
-    spectral_norm,
     synthetic_regression,
     zeroth_moment_check,
 )
+from rfequiv.rdel import spectral_norm
 
 from conftest import (equiv_alpha, generic_zeroth_moment, m_infinity,
                       zeroth_products)

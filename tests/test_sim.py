@@ -12,7 +12,6 @@ from rfequiv import (
     KernelSet,
     RFConfig,
     anisotropic_gap,
-    apply_activation,
     build_pseudoresolvent,
     empirical_test_error,
     estimate_delta_gaussianity,
@@ -21,9 +20,9 @@ from rfequiv import (
     rf_solution_matrix,
     run_replicates,
     sample_features,
-    substream,
     synthetic_regression,
 )
+from rfequiv.model import apply_activation, substream
 from rfequiv.rdel import _pencil_defect, _pencil_matrix
 from rfequiv import model
 from rfequiv.sim import _pencil_rows

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from rfequiv import (KernelSet, MatrixFormatError, load_matrix, save_kernels,
-                     to_json_text, write_json, write_matrix)
+                     write_json, write_matrix)
 from rfequiv import model
+from rfequiv.model import to_json_text
 
 from conftest import EDGE_FLOATS, load_csv_oracle
 
