@@ -27,6 +27,7 @@ import numpy as np
 from .equiv import build_equiv
 from .kernels import (
     _has_closed_form,
+    _kernels_and_centering,
     default_samples,
     estimate_kernels,
     exact_kernels,
@@ -261,7 +262,10 @@ def _cmd_diagnose(args):
     z = _check_z(args.z)
     _check_ridge(args.tau, name="tau")
     etas = _check_heights(_parse_list(args.eta_list))
-    kernels = _dataset_kernels(args, ds, sigma, phi, n)
+    if args.kernels or _has_closed_form(sigma, phi):
+        kernels, centering = _dataset_kernels(args, ds, sigma, phi, n), None
+    else:  # one Monte Carlo pass gives the blocks and the centering score
+        kernels, centering = _kernels_and_centering(ds, sigma, phi, n, m, args.seed)
     dims = (ds.n_train, cfg.d, ds.n_test)
 
     dg = estimate_delta_gaussianity(ds, sigma, phi, cfg, z, args.tau, args.reps)
@@ -279,7 +283,8 @@ def _cmd_diagnose(args):
         gaps.append(anisotropic_gap(G, M_theory, np.outer(u, v.conj())))
 
     zm = zeroth_moment_check(kernels, dims, cfg.delta, etas)
-    centering = verify_centering(sigma, phi, ds, n, m, args.seed)
+    if centering is None:  # a closed form or a file drew no columns
+        centering = verify_centering(sigma, phi, ds, n, m, args.seed)
 
     write_json(args.out, {
         "delta_gaussianity": asdict(dg),

@@ -179,18 +179,57 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    return _chunk_fold(ds, sigma, phi, n, m, seed, "kernels", gram=True)[0]
+
+
+def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False):
+    """``(kernels, centering)`` of the ``m`` feature columns of
+    :func:`_feature_chunks`, each None unless asked for.
+
+    With ``gram`` each chunk is reduced to ``U U^T``, and the kernels are
+    the symmetrised mean of those partials folded with compensated (Kahan)
+    summation; with ``moments``, to its column sum and ``sum U**2``, and
+    the centering score is ``||mean column|| / RMS column norm``.  A chunk
+    is reduced in the pool worker to what is asked for and no more, and the
+    partials are folded in chunk order, so neither result depends on the
+    worker count.
+    """
+
+    def reduce(U):
+        return (U @ U.T if gram else None,
+                (U.sum(axis=1), float(np.sum(U * U))) if moments else None)
+
     k = ds.n_train + ds.n_test
-    total = np.zeros((k, k))
-    comp = np.zeros((k, k))
-    for part in _feature_chunks(ds, sigma, phi, n, m, seed, "kernels",
-                                lambda U: U @ U.T):
-        # Kahan step: comp carries the low-order bits lost by total += part
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    joint = total / m
-    return _split(ds, (joint + joint.T) / 2, m)
+    total, comp = (np.zeros((k, k)), np.zeros((k, k))) if gram else (None, None)
+    col_sum, sq_sum = np.zeros(k), 0.0
+    for part, sums in _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
+        if gram:
+            # Kahan step: comp carries the low-order bits lost by total += part
+            y = part - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        if moments:
+            col_sum += sums[0]
+            sq_sum += sums[1]
+    kernels = centering = None
+    if gram:
+        joint = total / m
+        kernels = _split(ds, (joint + joint.T) / 2, m)
+    if moments:
+        rms = np.sqrt(sq_sum / m)
+        centering = 0.0 if rms == 0.0 else float(np.linalg.norm(col_sum / m) / rms)
+    return kernels, centering
+
+
+def _kernels_and_centering(ds, sigma, phi, n, m, seed):
+    """``(estimate_kernels(ds, sigma, phi, n, m, seed), centering)`` from one
+    pass over the draws: the blocks are :func:`estimate_kernels`'s bit for
+    bit, and the score is :func:`verify_centering`'s statistic on those
+    same ``m`` columns (label "kernels", where it draws "centering")."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    return _chunk_fold(ds, sigma, phi, n, m, seed, "kernels", gram=True, moments=True)
 
 
 def _split(ds, joint, samples, exact=False):
@@ -304,21 +343,14 @@ def verify_centering(sigma, phi, ds, n, m, seed):
     Values near zero support the zero-mean feature hypothesis; values near
     one indicate clearly non-centered features.  The columns are drawn in
     the chunks of :func:`estimate_kernels` under the label "centering", so
-    the value is bit-identical for any worker count.
+    the value is bit-identical for any worker count.  ``diagnose`` calls
+    this only where its kernels are a closed form or a file; on the Monte
+    Carlo route it takes the same statistic from the kernel draws
+    themselves (label "kernels"), in the same pass as the blocks.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    mean_acc = np.zeros(ds.n_train + ds.n_test)
-    sq_acc = 0.0
-    for col_sum, sq in _feature_chunks(
-            ds, sigma, phi, n, m, seed, "centering",
-            lambda U: (U.sum(axis=1), float(np.sum(U * U)))):
-        mean_acc += col_sum
-        sq_acc += sq
-    rms = np.sqrt(sq_acc / m)
-    if rms == 0.0:
-        return 0.0
-    return float(np.linalg.norm(mean_acc / m) / rms)
+    return _chunk_fold(ds, sigma, phi, n, m, seed, "centering", moments=True)[1]
 
 
 # ---------------------------------------------------------------------------

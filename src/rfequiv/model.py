@@ -309,6 +309,20 @@ def _parallel_map(fn, count, workers=None):
             yield from ex.map(fn, range(count))
 
 
+def _grouped_map(fn, count):
+    """Yield ``fn(i)`` for ``i`` in ``range(count)`` in index order, as
+    :func:`_parallel_map` does, with one contiguous run of indices per pool
+    task: at most 64 tasks, split by ``count`` alone, so the split and
+    every fold over the results are the same for any worker count.  It is
+    for calls of microseconds, where one task per index spends more time
+    handing work between threads than doing it."""
+    tasks = max(1, min(64, count))
+    bounds = [count * g // tasks for g in range(tasks + 1)]
+    for batch in _parallel_map(
+            lambda g: [fn(i) for i in range(bounds[g], bounds[g + 1])], tasks):
+        yield from batch
+
+
 # ---------------------------------------------------------------------------
 # Activations
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
 :func:`zeroth_moment_check` takes the zeroth-moment table from it.  On that
 pencil :func:`rf_linearization` and :func:`solve_rdel` serve as the test
 oracle.  Every norm here is an exact spectral norm (:func:`spectral_norm`,
-one LAPACK SVD).
+one LAPACK SVD); a bound that a norm must meet may instead be certified by
+a Cholesky factor (:func:`_positive_definite`).
 
 A four-slot pencil (train n, width d, test t, test t) is written once, as
 a table of four block rows of terms ``(column slot, coefficient, real
@@ -406,6 +407,16 @@ def _row_defect(s, R):
     return np.linalg.norm(R) ** 2
 
 
+def _positive_definite(A):
+    """Whether the Hermitian ``A`` has a Cholesky factor, the standard test
+    of definiteness (Higham 2002, ch. 10)."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(eq=False)  # holds arrays: equal only to itself
 class ZerothMomentReport:
     """Decay table of the zeroth-moment mismatch along the imaginary axis."""
@@ -432,10 +443,16 @@ def zeroth_moment_check(K, dims, delta, eta_list):
     exact norm needs no ell x ell SVD.  Each solution must pass
     :func:`solve_rdel`'s checks in structured form (else ``RuntimeError``):
     pencil defect ``<= 1e-10``; mask block
-    ``max(||M[1,1]||, |nu|) <= 1/eta + 1e-10``; ``Im M >= -1e-8`` on the
+    ``max(||M[1,1]||, |nu|) <= c = 1/eta + 1e-10``; ``Im M >= -1e-8`` on the
     (n+t) block and ``Im nu >= 0``.  ``||M|| <= 1/tau`` is vacuous at
-    ``tau = 0``.  ``eta_list`` (at least two strictly increasing positive
-    finite heights) is checked before any solve.
+    ``tau = 0``.  The two bounds on matrices are certified, up to rounding,
+    by a Cholesky factor of ``c^2 I - M[1,1]^H M[1,1]`` and of
+    ``Im(block) + 1e-8 I``; only where one does not exist is the bound
+    decided by the exact spectrum (an SVD of ``M[1,1]``, an ``eigvalsh`` of
+    the Im block), by the same rule and with the same message as without
+    the certificate.  So one SVD a height, that of the mismatch, is the
+    rule.  ``eta_list`` (at least two strictly increasing positive finite
+    heights) is checked before any solve.
 
     Returns a :class:`ZerothMomentReport`: the per-height norms, a
     strict-decrease flag, and the fitted log-log slope (close to -1 for a
@@ -458,13 +475,18 @@ def zeroth_moment_check(K, dims, delta, eta_list):
         defect = _pencil_defect(dims, rows, M)
         if not defect <= 1e-10:
             raise RuntimeError(f"pencil defect {defect:.3e} > 1e-10 at z={z}")
-        block_norm = max(spectral_norm(M[s1, s1]), abs(nu))
-        if block_norm > 1.0 / eta + 1e-10:
-            raise RuntimeError(f"mask block {block_norm:.6e} > 1/eta at z={z}")
-        im_min = float(np.linalg.eigvalsh((block - block.conj().T) / 2j)[0])
-        if im_min < -1e-8 or nu.imag < 0:
-            raise RuntimeError(f"left the half-plane at z={z} (Im eig "
-                               f"{im_min:.3e}, Im nu {nu.imag:.3e})")
+        M11, c = M[s1, s1], 1.0 / eta + 1e-10
+        if not (abs(nu) <= c and _positive_definite(
+                c * c * np.eye(n) - M11.conj().T @ M11)):
+            block_norm = max(spectral_norm(M11), abs(nu))
+            if block_norm > c:
+                raise RuntimeError(f"mask block {block_norm:.6e} > 1/eta at z={z}")
+        im = (block - block.conj().T) / 2j
+        if not (nu.imag >= 0 and _positive_definite(im + 1e-8 * np.eye(n + t))):
+            im_min = float(np.linalg.eigvalsh(im)[0])
+            if im_min < -1e-8 or nu.imag < 0:
+                raise RuntimeError(f"left the half-plane at z={z} (Im eig "
+                                   f"{im_min:.3e}, Im nu {nu.imag:.3e})")
         deltas.append(max(abs(1.0 + z * nu), spectral_norm(-z * block - omega)))
     monotone = all(b < a for a, b in zip(deltas, deltas[1:]))
     floored = np.maximum(deltas, 1e-300)

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import equiv
-from .model import (_check_ridge, _check_z, _clamped_eigh, _features, _matrix,
-                    _parallel_map, _ridge_solve, _vector, substream)
+from .model import (_check_ridge, _check_z, _clamped_eigh, _features,
+                    _grouped_map, _matrix, _parallel_map, _ridge_solve, _vector,
+                    substream)
 from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
@@ -304,7 +305,8 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     jointly Gaussian.  ``reps`` feature draws give ``reps // 2`` pairs;
     draw ``i`` uses the substream (cfg.seed, "delta", i).  ``z`` must be
     finite with ``Im z >= 0`` and ``tau`` a positive finite real; draws and
-    pairs run on the shared thread pool.
+    pairs run on the shared thread pool, each split into at most 64 tasks
+    of contiguous indices, a split that ``reps`` alone fixes.
 
     No pencil is assembled and no ell x ell matrix inverted.  A draw is kept
     as its features ``J = [A; Ahat]``, and ``L - Ebar`` has only the blocks
@@ -328,8 +330,9 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     inverse up to rounding (the tests hold it to 1e-12 relative); forming
     ``A^T A`` costs some accuracy only where the pencil is ill-conditioned.
 
-    Pair terms are folded as the pool yields them, so memory does not grow
-    with ``reps``: ``T`` is their running sum in index order over
+    Pair terms are folded as the pool yields them, a group at a time, so
+    memory grows with ``reps`` only through the group size, ``pairs / 64``
+    terms: ``T`` is their running sum in index order over
     ``pairs``, and ``sum_i ||T_i - T||_F^2`` comes from Welford's update.
     ``value`` is ``||T||_2`` from one LAPACK SVD outside the pool, at the
     caller's BLAS thread count.
@@ -349,7 +352,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         return np.vstack(_features([ds.X, ds.Xhat], sigma, phi, cfg.n, d,
                                    substream(cfg.seed, "delta", i)))
 
-    draws = list(_parallel_map(draw, 2 * pairs))
+    draws = list(_grouped_map(draw, 2 * pairs))
     Jbar = sum(draws) / len(draws)
 
     s1, s2, s3, s4 = _rf_slices((n, d, t))
@@ -401,7 +404,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         Xt = rows(Jt - Jbar)
         return X + Xt[:, keep] @ Xt
 
-    terms = _parallel_map(one_pair, pairs)
+    terms = _grouped_map(one_pair, pairs)
     total = next(terms)
     mean = total.copy()
     spread = 0.0

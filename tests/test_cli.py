@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rfequiv
-from rfequiv import equiv, kernels, model, rdel, sim
+from rfequiv import cli, equiv, kernels, model, rdel, sim
 from rfequiv.cli import _parse_complex, main
 from rfequiv.model import _parallel_map
 
@@ -476,6 +476,115 @@ def test_diagnose_report_fields(tmp_path, monkeypatch):
     assert len(rep["anisotropic_gap"]) == 5
     assert len(rep["zeroth_moment"]["etas"]) == 2
     assert rep["zeroth_moment"]["deltas"][1] < rep["zeroth_moment"]["deltas"][0]
+
+
+MC_DIAGNOSE = ["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2",
+               "--sigma", "sign", "--phi", "sin", "--d", "8", "--delta", "0.5",
+               "--reps", "6", "--samples", "1300", "--seed", "3",
+               "--eta-list", "100,1000"]
+
+
+def _spy_chunk_passes(monkeypatch):
+    """Record the label and the drawn chunks of every kernel-module pass."""
+    passes = []
+    original = kernels._feature_chunks
+
+    def spy(ds, sigma, phi, n, m, seed, label, reduce):
+        chunks = []
+        passes.append((label, chunks))
+
+        def keep(U):
+            chunks.append(U.copy())  # list.append is atomic under the GIL
+            return reduce(U)
+        return original(ds, sigma, phi, n, m, seed, label, keep)
+
+    monkeypatch.setattr(kernels, "_feature_chunks", spy)
+    return passes
+
+
+def test_diagnose_monte_carlo_route_bytes_ignore_worker_count(tmp_path,
+                                                             monkeypatch):
+    # a phi without a closed form: the kernels and the centering score come
+    # from one pooled pass, whose fold must not depend on the pool's size
+    out = tmp_path / "d.json"
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        assert main(MC_DIAGNOSE + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_diagnose_monte_carlo_route_draws_its_columns_once(tmp_path,
+                                                          monkeypatch):
+    passes = _spy_chunk_passes(monkeypatch)
+    seen = []
+    check = cli.zeroth_moment_check
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diagnose redrew the centering columns")
+
+    def spy_check(K, *args, **kwargs):
+        seen.append(K)
+        return check(K, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_centering", forbidden)
+    monkeypatch.setattr(cli, "zeroth_moment_check", spy_check)
+    out = tmp_path / "d.json"
+    assert main(MC_DIAGNOSE + ["--out", str(out)]) == 0
+    assert [label for label, _ in passes] == ["kernels"]
+    monkeypatch.undo()  # the reference runs unobserved
+
+    # the blocks diagnose used are estimate_kernels' own, bit for bit
+    ds = model.synthetic_regression(16, 8, 10, 0.2, 3)
+    sign, sin = model.Activation("sign"), model.Activation("sin")
+    want = kernels.estimate_kernels(ds, sign, sin, 16, 1300, 3)
+    (got,) = seen
+    for name in ("K_aa", "K_ah", "K_hh"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.samples == 1300 and not got.exact
+
+    # and the score is the centering ratio of those same 1300 columns
+    U = np.hstack(passes[0][1])
+    assert U.shape == (24, 1300)
+    ratio = (np.linalg.norm(U.mean(axis=1))
+             / np.sqrt(np.sum(U * U) / U.shape[1]))
+    centering = json.loads(out.read_text())["centering"]
+    assert abs(centering - ratio) <= 1e-12 * ratio
+
+
+@pytest.mark.parametrize("route", ["exact", "kernel-file"])
+def test_diagnose_keeps_its_own_centering_draw_off_the_monte_carlo_route(
+        tmp_path, monkeypatch, route):
+    # a closed form or a kernel file draws no kernel columns, so the score
+    # comes from verify_centering's own "centering" draw, as it always has
+    argv = ["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2",
+            "--d", "8", "--delta", "0.5", "--reps", "6", "--samples", "1300",
+            "--seed", "3", "--eta-list", "100,1000"]
+    if route == "exact":
+        argv += ["--sigma", "erf"]
+        sigma, phi = model.Activation("erf"), model.Activation("identity")
+    else:
+        kfile = tmp_path / "k.json"
+        assert main(["estimate-kernels", "--synthetic", "16,8,10",
+                     "--noise-sd", "0.2", "--sigma", "sign", "--phi", "sin",
+                     "--samples", "700", "--seed", "3",
+                     "--out", str(kfile)]) == 0
+        argv += ["--sigma", "sign", "--phi", "sin", "--kernels", str(kfile)]
+        sigma, phi = model.Activation("sign"), model.Activation("sin")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed form or a file took the one-pass route")
+
+    passes = _spy_chunk_passes(monkeypatch)
+    monkeypatch.setattr(cli, "_kernels_and_centering", forbidden)
+    out = tmp_path / "d.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert [label for label, _ in passes] == ["centering"]
+    monkeypatch.undo()
+    ds = model.synthetic_regression(16, 8, 10, 0.2, 3)
+    want = kernels.verify_centering(sigma, phi, ds, 16, 1300, 3)
+    assert json.loads(out.read_text())["centering"] == want
 
 
 def test_diagnose_runs_without_the_generic_solver(tmp_path, monkeypatch):

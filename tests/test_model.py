@@ -30,8 +30,8 @@ from rfequiv import (
     write_matrix,
 )
 from rfequiv import model
-from rfequiv.model import (_parallel_map, apply_activation, derive_seed,
-                           substream, to_json_text, worker_count)
+from rfequiv.model import (_grouped_map, _parallel_map, apply_activation,
+                           derive_seed, substream, to_json_text, worker_count)
 
 from conftest import blas_threads, caller_blas_threads
 
@@ -447,6 +447,36 @@ def test_parallel_map_restores_blas_after_raise_and_close(workers):
         assert blas_threads() == (1,) * len(caller)  # pinned between results
         results.close()
         assert blas_threads() == caller
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 64, 65, 1000])
+def test_grouped_map_runs_contiguous_groups_fixed_by_the_count(count,
+                                                              monkeypatch):
+    # at most 64 tasks, each a run of consecutive indices, one index a task
+    # up to 64 (the benchmark's 5 Gaussianity pairs are 5 tasks), and the
+    # same grouping for any worker count
+    original = model._parallel_map
+    groupings = []
+
+    def spy(fn, tasks, workers=None):
+        groups = [None] * tasks
+
+        def task(g):
+            groups[g] = fn(g)
+            return groups[g]
+        groupings.append(groups)
+        return original(task, tasks, workers)
+
+    monkeypatch.setattr(model, "_parallel_map", spy)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        assert list(_grouped_map(lambda i: i, count)) == list(range(count))
+    assert groupings[0] == groupings[1]
+    groups = [g for g in groupings[0] if g]
+    assert len(groups) <= 64
+    assert [i for g in groups for i in g] == list(range(count))
+    if count <= 64:
+        assert all(len(g) == 1 for g in groups)
 
 
 def test_nested_inline_map_keeps_the_outer_pin():

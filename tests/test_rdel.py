@@ -305,6 +305,98 @@ def test_rf_zeroth_moment_refuses_a_perturbed_solution(rf_spec, monkeypatch):
         zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
 
 
+# The bound checks are certified by a Cholesky factor and fall back to the
+# exact spectrum where none exists.  The tests below pass the pencil defect
+# check by hand, so that a solution edited past a bound reaches them.
+
+def _solution_edited(monkeypatch, edit):
+    """Let ``zeroth_moment_check`` see ``edit(M, eta)`` of each solution,
+    with the pencil defect check passed."""
+    exact = rdel.rf_solution_matrix
+
+    def edited(K, dims, delta, z):
+        M = exact(K, dims, delta, z)
+        edit(M, z.imag)
+        return M
+
+    monkeypatch.setattr(rdel, "rf_solution_matrix", edited)
+    monkeypatch.setattr(rdel, "_pencil_defect", lambda *args: 0.0)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_rf_zeroth_moment_certifies_a_good_solution_without_a_spectrum(
+        rf_spec, monkeypatch):
+    # one SVD a height, that of the reported mismatch; no eigvalsh
+    K, _ = rf_spec
+    norms = _count_calls(monkeypatch, rdel, "spectral_norm")
+    eigs = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    zeroth_moment_check(K, DIMS, DELTA, [1.0, 100.0, 10_000.0])
+    assert len(norms) == 3 and not eigs
+
+
+@pytest.mark.parametrize("where", ["train block", "width scalar"])
+def test_rf_zeroth_moment_refuses_a_mask_block_past_one_over_eta(
+        rf_spec, monkeypatch, where):
+    K, _ = rf_spec
+    n = DIMS[0]
+
+    def scale(M, eta):  # to (1 + 1e-6) / eta, by a positive factor
+        if where == "train block":
+            M[:n, :n] *= (1 + 1e-6) / (eta * spectral_norm(M[:n, :n]))
+        else:
+            M[n, n] *= (1 + 1e-6) / (eta * abs(M[n, n]))
+
+    _solution_edited(monkeypatch, scale)
+    with pytest.raises(RuntimeError) as err:
+        zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
+    assert str(err.value) == "mask block 1.000001e-02 > 1/eta at z=100j"
+
+
+def _diagonal_solution(value):
+    """An edit to the diagonal ``M = (i / (2 eta)) I``, save for the first
+    test-slot entry, ``i * value``: its Im block has the eigenvalue
+    ``value`` exactly, and every other bound holds with room."""
+    n, d, _ = DIMS
+
+    def edit(M, eta):
+        M[:] = 0.0
+        np.fill_diagonal(M, 0.5j / eta)
+        M[n + d, n + d] = 1j * value
+    return edit
+
+
+def test_rf_zeroth_moment_refuses_an_im_eigenvalue_below_the_floor(
+        rf_spec, monkeypatch):
+    K, _ = rf_spec
+    _solution_edited(monkeypatch, _diagonal_solution(-2e-8))
+    with pytest.raises(RuntimeError) as err:
+        zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
+    assert str(err.value) == ("left the half-plane at z=100j (Im eig "
+                              "-2.000e-08, Im nu 5.000e-03)")
+
+
+def test_rf_zeroth_moment_accepts_an_im_eigenvalue_on_the_floor(
+        rf_spec, monkeypatch):
+    # Im block + 1e-8 I is singular, so no Cholesky factor exists; the
+    # spectrum then shows the eigenvalue -1e-8 exactly, which the rule keeps
+    K, _ = rf_spec
+    _solution_edited(monkeypatch, _diagonal_solution(-1e-8))
+    eigs = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    report = zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
+    assert len(eigs) == 2 and len(report.deltas) == 2
+
+
 # ---------------------------------------------------------------------------
 # the random-features linearization
 # ---------------------------------------------------------------------------
