@@ -18,8 +18,8 @@ equiv
     fixed point.
 rdel
     The random-features solution matrix and its zeroth-moment table, built
-    from the scalar solve; the generic regularized fixed-point solver for
-    any spec, which the tests use as the oracle of that route.  The
+    from the scalar solve.  The generic regularized fixed-point solver for
+    any spec is the tests' oracle of that route and is not exported.  The
     four-slot pencils are tables of block rows with one operation, a block
     row of ``P X``; the dense matrix and the defect ``||P X - I||_F`` are
     built from it.
@@ -33,8 +33,8 @@ cli
 Each library module's ``__all__`` is the one list of what it exports, and
 the star imports below re-export exactly those names (README's "Public
 names" groups them by job).  Plumbing helpers (seeding, activation, JSON
-text, worker count, sample budget, spectral norm) are reached under their
-module only, as ``rfequiv.model.substream``.
+text, worker count, sample budget, spectral norm) and the generic solver
+are reached under their module only, as ``rfequiv.rdel.solve_rdel``.
 """
 
 from .equiv import *  # noqa: F401,F403

@@ -217,7 +217,8 @@ def solve_subdel(K_aa, d, delta, z):
     """
     z = _check_z(z)
     _check_ridge(delta, d)
-    w, V = _clamped_eigh(K_aa)
+    with _SINGLE_THREAD_NUMPY_BLAS:  # as in build_equiv, so that nu(0) is its alpha
+        w, V = _clamped_eigh(K_aa)
     # real arithmetic on the axis, so that nu(0) is build_equiv's alpha
     x, g = _solve_nu(w, d, delta, z if z.imag else z.real)[:2]
     if not np.isfinite(g).all():

@@ -31,6 +31,7 @@ from .model import (
     _features,
     _matrix,
     _parallel_map,
+    _positive_definite,
     substream,
     write_json,
 )
@@ -47,7 +48,7 @@ __all__ = [
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
 _IDENTITY = Activation("identity")
 _BASIS_LOCK = threading.Lock()
-_last_file = (None, None)  # (SHA-256 of the bytes, KernelSet) of the last file accepted
+_last_file = [None, None]  # [SHA-256 of the bytes, KernelSet] of the last file accepted
 
 
 def default_samples(n_train, n_test):
@@ -98,13 +99,10 @@ class KernelSet:
         # other half for m <= 474.  Larger or failing matrices go to eigvalsh.
         J = self.joint()
         m = len(J)
-        if m * (m + 1) * np.finfo(float).eps <= 0.5e-10:
-            shift = 0.5e-10 * max(float(J.diagonal().max()), 0.0) + 1e-300
-            try:
-                np.linalg.cholesky(J + shift * np.eye(m))
-                return
-            except np.linalg.LinAlgError:
-                pass
+        shift = 0.5e-10 * max(float(J.diagonal().max()), 0.0) + 1e-300
+        if (m * (m + 1) * np.finfo(float).eps <= 0.5e-10
+                and _positive_definite(J + shift * np.eye(m))):
+            return
         w = np.linalg.eigvalsh(J)
         lam_max = max(float(w[-1]), 0.0)
         if float(w[0]) < -1e-10 * lam_max - 1e-300:
@@ -401,7 +399,6 @@ def load_kernels(path):
     a name, size or mtime), until another is: the same bytes again, from any
     path, return that same set unparsed and unchecked.  A bad file is never kept.
     """
-    global _last_file
     with open(path, "rb") as fh:
         data = fh.read()
     key = hashlib.sha256(data).digest()
@@ -434,5 +431,5 @@ def load_kernels(path):
         raise ValueError(f"{path}: header {header} disagrees with the blocks")
     if K_ha is not None and not np.array_equal(K_ha, ks.K_ha):
         raise ValueError("K_ha must be the exact transpose of K_ah")
-    _last_file = (key, ks)
+    _last_file[:] = key, ks  # in place: the module's binding never changes
     return ks

@@ -148,6 +148,16 @@ def _clamped_eigh(K, name="K_aa"):
     return np.clip(w, 0.0, None), V
 
 
+def _positive_definite(A):
+    """Whether the Hermitian ``A`` has a Cholesky factor, the standard test
+    of definiteness (Higham 2002, ch. 10)."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _ridge_solve(gram, ridge, y):
     """``(gram + ridge I)^{-1} y`` for a symmetric PSD ``gram`` and a positive
     ridge, by Cholesky of the symmetrized matrix; no inverse is formed."""

@@ -12,10 +12,10 @@ random-features pencil has its own route: its superoperator reads ``M``
 through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
 ``tau = 0`` to rounding from one scalar solve, and
 :func:`zeroth_moment_check` takes the zeroth-moment table from it.  On that
-pencil :func:`rf_linearization` and :func:`solve_rdel` serve as the test
-oracle.  Every norm here is an exact spectral norm (:func:`spectral_norm`,
-one LAPACK SVD); a bound that a norm must meet may instead be certified by
-a Cholesky factor (:func:`_positive_definite`).
+pencil :func:`rf_linearization` and :func:`solve_rdel`, unexported, serve as
+the test oracle.  Every norm here is an exact spectral norm
+(:func:`spectral_norm`, one LAPACK SVD); a bound that a norm must meet may
+instead be certified by a Cholesky factor (``model._positive_definite``).
 
 A four-slot pencil (train n, width d, test t, test t) is written once, as
 a table of four block rows of terms ``(column slot, coefficient, real
@@ -36,22 +36,13 @@ import numpy as np
 
 from . import equiv
 from .model import (NonConvergence, _check_heights, _check_ridge, _check_z,
-                    _matrix, _vector, substream)
+                    _matrix, _positive_definite, _vector, substream)
 
 __all__ = [
-    "LinearizationSpec",
-    "RDELSolution",
     "ZerothMomentReport",
-    "rf_linearization",
     "rf_solution_matrix",
-    "solve_rdel",
     "zeroth_moment_check",
 ]
-
-_PROBE_ROUNDS = 3
-# solve_rdel's stopping defect and inversion budget.
-_TOL = 1e-10
-_MAX_STEPS = 10_000
 
 
 def spectral_norm(x):
@@ -66,6 +57,16 @@ def spectral_norm(x):
     if not np.all(np.isfinite(a)):
         raise RuntimeError("spectral norm of a matrix with non-finite entries")
     return float(np.linalg.norm(a, 2))
+
+
+# The generic solver down to rf_linearization is the tests' oracle and no verb
+# calls it, so it is not exported.  perfbench traces solve_rdel and
+# rf_linearization by name, and ROADMAP item 7 moves all four names to tests/.
+
+_PROBE_ROUNDS = 3
+# solve_rdel's stopping defect and inversion budget.
+_TOL = 1e-10
+_MAX_STEPS = 10_000
 
 
 @dataclass(eq=False)  # holds arrays: equal only to itself
@@ -253,6 +254,37 @@ def _check_solution(spec, sol):
         )
 
 
+def rf_linearization(K, dims, delta):
+    """Spec of the random-features pencil: expectation, mask, superoperator.
+
+    The expectation is block-diagonal-plus-couplings: ``delta*I`` on the
+    train slot, ``-I`` on the width slot, and the constant ``-I`` couplings
+    between the two test slots.  The spectral parameter enters on the first
+    ``n + d`` coordinates.
+
+    In the four-slot layout (train rows, width, and two test slots) the
+    superoperator fills, for input ``M``:
+
+        out[1,1] = tr(M[2,2]) K_aa     out[1,4] = tr(M[2,2]) K_ah
+        out[4,1] = tr(M[2,2]) K_ha     out[4,4] = tr(M[2,2]) K_hh
+        out[2,2] = rho(M) I_d
+
+    with ``rho(M) = tr(K_aa M[1,1] + K_ah M[4,1] + K_ha M[1,4] + K_hh M[4,4])``
+    and zeros elsewhere: the table :func:`_rf_superop_rows`, whose terms
+    :func:`_rf_rows` subtracts.  Linear by construction, and
+    positivity-preserving because the joint kernel block matrix is PSD.
+    """
+    _check_ridge(delta)
+    _check_rf_dims(K, dims)
+    n, d, t = dims
+    mask = np.zeros(n + d + 2 * t)
+    mask[: n + d] = 1.0
+    return LinearizationSpec(
+        _pencil_matrix(dims, _rf_rows(K, delta)), mask,
+        lambda M: _pencil_matrix(
+            dims, _rf_superop_rows(K, *_rf_contractions(K, M, dims))))
+
+
 # ---------------------------------------------------------------------------
 # Random-features instance
 # ---------------------------------------------------------------------------
@@ -334,37 +366,6 @@ def _rf_contractions(K, M, dims):
     return np.trace(M[s2, s2]), rho
 
 
-def rf_linearization(K, dims, delta):
-    """Spec of the random-features pencil: expectation, mask, superoperator.
-
-    The expectation is block-diagonal-plus-couplings: ``delta*I`` on the
-    train slot, ``-I`` on the width slot, and the constant ``-I`` couplings
-    between the two test slots.  The spectral parameter enters on the first
-    ``n + d`` coordinates.
-
-    In the four-slot layout (train rows, width, and two test slots) the
-    superoperator fills, for input ``M``:
-
-        out[1,1] = tr(M[2,2]) K_aa     out[1,4] = tr(M[2,2]) K_ah
-        out[4,1] = tr(M[2,2]) K_ha     out[4,4] = tr(M[2,2]) K_hh
-        out[2,2] = rho(M) I_d
-
-    with ``rho(M) = tr(K_aa M[1,1] + K_ah M[4,1] + K_ha M[1,4] + K_hh M[4,4])``
-    and zeros elsewhere: the table :func:`_rf_superop_rows`, whose terms
-    :func:`_rf_rows` subtracts.  Linear by construction, and
-    positivity-preserving because the joint kernel block matrix is PSD.
-    """
-    _check_ridge(delta)
-    _check_rf_dims(K, dims)
-    n, d, t = dims
-    mask = np.zeros(n + d + 2 * t)
-    mask[: n + d] = 1.0
-    return LinearizationSpec(
-        _pencil_matrix(dims, _rf_rows(K, delta)), mask,
-        lambda M: _pencil_matrix(
-            dims, _rf_superop_rows(K, *_rf_contractions(K, M, dims))))
-
-
 def rf_solution_matrix(K, dims, delta, z):
     """Full deterministic-equivalent matrix ``M(z)`` of the pencil.
 
@@ -405,16 +406,6 @@ def _row_defect(s, R):
     k = np.arange(R.shape[0])
     R[k, s.start + k] -= 1.0
     return np.linalg.norm(R) ** 2
-
-
-def _positive_definite(A):
-    """Whether the Hermitian ``A`` has a Cholesky factor, the standard test
-    of definiteness (Higham 2002, ch. 10)."""
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 @dataclass(eq=False)  # holds arrays: equal only to itself

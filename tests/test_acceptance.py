@@ -20,18 +20,16 @@ from rfequiv import (
     exact_kernels,
     gaussian_surrogate_run,
     kernel_ridge_error,
-    rf_linearization,
     rf_solution_matrix,
     run_replicates,
     sample_features,
-    solve_rdel,
     solve_subdel,
     synthetic_regression,
     zeroth_moment_check,
     anisotropic_gap,
 )
 from rfequiv.model import substream
-from rfequiv.rdel import spectral_norm
+from rfequiv.rdel import rf_linearization, solve_rdel, spectral_norm
 
 from conftest import (dense_pencil, dense_subdel, equiv_alpha,
                       generic_zeroth_moment, rand_kernelset, rational_alpha)

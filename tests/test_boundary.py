@@ -26,7 +26,6 @@ from rfequiv import (
     Activation,
     Dataset,
     KernelSet,
-    LinearizationSpec,
     NonConvergence,
     RFConfig,
     cli,
@@ -37,12 +36,12 @@ from rfequiv import (
     rdel,
     save_kernels,
     sim,
-    solve_rdel,
     synthetic_regression,
     verify_centering,
     zeroth_moment_check,
 )
 from rfequiv.model import _check_ridge, _check_z
+from rfequiv.rdel import LinearizationSpec, solve_rdel
 
 from conftest import continued_nu
 

@@ -344,7 +344,7 @@ def test_predict_bytes_ignore_caller_blas_threads(tmp_path, monkeypatch):
     reports = set()
     for blas in (1, 2):
         for pooled in (False, True):
-            monkeypatch.setattr(rfequiv.kernels, "_last_file", (None, None))
+            monkeypatch.setattr(rfequiv.kernels, "_last_file", [None, None])
             with caller_blas_threads(blas):
                 if pooled:  # parse and factorise inside a pool, reuse outside
                     assert list(_parallel_map(lambda _: main(argv), 1)) == [0]

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from rfequiv import (
+    Activation,
     DenominatorDegenerate,
     KernelSet,
     NonConvergence,
     build_equiv,
+    exact_kernels,
     kernel_ridge_error,
     equiv,
     rf_solution_matrix,
     solve_subdel,
+    synthetic_regression,
 )
 
-from conftest import (dense_equiv, dense_subdel, equiv_alpha, mp_equiv,
-                      rand_kernelset, rand_psd, rational_alpha)
+from conftest import (caller_blas_threads, dense_equiv, dense_subdel,
+                      equiv_alpha, mp_equiv, rand_kernelset, rand_psd,
+                      rational_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,17 @@ def test_alpha_matches_rational_oracle_to_relative_tolerance(shape, d, delta):
     assert sol.residual <= 1e-13
     # solve_subdel at z = 0 is the same solve, bit for bit
     assert solve_subdel(K, d, delta, 0.0)[1] == sol.alpha
+
+
+@pytest.mark.parametrize("d, delta", [(200, 0.1), (400, 1e-2)])
+def test_subdel_nu_is_alpha_bit_for_bit_under_caller_blas_threads(d, delta):
+    # from about 300 rows OpenBLAS rounds eigh by its thread count, so both
+    # solves factorise K_aa on one thread whatever count the caller left
+    ds = synthetic_regression(400, 100, 400, 0.5, 5)
+    with caller_blas_threads(2):
+        K = exact_kernels(ds, Activation("erf"), Activation("identity"), 400)
+        alpha = build_equiv(K, ds.y, ds.yhat, d, delta).alpha
+        assert solve_subdel(K.K_aa, d, delta, 0.0)[1] == alpha
 
 
 def test_alpha_rejects_indefinite_kernel():

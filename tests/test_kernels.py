@@ -22,9 +22,7 @@ from rfequiv import (
     Activation,
     Dataset,
     KernelSet,
-    LinearizationSpec,
     MatrixFormatError,
-    RDELSolution,
     RFConfig,
     SimReport,
     ZerothMomentReport,
@@ -41,6 +39,7 @@ from rfequiv import (
 )
 from rfequiv.cli import main
 from rfequiv.kernels import _parse_json, default_samples
+from rfequiv.rdel import LinearizationSpec, RDELSolution
 
 from conftest import EDGE_FLOATS
 
@@ -472,7 +471,7 @@ GRID = [(d, delta) for d in (25, 50, 100, 150, 200, 300, 400, 800)
 @pytest.fixture
 def empty_memo(monkeypatch):
     """load_kernels with nothing kept from an earlier test."""
-    monkeypatch.setattr(rfequiv.kernels, "_last_file", (None, None))
+    monkeypatch.setattr(rfequiv.kernels, "_last_file", [None, None])
 
 
 def test_memo_key_is_the_bytes_not_the_size_or_mtime(tmp_path, empty_memo):
@@ -581,7 +580,7 @@ def test_predict_grid_parses_and_factorises_once(tmp_path, monkeypatch, empty_me
     code = ("import rfequiv.kernels as kernels\n"
             "from rfequiv.cli import main\n"
             f"for args in {argv(tmp_path / 'fresh')!r}:\n"
-            "    kernels._last_file = (None, None)\n"
+            "    kernels._last_file = [None, None]\n"
             "    assert main(args) == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    cwd=Path(rfequiv.__file__).resolve().parents[1])

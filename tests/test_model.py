@@ -16,7 +16,6 @@ from rfequiv import (
     Activation,
     Dataset,
     KernelSet,
-    LinearizationSpec,
     MatrixFormatError,
     RFConfig,
     build_equiv,
@@ -24,7 +23,6 @@ from rfequiv import (
     empirical_test_error,
     kernel_ridge_error,
     load_matrix,
-    rf_linearization,
     solve_subdel,
     synthetic_regression,
     write_matrix,
@@ -32,6 +30,7 @@ from rfequiv import (
 from rfequiv import model
 from rfequiv.model import (_grouped_map, _parallel_map, apply_activation,
                            derive_seed, substream, to_json_text, worker_count)
+from rfequiv.rdel import LinearizationSpec, rf_linearization
 
 from conftest import blas_threads, caller_blas_threads
 

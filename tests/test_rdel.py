@@ -5,18 +5,16 @@ import pytest
 
 from rfequiv import (
     Activation,
-    LinearizationSpec,
     NonConvergence,
     estimate_kernels,
     exact_kernels,
     rdel,
-    rf_linearization,
     rf_solution_matrix,
-    solve_rdel,
     synthetic_regression,
     zeroth_moment_check,
 )
-from rfequiv.rdel import spectral_norm
+from rfequiv.rdel import (LinearizationSpec, rf_linearization, solve_rdel,
+                          spectral_norm)
 
 from conftest import (equiv_alpha, generic_zeroth_moment, m_infinity,
                       zeroth_products)
