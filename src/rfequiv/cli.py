@@ -45,7 +45,6 @@ from .model import (
     _check_ridge,
     _check_seed,
     _check_z,
-    _parallel_map,
     _write_csv,
     derive_seed,
     load_matrix,
@@ -55,6 +54,7 @@ from .model import (
 )
 from .rdel import rf_solution_matrix, zeroth_moment_check
 from .sim import (
+    _feature_replicates,
     anisotropic_gap,
     build_pseudoresolvent,
     estimate_delta_gaussianity,
@@ -229,13 +229,7 @@ def _cmd_sweep(args):
     grid = [RFConfig(d=d, delta=delta, n=n, seed=derive_seed(args.seed, "sweep", i))
             for i, (d, delta) in enumerate(itertools.product(d_list, delta_list))]
     kernels = _dataset_kernels(args, ds, sigma, phi, n)
-
-    def cell(i):
-        # grid cells run in the outer pool; keep the inner one sequential
-        return run_replicates(ds, sigma, phi, grid[i], reps=args.reps,
-                              kernels=kernels, workers=1)
-
-    reports = _parallel_map(cell, len(grid))
+    reports = _feature_replicates(ds, sigma, phi, grid, args.reps, kernels)
     _write_csv(args.out, ((cfg.d, cfg.delta, rep.predicted, rep.mean, rep.rel_gap)
                           for cfg, rep in zip(grid, reports)),
                ("d", "delta", "predicted", "empirical_mean", "rel_gap"))

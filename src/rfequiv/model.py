@@ -338,6 +338,7 @@ def _grouped_map(fn, count):
 # ---------------------------------------------------------------------------
 
 ACTIVATION_KINDS = ("identity", "erf", "sign", "sin", "relu", "custom-table")
+_ERF_SATURATED = 6.0  # float64 erf is exactly +-1 from here on
 
 
 @dataclass(frozen=True)
@@ -372,13 +373,28 @@ class Activation:
 
 
 def apply_activation(a, M):
-    """Apply activation ``a`` entrywise; the result has the shape of ``M``."""
+    """Apply activation ``a`` entrywise; the result has the shape of ``M``.
+
+    erf equals ``scipy.special.erf`` bit for bit.  In float64 that is
+    exactly ``copysign(1, x)`` for ``|x| >= 6`` (the first ``x`` with
+    ``erf(x) == 1.0`` is 5.9216), so when at least half of ``M`` is there,
+    as for the pre-activations of a wide design, erf runs only on the rest
+    (NaN among it); else it runs on all of ``M``, where the count costs a
+    few percent.
+    """
     x = np.asarray(M, dtype=float)
     if a.kind == "identity":
         return x.copy()
     if a.kind == "erf":
         from scipy import special  # only erf pays for the import
-        return special.erf(x)
+        saturated = np.abs(x) >= _ERF_SATURATED
+        if 2 * np.count_nonzero(saturated) < x.size:
+            return special.erf(x)
+        flat = x.ravel()
+        out = np.copysign(1.0, flat)
+        live = np.flatnonzero(~saturated)  # C order, as flat
+        out[live] = special.erf(flat[live])
+        return out.reshape(x.shape)
     if a.kind == "sign":
         return np.sign(x)  # sign(0) = 0
     if a.kind == "sin":

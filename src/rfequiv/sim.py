@@ -5,7 +5,8 @@ and provides the diagnostic objects the solver predictions are validated
 against: the pseudo-resolvent of the sampled pencil, the anisotropic trace
 gap, and a Gaussianity discrepancy estimate.  Sampled-feature replicates
 and jointly-Gaussian surrogate ones with the same kernel covariance share
-one loop, which compares them with a prediction on the caller's kernels.
+one loop, which compares them with a prediction on the caller's kernels,
+for one cell or, in ``sweep``, for a whole grid of cells on one pool.
 
 The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is a plain complex ell x ell
 array, never formed by a dense ell x ell solve.  Every block is closed-form
@@ -98,30 +99,60 @@ def empirical_test_error(A, Ahat, y, yhat, delta):
     return float(r @ r)
 
 
-def _replicates(draw, K, y, yhat, cfg, reps, config, workers=None):
-    """Errors of the draws ``draw(i) -> (A, Ahat)``, ``i < reps``, against
-    ``build_equiv`` on ``K``; ``config`` heads the report's config."""
+def _replicates(draw, K, y, yhat, cfgs, reps, config, workers=None):
+    """One report per cell ``cfg`` of ``cfgs``: the errors of the draws
+    ``draw(cfg, i) -> (A, Ahat)``, ``i < reps``, against ``build_equiv`` on
+    ``K``; ``config`` heads each report's config.
+
+    Every cell's prediction is made before the first draw, so a prediction
+    that fails leaves every cell undrawn.  One pool runs the
+    ``len(cfgs) * reps`` draws: task ``k`` is replicate ``k % reps`` of
+    cell ``k // reps``, and each cell's errors are folded in replicate
+    order, so a cell's report is bit for bit the one it gets alone, for
+    any worker count."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    sol = equiv.build_equiv(K, y, yhat, cfg.d, cfg.delta)
-    predicted = float(sol.predicted_error)
+    predicted = [float(equiv.build_equiv(K, y, yhat, cfg.d, cfg.delta).predicted_error)
+                 for cfg in cfgs]
 
-    def one(i):
-        A, Ahat = draw(i)
+    def one(k):
+        cfg = cfgs[k // reps]
+        A, Ahat = draw(cfg, k % reps)
         return empirical_test_error(A, Ahat, y, yhat, cfg.delta)
 
-    errors = np.array(list(_parallel_map(one, reps, workers)), dtype=float)
-    mean = float(errors.mean())
-    std = float(errors.std(ddof=1)) if reps > 1 else 0.0
-    gap = abs(mean - predicted)
-    config = {**config, "d": cfg.d, "delta": cfg.delta, "n": cfg.n,
-              "seed": cfg.seed, "reps": reps, "kernel_samples": K.samples}
-    return SimReport(errors, mean, std, predicted,
-                     gap / predicted if predicted > 0 else gap, config)
+    errors = list(_parallel_map(one, len(cfgs) * reps, workers))
+    reports = []
+    for c, (cfg, pred) in enumerate(zip(cfgs, predicted)):
+        cell = np.array(errors[c * reps:(c + 1) * reps], dtype=float)
+        mean = float(cell.mean())
+        std = float(cell.std(ddof=1)) if reps > 1 else 0.0
+        gap = abs(mean - pred)
+        head = {**config, "d": cfg.d, "delta": cfg.delta, "n": cfg.n,
+                "seed": cfg.seed, "reps": reps, "kernel_samples": K.samples}
+        reports.append(SimReport(cell, mean, std, pred,
+                                 gap / pred if pred > 0 else gap, head))
+    return reports
+
+
+def _feature_replicates(ds, sigma, phi, cfgs, reps, kernels, workers=None):
+    """Sampled-feature reports of the cells ``cfgs`` on one pool (see
+    :func:`_replicates`); replicate ``i`` of a cell draws from the substream
+    (cfg.seed, "replicate", i)."""
+    def draw(cfg, i):
+        return _features([ds.X, ds.Xhat], sigma, phi, cfg.n, cfg.d,
+                         substream(cfg.seed, "replicate", i))
+
+    config = {"n_train": ds.n_train, "n_test": ds.n_test, "n0": ds.n0,
+              "sigma": sigma.kind, "phi": phi.kind}
+    return _replicates(draw, kernels, ds.y, ds.yhat, cfgs, reps, config, workers)
 
 
 def run_replicates(ds, sigma, phi, cfg, reps=30, *, kernels, workers=None):
     """Independent feature draws vs. the deterministic prediction.
+
+    The one-cell case of the loop that ``sweep`` runs over its whole grid,
+    so a sweep row equals this report of its cell bit for bit.  The
+    prediction is made before the first draw.
 
     Parameters
     ----------
@@ -142,13 +173,7 @@ def run_replicates(ds, sigma, phi, cfg, reps=30, *, kernels, workers=None):
     -------
     SimReport
     """
-    def draw(i):
-        return _features([ds.X, ds.Xhat], sigma, phi, cfg.n, cfg.d,
-                         substream(cfg.seed, "replicate", i))
-
-    config = {"n_train": ds.n_train, "n_test": ds.n_test, "n0": ds.n0,
-              "sigma": sigma.kind, "phi": phi.kind}
-    return _replicates(draw, kernels, ds.y, ds.yhat, cfg, reps, config, workers)
+    return _feature_replicates(ds, sigma, phi, [cfg], reps, kernels, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +460,10 @@ def gaussian_surrogate_run(K, y, yhat, cfg, reps):
     sqrtC = (V * np.sqrt(w)) @ V.T
     nt = K.n_train
 
-    def draw(i):
+    def draw(cfg, i):
         rng = substream(cfg.seed, "surrogate", i)
         C = sqrtC @ rng.standard_normal((nt + K.n_test, cfg.d))
         return C[:nt], C[nt:]
 
     config = {"surrogate": True, "n_train": K.n_train, "n_test": K.n_test}
-    return _replicates(draw, K, y, yhat, cfg, reps, config)
+    return _replicates(draw, K, y, yhat, [cfg], reps, config)[0]

@@ -453,6 +453,67 @@ def test_sweep_grid_is_sorted_cartesian_product(tmp_path):
         (4, 0.5), (4, 1.0), (8, 0.5), (8, 1.0)]
 
 
+def test_sweep_rows_are_their_cells_run_alone(tmp_path, monkeypatch):
+    # a row recomputed through run_replicates with the cell's seed gives
+    # the same mean bit for bit, whatever the pool size; n0 = 200 makes
+    # most pre-activations saturate erf, as in a benchmark-sized sweep
+    kern, out = tmp_path / "k.json", tmp_path / "s.csv"
+    synthetic = ["--synthetic", "24,10,200", "--noise-sd", "0.3", "--seed", "9"]
+    assert main(["estimate-kernels", *synthetic, "--out", str(kern)]) == 0
+    argv = ["sweep", *synthetic, "--kernels", str(kern), "--d-list", "30,6",
+            "--delta-list", "1,0.01", "--reps", "4", "--out", str(out)]
+    csvs = set()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        assert main(argv) == 0
+        csvs.add(out.read_bytes())
+    assert len(csvs) == 1
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    ds = rfequiv.synthetic_regression(24, 10, 200, 0.3, 9)
+    K = rfequiv.load_kernels(kern)
+    erf, identity = rfequiv.Activation("erf"), rfequiv.Activation("identity")
+    for i, (d, delta, predicted, mean, rel_gap) in enumerate(rows):
+        cfg = rfequiv.RFConfig(int(d), delta, 24, model.derive_seed(9, "sweep", i))
+        rep = rfequiv.run_replicates(ds, erf, identity, cfg, 4, kernels=K, workers=1)
+        assert (predicted, mean, rel_gap) == (rep.predicted, rep.mean, rep.rel_gap)
+
+
+def test_sweep_refuses_an_overflowing_prediction_before_any_draw(
+        tmp_path, monkeypatch, capsys):
+    # only the last cell's prediction overflows; the other cells are not
+    # drawn either, on one worker or two
+    ds = rfequiv.synthetic_regression(8, 3, 5, 0.0, seed=1)
+    K = rfequiv.exact_kernels(ds, rfequiv.Activation("erf"),
+                              rfequiv.Activation("identity"), 8)
+    scale = 2.8e154  # the prediction rises with the ridge here
+    for delta, overflows in ((10.0, False), (1e3, True)):
+        try:
+            rfequiv.build_equiv(K, scale * ds.y, scale * ds.yhat, 16, delta)
+        except ValueError:
+            assert overflows
+        else:
+            assert not overflows
+    paths = {name: tmp_path / f"{name}.csv" for name in ("X", "Xhat", "y", "yhat")}
+    for name, path in paths.items():
+        value = getattr(ds, name) * (scale if name.startswith("y") else 1.0)
+        rfequiv.write_matrix(path, value.reshape(len(value), -1))
+    kern = tmp_path / "k.json"
+    rfequiv.save_kernels(K, kern)
+    drawn = []
+    monkeypatch.setattr(sim, "empirical_test_error",
+                        lambda *args: drawn.append(args) or 1.0)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        code = main(["sweep", *[f"--{k.lower()}={p}" for k, p in paths.items()],
+                     "--kernels", str(kern), "--d-list", "16",
+                     "--delta-list", "10,1e3", "--reps", "3",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "the predicted error overflows" in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_diagnose_report_fields(tmp_path, monkeypatch):
     out = tmp_path / "d.json"
     argv = ["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2",

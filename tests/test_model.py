@@ -331,6 +331,51 @@ def test_erf_activation_is_odd_at_zero():
     assert apply_activation(Activation("erf"), np.array([[0.0]]))[0, 0] == 0.0
 
 
+def _erf_bits(x, monkeypatch):
+    """``apply_activation`` erf of ``x`` against ``scipy.special.erf`` bit for
+    bit (NaN payloads and the sign of zero too); returns the sizes of the
+    arrays that the activation handed to scipy's erf."""
+    from scipy import special
+    erf, seen = special.erf, []
+
+    def spy(v):
+        seen.append(np.size(v))
+        return erf(v)
+
+    monkeypatch.setattr(special, "erf", spy)
+    got = apply_activation(Activation("erf"), x)
+    want = erf(x)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+    return seen
+
+
+def test_erf_fast_path_equals_scipy_bit_for_bit(monkeypatch):
+    # float64 erf is exactly +-1 from |x| = 5.9216 on; a threshold below
+    # that writes +-1 where erf is 1 - 2^-53
+    grids = [np.linspace(5.5, 7.0, 200_001), np.linspace(6.0, 60.0, 200_001),
+             np.geomspace(60.0, 1e308, 20_001)]
+    for grid in grids:
+        for x in (grid, -grid):
+            assert _erf_bits(x, monkeypatch)[-1] < x.size  # the masked path ran
+    edge = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+                     1e-310, -2.2e-308])
+    for x in (edge, np.r_[edge, np.full(edge.size, 7.5)]):
+        _erf_bits(x, monkeypatch)
+    # NaN reaches erf on either path, so _features still refuses it
+    out = apply_activation(Activation("erf"), np.r_[np.nan, np.full(3, 9.0)])
+    assert np.isnan(out[0]) and np.all(out[1:] == 1.0)
+    # the masked path runs from half saturated on; below it erf sees all
+    small = np.linspace(-1.0, 1.0, 10)
+    assert _erf_bits(np.r_[small, np.full(10, -8.0)], monkeypatch) == [10]
+    assert _erf_bits(np.r_[small, 0.5, np.full(9, 8.0)], monkeypatch) == [20]
+    # views that are not C-contiguous, and a 0-d input
+    big = np.linspace(-40.0, 40.0, 60 * 80).reshape(60, 80)
+    for x in (big.T, big[::2, 1::3], np.asarray(6.5), np.asarray(-0.0)):
+        _erf_bits(x, monkeypatch)
+
+
 def test_relu_and_sin():
     x = np.array([[-2.0, 0.5]])
     assert np.array_equal(apply_activation(Activation("relu"), x), [[0.0, 0.5]])
