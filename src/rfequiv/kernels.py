@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
+_U, _ETA = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least positive double
 _IDENTITY = Activation("identity")
 _BASIS_LOCK = threading.Lock()
 _last_file = [None, None]  # [SHA-256 of the bytes, KernelSet] of the last file accepted
@@ -66,6 +67,12 @@ class KernelSet:
     closed form, the budget a draw would have had.  ``K_ha`` is derived, a
     C-contiguous copy of ``K_ah^T``.  The set is immutable: its blocks are read-only
     copies, but a read-only C-contiguous array that owns its memory is kept.
+
+    The joint matrix ``J = [[K_aa, K_ah], [K_ha, K_hh]]`` must be PSD up to
+    rounding: ``lam_min(J) >= -1e-10 lam_max - 1e-300``, or ``ValueError``
+    ("joint kernel block matrix is not PSD (min eig ...)").  A shifted
+    Cholesky (Rump 2006) proves the rule for almost every set at any size;
+    where it cannot, ``eigvalsh`` decides.
     """
 
     K_aa: np.ndarray
@@ -94,21 +101,7 @@ class KernelSet:
         n, t = self.K_ah.shape
         if self.K_aa.shape != (n, n) or self.K_hh.shape != (t, t):
             raise ValueError("kernel block shapes are inconsistent")
-        # Fast accept: shift by half the tolerance (max J_ii <= lam_max); the
-        # Cholesky's backward error, about m(m+1) eps lam_max, fits in the
-        # other half for m <= 474.  Larger or failing matrices go to eigvalsh.
-        J = self.joint()
-        m = len(J)
-        shift = 0.5e-10 * max(float(J.diagonal().max()), 0.0) + 1e-300
-        if (m * (m + 1) * np.finfo(float).eps <= 0.5e-10
-                and _positive_definite(J + shift * np.eye(m))):
-            return
-        w = np.linalg.eigvalsh(J)
-        lam_max = max(float(w[-1]), 0.0)
-        if float(w[0]) < -1e-10 * lam_max - 1e-300:
-            raise ValueError(
-                f"joint kernel block matrix is not PSD (min eig {w[0]:.3e})"
-            )
+        self._check_psd()
 
     def _eigenbasis(self):
         """``(lam, V, V^T K_ah)`` of the clamped ``K_aa``, made by the first call."""
@@ -129,6 +122,55 @@ class KernelSet:
     def joint(self):
         """The full (n_train + n_test) block matrix [[K_aa, K_ah], [K_ha, K_hh]]."""
         return np.block([[self.K_aa, self.K_ah], [self.K_ha, self.K_hh]])
+
+    def _check_psd(self):
+        """Raise unless ``lam_min(J) >= -1e-10 lam_max - 1e-300`` for the
+        joint matrix J, whose lower triangle alone is read.
+
+        A shifted Cholesky proves the rule for almost every set, at any
+        size.  With ``tau = fl((1e-10 - 2u) max J_ii)`` and
+        ``A = fl(J + tau I)``, Rump (Verification of positive definiteness,
+        BIT Numer. Math. 46, 2006) proves A positive definite when a
+        floating-point Cholesky of ``fl(A - cI)`` runs to completion, for
+        ``c >= gamma_{m+1} / (1 - 2 gamma_{m+1}) tr A + 4m(2(m+1) + max A_ii) eta``
+        with ``gamma_k = ku / (1 - ku)``, ``u = 2^-53``, ``eta = 2^-1074``, A
+        symmetric m x m with a nonnegative diagonal and no overflow.  Here c
+        takes ``gamma_{m+2}``, one rounding more for a BLAS that multiplies
+        by the rounded reciprocal of a pivot; ``2 max J_ii`` stands for
+        ``max A_ii``, and the last term is evaluated as
+        ``8m eta (m + 1 + max J_ii)``; ``tr A`` is summed as
+        ``max J_ii sum(A_ii / max J_ii)``, so that nothing overflows; and the
+        factor ``1 + 8(m+2)u`` rounds c up, as c is evaluated with at most
+        m + 8 roundings.  An overflow inside the factorisation leaves a
+        non-finite pivot, which counts as a failure.  With every
+        ``A_ii`` normal, ``|A_ii - J_ii - tau| <= u (J_ii + tau)``, and with
+        ``J_ii <= lam_max``:
+
+            lam_min(J) > -tau - u (max J_ii + tau)
+                       >= -1e-10 max J_ii >= -1e-10 lam_max.
+
+        Where the factorisation fails, or a diagonal entry is negative, or
+        the largest is outside (1e-290, 1.79e308), where a step could leave
+        the normal range, ``eigvalsh`` decides by the rule itself.  So does
+        a singular J of more than about ``(9e5 max J_ii / mean J_ii)^(1/2)``
+        rows (950 on a flat diagonal), whose c exceeds tau: it pays for the
+        factorisation and ``eigvalsh`` both.
+        """
+        J = self.joint()
+        m = len(J)
+        d = np.einsum("ii->i", J)  # a writeable view: the shifts below write J
+        top = float(d.max())
+        if float(d.min()) >= 0.0 and 1e-290 < top < 1.79e308:
+            d += (1e-10 - 2 * _U) * top
+            k = (m + 2) * _U  # gamma_{m+2} / (1 - 2 gamma_{m+2}) = k / (1 - 3k)
+            c = k / (1 - 3 * k) * float((d / top).sum()) * top
+            d -= (c + 8 * m * _ETA * (m + 1 + top)) * (1 + 8 * k)
+            if _positive_definite(J):
+                return
+        w = np.linalg.eigvalsh(self.joint())
+        if float(w[0]) < -1e-10 * max(float(w[-1]), 0.0) - 1e-300:
+            raise ValueError("joint kernel block matrix is not PSD "
+                             f"(min eig {w[0]:.3e})")
 
 
 def _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
@@ -175,8 +217,6 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
     -------
     KernelSet
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return _chunk_fold(ds, sigma, phi, n, m, seed, "kernels", gram=True)[0]
 
 
@@ -190,8 +230,11 @@ def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False)
     the centering score is ``||mean column|| / RMS column norm``.  A chunk
     is reduced in the pool worker to what is asked for and no more, and the
     partials are folded in chunk order, so neither result depends on the
-    worker count.
+    worker count.  An ``m`` below 1, or below 2 with ``moments``, raises
+    ``ValueError`` before any draw.
     """
+    if m < 1 + moments:
+        raise ValueError(f"m must be >= {1 + moments}")
 
     def reduce(U):
         return (U @ U.T if gram else None,
@@ -225,8 +268,6 @@ def _kernels_and_centering(ds, sigma, phi, n, m, seed):
     pass over the draws: the blocks are :func:`estimate_kernels`'s bit for
     bit, and the score is :func:`verify_centering`'s statistic on those
     same ``m`` columns (label "kernels", where it draws "centering")."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
     return _chunk_fold(ds, sigma, phi, n, m, seed, "kernels", gram=True, moments=True)
 
 
@@ -346,8 +387,6 @@ def verify_centering(sigma, phi, ds, n, m, seed):
     Carlo route it takes the same statistic from the kernel draws
     themselves (label "kernels"), in the same pass as the blocks.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
     return _chunk_fold(ds, sigma, phi, n, m, seed, "centering", moments=True)[1]
 
 

@@ -150,12 +150,14 @@ def _clamped_eigh(K, name="K_aa"):
 
 def _positive_definite(A):
     """Whether the Hermitian ``A`` has a Cholesky factor, the standard test
-    of definiteness (Higham 2002, ch. 10)."""
+    of definiteness (Higham 2002, ch. 10).  A factor with a non-finite
+    pivot is none: OpenBLAS passes a NaN pivot, which an overflow inside
+    the factorisation can make, without an error."""
     try:
-        np.linalg.cholesky(A)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(L.diagonal()).all())
 
 
 def _ridge_solve(gram, ridge, y):

@@ -326,9 +326,9 @@ def test_kernelset_rejects_indefinite_joint():
 def _joint_with_min_eig(c, flat, m=12):
     """An exactly symmetric m x m matrix with largest eigenvalue 1 and
     smallest ``c * 1e-10``.  With ``flat`` the top eigenvector is the
-    all-ones direction, so every diagonal entry is near 1/m: the Cholesky
-    shift, half the tolerance scaled by the largest diagonal entry, is then
-    far below half of ``1e-10 * lam_max``."""
+    all-ones direction, so every diagonal entry is near 1/m: the
+    certificate's shift, the tolerance scaled by the largest diagonal
+    entry, is then far below ``1e-10 * lam_max``."""
     rng = np.random.default_rng(11)
     start = rng.standard_normal((m, m))
     if flat:
@@ -341,16 +341,22 @@ def _joint_with_min_eig(c, flat, m=12):
     return (J + J.T) / 2
 
 
+def _spy_eigvalsh(monkeypatch):
+    """The list that records the shape of each ``np.linalg.eigvalsh`` call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: calls.append(a.shape) or eigvalsh(a, *args))
+    return calls
+
+
 def _psd_decision(J, monkeypatch):
     """Build a KernelSet on J's blocks and check its decision against the
     eigvalsh rule, min eig ``>= -1e-10 * lam_max - 1e-300``, and that a
     refusal names the min eig.  Returns (accepted, whether eigvalsh ran)."""
     w = np.linalg.eigvalsh(J)
     accept = w[0] >= -1e-10 * max(w[-1], 0.0) - 1e-300
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a: calls.append(a.shape) or eigvalsh(a))
+    calls = _spy_eigvalsh(monkeypatch)
     n = len(J) * 2 // 3
     blocks = J[:n, :n], J[:n, n:], J[n:, n:]
     if accept:
@@ -365,25 +371,66 @@ def _psd_decision(J, monkeypatch):
 @pytest.mark.parametrize("flat", [False, True])
 @pytest.mark.parametrize("c", [-3, -1.05, -0.95, -0.3, 0, 0.5])
 def test_kernelset_psd_decision_at_the_tolerance(c, flat, monkeypatch):
-    """The Cholesky fast accept decides as the eigvalsh rule does."""
+    """The shifted Cholesky certificate decides as the eigvalsh rule does."""
     accept, ran_eigvalsh = _psd_decision(_joint_with_min_eig(c, flat), monkeypatch)
     assert accept == (c > -1)  # the matrix lands on the intended side
     if c >= 0:
-        assert not ran_eigvalsh  # the Cholesky accepted alone
+        assert not ran_eigvalsh  # the certificate accepted alone
     if flat and c == -0.3:
-        assert ran_eigvalsh  # a shift of 0.5e-10 / 12 is too small
+        assert ran_eigvalsh  # a shift of about 1e-10 / 12 is too small
 
 
-@pytest.mark.parametrize("m", [474, 475, 1000])
-@pytest.mark.parametrize("c", [-1.05, -0.95, 0.5])
+@pytest.mark.parametrize("m", [12, 474, 475, 1000])
+@pytest.mark.parametrize("c", [-3, -1.05, -0.95, 0, 0.5])
 def test_kernelset_psd_decision_on_large_joint(c, m, monkeypatch):
-    """Cholesky's backward error, about m(m+1) eps lam_max, fits in the other
-    half of the tolerance only up to m = 474; a larger joint matrix is
-    decided by eigvalsh alone, with the same rule."""
+    """One rule at every size, with no gate on m: the certificate proves
+    every set of this family with lam_min >= 0 but one, and eigvalsh
+    decides the rest.  The one is the singular set at m = 1000, whose
+    certificate shift, about (m + 2) u tr J, is 1.04 times the tolerance's
+    1e-10 max J_ii: such a set pays for both routes."""
     accept, ran_eigvalsh = _psd_decision(_joint_with_min_eig(c, False, m),
                                          monkeypatch)
     assert accept == (c > -1)
-    assert ran_eigvalsh == (c < 0 or m > 474)
+    assert ran_eigvalsh == (c < 0 or (c == 0 and m == 1000))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_kernel_sets_are_certified_without_eigvalsh(seed, monkeypatch):
+    """The kernel sets of the benchmark's workloads are accepted by the
+    certificate alone: exact erf at 200/200 (theory_curve), Monte Carlo
+    sign/sin at 200/100 (diagnose) and the rank-300 identity set of 600
+    rows (resolvent_probe), where eigvalsh would cost several times more."""
+    calls = _spy_eigvalsh(monkeypatch)
+    ds = synthetic_regression(200, 200, 200, 0.5, seed)
+    exact_kernels(ds, ERF, IDENTITY, 200)
+    ds = synthetic_regression(200, 100, 200, 0.5, seed)
+    estimate_kernels(ds, Activation("sign"), Activation("sin"), 200,
+                     default_samples(200, 100), seed)
+    ds = synthetic_regression(300, 300, 300, 0.0, seed)
+    ks = exact_kernels(ds, IDENTITY, IDENTITY, 300)
+    assert calls == []
+    assert np.linalg.matrix_rank(ks.joint()) == 300
+
+
+@pytest.mark.parametrize("J, certified", [
+    (1.7e308 * np.eye(6), True), (1.7e308 * np.eye(600), True),
+    (5e-324 * np.eye(6), False), (5e-324 * np.eye(600), False),
+    (np.diag([0.0, 0.0, 1.0]), True),  # test_boundary's ZERO2
+    (np.diag([1.14262314e-219, 1.39677140e-114, 1.63152407e15,
+              7.81635213e132, 0.0]), True),  # test_boundary's underflow4
+    (np.full((6, 6), 1e308), True),
+    (1e308 * np.outer(np.resize([1.0, -1.0], 600), np.resize([1.0, -1.0], 600)),
+     True),
+], ids=["huge-eye6", "huge-eye600", "tiny-eye6", "tiny-eye600", "zero2",
+        "underflow4", "rank-one6", "rank-one600"])
+def test_psd_decision_at_the_edges_of_the_range(J, certified, monkeypatch):
+    """Sets at the ends of the double range get the eigvalsh rule's verdict,
+    acceptance, with no RuntimeWarning (an error in this suite): no step
+    of the certificate overflows, and a diagonal below 1e-290, where a
+    step could leave the normal range, goes to eigvalsh."""
+    accept, ran_eigvalsh = _psd_decision(J, monkeypatch)
+    assert accept
+    assert ran_eigvalsh != certified
 
 
 def test_kernels_json_round_trip(tmp_path):

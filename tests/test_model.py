@@ -608,3 +608,14 @@ def test_json_float_round_trips_losslessly():
     for v in (1.0 / 3.0, 1e-308, math.pi, -2.5e17):
         text = to_json_text({"v": v})
         assert stdlib_json.loads(text)["v"] == v
+
+
+@pytest.mark.parametrize("m", [6, 600])
+def test_a_cholesky_factor_with_a_nan_pivot_is_no_certificate(m):
+    """numpy's OpenBLAS factorisation passes a NaN pivot without an error;
+    an overflow inside the factorisation can make one, and the factor must
+    then prove nothing."""
+    A = np.eye(m)
+    A[5, 3] = A[3, 5] = np.nan
+    assert not model._positive_definite(A)
+    assert model._positive_definite(np.eye(m))
