@@ -10,9 +10,10 @@ The central objects: the unique alpha in [-1, 0) solving
 
 and the prediction ``d beta ||K_aa^{1/2} M11 y||^2 + ||d alpha K_ha M11 y + yhat||^2``.
 
-Every solve goes through one eigendecomposition ``K_aa = V diag(lam) V^T``,
-in which ``M11`` has eigenvalues ``g_j = 1 / (delta - d alpha lam_j)``, so
-``M11`` is never formed.  One scalar solve serves every spectral parameter:
+Every solve goes through the one eigendecomposition ``K_aa = V diag(lam) V^T``
+that its :class:`KernelSet` caches, in which ``M11`` has eigenvalues
+``g_j = 1 / (delta - d alpha lam_j)``, so ``M11`` is never formed.  One
+scalar solve serves every spectral parameter:
 ``nu = -(1 + z + sum_j lam_j / (delta - z - d nu lam_j))^{-1}`` is solved to
 rounding by guarded Newton steps in ``x = -1/nu``; where a step is refused,
 one loop climbs the heights ``4 Im z``, ``16 Im z``, ... and comes back
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (_SINGLE_THREAD_NUMPY_BLAS, NonConvergence, _check_ridge,
-                    _check_z, _clamped_eigh, _ridge_solve, _vector)
+                    _check_z, _ridge_solve, _vector)
 
 __all__ = [
     "DenominatorDegenerate",
@@ -165,8 +166,8 @@ def build_equiv(K, y, yhat, d, delta):
     yhat = _vector(yhat, "yhat", K.n_test)
     _check_ridge(delta, d)
 
-    with _SINGLE_THREAD_NUMPY_BLAS:  # OpenBLAS rounds eigh and GEMV by its thread count
-        w, V, W = K._eigenbasis()
+    w, V, W = K._eigenbasis()
+    with _SINGLE_THREAD_NUMPY_BLAS:  # OpenBLAS rounds GEMV by its thread count
         x, g, denom, iterations = _solve_nu(w, d, delta, 0.0)
         alpha = -1.0 / x
         if denom <= _DENOM_GUARD:
@@ -199,8 +200,9 @@ def build_equiv(K, y, yhat, d, delta):
     )
 
 
-def solve_subdel(K_aa, d, delta, z):
-    """Reduced two-block resolvent at spectral parameter ``z``.
+def solve_subdel(K, d, delta, z):
+    """Reduced two-block resolvent of the :class:`KernelSet` ``K`` at
+    spectral parameter ``z``.
 
     The two-block self-consistent equation has the train block
     ``N11 = ((delta - z) I - d nu K_aa)^{-1}`` and the scalar width block
@@ -210,15 +212,15 @@ def solve_subdel(K_aa, d, delta, z):
     must be finite, and 0 or in the open upper half-plane.  ``nu`` is solved
     to rounding at every ``z``, by the Newton loop of :func:`build_equiv`;
     at ``z = 0`` it is that function's alpha, bit for bit.  Returns
-    ``(N11, nu)``, complex.  A refused step from the root at ``4 Im z``, or
-    1 000 steps at one height, raise :class:`NonConvergence`; an ``N11``
-    that overflows (``1/delta`` on a null eigenvalue at ``z = 0``) raises
-    ``ValueError`` before it is formed.
+    ``(N11, nu)``, complex.  The eigenbasis is the set's own, made once on
+    one BLAS thread by whichever solve asks first.  A refused step from the
+    root at ``4 Im z``, or 1 000 steps at one height, raise
+    :class:`NonConvergence`; an ``N11`` that overflows (``1/delta`` on a
+    null eigenvalue at ``z = 0``) raises ``ValueError`` before it is formed.
     """
     z = _check_z(z)
     _check_ridge(delta, d)
-    with _SINGLE_THREAD_NUMPY_BLAS:  # as in build_equiv, so that nu(0) is its alpha
-        w, V = _clamped_eigh(K_aa)
+    w, V, _ = K._eigenbasis()
     # real arithmetic on the axis, so that nu(0) is build_equiv's alpha
     x, g = _solve_nu(w, d, delta, z if z.imag else z.real)[:2]
     if not np.isfinite(g).all():

@@ -104,11 +104,14 @@ class KernelSet:
         self._check_psd()
 
     def _eigenbasis(self):
-        """``(lam, V, V^T K_ah)`` of the clamped ``K_aa``, made by the first call."""
-        with _BASIS_LOCK:  # sweep's cells ask at once; one of them computes
+        """``(lam, V, V^T K_ah)`` of the clamped ``K_aa``, made by the first
+        call on one numpy BLAS thread, since OpenBLAS rounds eigh by its
+        thread count: every solve on the set reads this one spectrum."""
+        with _BASIS_LOCK:  # concurrent library callers: one of them computes
             if self._basis is None:
-                w, V = _clamped_eigh(self.K_aa)
-                object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
+                with _SINGLE_THREAD_NUMPY_BLAS:
+                    w, V = _clamped_eigh(self.K_aa)
+                    object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
         return self._basis
 
     @property

@@ -61,7 +61,7 @@ def spectral_norm(x):
 
 # The generic solver down to rf_linearization is the tests' oracle and no verb
 # calls it, so it is not exported.  perfbench traces solve_rdel and
-# rf_linearization by name, and ROADMAP item 7 moves all four names to tests/.
+# rf_linearization by name, and ROADMAP item 9 moves all four names to tests/.
 
 _PROBE_ROUNDS = 3
 # solve_rdel's stopping defect and inversion budget.
@@ -380,7 +380,7 @@ def rf_solution_matrix(K, dims, delta, z):
     n, d, t = dims
     s1, s2, s3, s4 = _rf_slices(dims)
     ell = n + d + 2 * t
-    N11, nu = equiv.solve_subdel(K.K_aa, d, delta, z)
+    N11, nu = equiv.solve_subdel(K, d, delta, z)
     t22 = d * nu
     M = np.zeros((ell, ell), dtype=complex)
     M[s1, s1] = N11

@@ -122,12 +122,18 @@ def rand_kernelset(rng, n, t):
     )
 
 
+def train_kernels(K_aa):
+    """A kernel set of ``K_aa`` and one uncoupled zero test point, for the
+    solves that read ``K_aa`` alone."""
+    n = len(K_aa)
+    return KernelSet(K_aa, np.zeros((n, 1)), np.zeros((1, 1)), 1)
+
+
 def equiv_alpha(K_aa, d, delta):
-    """``build_equiv`` on a bare ``K_aa`` (one uncoupled test point, zero
-    labels), for its alpha and the quantities solved with it."""
+    """``build_equiv`` on a bare ``K_aa`` (zero labels), for its alpha and
+    the quantities solved with it."""
     n = K_aa.shape[0]
-    ks = KernelSet(K_aa, np.zeros((n, 1)), np.eye(1), 1)
-    return build_equiv(ks, np.zeros(n), np.zeros(1), d, delta)
+    return build_equiv(train_kernels(K_aa), np.zeros(n), np.zeros(1), d, delta)
 
 
 def rational_alpha(K_aa, d, delta):

@@ -32,7 +32,8 @@ from rfequiv.model import substream
 from rfequiv.rdel import rf_linearization, solve_rdel, spectral_norm
 
 from conftest import (dense_pencil, dense_subdel, equiv_alpha,
-                      generic_zeroth_moment, rand_kernelset, rational_alpha)
+                      generic_zeroth_moment, rand_kernelset, rational_alpha,
+                      train_kernels)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -80,7 +81,7 @@ def test_02_route_equivalence_on_random_kernels():
         a = equiv_alpha(K, d, delta)
         alphas_ok &= -1.0 <= a.alpha < 0.0
         denoms_ok &= a.denom > 0
-        N11, nu = solve_subdel(K, d, delta, 0.0)
+        N11, nu = solve_subdel(train_kernels(K), d, delta, 0.0)
         N11_o, nu_o = dense_subdel(K, d, delta, 0.0)
         M11 = np.linalg.inv(delta * np.eye(n) - d * a.alpha * K)
         worst = max(worst, abs(nu - nu_o), abs(a.alpha - nu_o),

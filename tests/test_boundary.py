@@ -43,7 +43,7 @@ from rfequiv import (
 from rfequiv.model import _check_ridge, _check_z
 from rfequiv.rdel import LinearizationSpec, solve_rdel
 
-from conftest import continued_nu
+from conftest import continued_nu, train_kernels
 
 DIAGNOSE = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
             "--reps", "4", "--samples", "10000", "--eta-list", "100,1000"]
@@ -187,7 +187,7 @@ def _width_defect(K_aa, d, delta, z, nu):
 def _subdel_solved(K_aa, d, delta, z):
     """solve_subdel returns nu in the upper half-plane, solved to rounding."""
     def run():
-        _, nu = equiv.solve_subdel(K_aa, d, delta, z)
+        _, nu = equiv.solve_subdel(train_kernels(K_aa), d, delta, z)
         assert nu.imag > 0, nu
         defect = _width_defect(K_aa, d, delta, z, nu)
         assert defect <= 1e-13, defect
@@ -197,7 +197,7 @@ def _subdel_solved(K_aa, d, delta, z):
 def _subdel_far(K_aa, d, delta, z):
     """At ``|z| -> inf``, ``nu = -1/(1 + z)`` to rounding, with no overflow."""
     def run():
-        _, nu = equiv.solve_subdel(K_aa, d, delta, z)
+        _, nu = equiv.solve_subdel(train_kernels(K_aa), d, delta, z)
         assert nu == pytest.approx(-1.0 / (1.0 + z), rel=1e-12, abs=0), nu
     return run
 
@@ -205,7 +205,7 @@ def _subdel_far(K_aa, d, delta, z):
 def _alpha_is(K_aa, d, delta, want):
     """The alpha solve (solve_subdel at z = 0) returns exactly ``want``."""
     def run():
-        _, nu = equiv.solve_subdel(K_aa, d, delta, 0.0)
+        _, nu = equiv.solve_subdel(train_kernels(K_aa), d, delta, 0.0)
         assert nu == want, nu
     return run
 
@@ -219,7 +219,7 @@ def _subdel_continued(lam, d, delta, z, frames=None):
         if frames:
             sys.setrecursionlimit(len(inspect.stack(0)) + frames)
         try:
-            _, nu = equiv.solve_subdel(np.diag(lam), d, delta, z)
+            _, nu = equiv.solve_subdel(train_kernels(np.diag(lam)), d, delta, z)
         finally:
             sys.setrecursionlimit(limit)
         want = continued_nu(lam, d, delta, z)
@@ -499,7 +499,8 @@ CASES = {
        for name, kernels, d, delta in (("1e-307", "hundred6", 64, "1e-307"),
                                        ("5e-324", "half6", 6, "5e-324"))},
     "alpha-tiny-ridge-overflow": (
-        lambda: equiv.solve_subdel(100 * np.eye(6), 64, 1e-307, 0.0),
+        lambda: equiv.solve_subdel(train_kernels(100 * np.eye(6)), 64, 1e-307,
+                                   0.0),
         (NonConvergence, "overflows"), (), {}),
     # at m = d, once every r_j = 1 / (1 + mu_j / x) underflows the slope
     # F'(x) is 0, which is a failure, not a ZeroDivisionError
@@ -559,10 +560,12 @@ CASES = {
     "expectation-nan": (
         lambda: LinearizationSpec(np.diag([NAN, 1.0]), [1, 0], lambda M: 0 * M),
         ValueError, (), {}),
-    # at z = 0 solve_subdel is the alpha solve
+    # at z = 0 solve_subdel is the alpha solve; the kernel set refuses a
+    # NaN before it
     "alpha-kernel-nan": (
-        lambda: equiv.solve_subdel(np.diag([NAN, 1.0]), 1, 1.0, 0.0),
-        ValueError, ((equiv, "_solve_nu"),), {}),
+        lambda: equiv.solve_subdel(train_kernels(np.diag([NAN, 1.0])), 1, 1.0,
+                                   0.0),
+        (ValueError, "K_aa contains non-finite"), ((equiv, "_solve_nu"),), {}),
     # near the real axis the nu solve ends in a handful of steps
     "subdel-identity4-near-axis": (
         _subdel_solved(np.eye(4), 4, 0.3, 2 + 1e-3j), None, (), {}),
@@ -610,7 +613,8 @@ CASES = {
     # eigenvalue of K_aa; the overflow is named before N11 is formed, as
     # build_equiv names it, and off the axis the same blocks still solve
     "subdel-subnormal-ridge-overflow": (
-        lambda: equiv.solve_subdel(np.zeros((2, 2)), 3, 3.5e-309, 0.0),
+        lambda: equiv.solve_subdel(train_kernels(np.zeros((2, 2))), 3, 3.5e-309,
+                                   0.0),
         (ValueError, "N11 overflows"), (), {}),
     "rf-solution-subnormal-ridge-overflow": (
         lambda: rdel.rf_solution_matrix(ZERO2, (2, 3, 1), 3.5e-309, 0.0),
@@ -819,7 +823,7 @@ def test_subdel_solves_every_admissible_z(lam, d, delta, x, eta):
     K = np.diag(lam)
     z = complex(x, eta)
     with mock.patch.object(equiv, "_solve_nu", _newton_steps_below(301)):
-        N11, nu = equiv.solve_subdel(K, d, delta, z)
+        N11, nu = equiv.solve_subdel(train_kernels(K), d, delta, z)
     assert nu.imag > 0
     assert np.linalg.eigvalsh((N11 - N11.conj().T) / 2j).min() >= -1e-12
     assert _width_defect(K, d, delta, z, nu) <= 1e-12

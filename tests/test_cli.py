@@ -662,6 +662,25 @@ def test_diagnose_runs_without_the_generic_solver(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["zeroth_moment"]["monotone"] is True
 
 
+@pytest.mark.parametrize("route", ["monte-carlo", "exact"])
+def test_diagnose_factorises_k_aa_once(tmp_path, monkeypatch, route):
+    # rf_solution_matrix and each zeroth-moment height read one spectrum,
+    # the kernel set's own
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))  # list.append is atomic under the GIL
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    argv = list(MC_DIAGNOSE)
+    if route == "exact":  # erf with phi = identity is a closed form
+        argv[argv.index("sign")], argv[argv.index("sin")] = "erf", "identity"
+    assert main(argv + ["--out", str(tmp_path / "d.json")]) == 0
+    assert shapes.count((16, 16)) == 1, shapes
+
+
 @pytest.mark.parametrize("text, want", [
     ("1i", 1j), (" 0.3+0.2I ", 0.3 + 0.2j), ("0", 0j), ("2J", 2j),
     ("infj", complex(0, float("inf"))), ("1+infj", complex(1, float("inf"))),

@@ -19,7 +19,7 @@ from rfequiv import (
 
 from conftest import (caller_blas_threads, dense_equiv, dense_subdel,
                       equiv_alpha, mp_equiv, rand_kernelset, rand_psd,
-                      rational_alpha)
+                      rational_alpha, train_kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -74,30 +74,36 @@ def test_alpha_matches_rational_oracle_to_relative_tolerance(shape, d, delta):
     assert sol.effective_ridge == pytest.approx(-delta / want, rel=1e-13, abs=0)
     assert sol.residual <= 1e-13
     # solve_subdel at z = 0 is the same solve, bit for bit
-    assert solve_subdel(K, d, delta, 0.0)[1] == sol.alpha
+    assert solve_subdel(train_kernels(K), d, delta, 0.0)[1] == sol.alpha
 
 
 @pytest.mark.parametrize("d, delta", [(200, 0.1), (400, 1e-2)])
 def test_subdel_nu_is_alpha_bit_for_bit_under_caller_blas_threads(d, delta):
-    # from about 300 rows OpenBLAS rounds eigh by its thread count, so both
-    # solves factorise K_aa on one thread whatever count the caller left
+    # from about 300 rows OpenBLAS rounds eigh by its thread count, so a set
+    # factorises K_aa on one thread, whatever count the caller left and
+    # whichever solve asks first: solve_subdel makes the basis of one set
+    # at two caller threads, build_equiv that of a second at one
     ds = synthetic_regression(400, 100, 400, 0.5, 5)
+    K = exact_kernels(ds, Activation("erf"), Activation("identity"), 400)
+    blocks = (K.K_aa, K.K_ah, K.K_hh, K.samples)
     with caller_blas_threads(2):
-        K = exact_kernels(ds, Activation("erf"), Activation("identity"), 400)
-        alpha = build_equiv(K, ds.y, ds.yhat, d, delta).alpha
-        assert solve_subdel(K.K_aa, d, delta, 0.0)[1] == alpha
+        nu = solve_subdel(KernelSet(*blocks), d, delta, 0.0)[1]
+    with caller_blas_threads(1):
+        alpha = build_equiv(KernelSet(*blocks), ds.y, ds.yhat, d, delta).alpha
+    assert nu == alpha
 
 
 def test_alpha_rejects_indefinite_kernel():
+    # the set refuses the kernel before the alpha solve could read it
     bad = np.diag([1.0, -0.5])
-    with pytest.raises(ValueError):
-        solve_subdel(bad, 2, 1.0, 0.0)  # the alpha solve at z = 0
+    with pytest.raises(ValueError, match="not PSD"):
+        solve_subdel(train_kernels(bad), 2, 1.0, 0.0)
 
 
 def test_alpha_nonconvergence_is_reported(monkeypatch):
     monkeypatch.setattr(equiv, "_MAX_STEPS", 3)
     with pytest.raises(NonConvergence):
-        solve_subdel(np.eye(4), 4, 0.3, 2 + 1e-3j)
+        solve_subdel(train_kernels(np.eye(4)), 4, 0.3, 2 + 1e-3j)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +264,14 @@ def test_m0_scalar_block_consistency(toy_kernels):
 
 def test_subdel_no_self_energy_is_direct_inverse():
     # K_aa = 0 turns both self-energy contractions off
-    N11, nu = solve_subdel(np.zeros((2, 2)), 3, 0.7, 0.0)
+    N11, nu = solve_subdel(train_kernels(np.zeros((2, 2))), 3, 0.7, 0.0)
     assert np.allclose(N11, np.eye(2) / 0.7, atol=1e-12)
     assert nu == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_subdel_matches_scalar_route_at_zero():
     tol = 1e-10
-    N11, nu = solve_subdel(np.eye(2), 2, 1.0, 0.0)
+    N11, nu = solve_subdel(train_kernels(np.eye(2)), 2, 1.0, 0.0)
     assert abs(nu - (-0.5)) <= 10 * tol
     assert np.linalg.norm(N11 - 0.5 * np.eye(2), 2) <= 10 * tol
 
@@ -278,21 +284,21 @@ def test_subdel_random_instances_match_scalar_route():
         d = int(rng.integers(2, 30))
         delta = float(rng.uniform(0.05, 3.0))
         a = equiv_alpha(K, d, delta)
-        N11, nu = solve_subdel(K, d, delta, 0.0)
+        N11, nu = solve_subdel(train_kernels(K), d, delta, 0.0)
         M11 = np.linalg.inv(delta * np.eye(n) - d * a.alpha * K)
         assert abs(nu - a.alpha) <= 1e-8
         assert np.linalg.norm(N11 - M11, 2) <= 1e-8
 
 
 def test_subdel_resolvent_norm_bound_off_axis():
-    N11, _ = solve_subdel(np.eye(2), 2, 1.0, 3j)
+    N11, _ = solve_subdel(train_kernels(np.eye(2)), 2, 1.0, 3j)
     assert np.linalg.norm(N11, 2) <= 1 / 3 + 1e-8
 
 
 def test_subdel_keeps_upper_half_plane():
     rng = np.random.default_rng(8)
     K = rand_psd(rng, 12)
-    N11, nu = solve_subdel(K, 9, 0.4, 1j)
+    N11, nu = solve_subdel(train_kernels(K), 9, 0.4, 1j)
     herm = (N11 - N11.conj().T) / 2j
     assert np.linalg.eigvalsh(herm).min() >= -1e-10
     assert nu.imag >= -1e-10
@@ -309,7 +315,7 @@ def test_subdel_matches_dense_oracle_off_axis():
             K = rand_psd(rng, n)
             d = int(rng.integers(2, 65))
             delta = float(rng.uniform(0.05, 5.0))
-            N11, nu = solve_subdel(K, d, delta, z)
+            N11, nu = solve_subdel(train_kernels(K), d, delta, z)
             N11_o, nu_o = dense_subdel(K, d, delta, z, tol=1e-12)
             worst = max(worst, abs(nu - nu_o),
                         float(np.linalg.norm(N11 - N11_o, 2)))
@@ -318,7 +324,7 @@ def test_subdel_matches_dense_oracle_off_axis():
 
 def test_subdel_rejects_lower_half_plane():
     with pytest.raises(ValueError):
-        solve_subdel(np.eye(2), 2, 1.0, -1j)
+        solve_subdel(train_kernels(np.eye(2)), 2, 1.0, -1j)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from rfequiv.model import (_grouped_map, _parallel_map, apply_activation,
                            derive_seed, substream, to_json_text, worker_count)
 from rfequiv.rdel import LinearizationSpec, rf_linearization
 
-from conftest import blas_threads, caller_blas_threads
+from conftest import blas_threads, caller_blas_threads, train_kernels
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_every_ridge_entry_point_rejects_non_positive_or_non_finite(
     y, yhat = np.ones(2), np.ones(1)
     calls = [
         lambda: RFConfig(d=1, delta=delta, n=1, seed=0),
-        lambda: solve_subdel(np.eye(2), 2, delta, 1j),
+        lambda: solve_subdel(train_kernels(np.eye(2)), 2, delta, 1j),
         lambda: build_equiv(toy_kernels, y, yhat, 2, delta),
         lambda: kernel_ridge_error(toy_kernels, y, yhat, 2, delta),
         lambda: rf_linearization(toy_kernels, (2, 2, 1), delta),
@@ -237,7 +237,6 @@ ARRAY_SITES = {
                              {**_FEATURES, **_LABELS}),
     "build_pseudoresolvent": (lambda **k: build_pseudoresolvent(**k, delta=1.0, z=1j),
                               _FEATURES),
-    "solve_subdel": (lambda K_aa: solve_subdel(K_aa, 2, 1.0, 1j), {"K_aa": np.eye(4)}),
 }
 
 
