@@ -27,7 +27,6 @@ from .model import (
     Activation,
     MatrixFormatError,
     _SINGLE_THREAD_NUMPY_BLAS,
-    _clamped_eigh,
     _features,
     _matrix,
     _parallel_map,
@@ -72,7 +71,9 @@ class KernelSet:
     rounding: ``lam_min(J) >= -1e-10 lam_max - 1e-300``, or ``ValueError``
     ("joint kernel block matrix is not PSD (min eig ...)").  A shifted
     Cholesky (Rump 2006) proves the rule for almost every set at any size;
-    where it cannot, ``eigvalsh`` decides.
+    where it cannot, ``eigvalsh`` decides.  The rule is the package's only
+    definiteness verdict on kernels: every solve on an accepted set reads
+    its spectra with the eigenvalues inside the tolerance clipped to 0.
     """
 
     K_aa: np.ndarray
@@ -104,13 +105,14 @@ class KernelSet:
         self._check_psd()
 
     def _eigenbasis(self):
-        """``(lam, V, V^T K_ah)`` of the clamped ``K_aa``, made by the first
-        call on one numpy BLAS thread, since OpenBLAS rounds eigh by its
-        thread count: every solve on the set reads this one spectrum."""
+        """``(lam, V, V^T K_ah)`` of ``K_aa`` by :func:`_psd_eigh`, made by
+        the first call on one numpy BLAS thread, since OpenBLAS rounds eigh
+        by its thread count: every solve on the set reads this one
+        spectrum."""
         with _BASIS_LOCK:  # concurrent library callers: one of them computes
             if self._basis is None:
                 with _SINGLE_THREAD_NUMPY_BLAS:
-                    w, V = _clamped_eigh(self.K_aa)
+                    w, V = _psd_eigh(self.K_aa)
                     object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
         return self._basis
 
@@ -174,6 +176,15 @@ class KernelSet:
         if float(w[0]) < -1e-10 * max(float(w[-1]), 0.0) - 1e-300:
             raise ValueError("joint kernel block matrix is not PSD "
                              f"(min eig {w[0]:.3e})")
+
+
+def _psd_eigh(B):
+    """``eigh((B + B^T) / 2)`` of a block of an accepted :class:`KernelSet`,
+    its eigenvalues clipped at 0.  The set's constructor alone decides
+    whether ``J`` is PSD up to rounding, so nothing here decides again: an
+    eigenvalue inside that tolerance is rounding, and clips to 0."""
+    w, V = np.linalg.eigh((B + B.T) / 2)
+    return np.clip(w, 0.0, None), V
 
 
 def _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):

@@ -133,21 +133,6 @@ def _vector(x, name, n):
     return a
 
 
-def _clamped_eigh(K, name="K_aa"):
-    """Eigendecomposition of a symmetric PSD matrix with a tolerance for
-    Monte Carlo round-off: eigenvalues in [-1e-8 * lam_max, 0) are clamped to
-    zero, anything below that is an error.  ``name`` labels the messages."""
-    K = _matrix(K, name, square=True)
-    w, V = np.linalg.eigh((K + K.T) / 2)
-    floor = -1e-8 * max(float(w[-1]), 0.0)
-    if float(w[0]) < floor:
-        raise ValueError(
-            f"{name} is not PSD: negative eigenvalue {w[0]:.6e} below the "
-            f"clamp floor {floor:.6e}"
-        )
-    return np.clip(w, 0.0, None), V
-
-
 def _positive_definite(A):
     """Whether the Hermitian ``A`` has a Cholesky factor, the standard test
     of definiteness (Higham 2002, ch. 10).  A factor with a non-finite
@@ -289,8 +274,13 @@ _SINGLE_THREAD_NUMPY_BLAS = _SingleThreadBlas(("numpy",))  # scipy's costs ~10 m
 def _parallel_map(fn, count, workers=None):
     """Yield ``fn(i)`` for ``i`` in ``range(count)`` in index order, on at
     most ``workers`` threads (default :func:`worker_count`; one runs inline).
-    Results stream, so a fold never holds them all, and index order keeps
-    every fold bit-stable for any worker count.
+
+    The indices run as at most 64 tasks, each a contiguous run of them that
+    ``count`` alone fixes: one index a task up to 64 tasks, so a call of
+    microseconds does not spend more time being handed between threads
+    than running.  Results stream a task at a time, so a fold holds at most
+    one task's results, and index order keeps every fold bit-stable for
+    any worker count.
 
     While the map runs, from its first result until it is exhausted,
     closed or raises, numpy's and scipy's OpenBLAS run on one thread; the
@@ -310,29 +300,19 @@ def _parallel_map(fn, count, workers=None):
     called from a worker, changes the count that every thread reads, so
     pinning and restoring inside the workers would race with the caller.
     """
-    if workers is None:
-        workers = worker_count()
-    workers = max(1, min(int(workers), count))
-    with _SINGLE_THREAD_BLAS:
-        if workers == 1:
-            yield from map(fn, range(count))
-            return
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(fn, range(count))
-
-
-def _grouped_map(fn, count):
-    """Yield ``fn(i)`` for ``i`` in ``range(count)`` in index order, as
-    :func:`_parallel_map` does, with one contiguous run of indices per pool
-    task: at most 64 tasks, split by ``count`` alone, so the split and
-    every fold over the results are the same for any worker count.  It is
-    for calls of microseconds, where one task per index spends more time
-    handing work between threads than doing it."""
     tasks = max(1, min(64, count))
     bounds = [count * g // tasks for g in range(tasks + 1)]
-    for batch in _parallel_map(
-            lambda g: [fn(i) for i in range(bounds[g], bounds[g + 1])], tasks):
-        yield from batch
+
+    def task(g):
+        return [fn(i) for i in range(bounds[g], bounds[g + 1])]
+
+    if workers is None:
+        workers = worker_count()
+    workers = max(1, min(int(workers), tasks))
+    # a pool that is never handed a task starts no thread
+    with _SINGLE_THREAD_BLAS, ThreadPoolExecutor(max_workers=workers) as ex:
+        for batch in (map if workers == 1 else ex.map)(task, range(tasks)):
+            yield from batch
 
 
 # ---------------------------------------------------------------------------

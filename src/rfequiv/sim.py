@@ -19,7 +19,9 @@ defect check.  The Gaussianity statistic regularizes by ``i*tau`` on every
 slot, so it takes its own route (:func:`estimate_delta_gaussianity`): one
 d x d Schur complement per pair, checked on the width block row to 1e-9,
 and no sampled pencil assembled.  Like the replicate loops, it draws from
-the root seed of its ``RFConfig``.
+the root seed of its ``RFConfig``.  The Gaussian surrogate's covariance is
+the joint kernel matrix of a set that its constructor has found PSD; its
+square root clips the eigenvalues inside that tolerance to 0.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import equiv
-from .model import (_check_ridge, _check_z, _clamped_eigh, _features,
-                    _grouped_map, _matrix, _parallel_map, _ridge_solve, _vector,
-                    substream)
+from .kernels import _psd_eigh
+from .model import (_check_ridge, _check_z, _features, _matrix, _parallel_map,
+                    _ridge_solve, _vector, substream)
 from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
@@ -330,8 +332,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     jointly Gaussian.  ``reps`` feature draws give ``reps // 2`` pairs;
     draw ``i`` uses the substream (cfg.seed, "delta", i).  ``z`` must be
     finite with ``Im z >= 0`` and ``tau`` a positive finite real; draws and
-    pairs run on the shared thread pool, each split into at most 64 tasks
-    of contiguous indices, a split that ``reps`` alone fixes.
+    pairs run on the shared thread pool of ``model._parallel_map``.
 
     No pencil is assembled and no ell x ell matrix inverted.  A draw is kept
     as its features ``J = [A; Ahat]``, and ``L - Ebar`` has only the blocks
@@ -355,8 +356,8 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     inverse up to rounding (the tests hold it to 1e-12 relative); forming
     ``A^T A`` costs some accuracy only where the pencil is ill-conditioned.
 
-    Pair terms are folded as the pool yields them, a group at a time, so
-    memory grows with ``reps`` only through the group size, ``pairs / 64``
+    Pair terms are folded as the pool yields them, a task at a time, so
+    memory grows with ``reps`` only through the task size, ``pairs / 64``
     terms: ``T`` is their running sum in index order over
     ``pairs``, and ``sum_i ||T_i - T||_F^2`` comes from Welford's update.
     ``value`` is ``||T||_2`` from one LAPACK SVD outside the pool, at the
@@ -377,7 +378,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         return np.vstack(_features([ds.X, ds.Xhat], sigma, phi, cfg.n, d,
                                    substream(cfg.seed, "delta", i)))
 
-    draws = list(_grouped_map(draw, 2 * pairs))
+    draws = list(_parallel_map(draw, 2 * pairs))
     Jbar = sum(draws) / len(draws)
 
     s1, s2, s3, s4 = _rf_slices((n, d, t))
@@ -429,7 +430,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         Xt = rows(Jt - Jbar)
         return X + Xt[:, keep] @ Xt
 
-    terms = _grouped_map(one_pair, pairs)
+    terms = _parallel_map(one_pair, pairs)
     total = next(terms)
     mean = total.copy()
     spread = 0.0
@@ -452,11 +453,12 @@ def gaussian_surrogate_run(K, y, yhat, cfg, reps):
 
     Columns ``(a_j; ahat_j)`` are drawn jointly Gaussian with the joint
     kernel block matrix as covariance, through one symmetric PSD square
-    root computed up front; replicate ``i`` uses the substream
-    (cfg.seed, "surrogate", i).  The report carries the same predicted value
-    as the true-features run on the same kernels.
+    root computed up front from its eigenvalues clipped at 0 (the set's
+    constructor has found it PSD up to rounding); replicate ``i`` uses the
+    substream (cfg.seed, "surrogate", i).  The report carries the same
+    predicted value as the true-features run on the same kernels.
     """
-    w, V = _clamped_eigh(K.joint(), "joint kernel matrix")
+    w, V = _psd_eigh(K.joint())
     sqrtC = (V * np.sqrt(w)) @ V.T
     nt = K.n_train
 

@@ -1,5 +1,6 @@
-"""Packaging: every third-party module the package imports is declared in
-``pyproject.toml``, so an install from it can import the package."""
+"""Imports: every third-party module the package imports is declared in
+``pyproject.toml``, so an install from it can import the package, and every
+name a module imports is used or re-exported."""
 
 import ast
 import re
@@ -35,3 +36,37 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"rfequiv"}
     assert {"numpy", "scipy"} <= third_party  # the scan finds imports at all
     assert sorted(n for n in third_party if _normalized(n) not in declared) == []
+
+
+def _unused_imports(source):
+    """Names that ``source`` imports but neither reads nor lists in its
+    ``__all__``; a star import binds no name of its own."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_finds_a_dangling_name():
+    source = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+              "from .model import _gone, kept\nfrom .sim import *\n"
+              "__all__ = ['kept']\nnp.zeros(1)\n")
+    assert _unused_imports(source) == [(2, "os"), (3, "_gone")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rfequiv").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used_or_exported(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

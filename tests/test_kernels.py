@@ -203,7 +203,8 @@ def test_estimator_is_deterministic_bitwise():
 
 
 def test_estimator_independent_of_worker_count(monkeypatch):
-    # every loop on the shared pool: kernel chunks, centering chunks (m not a
+    # every loop on the shared pool: kernel chunks (67, more than the
+    # pool's 64 tasks, so some tasks run two), centering chunks (m not a
     # multiple of the 512-draw chunk), surrogate replicates, and the
     # Gaussianity draws and pairs at a width d = 64 where OpenBLAS would
     # split the d x d Schur-complement products over its threads
@@ -212,7 +213,7 @@ def test_estimator_independent_of_worker_count(monkeypatch):
     wide = RFConfig(d=64, delta=0.3, n=8, seed=4)
 
     def run():
-        ks = estimate_kernels(ds, ERF, IDENTITY, 8, 3000, seed=4)
+        ks = estimate_kernels(ds, ERF, IDENTITY, 8, 34_000, seed=4)
         surrogate = gaussian_surrogate_run(ks, ds.y, ds.yhat, cfg, reps=5)
         dg = estimate_delta_gaussianity(ds, ERF, IDENTITY, wide, 1j, 0.1, reps=6)
         return ([getattr(ks, f) for f in ("K_aa", "K_ah", "K_ha", "K_hh")]
@@ -321,6 +322,27 @@ def test_kernelset_rejects_indefinite_joint():
     # off-diagonal coupling stronger than the diagonal blocks allow
     with pytest.raises(ValueError):
         KernelSet(np.eye(2), np.full((2, 2), 0.9), np.eye(2), 1)
+
+
+def test_every_solve_takes_the_sets_psd_verdict(tmp_path):
+    # K_aa's smallest eigenvalue, -5e-8, is within the set's tolerance of
+    # 1e-10 lam_max(J) = 1e-7, though below -1e-8 lam_max(K_aa): the set
+    # accepts it, and every solve on the set clips it to 0
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+    K_aa = (Q * [1.0, 0.5, 0.2, -5e-8]) @ Q.T
+    K = KernelSet((K_aa + K_aa.T) / 2, np.zeros((4, 1)), np.array([[1e3]]), 10)
+    y, yhat = np.array([1.0, -0.5, 0.3, 2.0]), np.array([0.7])
+    cfg = RFConfig(d=3, delta=0.5, n=4, seed=1)
+    assert np.isfinite(rfequiv.build_equiv(K, y, yhat, 3, 0.5).predicted_error)
+    assert np.isfinite(rfequiv.solve_subdel(K, 3, 0.5, 1j)[1])
+    assert np.isfinite(gaussian_surrogate_run(K, y, yhat, cfg, reps=2).mean)
+    kern, ys, yhats = (tmp_path / name for name in ("k.json", "y.csv", "yhat.csv"))
+    save_kernels(K, kern)
+    rfequiv.write_matrix(ys, y.reshape(-1, 1))
+    rfequiv.write_matrix(yhats, yhat.reshape(-1, 1))
+    assert main(["predict", "--kernels", str(kern), "--y", str(ys), "--yhat",
+                 str(yhats), "--d", "3", "--delta", "0.5",
+                 "--out", str(tmp_path / "p.json")]) == 0
 
 
 def _joint_with_min_eig(c, flat, m=12):

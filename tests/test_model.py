@@ -28,8 +28,8 @@ from rfequiv import (
     write_matrix,
 )
 from rfequiv import model
-from rfequiv.model import (_grouped_map, _parallel_map, apply_activation,
-                           derive_seed, substream, to_json_text, worker_count)
+from rfequiv.model import (_parallel_map, apply_activation, derive_seed,
+                           substream, to_json_text, worker_count)
 from rfequiv.rdel import LinearizationSpec, rf_linearization
 
 from conftest import blas_threads, caller_blas_threads, train_kernels
@@ -495,27 +495,38 @@ def test_parallel_map_restores_blas_after_raise_and_close(workers):
 @pytest.mark.parametrize("count", [0, 1, 5, 64, 65, 1000])
 def test_grouped_map_runs_contiguous_groups_fixed_by_the_count(count,
                                                               monkeypatch):
-    # at most 64 tasks, each a run of consecutive indices, one index a task
-    # up to 64 (the benchmark's 5 Gaussianity pairs are 5 tasks), and the
-    # same grouping for any worker count
-    original = model._parallel_map
+    # _parallel_map runs at most 64 tasks, each a run of consecutive
+    # indices, one index a task up to 64 (the benchmark's 5 Gaussianity
+    # pairs are 5 tasks), and the same grouping for any worker count.  Its
+    # pool is replaced by one that runs a task when its first result is
+    # asked for, so the calls made before a result is yielded are its task's
+    class LazyPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, task, items):
+            return map(task, items)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", LazyPool)
     groupings = []
-
-    def spy(fn, tasks, workers=None):
-        groups = [None] * tasks
-
-        def task(g):
-            groups[g] = fn(g)
-            return groups[g]
-        groupings.append(groups)
-        return original(task, tasks, workers)
-
-    monkeypatch.setattr(model, "_parallel_map", spy)
     for threads in ("1", "2"):
         monkeypatch.setenv("RF_EQUIV_THREADS", threads)
-        assert list(_grouped_map(lambda i: i, count)) == list(range(count))
+        calls, groups, results = [], [], []
+        for result in _parallel_map(lambda i: calls.append(i) or i, count):
+            results.append(result)
+            done = sum(map(len, groups))
+            if len(calls) > done:
+                groups.append(calls[done:])
+        assert results == list(range(count))
+        groupings.append(groups)
     assert groupings[0] == groupings[1]
-    groups = [g for g in groupings[0] if g]
+    groups = groupings[0]
     assert len(groups) <= 64
     assert [i for g in groups for i in g] == list(range(count))
     if count <= 64:

@@ -404,12 +404,9 @@ def test_surrogate_reproducible():
 
 
 def test_surrogate_rejects_indefinite_covariance():
-    bad = KernelSet.__new__(KernelSet)
-    object.__setattr__(bad, "K_aa", np.eye(2))
-    object.__setattr__(bad, "K_ah", np.full((2, 2), 0.9))
-    object.__setattr__(bad, "K_ha", np.full((2, 2), 0.9))
-    object.__setattr__(bad, "K_hh", np.eye(2))
-    object.__setattr__(bad, "samples", 1)
+    # the set's constructor, the one owner of the PSD rule, refuses the
+    # indefinite blocks before any surrogate draw
     cfg = RFConfig(d=4, delta=0.4, n=2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="joint kernel block matrix is not PSD"):
+        bad = KernelSet(np.eye(2), np.full((2, 2), 0.9), np.eye(2), 1)
         gaussian_surrogate_run(bad, np.ones(2), np.ones(2), cfg, reps=2)
