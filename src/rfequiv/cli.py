@@ -151,13 +151,13 @@ def _samples(args, ds):
     return default_samples(ds.n_train, ds.n_test) if args.samples is None else args.samples
 
 
-def _dataset_kernels(args, ds, sigma, phi, n):
-    """The blocks of ``--kernels``; else the closed form where one exists (a
-    built-in sigma with phi = identity), which records the Monte Carlo
-    budget as its ``samples``; else that many Monte Carlo draws.  Each
-    route pins OpenBLAS to one thread itself, so neither file depends on
-    the thread count the caller left set.  A file whose blocks do not fit
-    the dataset is refused here, before any draw."""
+def _given_kernels(args, ds, sigma, phi, n):
+    """The blocks of ``--kernels``, refused here, before any draw, unless
+    they fit the dataset; else the closed form where one exists (a built-in
+    sigma with phi = identity), which records the Monte Carlo budget as its
+    ``samples``; else None, where only draws can give the kernels.  Both
+    routes pin OpenBLAS to one thread themselves, so neither set depends on
+    the thread count the caller left set."""
     if getattr(args, "kernels", None):
         K = load_kernels(args.kernels)
         if (K.n_train, K.n_test) != (ds.n_train, ds.n_test):
@@ -165,10 +165,16 @@ def _dataset_kernels(args, ds, sigma, phi, n):
                 f"{args.kernels}: kernel blocks are {K.n_train} x {K.n_test}, "
                 f"the dataset is {ds.n_train} x {ds.n_test} (n_train x n_test)")
         return K
-    m = _samples(args, ds)
     if _has_closed_form(sigma, phi):
-        return exact_kernels(ds, sigma, phi, n, samples=m)
-    return estimate_kernels(ds, sigma, phi, n, m, args.seed)
+        return exact_kernels(ds, sigma, phi, n, samples=_samples(args, ds))
+    return None
+
+
+def _dataset_kernels(args, ds, sigma, phi, n):
+    """:func:`_given_kernels`, else ``--samples`` Monte Carlo draws, which
+    are pinned to one thread like the other routes."""
+    return (_given_kernels(args, ds, sigma, phi, n)
+            or estimate_kernels(ds, sigma, phi, n, _samples(args, ds), args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +262,11 @@ def _cmd_diagnose(args):
     z = _check_z(args.z)
     _check_ridge(args.tau, name="tau")
     etas = _check_heights(_parse_list(args.eta_list))
-    if args.kernels or _has_closed_form(sigma, phi):
-        kernels, centering = _dataset_kernels(args, ds, sigma, phi, n), None
-    else:  # one Monte Carlo pass gives the blocks and the centering score
+    kernels = _given_kernels(args, ds, sigma, phi, n)
+    if kernels is None:  # one Monte Carlo pass gives the blocks and the score
         kernels, centering = _kernels_and_centering(ds, sigma, phi, n, m, args.seed)
+    else:  # a closed form or a file drew no columns
+        centering = verify_centering(sigma, phi, ds, n, m, args.seed)
     dims = (ds.n_train, cfg.d, ds.n_test)
 
     dg = estimate_delta_gaussianity(ds, sigma, phi, cfg, z, args.tau, args.reps)
@@ -277,8 +284,6 @@ def _cmd_diagnose(args):
         gaps.append(anisotropic_gap(G, M_theory, np.outer(u, v.conj())))
 
     zm = zeroth_moment_check(kernels, dims, cfg.delta, etas)
-    if centering is None:  # a closed form or a file drew no columns
-        centering = verify_centering(sigma, phi, ds, n, m, args.seed)
 
     write_json(args.out, {
         "delta_gaussianity": asdict(dg),

@@ -109,12 +109,24 @@ class KernelSet:
         the first call on one numpy BLAS thread, since OpenBLAS rounds eigh
         by its thread count: every solve on the set reads this one
         spectrum."""
-        with _BASIS_LOCK:  # concurrent library callers: one of them computes
+        # sweep predicts before its pool, so only a library caller's own
+        # threads can ask at once: one of them computes
+        with _BASIS_LOCK:
             if self._basis is None:
                 with _SINGLE_THREAD_NUMPY_BLAS:
                     w, V = _psd_eigh(self.K_aa)
                     object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
         return self._basis
+
+    def _joint_root(self):
+        """``V diag(sqrt(lam)) V^T`` of ``J = V diag(lam) V^T`` by
+        :func:`_psd_eigh`, the symmetric PSD square root that surrogate
+        features are drawn with, made on one numpy BLAS thread as
+        :meth:`_eigenbasis` is.  Not kept: it holds (n + t)^2 floats, and a
+        surrogate run asks for it once."""
+        with _SINGLE_THREAD_NUMPY_BLAS:
+            w, V = _psd_eigh(self.joint())
+            return (V * np.sqrt(w)) @ V.T
 
     @property
     def n_train(self):
@@ -179,7 +191,7 @@ class KernelSet:
 
 
 def _psd_eigh(B):
-    """``eigh((B + B^T) / 2)`` of a block of an accepted :class:`KernelSet`,
+    """``eigh((B + B^T) / 2)`` of ``K_aa`` or ``J`` of an accepted :class:`KernelSet`,
     its eigenvalues clipped at 0.  The set's constructor alone decides
     whether ``J`` is PSD up to rounding, so nothing here decides again: an
     eigenvalue inside that tolerance is rounding, and clips to 0."""

@@ -20,8 +20,8 @@ slot, so it takes its own route (:func:`estimate_delta_gaussianity`): one
 d x d Schur complement per pair, checked on the width block row to 1e-9,
 and no sampled pencil assembled.  Like the replicate loops, it draws from
 the root seed of its ``RFConfig``.  The Gaussian surrogate's covariance is
-the joint kernel matrix of a set that its constructor has found PSD; its
-square root clips the eigenvalues inside that tolerance to 0.
+the joint kernel matrix of its set, whose square root the set makes
+(``KernelSet._joint_root``): this module takes no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import equiv
-from .kernels import _psd_eigh
 from .model import (_check_ridge, _check_z, _features, _matrix, _parallel_map,
                     _ridge_solve, _vector, substream)
 from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
@@ -452,14 +451,14 @@ def gaussian_surrogate_run(K, y, yhat, cfg, reps):
     """Replicate run with surrogate features of matching covariance.
 
     Columns ``(a_j; ahat_j)`` are drawn jointly Gaussian with the joint
-    kernel block matrix as covariance, through one symmetric PSD square
-    root computed up front from its eigenvalues clipped at 0 (the set's
-    constructor has found it PSD up to rounding); replicate ``i`` uses the
-    substream (cfg.seed, "surrogate", i).  The report carries the same
-    predicted value as the true-features run on the same kernels.
+    kernel block matrix as covariance, through its symmetric PSD square
+    root, which ``K._joint_root()`` makes up front on one BLAS thread;
+    replicate ``i`` uses the substream (cfg.seed, "surrogate", i).  So the
+    replicate errors, like every pooled result, do not depend on the
+    caller's BLAS thread count.  The report carries the same predicted
+    value as the true-features run on the same kernels.
     """
-    w, V = _psd_eigh(K.joint())
-    sqrtC = (V * np.sqrt(w)) @ V.T
+    sqrtC = K._joint_root()
     nt = K.n_train
 
     def draw(cfg, i):

@@ -47,10 +47,11 @@ from conftest import continued_nu, train_kernels
 
 DIAGNOSE = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
             "--reps", "4", "--samples", "10000", "--eta-list", "100,1000"]
-# the kernel routes and the Monte Carlo draws of diagnose; options must be
-# checked before any of them
-DIAGNOSE_DRAWS = ((cli, "exact_kernels"), (cli, "estimate_kernels"),
-                  (cli, "estimate_delta_gaussianity"))
+# the kernel routes and the Monte Carlo draws that diagnose calls: the
+# closed form, the one Monte Carlo pass, the centering draw of the other
+# routes and the Gaussianity draws; options must be checked before any
+DIAGNOSE_DRAWS = ((cli, "exact_kernels"), (cli, "_kernels_and_centering"),
+                  (cli, "verify_centering"), (cli, "estimate_delta_gaussianity"))
 PREDICT = ["predict", "--kernels", "{kernels}", "--y", "{y}", "--yhat", "{yhat}",
            "--d", "2", "--delta", "1"]
 NAN = float("nan")
@@ -674,6 +675,14 @@ CASES = {
         lambda: model.to_json_text({"a": {1, 2}}),
         (TypeError, "cannot serialize set in a JSON report"), (), {}),
 }
+# the option rows again with sign/sin, which has no closed form, so that
+# the Monte Carlo route's pass is guarded as well as the closed form's
+CASES.update({
+    name.replace("diagnose-", "diagnose-sign-sin-"):
+        (run + ["--sigma", "sign", "--phi", "sin"], *rest)
+    for name, (run, *rest) in CASES.items()
+    if name.startswith(tuple(f"diagnose-{option}-" for option in
+                             ("z", "tau", "eta", "probes", "samples")))})
 
 
 @pytest.fixture

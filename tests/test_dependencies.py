@@ -1,8 +1,10 @@
 """Imports: every third-party module the package imports is declared in
-``pyproject.toml``, so an install from it can import the package, and every
-name a module imports is used or re-exported."""
+``pyproject.toml``, so an install from it can import the package, every
+name a module imports is used or re-exported, and every private name a
+module defines is read somewhere."""
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -70,3 +72,65 @@ def test_unused_imports_finds_a_dangling_name():
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used_or_exported(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(source):
+    """Line of each module-level private name that ``source`` defines (a
+    function, a class or an assignment target; dunders are not private)."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined.setdefault(name.id, node.lineno)
+    return {name: line for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+@functools.cache  # each file's text is scanned once for all modules
+def _references(source):
+    """Names that ``source`` reads as a ``Name`` or an ``Attribute``; an
+    assignment target and a string are no reference."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return frozenset(found)
+
+
+def _orphans(source, others):
+    """``(line, name)`` of each private name that ``source`` defines at
+    module level and that neither it nor any of ``others`` reads."""
+    read = _references(source).union(*map(_references, others))
+    return sorted((line, name) for name, line in _private_definitions(source).items()
+                  if name not in read)
+
+
+def test_orphans_finds_an_unread_private_name():
+    source = ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+              "def _used(): return _A\nclass _Gone: pass\n"
+              "def _named(): pass\n_read = None\n")
+    other = "import m\nm._read\nm._used()\nsetattr(m, '_named', 1)\n"
+    assert _orphans(source, [other]) == [(1, "_B"), (2, "_C"), (5, "_Gone"),
+                                         (6, "_named")]
+
+
+@functools.cache
+def _sources():
+    """Path and text of every Python file in ``src/``, ``tests/`` and
+    ``perfbench/``."""
+    return {p: p.read_text(encoding="utf-8")
+            for folder in ("src", "tests", "perfbench")
+            for p in sorted((ROOT / folder).rglob("*.py"))}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rfequiv").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    assert _orphans(_sources()[path], _sources().values()) == []

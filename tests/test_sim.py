@@ -1,6 +1,7 @@
 """Monte Carlo pipeline: features, test error, pencils, diagnostics."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from rfequiv import (
     empirical_test_error,
     estimate_delta_gaussianity,
     estimate_kernels,
+    exact_kernels,
     gaussian_surrogate_run,
     rf_solution_matrix,
     run_replicates,
@@ -27,8 +29,8 @@ from rfequiv.rdel import _pencil_defect, _pencil_matrix
 from rfequiv import model
 from rfequiv.sim import _pencil_rows
 
-from conftest import (dense_delta_gaussianity, dense_pencil,
-                      dense_pseudoresolvent, unit_row_dataset)
+from conftest import (caller_blas_threads, dense_delta_gaussianity,
+                      dense_pencil, dense_pseudoresolvent, unit_row_dataset)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -410,3 +412,31 @@ def test_surrogate_rejects_indefinite_covariance():
     with pytest.raises(ValueError, match="joint kernel block matrix is not PSD"):
         bad = KernelSet(np.eye(2), np.full((2, 2), 0.9), np.eye(2), 1)
         gaussian_surrogate_run(bad, np.ones(2), np.ones(2), cfg, reps=2)
+
+
+def test_surrogate_errors_ignore_caller_blas_threads(monkeypatch):
+    # the set makes the square root of J on one BLAS thread; sim takes no
+    # eigendecomposition of its own (at 200/100 OpenBLAS rounds eigh and
+    # the root's product differently with two threads)
+    ds = synthetic_regression(200, 100, 100, 0.3, 7)
+    K = exact_kernels(ds, ERF, IDENTITY, 200)
+    cfg = RFConfig(d=100, delta=0.1, n=200, seed=3)
+    callers = []
+    eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):  # records who asked _psd_eigh, or eigh itself
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_psd_eigh":
+            frame = frame.f_back
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    runs = []
+    for count in (1, 2):
+        with caller_blas_threads(count):
+            runs.append(gaussian_surrogate_run(K, ds.y, ds.yhat, cfg, reps=4))
+    # K_aa's spectrum once, kept for the prediction, and J's root once a run
+    assert sorted(callers) == [("rfequiv.kernels", "_eigenbasis")] + [
+        ("rfequiv.kernels", "_joint_root")] * 2
+    assert np.array_equal(runs[0].replicate_errors, runs[1].replicate_errors)
