@@ -41,6 +41,7 @@ from .model import (
     Dataset,
     MatrixFormatError,
     RFConfig,
+    _check_count,
     _check_heights,
     _check_ridge,
     _check_seed,
@@ -136,10 +137,10 @@ def _load_model(args, need_labels=True, min_reps=1):
     (n_train only when ``--n`` is absent).  ``--seed``, ``--samples`` and,
     unless ``min_reps`` is 0, ``--reps`` are checked first."""
     _check_seed(args.seed)
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("--samples must be >= 1")
-    if min_reps and args.reps < min_reps:
-        raise ValueError(f"--reps must be >= {min_reps}")
+    if args.samples is not None:
+        _check_count(args.samples, "--samples")
+    if min_reps:
+        _check_count(args.reps, "--reps", min_reps)
     ds = _load_dataset(args, need_labels)
     n = ds.n_train if args.n is None else args.n
     return (ds, _activation(args.sigma, args.sigma_params),
@@ -254,11 +255,9 @@ def _cmd_diagnose(args):
             "the cap explicitly if intended)"
         )
     # every option is checked before the first Monte Carlo draw
-    if args.probes < 1:
-        raise ValueError("--probes must be >= 1")
+    _check_count(args.probes, "--probes")
     m = _samples(args, ds)
-    if m < 2:
-        raise ValueError("diagnose needs --samples >= 2 for the centering check")
+    _check_count(m, "--samples", 2)  # the centering check needs two columns
     z = _check_z(args.z)
     _check_ridge(args.tau, name="tau")
     etas = _check_heights(_parse_list(args.eta_list))

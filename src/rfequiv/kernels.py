@@ -27,6 +27,7 @@ from .model import (
     Activation,
     MatrixFormatError,
     _SINGLE_THREAD_NUMPY_BLAS,
+    _check_count,
     _features,
     _matrix,
     _parallel_map,
@@ -83,9 +84,7 @@ class KernelSet:
     exact: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
-        if isinstance(self.samples, bool) or not (
-                isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
-            raise ValueError(f"samples must be an integer >= 1, not {self.samples!r}")
+        _check_count(self.samples, "samples")
         if not isinstance(self.exact, bool):
             raise ValueError(f"exact must be True or False, not {self.exact!r}")
         set_ = functools.partial(object.__setattr__, self)
@@ -237,7 +236,7 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
     m : int
         Number of Monte Carlo draws.
     seed : int
-        Root seed; the estimator is deterministic given it.
+        Root seed in ``[0, 2^64)``; the estimator is deterministic given it.
 
     Returns
     -------
@@ -259,8 +258,7 @@ def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False)
     worker count.  An ``m`` below 1, or below 2 with ``moments``, raises
     ``ValueError`` before any draw.
     """
-    if m < 1 + moments:
-        raise ValueError(f"m must be >= {1 + moments}")
+    _check_count(m, "m", 1 + moments)
 
     def reduce(U):
         return (U @ U.T if gram else None,
@@ -381,8 +379,7 @@ def exact_kernels(ds, sigma, phi, n, *, samples=1):
     if not _has_closed_form(sigma, phi):
         raise ValueError(f"no closed-form kernel for sigma {sigma.kind!r} "
                          f"with phi {phi.kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     with _SINGLE_THREAD_NUMPY_BLAS, np.errstate(over="ignore", invalid="ignore"):
         C_ah = ds.X @ ds.Xhat.T
         C = np.block([[ds.X @ ds.X.T, C_ah], [C_ah.T, ds.Xhat @ ds.Xhat.T]])

@@ -45,23 +45,41 @@ class NonConvergence(RuntimeError):
     """A fixed-point solve exhausted its step budget or could not proceed."""
 
 
+def _check_count(value, name, least=1):
+    """The one rule for a count (a size, a width, a number of draws,
+    replicates or probes): an integer, never a bool, at least ``least``.
+    Below ``least`` it raises ``ValueError("<name> must be >= <least>")``;
+    a fraction, a bool or any other type raises ``ValueError("<name> must
+    be an integer >= <least>, not <value>")`` rather than a numpy
+    ``TypeError`` at the first draw."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _check_ridge(delta, d=None, name="delta"):
-    """Reject a width below 1 and a ridge that is not a positive finite real.
+    """Reject a width ``d`` that is no count (:func:`_check_count`) and a
+    ridge that is not a positive finite real.
 
     A NaN ridge would pass a plain ``delta <= 0`` test and spin a solver
-    through its whole iteration budget; an infinite one overflows.  The
-    resolvent regularization ``tau`` is checked the same way.
+    through its whole iteration budget; an infinite one overflows, and a
+    bool is no ridge (``True`` would solve at 1).  The resolvent
+    regularization ``tau`` is checked the same way.
     """
-    if d is not None and d < 1:
-        raise ValueError("d must be >= 1")
-    if not (isinstance(delta, numbers.Real) and delta > 0
-            and math.isfinite(delta)):
+    if d is not None:
+        _check_count(d, "d")
+    if isinstance(delta, bool) or not (isinstance(delta, numbers.Real) and delta > 0
+                                       and math.isfinite(delta)):
         raise ValueError(f"{name} must be a positive finite real")
 
 
 def _check_seed(seed):
-    """Reject a root seed outside the unsigned 64-bit range ``[0, 2^64)``."""
-    if not 0 <= int(seed) < 2 ** 64:
+    """The one rule for a root seed: an integer, never a bool, in the
+    unsigned 64-bit range ``[0, 2^64)``.  :func:`_digest` applies it, so
+    every entry that hashes a seed refuses a bad one before its draw."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
+                                      and 0 <= seed < 2 ** 64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -162,12 +180,16 @@ def substream(seed, label, counter=0):
 
     The triple is hashed into a Philox key, so substreams are counter-based
     and order-independent: any subset can be drawn in any order, on any
-    thread, without affecting the others.
+    thread, without affecting the others.  Every root seed, on every entry
+    of the package, is an integer, never a bool, in ``[0, 2^64)``
+    (:func:`_check_seed`, applied here), as every count is an integer and
+    never a bool (:func:`_check_count`).
 
     Parameters
     ----------
     seed : int
-        Root seed (64-bit unsigned).
+        Root seed in ``[0, 2^64)``; any other raises ``ValueError`` ("seed
+        must fit in an unsigned 64-bit integer") before a generator is made.
     label : str
         Purpose of the stream, e.g. ``"replicate"`` or ``"kernels"``.
     counter : int, optional
@@ -182,12 +204,18 @@ def substream(seed, label, counter=0):
 
 
 def derive_seed(seed, label, counter=0):
-    """Collapse (seed, label, counter) into a fresh 64-bit root seed."""
+    """Collapse (seed, label, counter) into a fresh 64-bit root seed.
+
+    The rules are :func:`substream`'s: ``seed``, as every root seed on
+    every entry, is an integer, never a bool, in ``[0, 2^64)``, and so is
+    the result; counts are integers and never bools."""
     return _digest(seed, label, counter, 8)
 
 
 def _digest(seed, label, counter, size):
-    """BLAKE2b of ``"seed:label:counter"`` as a ``size``-byte little-endian int."""
+    """BLAKE2b of ``"seed:label:counter"`` as a ``size``-byte little-endian
+    int, for a ``seed`` that :func:`_check_seed` accepts."""
+    _check_seed(seed)
     msg = f"{int(seed)}:{label}:{int(counter)}".encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=size).digest(), "little")
 
@@ -395,13 +423,12 @@ def _features(designs, sigma, phi, n, k, rng):
     """``n^{-1/2} sigma(D phi(Z))`` for each design block ``D``, as a tuple,
     with ``Z`` (n0 x k) one standard normal draw from ``rng``: the one
     feature map of kernel chunks and sampled draws.  Each block is its own
-    product (``vstack([X, Xhat]) @ W`` rounds unlike ``X @ W``).  ``n`` or
-    ``k`` below 1 raises ``ValueError`` before the draw, and a feature that
-    is not finite after it, with no ``RuntimeWarning``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("the feature count must be >= 1")
+    product (``vstack([X, Xhat]) @ W`` rounds unlike ``X @ W``).  An ``n``
+    or ``k`` that is not a count (:func:`_check_count`) raises
+    ``ValueError`` before the draw, and a feature that is not finite after
+    it, with no ``RuntimeWarning``."""
+    _check_count(n, "n")
+    _check_count(k, "the feature count")
     scale = 1.0 / math.sqrt(n)
     with np.errstate(over="ignore", invalid="ignore"):
         W = apply_activation(phi, rng.standard_normal((designs[0].shape[1], k)))
@@ -466,8 +493,7 @@ class RFConfig:
 
     def __post_init__(self):
         _check_ridge(self.delta, self.d)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count(self.n, "n")
         _check_seed(self.seed)
 
 
@@ -477,10 +503,10 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
     Rows of ``X`` and ``Xhat`` are i.i.d. standard normal; a hidden
     coefficient vector ``w`` with unit Euclidean norm is drawn once and
     ``y = X w + noise``, ``yhat = Xhat w + noise``.  Deterministic
-    given ``seed``.
+    given ``seed``, an integer in ``[0, 2^64)``; each size is a count.
     """
-    if min(n_train, n_test, n0) < 1:
-        raise ValueError("all dimensions must be >= 1")
+    for name, size in (("n_train", n_train), ("n_test", n_test), ("n0", n0)):
+        _check_count(size, name)
     if not 0 <= noise_sd < math.inf:  # NaN fails both comparisons
         raise ValueError(f"noise_sd must be a finite real >= 0, not {noise_sd}")
     rng = substream(seed, "synthetic")

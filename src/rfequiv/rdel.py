@@ -35,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from . import equiv
-from .model import (NonConvergence, _check_heights, _check_ridge, _check_z,
-                    _matrix, _positive_definite, _vector, substream)
+from .model import (NonConvergence, _check_count, _check_heights, _check_ridge,
+                    _check_z, _matrix, _positive_definite, _vector, substream)
 
 __all__ = [
     "ZerothMomentReport",
@@ -290,14 +290,13 @@ def rf_linearization(K, dims, delta):
 # ---------------------------------------------------------------------------
 
 def _rf_slices(dims):
+    """The slices of the four slots (train n, width d, test t, test t) of
+    the pencil of ``dims = (n, d, t)``, each size a count."""
     n, d, t = dims
-    if min(n, d, t) < 1:
-        raise ValueError("dims must be positive")
-    s1 = slice(0, n)
-    s2 = slice(n, n + d)
-    s3 = slice(n + d, n + d + t)
-    s4 = slice(n + d + t, n + d + 2 * t)
-    return s1, s2, s3, s4
+    for name, size in zip("ndt", dims):
+        _check_count(size, name)
+    edges = (0, n, n + d, n + d + t, n + d + 2 * t)
+    return tuple(map(slice, edges, edges[1:]))
 
 
 def _rf_rows(K, delta, z=0.0, t22=0.0, rho=0.0):

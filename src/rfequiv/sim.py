@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from . import equiv
-from .model import (_check_ridge, _check_z, _features, _matrix, _parallel_map,
-                    _ridge_solve, _vector, substream)
+from .model import (_check_count, _check_ridge, _check_z, _features, _matrix,
+                    _parallel_map, _ridge_solve, _vector, substream)
 from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
@@ -80,8 +80,9 @@ def sample_features(ds, sigma, phi, d, n, seed):
         A    = n^{-1/2} sigma(X W)       (n_train x d)
         Ahat = n^{-1/2} sigma(Xhat W)    (n_test x d)
 
-    Deterministic given ``seed``.  ``d`` or ``n`` below 1, and features
-    that are not finite, raise ``ValueError``.
+    Deterministic given ``seed``.  A ``d`` or ``n`` that is not an integer
+    >= 1, a ``seed`` outside ``[0, 2^64)`` (both refused before the draw),
+    and features that are not finite raise ``ValueError``.
     """
     return _features([ds.X, ds.Xhat], sigma, phi, n, d, substream(seed, "features"))
 
@@ -111,8 +112,7 @@ def _replicates(draw, K, y, yhat, cfgs, reps, config, workers=None):
     cell ``k // reps``, and each cell's errors are folded in replicate
     order, so a cell's report is bit for bit the one it gets alone, for
     any worker count."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_count(reps, "reps")
     predicted = [float(equiv.build_equiv(K, y, yhat, cfg.d, cfg.delta).predicted_error)
                  for cfg in cfgs]
 
@@ -289,15 +289,22 @@ def anisotropic_gap(G, M_theory, U):
 
     ``tr(U G) = sum_ij U_ij G_ji`` and ``tr(U M_theory)`` are accumulated
     over slabs of 64 rows, each against a contiguous copy of the matching columns of ``U``,
-    so no ell x ell temporary is formed.
+    so no ell x ell temporary is formed.  ``ValueError`` is raised, at no
+    cost per entry, for a ``U`` or ``M_theory`` that is not of ``G``'s
+    square shape and for a trace that is not finite.
     """
-    U = np.asarray(U)
-    G, M = np.asarray(G), np.asarray(M_theory)
+    G, M, U = map(np.asarray, (G, M_theory, U))
+    if not (G.ndim == 2 and M.shape == U.shape == G.shape == G.shape[::-1]):
+        raise ValueError(f"G {G.shape}, M_theory {M.shape} and U {U.shape} "
+                         "must share one square shape")
     total = 0j
     for r in range(0, U.shape[1], 64):
         Ut = np.ascontiguousarray(U[:, r:r + 64].T).ravel()
         total += Ut @ G[r:r + 64].ravel() - Ut @ M[r:r + 64].ravel()
-    return float(abs(total))
+    gap = float(abs(total))
+    if not math.isfinite(gap):
+        raise ValueError(f"the anisotropic trace is not finite ({total})")
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +375,7 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     """
     z = _check_z(z, regularized=True)
     _check_ridge(tau, name="tau")
-    if reps < 2:
-        raise ValueError("need at least two replicates to form a pair")
+    _check_count(reps, "reps", 2)  # one pair
     pairs = reps // 2
     n, d, t = ds.n_train, cfg.d, ds.n_test
 

@@ -293,6 +293,17 @@ def _labels(verb, y):
             "--delta", "0.1", "--reps", "3"]
 
 
+def _gap(shapes, nan_probe=False):
+    """anisotropic_gap on fixed complex draws of the shapes of ``G``,
+    ``M_theory`` and ``U``; with ``nan_probe``, ``U`` is all NaN."""
+    def run():
+        rng = np.random.default_rng(1)
+        G, M, U = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                   for s in shapes)
+        sim.anisotropic_gap(G, M, np.full_like(U, NAN) if nan_probe else U)
+    return run
+
+
 def _gaussianity(z):
     ds = synthetic_regression(6, 3, 4, 0.1, seed=0)
     cfg = RFConfig(d=4, delta=0.1, n=6, seed=0)
@@ -331,7 +342,8 @@ CASES = {
                               (2, "--samples must be >= 1"),
                               DIAGNOSE_DRAWS + DRAWS, {}),
     "diagnose-samples-one": (DIAGNOSE + ["--samples", "1"],
-                             (2, "--samples >= 2"), DIAGNOSE_DRAWS + DRAWS, {}),
+                             (2, "--samples must be >= 2"), DIAGNOSE_DRAWS + DRAWS,
+                             {}),
     # every verb checks --seed against [0, 2^64) before any draw
     "estimate-kernels-seed-negative": (
         ["estimate-kernels", "--synthetic", "4,2,3", "--seed", "-1"],
@@ -624,7 +636,7 @@ CASES = {
         _finite_solution(ZERO2, (2, 3, 1), 3.5e-309, 1j), None, (), {}),
     "rf-solution-d-zero": (
         lambda: rdel.rf_solution_matrix(ZERO2, (2, 0, 1), 0.5, 1j),
-        (ValueError, "dims must be positive"), ((equiv, "solve_subdel"),), {}),
+        (ValueError, "d must be >= 1"), ((equiv, "solve_subdel"),), {}),
     "spec-superop-not-callable": (
         lambda: LinearizationSpec(np.eye(2), [1, 0], "S"),
         (ValueError, "superop must be callable"), (), {}),
@@ -651,12 +663,67 @@ CASES = {
     "gaussianity-reps-one": (
         lambda: estimate_delta_gaussianity(SMALL, IDENT, IDENT, SMALL_CFG, 1j,
                                            0.1, reps=1),
-        (ValueError, "need at least two replicates"), DRAWS, {}),
+        (ValueError, "reps must be >= 2"), DRAWS, {}),
     "sample-features-d-zero": (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 0, 4, 0),
         (ValueError, "the feature count must be >= 1"), DRAWS, {}),
     "rfconfig-n-zero": (lambda: RFConfig(d=2, delta=0.1, n=0, seed=0),
                         (ValueError, "n must be >= 1"), (), {}),
+    # a count is an integer, never a bool: each of these was accepted and
+    # then failed at the first draw with a numpy TypeError, or drew with it
+    **{f"rfconfig-d-{name}": (
+        lambda d=d: RFConfig(d=d, delta=0.1, n=4, seed=0),
+        (ValueError, f"d must be an integer >= 1, not {d!r}"), DRAWS, {})
+       for name, d in (("fraction", 2.5), ("bool", True))},
+    "estimate-kernels-m-fraction": (
+        lambda: estimate_kernels(SMALL, IDENT, IDENT, 4, 2.5, 0),
+        (ValueError, "m must be an integer >= 1, not 2.5"), DRAWS, {}),
+    "run-replicates-reps-bool": (
+        lambda: sim.run_replicates(SMALL, IDENT, IDENT, SMALL_CFG, reps=True,
+                                   kernels=SMALL_KERNELS),
+        (ValueError, "reps must be an integer >= 1, not True"),
+        DRAWS + ((equiv, "build_equiv"),), {}),
+    # every root seed is an integer in [0, 2^64), on every entry that hashes
+    # one; a fraction was truncated, and -1 and 2^64 hashed as they came
+    "synthetic-seed-fraction": (
+        lambda: synthetic_regression(3, 2, 2, 0.0, seed=1.7),
+        (ValueError, "unsigned 64-bit"), DRAWS, {}),
+    **{f"library-{name}-seed-{label}": (
+        lambda call=call, seed=seed: call(seed), (ValueError, "unsigned 64-bit"),
+        DRAWS, {})
+       for name, call in (
+           ("estimate-kernels",
+            lambda seed: estimate_kernels(SMALL, IDENT, IDENT, 4, 100, seed)),
+           ("verify-centering",
+            lambda seed: verify_centering(IDENT, IDENT, SMALL, 4, 100, seed)),
+           ("sample-features",
+            lambda seed: sim.sample_features(SMALL, IDENT, IDENT, 2, 4, seed)))
+       for label, seed in (("negative", -1), ("2-64", 2 ** 64), ("fraction", 3.0))},
+    # a bool is no ridge: True solved at delta = 1
+    "build-equiv-delta-bool": (
+        lambda: equiv.build_equiv(KernelSet(np.eye(3), np.zeros((3, 1)),
+                                            np.eye(1), 1),
+                                  np.ones(3), np.ones(1), 2, True),
+        (ValueError, "delta must be a positive finite real"),
+        DRAWS + ((equiv, "solve_subdel"),), {}),
+    "rfconfig-delta-bool": (lambda: RFConfig(d=2, delta=True, n=4, seed=0),
+                            (ValueError, "delta must be a positive finite real"),
+                            DRAWS, {}),
+    "gaussianity-tau-bool": (
+        lambda: estimate_delta_gaussianity(SMALL, IDENT, IDENT, SMALL_CFG, 1j,
+                                           True, reps=4),
+        (ValueError, "tau must be a positive finite real"), DRAWS, {}),
+    # a probe or a theory matrix not of G's square shape was read in part,
+    # and a NaN probe gave a NaN gap
+    "anisotropic-gap-probe-narrow": (
+        _gap(((128, 128), (128, 128), (128, 64))),
+        (ValueError, "must share one square shape"), DRAWS, {}),
+    "anisotropic-gap-theory-tall": (
+        _gap(((128, 128), (256, 128), (128, 128))),
+        (ValueError, "must share one square shape"), DRAWS, {}),
+    "anisotropic-gap-probe-nan": (
+        _gap(((128, 128),) * 3, nan_probe=True),
+        (ValueError, "the anisotropic trace is not finite"), DRAWS, {}),
     # an unknown layout is refused before the file is opened
     "load-matrix-unknown-layout": (
         lambda: model.load_matrix("no-such-dir/m.npy", layout="npy"),

@@ -1,7 +1,8 @@
 """Imports: every third-party module the package imports is declared in
 ``pyproject.toml``, so an install from it can import the package, every
 name a module imports is used or re-exported, and every private name a
-module defines is read somewhere."""
+module defines is read somewhere.  The count and seed rules have one
+owner: no module but ``model`` writes their texts."""
 
 import ast
 import functools
@@ -134,3 +135,31 @@ def _sources():
                          ids=lambda p: p.name)
 def test_every_private_name_is_read(path):
     assert _orphans(_sources()[path], _sources().values()) == []
+
+
+# the texts of model._check_count and model._check_seed
+RULE_TEXTS = ("must be >=", "unsigned 64-bit")
+
+
+def _rule_texts(source):
+    """``(line, text)`` of each string constant in ``source``, the literal
+    parts of an f-string among them, that holds one of ``RULE_TEXTS``."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and any(text in node.value for text in RULE_TEXTS))
+
+
+def test_rule_texts_finds_a_second_owner():
+    source = ('"""Counts must be >= 1."""\nok = "must be a positive finite real"\n'
+              'a = f"{name} must be >= {least}"\n'
+              'b = ("seed must fit in an "\n     "unsigned 64-bit integer")\n')
+    assert _rule_texts(source) == [
+        (1, "Counts must be >= 1."), (3, " must be >= "),
+        (4, "seed must fit in an unsigned 64-bit integer")]
+
+
+def test_count_and_seed_rules_have_one_owner():
+    found = {path.name: _rule_texts(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "rfequiv").glob("*.py"))}
+    assert found.pop("model.py")  # the scan finds the rules' own texts
+    assert {name: hits for name, hits in found.items() if hits} == {}
