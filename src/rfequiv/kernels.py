@@ -15,7 +15,6 @@ its blocks are a closed form (no draw); a file without the key is Monte Carlo.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent
 _U, _ETA = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least positive double
 _IDENTITY = Activation("identity")
 _BASIS_LOCK = threading.Lock()
-_last_file = [None, None]  # [SHA-256 of the bytes, KernelSet] of the last file accepted
+_last_file = [None, None]  # [bytes, KernelSet] of the last file accepted
 
 
 def default_samples(n_train, n_test):
@@ -457,24 +456,30 @@ def load_kernels(path):
     ``exact`` reads as false (Monte Carlo).  A header, or the ``K_ha`` of an older file,
     that disagrees with the blocks raises ``ValueError``.
 
-    The last file accepted is kept, keyed by the SHA-256 of its bytes (never
-    a name, size or mtime), until another is: the same bytes again, from any
-    path, return that same set unparsed and unchecked.  A bad file is never kept.
+    The last file accepted is kept, keyed by its bytes (never a name, size
+    or mtime), until a call reads other bytes: the same bytes again, from any
+    path, compare equal and return that same set unparsed and unchecked.  The
+    memo holds those bytes, about 3x the size of the blocks, and a bad file
+    is never kept.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    key = hashlib.sha256(data).digest()
-    if key == _last_file[0]:
-        return _last_file[1]
+    kept, kept_set = _last_file  # one read: another thread may replace the pair
+    if data == kept:
+        return kept_set
+    # neither the kept bytes nor the kept set is held through another parse
+    del kept, kept_set
+    _last_file[:] = None, None
     raw = _parse_json(path, data)
-    del data  # not held through the checks: it is 3x the size of the blocks
     try:
         header = (raw["n_train"], raw["n_test"])
-        blocks = [np.array(raw[name], dtype=float)
+        # each parsed block is freed as its array is built: the lists of
+        # floats are 4x the size of the array
+        blocks = [np.array(raw.pop(name), dtype=float)
                   for name in ("K_aa", "K_ah", "K_hh")]
         for block in blocks:
             block.flags.writeable = False  # KernelSet keeps it without a copy
-        K_ha = np.array(raw["K_ha"], dtype=float) if "K_ha" in raw else None
+        K_ha = np.array(raw.pop("K_ha"), dtype=float) if "K_ha" in raw else None
         samples = raw["samples"]
         for name, count in zip(("n_train", "n_test", "samples"), (*header, samples)):
             if type(count) is not int:  # 2.7, true and "12" would convert
@@ -493,5 +498,5 @@ def load_kernels(path):
         raise ValueError(f"{path}: header {header} disagrees with the blocks")
     if K_ha is not None and not np.array_equal(K_ha, ks.K_ha):
         raise ValueError("K_ha must be the exact transpose of K_ah")
-    _last_file[:] = key, ks  # in place: the module's binding never changes
+    _last_file[:] = data, ks  # in place: the module's binding never changes
     return ks

@@ -12,16 +12,19 @@ import functools
 import glob
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import numbers
 import os
+import re
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 __all__ = [
     "Activation",
@@ -537,6 +540,9 @@ def load_matrix(path, layout="csv"):
     ``"csv"``
         Rows of numbers split at commas and ``str.isspace`` whitespace, no
         header row; an empty comma-separated cell (``1,,2``, ``1,2,``) is refused.
+        A cell reads as ``float`` reads it, bit for bit: one orjson parse
+        converts the cells where it reads each as ``float`` does, and
+        ``float`` converts them where not (``+3``, ``nan``, ``-0``, ...).
     ``"raw-f64-le"``
         16-byte header of (rows, cols) as little-endian uint64 followed by
         row-major little-endian float64 values.
@@ -557,11 +563,67 @@ def load_matrix(path, layout="csv"):
 
 
 def _load_csv(path):
+    """The CSV layout of :func:`load_matrix`: one orjson parse of every cell
+    where :func:`_json_rows` can show that it reads what ``float`` reads, and
+    a pass that converts each line's cells with ``float`` where it cannot, so
+    the parse decides speed, never a value, the accepted text or a message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    rows = _json_rows(lines)
+    if rows is None:
+        rows = _float_rows(path, lines)
+    del lines  # not held while the array is built
+    if not rows:
+        raise MatrixFormatError(f"{path}: no numeric rows")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise MatrixFormatError(f"{path}: ragged rows")
+    return np.array(rows, dtype=float)
+
+
+def _json_rows(lines):
+    """The cells of each line that has any, as numbers, through one orjson
+    parse of the lines as a JSON array of arrays; None where that parse
+    could differ from ``float`` or a line has an empty cell.
+
+    A line's cells are joined by commas.  No cell holds a comma or
+    whitespace, so when the parse gives one list per line and every item is
+    a number, each cell is one JSON number.  orjson reads one with a
+    fraction or an exponent as its correctly rounded double, which is
+    ``float``'s, and one without as an ``int``, which converts to that same
+    double, except ``-0``: read as 0, it would lose its sign."""
+    texts = []
+    for line in lines:
+        cells = line.split()
+        if len(cells) > 1:  # whitespace between cells, and perhaps commas
+            cells = line.replace(",", " ").split()
+            if len(cells) <= line.count(","):  # an empty cell
+                return None
+        if cells:
+            texts.append(",".join(cells))
+    text = "[[" + "],[".join(texts) + "]]"
+    try:
+        rows = orjson.loads(text)
+    except orjson.JSONDecodeError:  # e.g. 1,,2 +3 .5 nan 1e999 and Unicode digits
+        return None
+    if len(rows) != len(texts) or any(type(row) is not list for row in rows):
+        return None
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if not kinds <= {float, int}:  # true, null, "1", [1], {}
+        return None
+    # a -0 cell; the substring tests spare most texts of integers the regex
+    if (int in kinds and ("-0," in text or "-0]" in text)
+            and re.search(r"[\[,]-0[\],]", text)):
+        return None
+    return rows
+
+
+def _float_rows(path, lines):
+    """The cells of each line that has any, through ``float``, line by line:
+    the first line with an empty cell or a cell ``float`` refuses is named."""
     rows = []
     for lineno, line in enumerate(lines, 1):
         tokens = line.replace(",", " ").split()
@@ -577,12 +639,7 @@ def _load_csv(path):
             raise MatrixFormatError(
                 f"{path}:{lineno}: non-numeric cell"
             ) from exc
-    if not rows:
-        raise MatrixFormatError(f"{path}: no numeric rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise MatrixFormatError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float)
+    return rows
 
 
 def _load_raw(path):

@@ -462,8 +462,10 @@ def gaussian_surrogate_run(K, y, yhat, cfg, reps):
     replicate ``i`` uses the substream (cfg.seed, "surrogate", i).  So the
     replicate errors, like every pooled result, do not depend on the
     caller's BLAS thread count.  The report carries the same predicted
-    value as the true-features run on the same kernels.
+    value as the true-features run on the same kernels.  A bad ``reps`` is
+    refused before the root is made.
     """
+    _check_count(reps, "reps")
     sqrtC = K._joint_root()
     nt = K.n_train
 

@@ -10,6 +10,7 @@ replaced by one that fails the test when it is reached.
 """
 
 import cmath
+import collections
 import functools
 import inspect
 import json
@@ -315,50 +316,50 @@ def _gaussianity(z):
 # callable; expected is the exit code or the exception type (None: returns),
 # optionally paired with a message fragment; guarded calls must never be
 # reached; patched maps (module, name) to a replacement.
-CASES = {
-    "diagnose-tau-nan": (DIAGNOSE + ["--tau", "nan"], 2, DIAGNOSE_DRAWS, {}),
-    "diagnose-tau-inf": (DIAGNOSE + ["--tau", "inf"], 2, DIAGNOSE_DRAWS, {}),
-    "diagnose-z-nan": (DIAGNOSE + ["--z", "nanj"], 2, DIAGNOSE_DRAWS, {}),
-    "diagnose-z-inf": (DIAGNOSE + ["--z", "1e999j"], 2, DIAGNOSE_DRAWS, {}),
-    "diagnose-z-real": (DIAGNOSE + ["--z", "0.5"], 2, DIAGNOSE_DRAWS, {}),
-    "diagnose-z-infj": (DIAGNOSE + ["--z", "infj"],
-                        (2, "z must be 0 or finite"), DIAGNOSE_DRAWS, {}),
-    "diagnose-probes-negative": (DIAGNOSE + ["--probes", "-3"], 2,
-                                 DIAGNOSE_DRAWS, {}),
-    "diagnose-eta-nan": (DIAGNOSE + ["--eta-list", "100,nan"], 2,
-                         DIAGNOSE_DRAWS, {}),
+CASE_ROWS = [
+    ("diagnose-tau-nan", (DIAGNOSE + ["--tau", "nan"], 2, DIAGNOSE_DRAWS, {})),
+    ("diagnose-tau-inf", (DIAGNOSE + ["--tau", "inf"], 2, DIAGNOSE_DRAWS, {})),
+    ("diagnose-z-nan", (DIAGNOSE + ["--z", "nanj"], 2, DIAGNOSE_DRAWS, {})),
+    ("diagnose-z-inf", (DIAGNOSE + ["--z", "1e999j"], 2, DIAGNOSE_DRAWS, {})),
+    ("diagnose-z-real", (DIAGNOSE + ["--z", "0.5"], 2, DIAGNOSE_DRAWS, {})),
+    ("diagnose-z-infj", (DIAGNOSE + ["--z", "infj"],
+                         (2, "z must be 0 or finite"), DIAGNOSE_DRAWS, {})),
+    ("diagnose-probes-negative", (DIAGNOSE + ["--probes", "-3"], 2,
+                                  DIAGNOSE_DRAWS, {})),
+    ("diagnose-eta-nan", (DIAGNOSE + ["--eta-list", "100,nan"], 2,
+                          DIAGNOSE_DRAWS, {})),
     # DIAGNOSE has ell = 12 + 4 + 2 * 4 = 24
-    "diagnose-ell-above-max": (DIAGNOSE + ["--max-ell", "23"],
-                               (2, "exceeds --max-ell 23"),
-                               DIAGNOSE_DRAWS + DRAWS, {}),
-    "estimate-kernels-n-zero": (
+    ("diagnose-ell-above-max", (DIAGNOSE + ["--max-ell", "23"],
+                                (2, "exceeds --max-ell 23"),
+                                DIAGNOSE_DRAWS + DRAWS, {})),
+    ("estimate-kernels-n-zero", (
         ["estimate-kernels", "--synthetic", "4,2,3", "--n", "0"],
-        (2, "n must be >= 1"), DRAWS, {}),
+        (2, "n must be >= 1"), DRAWS, {})),
     # an explicit --samples is checked, never replaced by the default
-    "estimate-kernels-samples-zero": (
+    ("estimate-kernels-samples-zero", (
         ["estimate-kernels", "--synthetic", "4,2,3", "--samples", "0"],
-        (2, "--samples must be >= 1"), DRAWS, {}),
-    "diagnose-samples-zero": (DIAGNOSE + ["--samples", "0"],
-                              (2, "--samples must be >= 1"),
-                              DIAGNOSE_DRAWS + DRAWS, {}),
-    "diagnose-samples-one": (DIAGNOSE + ["--samples", "1"],
-                             (2, "--samples must be >= 2"), DIAGNOSE_DRAWS + DRAWS,
-                             {}),
+        (2, "--samples must be >= 1"), DRAWS, {})),
+    ("diagnose-samples-zero", (DIAGNOSE + ["--samples", "0"],
+                               (2, "--samples must be >= 1"),
+                               DIAGNOSE_DRAWS + DRAWS, {})),
+    ("diagnose-samples-one", (DIAGNOSE + ["--samples", "1"],
+                              (2, "--samples must be >= 2"), DIAGNOSE_DRAWS + DRAWS,
+                              {})),
     # every verb checks --seed against [0, 2^64) before any draw
-    "estimate-kernels-seed-negative": (
+    ("estimate-kernels-seed-negative", (
         ["estimate-kernels", "--synthetic", "4,2,3", "--seed", "-1"],
-        (2, "unsigned 64-bit"), DRAWS, {}),
-    "estimate-kernels-seed-2-64": (
+        (2, "unsigned 64-bit"), DRAWS, {})),
+    ("estimate-kernels-seed-2-64", (
         ["estimate-kernels", "--synthetic", "4,2,3", "--seed", str(2 ** 64)],
-        (2, "unsigned 64-bit"), DRAWS, {}),
-    "sweep-seed-negative": (
+        (2, "unsigned 64-bit"), DRAWS, {})),
+    ("sweep-seed-negative", (
         ["sweep", "--synthetic", "4,2,3", "--d-list", "2", "--delta-list", "0.1",
          "--reps", "2", "--seed", "-1"],
-        (2, "unsigned 64-bit"), DRAWS, {}),
+        (2, "unsigned 64-bit"), DRAWS, {})),
     # sweep checks every grid cell before the kernel draw
-    **{f"sweep-{name}": (
+    *[(f"sweep-{name}", (
         ["sweep", "--synthetic", "4,2,3", *grid, "--reps", "2"],
-        (2, text), DRAWS, {})
+        (2, text), DRAWS, {}))
        for name, grid, text in (
            ("d-list-zero", ["--d-list", "0", "--delta-list", "0.1"],
             "d must be >= 1"),
@@ -367,22 +368,22 @@ CASES = {
            ("delta-list-nan", ["--d-list", "2", "--delta-list", "nan"],
             "delta must be a positive finite real"),
            ("d-list-empty", ["--d-list", ",", "--delta-list", "0.1"],
-            "--d-list and --delta-list must be non-empty"))},
+            "--d-list and --delta-list must be non-empty"))],
     # the replicate verbs check --reps before any kernel draw
-    **{f"{verb}-reps-zero": (
+    *[(f"{verb}-reps-zero", (
         [verb, "--synthetic", "4,2,3", *grid, "--reps", "0"],
-        (2, "--reps must be >= 1"), DRAWS, {})
+        (2, "--reps must be >= 1"), DRAWS, {}))
        for verb, grid in (("simulate", ["--d", "2", "--delta", "0.1"]),
                           ("compare", ["--d", "2", "--delta", "0.1"]),
-                          ("sweep", ["--d-list", "2", "--delta-list", "0.1"]))},
+                          ("sweep", ["--d-list", "2", "--delta-list", "0.1"]))],
     # estimate-kernels runs no replicates, so it has no --reps to ignore
-    "estimate-kernels-reps": (
+    ("estimate-kernels-reps", (
         ["estimate-kernels", "--synthetic", "4,2,3", "--reps", "3"],
-        (2, "unrecognized arguments: --reps"), DRAWS, {}),
+        (2, "unrecognized arguments: --reps"), DRAWS, {})),
     # an activation refuses parameters it cannot use before any draw
-    **{f"estimate-kernels-{name}": (
+    *[(f"estimate-kernels-{name}", (
         ["estimate-kernels", "--synthetic", "4,2,3", *options], (2, text),
-        DRAWS, {})
+        DRAWS, {}))
        for name, options, text in (
            ("table-nan-abscissa", ["--sigma", "custom-table",
                                    "--sigma-params=-50,nan,50,-1,0,1"],
@@ -396,301 +397,301 @@ CASES = {
            ("erf-params", ["--sigma", "erf", "--sigma-params", "1,2"],
             "'erf' takes no parameters"),
            ("phi-sin-params", ["--phi", "sin", "--phi-params", "1"],
-            "'sin' takes no parameters"))},
+            "'sin' takes no parameters"))],
     # features that overflow end the same way on every route: no report
     # and no RuntimeWarning
-    **{f"{verb}-overflow{'-kernels' * kernels}": (
-        _overflow(verb, kernels), (2, "non-finite activation output"), (), {})
+    *[(f"{verb}-overflow{'-kernels' * kernels}", (
+        _overflow(verb, kernels), (2, "non-finite activation output"), (), {}))
        for verb in ("estimate-kernels", "simulate", "compare", "sweep", "diagnose")
-       for kernels in (False, True) if verb != "estimate-kernels" or not kernels},
+       for kernels in (False, True) if verb != "estimate-kernels" or not kernels],
     # without --kernels the rows above take the closed form; phi = sin has
     # none, so the kernel draws meet the design
-    "estimate-kernels-overflow-monte-carlo": (
+    ("estimate-kernels-overflow-monte-carlo", (
         _overflow("estimate-kernels", False) + ["--phi", "sin"],
-        (2, "non-finite activation output"), ((cli, "exact_kernels"),), {}),
+        (2, "non-finite activation output"), ((cli, "exact_kernels"),), {})),
     # a noise level must be a finite real >= 0; NaN passes "< 0"
-    **{f"{verb}-noise-sd-{value}": (
+    *[(f"{verb}-noise-sd-{value}", (
         [verb, "--synthetic", "10,5,4", "--noise-sd", value, *grid],
-        (2, "noise_sd must be a finite real >= 0"), DRAWS, {})
+        (2, "noise_sd must be a finite real >= 0"), DRAWS, {}))
        for verb, grid in (("estimate-kernels", []),
                           ("simulate", ["--d", "2", "--delta", "0.1"]))
-       for value in ("nan", "inf")},
-    "synthetic-noise-sd-nan": (
+       for value in ("nan", "inf")],
+    ("synthetic-noise-sd-nan", (
         lambda: synthetic_regression(10, 5, 4, NAN, seed=0),
-        (ValueError, "noise_sd must be a finite real >= 0"), DRAWS, {}),
-    "sample-features-n-zero": (
+        (ValueError, "noise_sd must be a finite real >= 0"), DRAWS, {})),
+    ("sample-features-n-zero", (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
-        (ValueError, "n must be >= 1"), DRAWS, {}),
-    "verify-centering-n-zero": (
+        (ValueError, "n must be >= 1"), DRAWS, {})),
+    ("verify-centering-n-zero", (
         lambda: verify_centering(IDENT, IDENT, SMALL, 0, 100, 0),
-        (ValueError, "n must be >= 1"), DRAWS, {}),
-    **{f"predict-kernels-{name}": (_predict_bad(name), expected,
-                                   ((cli, "build_equiv"),), {})
-       for name, (_, expected) in BAD_KERNELS.items()},
-    **{f"predict-kernels-{name}": (_predict_bad(name), PARSE_FAULT,
-                                   ((cli, "build_equiv"),), {})
-       for name in MANGLED_KERNELS},
+        (ValueError, "n must be >= 1"), DRAWS, {})),
+    *[(f"predict-kernels-{name}", (_predict_bad(name), expected,
+                                   ((cli, "build_equiv"),), {}))
+       for name, (_, expected) in BAD_KERNELS.items()],
+    *[(f"predict-kernels-{name}", (_predict_bad(name), PARSE_FAULT,
+                                   ((cli, "build_equiv"),), {}))
+       for name in MANGLED_KERNELS],
     # a matrix or label file that is not UTF-8 is an input fault naming it
-    "estimate-kernels-x-invalid-utf8": (
+    ("estimate-kernels-x-invalid-utf8", (
         ["estimate-kernels", "--x", "{x4-ff}", "--xhat", "{xhat1}", "--y", "{y4}",
          "--yhat", "{yhat}", "--samples", "100"],
-        (3, "x4-ff.csv: not UTF-8 text"), DRAWS, {}),
+        (3, "x4-ff.csv: not UTF-8 text"), DRAWS, {})),
     # a trailing comma is an empty cell, not the end of the row
-    "estimate-kernels-x-empty-cell": (
+    ("estimate-kernels-x-empty-cell", (
         ["estimate-kernels", "--x", "{x4-empty-cell}", "--xhat", "{xhat1}",
          "--samples", "100"],
-        (3, "x4-empty-cell.csv:2: empty cell"), DRAWS, {}),
-    "estimate-kernels-x-blank": (
+        (3, "x4-empty-cell.csv:2: empty cell"), DRAWS, {})),
+    ("estimate-kernels-x-blank", (
         ["estimate-kernels", "--x", "{blank}", "--xhat", "{xhat1}"],
-        (3, "blank.csv: no numeric rows"), DRAWS, {}),
-    "estimate-kernels-x-raw-short": (
+        (3, "blank.csv: no numeric rows"), DRAWS, {})),
+    ("estimate-kernels-x-raw-short", (
         ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-short}",
          "--xhat", "{raw-1x3}"], (3, "short.bin: missing 16-byte header"),
-        DRAWS, {}),
+        DRAWS, {})),
     # a design with no rows or no columns is refused, naming it, before any
     # draw: it would give empty or all-zero kernel blocks
-    "estimate-kernels-raw-no-rows": (
+    ("estimate-kernels-raw-no-rows", (
         ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-0x3}",
          "--xhat", "{raw-1x3}", "--samples", "100", "--n", "1"],
-        (2, "X is empty (shape (0, 3))"), DRAWS, {}),
-    "estimate-kernels-raw-no-columns": (
+        (2, "X is empty (shape (0, 3))"), DRAWS, {})),
+    ("estimate-kernels-raw-no-columns", (
         ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-3x0}",
          "--xhat", "{raw-1x0}", "--samples", "100"],
-        (2, "X is empty (shape (3, 0))"), DRAWS, {}),
-    "estimate-kernels-synthetic-two-dims": (
+        (2, "X is empty (shape (3, 0))"), DRAWS, {})),
+    ("estimate-kernels-synthetic-two-dims", (
         ["estimate-kernels", "--synthetic", "4,2"],
-        (2, "--synthetic needs exactly NTRAIN,NTEST,N0"), DRAWS, {}),
-    "estimate-kernels-no-design": (
+        (2, "--synthetic needs exactly NTRAIN,NTEST,N0"), DRAWS, {})),
+    ("estimate-kernels-no-design", (
         ["estimate-kernels"], (2, "provide --x and --xhat, or use --synthetic"),
-        DRAWS, {}),
-    "simulate-no-labels": (
+        DRAWS, {})),
+    ("simulate-no-labels", (
         ["simulate", "--kernels", "{identity4}", "--x", "{x4}", "--xhat",
          "{xhat1}", "--d", "2", "--delta", "0.1", "--reps", "3"],
-        (2, "provide --y and --yhat"), DRAWS, {}),
+        (2, "provide --y and --yhat"), DRAWS, {})),
     # a kernel file that does not fit the dataset is refused before any draw,
     # and blamed, not the labels or the width
-    **{f"{verb}-kernels-shape": (
+    *[(f"{verb}-kernels-shape", (
         [verb, "--synthetic", "5,1,3", "--kernels", "{identity4}", *grid],
         (2, "i4.json: kernel blocks are 4 x 1, the dataset is 5 x 1"),
-        DIAGNOSE_DRAWS + DRAWS, {})
+        DIAGNOSE_DRAWS + DRAWS, {}))
        for verb, grid in (("simulate", ["--d", "2", "--delta", "0.1"]),
                           ("sweep", ["--d-list", "2", "--delta-list", "0.1"]),
-                          ("diagnose", ["--d", "2", "--delta", "0.1"]))},
-    "predict-y-invalid-utf8": (_labels("predict", "y4-ff"),
-                               (3, "y4-ff.csv: not UTF-8 text"),
-                               ((equiv, "_solve_nu"),), {}),
+                          ("diagnose", ["--d", "2", "--delta", "0.1"]))],
+    ("predict-y-invalid-utf8", (_labels("predict", "y4-ff"),
+                                (3, "y4-ff.csv: not UTF-8 text"),
+                                ((equiv, "_solve_nu"),), {})),
     # a label file is one column or one row of finite values; a prediction
     # that overflows is refused before any replicate is drawn
-    **{f"{verb}-labels-{name}": (_labels(verb, y), (2, text),
-                                 ((equiv, "_solve_nu"),) + DRAWS, {})
+    *[(f"{verb}-labels-{name}", (_labels(verb, y), (2, text),
+                                 ((equiv, "_solve_nu"),) + DRAWS, {}))
        for verb in ("predict", "simulate")
        for name, y, text in (
            ("two-column", "y2x2", "y must be one row or one column"),
-           ("inf", "y4-inf", "y contains non-finite entries"))},
-    **{f"{verb}-labels-overflow": (_labels(verb, "y4-huge"),
-                                   (2, "the predicted error overflows"), DRAWS, {})
-       for verb in ("predict", "simulate")},
-    "predict-linalg-error": (PREDICT, (4, "LinAlgError"), (),
-                             {(cli, "build_equiv"): _raise_linalg_error}),
+           ("inf", "y4-inf", "y contains non-finite entries"))],
+    *[(f"{verb}-labels-overflow", (_labels(verb, "y4-huge"),
+                                   (2, "the predicted error overflows"), DRAWS, {}))
+       for verb in ("predict", "simulate")],
+    ("predict-linalg-error", (PREDICT, (4, "LinAlgError"), (),
+                              {(cli, "build_equiv"): _raise_linalg_error})),
     # a small ridge at the interpolation threshold returns a report until
     # denom ~ sqrt(delta) falls below its guard, in a few Newton steps
-    **{f"predict-identity4-delta-{delta}": (
+    *[(f"predict-identity4-delta-{delta}", (
         _predict_identity4(delta), expected, (),
-        {(equiv, "_solve_nu"): _newton_steps_below(100)})
+        {(equiv, "_solve_nu"): _newton_steps_below(100)}))
        for delta, expected in (("1e-10", 0), ("1e-14", 0),
-                               ("1e-18", (4, "DenominatorDegenerate")))},
+                               ("1e-18", (4, "DenominatorDegenerate")))],
     # near the smallest positive double a Newton step may land on x = 0,
     # where r = 0 is taken, and d lam / delta may overflow, which is refused
     # before the first step
-    "predict-tiny-ridge-x-zero": (_predict_tiny_ridge("half6", 64, "1e-300"),
-                                  0, (), {}),
-    "alpha-tiny-ridge-x-zero": (
+    ("predict-tiny-ridge-x-zero", (_predict_tiny_ridge("half6", 64, "1e-300"),
+                                   0, (), {})),
+    ("alpha-tiny-ridge-x-zero", (
         _alpha_is(0.5 * np.eye(6), 64, 1e-300, -0.90625),
-        None, (), {}),
-    **{f"predict-tiny-ridge-overflow-{name}": (
-        _predict_tiny_ridge(kernels, d, delta), (4, "NonConvergence"), (), {})
+        None, (), {})),
+    *[(f"predict-tiny-ridge-overflow-{name}", (
+        _predict_tiny_ridge(kernels, d, delta), (4, "NonConvergence"), (), {}))
        for name, kernels, d, delta in (("1e-307", "hundred6", 64, "1e-307"),
-                                       ("5e-324", "half6", 6, "5e-324"))},
-    "alpha-tiny-ridge-overflow": (
+                                       ("5e-324", "half6", 6, "5e-324"))],
+    ("alpha-tiny-ridge-overflow", (
         lambda: equiv.solve_subdel(train_kernels(100 * np.eye(6)), 64, 1e-307,
                                    0.0),
-        (NonConvergence, "overflows"), (), {}),
+        (NonConvergence, "overflows"), (), {})),
     # at m = d, once every r_j = 1 / (1 + mu_j / x) underflows the slope
     # F'(x) is 0, which is a failure, not a ZeroDivisionError
-    "predict-zero-slope": (
+    ("predict-zero-slope", (
         ["predict", "--kernels", "{underflow4}", "--y", "{y4}", "--yhat", "{yhat}",
          "--d", "4", "--delta", "3.171139148026149e-09"],
-        (4, "NonConvergence"), (), {}),
+        (4, "NonConvergence"), (), {})),
     # at a subnormal ridge g = 1 / delta overflows; the report is refused
     # by name, with no RuntimeWarning from the solve or from build_equiv
-    "predict-subnormal-ridge-g-overflow": (
+    ("predict-subnormal-ridge-g-overflow", (
         ["predict", "--kernels", "{zero2}", "--y", "{y}", "--yhat", "{yhat}",
          "--d", "3", "--delta", "3.5e-309"],
-        (2, "the predicted error overflows"), (), {}),
+        (2, "the predicted error overflows"), (), {})),
     # a kernel block must be 2-D, not reshaped to one
-    "kernelset-block-3d": (
+    ("kernelset-block-3d", (
         lambda: KernelSet(np.eye(1), np.zeros((1, 1, 1)), np.eye(1), 1),
-        (ValueError, "K_ah is 3-D"), (), {}),
-    "kernelset-block-0d": (lambda: KernelSet(1.0, np.zeros((1, 1)), np.eye(1), 1),
-                           (ValueError, "K_aa is 0-D"), (), {}),
+        (ValueError, "K_ah is 3-D"), (), {})),
+    ("kernelset-block-0d", (lambda: KernelSet(1.0, np.zeros((1, 1)), np.eye(1), 1),
+                            (ValueError, "K_aa is 0-D"), (), {})),
     # a sample count is an integer, not converted into one
-    **{f"kernelset-samples-{name}": (
+    *[(f"kernelset-samples-{name}", (
         lambda samples=samples: KernelSet(np.eye(1), np.zeros((1, 1)), np.eye(1),
                                           samples),
-        (ValueError, "samples must be an integer >= 1"), (), {})
-       for name, samples in (("fraction", 2.7), ("bool", True))},
+        (ValueError, "samples must be an integer >= 1"), (), {}))
+       for name, samples in (("fraction", 2.7), ("bool", True))],
     # kernel ridge regression needs a width d >= 1, as build_equiv does
-    **{f"kernel-ridge-error-d-{name}": (
+    *[(f"kernel-ridge-error-d-{name}", (
         lambda d=d: equiv.kernel_ridge_error(
             KernelSet(np.eye(2), np.zeros((2, 1)), np.eye(1), 1), [1.0, 0.0],
             [0.7], d, 0.1),
-        (ValueError, "d must be >= 1"), ((equiv, "_ridge_solve"),), {})
-       for name, d in (("zero", 0), ("negative", -1))},
-    "solve-rdel-z-nan": (_solve(complex(0, NAN), 0.1), ValueError, (), {}),
-    "solve-rdel-z-inf": (_solve(complex(0, INF), 0.1), ValueError, (), {}),
-    "solve-rdel-z-nan-real": (_solve(complex(NAN, 1), 0.1), ValueError, (), {}),
-    "solve-rdel-tau-inf": (_solve(1j, INF), ValueError, (), {}),
-    "solve-rdel-nan-defect": (_nan_superop_once, RuntimeError, (), {}),
-    "rf-zeroth-moment-eta-nan": (_rf_zeroth([100.0, NAN]), ValueError,
-                                 RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-inf": (_rf_zeroth([100.0, INF]), ValueError,
-                                 RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-zero": (_rf_zeroth([0.0, 100.0]), ValueError,
-                                  RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-negative": (_rf_zeroth([-10.0, 100.0]), ValueError,
-                                      RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-decreasing": (_rf_zeroth([1000.0, 100.0]),
-                                        ValueError, RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-repeated": (_rf_zeroth([100.0, 100.0]), ValueError,
-                                      RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-single": (_rf_zeroth([100.0]), ValueError,
-                                    RF_SOLVES, {}),
-    "rf-zeroth-moment-eta-accepted": (_rf_zeroth([100.0, 1000.0]), None,
-                                      (), {}),
-    "superop-probe-nan": (
+        (ValueError, "d must be >= 1"), ((equiv, "_ridge_solve"),), {}))
+       for name, d in (("zero", 0), ("negative", -1))],
+    ("solve-rdel-z-nan", (_solve(complex(0, NAN), 0.1), ValueError, (), {})),
+    ("solve-rdel-z-inf", (_solve(complex(0, INF), 0.1), ValueError, (), {})),
+    ("solve-rdel-z-nan-real", (_solve(complex(NAN, 1), 0.1), ValueError, (), {})),
+    ("solve-rdel-tau-inf", (_solve(1j, INF), ValueError, (), {})),
+    ("solve-rdel-nan-defect", (_nan_superop_once, RuntimeError, (), {})),
+    ("rf-zeroth-moment-eta-nan", (_rf_zeroth([100.0, NAN]), ValueError,
+                                  RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-inf", (_rf_zeroth([100.0, INF]), ValueError,
+                                  RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-zero", (_rf_zeroth([0.0, 100.0]), ValueError,
+                                   RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-negative", (_rf_zeroth([-10.0, 100.0]), ValueError,
+                                       RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-decreasing", (_rf_zeroth([1000.0, 100.0]),
+                                         ValueError, RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-repeated", (_rf_zeroth([100.0, 100.0]), ValueError,
+                                       RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-single", (_rf_zeroth([100.0]), ValueError,
+                                     RF_SOLVES, {})),
+    ("rf-zeroth-moment-eta-accepted", (_rf_zeroth([100.0, 1000.0]), None,
+                                       (), {})),
+    ("superop-probe-nan", (
         lambda: LinearizationSpec(np.eye(3), [1, 1, 0], lambda M: M * np.nan),
-        ValueError, (), {}),
-    "expectation-nan": (
+        ValueError, (), {})),
+    ("expectation-nan", (
         lambda: LinearizationSpec(np.diag([NAN, 1.0]), [1, 0], lambda M: 0 * M),
-        ValueError, (), {}),
+        ValueError, (), {})),
     # at z = 0 solve_subdel is the alpha solve; the kernel set refuses a
     # NaN before it
-    "alpha-kernel-nan": (
+    ("alpha-kernel-nan", (
         lambda: equiv.solve_subdel(train_kernels(np.diag([NAN, 1.0])), 1, 1.0,
                                    0.0),
-        (ValueError, "K_aa contains non-finite"), ((equiv, "_solve_nu"),), {}),
+        (ValueError, "K_aa contains non-finite"), ((equiv, "_solve_nu"),), {})),
     # near the real axis the nu solve ends in a handful of steps
-    "subdel-identity4-near-axis": (
-        _subdel_solved(np.eye(4), 4, 0.3, 2 + 1e-3j), None, (), {}),
-    "subdel-identity4-small-ridge": (
-        _subdel_solved(np.eye(4), 4, 1e-7, 1e-6j), None, (), {}),
-    "subdel-far-z": (_subdel_far(0.5 * np.eye(3), 4, 0.3, 1e300j), None, (), {}),
+    ("subdel-identity4-near-axis", (
+        _subdel_solved(np.eye(4), 4, 0.3, 2 + 1e-3j), None, (), {})),
+    ("subdel-identity4-small-ridge", (
+        _subdel_solved(np.eye(4), 4, 1e-7, 1e-6j), None, (), {})),
+    ("subdel-far-z", (_subdel_far(0.5 * np.eye(3), 4, 0.3, 1e300j), None, (), {})),
     # where a Newton step is refused the solve climbs to 4 Im z and comes
     # back down, which lands on the continued root in a bounded number of
     # steps; a Picard fallback stalled on the first two and ended on a
     # near-real root of rounding-level defect on the third
-    **{f"subdel-stall-eta-{eta:.0e}": (
+    *[(f"subdel-stall-eta-{eta:.0e}", (
         _subdel_continued(lam, d, delta, complex(x, eta)), None, (),
-        {(equiv, "_solve_nu"): _newton_steps_below(301)})
-       for lam, d, delta, x, eta in STALLS},
-    "subdel-near-real-root": (
+        {(equiv, "_solve_nu"): _newton_steps_below(301)}))
+       for lam, d, delta, x, eta in STALLS],
+    ("subdel-near-real-root", (
         _subdel_continued([0.5, 1.0, 2.0, 0.0], 4, 0.3, 2 + 1e-30j), None, (),
-        {(equiv, "_solve_nu"): _newton_steps_below(301)}),
+        {(equiv, "_solve_nu"): _newton_steps_below(301)})),
     # at the smallest positive height the ladder has about 540 rungs; they
     # are a loop, so 50 frames above the caller suffice, under a wrapper too
-    "subdel-near-real-root-5e-324": (
+    ("subdel-near-real-root-5e-324", (
         _subdel_continued([0.5, 1.0, 2.0, 0.0], 4, 0.3, 2 + 5e-324j, frames=50),
-        None, (), {(equiv, "_solve_nu"): _newton_steps_below(1000)}),
-    "diagnose-identity4-near-axis": (
+        None, (), {(equiv, "_solve_nu"): _newton_steps_below(1000)})),
+    ("diagnose-identity4-near-axis", (
         ["diagnose", "--synthetic", "4,1,3", "--kernels", "{identity4}",
          "--d", "4", "--delta", "0.3", "--z", "2+0.001j", "--reps", "4",
-         "--samples", "100"], 0, (), {}),
-    "gaussianity-z-nan": (_gaussianity(complex(0, NAN)), ValueError, DRAWS, {}),
+         "--samples", "100"], 0, (), {})),
+    ("gaussianity-z-nan", (_gaussianity(complex(0, NAN)), ValueError, DRAWS, {})),
     # a tall pencil at z = 0 carries the factor delta^(n-d) in its determinant
-    "pencil-tall-delta-1e-300": (_pencil((12, 4, 4), 1e-300),
-                                 (RuntimeError, "numerically singular"), (), {}),
-    "pencil-tall-delta-1e-17": (_pencil((12, 4, 4), 1e-17),
-                                (RuntimeError, "numerically singular"), (), {}),
-    "pencil-tall-delta-1e-14": (_pencil((12, 4, 4), 1e-14),
-                                (RuntimeError, "defect"), (), {}),
-    "pencil-tall-delta-1e-10": (_pencil((12, 4, 4), 1e-10),
-                                (RuntimeError, "defect"), (), {}),
-    "pencil-tall-delta-1e-6": (_pencil((12, 4, 4), 1e-6), None, (), {}),
+    ("pencil-tall-delta-1e-300", (_pencil((12, 4, 4), 1e-300),
+                                  (RuntimeError, "numerically singular"), (), {})),
+    ("pencil-tall-delta-1e-17", (_pencil((12, 4, 4), 1e-17),
+                                 (RuntimeError, "numerically singular"), (), {})),
+    ("pencil-tall-delta-1e-14", (_pencil((12, 4, 4), 1e-14),
+                                 (RuntimeError, "defect"), (), {})),
+    ("pencil-tall-delta-1e-10", (_pencil((12, 4, 4), 1e-10),
+                                 (RuntimeError, "defect"), (), {})),
+    ("pencil-tall-delta-1e-6", (_pencil((12, 4, 4), 1e-6), None, (), {})),
     # a wide one stays invertible as delta -> 0
-    "pencil-wide-delta-1e-300": (_pencil((4, 12, 4), 1e-300), None, (), {}),
-    "pencil-width-mismatch": (
+    ("pencil-wide-delta-1e-300", (_pencil((4, 12, 4), 1e-300), None, (), {})),
+    ("pencil-width-mismatch", (
         lambda: sim.build_pseudoresolvent(np.ones((3, 2)), np.ones((1, 3)), 0.1,
                                           0.0),
-        (ValueError, "A and Ahat must share the width d"), (), {}),
+        (ValueError, "A and Ahat must share the width d"), (), {})),
     # at a subnormal ridge and z = 0, 1 / delta overflows on a null
     # eigenvalue of K_aa; the overflow is named before N11 is formed, as
     # build_equiv names it, and off the axis the same blocks still solve
-    "subdel-subnormal-ridge-overflow": (
+    ("subdel-subnormal-ridge-overflow", (
         lambda: equiv.solve_subdel(train_kernels(np.zeros((2, 2))), 3, 3.5e-309,
                                    0.0),
-        (ValueError, "N11 overflows"), (), {}),
-    "rf-solution-subnormal-ridge-overflow": (
+        (ValueError, "N11 overflows"), (), {})),
+    ("rf-solution-subnormal-ridge-overflow", (
         lambda: rdel.rf_solution_matrix(ZERO2, (2, 3, 1), 3.5e-309, 0.0),
-        (ValueError, "N11 overflows"), (), {}),
-    "rf-solution-subnormal-ridge-off-axis": (
-        _finite_solution(ZERO2, (2, 3, 1), 3.5e-309, 1j), None, (), {}),
-    "rf-solution-d-zero": (
+        (ValueError, "N11 overflows"), (), {})),
+    ("rf-solution-subnormal-ridge-off-axis", (
+        _finite_solution(ZERO2, (2, 3, 1), 3.5e-309, 1j), None, (), {})),
+    ("rf-solution-d-zero", (
         lambda: rdel.rf_solution_matrix(ZERO2, (2, 0, 1), 0.5, 1j),
-        (ValueError, "d must be >= 1"), ((equiv, "solve_subdel"),), {}),
-    "spec-superop-not-callable": (
+        (ValueError, "d must be >= 1"), ((equiv, "solve_subdel"),), {})),
+    ("spec-superop-not-callable", (
         lambda: LinearizationSpec(np.eye(2), [1, 0], "S"),
-        (ValueError, "superop must be callable"), (), {}),
-    "spectral-norm-empty": (
+        (ValueError, "superop must be callable"), (), {})),
+    ("spectral-norm-empty", (
         _returns(lambda: rdel.spectral_norm(np.zeros((0, 3))), 0.0), None, (),
-        {}),
+        {})),
     # a draw budget too small for its statistic is refused before a draw
-    "estimate-kernels-m-zero": (
+    ("estimate-kernels-m-zero", (
         lambda: estimate_kernels(SMALL, IDENT, IDENT, 4, 0, 0),
-        (ValueError, "m must be >= 1"), DRAWS, {}),
-    "verify-centering-m-one": (
+        (ValueError, "m must be >= 1"), DRAWS, {})),
+    ("verify-centering-m-one", (
         lambda: verify_centering(IDENT, IDENT, SMALL, 4, 1, 0),
-        (ValueError, "m must be >= 2"), DRAWS, {}),
+        (ValueError, "m must be >= 2"), DRAWS, {})),
     # all-zero features have no RMS norm to divide by; the ratio is 0
-    "verify-centering-zero-features": (
+    ("verify-centering-zero-features", (
         _returns(lambda: verify_centering(Activation("sign"), IDENT,
                                           ZERO_DESIGN, 3, 100, 0), 0.0),
-        None, (), {}),
-    "run-replicates-reps-zero": (
+        None, (), {})),
+    ("run-replicates-reps-zero", (
         lambda: sim.run_replicates(SMALL, IDENT, IDENT, SMALL_CFG, reps=0,
                                    kernels=SMALL_KERNELS),
         (ValueError, "reps must be >= 1"), DRAWS + ((equiv, "build_equiv"),),
-        {}),
-    "gaussianity-reps-one": (
+        {})),
+    ("gaussianity-reps-one", (
         lambda: estimate_delta_gaussianity(SMALL, IDENT, IDENT, SMALL_CFG, 1j,
                                            0.1, reps=1),
-        (ValueError, "reps must be >= 2"), DRAWS, {}),
-    "sample-features-d-zero": (
+        (ValueError, "reps must be >= 2"), DRAWS, {})),
+    ("sample-features-d-zero", (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 0, 4, 0),
-        (ValueError, "the feature count must be >= 1"), DRAWS, {}),
-    "rfconfig-n-zero": (lambda: RFConfig(d=2, delta=0.1, n=0, seed=0),
-                        (ValueError, "n must be >= 1"), (), {}),
+        (ValueError, "the feature count must be >= 1"), DRAWS, {})),
+    ("rfconfig-n-zero", (lambda: RFConfig(d=2, delta=0.1, n=0, seed=0),
+                         (ValueError, "n must be >= 1"), (), {})),
     # a count is an integer, never a bool: each of these was accepted and
     # then failed at the first draw with a numpy TypeError, or drew with it
-    **{f"rfconfig-d-{name}": (
+    *[(f"rfconfig-d-{name}", (
         lambda d=d: RFConfig(d=d, delta=0.1, n=4, seed=0),
-        (ValueError, f"d must be an integer >= 1, not {d!r}"), DRAWS, {})
-       for name, d in (("fraction", 2.5), ("bool", True))},
-    "estimate-kernels-m-fraction": (
+        (ValueError, f"d must be an integer >= 1, not {d!r}"), DRAWS, {}))
+       for name, d in (("fraction", 2.5), ("bool", True))],
+    ("estimate-kernels-m-fraction", (
         lambda: estimate_kernels(SMALL, IDENT, IDENT, 4, 2.5, 0),
-        (ValueError, "m must be an integer >= 1, not 2.5"), DRAWS, {}),
-    "run-replicates-reps-bool": (
+        (ValueError, "m must be an integer >= 1, not 2.5"), DRAWS, {})),
+    ("run-replicates-reps-bool", (
         lambda: sim.run_replicates(SMALL, IDENT, IDENT, SMALL_CFG, reps=True,
                                    kernels=SMALL_KERNELS),
         (ValueError, "reps must be an integer >= 1, not True"),
-        DRAWS + ((equiv, "build_equiv"),), {}),
+        DRAWS + ((equiv, "build_equiv"),), {})),
     # every root seed is an integer in [0, 2^64), on every entry that hashes
     # one; a fraction was truncated, and -1 and 2^64 hashed as they came
-    "synthetic-seed-fraction": (
+    ("synthetic-seed-fraction", (
         lambda: synthetic_regression(3, 2, 2, 0.0, seed=1.7),
-        (ValueError, "unsigned 64-bit"), DRAWS, {}),
-    **{f"library-{name}-seed-{label}": (
+        (ValueError, "unsigned 64-bit"), DRAWS, {})),
+    *[(f"library-{name}-seed-{label}", (
         lambda call=call, seed=seed: call(seed), (ValueError, "unsigned 64-bit"),
-        DRAWS, {})
+        DRAWS, {}))
        for name, call in (
            ("estimate-kernels",
             lambda seed: estimate_kernels(SMALL, IDENT, IDENT, 4, 100, seed)),
@@ -698,58 +699,65 @@ CASES = {
             lambda seed: verify_centering(IDENT, IDENT, SMALL, 4, 100, seed)),
            ("sample-features",
             lambda seed: sim.sample_features(SMALL, IDENT, IDENT, 2, 4, seed)))
-       for label, seed in (("negative", -1), ("2-64", 2 ** 64), ("fraction", 3.0))},
+       for label, seed in (("negative", -1), ("2-64", 2 ** 64), ("fraction", 3.0))],
     # a bool is no ridge: True solved at delta = 1
-    "build-equiv-delta-bool": (
+    ("build-equiv-delta-bool", (
         lambda: equiv.build_equiv(KernelSet(np.eye(3), np.zeros((3, 1)),
                                             np.eye(1), 1),
                                   np.ones(3), np.ones(1), 2, True),
         (ValueError, "delta must be a positive finite real"),
-        DRAWS + ((equiv, "solve_subdel"),), {}),
-    "rfconfig-delta-bool": (lambda: RFConfig(d=2, delta=True, n=4, seed=0),
-                            (ValueError, "delta must be a positive finite real"),
-                            DRAWS, {}),
-    "gaussianity-tau-bool": (
+        DRAWS + ((equiv, "solve_subdel"),), {})),
+    ("rfconfig-delta-bool", (lambda: RFConfig(d=2, delta=True, n=4, seed=0),
+                             (ValueError, "delta must be a positive finite real"),
+                             DRAWS, {})),
+    ("gaussianity-tau-bool", (
         lambda: estimate_delta_gaussianity(SMALL, IDENT, IDENT, SMALL_CFG, 1j,
                                            True, reps=4),
-        (ValueError, "tau must be a positive finite real"), DRAWS, {}),
+        (ValueError, "tau must be a positive finite real"), DRAWS, {})),
     # a probe or a theory matrix not of G's square shape was read in part,
     # and a NaN probe gave a NaN gap
-    "anisotropic-gap-probe-narrow": (
+    ("anisotropic-gap-probe-narrow", (
         _gap(((128, 128), (128, 128), (128, 64))),
-        (ValueError, "must share one square shape"), DRAWS, {}),
-    "anisotropic-gap-theory-tall": (
+        (ValueError, "must share one square shape"), DRAWS, {})),
+    ("anisotropic-gap-theory-tall", (
         _gap(((128, 128), (256, 128), (128, 128))),
-        (ValueError, "must share one square shape"), DRAWS, {}),
-    "anisotropic-gap-probe-nan": (
+        (ValueError, "must share one square shape"), DRAWS, {})),
+    ("anisotropic-gap-probe-nan", (
         _gap(((128, 128),) * 3, nan_probe=True),
-        (ValueError, "the anisotropic trace is not finite"), DRAWS, {}),
+        (ValueError, "the anisotropic trace is not finite"), DRAWS, {})),
     # an unknown layout is refused before the file is opened
-    "load-matrix-unknown-layout": (
+    ("load-matrix-unknown-layout", (
         lambda: model.load_matrix("no-such-dir/m.npy", layout="npy"),
         (ValueError, "unknown matrix layout 'npy'"),
-        ((model, "_load_csv"), (model, "_load_raw")), {}),
-    "write-matrix-unknown-layout": (
+        ((model, "_load_csv"), (model, "_load_raw")), {})),
+    ("write-matrix-unknown-layout", (
         lambda: model.write_matrix("no-such-dir/m.npy", np.eye(2), layout="npy"),
         (ValueError, "unknown matrix layout 'npy'"), ((model, "_write_csv"),),
-        {}),
-    "json-null-value": (_returns(lambda: model.to_json_text({"a": None}),
-                                 '{"a":null}'), None, (), {}),
-    "json-key-not-string": (lambda: model.to_json_text({1: 2.0}),
-                            (TypeError, "JSON report keys must be strings"),
-                            (), {}),
-    "json-unsupported-type": (
+        {})),
+    ("json-null-value", (_returns(lambda: model.to_json_text({"a": None}),
+                                  '{"a":null}'), None, (), {})),
+    ("json-key-not-string", (lambda: model.to_json_text({1: 2.0}),
+                             (TypeError, "JSON report keys must be strings"),
+                             (), {})),
+    ("json-unsupported-type", (
         lambda: model.to_json_text({"a": {1, 2}}),
-        (TypeError, "cannot serialize set in a JSON report"), (), {}),
-}
+        (TypeError, "cannot serialize set in a JSON report"), (), {})),
+]
 # the option rows again with sign/sin, which has no closed form, so that
 # the Monte Carlo route's pass is guarded as well as the closed form's
-CASES.update({
-    name.replace("diagnose-", "diagnose-sign-sin-"):
-        (run + ["--sigma", "sign", "--phi", "sin"], *rest)
-    for name, (run, *rest) in CASES.items()
+CASE_ROWS += [
+    (name.replace("diagnose-", "diagnose-sign-sin-"),
+     (run + ["--sigma", "sign", "--phi", "sin"], *rest))
+    for name, (run, *rest) in CASE_ROWS
     if name.startswith(tuple(f"diagnose-{option}-" for option in
-                             ("z", "tau", "eta", "probes", "samples")))})
+                             ("z", "tau", "eta", "probes", "samples")))]
+# (name, case) rows, not a dict literal, in which a repeated name would
+# silently replace the earlier row: here it fails the collection
+CASES = dict(CASE_ROWS)
+if len(CASES) != len(CASE_ROWS):
+    raise ValueError("repeated case names: " + ", ".join(
+        name for name, count in collections.Counter(
+            name for name, _ in CASE_ROWS).items() if count > 1))
 
 
 @pytest.fixture

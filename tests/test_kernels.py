@@ -12,7 +12,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -548,12 +547,60 @@ def test_memo_key_is_the_bytes_not_the_size_or_mtime(tmp_path, empty_memo):
     p.write_text(SMALL_FILE % ("2.0", "0.5"))
     first = load_kernels(p)
     assert load_kernels(p) is first
-    assert len(rfequiv.kernels._last_file[0]) == 32  # a digest, not the file
+    assert rfequiv.kernels._last_file[0] == p.read_bytes()  # the key is the bytes
     stat = p.stat()
     p.write_text(SMALL_FILE % ("3.0", "0.5"))
     os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (p.stat().st_size, p.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
     assert load_kernels(p).K_aa.tolist() == [[3.0]]
+
+
+def test_other_bytes_release_the_kept_file(tmp_path, empty_memo):
+    # the kept bytes are about 3x the blocks: a read of other bytes, a bad
+    # file included, lets go of them before its parse
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(SMALL_FILE % ("2.0", "0.5"))
+    bad.write_text(SMALL_FILE % ("2.0", "5.0"))  # not PSD
+    first = load_kernels(good)
+    with pytest.raises(ValueError, match="not PSD"):
+        load_kernels(bad)
+    assert rfequiv.kernels._last_file == [None, None]
+    again = load_kernels(good)
+    assert again is not first and again.K_aa.tolist() == [[2.0]]
+
+
+def test_threads_reading_two_files_each_get_the_set_of_their_bytes(tmp_path,
+                                                                  empty_memo):
+    """More threads than cores alternate between two files with a short
+    switch interval: every call returns the set of the bytes it read, never
+    the other file's set or nothing, while the memo is replaced under it."""
+    files = []
+    for value in (2.0, 3.0):
+        path = tmp_path / f"k{value}.json"
+        path.write_text(SMALL_FILE % (value, "0.5"))
+        files.append((path, value))
+    wrong = []
+
+    def work(k):
+        for j in range(40):
+            path, value = files[(j + k) % 2]
+            ks = load_kernels(path)
+            if ks is None or ks.K_aa[0, 0] != value:
+                wrong.append((k, j))
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(4 * (os.cpu_count() or 1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("bad, code, message", [
@@ -638,12 +685,14 @@ def test_predict_grid_parses_and_factorises_once(tmp_path, monkeypatch, empty_me
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(orjson, "loads", counted("loads", orjson.loads))
+    # the CSV reader parses with orjson too: count the kernel file's parse
+    monkeypatch.setattr(rfequiv.kernels, "_parse_json",
+                        counted("parse", rfequiv.kernels._parse_json))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     (tmp_path / "memo").mkdir()
     for args in argv(tmp_path / "memo"):
         assert main(args) == 0
-    assert calls == {"loads": 1, "eigh": 1}
+    assert calls == {"parse": 1, "eigh": 1}
 
     (tmp_path / "fresh").mkdir()
     code = ("import rfequiv.kernels as kernels\n"

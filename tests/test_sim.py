@@ -414,6 +414,20 @@ def test_surrogate_rejects_indefinite_covariance():
         gaussian_surrogate_run(bad, np.ones(2), np.ones(2), cfg, reps=2)
 
 
+@pytest.mark.parametrize("reps, message", [
+    (0, "reps must be >= 1"), (True, "reps must be an integer >= 1, not True")])
+def test_surrogate_refuses_reps_before_the_root(monkeypatch, reps, message):
+    # the root is an eigendecomposition of the (n+t)x(n+t) joint kernel:
+    # a run that cannot draw must not pay for it
+    k = KernelSet(np.eye(4), np.zeros((4, 2)), np.eye(2), 10)
+    cfg = RFConfig(d=3, delta=0.4, n=4, seed=0)
+    roots = []
+    monkeypatch.setattr(KernelSet, "_joint_root", lambda self: roots.append(self))
+    with pytest.raises(ValueError, match=message):
+        gaussian_surrogate_run(k, np.ones(4), np.ones(2), cfg, reps=reps)
+    assert roots == []
+
+
 def test_surrogate_errors_ignore_caller_blas_threads(monkeypatch):
     # the set makes the square root of J on one BLAS thread; sim takes no
     # eigendecomposition of its own (at 200/100 OpenBLAS rounds eigh and

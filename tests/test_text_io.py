@@ -4,6 +4,7 @@ files they write."""
 
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from rfequiv import (KernelSet, MatrixFormatError, load_matrix, save_kernels,
-                     write_json, write_matrix)
+                     synthetic_regression, write_json, write_matrix)
 from rfequiv import model
+from rfequiv.cli import main
 from rfequiv.model import to_json_text
 
 from conftest import EDGE_FLOATS, load_csv_oracle
@@ -100,9 +102,14 @@ def test_csv_separators_are_the_regex_whitespace_class():
     assert "".join(text.split()) == re.sub(r"\s", "", text)
 
 
+# the cells orjson reads as no float, or as another value than float's (-0
+# reads as the integer 0), or refuses, and "1]" "[2" which as one row
+# "1],[2" would be two: each must read as float reads it or fail as it does
 CELLS = st.sampled_from(["0", "-0", "1", "-2.5", "0.1", "+3", ".5", "5.", "1e-310",
                          "1.7976931348623157e308", "1e999", "nan", "-inf", "7_5",
-                         "1e", "frog", "0x1"])
+                         "1e", "frog", "0x1", "true", "false", "null", '"1"', "[1]",
+                         "{}", "-0.0", "-0e0", "1E5", "18446744073709551616",
+                         "9" * 400, "\u0661\u0662", "1]", "[2"])
 SEPARATORS = st.sampled_from([",", " ", "\t", ", ", " ,\t", ",,", "\r", "\x0b", "\x0c",
                               "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
                               "\u3000", "\u200b", "\ufeff"])
@@ -142,10 +149,48 @@ def _outcome(load, path):
 @example("1,2\n3,\n")
 @example(",\n")
 @example(" \u3000\n")
+@example("1, ,2\n")
+@example("1 2,\n3 4\n")
 def test_csv_reader_equals_the_regex_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_matrix, path) == _outcome(load_csv_oracle, path)
+
+
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True).map(repr),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["-0", "0", "-0.0", "-0e0", "1E5", "1e-400", "2.5e+3"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(JSON_NUMBERS, min_size=width, max_size=width), min_size=1,
+    max_size=5)), st.sampled_from([",", " ", ", ", "\t"]))
+def test_csv_reader_reads_json_numbers_as_float_does(tmp_path_factory, rows, sep):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_text("".join(sep.join(row) + "\n" for row in rows), encoding="utf-8")
+    assert _outcome(load_matrix, path) == _outcome(load_csv_oracle, path)
+
+
+@pytest.mark.parametrize("text, parsed", [
+    ("1.5,2\n-3e-2,4\n", True),
+    ("1.5 2\n\n-3e-2\t4\n", True),
+    ("1.5,-0\n3,4\n", False),  # -0 would read as the integer 0
+    ("1.5,+2\n3,4\n", False),
+    ("1.5,2\n3,\n", False),
+    ("1.5 ,,2\n3 4\n", False),
+])
+def test_csv_reader_parses_json_numbers_in_one_call(tmp_path, monkeypatch, text,
+                                                    parsed):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    calls = []
+    float_rows = model._float_rows
+    monkeypatch.setattr(model, "_float_rows",
+                        lambda *args: calls.append(1) or float_rows(*args))
+    assert _outcome(load_matrix, path) == _outcome(load_csv_oracle, path)
+    assert calls == ([] if parsed else [1])
 
 
 def test_csv_splits_at_unicode_whitespace_but_not_at_format_characters(tmp_path):
@@ -156,6 +201,58 @@ def test_csv_splits_at_unicode_whitespace_but_not_at_format_characters(tmp_path)
         path.write_bytes(f"1{joiner}2\n".encode("utf-8"))
         with pytest.raises(MatrixFormatError, match="u.csv:1: non-numeric cell"):
             load_matrix(path)
+
+
+def _verb_files(root):
+    """In a new directory ``root``, run estimate-kernels (closed form and
+    Monte Carlo), predict, simulate and sweep on one CSV dataset and return
+    the bytes of every file written.  X holds halves and integers (+ 0.0
+    turns each -0.0 into 0.0), so orjson reads ints there, and Xhat a -0.0,
+    which write_matrix writes as -0, the one integer orjson reads as another
+    value than float."""
+    ds = synthetic_regression(12, 6, 5, 0.3, seed=8)
+    X, Xhat = np.round(ds.X * 4) / 2 + 0.0, ds.Xhat.copy()
+    Xhat[1, 2] = -0.0
+    root.mkdir()
+    data = {name: root / f"{name}.csv" for name in ("X", "Xhat", "y", "yhat")}
+    for name, value in (("X", X), ("Xhat", Xhat), ("y", ds.y), ("yhat", ds.yhat)):
+        write_matrix(data[name], value.reshape(len(value), -1))
+    design = ["--x", str(data["X"]), "--xhat", str(data["Xhat"])]
+    labels = ["--y", str(data["y"]), "--yhat", str(data["yhat"])]
+    out = root / "out"
+    out.mkdir()
+    mc = ["--sigma", "sign", "--phi", "sin", "--samples", "600", "--seed", "3"]
+    for argv in (
+            ["estimate-kernels", *design, "--out", out / "exact.json"],
+            ["estimate-kernels", *design, *mc, "--out", out / "mc.json"],
+            ["predict", "--kernels", out / "mc.json", *labels, "--d", "9",
+             "--delta", "0.2", "--out", out / "predict.json"],
+            ["simulate", *design, *labels, "--d", "9", "--delta", "0.2",
+             "--reps", "4", "--out", out / "simulate.json",
+             "--csv", out / "simulate.csv"],
+            ["sweep", *design, *labels, *mc, "--d-list", "4,9",
+             "--delta-list", "0.1,1", "--reps", "3", "--out", out / "sweep.csv"]):
+        assert main([str(a) for a in argv]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_verbs_write_the_bytes_of_the_per_value_csv_reader(tmp_path, monkeypatch):
+    runs, fallbacks = {}, set()
+    float_rows = model._float_rows
+    monkeypatch.setattr(model, "_float_rows", lambda path, lines: fallbacks.add(
+        Path(path).name) or float_rows(path, lines))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+        for reader in ("shipped", "oracle"):
+            with monkeypatch.context() as patch:
+                if reader == "oracle":
+                    patch.setattr(model, "_load_csv", load_csv_oracle)
+                runs[threads, reader] = _verb_files(tmp_path / f"{threads}-{reader}")
+    assert fallbacks == {"Xhat.csv"}  # X, y and yhat took the one orjson parse
+    assert len(runs["1", "shipped"]) == 6
+    for threads in ("1", "2"):
+        assert runs[threads, "shipped"] == runs[threads, "oracle"]
+    assert runs["1", "shipped"] == runs["2", "shipped"]
 
 
 @settings(max_examples=200, deadline=None)
