@@ -76,7 +76,12 @@ def _parse_complex(text):
 
 
 def _parse_list(text, kind=float):
-    return tuple(kind(v) for v in text.split(",") if v.strip())
+    """The comma-separated items of ``text`` through ``kind``.  An empty
+    item is refused, as the CSV reader refuses an empty cell."""
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise ValueError(f"empty item in the comma-separated list {text!r}")
+    return tuple(map(kind, items))
 
 
 def _activation(kind, params_text):
@@ -121,14 +126,11 @@ def _load_dataset(args, need_labels=True):
         raise ValueError("provide --x and --xhat, or use --synthetic")
     X = load_matrix(args.x, args.layout)
     Xhat = load_matrix(args.xhat, args.layout)
-    if args.y and args.yhat:
-        y = load_matrix(args.y, args.layout)
-        yhat = load_matrix(args.yhat, args.layout)
-    elif need_labels:
+    if need_labels and not (args.y and args.yhat):
         raise ValueError("provide --y and --yhat")
-    else:
-        y = np.zeros(X.shape[0])
-        yhat = np.zeros(Xhat.shape[0])
+    # a verb that reads no label still loads and checks each one given
+    y = load_matrix(args.y, args.layout) if args.y else np.zeros(X.shape[0])
+    yhat = load_matrix(args.yhat, args.layout) if args.yhat else np.zeros(Xhat.shape[0])
     return Dataset(X, Xhat, y, yhat)
 
 
@@ -230,8 +232,6 @@ def _cmd_sweep(args):
     ds, sigma, phi, n = _load_model(args)
     d_list = sorted(set(_parse_list(args.d_list, int)))
     delta_list = sorted(set(_parse_list(args.delta_list)))
-    if not d_list or not delta_list:
-        raise ValueError("--d-list and --delta-list must be non-empty")
     # every cell's config is checked before the kernel draw
     grid = [RFConfig(d=d, delta=delta, n=n, seed=derive_seed(args.seed, "sweep", i))
             for i, (d, delta) in enumerate(itertools.product(d_list, delta_list))]
@@ -244,7 +244,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_diagnose(args):
-    ds, sigma, phi, n = _load_model(args, min_reps=4)  # a spread needs 4 draws
+    # a spread needs 4 draws; the report reads no label
+    ds, sigma, phi, n = _load_model(args, need_labels=False, min_reps=4)
     cfg = RFConfig(d=args.d, delta=args.delta, n=n, seed=args.seed)
     ell = ds.n_train + cfg.d + 2 * ds.n_test
     if ell > args.max_ell:

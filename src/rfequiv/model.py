@@ -540,9 +540,13 @@ def load_matrix(path, layout="csv"):
     ``"csv"``
         Rows of numbers split at commas and ``str.isspace`` whitespace, no
         header row; an empty comma-separated cell (``1,,2``, ``1,2,``) is refused.
-        A cell reads as ``float`` reads it, bit for bit: one orjson parse
-        converts the cells where it reads each as ``float`` does, and
-        ``float`` converts them where not (``+3``, ``nan``, ``-0``, ...).
+        A cell reads as ``float`` reads it, bit for bit.  One orjson parse
+        of the whole text converts the cells of a file whose cells are
+        separated by commas, with or without spaces or tabs around them
+        (``write_matrix``'s files among them); ``float`` converts them line
+        by line in a file whose cells are separated by whitespace alone, as
+        numpy's ``savetxt`` writes by default, and where a cell is not a
+        JSON number or is ``-0`` (``+3``, ``nan``, ...).
     ``"raw-f64-le"``
         16-byte header of (rows, cols) as little-endian uint64 followed by
         row-major little-endian float64 values.
@@ -563,19 +567,20 @@ def load_matrix(path, layout="csv"):
 
 
 def _load_csv(path):
-    """The CSV layout of :func:`load_matrix`: one orjson parse of every cell
-    where :func:`_json_rows` can show that it reads what ``float`` reads, and
-    a pass that converts each line's cells with ``float`` where it cannot, so
-    the parse decides speed, never a value, the accepted text or a message."""
+    """The CSV layout of :func:`load_matrix`: the file is read once as text,
+    then one orjson parse converts every cell where :func:`_json_rows` can
+    show that it reads what ``float`` reads, and :func:`_float_rows` converts
+    each line's cells with ``float`` where it cannot, so the parse decides
+    speed, never a value, the accepted text or a message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    rows = _json_rows(lines)
+    rows = _json_rows(text)
     if rows is None:
-        rows = _float_rows(path, lines)
-    del lines  # not held while the array is built
+        rows = _float_rows(path, text.split("\n"))
+    del text  # not held while the array is built
     if not rows:
         raise MatrixFormatError(f"{path}: no numeric rows")
     width = len(rows[0])
@@ -584,41 +589,33 @@ def _load_csv(path):
     return np.array(rows, dtype=float)
 
 
-def _json_rows(lines):
+def _json_rows(text):
     """The cells of each line that has any, as numbers, through one orjson
-    parse of the lines as a JSON array of arrays; None where that parse
-    could differ from ``float`` or a line has an empty cell.
+    parse of the text with each line made a JSON array; None where that
+    parse could differ from :func:`_float_rows`.
 
-    A line's cells are joined by commas.  No cell holds a comma or
-    whitespace, so when the parse gives one list per line and every item is
-    a number, each cell is one JSON number.  orjson reads one with a
-    fraction or an exponent as its correctly rounded double, which is
-    ``float``'s, and one without as an ``int``, which converts to that same
-    double, except ``-0``: read as 0, it would lose its sign."""
-    texts = []
-    for line in lines:
-        cells = line.split()
-        if len(cells) > 1:  # whitespace between cells, and perhaps commas
-            cells = line.replace(",", " ").split()
-            if len(cells) <= line.count(","):  # an empty cell
-                return None
-        if cells:
-            texts.append(",".join(cells))
-    text = "[[" + "],[".join(texts) + "]]"
+    JSON's grammar takes what the cell rules take on a line of cells joined
+    by commas with spaces or tabs around them, reads a blank line as an
+    empty array, and refuses an empty cell or any other separator.  When
+    the parse gives one list per line and every item is a number, no line
+    held a bracket, so each list is its line's cells.  orjson reads a
+    number with a fraction or an exponent as its correctly rounded double,
+    which is ``float``'s, and one without as an ``int``, which converts to
+    that same double, except ``-0``: read as 0, it would lose its sign."""
     try:
-        rows = orjson.loads(text)
-    except orjson.JSONDecodeError:  # e.g. 1,,2 +3 .5 nan 1e999 and Unicode digits
+        rows = orjson.loads("[[" + text.replace("\n", "],[") + "]]")
+    except orjson.JSONDecodeError:  # e.g. 1 2, 1,,2, +3, .5, nan, 1e999, Unicode digits
         return None
-    if len(rows) != len(texts) or any(type(row) is not list for row in rows):
+    if len(rows) != text.count("\n") + 1 or any(type(row) is not list for row in rows):
         return None
     kinds = set(map(type, itertools.chain.from_iterable(rows)))
     if not kinds <= {float, int}:  # true, null, "1", [1], {}
         return None
-    # a -0 cell; the substring tests spare most texts of integers the regex
-    if (int in kinds and ("-0," in text or "-0]" in text)
-            and re.search(r"[\[,]-0[\],]", text)):
+    # a -0 cell; an exponent's -0 that ends a number, as in 1e-0, takes the
+    # reference pass too
+    if int in kinds and re.search(r"-0(?![.\deE])", text):
         return None
-    return rows
+    return [row for row in rows if row]
 
 
 def _float_rows(path, lines):
@@ -658,8 +655,12 @@ def _load_raw(path):
 
 
 def write_matrix(path, M, layout="csv"):
-    """Write a real matrix; the raw layout round-trips bit-exactly."""
-    m = np.atleast_2d(np.asarray(M, dtype=float))
+    """Write a real matrix, a 1-D array as one row; the raw layout
+    round-trips bit-exactly.  A complex array or one of more than two axes
+    raises ``ValueError`` before the file is opened."""
+    m = np.atleast_2d(_real(M, "the matrix"))
+    if m.ndim > 2:
+        raise ValueError(f"the matrix is {m.ndim}-D, not 1-D or 2-D")
     if layout == "csv":
         _write_csv(path, m.tolist())
     elif layout == "raw-f64-le":

@@ -386,6 +386,9 @@ def rf_solution_matrix(K, dims, delta, z):
     M[s2, s2] = nu * np.eye(d)
     M[s1, s3] = -t22 * (N11 @ K.K_ah)
     M[s3, s1] = -t22 * (K.K_ha @ N11)
+    # K_ha @ N11 is formed twice, not shared: above 256 KiB numpy scales the
+    # unnamed product in place (temporary elision), which can round apart
+    # from scaling a named one, so sharing it moves M31's last bits
     M[s3, s3] = t22 ** 2 * (K.K_ha @ N11 @ K.K_ah) + t22 * K.K_hh
     M[s3, s4] = -np.eye(t)
     M[s4, s3] = -np.eye(t)

@@ -368,7 +368,25 @@ CASE_ROWS = [
            ("delta-list-nan", ["--d-list", "2", "--delta-list", "nan"],
             "delta must be a positive finite real"),
            ("d-list-empty", ["--d-list", ",", "--delta-list", "0.1"],
-            "--d-list and --delta-list must be non-empty"))],
+            "empty item in the comma-separated list ','"),
+           ("d-list-empty-item", ["--d-list", "2,", "--delta-list", "0.1"],
+            "empty item in the comma-separated list '2,'"),
+           ("delta-list-empty-item", ["--d-list", "2", "--delta-list", ",0.1"],
+            "empty item in the comma-separated list ',0.1'"))],
+    # every number list refuses an empty item, as a CSV file refuses an
+    # empty cell, before any draw
+    ("estimate-kernels-synthetic-empty-item", (
+        ["estimate-kernels", "--synthetic", "4,,2,3"],
+        (2, "empty item in the comma-separated list '4,,2,3'"), DRAWS, {})),
+    ("diagnose-eta-list-empty-item", (
+        DIAGNOSE + ["--eta-list", "100,,1000"],
+        (2, "empty item in the comma-separated list '100,,1000'"),
+        DIAGNOSE_DRAWS, {})),
+    *[(f"estimate-kernels-{kind}-params-empty-item", (
+        ["estimate-kernels", "--synthetic", "4,2,3", f"--{kind}", "custom-table",
+         f"--{kind}-params={params}"],
+        (2, f"empty item in the comma-separated list '{params}'"), DRAWS, {}))
+       for kind, params in (("sigma", "-1,1,,-1,1"), ("phi", "-1,1,-1,1,"))],
     # the replicate verbs check --reps before any kernel draw
     *[(f"{verb}-reps-zero", (
         [verb, "--synthetic", "4,2,3", *grid, "--reps", "0"],

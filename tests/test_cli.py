@@ -539,6 +539,30 @@ def test_diagnose_report_fields(tmp_path, monkeypatch):
     assert rep["zeroth_moment"]["deltas"][1] < rep["zeroth_moment"]["deltas"][0]
 
 
+def test_diagnose_reads_no_labels_but_checks_each_one_given(tmp_path, capsys):
+    """No number of a diagnose report reads a label: a run without --y and
+    --yhat exits 0 with the bytes of runs with the real and with zero
+    labels, and a label file that is given is still loaded and checked."""
+    ds = rfequiv.synthetic_regression(16, 8, 10, 0.2, seed=4)
+    files = {}
+    for name, value in (("X", ds.X), ("Xhat", ds.Xhat), ("y", ds.y), ("yhat", ds.yhat),
+                        ("y0", 0 * ds.y), ("yhat0", 0 * ds.yhat)):
+        files[name] = str(tmp_path / f"{name}.csv")
+        rfequiv.write_matrix(files[name], value.reshape(len(value), -1))
+    argv = ["diagnose", "--x", files["X"], "--xhat", files["Xhat"], "--d", "8",
+            "--delta", "0.5", "--reps", "4", "--samples", "300",
+            "--eta-list", "100,1000"]
+    reports = []
+    for labels in ([], ["--y", files["y"], "--yhat", files["yhat"]],
+                   ["--y", files["y0"], "--yhat", files["yhat0"]]):
+        out = tmp_path / f"d{len(reports)}.json"
+        assert main(argv + labels + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] == reports[2]
+    assert main(argv + ["--y", files["yhat"], "--out", str(tmp_path / "bad.json")]) == 2
+    assert "y has 8 entries, not 16" in capsys.readouterr().err
+
+
 MC_DIAGNOSE = ["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2",
                "--sigma", "sign", "--phi", "sin", "--d", "8", "--delta", "0.5",
                "--reps", "6", "--samples", "1300", "--seed", "3",

@@ -151,6 +151,8 @@ def _outcome(load, path):
 @example(" \u3000\n")
 @example("1, ,2\n")
 @example("1 2,\n3 4\n")
+@example("1],[2\n")  # one line that the one parse would read as two rows
+@example("],1,[\n[\n\n]\n")  # one array per line in count, and a number among them
 def test_csv_reader_equals_the_regex_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -167,6 +169,8 @@ JSON_NUMBERS = st.one_of(
 @given(st.integers(1, 4).flatmap(lambda width: st.lists(
     st.lists(JSON_NUMBERS, min_size=width, max_size=width), min_size=1,
     max_size=5)), st.sampled_from([",", " ", ", ", "\t"]))
+@example([["0.0", "-0"]], ", ")  # a -0 cell after a space
+@example([["1e-0", "-0"], ["2.5e-05", "-0.0"]], ",")
 def test_csv_reader_reads_json_numbers_as_float_does(tmp_path_factory, rows, sep):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_text("".join(sep.join(row) + "\n" for row in rows), encoding="utf-8")
@@ -175,8 +179,17 @@ def test_csv_reader_reads_json_numbers_as_float_does(tmp_path_factory, rows, sep
 
 @pytest.mark.parametrize("text, parsed", [
     ("1.5,2\n-3e-2,4\n", True),
-    ("1.5 2\n\n-3e-2\t4\n", True),
+    # write_matrix's own text, integers and exponents with "-0" in them
+    (_csv_oracle(np.array([[1.0, -2.5e-05, 3e-300], [-0.5, 4.0, 1e+20]])), True),
+    ("1.5, 2\n-3e-2, 4\n", True),
+    ("".join("%10.4f,%10.4f\n" % row for row in ((1.5, -2), (30, 0.25))), True),
+    ("1.5,2 \n\n-3e-2,4\t\n \n", True),
+    ("1.5 2\n\n-3e-2\t4\n", False),  # cells split by whitespace alone
+    ("1.5\t2\n-3e-2\t4\n", False),
     ("1.5,-0\n3,4\n", False),  # -0 would read as the integer 0
+    ("0.0, -0\n3,4\n", False),
+    ("1.5,-0 \n3,4\n", False),
+    ("1e-0,2\n3,4\n", False),  # an exponent's -0 takes the reference pass too
     ("1.5,+2\n3,4\n", False),
     ("1.5,2\n3,\n", False),
     ("1.5 ,,2\n3 4\n", False),
@@ -264,6 +277,21 @@ def test_write_matrix_equals_the_per_value_oracle(tmp_path_factory, m):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     write_matrix(path, m)
     assert path.read_bytes() == _csv_oracle(m).encode()
+
+
+@pytest.mark.parametrize("layout", ["csv", "raw-f64-le"])
+def test_write_matrix_refuses_complex_and_3d_arrays(tmp_path, layout):
+    """A complex array would lose its imaginary part and a 3-D one would
+    fail inside the writer; both are refused before the file is opened,
+    and a 1-D array is still one row."""
+    path = tmp_path / "m"
+    for M, text in ((np.array([[1 + 2j]]), "the matrix is complex, not real"),
+                    (np.zeros((2, 2, 2)), "the matrix is 3-D, not 1-D or 2-D")):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            write_matrix(path, M, layout)
+        assert not path.exists()
+    write_matrix(path, np.array([1.5, -2.0]), layout)
+    assert load_matrix(path, layout).tolist() == [[1.5, -2.0]]
 
 
 def test_csv_writes_integers_up_to_2_53_as_themselves(tmp_path):
