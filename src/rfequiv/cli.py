@@ -76,12 +76,20 @@ def _parse_complex(text):
 
 
 def _parse_list(text, kind=float):
-    """The comma-separated items of ``text`` through ``kind``.  An empty
-    item is refused, as the CSV reader refuses an empty cell."""
+    """The comma-separated items of ``text`` through ``kind`` (``int`` or
+    ``float``).  An empty item is refused, as the CSV reader refuses an
+    empty cell, and so is one that ``kind`` does not read, by its text."""
     items = text.split(",")
     if not all(item.strip() for item in items):
         raise ValueError(f"empty item in the comma-separated list {text!r}")
-    return tuple(map(kind, items))
+    values = []
+    for item in items:
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise ValueError(f"item {item!r} of the comma-separated list {text!r} is "
+                             f"not {'an integer' if kind is int else 'a number'}") from None
+    return tuple(values)
 
 
 def _activation(kind, params_text):

@@ -382,6 +382,20 @@ CASE_ROWS = [
         DIAGNOSE + ["--eta-list", "100,,1000"],
         (2, "empty item in the comma-separated list '100,,1000'"),
         DIAGNOSE_DRAWS, {})),
+    # an item that is no number is named with its list, not in Python's words
+    ("sweep-d-list-not-an-integer", (
+        ["sweep", "--synthetic", "4,2,3", "--d-list", "4.5", "--delta-list", "0.1",
+         "--reps", "2"],
+        (2, "item '4.5' of the comma-separated list '4.5' is not an integer"),
+        DRAWS, {})),
+    ("estimate-kernels-synthetic-not-an-integer", (
+        ["estimate-kernels", "--synthetic", "4,2,x"],
+        (2, "item 'x' of the comma-separated list '4,2,x' is not an integer"),
+        DRAWS, {})),
+    ("diagnose-eta-list-not-a-number", (
+        DIAGNOSE + ["--eta-list", "100,abc"],
+        (2, "item 'abc' of the comma-separated list '100,abc' is not a number"),
+        DIAGNOSE_DRAWS, {})),
     *[(f"estimate-kernels-{kind}-params-empty-item", (
         ["estimate-kernels", "--synthetic", "4,2,3", f"--{kind}", "custom-table",
          f"--{kind}-params={params}"],

@@ -7,14 +7,18 @@ predicted error unchanged: ``M11`` scales by ``1/c``, so ``K_aa M11`` and
 ``||K_aa^{1/2} M11 y||^2`` scales by ``1/c``.  Permuting the train rows with
 ``y``, or the test rows with ``yhat``, permutes the blocks alike and leaves
 the prediction unchanged.  Each property is held on the closed-form, the
-Monte Carlo and the kernel-file routes.
+Monte Carlo and the kernel-file routes, and on the ``predict`` verb.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from rfequiv import (Activation, Dataset, KernelSet, build_equiv, estimate_kernels,
-                     exact_kernels, load_kernels, save_kernels, synthetic_regression)
+                     exact_kernels, load_kernels, save_kernels, synthetic_regression,
+                     write_matrix)
+from rfequiv.cli import main
 
 # relative tolerance, fixed before the test first ran: the last measurement
 # of both properties (relu, 60/30/40) read at most 1.7e-15
@@ -78,3 +82,37 @@ def test_permuting_rows_with_their_labels_leaves_the_prediction(route, tmp_path)
         for d, delta in GRID:
             _assert_same(build_equiv(moved, ds.y, ds.yhat, d, delta),
                          build_equiv(K, DS.y, DS.yhat, d, delta))
+
+
+def _predict_verb(K, y, delta, d, tmp_path, name):
+    """The ``predict`` verb's report on kernel set ``K`` and train labels
+    ``y`` (test labels ``DS.yhat``), both through the files it reads."""
+    paths = {key: tmp_path / f"{name}-{key}" for key in ("k.json", "y.csv", "yhat.csv",
+                                                         "out.json")}
+    save_kernels(K, paths["k.json"])
+    write_matrix(paths["y.csv"], y[:, None])
+    write_matrix(paths["yhat.csv"], DS.yhat[:, None])
+    assert main(["predict", "--kernels", str(paths["k.json"]), "--y", str(paths["y.csv"]),
+                 "--yhat", str(paths["yhat.csv"]), "--d", str(d), "--delta", repr(delta),
+                 "--out", str(paths["out.json"])]) == 0
+    return json.loads(paths["out.json"].read_text())
+
+
+def _assert_same_report(got, want):
+    for name in ("predicted_error", "alpha", "denom"):
+        assert abs(got[name] - want[name]) <= TOL * abs(want[name]), (name, got, want)
+
+
+def test_predict_verb_holds_the_scaling_and_permutation_properties(tmp_path):
+    """The two properties above, on the ``predict`` verb: kernel files
+    written by ``save_kernels``, labels by ``write_matrix``."""
+    K = exact_kernels(DS, Activation("erf"), Activation("identity"), 60)
+    p = np.random.default_rng(11).permutation(DS.n_train)
+    moved = KernelSet(K.K_aa[np.ix_(p, p)], K.K_ah[p], K.K_hh, K.samples, exact=K.exact)
+    for d, delta in GRID:
+        want = _predict_verb(K, DS.y, delta, d, tmp_path, "base")
+        for c in (1e-3, 7.0):
+            _assert_same_report(
+                _predict_verb(_scaled(K, c), DS.y, c * delta, d, tmp_path, "scaled"), want)
+        _assert_same_report(_predict_verb(moved, DS.y[p], delta, d, tmp_path, "moved"),
+                            want)

@@ -305,6 +305,83 @@ def test_csv_writes_integers_up_to_2_53_as_themselves(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the integer digit route of the float writer
+# ---------------------------------------------------------------------------
+
+def _neighbours(values, ulps=1):
+    """Each value, both signs, and its ``ulps`` nearest doubles either side."""
+    out = []
+    for v in values:
+        lo = hi = v
+        for _ in range(ulps):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+        out.append(v)
+    out = np.array(out)
+    return np.concatenate([out, -out])
+
+
+def _assert_rows_are_format(m):
+    """``_row_texts`` against ``format(v, ".17g")`` one value at a time, in
+    both of its spellings: CSV rows, and JSON rows with ``-0.0``."""
+    m = np.atleast_2d(m)
+    csv = "\n".join(",".join(format(v, ".17g") for v in row) for row in m.tolist())
+    json_rows = "],[".join(",".join(map(_value_text, row)) for row in m.tolist())
+    assert "".join(model._row_texts(m)) == csv
+    assert "".join(model._row_texts(m, "],[", "-0.0")) == json_rows
+
+
+def test_row_texts_equal_format_at_powers_of_ten():
+    """Every power of ten from 1e-15 to 1e17 and its neighbours.  The double
+    nearest 1e-07 lies below it (``9.9999999999999995e-08``): at the
+    exponent -7 its digits round up to 10**16, so only the truncated
+    quotient shows that the exponent is -8."""
+    _assert_rows_are_format(_neighbours([float(f"1e{j}") for j in range(-15, 18)]))
+    assert "".join(model._row_texts(np.array([[1e-07]]))) == "9.9999999999999995e-08"
+
+
+def test_row_texts_round_exact_ties_half_to_even():
+    """Values whose 18th significant digit is an exact 5: ``m / 4`` for odd
+    ``m`` near 4e15 ends in .25 or .75 and rounds to the even digit."""
+    assert "".join(model._row_texts(np.array([[1000000000000000.25, 1000000000000000.75]]))) \
+        == "1000000000000000.2,1000000000000000.8"
+    m = np.arange(4 * 10 ** 15 - 2001, 4 * 10 ** 15 + 2001, 2, dtype=np.float64)
+    _assert_rows_are_format((m / 4).reshape(69, 29))
+    _assert_rows_are_format(np.array([[0.5, 1.5, 2.5, 0.125, 1e15 + 0.5]]))
+
+
+def test_row_texts_equal_format_at_the_route_boundaries():
+    """The route's edges, 50 doubles either side of each: 1e-11 and 1e-10
+    (the largest 5**k of a 64-bit word), 2**52 and 2**53 (the left shift),
+    1e15 and 1e16, the smallest normal double, and 1e-5, 1e-4 and 1 (the
+    switches between exponent and fixed notation)."""
+    _assert_rows_are_format(_neighbours(
+        [1e-11, 1e-10, 2.0 ** 52, 2.0 ** 53, 1e15, 1e16, 2.0 ** -1022, 1e-5, 1e-4, 1.0],
+        ulps=50))
+
+
+def test_row_texts_equal_format_on_log_uniform_values():
+    """10**5 signed values log-uniform over 1e-14..1e17 (both sides of the
+    route), mixed with 0, -0, subnormals and integers."""
+    rng = np.random.default_rng(2024)
+    x = np.exp(rng.uniform(np.log(1e-14), np.log(1e17), 10 ** 5))
+    x *= rng.choice([-1.0, 1.0], x.size)
+    x[::97], x[::101], x[::89] = 0.0, -0.0, np.round(x[::89] * 1e-6)
+    x[::103] = 5e-324 * rng.integers(1, 10 ** 6, x[::103].size)
+    _assert_rows_are_format(x.reshape(-1, 250))
+
+
+def test_row_texts_rows_cross_a_pass_boundary():
+    """Values are written in passes of ``_CHUNK``; rows that straddle a pass
+    keep their separators, and a row longer than a pass stays one row."""
+    rng = np.random.default_rng(5)
+    cols = model._CHUNK // 3 + 7
+    _assert_rows_are_format(rng.standard_normal((5, cols)) * 1e-6)
+    _assert_rows_are_format(rng.standard_normal((1, 2 * model._CHUNK + 3)))
+    _assert_rows_are_format(rng.standard_normal((model._CHUNK + 5, 1)))
+
+
+# ---------------------------------------------------------------------------
 # golden bytes
 # ---------------------------------------------------------------------------
 
