@@ -364,7 +364,8 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--reps", type=int, default=10,
-                   help="Gaussianity feature draws, at least 4 (default 10)")
+                   help="Gaussianity feature draws, at least 4, used in pairs: "
+                        "an odd count leaves its last draw out (default 10)")
     p.add_argument("--z", type=_parse_complex, default=1j,
                    help="spectral parameter (default 1j)")
     p.add_argument("--tau", type=float, default=0.1,

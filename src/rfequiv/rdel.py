@@ -323,16 +323,18 @@ def _pencil_times(dims, rows, X):
     ``(i, j)`` of ``P`` is the sum of ``c * B``, or ``c * I`` when ``B`` is
     None.  A term with ``c == 0`` adds nothing and is skipped, so ``E``'s
     table (:func:`_rf_rows` with zero contractions) reads no kernel block.
-    The product is real when ``X`` and every coefficient are.
+    The product is real when ``X`` and every coefficient are.  Each block
+    row is one buffer, zeros of the dtype its terms sum to, that every term
+    is added into in place.
     """
     slots = _rf_slices(dims)
     for si, row in zip(slots, rows):
-        R = np.zeros((si.stop - si.start, X.shape[1]))
+        row = [(j, c, B) for j, c, B in row if c != 0]
+        dtype = np.result_type(X, *(c for _, c, _ in row if c != 1)) if row else float
+        R = np.zeros((si.stop - si.start, X.shape[1]), dtype)
         for j, c, B in row:
-            if c == 0:
-                continue
             term = X[slots[j]] if B is None else _real_left(B, X[slots[j]])
-            R = R + (term if c == 1 else c * term)
+            R += term if c == 1 else c * term
         yield si, R
 
 

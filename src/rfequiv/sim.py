@@ -362,12 +362,18 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     inverse up to rounding (the tests hold it to 1e-12 relative); forming
     ``A^T A`` costs some accuracy only where the pencil is ill-conditioned.
 
-    Pair terms are folded as the pool yields them, a task at a time, so
-    memory grows with ``reps`` only through the task size, ``pairs / 64``
-    terms: ``T`` is their running sum in index order over
-    ``pairs``, and ``sum_i ||T_i - T||_F^2`` comes from Welford's update.
-    ``value`` is ``||T||_2`` from one LAPACK SVD outside the pool, at the
-    caller's BLAS thread count.
+    Memory grows with ``reps``: all ``2 * pairs`` draws, each an
+    (n + t) x d float64 matrix, are held, because ``Jbar`` needs every one
+    of them before the first pair.  Besides them, each worker holds one
+    pair's (ell - t) x ell term, ``Xt`` of the same size, its ``keep``
+    gather of (ell - t) x (ell - t), ``R2`` and ``R14``.  The term is the
+    square ``Xt[:, keep] @ Xt`` with the rows of ``(L - Ebar) R`` added into
+    it in place, one block row at a time.  Terms are folded in place as the
+    pool yields them, a task of ``pairs / 64`` terms at a time: ``T`` is
+    their running sum in index order over ``pairs``, and
+    ``sum_i ||T_i - T||_F^2`` comes from Welford's update, each term turned
+    into its own step.  ``value`` is ``||T||_2`` from one LAPACK SVD outside
+    the pool, at the caller's BLAS thread count.
 
     Returns
     -------
@@ -422,29 +428,35 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         R2[:, s4] = -c * GJ[n:].T
         R14 = E14 - w * _real_left(J, R2)
         R2r, R14r = R2.view(float), R14.view(float)
-
-        def rows(dJ):  # block rows 1, 2 and 4 of (L - Ebar) R, as one matrix
-            X = np.empty((ell - t, ell), dtype=complex)
-            Xr = X.view(float)
-            np.matmul(dJ[:n], R2r, out=Xr[:n])
-            np.matmul(dJ.T, R14r, out=Xr[n:n + d])
-            np.matmul(dJ[n:], R2r, out=Xr[n + d:])
-            return X
-
-        X = rows(J - Jbar)
-        Xt = rows(Jt - Jbar)
-        return X + Xt[:, keep] @ Xt
+        # block rows 1, 2 and 4 of (L' - Ebar) R, as one matrix
+        dJ = Jt - Jbar
+        Xt = np.empty((ell - t, ell), dtype=complex)
+        Xr = Xt.view(float)
+        np.matmul(dJ[:n], R2r, out=Xr[:n])
+        np.matmul(dJ.T, R14r, out=Xr[n:n + d])
+        np.matmul(dJ[n:], R2r, out=Xr[n + d:])
+        Ti = Xt[:, keep] @ Xt
+        del Xt, Xr
+        # the same rows of (L - Ebar) R, added in place one GEMM at a time
+        dJ = J - Jbar
+        Tr = Ti.view(float)
+        Tr[:n] += dJ[:n] @ R2r
+        Tr[n:n + d] += dJ.T @ R14r
+        Tr[n + d:] += dJ[n:] @ R2r
+        return Ti
 
     terms = _parallel_map(one_pair, pairs)
     total = next(terms)
     mean = total.copy()
     spread = 0.0
-    for k, Ti in enumerate(terms, 2):
+    for k, Ti in enumerate(terms, 2):  # Ti is spent: it becomes the step
         total += Ti
-        step = Ti - mean
-        mean += step / k
-        spread += float(np.linalg.norm(step)) ** 2 * (k - 1) / k
-    value = spectral_norm(total / pairs)
+        Ti -= mean
+        spread += float(np.linalg.norm(Ti)) ** 2 * (k - 1) / k
+        Ti /= k
+        mean += Ti
+    total /= pairs
+    value = spectral_norm(total)
     se = math.sqrt(spread / (pairs * (pairs - 1))) if pairs > 1 else math.inf
     return DeltaGaussianity(value=value, standard_error=se, pairs=pairs)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -69,6 +70,18 @@ def caller_blas_threads(count):
     finally:
         for (_, set_), old in zip(_blas_controls(), saved):
             set_(old)
+
+
+def traced_peak(fn):
+    """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs.  numpy
+    reports its array buffers to it, so this is the call's working set of
+    arrays, independent of the allocator and of what ran before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

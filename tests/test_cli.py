@@ -539,6 +539,20 @@ def test_diagnose_report_fields(tmp_path, monkeypatch):
     assert rep["zeroth_moment"]["deltas"][1] < rep["zeroth_moment"]["deltas"][0]
 
 
+def test_diagnose_odd_reps_drops_the_last_draw(tmp_path):
+    """Draws are paired, so ``--reps 5`` makes 2 pairs from draws 0-3 and
+    writes the bytes of ``--reps 4``."""
+    argv = ["diagnose", "--synthetic", "16,8,10", "--noise-sd", "0.2", "--d", "8",
+            "--delta", "0.5", "--samples", "300", "--eta-list", "100,1000"]
+    reports = []
+    for reps in ("4", "5"):
+        out = tmp_path / f"d{reps}.json"
+        assert main(argv + ["--reps", reps, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+    assert json.loads(reports[0])["delta_gaussianity"]["pairs"] == 2
+
+
 def test_diagnose_reads_no_labels_but_checks_each_one_given(tmp_path, capsys):
     """No number of a diagnose report reads a label: a run without --y and
     --yhat exits 0 with the bytes of runs with the real and with zero

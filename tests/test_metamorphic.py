@@ -7,9 +7,11 @@ predicted error unchanged: ``M11`` scales by ``1/c``, so ``K_aa M11`` and
 ``||K_aa^{1/2} M11 y||^2`` scales by ``1/c``.  Permuting the train rows with
 ``y``, or the test rows with ``yhat``, permutes the blocks alike and leaves
 the prediction unchanged.  Each property is held on the closed-form, the
-Monte Carlo and the kernel-file routes, and on the ``predict`` verb.
+Monte Carlo and the kernel-file routes, and on every verb that predicts:
+``predict``, ``simulate``, ``compare`` and ``sweep``.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -116,3 +118,64 @@ def test_predict_verb_holds_the_scaling_and_permutation_properties(tmp_path):
                 _predict_verb(_scaled(K, c), DS.y, c * delta, d, tmp_path, "scaled"), want)
         _assert_same_report(_predict_verb(moved, DS.y[p], delta, d, tmp_path, "moved"),
                             want)
+
+
+# relative tolerance of the empirical mean under a train-row permutation,
+# fixed before the test first ran: the features are the same rows in another
+# order, so only the order of the solve's sums moves, by rounding times the
+# condition number of the ridge system (about 1e3 at delta = 0.01)
+EMPIRICAL_TOL = 1e-9
+
+
+def _replicate_verb(verb, K, ds, c, tmp_path):
+    """``(predicted, empirical mean)`` of each (d, delta) cell of ``verb``
+    on kernel set ``K`` and dataset ``ds`` at ``c`` times GRID's ridges,
+    every input through the files it reads: ``save_kernels`` for the
+    kernels, ``write_matrix`` for the designs and labels, in the new
+    directory ``tmp_path``."""
+    tmp_path.mkdir()
+    files = {key: tmp_path / f"{key}.csv" for key in ("x", "xhat", "y", "yhat")}
+    for key, value in zip(files, (ds.X, ds.Xhat, ds.y[:, None], ds.yhat[:, None])):
+        write_matrix(files[key], value)
+    save_kernels(K, tmp_path / "k.json")
+    argv = [verb, "--kernels", str(tmp_path / "k.json"), "--sigma", "erf",
+            "--reps", "4", "--seed", "5",
+            *(arg for key, path in files.items() for arg in (f"--{key}", str(path)))]
+    if verb == "sweep":
+        out = tmp_path / "sweep.csv"
+        assert main([*argv, "--d-list", ",".join(str(d) for d, _ in GRID),
+                     "--delta-list", ",".join(repr(c * delta) for _, delta in GRID),
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            return [(float(row["predicted"]), float(row["empirical_mean"]))
+                    for row in csv.DictReader(fh)]
+    cells = []
+    for d, delta in GRID:
+        out = tmp_path / f"{verb}.json"
+        assert main([*argv, "--d", str(d), "--delta", repr(c * delta),
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        cells.append((rep["predicted"], rep["mean" if verb == "simulate" else
+                                            "empirical_mean"]))
+    return cells
+
+
+@pytest.mark.parametrize("verb", ["simulate", "compare", "sweep"])
+def test_replicate_verbs_hold_the_scaling_and_permutation_properties(verb, tmp_path):
+    """``predicted`` does not move under ``(K, delta) -> (cK, c delta)`` or
+    a permutation of the train rows, taken by X, y and the kernel blocks
+    together; under the permutation the features are the same rows in
+    another order, so the empirical mean holds too."""
+    K = exact_kernels(DS, Activation("erf"), Activation("identity"), 60)
+    want = _replicate_verb(verb, K, DS, 1.0, tmp_path / "base")
+    for c in (1e-3, 7.0):
+        got = _replicate_verb(verb, _scaled(K, c), DS, c, tmp_path / f"scaled-{c}")
+        for (a, _), (b, _) in zip(got, want, strict=True):
+            assert abs(a - b) <= TOL * abs(b), (c, a, b)
+    p = np.random.default_rng(13).permutation(DS.n_train)
+    moved = KernelSet(K.K_aa[np.ix_(p, p)], K.K_ah[p], K.K_hh, K.samples, exact=K.exact)
+    got = _replicate_verb(verb, moved, Dataset(DS.X[p], DS.Xhat, DS.y[p], DS.yhat),
+                          1.0, tmp_path / "moved")
+    for (a, ea), (b, eb) in zip(got, want, strict=True):
+        assert abs(a - b) <= TOL * abs(b), (a, b)
+        assert abs(ea - eb) <= EMPIRICAL_TOL * abs(eb), (ea, eb)

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,8 @@ from rfequiv import model
 from rfequiv.sim import _pencil_rows
 
 from conftest import (caller_blas_threads, dense_delta_gaussianity,
-                      dense_pencil, dense_pseudoresolvent, unit_row_dataset)
+                      dense_pencil, dense_pseudoresolvent, traced_peak,
+                      unit_row_dataset)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -331,20 +331,34 @@ def test_delta_gaussianity_refuses_an_inaccurate_width_solve(monkeypatch):
 
 
 def test_delta_gaussianity_memory_does_not_grow_with_reps(monkeypatch):
-    # draws are kept as features and the pair terms are folded as they
-    # arrive, so five times the pairs must not cost five times the memory
+    # the pair terms are folded as they arrive, so at this shape, where the
+    # held draws are small beside the terms, five times the pairs must not
+    # cost five times the memory
     monkeypatch.setenv("RF_EQUIV_THREADS", "1")
     ds = synthetic_regression(60, 30, 20, 0.3, seed=3)
     cfg = RFConfig(d=40, delta=0.3, n=60, seed=7)
-    peaks = {}
-    for reps in (8, 40):
-        tracemalloc.start()
-        try:
-            estimate_delta_gaussianity(ds, ERF, IDENTITY, cfg, 1j, 0.1, reps)
-            peaks[reps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {reps: traced_peak(lambda: estimate_delta_gaussianity(
+                 ds, ERF, IDENTITY, cfg, 1j, 0.1, reps))
+             for reps in (8, 40)}
     assert peaks[40] <= 2 * peaks[8]
+
+
+@pytest.mark.parametrize("n, t, n0, d", [(60, 30, 40, 60), (200, 100, 200, 200)],
+                         ids=["ell-180", "ell-600"])
+def test_delta_gaussianity_working_set(monkeypatch, n, t, n0, d):
+    # in units of one (ell - t) x ell complex array, the size of a pair term:
+    # the 10 draws, the running sum and mean, E14, and per pair its term, Xt,
+    # the keep gather, R2 and R14.  The bound was fixed before the first run:
+    # a pair loop that kept both block rows beside their sum and a fold that
+    # copied each step read 11.14-11.20 units here; one buffer per term and
+    # the fold in place read 9.24-9.30
+    monkeypatch.setenv("RF_EQUIV_THREADS", "1")
+    ds = synthetic_regression(n, t, n0, 0.5, seed=1)
+    cfg = RFConfig(d=d, delta=0.1, n=n, seed=3)
+    ell = n + d + 2 * t
+    peak = traced_peak(lambda: estimate_delta_gaussianity(
+        ds, Activation("sign"), Activation("sin"), cfg, 1j, 0.1, reps=10))
+    assert peak / ((ell - t) * ell * 16) <= 9.5
 
 
 def test_delta_gaussianity_single_pair_has_no_spread_estimate():
