@@ -26,7 +26,7 @@ rdel
 sim
     Simulation of the actual model: empirical errors, pseudo-resolvents
     (plain arrays, checked against the sampled pencil's table), Gaussianity
-    diagnostics, Gaussian surrogate runs.
+    diagnostics.
 cli
     The ``rfequiv`` command-line front door.
 

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Verbs: estimate-kernels, predict, simulate, compare, sweep, diagnose.
-Reports are canonical JSON (fixed key order, 17 significant digits), so a
-rerun with identical options and seed produces byte-identical files.
+Reports are canonical JSON (fixed key order, each float as the shortest
+text that reads back as it), so a rerun with identical options and seed
+produces byte-identical files.
 
 Exit codes
 ----------

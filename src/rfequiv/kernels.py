@@ -116,16 +116,6 @@ class KernelSet:
                     object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
         return self._basis
 
-    def _joint_root(self):
-        """``V diag(sqrt(lam)) V^T`` of ``J = V diag(lam) V^T`` by
-        :func:`_psd_eigh`, the symmetric PSD square root that surrogate
-        features are drawn with, made on one numpy BLAS thread as
-        :meth:`_eigenbasis` is.  Not kept: it holds (n + t)^2 floats, and a
-        surrogate run asks for it once."""
-        with _SINGLE_THREAD_NUMPY_BLAS:
-            w, V = _psd_eigh(self.joint())
-            return (V * np.sqrt(w)) @ V.T
-
     @property
     def n_train(self):
         return self.K_aa.shape[0]
@@ -264,15 +254,17 @@ def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False)
                 (U.sum(axis=1), float(np.sum(U * U))) if moments else None)
 
     k = ds.n_train + ds.n_test
-    total, comp = (np.zeros((k, k)), np.zeros((k, k))) if gram else (None, None)
+    total, comp, t = (np.zeros((k, k)) for _ in range(3)) if gram else (None,) * 3
     col_sum, sq_sum = np.zeros(k), 0.0
     for part, sums in _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
         if gram:
-            # Kahan step: comp carries the low-order bits lost by total += part
-            y = part - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+            # Kahan step, in place on the worker's fresh partial: comp
+            # carries the low-order bits lost by total += part
+            part -= comp
+            np.add(total, part, out=t)
+            np.subtract(t, total, out=comp)
+            comp -= part
+            total, t = t, total
         if moments:
             col_sum += sums[0]
             sq_sum += sums[1]

@@ -7,13 +7,13 @@ CLI) builds on the types and helpers defined here.
 from __future__ import annotations
 
 import cmath
+import collections
 import ctypes
 import functools
 import glob
 import hashlib
 import importlib.util
 import itertools
-import json
 import math
 import numbers
 import os
@@ -309,9 +309,11 @@ def _parallel_map(fn, count, workers=None):
     The indices run as at most 64 tasks, each a contiguous run of them that
     ``count`` alone fixes: one index a task up to 64 tasks, so a call of
     microseconds does not spend more time being handed between threads
-    than running.  Results stream a task at a time, so a fold holds at most
-    one task's results, and index order keeps every fold bit-stable for
-    any worker count.
+    than running.  At most ``2 * workers`` tasks are submitted ahead of the
+    one whose results the caller is taking, in index order, so a slow
+    caller makes the pool wait instead of holding every finished result:
+    the pool holds at most that window of tasks' results beside the
+    caller's.  Index order keeps every fold bit-stable for any worker count.
 
     While the map runs, from its first result until it is exhausted,
     closed or raises, numpy's and scipy's OpenBLAS run on one thread; the
@@ -340,10 +342,22 @@ def _parallel_map(fn, count, workers=None):
     if workers is None:
         workers = worker_count()
     workers = max(1, min(int(workers), tasks))
+    window = 2 * workers
     # a pool that is never handed a task starts no thread
     with _SINGLE_THREAD_BLAS, ThreadPoolExecutor(max_workers=workers) as ex:
-        for batch in (map if workers == 1 else ex.map)(task, range(tasks)):
-            yield from batch
+        if workers == 1:
+            for g in range(tasks):
+                yield from task(g)
+            return
+        ahead = collections.deque(ex.submit(task, g) for g in range(min(window, tasks)))
+        try:
+            for g in range(window, tasks + window):
+                batch = ahead.popleft().result()
+                if g < tasks:
+                    ahead.append(ex.submit(task, g))
+                yield from batch
+        finally:  # a raise or a close starts none of the tasks still queued
+            ex.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +544,7 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
 # ---------------------------------------------------------------------------
 
 _RAW_HEADER = struct.Struct("<QQ")  # rows, cols as little-endian uint64
+_NUMPY = orjson.OPT_SERIALIZE_NUMPY
 
 
 def load_matrix(path, layout="csv"):
@@ -671,269 +686,104 @@ def write_matrix(path, M, layout="csv"):
         raise ValueError(f"unknown matrix layout {layout!r}")
 
 
-# The float writer.  A finite double v = m * 2**q (m < 2**53) prints under
-# "%.17g" as the 17-digit integer N = round(|v| * 10**k), k = 16 - E, E the
-# decimal exponent of |v|, rounded half to even on the exact value, in
-# fixed notation for -4 <= E < 17 and exponent notation otherwise, with the
-# trailing zeros of the fraction dropped.  For 1e-11 <= |v| < 1e16, 5**k
-# fits in 64 bits and m * 5**k in 128, so N is exact in uint64 arithmetic
-# (Adams, "Ryu revisited: printf floating point conversion", OOPSLA 2019).
-# Each value becomes 32 bytes, four little-endian words holding the
-# separator, the sign, the "0.000" prefix of 1e-4 <= |v| < 1, the digits,
-# the point and the "e-05" suffix, with NUL where a character is absent;
-# deleting the NULs leaves the text.  Other values (-0, subnormals, the
-# rest of the range and non-finite ones) take "%.17g" itself.
-
-_E_LO, _E_HI = -11, 15  # the decimal exponents of the integer route
-_EXPONENTS = range(_E_LO, _E_HI + 1)
-_CHUNK = 1 << 12  # values a pass; its temporaries stay under 1 MB
-_U64 = [np.uint64(i) for i in range(65)]  # shift counts and small constants
-_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
-_POW10_FLOAT = np.array([float(f"1e{j}") for j in range(-330, 330)])  # [j + 330]
-_BYTES = np.uint64(0x0101010101010101)
-
-
-def _word(text, at):
-    """The ASCII bytes of ``text`` from byte ``at`` of a little-endian word."""
-    return sum(ord(c) << 8 * (at + i) for i, c in enumerate(text))
-
-
-def _table(f):
-    return np.array([f(e) for e in _EXPONENTS], dtype=np.uint64)
-
-
-_PREFIX = _table(lambda e: _word("0." + "0" * (-e - 1) if -4 <= e < 0 else "", 2))
-_SUFFIX = _table(lambda e: _word(f"e-{-e:02d}" if e < -4 else "", 1))
-# the digits after the lead that stay even when zero (fixed notation's
-# integer part), and how many digits after the lead the point follows (16:
-# none here; fixed notation below 1 has it in the prefix)
-_INT_DIGITS = np.array([e if e >= 0 else 0 for e in _EXPONENTS])
-_POINT_AT = np.array([16 if -4 <= e < 0 else max(e, 0) for e in _EXPONENTS])
-# the bytes of the two digit words below digit t (0 <= t <= 16), and the point at t
-_BELOW_1 = np.array([(1 << 8 * min(t, 8)) - 1 for t in range(17)], dtype=np.uint64)
-_BELOW_2 = np.array([(1 << 8 * max(t - 8, 0)) - 1 for t in range(17)], dtype=np.uint64)
-_POINT_1 = np.array([46 << 8 * t if t < 8 else 0 for t in range(17)], dtype=np.uint64)
-_POINT_2 = np.array([46 << 8 * (t - 8) if 8 <= t < 16 else 0 for t in range(17)],
-                    dtype=np.uint64)
-_ZEROS = np.array([0x30 * int(_BYTES) & (1 << 8 * min(j, 8)) - 1 for j in range(17)],
-                  dtype=np.uint64)  # "0" in the lowest j bytes
-
-
-def _scaled(m, q, k):
-    """``floor(m * 2**q * 10**k)`` for ``m < 2**53``, ``0 <= k <= 27`` and
-    ``-2 <= -(q + k) <= 63``, and whether rounding it half to even goes up:
-    ``m * 5**k`` as the words ``hi, lo`` of a 128-bit product."""
-    u = _U64
-    p = _POW5[k]
-    mh, ml = m >> u[32], m & np.uint64(0xFFFFFFFF)
-    ph, pl = p >> u[32], p & np.uint64(0xFFFFFFFF)
-    ll = ml * pl
-    cross = mh * pl + ml * ph  # < 2**64 since mh < 2**21
-    lo = ll + (cross << u[32])
-    hi = mh * ph + (cross >> u[32])
-    hi += lo < ll
-    s = -(q + k)
-    sr = np.clip(s, 1, 63).view(np.uint64)
-    t = (hi << (u[64] - sr)) | (lo >> sr)
-    rem = lo & ((u[1] << sr) - u[1])
-    half = u[1] << (sr - u[1])
-    up = (rem > half) | ((rem == half) & (t & u[1]).astype(bool))
-    left = s < 1  # 2**52 <= |v| < 1e16, where k = 1: the product is exact
-    if left.any():
-        t = np.where(left, lo << np.clip(-s, 0, 2).view(np.uint64), t)
-        up &= ~left
-    return t, up
-
-
-def _digit_bytes(x):
-    """The eight decimal digits of each ``x < 10**8``, one a byte, the first
-    in the lowest (SWAR halving: 4+4 digits, 2+2, 1+1)."""
-    u = _U64
-    v = x // np.uint64(10000)
-    v |= (x - v * np.uint64(10000)) << u[32]
-    d = ((v * np.uint64(10486)) >> u[20]) & np.uint64(0x0000007F0000007F)
-    v = d | ((v - d * np.uint64(100)) << u[16])
-    d = ((v * np.uint64(103)) >> u[10]) & np.uint64(0x000F000F000F000F)
-    return d | ((v - d * u[10]) << u[8])
-
-
-def _through_last_nonzero(w):
-    """0x30 in each byte of ``w`` (bytes of at most 9) up to its highest
-    nonzero byte, 0 above it."""
-    u = _U64
-    w = w | (w >> u[8])
-    w |= w >> u[16]
-    w |= w >> u[32]
-    return (((w + _BYTES * np.uint64(0x7F)) & (_BYTES * np.uint64(0x80))) >> u[7]) \
-        * np.uint64(0x30)
-
-
-def _chunk_text(x, first, ncols, row_sep, neg_zero):
-    """The text of the flat float64 values ``x``, those from index ``first``
-    on of rows of ``ncols``, each after its separator: ``row_sep`` before a
-    row's first value, "," before the others."""
-    u = _U64
-    bits = x.view(np.uint64)
-    biased = (bits >> u[52]).astype(np.int64) & 0x7FF
-    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
-    q = biased - 1075
-    E = ((biased - 1023) * 78913) >> 18  # floor(log10 |v|) or one below
-    E += np.abs(x) >= _POW10_FLOAT[E + 331]  # |v| >= 10**(E + 1)
-    ok = (biased != 0) & (E >= _E_LO) & (E <= _E_HI)
-    E[~ok] = 0
-    T, up = _scaled(m, q, 16 - E)
-    # E is still one off where |v| is within an ulp of a power of ten; the
-    # truncated T tells, since a rounded one can carry up to 10**16
-    wrong = ok & ((T < np.uint64(10 ** 16)) | (T >= np.uint64(10 ** 17)))
-    if wrong.any():
-        i = np.flatnonzero(wrong)
-        Ei = E[i] + np.where(T[i] < np.uint64(10 ** 16), -1, 1)
-        inside = (Ei >= _E_LO) & (Ei <= _E_HI)
-        ok[i[~inside]] = False
-        i, Ei = i[inside], Ei[inside]
-        E[i] = Ei
-        T[i], up[i] = _scaled(m[i], q[i], 16 - Ei)
-    N = T + up
-    carry = N == np.uint64(10 ** 17)
-    N[carry] = np.uint64(10 ** 16)
-    E[carry] += 1
-    N[~ok] = 0  # +0 prints as its lead digit alone
-    e = E - _E_LO
-    lead = N // np.uint64(10 ** 16)
-    rest = N - lead * np.uint64(10 ** 16)
-    high = rest // np.uint64(10 ** 8)
-    w1 = _digit_bytes(high)
-    w2 = _digit_bytes(rest - high * np.uint64(10 ** 8))
-    kept2 = _through_last_nonzero(w2)
-    kept1 = np.where(kept2 != 0, _BYTES * np.uint64(0x30), _through_last_nonzero(w1))
-    t = _POINT_AT[e]
-    t[((kept1 & ~_BELOW_1[t]) | (kept2 & ~_BELOW_2[t])) == 0] = 16  # no fraction
-    keep = _INT_DIGITS[e]
-    w1 += kept1 | _ZEROS[keep]
-    w2 += kept2 | _ZEROS[np.maximum(keep - 8, 0)]
-    below1, below2 = _BELOW_1[t], _BELOW_2[t]
-    out = np.empty((x.size, 4), dtype="<u8")
-    out[:, 0] = (np.uint64(44) | (bits >> u[63]) * np.uint64(45 << 8) | _PREFIX[e]
-                 | (lead + np.uint64(48)) << u[56])
-    out[-first % ncols::ncols, 0] ^= np.uint64(44 ^ 10)
-    out[:, 1] = (w1 & below1) | ((w1 & ~below1) << u[8]) | _POINT_1[t]
-    out[:, 2] = ((w2 & below2) | ((w2 & ~below2) << u[8]) | (w1 & ~below1) >> u[56]
-                 | _POINT_2[t])
-    out[:, 3] = ((w2 & ~below2) >> u[56]) | _SUFFIX[e]
-    other = np.flatnonzero(~ok & (bits != 0))
-    if other.size:
-        values = x[other].tolist()
-        texts = np.array((",".join(["%.17g"] * len(values)) % tuple(values)).split(","),
-                         dtype="S25")
-        texts[texts == b"-0"] = neg_zero
-        chars = out.view(np.uint8)
-        chars[other, 1:] = 0
-        chars[other, 1:26] = texts.view(np.uint8).reshape(-1, 25)
-    text = out.tobytes().translate(None, b"\0").decode("ascii")
-    return text if row_sep == "\n" else text.replace("\n", row_sep)
-
-
-def _row_texts(m, row_sep="\n", neg_zero="-0"):
-    """The text of the rows of the 2-D float array ``m``, in pieces: each
-    value as ``format(v, ".17g")`` writes it (but a negative zero as
-    ``neg_zero``), joined by commas, and the rows joined by ``row_sep``.
-    The digits come from integer arithmetic, in passes of ``_CHUNK``
-    values, and are byte for byte those of ``format``."""
-    rows, ncols = m.shape
-    if not m.size:
-        return [row_sep.join([""] * rows)] if rows else []
-    flat = np.ascontiguousarray(m, dtype=np.float64).reshape(-1)
-    pieces = [_chunk_text(flat[i:i + _CHUNK], i, ncols, row_sep, neg_zero)
-              for i in range(0, flat.size, _CHUNK)]
-    pieces[0] = pieces[0][len(row_sep):]
-    return pieces
-
-
 def _write_csv(path, rows, header=None):
     """Write comma-separated ``rows`` (a 2-D array, or rows of numbers) under
-    an optional ``header`` of column names, each at 17 significant digits
-    (an integer of magnitude <= 2^53 as itself)."""
-    m = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    pieces = _row_texts(m.reshape(len(m), -1 if m.size else 0))
-    if header is not None:
-        pieces = [",".join(header), "\n" if pieces else "", *pieces]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
-        fh.write("\n")
+    an optional ``header`` of column names.  A float is written as the
+    shortest text that reads back as it, with ``repr``'s digits, a
+    non-finite one as ``repr`` writes it (``nan``, ``inf``, ``-inf``), and
+    an ``int`` cell of a row of numbers as itself.  The text is orjson's of
+    the 2-D array with ``[[`` and ``]]`` stripped and each ``],[`` a
+    newline, the reverse of :func:`_json_rows`; orjson writes ``null``
+    exactly where a non-finite value sits, and each of those, in C order,
+    is put back as its ``repr``."""
+    if isinstance(rows, np.ndarray):
+        cells = np.ascontiguousarray(rows, dtype=np.float64)
+        bad = cells[~np.isfinite(cells)].tolist()
+    else:
+        cells = [[int(v) if isinstance(v, (int, np.integer)) else float(v) for v in row]
+                 for row in rows]
+        bad = [v for row in cells for v in row if not math.isfinite(v)]
+    text = orjson.dumps(cells, option=_NUMPY)
+    if bad:
+        pieces = text.split(b"null")
+        text = pieces[0] + b"".join(repr(v).encode() + p for v, p in zip(bad, pieces[1:]))
+    text = text.replace(b"],[", b"\n")
+    with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(",".join(header).encode() + b"\n" * bool(len(cells)))
+        fh.write(memoryview(text)[2:-2])
+        fh.write(b"\n")
 
 
 # ---------------------------------------------------------------------------
 # Canonical JSON reports
 # ---------------------------------------------------------------------------
 
+
 def to_json_text(obj):
     """Serialize a report to canonical JSON.
 
-    Keys keep their insertion order, floats are printed with 17 significant
-    digits (lossless for float64; a negative zero as ``-0.0``), and
-    non-finite values are rejected, so a given report always produces
-    identical bytes.
+    Keys keep their insertion order, each float is the shortest text that
+    reads back as the same double (orjson's, with ``repr``'s digits; a
+    negative zero as ``-0.0``), strings are UTF-8, and non-finite values
+    are refused, so a given report always produces identical bytes.
     """
-    out = []
-    _emit(obj, out)
-    return "".join(out)
+    return orjson.dumps(_reportable(obj), option=_NUMPY).decode()
 
 
-def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+def _reportable(obj):
+    """``obj`` as orjson writes it, with the package's rules checked first:
+    a non-finite float raises ``ValueError``, where orjson would write
+    ``null``; a key that is no string, an unsupported type (a ``set``, a
+    ``complex``), an integer outside 64 bits and a string with a lone
+    surrogate raise before any text is written.  A float64 array of at
+    least one axis goes to orjson's numpy route, C-contiguous; any other
+    array as its ``tolist()``, so a float32 one is written as its float64
+    values (``0.10000000149011612``), not as float32 text."""
+    if obj is None or isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        v = int(obj)
+        if not -2 ** 63 <= v < 2 ** 64:
+            raise TypeError("cannot serialize an integer outside 64 bits in a JSON report")
+        return v
+    if isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not math.isfinite(v):
             raise ValueError("non-finite value in JSON report")
-        text = format(v, ".17g")
-        out.append("-0.0" if text == "-0" else text)  # "-0" would read back as +0
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
+        return v
+    if isinstance(obj, str):
+        obj.encode()  # a lone surrogate raises UnicodeEncodeError, a ValueError
+        return obj
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            if not isinstance(key, str):
                 raise TypeError("JSON report keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64
-          and obj.ndim in (1, 2) and obj.size):
-        # the bytes of emitting obj.tolist()
+            out[_reportable(key)] = _reportable(value)
+        return out
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or not obj.ndim:
+            return _reportable(obj.tolist())
         if not np.isfinite(obj).all():
             raise ValueError("non-finite value in JSON report")
-        two = obj.ndim == 2
-        out.append("[[" if two else "[")
-        # "-0" would read back as +0
-        out.extend(_row_texts(obj if two else obj[None], "],[", "-0.0"))
-        out.append("]]" if two else "]")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} in a JSON report")
+        return np.ascontiguousarray(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_reportable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__} in a JSON report")
 
 
 def write_json(path, obj):
-    """Write ``obj`` as canonical JSON plus a trailing newline.  The text is
-    written piece by piece, never joined: a 2000/2000 kernel file is 281 MB
-    of it."""
-    out = []
-    _emit(obj, out)
-    out.append("\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(out)
+    """Write ``obj`` as :func:`to_json_text` does, plus a trailing newline,
+    after checking all of it.  A dict is written one value at a time, so a
+    2000/2000 kernel file is never one bytes object."""
+    obj = _reportable(obj)
+    with open(path, "wb") as fh:
+        if not isinstance(obj, dict):
+            fh.write(orjson.dumps(obj, option=_NUMPY | orjson.OPT_APPEND_NEWLINE))
+            return
+        fh.write(b"{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(b"," * bool(i) + orjson.dumps(key) + b":")
+            fh.write(orjson.dumps(value, option=_NUMPY))
+        fh.write(b"}\n")

@@ -4,9 +4,9 @@ Draws actual feature matrices, measures the empirical ridge test error,
 and provides the diagnostic objects the solver predictions are validated
 against: the pseudo-resolvent of the sampled pencil, the anisotropic trace
 gap, and a Gaussianity discrepancy estimate.  Sampled-feature replicates
-and jointly-Gaussian surrogate ones with the same kernel covariance share
-one loop, which compares them with a prediction on the caller's kernels,
-for one cell or, in ``sweep``, for a whole grid of cells on one pool.
+run through one loop, which compares them with a prediction on the
+caller's kernels, for one cell or, in ``sweep``, for a whole grid of cells
+on one pool; the tests' Gaussian surrogate oracle draws through it too.
 
 The pseudo-resolvent ``(L - z*Lambda)^{-1}`` is a plain complex ell x ell
 array, never formed by a dense ell x ell solve.  Every block is closed-form
@@ -19,9 +19,8 @@ defect check.  The Gaussianity statistic regularizes by ``i*tau`` on every
 slot, so it takes its own route (:func:`estimate_delta_gaussianity`): one
 d x d Schur complement per pair, checked on the width block row to 1e-9,
 and no sampled pencil assembled.  Like the replicate loops, it draws from
-the root seed of its ``RFConfig``.  The Gaussian surrogate's covariance is
-the joint kernel matrix of its set, whose square root the set makes
-(``KernelSet._joint_root``): this module takes no eigendecomposition.
+the root seed of its ``RFConfig``.  This module takes no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "build_pseudoresolvent",
     "empirical_test_error",
     "estimate_delta_gaussianity",
-    "gaussian_surrogate_run",
     "run_replicates",
     "sample_features",
 ]
@@ -459,32 +457,3 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     value = spectral_norm(total)
     se = math.sqrt(spread / (pairs * (pairs - 1))) if pairs > 1 else math.inf
     return DeltaGaussianity(value=value, standard_error=se, pairs=pairs)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian surrogate
-# ---------------------------------------------------------------------------
-
-def gaussian_surrogate_run(K, y, yhat, cfg, reps):
-    """Replicate run with surrogate features of matching covariance.
-
-    Columns ``(a_j; ahat_j)`` are drawn jointly Gaussian with the joint
-    kernel block matrix as covariance, through its symmetric PSD square
-    root, which ``K._joint_root()`` makes up front on one BLAS thread;
-    replicate ``i`` uses the substream (cfg.seed, "surrogate", i).  So the
-    replicate errors, like every pooled result, do not depend on the
-    caller's BLAS thread count.  The report carries the same predicted
-    value as the true-features run on the same kernels.  A bad ``reps`` is
-    refused before the root is made.
-    """
-    _check_count(reps, "reps")
-    sqrtC = K._joint_root()
-    nt = K.n_train
-
-    def draw(cfg, i):
-        rng = substream(cfg.seed, "surrogate", i)
-        C = sqrtC @ rng.standard_normal((nt + K.n_test, cfg.d))
-        return C[:nt], C[nt:]
-
-    config = {"surrogate": True, "n_train": K.n_train, "n_test": K.n_test}
-    return _replicates(draw, K, y, yhat, [cfg], reps, config)[0]

@@ -16,9 +16,11 @@ from rfequiv import (Dataset, KernelSet, MatrixFormatError, ZerothMomentReport,
 from rfequiv.model import _blas_controls
 from rfequiv.rdel import solve_rdel, spectral_norm
 
+from oracles import gaussian_surrogate_run  # noqa: F401 (the tests' oracle)
+
 
 # finite doubles at the edges of the format; 1.0, -3.0, 2^53 and the largest
-# double below 1e17 are written without a point and read as integers
+# double below 1e17 are integers, which 17-digit text wrote without a point
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                2.2250738585072014e-308, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53,

@@ -18,7 +18,6 @@ from rfequiv import (
     estimate_delta_gaussianity,
     estimate_kernels,
     exact_kernels,
-    gaussian_surrogate_run,
     kernel_ridge_error,
     rf_solution_matrix,
     run_replicates,
@@ -32,8 +31,8 @@ from rfequiv.model import substream
 from rfequiv.rdel import rf_linearization, solve_rdel, spectral_norm
 
 from conftest import (dense_pencil, dense_subdel, equiv_alpha,
-                      generic_zeroth_moment, rand_kernelset, rational_alpha,
-                      train_kernels)
+                      gaussian_surrogate_run, generic_zeroth_moment,
+                      rand_kernelset, rational_alpha, train_kernels)
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")

@@ -12,7 +12,7 @@ import rfequiv
 # reached as ``rfequiv.cli``; its ``main`` is not a library name
 FRONT_DOOR = {"cli"}
 # the most names the package may re-export; a new export raises it on purpose
-MAX_EXPORTS = 32
+MAX_EXPORTS = 31
 
 
 def _library():

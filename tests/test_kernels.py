@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from rfequiv import (
     estimate_delta_gaussianity,
     estimate_kernels,
     exact_kernels,
-    gaussian_surrogate_run,
     load_kernels,
     sample_features,
     save_kernels,
@@ -36,11 +36,12 @@ from rfequiv import (
     verify_centering,
     write_json,
 )
+from rfequiv import kernels
 from rfequiv.cli import main
 from rfequiv.kernels import _parse_json, default_samples
 from rfequiv.rdel import LinearizationSpec, RDELSolution
 
-from conftest import EDGE_FLOATS
+from conftest import EDGE_FLOATS, gaussian_surrogate_run
 
 IDENTITY = Activation("identity")
 ERF = Activation("erf")
@@ -226,6 +227,37 @@ def test_estimator_independent_of_worker_count(monkeypatch):
         runs[threads] = run()
     for a, b in zip(runs["1"], runs["2"]):
         assert np.array_equal(a, b)
+
+
+def test_in_place_kahan_fold_equals_the_allocating_form(monkeypatch):
+    """The fold's in-place Kahan step, bit for bit against the allocating
+    form kept here as the oracle, on partials whose large parts cancel
+    between the first and the last, where the compensation keeps the bits
+    of the small parts that a plain sum loses beside the large total."""
+    rng = np.random.default_rng(3)
+    k, m = 6, 7
+    big = 1e8 * rng.standard_normal((k, k))
+    parts = [rng.standard_normal((k, k)) for _ in range(40)]
+    parts[0] += big
+    parts[-1] -= big
+    monkeypatch.setattr(kernels, "_feature_chunks",
+                        lambda *args: ((p.copy(), None) for p in parts))
+    monkeypatch.setattr(kernels, "_split", lambda ds, joint, samples: joint)
+    got = kernels._chunk_fold(types.SimpleNamespace(n_train=4, n_test=2), IDENTITY,
+                              IDENTITY, 1, m, 0, "kernels", gram=True)[0]
+    total = comp = np.zeros((k, k))
+    for part in parts:
+        y = part - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+
+    def symmetrised_mean(fold):
+        joint = fold / m
+        return ((joint + joint.T) / 2).tobytes()
+
+    assert got.tobytes() == symmetrised_mean(total)
+    assert got.tobytes() != symmetrised_mean(sum(parts))  # the compensation mattered
 
 
 def test_two_seeds_agree_within_clt_band():
@@ -471,8 +503,8 @@ def test_kernels_json_round_trip(tmp_path):
     st.integers(-2 ** 53, 2 ** 53).map(float),
     st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=40))
 def test_kernel_file_parse_is_bit_identical(tmp_path_factory, values):
-    """Every finite double written at 17 significant digits, -0.0 included,
-    reads back with the same bits, as the stdlib reads it."""
+    """Every finite double written as its shortest round-trip text, -0.0
+    included, reads back with the same bits, as the stdlib reads it."""
     p = tmp_path_factory.mktemp("parse") / "v.json"
     write_json(p, {"v": values})
     back = np.array(_parse_json(p, p.read_bytes())["v"], dtype=float)

@@ -4,6 +4,8 @@ import math
 import struct
 import sys
 import threading
+import time
+import types
 import warnings
 
 import numpy as np
@@ -510,8 +512,11 @@ def test_grouped_map_runs_contiguous_groups_fixed_by_the_count(count,
         def __exit__(self, *exc):
             pass
 
-        def map(self, task, items):
-            return map(task, items)
+        def submit(self, task, item):
+            return types.SimpleNamespace(result=lambda: task(item))
+
+        def shutdown(self, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(model, "ThreadPoolExecutor", LazyPool)
     groupings = []
@@ -531,6 +536,26 @@ def test_grouped_map_runs_contiguous_groups_fixed_by_the_count(count,
     assert [i for g in groups for i in g] == list(range(count))
     if count <= 64:
         assert all(len(g) == 1 for g in groups)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_map_holds_at_most_its_window_of_finished_results(workers):
+    # a caller slower than the pool: at most 2 * workers tasks run ahead of
+    # the result the caller is taking, so the finished results that the
+    # caller has not yet taken never number more than that window
+    lock, finished, held = threading.Lock(), [0], []
+
+    def fn(i):
+        with lock:
+            finished[0] += 1
+        return i
+
+    for taken, result in enumerate(_parallel_map(fn, 64, workers), 1):
+        assert result == taken - 1
+        time.sleep(0.005)
+        with lock:
+            held.append(finished[0] - taken)
+    assert len(held) == 64 and max(held) <= 2 * workers, held
 
 
 def test_nested_inline_map_keeps_the_outer_pin():
@@ -603,8 +628,10 @@ def test_parallel_map_without_blas_controls_is_unchanged(monkeypatch, workers):
 # ---------------------------------------------------------------------------
 
 def test_json_keeps_insertion_order_and_17_digits():
-    text = to_json_text({"b": 1.0 / 3.0, "a": 2})
-    assert text == '{"b":0.33333333333333331,"a":2}'
+    # 17 significant digits where the double needs them, and no more
+    # than it needs elsewhere
+    text = to_json_text({"b": 0.1 + 0.2, "a": 2, "c": 1.0 / 3.0})
+    assert text == '{"b":0.30000000000000004,"a":2,"c":0.3333333333333333}'
 
 
 def test_json_rejects_non_finite():

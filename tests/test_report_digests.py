@@ -200,5 +200,11 @@ if __name__ == "__main__":
             files[threads] = report_files(Path(tmp) / threads)
     if files["1"] != files["2"]:
         raise SystemExit("the report bytes follow the worker count; table not written")
-    TABLE.write_text(json.dumps(table(files["1"]), indent=1) + "\n")
+    old = json.loads(TABLE.read_text())["files"] if TABLE.exists() else {}
+    new = table(files["1"])
+    for name, entry in new["files"].items():
+        was = old.get(name, {})
+        print(f"{name}: bytes {'kept' if was.get('sha256') == entry['sha256'] else 'moved'}, "
+              f"fingerprint {'kept' if was.get('fingerprint') == entry['fingerprint'] else 'moved'}")
+    TABLE.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {TABLE}")

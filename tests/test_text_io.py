@@ -1,9 +1,12 @@
-"""Text I/O byte for byte: the CSV reader and writer and the canonical JSON
-array route against one-value-at-a-time oracles, and golden digests of the
-files they write."""
+"""Text I/O: the CSV reader against a one-value-at-a-time oracle, the CSV
+and JSON writers against the two rules of their float text, and golden
+digests of the files they write."""
 
 import hashlib
+import json
+import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -21,22 +24,69 @@ from rfequiv.model import to_json_text
 from conftest import EDGE_FLOATS, load_csv_oracle
 
 
-def _value_text(v):
-    """One value as the JSON report writes it: 17 significant digits and a
-    negative zero as ``-0.0``."""
-    text = format(v, ".17g")
-    return "-0.0" if text == "-0" else text
+def _digits(text):
+    """The sign, digits and exponent of the decimal number ``text``, with
+    trailing zeros dropped: equal for two texts exactly when they spell
+    the same decimal number with the same sign."""
+    return Decimal(text).normalize().as_tuple()
 
 
-def _json_oracle(values):
-    """Nested lists of floats as JSON, formatted one value at a time."""
-    if isinstance(values, list):
-        return "[" + ",".join(_json_oracle(v) for v in values) + "]"
-    return _value_text(values)
+def _assert_float_texts(texts, values):
+    """The writers' two rules for the text of each float value, one value
+    at a time and without orjson: the text reads back through ``float`` as
+    the value, bit for bit and sign of zero included, and it is the decimal
+    number that ``repr`` writes; a non-finite value is ``repr``'s text."""
+    values = np.asarray(values, dtype=float).ravel()
+    assert len(texts) == values.size
+    for text, v in zip(texts, values.tolist()):
+        want = repr(v)
+        assert text == want or math.isfinite(v) and _digits(text) == _digits(want), (text, v)
+    _assert_same_doubles([float(text) for text in texts], values)
 
 
-def _csv_oracle(m):
-    """A matrix as ``write_matrix`` writes a CSV, one value at a time."""
+def _assert_same_doubles(got, want):
+    """``got`` holds ``want``'s doubles bit for bit, a NaN wherever it has one."""
+    got, want = np.asarray(got, dtype=float).ravel(), np.asarray(want, dtype=float).ravel()
+    assert got.shape == want.shape
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (got[~same], want[~same])
+
+
+def _assert_json_writers(path, a):
+    """``to_json_text`` and ``write_json`` of the finite float array ``a``:
+    the list route's brackets and commas, and each value's text by
+    :func:`_assert_float_texts`."""
+    text = to_json_text({"v": a})
+    write_json(path, {"v": a})
+    assert path.read_bytes() == (text + "\n").encode()
+    assert text == to_json_text({"v": a.tolist()})
+    body = text[len('{"v":'):-1]
+    skeleton = json.dumps(a.tolist(), separators=(",", ":"))
+    assert re.sub(r"[^][,]+", "", body) == re.sub(r"[^][,]+", "", skeleton)
+    _assert_float_texts([cell for cell in re.split(r"[][,]+", body) if cell], a)
+    _assert_same_doubles(json.loads(text)["v"], a)
+
+
+def _assert_csv_writers(path, m):
+    """``write_matrix`` and ``_write_csv`` of the 2-D float array ``m``:
+    one line a row and one cell a column, each cell's text by
+    :func:`_assert_float_texts`, and ``load_matrix`` reads ``m`` back."""
+    write_matrix(path, m)
+    text = path.read_text()
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(m)
+    cells = [line.split(",") for line in lines]
+    assert all(len(row) == m.shape[1] for row in cells)
+    _assert_float_texts([cell for row in cells for cell in row], m)
+    if m.size:
+        _assert_same_doubles(load_matrix(path), m)
+    model._write_csv(path, m, ("a", "b"))
+    assert path.read_text() == "a,b\n" + text
+
+
+def _old_csv(m):
+    """A matrix as CSV text at 17 significant digits, as the package wrote
+    CSVs before: integers without a point and a negative zero as ``-0``."""
     return "".join(",".join(format(v, ".17g") for v in row) + "\n"
                    for row in np.atleast_2d(m).tolist())
 
@@ -59,10 +109,8 @@ SHAPES = st.one_of(array_shapes(min_dims=1, max_dims=2, max_side=6),
 @example(np.array(EDGE_FLOATS).reshape(1, -1))
 @example(np.array(EDGE_FLOATS).reshape(-1, 1))
 @example(np.array([[-0.0, -0.0], [-0.5, -0.0]]))
-def test_float_array_json_equals_the_per_value_oracle(a):
-    text = to_json_text({"v": a})
-    assert text == '{"v":' + _json_oracle(a.tolist()) + "}"
-    assert text == to_json_text({"v": a.tolist()})
+def test_float_array_json_equals_the_per_value_oracle(tmp_path_factory, a):
+    _assert_json_writers(tmp_path_factory.mktemp("json") / "r.json", a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,7 +132,9 @@ def test_non_finite_array_entry_raises_as_a_list_entry_does(a, where, bad):
     (np.zeros((2, 0)), "[[],[]]"),
     (np.array(2.5), "2.5"),
     (np.array(-0.0), "-0.0"),
-    (np.arange(8.0).reshape(2, 2, 2) - 4, "[[[-4,-3],[-2,-1]],[[0,1],[2,3]]]"),
+    pytest.param(np.arange(8.0).reshape(2, 2, 2) - 4,
+                 "[[[-4.0,-3.0],[-2.0,-1.0]],[[0.0,1.0],[2.0,3.0]]]",
+                 id="a7-[[[-4,-3],[-2,-1]],[[0,1],[2,3]]]"),
 ])
 def test_other_arrays_keep_the_list_route(a, text):
     assert to_json_text({"v": a}) == '{"v":' + text + "}"
@@ -179,8 +229,8 @@ def test_csv_reader_reads_json_numbers_as_float_does(tmp_path_factory, rows, sep
 
 @pytest.mark.parametrize("text, parsed", [
     ("1.5,2\n-3e-2,4\n", True),
-    # write_matrix's own text, integers and exponents with "-0" in them
-    (_csv_oracle(np.array([[1.0, -2.5e-05, 3e-300], [-0.5, 4.0, 1e+20]])), True),
+    # the 17-digit text of earlier files, integers and exponents with "-0" in them
+    (_old_csv(np.array([[1.0, -2.5e-05, 3e-300], [-0.5, 4.0, 1e+20]])), True),
     ("1.5, 2\n-3e-2, 4\n", True),
     ("".join("%10.4f,%10.4f\n" % row for row in ((1.5, -2), (30, 0.25))), True),
     ("1.5,2 \n\n-3e-2,4\t\n \n", True),
@@ -219,17 +269,19 @@ def test_csv_splits_at_unicode_whitespace_but_not_at_format_characters(tmp_path)
 def _verb_files(root):
     """In a new directory ``root``, run estimate-kernels (closed form and
     Monte Carlo), predict, simulate and sweep on one CSV dataset and return
-    the bytes of every file written.  X holds halves and integers (+ 0.0
-    turns each -0.0 into 0.0), so orjson reads ints there, and Xhat a -0.0,
-    which write_matrix writes as -0, the one integer orjson reads as another
-    value than float."""
+    the bytes of every file written.  X and Xhat are written as 17-digit
+    text: X holds halves and integers (+ 0.0 turns each -0.0 into 0.0),
+    whose cells orjson reads as ints, and Xhat a -0.0, written as -0, the
+    one integer orjson reads as another value than float."""
     ds = synthetic_regression(12, 6, 5, 0.3, seed=8)
     X, Xhat = np.round(ds.X * 4) / 2 + 0.0, ds.Xhat.copy()
     Xhat[1, 2] = -0.0
     root.mkdir()
     data = {name: root / f"{name}.csv" for name in ("X", "Xhat", "y", "yhat")}
-    for name, value in (("X", X), ("Xhat", Xhat), ("y", ds.y), ("yhat", ds.yhat)):
-        write_matrix(data[name], value.reshape(len(value), -1))
+    data["X"].write_text(_old_csv(X))
+    data["Xhat"].write_text(_old_csv(Xhat))
+    for name, value in (("y", ds.y), ("yhat", ds.yhat)):
+        write_matrix(data[name], value.reshape(-1, 1))
     design = ["--x", str(data["X"]), "--xhat", str(data["Xhat"])]
     labels = ["--y", str(data["y"]), "--yhat", str(data["yhat"])]
     out = root / "out"
@@ -274,9 +326,7 @@ def test_verbs_write_the_bytes_of_the_per_value_csv_reader(tmp_path, monkeypatch
                                  st.sampled_from(EDGE_FLOATS))))
 @example(np.array(EDGE_FLOATS).reshape(-1, 1))
 def test_write_matrix_equals_the_per_value_oracle(tmp_path_factory, m):
-    path = tmp_path_factory.mktemp("csv") / "m.csv"
-    write_matrix(path, m)
-    assert path.read_bytes() == _csv_oracle(m).encode()
+    _assert_csv_writers(tmp_path_factory.mktemp("csv") / "m.csv", np.atleast_2d(m))
 
 
 @pytest.mark.parametrize("layout", ["csv", "raw-f64-le"])
@@ -295,17 +345,22 @@ def test_write_matrix_refuses_complex_and_3d_arrays(tmp_path, layout):
 
 
 def test_csv_writes_integers_up_to_2_53_as_themselves(tmp_path):
-    """17 significant digits print every integer of magnitude <= 2^53 as
-    itself; above that an integer prints as the double nearest to it."""
+    """An ``int`` cell of a row of numbers is written as itself, up to 2^53
+    and beyond, and a float cell as a float.  Each reads back as the double
+    that the 17-digit text of the cell's value read back as."""
     path = tmp_path / "i.csv"
-    model._write_csv(path, [(2 ** 53, -2 ** 53, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 17 - 1)],
-                     ("a", "b", "c", "d", "e"))
-    assert path.read_text() == ("a,b,c,d,e\n9007199254740992,-9007199254740992,"
-                                "9007199254740991,9007199254740992,1e+17\n")
+    row = (2 ** 53, -2 ** 53, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 17 - 1, 3.0)
+    model._write_csv(path, [row], ("a", "b", "c", "d", "e", "f"))
+    header, line, end = path.read_text().split("\n")
+    assert (header, line, end) == ("a,b,c,d,e,f", "9007199254740992,-9007199254740992,"
+                                   "9007199254740991,9007199254740993,99999999999999999,"
+                                   "3.0", "")
+    _assert_same_doubles([float(cell) for cell in line.split(",")],
+                         [float(format(v, ".17g")) for v in row])
 
 
 # ---------------------------------------------------------------------------
-# the integer digit route of the float writer
+# the writers' float text on the inputs of the former integer digit route
 # ---------------------------------------------------------------------------
 
 def _neighbours(values, ulps=1):
@@ -321,64 +376,50 @@ def _neighbours(values, ulps=1):
     return np.concatenate([out, -out])
 
 
-def _assert_rows_are_format(m):
-    """``_row_texts`` against ``format(v, ".17g")`` one value at a time, in
-    both of its spellings: CSV rows, and JSON rows with ``-0.0``."""
-    m = np.atleast_2d(m)
-    csv = "\n".join(",".join(format(v, ".17g") for v in row) for row in m.tolist())
-    json_rows = "],[".join(",".join(map(_value_text, row)) for row in m.tolist())
-    assert "".join(model._row_texts(m)) == csv
-    assert "".join(model._row_texts(m, "],[", "-0.0")) == json_rows
-
-
-def test_row_texts_equal_format_at_powers_of_ten():
-    """Every power of ten from 1e-15 to 1e17 and its neighbours.  The double
-    nearest 1e-07 lies below it (``9.9999999999999995e-08``): at the
-    exponent -7 its digits round up to 10**16, so only the truncated
-    quotient shows that the exponent is -8."""
-    _assert_rows_are_format(_neighbours([float(f"1e{j}") for j in range(-15, 18)]))
-    assert "".join(model._row_texts(np.array([[1e-07]]))) == "9.9999999999999995e-08"
-
-
-def test_row_texts_round_exact_ties_half_to_even():
-    """Values whose 18th significant digit is an exact 5: ``m / 4`` for odd
-    ``m`` near 4e15 ends in .25 or .75 and rounds to the even digit."""
-    assert "".join(model._row_texts(np.array([[1000000000000000.25, 1000000000000000.75]]))) \
-        == "1000000000000000.2,1000000000000000.8"
-    m = np.arange(4 * 10 ** 15 - 2001, 4 * 10 ** 15 + 2001, 2, dtype=np.float64)
-    _assert_rows_are_format((m / 4).reshape(69, 29))
-    _assert_rows_are_format(np.array([[0.5, 1.5, 2.5, 0.125, 1e15 + 0.5]]))
-
-
-def test_row_texts_equal_format_at_the_route_boundaries():
-    """The route's edges, 50 doubles either side of each: 1e-11 and 1e-10
-    (the largest 5**k of a 64-bit word), 2**52 and 2**53 (the left shift),
-    1e15 and 1e16, the smallest normal double, and 1e-5, 1e-4 and 1 (the
-    switches between exponent and fixed notation)."""
-    _assert_rows_are_format(_neighbours(
-        [1e-11, 1e-10, 2.0 ** 52, 2.0 ** 53, 1e15, 1e16, 2.0 ** -1022, 1e-5, 1e-4, 1.0],
-        ulps=50))
-
-
-def test_row_texts_equal_format_on_log_uniform_values():
-    """10**5 signed values log-uniform over 1e-14..1e17 (both sides of the
-    route), mixed with 0, -0, subnormals and integers."""
+def _log_uniform():
+    """10**5 signed values log-uniform over 1e-14..1e17, mixed with 0, -0,
+    subnormals and integers."""
     rng = np.random.default_rng(2024)
     x = np.exp(rng.uniform(np.log(1e-14), np.log(1e17), 10 ** 5))
     x *= rng.choice([-1.0, 1.0], x.size)
     x[::97], x[::101], x[::89] = 0.0, -0.0, np.round(x[::89] * 1e-6)
     x[::103] = 5e-324 * rng.integers(1, 10 ** 6, x[::103].size)
-    _assert_rows_are_format(x.reshape(-1, 250))
+    return [x.reshape(-1, 250)]
 
 
-def test_row_texts_rows_cross_a_pass_boundary():
-    """Values are written in passes of ``_CHUNK``; rows that straddle a pass
-    keep their separators, and a row longer than a pass stays one row."""
-    rng = np.random.default_rng(5)
-    cols = model._CHUNK // 3 + 7
-    _assert_rows_are_format(rng.standard_normal((5, cols)) * 1e-6)
-    _assert_rows_are_format(rng.standard_normal((1, 2 * model._CHUNK + 3)))
-    _assert_rows_are_format(rng.standard_normal((model._CHUNK + 5, 1)))
+_PASS = 1 << 12  # the values a pass of the former digit route wrote
+WRITER_INPUTS = {
+    # every power of ten from 1e-15 to 1e17 and its neighbours; the double
+    # nearest 1e-07 lies below it
+    "powers-of-ten": lambda: [_neighbours([float(f"1e{j}") for j in range(-15, 18)])[None]],
+    # values whose 18th significant digit is an exact 5
+    "exact-ties": lambda: [
+        np.array([[1000000000000000.25, 1000000000000000.75]]),
+        (np.arange(4 * 10 ** 15 - 2001, 4 * 10 ** 15 + 2001, 2.0) / 4).reshape(69, 29),
+        np.array([[0.5, 1.5, 2.5, 0.125, 1e15 + 0.5]])],
+    # 50 doubles either side of 1e-11 and 1e-10, 2**52 and 2**53, 1e15 and
+    # 1e16, the smallest normal double, and 1e-5, 1e-4 and 1
+    "route-boundaries": lambda: [_neighbours(
+        [1e-11, 1e-10, 2.0 ** 52, 2.0 ** 53, 1e15, 1e16, 2.0 ** -1022, 1e-5, 1e-4, 1.0],
+        ulps=50)[None]],
+    "log-uniform": _log_uniform,
+    # rows that straddled a pass, and a row longer than a pass
+    "pass-boundaries": lambda: [
+        np.random.default_rng(5).standard_normal((5, _PASS // 3 + 7)) * 1e-6,
+        np.random.default_rng(6).standard_normal((1, 2 * _PASS + 3)),
+        np.random.default_rng(7).standard_normal((_PASS + 5, 1))],
+    "edge-floats": lambda: [np.array([EDGE_FLOATS]), np.array([EDGE_FLOATS]).T],
+}
+
+
+@pytest.mark.parametrize("name", WRITER_INPUTS)
+def test_writers_read_back_bit_for_bit_with_repr_digits(tmp_path, name):
+    """Every writer of float text, on these inputs and on their transposes
+    (which are not C-contiguous), against :func:`_assert_float_texts`."""
+    for m in WRITER_INPUTS[name]():
+        for a in (m, m.T):
+            _assert_json_writers(tmp_path / "r.json", a)
+            _assert_csv_writers(tmp_path / "m.csv", a)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +478,20 @@ def _golden_files(tmp_path):
                          "replicates.csv", "report.json")}
 
 
-# SHA-256 of the files as the one-value-at-a-time writers wrote them.  A
-# changed digest is a change of the report format: state it in CHANGES.md.
+# SHA-256 of the files in the shortest round-trip text.  Every value in them
+# reads back as the 17-digit files that came before held it.  A changed
+# digest is a change of the report format: state it in CHANGES.md.
 GOLDEN_SHA256 = {
     "kernels.json":
-        "6fd4ee375fd58458675459413cfc8d902d7034119c4d19dfe5736fbf2cc096d5",
+        "98d9b2185b2c8f38130256a666cafa68b9a4e37e8fffcf90a3758f730dd08015",
     "matrix.csv":
-        "17a4436a13eb57480a018e5b39579bd25c6349e41ed6dcf3f7992f918f646831",
+        "46323a046331ba19606877b132b60f1c11a1f1b0b45cc936c9e3df5b1d8ffebd",
     "column.csv":
-        "0d3240611bc6dc5ad2f7f14422f7e4362a013d0e828d8ebad3700f68d01162e8",
+        "d66e888f925b7687b70d84251b97a95f351d04ac2cbd265439b313ca5ac1bdb2",
     "replicates.csv":
-        "7f29825e133df635eb96eabd934650b22ee3ed4b659e2c31c7ebd07d5d260690",
+        "9ec5733eeba46221d33b7003ffcbddd17fe8c42dd53e3b52ad0be0b3c2d29678",
     "report.json":
-        "195b1513cdf7389dfec18e815ffec8f9e353a8a55397fffc2b28e244d1154f4b",
+        "50409dd34f7b4a17d93f8cdb326bae78a3b640dc45b6fb8b9a975992dc67d8a6",
 }
 
 
