@@ -545,6 +545,7 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
 
 _RAW_HEADER = struct.Struct("<QQ")  # rows, cols as little-endian uint64
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
+_CSV_CELLS = 1 << 16  # cells of a CSV file that one orjson call writes, or one row
 
 
 def load_matrix(path, layout="csv"):
@@ -691,28 +692,41 @@ def _write_csv(path, rows, header=None):
     an optional ``header`` of column names.  A float is written as the
     shortest text that reads back as it, with ``repr``'s digits, a
     non-finite one as ``repr`` writes it (``nan``, ``inf``, ``-inf``), and
-    an ``int`` cell of a row of numbers as itself.  The text is orjson's of
-    the 2-D array with ``[[`` and ``]]`` stripped and each ``],[`` a
-    newline, the reverse of :func:`_json_rows`; orjson writes ``null``
-    exactly where a non-finite value sits, and each of those, in C order,
-    is put back as its ``repr``."""
+    an ``int`` cell of a row of numbers as itself.  The rows are written
+    in blocks of at most ``_CSV_CELLS`` cells, or of one row where a row has
+    more (:func:`_write_csv_rows`), so the text of one block, not of the
+    file, is held."""
     if isinstance(rows, np.ndarray):
         cells = np.ascontiguousarray(rows, dtype=np.float64)
-        bad = cells[~np.isfinite(cells)].tolist()
     else:
         cells = [[int(v) if isinstance(v, (int, np.integer)) else float(v) for v in row]
                  for row in rows]
+    with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(",".join(header).encode() + b"\n" * bool(len(cells)))
+        width = max(len(cells[0]), 1) if len(cells) else 1
+        step = max(1, _CSV_CELLS // width)
+        for a in range(0, max(len(cells), 1), step):  # no rows: one newline
+            _write_csv_rows(fh, cells[a:a + step])
+
+
+def _write_csv_rows(fh, cells):
+    """Write the rows ``cells`` as lines, each ended by a newline.  The text
+    is orjson's of the rows with ``[[`` and ``]]`` stripped and each ``],[``
+    a newline, the reverse of :func:`_json_rows`; orjson writes ``null``
+    exactly where a non-finite value sits, and each of those, in C order,
+    is put back as its ``repr``."""
+    if isinstance(cells, np.ndarray):
+        bad = cells[~np.isfinite(cells)].tolist()
+    else:
         bad = [v for row in cells for v in row if not math.isfinite(v)]
     text = orjson.dumps(cells, option=_NUMPY)
     if bad:
         pieces = text.split(b"null")
         text = pieces[0] + b"".join(repr(v).encode() + p for v, p in zip(bad, pieces[1:]))
     text = text.replace(b"],[", b"\n")
-    with open(path, "wb") as fh:
-        if header is not None:
-            fh.write(",".join(header).encode() + b"\n" * bool(len(cells)))
-        fh.write(memoryview(text)[2:-2])
-        fh.write(b"\n")
+    fh.write(memoryview(text)[2:-2])
+    fh.write(b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -736,12 +750,15 @@ def _reportable(obj):
     a non-finite float raises ``ValueError``, where orjson would write
     ``null``; a key that is no string, an unsupported type (a ``set``, a
     ``complex``), an integer outside 64 bits and a string with a lone
-    surrogate raise before any text is written.  A float64 array of at
-    least one axis goes to orjson's numpy route, C-contiguous; any other
-    array as its ``tolist()``, so a float32 one is written as its float64
-    values (``0.10000000149011612``), not as float32 text."""
+    surrogate raise before any text is written.  A numpy bool is written as
+    a JSON boolean, as a Python one is.  A float64 array of at least one
+    axis goes to orjson's numpy route, C-contiguous; any other array as its
+    ``tolist()``, so a float32 one is written as its float64 values
+    (``0.10000000149011612``), not as float32 text."""
     if obj is None or isinstance(obj, bool):
         return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
         v = int(obj)
         if not -2 ** 63 <= v < 2 ** 64:

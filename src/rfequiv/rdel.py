@@ -21,13 +21,16 @@ A four-slot pencil (train n, width d, test t, test t) is written once, as
 a table of four block rows of terms ``(column slot, coefficient, real
 matrix or None for I)``: :func:`_rf_rows` here for ``E - S(M) - z*Lambda``
 and :func:`rfequiv.sim._pencil_rows` for the sampled ``L - z*Lambda``.
-A table has one operation, :func:`_pencil_times`, which yields ``P X`` one
-block row at a time: :func:`_pencil_matrix` is that product with ``X = I``
-and :func:`_pencil_defect` sums ``||P X - I||_F^2`` over its block rows.
+A table has one operation, :func:`_pencil_times`, which yields ``P X`` in
+row ranges of ``_TILE`` (64) rows, each inside one block row:
+:func:`_pencil_matrix` is that product with ``X = I`` and
+:func:`_pencil_defect` sums ``||P X - I||_F^2`` over its ranges, so a check
+holds one range of the product, not a block row of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -315,27 +318,49 @@ def _rf_superop_rows(K, t22, rho):
             [(0, t22, K.K_ha), (3, t22, K.K_hh)]]
 
 
+# Height of the row ranges of _pencil_times: with a complex X of ell columns a
+# range's product is _TILE * ell * 16 bytes, whatever the slot sizes.
+_TILE = 64
+
+
 def _pencil_times(dims, rows, X):
-    """Yield ``(s, P[s] X)`` for each block row ``s`` of the pencil ``P`` of
-    a four-slot table, in the slot order (train n, width d, test t, test t).
+    """Yield ``(s, (P X)[s])`` for the row ranges ``s`` of the pencil ``P``
+    of a four-slot table, in order: each block row, in the slot order
+    (train n, width d, test t, test t), cut into ranges of ``_TILE`` rows.
 
     ``rows[i]`` lists the terms ``(j, c, B)`` of block row ``i``: block
     ``(i, j)`` of ``P`` is the sum of ``c * B``, or ``c * I`` when ``B`` is
     None.  A term with ``c == 0`` adds nothing and is skipped, so ``E``'s
     table (:func:`_rf_rows` with zero contractions) reads no kernel block.
-    The product is real when ``X`` and every coefficient are.  Each block
-    row is one buffer, zeros of the dtype its terms sum to, that every term
-    is added into in place.
+    The product is real when ``X`` and every coefficient are.  Each range
+    is one buffer, zeros of the dtype its terms sum to, that every term,
+    ``c`` times the matching rows of ``B`` times ``X[slot j]`` (of
+    ``X[slot j]`` itself for ``I``), is added into in place.  So a range
+    equals its rows of the block row's product up to the order in which
+    BLAS sums a dot product: bit for bit where every product is exact, as
+    with ``X = I``, and to rounding elsewhere.
     """
     slots = _rf_slices(dims)
     for si, row in zip(slots, rows):
         row = [(j, c, B) for j, c, B in row if c != 0]
         dtype = np.result_type(X, *(c for _, c, _ in row if c != 1)) if row else float
-        R = np.zeros((si.stop - si.start, X.shape[1]), dtype)
-        for j, c, B in row:
-            term = X[slots[j]] if B is None else _real_left(B, X[slots[j]])
-            R += term if c == 1 else c * term
-        yield si, R
+        for a in range(si.start, si.stop, _TILE):
+            s = slice(a, min(a + _TILE, si.stop))
+            k = slice(s.start - si.start, s.stop - si.start)  # s inside block row si
+            yield s, _row_range(X, slots, row, dtype, k)
+
+
+def _row_range(X, slots, row, dtype, k):
+    """Rows ``k`` of one block row's product, the sum over the terms
+    ``(j, c, B)`` of ``row`` of ``c B X[slot j]``: zeros of ``dtype`` with
+    each term added in place.  A function of its own, so that neither the
+    range nor its last term outlives the caller's use of it."""
+    R = np.zeros((k.stop - k.start, X.shape[1]), dtype)
+    for j, c, B in row:
+        Xj = X[slots[j]]
+        term = Xj[k] if B is None else _real_left(B[k], Xj)
+        R += term if c == 1 else c * term
+    return R
 
 
 def _pencil_matrix(dims, rows):
@@ -345,10 +370,12 @@ def _pencil_matrix(dims, rows):
 
 
 def _pencil_defect(dims, rows, X):
-    """``||P X - I||_F`` for the pencil ``P`` of a table, with one block row
-    of ``P X`` (:func:`_pencil_times`) alive at a time."""
+    """``||P X - I||_F`` for the pencil ``P`` of a table, with one row range
+    of ``P X`` (:func:`_pencil_times`) alive at a time: every entry enters
+    the sum of squares.  ``starmap`` keeps no range between its calls, as
+    a generator expression's loop variables would while the next is built."""
     X = np.ascontiguousarray(X, dtype=complex)
-    return math.sqrt(sum(_row_defect(s, R) for s, R in _pencil_times(dims, rows, X)))
+    return math.sqrt(sum(itertools.starmap(_row_defect, _pencil_times(dims, rows, X))))
 
 
 def _check_rf_dims(K, dims):
@@ -406,7 +433,7 @@ def _real_left(B, X):
 
 
 def _row_defect(s, R):
-    """``||R - I[s]||_F^2`` for the block row ``s`` of a product meant to be I."""
+    """``||R - I[s]||_F^2`` for the rows ``s`` of a product meant to be I."""
     k = np.arange(R.shape[0])
     R[k, s.start + k] -= 1.0
     return np.linalg.norm(R) ** 2

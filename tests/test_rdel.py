@@ -1,5 +1,7 @@
 """Fixed-point solver for the regularized self-consistent matrix equation."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rfequiv import (
 )
 from rfequiv.rdel import (LinearizationSpec, rf_linearization, solve_rdel,
                           spectral_norm)
+from rfequiv.sim import _pencil_rows
 
 from conftest import (equiv_alpha, generic_zeroth_moment, m_infinity,
                       zeroth_products)
@@ -489,6 +492,51 @@ def test_rf_blockwise_defect_equals_the_dense_defect(rf_spec):
         want = dense_defect(spec, z, m)
         rows = rdel._rf_rows(K, DELTA, z, *rdel._rf_contractions(K, m, DIMS))
         assert abs(rdel._pencil_defect(DIMS, rows, m) - want) <= 1e-12 * want
+
+
+def _block_rows(dims, rows, X):
+    """Each block row of ``P X`` for the pencil ``P`` of a table, one product
+    a term, summed from zero in the table's order."""
+    slots = rdel._rf_slices(dims)
+    out = []
+    for row in rows:
+        R = np.zeros((), np.result_type(X, *(c for _, c, _ in row)))
+        for j, c, B in row:
+            R = R + c * (X[slots[j]] if B is None else B @ X[slots[j]])
+        out.append(R)
+    return out
+
+
+@pytest.mark.parametrize("height", [1, 7, 64, max(DIMS) + 1])
+def test_row_ranges_are_the_block_rows_bit_for_bit(monkeypatch, height):
+    # BLAS may sum a range's dot products in another order than its block
+    # row's (OpenBLAS's edge micro-kernels do), so every matrix here holds
+    # small integers: each product is exact in any order, and array_equal
+    # holds the ranges' rows, slots and coefficients to the last bit
+    monkeypatch.setattr(rdel, "_TILE", height)
+    rng = np.random.default_rng(12)
+
+    def ints(*shape):
+        return rng.integers(-4, 5, shape).astype(float)
+
+    n, d, t = DIMS
+    ell = n + d + 2 * t
+    K = types.SimpleNamespace(K_aa=ints(n, n), K_ah=ints(n, t), K_ha=ints(t, n),
+                              K_hh=ints(t, t))
+    tables = [(rdel._rf_rows(K, 0.25, 0.0, 1.5, -2.0), ints(ell, ell)),
+              (_pencil_rows(ints(n, d), ints(t, d), 0.3, 1j),
+               ints(ell, ell) + 1j * ints(ell, ell))]
+    for rows, X in tables:
+        ranges = list(rdel._pencil_times(DIMS, rows, X))
+        edges = [0] + [s.stop for s, _ in ranges]
+        assert [s.start for s, _ in ranges] == edges[:-1] and edges[-1] == ell
+        for s, R in ranges:
+            assert R.shape == (s.stop - s.start, ell) and R.shape[0] <= height
+            assert any(b.start <= s.start and s.stop <= b.stop
+                       for b in rdel._rf_slices(DIMS))
+        got = np.vstack([R for _, R in ranges])
+        want = np.vstack(_block_rows(DIMS, rows, X))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_rf_solution_matrix_at_zero_matches_scalar_route(rf_spec):

@@ -219,6 +219,34 @@ def test_blockwise_defect_equals_the_dense_defect(dims, z):
     assert np.array_equal(_pencil_matrix(dims, rows), P)
 
 
+@pytest.fixture(scope="module")
+def probe_shape():
+    """Features of the resolvent_probe shape (identity features, n = t = 300,
+    d = 150; ell = 1050) and the bytes of their complex ell x ell G."""
+    ds = synthetic_regression(300, 300, 300, 0.0, seed=5)
+    A, Ahat = sample_features(ds, IDENTITY, IDENTITY, 150, 300, seed=6)
+    return A, Ahat, 1050 ** 2 * 16
+
+
+# Both bounds, in bytes of G, were fixed before the first run.  With the defect
+# check holding whole block rows the build read 1.91 G and the check 0.86 G;
+# with row ranges of 64 rows and G assembled in place, 1.17 G and 0.12 G.
+def test_pseudoresolvent_build_holds_little_besides_g(monkeypatch, probe_shape):
+    monkeypatch.setenv("RF_EQUIV_THREADS", "1")
+    A, Ahat, g_bytes = probe_shape
+    peak = traced_peak(lambda: build_pseudoresolvent(A, Ahat, 0.3, 1j))
+    assert peak <= 1.35 * g_bytes
+
+
+def test_pencil_defect_holds_one_row_range(monkeypatch, probe_shape):
+    monkeypatch.setenv("RF_EQUIV_THREADS", "1")
+    A, Ahat, g_bytes = probe_shape
+    G = build_pseudoresolvent(A, Ahat, 0.3, 1j)
+    rows = _pencil_rows(A, Ahat, 0.3, 1j)
+    peak = traced_peak(lambda: _pencil_defect((300, 150, 300), rows, G))
+    assert peak <= 0.25 * g_bytes
+
+
 def test_pseudoresolvent_direct_residual():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 3)) / 2

@@ -21,7 +21,7 @@ from rfequiv import model
 from rfequiv.cli import main
 from rfequiv.model import to_json_text
 
-from conftest import EDGE_FLOATS, load_csv_oracle
+from conftest import EDGE_FLOATS, load_csv_oracle, traced_peak
 
 
 def _digits(text):
@@ -139,6 +139,14 @@ def test_non_finite_array_entry_raises_as_a_list_entry_does(a, where, bad):
 def test_other_arrays_keep_the_list_route(a, text):
     assert to_json_text({"v": a}) == '{"v":' + text + "}"
     assert to_json_text({"v": a}) == to_json_text({"v": a.tolist()})
+
+
+@pytest.mark.parametrize("v, word", [(np.True_, "true"), (np.False_, "false")])
+def test_numpy_bools_are_json_booleans(v, word):
+    """A numpy bool scalar is written as the Python bool is, in a dict and
+    in a list."""
+    assert to_json_text({"a": v}) == '{"a":%s}' % word
+    assert to_json_text([v, {"b": [v]}]) == '[%s,{"b":[%s]}]' % (word, word)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +335,30 @@ def test_verbs_write_the_bytes_of_the_per_value_csv_reader(tmp_path, monkeypatch
 @example(np.array(EDGE_FLOATS).reshape(-1, 1))
 def test_write_matrix_equals_the_per_value_oracle(tmp_path_factory, m):
     _assert_csv_writers(tmp_path_factory.mktemp("csv") / "m.csv", np.atleast_2d(m))
+
+
+@pytest.mark.parametrize("shape", [(11, 3), (3, 20)], ids=["rows-4-a-block", "row-a-block"])
+def test_csv_blocks_equal_the_per_value_oracle(tmp_path, monkeypatch, shape):
+    """The writer dumps blocks of at most ``_CSV_CELLS`` cells, or of one
+    row; non-finite cells and a negative zero on the rows at the edges of
+    the blocks keep their text and their place."""
+    monkeypatch.setattr(model, "_CSV_CELLS", 12)
+    m = np.random.default_rng(5).standard_normal(shape)
+    for row, v in zip((0, 1, 3, 4, 7, 8, -1),
+                      (-0.0, np.inf, np.nan, -np.inf, np.nan, -0.0, np.inf)):
+        m[row % len(m), row % 3] = v
+    _assert_csv_writers(tmp_path / "m.csv", m)
+
+
+def test_write_matrix_holds_one_block_of_text(tmp_path):
+    """A 400 x 400 matrix writes 3.1 MB of text, and the writer holds one
+    block of it, not the whole.  The bound was fixed before the
+    first run: the whole text and its copy with newlines read 2.34 times
+    the file size."""
+    m = np.random.default_rng(0).standard_normal((400, 400))
+    path = tmp_path / "m.csv"
+    peak = traced_peak(lambda: write_matrix(path, m))
+    assert peak <= 1.4 * path.stat().st_size
 
 
 @pytest.mark.parametrize("layout", ["csv", "raw-f64-le"])
