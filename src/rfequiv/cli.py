@@ -103,8 +103,6 @@ def _add_model_options(p):
     p.add_argument("--xhat", help="test design matrix file")
     p.add_argument("--y", help="training labels file (one column or one row)")
     p.add_argument("--yhat", help="test labels file (one column or one row)")
-    p.add_argument("--layout", choices=["csv", "raw-f64-le"], default="csv",
-                   help="matrix file layout (default csv)")
     p.add_argument("--synthetic", metavar="NTRAIN,NTEST,N0",
                    help="generate a synthetic dataset instead of reading files")
     p.add_argument("--noise-sd", type=float, default=0.0,
@@ -127,19 +125,24 @@ def _add_model_options(p):
 
 def _load_dataset(args, need_labels=True):
     if args.synthetic:
+        given = [f"--{name}" for name in ("x", "xhat", "y", "yhat")
+                 if getattr(args, name)]
+        if given:  # a file given with --synthetic would never be read
+            raise ValueError("--synthetic replaces the matrix files; drop "
+                             + ", ".join(given))
         parts = _parse_list(args.synthetic, int)
         if len(parts) != 3:
             raise ValueError("--synthetic needs exactly NTRAIN,NTEST,N0")
         return synthetic_regression(*parts, args.noise_sd, args.seed)
     if not args.x or not args.xhat:
         raise ValueError("provide --x and --xhat, or use --synthetic")
-    X = load_matrix(args.x, args.layout)
-    Xhat = load_matrix(args.xhat, args.layout)
+    X = load_matrix(args.x)
+    Xhat = load_matrix(args.xhat)
     if need_labels and not (args.y and args.yhat):
         raise ValueError("provide --y and --yhat")
     # a verb that reads no label still loads and checks each one given
-    y = load_matrix(args.y, args.layout) if args.y else np.zeros(X.shape[0])
-    yhat = load_matrix(args.yhat, args.layout) if args.yhat else np.zeros(Xhat.shape[0])
+    y = load_matrix(args.y) if args.y else np.zeros(X.shape[0])
+    yhat = load_matrix(args.yhat) if args.yhat else np.zeros(Xhat.shape[0])
     return Dataset(X, Xhat, y, yhat)
 
 
@@ -201,8 +204,8 @@ def _cmd_estimate_kernels(args):
 
 def _cmd_predict(args):
     K = load_kernels(args.kernels)
-    y = load_matrix(args.y, args.layout)
-    yhat = load_matrix(args.yhat, args.layout)
+    y = load_matrix(args.y)
+    yhat = load_matrix(args.yhat)
     sol = build_equiv(K, y, yhat, args.d, args.delta)
     write_json(args.out, sol.to_report())
     return 0
@@ -326,7 +329,6 @@ def build_parser():
     p.add_argument("--kernels", required=True, help="kernel JSON path")
     p.add_argument("--y", required=True, help="training labels (one column or one row)")
     p.add_argument("--yhat", required=True, help="test labels (one column or one row)")
-    p.add_argument("--layout", choices=["csv", "raw-f64-le"], default="csv")
     p.add_argument("--d", type=int, required=True, help="hidden width")
     p.add_argument("--delta", type=float, required=True, help="ridge parameter")
     p.add_argument("--out", required=True, help="output report JSON path")

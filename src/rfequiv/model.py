@@ -18,7 +18,6 @@ import math
 import numbers
 import os
 import re
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +40,8 @@ __all__ = [
 
 class MatrixFormatError(ValueError):
     """A matrix or kernel file could not be parsed (text that is not UTF-8,
-    ragged rows, bad cell, bad header)."""
+    ragged rows, bad cell, bad header, a ``.npy`` file that holds no 2-D
+    float64 array)."""
 
 
 class NonConvergence(RuntimeError):
@@ -520,12 +520,15 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
     Rows of ``X`` and ``Xhat`` are i.i.d. standard normal; a hidden
     coefficient vector ``w`` with unit Euclidean norm is drawn once and
     ``y = X w + noise``, ``yhat = Xhat w + noise``.  Deterministic
-    given ``seed``, an integer in ``[0, 2^64)``; each size is a count.
+    given ``seed``, an integer in ``[0, 2^64)``; each size is a count, and
+    ``noise_sd`` a finite real >= 0 that is not a bool.
     """
     for name, size in (("n_train", n_train), ("n_test", n_test), ("n0", n0)):
         _check_count(size, name)
-    if not 0 <= noise_sd < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"noise_sd must be a finite real >= 0, not {noise_sd}")
+    # NaN fails both comparisons; a bool is no noise level (True drew SD 1)
+    if isinstance(noise_sd, bool) or not (isinstance(noise_sd, numbers.Real)
+                                          and 0 <= noise_sd < math.inf):
+        raise ValueError(f"noise_sd must be a finite real >= 0, not {noise_sd!r}")
     rng = substream(seed, "synthetic")
     X = rng.standard_normal((n_train, n0))
     Xhat = rng.standard_normal((n_test, n0))
@@ -543,47 +546,54 @@ def synthetic_regression(n_train, n_test, n0, noise_sd, seed):
 # Matrix I/O
 # ---------------------------------------------------------------------------
 
-_RAW_HEADER = struct.Struct("<QQ")  # rows, cols as little-endian uint64
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
 _CSV_CELLS = 1 << 16  # cells of a CSV file that one orjson call writes, or one row
 
 
-def load_matrix(path, layout="csv"):
-    """Read a real matrix from ``path``.
+def load_matrix(path):
+    """Read a real matrix from ``path``; the file name picks the container.
 
-    Layouts
-    -------
-    ``"csv"``
-        Rows of numbers split at commas and ``str.isspace`` whitespace, no
-        header row; an empty comma-separated cell (``1,,2``, ``1,2,``) is refused.
-        A cell reads as ``float`` reads it, bit for bit.  One orjson parse
-        of the whole text converts the cells of a file whose cells are
-        separated by commas, with or without spaces or tabs around them
-        (``write_matrix``'s files among them); ``float`` converts them line
-        by line in a file whose cells are separated by whitespace alone, as
-        numpy's ``savetxt`` writes by default, and where a cell is not a
-        JSON number or is ``-0`` (``+3``, ``nan``, ...).
-    ``"raw-f64-le"``
-        16-byte header of (rows, cols) as little-endian uint64 followed by
-        row-major little-endian float64 values.
+    Containers
+    ----------
+    a name ending in ``.npy``
+        numpy's own format (NEP 1), read by numpy's reader with pickles
+        refused.  The file holds one 2-D float64 array, of either byte
+        order and either order flag, and nothing after it.  The matrix is
+        returned C-contiguous in native byte order, bit for bit.
+    any other name
+        CSV: rows of numbers split at commas and ``str.isspace`` whitespace,
+        no header row; an empty comma-separated cell (``1,,2``, ``1,2,``) is
+        refused.  A cell reads as ``float`` reads it, bit for bit.  One
+        orjson parse of the whole text converts the cells of a file whose
+        cells are separated by commas, with or without spaces or tabs around
+        them (``write_matrix``'s files among them); ``float`` converts them
+        line by line in a file whose cells are separated by whitespace
+        alone, as numpy's ``savetxt`` writes by default, and where a cell is
+        not a JSON number or is ``-0`` (``+3``, ``nan``, ...).
 
     Raises
     ------
     MatrixFormatError
-        On a CSV file that is not UTF-8 text, ragged rows, empty or
-        non-numeric cells, or a header/body size mismatch.
+        Naming the file: on a CSV file that is not UTF-8 text, ragged rows,
+        empty or non-numeric cells; on a ``.npy`` file that numpy's reader
+        refuses (bad magic, a short header or body, an object array, a
+        size it cannot allocate), with bytes after the array, or holding
+        another dtype or number of axes.
     OSError
         On I/O failure.
     """
-    if layout == "csv":
-        return _load_csv(path)
-    if layout == "raw-f64-le":
-        return _load_raw(path)
-    raise ValueError(f"unknown matrix layout {layout!r}")
+    if _is_npy(path):
+        return _load_npy(path)
+    return _load_csv(path)
+
+
+def _is_npy(path):
+    """Whether the name ``path`` (text, bytes or a path object) ends in ``.npy``."""
+    return os.fsdecode(path).endswith(".npy")
 
 
 def _load_csv(path):
-    """The CSV layout of :func:`load_matrix`: the file is read once as text,
+    """The CSV container of :func:`load_matrix`: the file is read once as text,
     then one orjson parse converts every cell where :func:`_json_rows` can
     show that it reads what ``float`` reads, and :func:`_float_rows` converts
     each line's cells with ``float`` where it cannot, so the parse decides
@@ -655,36 +665,35 @@ def _float_rows(path, lines):
     return rows
 
 
-def _load_raw(path):
+def _load_npy(path):
+    """The ``.npy`` container of :func:`load_matrix`."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _RAW_HEADER.size:
-        raise MatrixFormatError(f"{path}: missing 16-byte header")
-    rows, cols = _RAW_HEADER.unpack_from(data)
-    body = data[_RAW_HEADER.size:]
-    if len(body) != 8 * rows * cols:
+        try:
+            m = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, MemoryError) as exc:  # a header may promise any size
+            raise MatrixFormatError(f"{path}: not a readable .npy file ({exc})") from exc
+        if fh.read(1):
+            raise MatrixFormatError(f"{path}: bytes after the array")
+    if m.ndim != 2 or m.dtype not in (np.dtype("<f8"), np.dtype(">f8")):
         raise MatrixFormatError(
-            f"{path}: header promises {rows}x{cols} values, "
-            f"body holds {len(body)} bytes"
-        )
-    return np.frombuffer(body, dtype="<f8").reshape(rows, cols).astype(float)
+            f"{path}: holds a {m.ndim}-D {m.dtype} array, not a 2-D float64 one")
+    return np.ascontiguousarray(m, dtype=np.float64)
 
 
-def write_matrix(path, M, layout="csv"):
-    """Write a real matrix, a 1-D array as one row; the raw layout
-    round-trips bit-exactly.  A complex array or one of more than two axes
-    raises ``ValueError`` before the file is opened."""
+def write_matrix(path, M):
+    """Write a real matrix, a 1-D array as one row, in the container that
+    the name ``path`` picks (:func:`load_matrix`): a ``.npy`` file holds
+    the float64 array and round-trips bit-exactly, any other name is CSV.
+    A complex array or one of more than two axes raises ``ValueError``
+    before the file is opened."""
     m = np.atleast_2d(_real(M, "the matrix"))
     if m.ndim > 2:
         raise ValueError(f"the matrix is {m.ndim}-D, not 1-D or 2-D")
-    if layout == "csv":
-        _write_csv(path, m)
-    elif layout == "raw-f64-le":
+    if _is_npy(path):
         with open(path, "wb") as fh:
-            fh.write(_RAW_HEADER.pack(*m.shape))
-            fh.write(m.astype("<f8").tobytes(order="C"))
+            np.lib.format.write_array(fh, m, allow_pickle=False)
     else:
-        raise ValueError(f"unknown matrix layout {layout!r}")
+        _write_csv(path, m)
 
 
 def _write_csv(path, rows, header=None):

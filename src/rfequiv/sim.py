@@ -32,7 +32,7 @@ import numpy as np
 from . import equiv
 from .model import (_check_count, _check_ridge, _check_z, _features, _matrix,
                     _parallel_map, _ridge_solve, _vector, substream)
-from .rdel import _pencil_defect, _real_left, _rf_slices, spectral_norm
+from .rdel import _TILE, _pencil_defect, _real_left, _rf_slices, spectral_norm
 
 __all__ = [
     "DeltaGaussianity",
@@ -229,8 +229,8 @@ def build_pseudoresolvent(A, Ahat, delta, z):
     test-slot couplings is at most machine epsilon times the largest; this
     happens before any division.  The result is then checked against the
     pencil's table (:func:`_pencil_rows`): ``||(L - z*Lambda) G - I||_F``,
-    computed 64 rows at a time, must be at most 1e-9.  Returns the complex
-    ell x ell array ``G``.
+    computed ``rdel._TILE`` (64) rows at a time, must be at most 1e-9.
+    Returns the complex ell x ell array ``G``.
 
     Besides ``G`` and the features the call holds the thin SVD and
     ``Ahat V``; while a block is written, its right factor ``diag(w) Y^T``,
@@ -268,9 +268,9 @@ def build_pseudoresolvent(A, Ahat, delta, z):
         W = np.multiply(w[:, None], Y.T, order="C")
         np.matmul(X, W.view(float), out=block.view(float))
 
-    def divided(block, X, c):  # block += X / c, 64 rows of X / c at a time
-        for k in range(0, X.shape[0], 64):
-            block[k:k + 64] += X[k:k + 64] / c
+    def divided(block, X, c):  # block += X / c, _TILE rows of X / c at a time
+        for k in range(0, X.shape[0], _TILE):
+            block[k:k + _TILE] += X[k:k + _TILE] / c
 
     s1, s2, s3, s4 = _rf_slices((n, d, t))
     ell = n + d + 2 * t
@@ -305,23 +305,23 @@ def anisotropic_gap(G, M_theory, U):
     """``|tr(U (G - M_theory))|`` for a probe of nuclear norm <= 1.
 
     ``tr(U G) = sum_ij U_ij G_ji`` and ``tr(U M_theory)`` are accumulated
-    over slabs of 64 rows, each against the matching columns of ``U``
-    copied into one reused contiguous buffer, so no ell x ell temporary is
-    formed.  ``ValueError`` is raised, at no cost per entry, for a ``U`` or
-    ``M_theory`` that is not of ``G``'s square shape and for a trace that
-    is not finite.
+    over slabs of ``rdel._TILE`` (64) rows, each against the matching
+    columns of ``U`` copied into one reused contiguous buffer, so no
+    ell x ell temporary is formed.  ``ValueError`` is raised, at no cost
+    per entry, for a ``U`` or ``M_theory`` that is not of ``G``'s square
+    shape and for a trace that is not finite.
     """
     G, M, U = map(np.asarray, (G, M_theory, U))
     if not (G.ndim == 2 and M.shape == U.shape == G.shape == G.shape[::-1]):
         raise ValueError(f"G {G.shape}, M_theory {M.shape} and U {U.shape} "
                          "must share one square shape")
     total = 0j
-    slab = np.empty((min(64, U.shape[1]), U.shape[0]), U.dtype)
-    for r in range(0, U.shape[1], 64):
+    slab = np.empty((min(_TILE, U.shape[1]), U.shape[0]), U.dtype)
+    for r in range(0, U.shape[1], _TILE):
         Ut = slab[:U.shape[1] - r]  # the last slab may be shorter
-        np.copyto(Ut, U[:, r:r + 64].T)
+        np.copyto(Ut, U[:, r:r + _TILE].T)
         Ut = Ut.ravel()
-        total += Ut @ G[r:r + 64].ravel() - Ut @ M[r:r + 64].ravel()
+        total += Ut @ G[r:r + _TILE].ravel() - Ut @ M[r:r + _TILE].ravel()
     gap = float(abs(total))
     if not math.isfinite(gap):
         raise ValueError(f"the anisotropic trace is not finite ({total})")

@@ -14,7 +14,6 @@ import collections
 import functools
 import inspect
 import json
-import struct
 import sys
 import warnings
 from unittest import mock
@@ -451,6 +450,13 @@ CASE_ROWS = [
     ("synthetic-noise-sd-nan", (
         lambda: synthetic_regression(10, 5, 4, NAN, seed=0),
         (ValueError, "noise_sd must be a finite real >= 0"), DRAWS, {})),
+    # a bool or a text is no noise level: True drew noise of SD 1, and a
+    # text failed in the comparison with a bare TypeError
+    *[(f"synthetic-noise-sd-{name}", (
+        lambda value=value: synthetic_regression(4, 2, 3, value, 0),
+        (ValueError, f"noise_sd must be a finite real >= 0, not {value!r}"),
+        DRAWS, {}))
+       for name, value in (("bool", True), ("text", "0.5"))],
     ("sample-features-n-zero", (
         lambda: sim.sample_features(SMALL, IDENT, IDENT, 2, 0, 0),
         (ValueError, "n must be >= 1"), DRAWS, {})),
@@ -476,20 +482,45 @@ CASE_ROWS = [
     ("estimate-kernels-x-blank", (
         ["estimate-kernels", "--x", "{blank}", "--xhat", "{xhat1}"],
         (3, "blank.csv: no numeric rows"), DRAWS, {})),
-    ("estimate-kernels-x-raw-short", (
-        ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-short}",
-         "--xhat", "{raw-1x3}"], (3, "short.bin: missing 16-byte header"),
-        DRAWS, {})),
+    # a file named .npy is numpy's format: one that numpy's reader refuses,
+    # with bytes after the array, or holding another dtype or number of
+    # axes, is an input fault naming it, before any draw
+    *[(f"estimate-kernels-x-npy-{name}", (
+        ["estimate-kernels", "--x", f"{{npy-{name}}}", "--xhat", "{npy-1x3}",
+         "--samples", "100"], (3, f"npy-{name}.npy: {text}"), DRAWS, {}))
+       for name, text in (
+           ("short", "not a readable .npy file (Failed to read all data"),
+           ("float32", "holds a 2-D float32 array, not a 2-D float64 one"),
+           ("1d", "holds a 1-D float64 array, not a 2-D float64 one"),
+           ("object", "not a readable .npy file (Object arrays cannot be loaded"),
+           ("trailing", "bytes after the array"),
+           ("csv", "not a readable .npy file (the magic string is not correct"),
+           ("npz", "not a readable .npy file (the magic string is not correct"),
+           # a header may promise more than memory holds: numpy cannot
+           # allocate it, or reads short where the host overcommits
+           ("huge", "not a readable .npy file ("))],
     # a design with no rows or no columns is refused, naming it, before any
     # draw: it would give empty or all-zero kernel blocks
-    ("estimate-kernels-raw-no-rows", (
-        ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-0x3}",
-         "--xhat", "{raw-1x3}", "--samples", "100", "--n", "1"],
+    ("estimate-kernels-npy-no-rows", (
+        ["estimate-kernels", "--x", "{npy-0x3}", "--xhat", "{npy-1x3}",
+         "--samples", "100", "--n", "1"],
         (2, "X is empty (shape (0, 3))"), DRAWS, {})),
-    ("estimate-kernels-raw-no-columns", (
-        ["estimate-kernels", "--layout", "raw-f64-le", "--x", "{raw-3x0}",
-         "--xhat", "{raw-1x0}", "--samples", "100"],
+    ("estimate-kernels-npy-no-columns", (
+        ["estimate-kernels", "--x", "{npy-3x0}", "--xhat", "{npy-1x0}",
+         "--samples", "100"],
         (2, "X is empty (shape (3, 0))"), DRAWS, {})),
+    # --synthetic replaces the matrix files, so a given one is refused
+    # rather than left unread, before any draw
+    *[(f"{verb}-synthetic-with-{name}", (
+        [verb, "--synthetic", "4,2,3", f"--{name}", "{x4}", *grid],
+        (2, f"--synthetic replaces the matrix files; drop --{name}"),
+        DIAGNOSE_DRAWS + DRAWS, {}))
+       for verb, name, grid in (
+           ("estimate-kernels", "x", []),
+           ("simulate", "y", ["--d", "2", "--delta", "0.1"]),
+           ("compare", "yhat", ["--d", "2", "--delta", "0.1"]),
+           ("sweep", "xhat", ["--d-list", "2", "--delta-list", "0.1"]),
+           ("diagnose", "x", ["--d", "2", "--delta", "0.1"]))],
     ("estimate-kernels-synthetic-two-dims", (
         ["estimate-kernels", "--synthetic", "4,2"],
         (2, "--synthetic needs exactly NTRAIN,NTEST,N0"), DRAWS, {})),
@@ -757,15 +788,6 @@ CASE_ROWS = [
     ("anisotropic-gap-probe-nan", (
         _gap(((128, 128),) * 3, nan_probe=True),
         (ValueError, "the anisotropic trace is not finite"), DRAWS, {})),
-    # an unknown layout is refused before the file is opened
-    ("load-matrix-unknown-layout", (
-        lambda: model.load_matrix("no-such-dir/m.npy", layout="npy"),
-        (ValueError, "unknown matrix layout 'npy'"),
-        ((model, "_load_csv"), (model, "_load_raw")), {})),
-    ("write-matrix-unknown-layout", (
-        lambda: model.write_matrix("no-such-dir/m.npy", np.eye(2), layout="npy"),
-        (ValueError, "unknown matrix layout 'npy'"), ((model, "_write_csv"),),
-        {})),
     ("json-null-value", (_returns(lambda: model.to_json_text({"a": None}),
                                   '{"a":null}'), None, (), {})),
     ("json-key-not-string", (lambda: model.to_json_text({1: 2.0}),
@@ -804,7 +826,7 @@ def files(tmp_path, toy_kernels):
              "xhat1": tmp_path / "xhat1.csv", "y2x2": tmp_path / "y2x2.csv",
              "y4-inf": tmp_path / "y4-inf.csv", "y4-huge": tmp_path / "y4-huge.csv",
              "x4-ff": tmp_path / "x4-ff.csv", "y4-ff": tmp_path / "y4-ff.csv",
-             "blank": tmp_path / "blank.csv", "raw-short": tmp_path / "short.bin",
+             "blank": tmp_path / "blank.csv",
              "x4-empty-cell": tmp_path / "x4-empty-cell.csv",
              "underflow4": tmp_path / "u4.json", "zero2": tmp_path / "z2.json"}
     save_kernels(toy_kernels, paths["kernels"])
@@ -837,11 +859,26 @@ def files(tmp_path, toy_kernels):
     paths["y4-ff"].write_bytes(b"1\n\xff\n1\n1\n")
     paths["x4-empty-cell"].write_text("1,0,0\n0,1,0,\n0,0,1\n1,1,0\n")
     paths["blank"].write_text("\n  \n")
-    paths["raw-short"].write_bytes(struct.pack("<Q", 1))
     for rows, cols in ((0, 3), (1, 3), (3, 0), (1, 0)):
-        path = paths[f"raw-{rows}x{cols}"] = tmp_path / f"raw-{rows}x{cols}.bin"
-        path.write_bytes(struct.pack("<QQ", rows, cols)
-                         + np.ones(rows * cols, "<f8").tobytes())
+        paths[f"npy-{rows}x{cols}"] = tmp_path / f"npy-{rows}x{cols}.npy"
+        np.save(paths[f"npy-{rows}x{cols}"], np.ones((rows, cols)))
+    for name in ("short", "float32", "1d", "object", "trailing", "csv", "npz",
+                 "huge"):
+        paths[f"npy-{name}"] = tmp_path / f"npy-{name}.npy"
+    np.save(paths["npy-float32"], np.ones((1, 3), np.float32))
+    np.save(paths["npy-1d"], np.ones(3))
+    np.save(paths["npy-object"], np.array([[1.0, "a"]], dtype=object),
+            allow_pickle=True)
+    paths["npy-short"].write_bytes(paths["npy-1x3"].read_bytes()[:-4])
+    paths["npy-trailing"].write_bytes(paths["npy-1x3"].read_bytes() + b"\0")
+    paths["npy-csv"].write_text("1,0,0\n0,1,0\n")
+    with open(paths["npy-npz"], "wb") as fh:
+        np.savez(fh, X=np.ones((1, 3)))
+    # a 2^20 x 2^20 header (8 TiB) over one row of data
+    header = np.lib.format.header_data_from_array_1_0(np.ones((1, 3)))
+    with open(paths["npy-huge"], "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (2 ** 20,) * 2})
+        fh.write(np.ones(3).tobytes())
     paths["huge-x"].write_text("1e308,1e308,1e308\n" * 4)
     paths["huge-xhat"].write_text("1e308,1e308,1e308\n" * 2)
     toy = json.loads(paths["kernels"].read_text())

@@ -378,24 +378,44 @@ def test_a_reused_parser_keeps_each_verbs_defaults(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
-def test_raw_layout_gives_the_csv_bytes(tmp_path):
+def test_npy_and_csv_inputs_give_the_same_bytes(tmp_path):
+    """The file name picks each matrix's container; estimate-kernels and
+    predict write the same bytes from .npy files, from CSV files and from a
+    mix of the two."""
     ds = rfequiv.synthetic_regression(12, 6, 5, 0.3, seed=4)
     reports = []
-    for layout in ("csv", "raw-f64-le"):
-        paths = {name: tmp_path / f"{name}.{layout}"
-                 for name in ("X", "Xhat", "y", "yhat")}
+    for tag, suffixes in (("npy", [".npy"] * 4), ("csv", [".csv"] * 4),
+                          ("mixed", [".npy", ".csv", ".csv", ".npy"])):
+        paths = {name: tmp_path / f"{name}-{tag}{suffix}"
+                 for name, suffix in zip(("X", "Xhat", "y", "yhat"), suffixes)}
         for name, path in paths.items():
             value = getattr(ds, name)
-            rfequiv.write_matrix(path, value.reshape(len(value), -1), layout)
-        kern, pred = tmp_path / f"k-{layout}.json", tmp_path / f"p-{layout}.json"
+            rfequiv.write_matrix(path, value.reshape(len(value), -1))
+        kern, pred = tmp_path / f"k-{tag}.json", tmp_path / f"p-{tag}.json"
         assert main(["estimate-kernels", "--x", str(paths["X"]), "--xhat",
-                     str(paths["Xhat"]), "--layout", layout, "--samples", "700",
-                     "--seed", "3", "--out", str(kern)]) == 0
+                     str(paths["Xhat"]), "--samples", "700", "--seed", "3",
+                     "--out", str(kern)]) == 0
         assert main(["predict", "--kernels", str(kern), "--y", str(paths["y"]),
-                     "--yhat", str(paths["yhat"]), "--layout", layout, "--d", "9",
-                     "--delta", "0.2", "--out", str(pred)]) == 0
+                     "--yhat", str(paths["yhat"]), "--d", "9", "--delta", "0.2",
+                     "--out", str(pred)]) == 0
         reports.append((kern.read_bytes(), pred.read_bytes()))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-kernels", "--synthetic", "4,2,3"],
+    ["predict", "--kernels", "k.json", "--y", "y.csv", "--yhat", "yhat.csv",
+     "--d", "2", "--delta", "1"],
+    *[[verb, "--synthetic", "4,2,3", "--d", "2", "--delta", "0.1"]
+      for verb in ("simulate", "compare", "diagnose")],
+    ["sweep", "--synthetic", "4,2,3", "--d-list", "2", "--delta-list", "0.1"],
+], ids=lambda argv: argv[0])
+def test_every_verb_refuses_layout(argv, tmp_path, capsys):
+    """The file name picks a matrix's container; no verb takes --layout."""
+    out = tmp_path / "out.json"
+    assert main(argv + ["--layout", "csv", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --layout csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sigma_params_reach_the_estimator(tmp_path):

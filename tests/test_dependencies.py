@@ -2,7 +2,9 @@
 ``pyproject.toml``, so an install from it can import the package, every
 name a module imports is used or re-exported, and every private name a
 module defines is read somewhere.  The count and seed rules have one
-owner: no module but ``model`` writes their texts."""
+owner: no module but ``model`` writes their texts.  So has the matrix
+container: no module but ``model`` names ``.npy`` or ``numpy.lib.format``,
+and none loads through ``np.load`` or imports ``pickle``."""
 
 import ast
 import functools
@@ -163,3 +165,65 @@ def test_count_and_seed_rules_have_one_owner():
              for path in sorted((ROOT / "src" / "rfequiv").glob("*.py"))}
     assert found.pop("model.py")  # the scan finds the rules' own texts
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _container_names(source):
+    """``(line, text)`` of each place in ``source`` that names the ``.npy``
+    container: a string constant that holds ``.npy`` (the literal parts of
+    an f-string among them) and a use or an import of ``numpy.lib.format``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if ".npy" in node.value:
+                hits.append((node.lineno, node.value))
+        elif isinstance(node, ast.Attribute):
+            if ast.unparse(node) in ("np.lib.format", "numpy.lib.format"):
+                hits.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [f"{getattr(node, 'module', None) or ''}.{alias.name}".lstrip(".")
+                     for alias in node.names]
+            hits += [(node.lineno, name) for name in names
+                     if name.startswith("numpy.lib.format")]
+    return sorted(hits)
+
+
+def _pickle_routes(source):
+    """``(line, text)`` of each call of numpy's ``load`` and each import of
+    ``pickle`` in ``source``: the routes by which a file could unpickle."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.load",
+                                                                    "numpy.load"):
+            hits.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Import):
+            hits += [(node.lineno, alias.name) for alias in node.names
+                     if alias.name.split(".")[0] == "pickle"]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "pickle" or (
+                    node.module == "numpy" and any(a.name == "load" for a in node.names)):
+                hits.append((node.lineno, node.module))
+    return sorted(hits)
+
+
+def test_container_scans_find_a_second_owner():
+    source = ('"""Reads m.npy."""\nimport pickle\nimport numpy as np\n'
+              'from numpy.lib import format\nfrom numpy import load\n'
+              'a = np.lib.format.read_array\nb = np.load(f"{p}.npy")\n'
+              'c = "m.npz"\n')
+    assert _container_names(source) == [
+        (1, "Reads m.npy."), (4, "numpy.lib.format"), (6, "np.lib.format"),
+        (7, ".npy")]
+    assert _pickle_routes(source) == [(2, "pickle"), (5, "numpy"), (7, "np.load")]
+
+
+def test_matrix_container_has_one_owner():
+    """``model`` alone picks a matrix's container by name and reads ``.npy``
+    through numpy's reader with pickles refused; no module loads a file
+    through ``np.load`` or imports ``pickle``."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "rfequiv").glob("*.py"))}
+    names = {name: _container_names(source) for name, source in sources.items()}
+    assert names.pop("model.py")  # the scan finds the owner's own names
+    assert {name: hits for name, hits in names.items() if hits} == {}
+    routes = {name: _pickle_routes(source) for name, source in sources.items()}
+    assert {name: hits for name, hits in routes.items() if hits} == {}

@@ -1,7 +1,6 @@
 """Datasets, activations, matrix I/O, seeding, canonical JSON."""
 
 import math
-import struct
 import sys
 import threading
 import time
@@ -10,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -44,19 +43,19 @@ from conftest import blas_threads, caller_blas_threads, train_kernels
 def test_csv_two_by_two(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2\n3,4\n")
-    assert np.array_equal(load_matrix(p, "csv"), [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_csv_column_vector(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("1\n2\n3\n")
-    assert load_matrix(p, "csv").shape == (3, 1)
+    assert load_matrix(p).shape == (3, 1)
 
 
 def test_csv_accepts_whitespace_separators(tmp_path):
     p = tmp_path / "w.csv"
     p.write_text("1 2\n3\t4\n5, 6\n7 , 8\n")
-    assert np.array_equal(load_matrix(p, "csv"),
+    assert np.array_equal(load_matrix(p),
                           [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
 
 
@@ -65,36 +64,42 @@ def test_csv_empty_cell_rejected(tmp_path, row):
     p = tmp_path / "e.csv"
     p.write_text(f"1,2,3\n{row}\n")
     with pytest.raises(MatrixFormatError, match="e.csv:2: empty cell"):
-        load_matrix(p, "csv")
+        load_matrix(p)
 
 
 def test_csv_ragged_rows_rejected(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("1,2\n3\n")
     with pytest.raises(MatrixFormatError):
-        load_matrix(p, "csv")
+        load_matrix(p)
 
 
 def test_csv_non_numeric_cell_rejected(tmp_path):
     p = tmp_path / "n.csv"
     p.write_text("1,frog\n")
     with pytest.raises(MatrixFormatError):
-        load_matrix(p, "csv")
+        load_matrix(p)
 
 
-def test_raw_layout(tmp_path):
-    p = tmp_path / "m.bin"
-    payload = struct.pack("<QQ", 2, 3) + struct.pack("<6d", *range(6))
-    p.write_bytes(payload)
-    assert np.array_equal(load_matrix(p, "raw-f64-le"),
-                          [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+def test_npy_reads_fortran_and_big_endian_files_as_native_c_arrays(tmp_path):
+    m = np.arange(6.0).reshape(2, 3)
+    for name, value in (("c", m), ("fortran", np.asfortranarray(m)),
+                        ("big", m.astype(">f8")),
+                        ("big-fortran", np.asfortranarray(m.astype(">f8")))):
+        p = tmp_path / f"{name}.npy"
+        np.save(p, value)
+        back = load_matrix(p)
+        assert back.dtype == np.dtype("=f8") and back.flags.c_contiguous
+        assert np.array_equal(back, m)
 
 
-def test_raw_header_body_mismatch_rejected(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(struct.pack("<QQ", 2, 3) + struct.pack("<4d", 0, 1, 2, 3))
-    with pytest.raises(MatrixFormatError):
-        load_matrix(p, "raw-f64-le")
+def test_npy_bytes_after_the_array_rejected(tmp_path):
+    p = tmp_path / "bad.npy"
+    np.save(p, np.arange(6.0).reshape(2, 3))
+    with open(p, "ab") as fh:
+        fh.write(b"\0" * 8)
+    with pytest.raises(MatrixFormatError, match="bad.npy: bytes after the array"):
+        load_matrix(p)
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,17 +107,20 @@ def test_raw_header_body_mismatch_rejected(tmp_path):
     arrays(
         np.float64,
         array_shapes(min_dims=2, max_dims=2, max_side=6),
-        elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+        elements=st.floats(allow_nan=True, allow_infinity=True,
+                           allow_subnormal=True, width=64),
     )
 )
-def test_raw_round_trip_is_bit_exact(m):
+@example(np.array([[math.nan, math.inf, -math.inf],
+                   [-0.0, 5e-324, -2.2250738585072e-308]]))
+def test_npy_round_trip_is_bit_exact(m):
     import tempfile, os
 
-    fd, path = tempfile.mkstemp(suffix=".bin")
+    fd, path = tempfile.mkstemp(suffix=".npy")
     os.close(fd)
     try:
-        write_matrix(path, m, "raw-f64-le")
-        back = load_matrix(path, "raw-f64-le")
+        write_matrix(path, m)
+        back = load_matrix(path)
     finally:
         os.unlink(path)
     assert back.shape == m.shape
@@ -122,8 +130,8 @@ def test_raw_round_trip_is_bit_exact(m):
 def test_csv_write_then_read(tmp_path):
     m = np.array([[1.5, -2.25], [0.0, 1e-30]])
     p = tmp_path / "rt.csv"
-    write_matrix(p, m, "csv")
-    assert np.array_equal(load_matrix(p, "csv"), m)
+    write_matrix(p, m)
+    assert np.array_equal(load_matrix(p), m)
 
 
 # ---------------------------------------------------------------------------
