@@ -263,9 +263,9 @@ def _cmd_diagnose(args):
     if ell > args.max_ell:
         raise ValueError(
             f"pencil size ell={ell} exceeds --max-ell {args.max_ell} "
-            "(the Gaussianity statistic is still cubic: an O((ell-t)^2 ell) "
-            "product per pair and an SVD of its (ell-t) x ell mean; raise "
-            "the cap explicitly if intended)"
+            "(the Gaussianity statistic is still cubic: the spectral norm "
+            "of its (ell-t) x ell mean costs O((ell-t)^2 ell); raise the cap "
+            "explicitly if intended)"
         )
     # every option is checked before the first Monte Carlo draw
     _check_count(args.probes, "--probes")

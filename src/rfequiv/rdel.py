@@ -13,9 +13,10 @@ through two scalars, so :func:`rf_solution_matrix` builds ``M(z)`` at
 ``tau = 0`` to rounding from one scalar solve, and
 :func:`zeroth_moment_check` takes the zeroth-moment table from it.  On that
 pencil :func:`rf_linearization` and :func:`solve_rdel`, unexported, serve as
-the test oracle.  Every norm here is an exact spectral norm
-(:func:`spectral_norm`, one LAPACK SVD); a bound that a norm must meet may
-instead be certified by a Cholesky factor (``model._positive_definite``).
+the test oracle.  Every norm here is a spectral norm to rounding
+(:func:`spectral_norm`, one ``eigvalsh`` of the smaller Gram matrix); a
+bound that a norm must meet may instead be certified by a Cholesky factor
+(``model._positive_definite``).
 
 A four-slot pencil (train n, width d, test t, test t) is written once, as
 a table of four block rows of terms ``(column slot, coefficient, real
@@ -39,7 +40,8 @@ import numpy as np
 
 from . import equiv
 from .model import (NonConvergence, _check_count, _check_heights, _check_ridge,
-                    _check_z, _matrix, _positive_definite, _vector, substream)
+                    _check_z, _matrix, _parallel_map, _positive_definite, _vector,
+                    substream)
 
 __all__ = [
     "ZerothMomentReport",
@@ -49,17 +51,36 @@ __all__ = [
 
 
 def spectral_norm(x):
-    """Largest singular value of ``x``, exact up to LAPACK rounding.
+    """Largest singular value of ``x``: the square root of the largest
+    eigenvalue (``eigvalsh``) of the smaller Gram matrix, ``a a^H`` or
+    ``a^H a``, of ``a = x / max|x|``, times ``max|x|``.
 
-    An empty matrix has norm 0.  A non-finite entry raises ``RuntimeError``
-    (a solver failure), not the ``LinAlgError`` the SVD would give.
+    The scaling keeps every entry of ``a`` at most 1 in modulus, so the Gram
+    neither overflows nor underflows whatever the magnitude of ``x``.  For
+    an m x k ``a`` with m <= k, the Gram's rounding error is at most
+    ``gamma_k ||a||_F^2 <= k m u sigma^2`` in the 2-norm (u the unit
+    roundoff; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 3.5), and ``eigvalsh`` adds a backward error of order
+    ``m u sigma^2``; so the relative error is at most about ``k m u / 2``,
+    and in practice of order ``sqrt(k) u``.  The tests hold it to 1e-13
+    relative of numpy's SVD norm.  An empty or zero matrix has norm 0.  A
+    non-finite entry raises ``RuntimeError`` (a solver failure), not the
+    ``LinAlgError`` the eigensolver would give.
     """
     a = np.atleast_2d(np.asarray(x))
     if a.size == 0:
         return 0.0
     if not np.all(np.isfinite(a)):
         raise RuntimeError("spectral norm of a matrix with non-finite entries")
-    return float(np.linalg.norm(a, 2))
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return 0.0
+    # part by part: a complex quotient takes 1 / scale, which overflows
+    # where scale is subnormal
+    a = np.ascontiguousarray(a, dtype=np.promote_types(a.dtype, float))
+    a = (a.view(float) / scale).view(a.dtype)
+    gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)) * scale
 
 
 # The generic solver down to rf_linearization is the tests' oracle and no verb
@@ -414,11 +435,9 @@ def rf_solution_matrix(K, dims, delta, z):
     M[s1, s1] = N11
     M[s2, s2] = nu * np.eye(d)
     M[s1, s3] = -t22 * (N11 @ K.K_ah)
-    M[s3, s1] = -t22 * (K.K_ha @ N11)
-    # K_ha @ N11 is formed twice, not shared: above 256 KiB numpy scales the
-    # unnamed product in place (temporary elision), which can round apart
-    # from scaling a named one, so sharing it moves M31's last bits
-    M[s3, s3] = t22 ** 2 * (K.K_ha @ N11 @ K.K_ah) + t22 * K.K_hh
+    KN = K.K_ha @ N11
+    M[s3, s1] = -t22 * KN
+    M[s3, s3] = t22 ** 2 * (KN @ K.K_ah) + t22 * K.K_hh
     M[s3, s4] = -np.eye(t)
     M[s4, s3] = -np.eye(t)
     return M
@@ -462,7 +481,7 @@ def zeroth_moment_check(K, dims, delta, eta_list):
     zeroth moment is ``Omega_0 = diag(I_{n+d}, d K_hh, 0)``.  So the mismatch
     is ``-(1 + i*eta*nu) I_d`` on the width slot, zero on the second test
     slot, and one (n+t)-sized block on the train and first test slots: its
-    exact norm needs no ell x ell SVD.  Each solution must pass
+    norm needs no ell x ell one.  Each solution must pass
     :func:`solve_rdel`'s checks in structured form (else ``RuntimeError``):
     pencil defect ``<= 1e-10``; mask block
     ``max(||M[1,1]||, |nu|) <= c = 1/eta + 1e-10``; ``Im M >= -1e-8`` on the
@@ -470,11 +489,18 @@ def zeroth_moment_check(K, dims, delta, eta_list):
     ``tau = 0``.  The two bounds on matrices are certified, up to rounding,
     by a Cholesky factor of ``c^2 I - M[1,1]^H M[1,1]`` and of
     ``Im(block) + 1e-8 I``; only where one does not exist is the bound
-    decided by the exact spectrum (an SVD of ``M[1,1]``, an ``eigvalsh`` of
-    the Im block), by the same rule and with the same message as without
-    the certificate.  So one SVD a height, that of the mismatch, is the
-    rule.  ``eta_list`` (at least two strictly increasing positive finite
-    heights) is checked before any solve.
+    decided by the spectrum (:func:`spectral_norm` of ``M[1,1]``, an
+    ``eigvalsh`` of the Im block), by the same rule and with the same
+    message as without the certificate.  So one spectral norm a height,
+    that of the mismatch, is the rule.  ``eta_list`` (at least two strictly
+    increasing positive finite heights) is checked before any solve.
+
+    The heights run on the pool of ``model._parallel_map``, so each
+    height's solve, defect, certificates and norm run on one BLAS thread
+    and the table's bytes do not depend on the caller's BLAS thread count.
+    Up to min(workers, heights) solutions ``M(i*eta)``, each a complex
+    ell x ell array, are alive at once.  Where heights fail, the error
+    raised is that of the lowest of them, as in a loop over the heights.
 
     Returns a :class:`ZerothMomentReport`: the per-height norms, a
     strict-decrease flag, and the fitted log-log slope (close to -1 for a
@@ -488,8 +514,8 @@ def zeroth_moment_check(K, dims, delta, eta_list):
     omega = np.zeros((n + t, n + t))  # Omega_0 on the (n+t) block
     omega[:n, :n] = np.eye(n)
     omega[n:, n:] = d * K.K_hh
-    deltas = []
-    for eta in etas:
+
+    def height(eta):
         z = 1j * eta
         M = rf_solution_matrix(K, dims, delta, z)
         nu, block = M[n, n], M[np.ix_(idx, idx)]
@@ -509,7 +535,9 @@ def zeroth_moment_check(K, dims, delta, eta_list):
             if im_min < -1e-8 or nu.imag < 0:
                 raise RuntimeError(f"left the half-plane at z={z} (Im eig "
                                    f"{im_min:.3e}, Im nu {nu.imag:.3e})")
-        deltas.append(max(abs(1.0 + z * nu), spectral_norm(-z * block - omega)))
+        return max(abs(1.0 + z * nu), spectral_norm(-z * block - omega))
+
+    deltas = list(_parallel_map(lambda k: height(etas[k]), len(etas)))
     monotone = all(b < a for a, b in zip(deltas, deltas[1:]))
     floored = np.maximum(deltas, 1e-300)
     slope = float(np.polyfit(np.log(etas), np.log(floored), 1)[0])

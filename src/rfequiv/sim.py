@@ -18,9 +18,10 @@ the blocks, the refusal rule for a numerically singular pencil, and the
 defect check.  The Gaussianity statistic regularizes by ``i*tau`` on every
 slot, so it takes its own route (:func:`estimate_delta_gaussianity`): one
 d x d Schur complement per pair, checked on the width block row to 1e-9,
-and no sampled pencil assembled.  Like the replicate loops, it draws from
-the root seed of its ``RFConfig``.  This module takes no
-eigendecomposition.
+no sampled pencil assembled, and, since the regularized pencil is complex
+symmetric, each pair's square formed by products of inner dimension d or
+n + t.  Like the replicate loops, it draws from the root seed of its
+``RFConfig``.  This module takes no eigendecomposition of its own.
 """
 
 from __future__ import annotations
@@ -375,26 +376,41 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     and second test rows are ``[R1; R4] = E14 - [A / a1; c Ahat] R2``, where
     ``E14`` holds ``I / a1`` in block (1,1) and ``-e I``, ``c I`` in blocks
     (4,3), (4,4); ``R3`` is never needed.  Block row 3 of ``(L - Ebar) R``
-    is zero, so ``T_i`` is formed on the other ell - t rows and its square
-    contracts over those indices only.  Rows 1, 3 and 4 of
-    ``(L - z*Lambda - i*tau*I) R - I`` vanish by construction and the width
-    row is ``(S G - I) B``: its Frobenius norm must be at most 1e-9 for
-    every pair, else ``RuntimeError``.  The route equals a dense ell x ell
-    inverse up to rounding (the tests hold it to 1e-12 relative); forming
-    ``A^T A`` costs some accuracy only where the pencil is ill-conditioned.
+    is zero, so ``T_i`` is formed on the other ell - t rows.  Rows 1, 3 and
+    4 of ``(L - z*Lambda - i*tau*I) R - I`` vanish by construction and the
+    width row is ``(S G - I) B``: its Frobenius norm must be at most 1e-9
+    for every pair, else ``RuntimeError``.
+
+    The pencil is complex symmetric, so ``R = R^T``, and with
+    ``dJ = J' - Jbar`` the square is ``(L' - Ebar) Z`` for
+
+        Z = R (L' - Ebar) R = W + W^T,   W^T = R2^T P = B^T (G^T P),
+        P = dJ^T [R1; R4]
+
+    (``P`` is the width block row of ``(L' - Ebar) R``).  Its train and
+    second test rows are ``dJ Z[width]`` and its width rows
+    ``dJ^T Z[train, second test]``.  Those rows of ``Z`` are ``Q = G^T P``
+    and ``-[A / a1; c Ahat] Q`` for ``W^T``, plus ``Q[:, r]^T B`` over the
+    same rows ``r`` for ``W``; ``B`` times anything is one product with
+    ``J``.  So every product has inner dimension d or n + t, and no
+    (ell - t) x (ell - t) or ell x ell matrix is formed.  The route equals a
+    dense ell x ell inverse up to rounding (the tests hold it to 1e-12
+    relative); forming ``A^T A`` costs some accuracy only where the pencil
+    is ill-conditioned.
 
     Memory grows with ``reps``: all ``2 * pairs`` draws, each an
     (n + t) x d float64 matrix, are held, because ``Jbar`` needs every one
     of them before the first pair.  Besides them, each worker holds one
-    pair's (ell - t) x ell term, ``Xt`` of the same size, its ``keep``
-    gather of (ell - t) x (ell - t), ``R2`` and ``R14``.  The term is the
-    square ``Xt[:, keep] @ Xt`` with the rows of ``(L - Ebar) R`` added into
-    it in place, one block row at a time.  Terms are folded in place as the
-    pool yields them, a task of ``pairs / 64`` terms at a time: ``T`` is
-    their running sum in index order over ``pairs``, and
-    ``sum_i ||T_i - T||_F^2`` comes from Welford's update, each term turned
-    into its own step.  ``value`` is ``||T||_2`` from one LAPACK SVD outside
-    the pool, at the caller's BLAS thread count.
+    pair's (ell - t) x ell term and, until the term is formed, the rows of
+    ``Z`` of the same size; d x ell arrays (``R2``, ``P``, ``Q``) and
+    (n + t) x ell ones (``R14``, ``J Q``).  The linear term's rows of
+    ``(L - Ebar) R`` are added into the square in place, one block row at a
+    time.  Terms are folded in place as the pool yields them, a task of
+    ``pairs / 64`` terms at a time: ``T`` is their running sum in index
+    order over ``pairs``, and ``sum_i ||T_i - T||_F^2`` comes from Welford's
+    update, each term turned into its own step.  ``value`` is ``||T||_2``
+    from :func:`rfequiv.rdel.spectral_norm` outside the pool, at the
+    caller's BLAS thread count.
 
     Returns
     -------
@@ -415,7 +431,9 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
 
     s1, s2, s3, s4 = _rf_slices((n, d, t))
     ell = s4.stop
-    keep = np.r_[0:s2.stop, s4]  # rows of (L - Ebar) R that can be nonzero
+    # the rows of Z that the square reads (see below): train, second test,
+    # then width
+    rows = np.r_[s1, s4, s2]
     a1, a2 = cfg.delta - z - 1j * tau, 1.0 + z + 1j * tau
     e = 1.0 / (1.0 + tau * tau)
     c = 1j * tau * e
@@ -429,6 +447,15 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     E14[n:, s4] = c * np.eye(t)
     diag = np.diag_indices(d)
 
+    def times_b(J, Y):  # Y^T B for Y with d rows, via J Y
+        JY = _real_left(J, Y)
+        out = np.empty((Y.shape[1], ell), dtype=complex)
+        np.divide(JY[:n].T, -a1, out=out[:, s1])
+        out[:, s2] = Y.T
+        np.multiply(JY[n:].T, e, out=out[:, s3])
+        np.multiply(JY[n:].T, -c, out=out[:, s4])
+        return out
+
     def one_pair(i):
         J, Jt = draws[2 * i], draws[2 * i + 1]
         S = -_real_left(J.T, J * w)
@@ -441,26 +468,28 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         if not defect <= 1e-9:
             raise RuntimeError(
                 f"Gaussianity pseudo-resolvent defect {defect:.3e} exceeds 1e-9")
-        GJ = _real_left(J, G.T)  # (G J^T)^T
-        R2 = np.empty((d, ell), dtype=complex)
-        R2[:, s1] = GJ[:n].T / -a1
-        R2[:, s2] = G
-        R2[:, s3] = e * GJ[n:].T
-        R2[:, s4] = -c * GJ[n:].T
+        R2 = times_b(J, G.T)
         R14 = E14 - w * _real_left(J, R2)
-        R2r, R14r = R2.view(float), R14.view(float)
-        # block rows 1, 2 and 4 of (L' - Ebar) R, as one matrix
+        # the rows of Z = W + W^T (see above): W[rows] = Q[:, rows]^T B,
+        # then W^T[rows], which is -w J Q and Q
         dJ = Jt - Jbar
-        Xt = np.empty((ell - t, ell), dtype=complex)
-        Xr = Xt.view(float)
-        np.matmul(dJ[:n], R2r, out=Xr[:n])
-        np.matmul(dJ.T, R14r, out=Xr[n:n + d])
-        np.matmul(dJ[n:], R2r, out=Xr[n + d:])
-        Ti = Xt[:, keep] @ Xt
-        del Xt, Xr
-        # the same rows of (L - Ebar) R, added in place one GEMM at a time
+        Q = G.T @ _real_left(dJ.T, R14)  # G^T P
+        Z = times_b(J, Q[:, rows])
+        JQ = _real_left(J, Q)
+        JQ *= w
+        Z[:n + t] -= JQ
+        Z[n + t:] += Q
+        del JQ, Q
+        # block rows 1, 2 and 4 of (L' - Ebar) Z, then of (L - Ebar) R added
+        # in place one GEMM at a time
+        Ti = np.empty((ell - t, ell), dtype=complex)
+        Tr, Zr = Ti.view(float), Z.view(float)
+        np.matmul(dJ[:n], Zr[n + t:], out=Tr[:n])
+        np.matmul(dJ.T, Zr[:n + t], out=Tr[n:n + d])
+        np.matmul(dJ[n:], Zr[n + t:], out=Tr[n + d:])
+        del Z, Zr
+        R2r, R14r = R2.view(float), R14.view(float)
         dJ = J - Jbar
-        Tr = Ti.view(float)
         Tr[:n] += dJ[:n] @ R2r
         Tr[n:n + d] += dJ.T @ R14r
         Tr[n + d:] += dJ[n:] @ R2r

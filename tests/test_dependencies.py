@@ -4,7 +4,8 @@ name a module imports is used or re-exported, and every private name a
 module defines is read somewhere.  The count and seed rules have one
 owner: no module but ``model`` writes their texts.  So has the matrix
 container: no module but ``model`` names ``.npy`` or ``numpy.lib.format``,
-and none loads through ``np.load`` or imports ``pickle``."""
+and none loads through ``np.load`` or imports ``pickle``.  And so has the
+matrix 2-norm: no function but ``rdel.spectral_norm`` takes one."""
 
 import ast
 import functools
@@ -227,3 +228,56 @@ def test_matrix_container_has_one_owner():
     assert {name: hits for name, hits in names.items() if hits} == {}
     routes = {name: _pickle_routes(source) for name, source in sources.items()}
     assert {name: hits for name, hits in routes.items() if hits} == {}
+
+
+def _two_norm(call):
+    """Whether ``call`` takes a matrix 2-norm: ``norm`` or ``matrix_norm``
+    of order 2, ``svd`` with ``compute_uv=False``, or ``svdvals``."""
+    name = ast.unparse(call.func).rsplit(".", 1)[-1]
+    keywords = {k.arg: k.value for k in call.keywords}
+    if name in ("norm", "matrix_norm"):
+        order = call.args[1] if len(call.args) > 1 else keywords.get("ord")
+        return isinstance(order, ast.Constant) and order.value == 2
+    if name == "svd":  # numpy's and scipy's svd(a, full_matrices, compute_uv)
+        flag = call.args[2] if len(call.args) > 2 else keywords.get("compute_uv")
+        return isinstance(flag, ast.Constant) and flag.value is False
+    return name == "svdvals"
+
+
+def _two_norms(source):
+    """``(line, function, callee)`` of each matrix 2-norm in ``source``,
+    ``function`` the innermost ``def`` around it (None at module level)."""
+    hits = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _two_norm(child):
+                hits.append((child.lineno, function, ast.unparse(child.func)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return sorted(hits)
+
+
+def test_two_norm_scan_finds_a_second_owner():
+    source = ('import numpy as np\nfrom scipy.linalg import svd, svdvals\n'
+              'def spectral_norm(a):\n    return np.linalg.norm(a, 2)\n'
+              'def other(a):\n    top = lambda b: svd(b, compute_uv=False)[0]\n'
+              '    return (np.linalg.norm(a, ord=2), np.linalg.norm(a), svdvals(a),\n'
+              '            np.linalg.svd(a), np.linalg.norm(a, "fro"), top(a))\n'
+              'x = np.linalg.matrix_norm(np.eye(2), ord=2)\n'
+              'y = np.linalg.svd(np.eye(2), False, False)\n')
+    assert _two_norms(source) == [
+        (4, "spectral_norm", "np.linalg.norm"), (6, "other", "svd"),
+        (7, "other", "np.linalg.norm"), (7, "other", "svdvals"),
+        (9, None, "np.linalg.matrix_norm"), (10, None, "np.linalg.svd")]
+
+
+def test_matrix_two_norm_has_one_owner():
+    """Every largest singular value goes through ``rdel.spectral_norm``, so
+    one routine, with one error bound, answers for all of them."""
+    hits = {path.name: [hit for hit in _two_norms(path.read_text(encoding="utf-8"))
+                        if (path.name, hit[1]) != ("rdel.py", "spectral_norm")]
+            for path in sorted((ROOT / "src" / "rfequiv").glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {}

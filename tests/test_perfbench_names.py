@@ -101,8 +101,14 @@ def test_diagnose_traces_its_zeroth_moment_check(tmp_path):
         tracer.op = 1
         assert cli.main(argv + ["--out", str(traced)]) == 0
     assert traced.read_bytes() == plain.read_bytes()
-    checks = [s.id for s in tracer.spans if s.name == "rdel.zeroth_moment_check"]
+    checks = [s for s in tracer.spans if s.name == "rdel.zeroth_moment_check"]
     assert len(checks) == 1
+    check = checks[0]
+    # the heights run on the pool, whose threads open spans with no parent;
+    # such a span inside the check's interval is its work, as spans.self_ns
+    # counts it
     solves = [s for s in tracer.spans if s.name == "rdel.rf_solution_matrix"
-              and s.parent == checks[0]]
+              and (s.parent == check.id
+                   or (s.parent is None and s.thread != check.thread
+                       and check.start_ns <= s.start_ns <= s.end_ns <= check.end_ns))]
     assert len(solves) == 3

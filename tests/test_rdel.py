@@ -1,5 +1,7 @@
 """Fixed-point solver for the regularized self-consistent matrix equation."""
 
+import math
+import sys
 import types
 
 import numpy as np
@@ -19,8 +21,8 @@ from rfequiv.rdel import (LinearizationSpec, rf_linearization, solve_rdel,
                           spectral_norm)
 from rfequiv.sim import _pencil_rows
 
-from conftest import (equiv_alpha, generic_zeroth_moment, m_infinity,
-                      zeroth_products)
+from conftest import (caller_blas_threads, equiv_alpha, generic_zeroth_moment,
+                      m_infinity, zeroth_products)
 
 DIMS = (40, 60, 10)  # (n_train, d, n_test); pencil size 40 + 60 + 2*10 = 120
 DELTA = 0.3
@@ -72,15 +74,48 @@ def test_spectral_norm_is_the_known_top_singular_value(shape, s, complex_):
     assert abs(spectral_norm(x) - max(s)) <= 1e-12 * max(s)
 
 
+def _low_rank(rng, shape, rank, complex_):
+    def draw(size):
+        g = rng.standard_normal(size)
+        return g + 1j * rng.standard_normal(size) if complex_ else g
+    return draw((shape[0], rank)) @ draw((rank, shape[1]))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape, rank", [
+    ((40, 15), 15), ((15, 40), 15), ((20, 30), 1), ((30, 20), 1),
+    ((25, 25), 4), ((18, 33), 7)],
+    ids=["tall", "wide", "rank1-wide", "rank1-tall", "rank4-square",
+         "rank7-wide"])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300, 1e-310],
+                         ids=["1", "1e150", "1e-150", "1e300", "1e-300",
+                              "subnormal"])
+def test_spectral_norm_equals_the_svd_norm(shape, rank, complex_, scale):
+    # the Gram route against numpy's SVD at 1e-13 relative; 1e-310 makes
+    # every entry subnormal, and 1e300 would overflow an unscaled Gram
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + rank + 7 * complex_)
+    x = _low_rank(rng, shape, rank, complex_) * scale
+    if scale == 1e-310:
+        assert np.all(np.abs(x) < np.finfo(float).tiny)
+    want = np.linalg.norm(x, 2)
+    assert want > 0
+    assert abs(spectral_norm(x) - want) <= 1e-13 * want
+
+
 def test_spectral_norm_rejects_non_finite_input():
-    x = np.eye(3)
-    x[1, 2] = np.nan
-    with pytest.raises(RuntimeError, match="non-finite"):
-        spectral_norm(x)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0)):
+        x = np.eye(3, dtype=type(bad))
+        x[1, 2] = bad
+        with pytest.raises(RuntimeError, match="non-finite"):
+            spectral_norm(x)
 
 
 def test_spectral_norm_zero_matrix():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
+    # an empty matrix too; the norm is +0.0, not -0.0
+    for x in (np.zeros((4, 4)), np.zeros((3, 7), complex), np.zeros((0, 3)),
+              np.zeros((3, 0)), np.zeros((0, 0), complex), -0.0 * np.eye(2)):
+        norm = spectral_norm(x)
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +341,23 @@ def test_rf_zeroth_moment_refuses_a_perturbed_solution(rf_spec, monkeypatch):
         zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rf_zeroth_moment_bytes_ignore_caller_blas_threads(monkeypatch, threads):
+    # the heights run on the pool, on one BLAS thread each; while they ran
+    # at the caller's count, this table's deltas differed by 4.5e-16
+    # relative between 1 and 2 caller threads
+    monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+    ds = synthetic_regression(200, 100, 200, 0.5, seed=7)
+    K = exact_kernels(ds, Activation("erf"), Activation("identity"), 200)
+    tables = []
+    for blas in (1, 2):
+        with caller_blas_threads(blas):
+            report = zeroth_moment_check(K, (200, 200, 100), 0.1,
+                                         [100.0, 1000.0, 10_000.0])
+        tables.append((report.deltas.tobytes(), report.monotone, report.slope))
+    assert tables[0] == tables[1]
+
+
 # The bound checks are certified by a Cholesky factor and fall back to the
 # exact spectrum where none exists.  The tests below pass the pencil defect
 # check by hand, so that a solution edited past a bound reaches them.
@@ -324,12 +376,34 @@ def _solution_edited(monkeypatch, edit):
     monkeypatch.setattr(rdel, "_pencil_defect", lambda *args: 0.0)
 
 
-def _count_calls(monkeypatch, owner, name):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rf_zeroth_moment_names_the_first_failing_height(rf_spec, monkeypatch,
+                                                         threads):
+    # the two upper heights fail and run on the pool beside the first; the
+    # error is the lower one's, as in a loop over the heights in order
+    monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+    K, _ = rf_spec
+    n = DIMS[0]
+
+    def scale(M, eta):  # the width scalar to (1 + 1e-6) / eta from 1000 up
+        if eta >= 1000.0:
+            M[n, n] *= (1 + 1e-6) / (eta * abs(M[n, n]))
+
+    _solution_edited(monkeypatch, scale)
+    with pytest.raises(RuntimeError) as err:
+        zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0, 10_000.0])
+    assert str(err.value) == "mask block 1.000001e-03 > 1/eta at z=1000j"
+
+
+def _count_calls(monkeypatch, owner, name, unless_from=None):
+    """A list that grows by one at each call of ``owner.name``, save the
+    calls made directly by a function named ``unless_from``."""
     calls = []
     original = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        calls.append(name)
+        if sys._getframe(1).f_code.co_name != unless_from:
+            calls.append(name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
@@ -338,10 +412,11 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_rf_zeroth_moment_certifies_a_good_solution_without_a_spectrum(
         rf_spec, monkeypatch):
-    # one SVD a height, that of the reported mismatch; no eigvalsh
+    # one spectral norm a height, that of the reported mismatch; no eigvalsh
+    # but the one inside that norm
     K, _ = rf_spec
     norms = _count_calls(monkeypatch, rdel, "spectral_norm")
-    eigs = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    eigs = _count_calls(monkeypatch, np.linalg, "eigvalsh", "spectral_norm")
     zeroth_moment_check(K, DIMS, DELTA, [1.0, 100.0, 10_000.0])
     assert len(norms) == 3 and not eigs
 
@@ -393,7 +468,7 @@ def test_rf_zeroth_moment_accepts_an_im_eigenvalue_on_the_floor(
     # spectrum then shows the eigenvalue -1e-8 exactly, which the rule keeps
     K, _ = rf_spec
     _solution_edited(monkeypatch, _diagonal_solution(-1e-8))
-    eigs = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    eigs = _count_calls(monkeypatch, np.linalg, "eigvalsh", "spectral_norm")
     report = zeroth_moment_check(K, DIMS, DELTA, [100.0, 1000.0])
     assert len(eigs) == 2 and len(report.deltas) == 2
 

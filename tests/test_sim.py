@@ -330,9 +330,9 @@ def test_delta_gaussianity_is_deterministic_and_counts_pairs():
 @pytest.mark.parametrize("n, t, d, z, tau", [
     (12, 4, 5, 1j, 0.1), (5, 4, 12, 0.5 + 1j, 0.1), (9, 4, 6, 0.5, 0.1),
     (30, 40, 20, 1j, 0.1), (9, 4, 6, 0.5 + 1j, 1e-3), (9, 4, 6, 1j, 10.0),
-    (12, 4, 5, 0, 0.1)],
+    (12, 4, 5, 0, 0.1), (40, 30, 3, 1j, 0.1), (6, 5, 30, 0.5 + 1j, 0.1)],
     ids=["n-above-d", "n-below-d", "z-real", "t-above-d", "tau-small",
-         "tau-large", "z-zero"])
+         "tau-large", "z-zero", "d-far-below-n-plus-t", "d-above-n-plus-t"])
 def test_delta_gaussianity_matches_dense_oracle(n, t, d, z, tau):
     ds = synthetic_regression(n, t, 6, 0.3, seed=n)
     cfg = RFConfig(d=d, delta=0.3, n=n, seed=5)
@@ -376,11 +376,14 @@ def test_delta_gaussianity_with_small_draws_5x_pairs_cost_at_most_2x_peak(monkey
                          ids=["ell-180", "ell-600"])
 def test_delta_gaussianity_working_set(monkeypatch, n, t, n0, d):
     # in units of one (ell - t) x ell complex array, the size of a pair term:
-    # the 10 draws, the running sum and mean, E14, and per pair its term, Xt,
-    # the keep gather, R2 and R14.  The bound was fixed before the first run:
-    # a pair loop that kept both block rows beside their sum and a fold that
+    # the 10 draws, the running sum and mean, E14, and per pair its term, the
+    # rows of Z = R (L' - Ebar) R it reads, R2, R14 and their d x ell and
+    # (n + t) x ell products.  The bound was fixed before the first run: a
+    # pair loop that kept both block rows beside their sum and a fold that
     # copied each step read 11.14-11.20 units here; one buffer per term and
-    # the fold in place read 9.24-9.30
+    # the fold in place read 9.24-9.30; the square through Z in place of the
+    # block rows Xt and their keep gather reads 9.11 (ell-180) and 8.49
+    # (ell-600)
     monkeypatch.setenv("RF_EQUIV_THREADS", "1")
     ds = synthetic_regression(n, t, n0, 0.5, seed=1)
     cfg = RFConfig(d=d, delta=0.1, n=n, seed=3)
