@@ -10,8 +10,9 @@ Exit codes
 0   success
 2   option or validation errors
 3   input file problems (missing, unreadable, malformed)
-4   solver failures, LAPACK's ``LinAlgError`` included; the failure name
-    is written into the report when an output path is available
+4   solver failures, LAPACK's ``LinAlgError`` included, and an array
+    larger than memory (``MemoryError``); the failure name is written into
+    the report when an output path is available
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _add_model_options(p):
     p.add_argument("--yhat", help="test labels file (one column or one row)")
     p.add_argument("--synthetic", metavar="NTRAIN,NTEST,N0",
                    help="generate a synthetic dataset instead of reading files")
-    p.add_argument("--noise-sd", type=float, default=0.0,
+    p.add_argument("--noise-sd", type=float, default=None,
                    help="label noise for --synthetic (default 0)")
     p.add_argument("--sigma", choices=ACTIVATION_KINDS, default="erf",
                    help="feature activation (default erf)")
@@ -133,7 +134,9 @@ def _load_dataset(args, need_labels=True):
         parts = _parse_list(args.synthetic, int)
         if len(parts) != 3:
             raise ValueError("--synthetic needs exactly NTRAIN,NTEST,N0")
-        return synthetic_regression(*parts, args.noise_sd, args.seed)
+        return synthetic_regression(*parts, args.noise_sd or 0.0, args.seed)
+    if args.noise_sd is not None:  # file labels carry their own noise
+        raise ValueError("--noise-sd applies only to --synthetic; drop it")
     if not args.x or not args.xhat:
         raise ValueError("provide --x and --xhat, or use --synthetic")
     X = load_matrix(args.x)
@@ -398,7 +401,7 @@ def main(argv=None):
         print(f"rfequiv: input error: {exc}", file=sys.stderr)
         return 3
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (RuntimeError, np.linalg.LinAlgError) as exc:  # solver failures
+    except (RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         _write_failure(args, exc)
         print(f"rfequiv: solver failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

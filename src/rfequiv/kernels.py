@@ -7,7 +7,11 @@ A feature column pair is ``u = n^{-1/2} sigma([X; Xhat] phi(z))`` with
 With ``phi`` = identity and a built-in ``sigma`` (identity, erf, sign, relu,
 sin), :func:`exact_kernels` computes the blocks from the Gram matrix of the
 design on one BLAS thread; :func:`estimate_kernels` averages sampled columns
-for any pair of activations and is the closed forms' test oracle.  A kernel
+for any pair of activations and is the closed forms' test oracle.  Both
+routes give blocks that are symmetric bit for bit, with no pass to make
+them so: numpy forms ``D D^T`` and each chunk's ``U U^T`` by BLAS syrk,
+every closed form is a symmetric function of ``(c_ij, s_i, s_j)``, and a
+sum of symmetric partials in a fixed order stays symmetric.  A kernel
 file records ``samples``, the Monte Carlo budget, and ``"exact": true`` when
 its blocks are a closed form (no draw); a file without the key is Monte Carlo.
 """
@@ -211,9 +215,10 @@ def estimate_kernels(ds, sigma, phi, n, m, seed):
     Each draw stacks train and test features,
     ``u = n^{-1/2} sigma([X; Xhat] phi(z))`` with ``z ~ N(0, I_{n0})``, and
     accumulates ``u u^T``.  Draws are split into fixed-size chunks, one
-    substream per chunk index; chunk partial sums are reduced in index order
-    with compensated (Kahan) summation, so the result is bit-identical for
-    any worker count.
+    substream per chunk index; chunk partial sums are added in index order,
+    one running sum, so the result is bit-identical for any worker count
+    (see :func:`_chunk_fold` for its rounding, far below the Monte Carlo
+    error).
 
     Parameters
     ----------
@@ -239,13 +244,20 @@ def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False)
     :func:`_feature_chunks`, each None unless asked for.
 
     With ``gram`` each chunk is reduced to ``U U^T``, and the kernels are
-    the symmetrised mean of those partials folded with compensated (Kahan)
-    summation; with ``moments``, to its column sum and ``sum U**2``, and
-    the centering score is ``||mean column|| / RMS column norm``.  A chunk
-    is reduced in the pool worker to what is asked for and no more, and the
-    partials are folded in chunk order, so neither result depends on the
-    worker count.  An ``m`` below 1, or below 2 with ``moments``, raises
-    ``ValueError`` before any draw.
+    the mean of those partials: one running sum ``total += part`` in chunk
+    order, then ``total /= m`` in place.  Over c chunks the sum is within
+    ``(c - 1) u sum|partials|`` of the exact sum of the partials, entry by
+    entry (recursive summation; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 4.2): the order of each partial's own
+    rounding, a 512-term dot product, and some twelve orders below the
+    ``1/sqrt(m)`` Monte Carlo error.  Each partial comes from syrk and is
+    symmetric bit for bit, and so is their sum.  With ``moments``, a chunk
+    is reduced to its column sum and ``sum U**2``, and the centering score
+    is ``||mean column|| / RMS column norm``.  A chunk is reduced in the
+    pool worker to what is asked for and no more, and the partials are
+    folded in chunk order, so neither result depends on the worker count.
+    An ``m`` below 1, or below 2 with ``moments``, raises ``ValueError``
+    before any draw.
     """
     _check_count(m, "m", 1 + moments)
 
@@ -254,24 +266,18 @@ def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False)
                 (U.sum(axis=1), float(np.sum(U * U))) if moments else None)
 
     k = ds.n_train + ds.n_test
-    total, comp, t = (np.zeros((k, k)) for _ in range(3)) if gram else (None,) * 3
+    total = np.zeros((k, k)) if gram else None
     col_sum, sq_sum = np.zeros(k), 0.0
     for part, sums in _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
         if gram:
-            # Kahan step, in place on the worker's fresh partial: comp
-            # carries the low-order bits lost by total += part
-            part -= comp
-            np.add(total, part, out=t)
-            np.subtract(t, total, out=comp)
-            comp -= part
-            total, t = t, total
+            total += part
         if moments:
             col_sum += sums[0]
             sq_sum += sums[1]
     kernels = centering = None
     if gram:
-        joint = total / m
-        kernels = _split(ds, (joint + joint.T) / 2, m)
+        total /= m
+        kernels = _split(ds, total, m)
     if moments:
         rms = np.sqrt(sq_sum / m)
         centering = 0.0 if rms == 0.0 else float(np.linalg.norm(col_sum / m) / rms)
@@ -356,8 +362,10 @@ def exact_kernels(ds, sigma, phi, n, *, samples=1):
     arc-cosine kernel ``sqrt(s_i s_j) (sin theta + (pi - theta) cos theta)
     / (2 pi)`` with ``cos theta = c / sqrt(s_i s_j)`` for relu (Cho and
     Saul 2009); and ``e^{-(s_i + s_j)/2} sinh c`` for sin.  A zero row has
-    a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  Returns a
-    symmetrised :class:`KernelSet` with ``exact`` true and ``samples`` (the
+    a zero kernel row, the limit of ``sign(0) = relu(0) = 0``.  ``C``
+    comes from syrk and each form is symmetric in ``i`` and ``j``, so the
+    blocks are symmetric bit for bit as computed.  Returns a
+    :class:`KernelSet` with ``exact`` true and ``samples`` (the
     CLI's Monte Carlo budget), computed on one thread of numpy's OpenBLAS
     (it rounds ``D D^T`` by its thread count; the body is numpy only, so
     scipy's is left unloaded), so no block depends on the caller's count.
@@ -375,7 +383,6 @@ def exact_kernels(ds, sigma, phi, n, *, samples=1):
         C_ah = ds.X @ ds.Xhat.T
         C = np.block([[ds.X @ ds.X.T, C_ah], [C_ah.T, ds.Xhat @ ds.Xhat.T]])
         J = _CLOSED_FORMS[sigma.kind](C, C.diagonal().copy()) / n
-        J = (J + J.T) / 2
     # a form can map inf entries of C to finite ones, so C is checked too
     if not (np.isfinite(C).all() and np.isfinite(J).all()):
         raise ValueError("non-finite activation output (the Gram matrix of "

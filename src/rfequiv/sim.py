@@ -406,11 +406,13 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     (n + t) x ell ones (``R14``, ``J Q``).  The linear term's rows of
     ``(L - Ebar) R`` are added into the square in place, one block row at a
     time.  Terms are folded in place as the pool yields them, a task of
-    ``pairs / 64`` terms at a time: ``T`` is their running sum in index
-    order over ``pairs``, and ``sum_i ||T_i - T||_F^2`` comes from Welford's
-    update, each term turned into its own step.  ``value`` is ``||T||_2``
-    from :func:`rfequiv.rdel.spectral_norm` outside the pool, at the
-    caller's BLAS thread count.
+    ``pairs / 64`` terms at a time, into one accumulator: Welford's mean in
+    index order, each term turned into its own step ``(T_k - T) / k``, with
+    ``sum_i ||T_i - T||_F^2`` from the same steps.  ``T`` is that mean, so
+    the fold holds one (ell - t) x ell array besides the term it is
+    folding.  ``value`` is ``||T||_2`` from
+    :func:`rfequiv.rdel.spectral_norm` outside the pool, at the caller's
+    BLAS thread count.
 
     Returns
     -------
@@ -496,16 +498,13 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
         return Ti
 
     terms = _parallel_map(one_pair, pairs)
-    total = next(terms)
-    mean = total.copy()
+    mean = next(terms)
     spread = 0.0
     for k, Ti in enumerate(terms, 2):  # Ti is spent: it becomes the step
-        total += Ti
         Ti -= mean
         spread += float(np.linalg.norm(Ti)) ** 2 * (k - 1) / k
         Ti /= k
         mean += Ti
-    total /= pairs
-    value = spectral_norm(total)
+    value = spectral_norm(mean)
     se = math.sqrt(spread / (pairs * (pairs - 1))) if pairs > 1 else math.inf
     return DeltaGaussianity(value=value, standard_error=se, pairs=pairs)

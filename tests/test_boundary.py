@@ -521,6 +521,25 @@ CASE_ROWS = [
            ("compare", "yhat", ["--d", "2", "--delta", "0.1"]),
            ("sweep", "xhat", ["--d-list", "2", "--delta-list", "0.1"]),
            ("diagnose", "x", ["--d", "2", "--delta", "0.1"]))],
+    # --noise-sd draws label noise for --synthetic alone: with matrix files
+    # it would be ignored, so it is refused before any draw
+    *[(f"{verb}-noise-sd-with-files", (
+        [verb, "--x", "{x4}", "--xhat", "{xhat1}", "--y", "{y4}", "--yhat",
+         "{yhat}", "--noise-sd", "3.0", *grid],
+        (2, "--noise-sd applies only to --synthetic; drop it"),
+        DIAGNOSE_DRAWS + DRAWS, {}))
+       for verb, grid in (
+           ("estimate-kernels", []),
+           ("simulate", ["--d", "2", "--delta", "0.1"]),
+           ("compare", ["--d", "2", "--delta", "0.1"]),
+           ("sweep", ["--d-list", "2", "--delta-list", "0.1"]),
+           ("diagnose", ["--d", "2", "--delta", "0.1"]))],
+    # a width whose features no memory holds: 4 x 10^17 doubles exceed any
+    # 64-bit address space, so numpy refuses the array at once, whatever the
+    # host's overcommit, and no page is touched
+    ("simulate-width-beyond-memory", (
+        ["simulate", "--synthetic", "10,5,4", "--d", str(10 ** 17), "--delta",
+         "0.1", "--reps", "3"], (4, "MemoryError"), (), {})),
     ("estimate-kernels-synthetic-two-dims", (
         ["estimate-kernels", "--synthetic", "4,2"],
         (2, "--synthetic needs exactly NTRAIN,NTEST,N0"), DRAWS, {})),

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import threading
-import types
 from pathlib import Path
 
 import numpy as np
@@ -229,35 +228,54 @@ def test_estimator_independent_of_worker_count(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_in_place_kahan_fold_equals_the_allocating_form(monkeypatch):
-    """The fold's in-place Kahan step, bit for bit against the allocating
-    form kept here as the oracle, on partials whose large parts cancel
-    between the first and the last, where the compensation keeps the bits
-    of the small parts that a plain sum loses beside the large total."""
-    rng = np.random.default_rng(3)
-    k, m = 6, 7
-    big = 1e8 * rng.standard_normal((k, k))
-    parts = [rng.standard_normal((k, k)) for _ in range(40)]
-    parts[0] += big
-    parts[-1] -= big
-    monkeypatch.setattr(kernels, "_feature_chunks",
-                        lambda *args: ((p.copy(), None) for p in parts))
-    monkeypatch.setattr(kernels, "_split", lambda ds, joint, samples: joint)
-    got = kernels._chunk_fold(types.SimpleNamespace(n_train=4, n_test=2), IDENTITY,
-                              IDENTITY, 1, m, 0, "kernels", gram=True)[0]
-    total = comp = np.zeros((k, k))
+def test_kernel_fold_is_within_the_recursive_summation_bound(monkeypatch):
+    """The fold of the real chunk partials of a sign/sin draw, against a
+    ``np.longdouble`` fold of the same partials, entry by entry within
+    ``(c - 1) u sum|partials|`` over c chunks (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2).  ``m`` is a
+    power of 2, so ``m`` times the mean is the fold's sum exactly; where
+    ``np.longdouble`` is the 80-bit format, its own fold errs by 2^-11 of
+    the bound at most."""
+    ds = synthetic_regression(60, 20, 10, 0.3, seed=7)
+    m = 2 ** 15  # 64 chunks of 512 draws
+    parts = []
+    chunks = kernels._feature_chunks
+
+    def recording(*args):
+        for part, sums in chunks(*args):
+            parts.append(part.copy())
+            yield part, sums
+
+    monkeypatch.setattr(kernels, "_feature_chunks", recording)
+    ks = estimate_kernels(ds, Activation("sign"), Activation("sin"), 60, m, seed=5)
+    c = len(parts)
+    assert c == 64
+    reference = np.zeros(parts[0].shape, dtype=np.longdouble)
+    magnitude = np.zeros(parts[0].shape, dtype=np.longdouble)
     for part in parts:
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        reference += part
+        magnitude += np.abs(part)
+    gap = np.abs(ks.joint() * m - reference)
+    assert np.all(gap <= (c - 1) * np.longdouble(2.0 ** -53) * magnitude)
 
-    def symmetrised_mean(fold):
-        joint = fold / m
-        return ((joint + joint.T) / 2).tobytes()
 
-    assert got.tobytes() == symmetrised_mean(total)
-    assert got.tobytes() != symmetrised_mean(sum(parts))  # the compensation mattered
+def test_kernel_blocks_are_exactly_symmetric(tmp_path):
+    """``K_aa`` and ``K_hh`` equal their transposes bit for bit on every
+    route, with no pass that symmetrises them: the five closed forms, the
+    Monte Carlo sign/sin and erf/sign routes (several chunks each), and
+    each set after a ``save_kernels``/``load_kernels`` round trip."""
+    ds = synthetic_regression(30, 12, 7, 0.3, seed=9)
+    routes = {kind: exact_kernels(ds, Activation(kind), IDENTITY, 30)
+              for kind in ("identity", "erf", "sign", "relu", "sin")}
+    for sigma, phi in (("sign", "sin"), ("erf", "sign")):
+        routes[f"{sigma}/{phi}"] = estimate_kernels(
+            ds, Activation(sigma), Activation(phi), 30, 3000, seed=1)
+    for route, ks in routes.items():
+        path = tmp_path / f"{route.replace('/', '-')}.json"
+        save_kernels(ks, path)
+        for got in (ks, load_kernels(path)):
+            for B in (got.K_aa, got.K_hh):
+                assert np.array_equal(B, B.T), route
 
 
 def test_two_seeds_agree_within_clt_band():
