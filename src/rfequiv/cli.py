@@ -48,6 +48,7 @@ from .model import (
     _check_ridge,
     _check_seed,
     _check_z,
+    _parallel_map,
     _write_csv,
     derive_seed,
     load_matrix,
@@ -169,29 +170,34 @@ def _samples(args, ds):
     return default_samples(ds.n_train, ds.n_test) if args.samples is None else args.samples
 
 
-def _given_kernels(args, ds, sigma, phi, n):
+def _file_kernels(args, ds):
     """The blocks of ``--kernels``, refused here, before any draw, unless
-    they fit the dataset; else the closed form where one exists (a built-in
-    sigma with phi = identity), which records the Monte Carlo budget as its
-    ``samples``; else None, where only draws can give the kernels.  Both
-    routes pin OpenBLAS to one thread themselves, so neither set depends on
-    the thread count the caller left set."""
-    if getattr(args, "kernels", None):
-        K = load_kernels(args.kernels)
-        if (K.n_train, K.n_test) != (ds.n_train, ds.n_test):
-            raise ValueError(
-                f"{args.kernels}: kernel blocks are {K.n_train} x {K.n_test}, "
-                f"the dataset is {ds.n_train} x {ds.n_test} (n_train x n_test)")
-        return K
+    they fit the dataset; None without the option."""
+    if not getattr(args, "kernels", None):
+        return None
+    K = load_kernels(args.kernels)
+    if (K.n_train, K.n_test) != (ds.n_train, ds.n_test):
+        raise ValueError(
+            f"{args.kernels}: kernel blocks are {K.n_train} x {K.n_test}, "
+            f"the dataset is {ds.n_train} x {ds.n_test} (n_train x n_test)")
+    return K
+
+
+def _closed_form_kernels(args, ds, sigma, phi, n):
+    """The closed form where one exists (a built-in sigma with phi =
+    identity), which records the Monte Carlo budget as its ``samples``;
+    else None, where only draws can give the kernels."""
     if _has_closed_form(sigma, phi):
         return exact_kernels(ds, sigma, phi, n, samples=_samples(args, ds))
     return None
 
 
 def _dataset_kernels(args, ds, sigma, phi, n):
-    """:func:`_given_kernels`, else ``--samples`` Monte Carlo draws, which
-    are pinned to one thread like the other routes."""
-    return (_given_kernels(args, ds, sigma, phi, n)
+    """The kernels of a verb: the file's, else the closed form, else
+    ``--samples`` Monte Carlo draws.  Every route pins OpenBLAS to one
+    thread itself, so no set depends on the thread count the caller left
+    set."""
+    return (_file_kernels(args, ds) or _closed_form_kernels(args, ds, sigma, phi, n)
             or estimate_kernels(ds, sigma, phi, n, _samples(args, ds), args.seed))
 
 
@@ -277,28 +283,39 @@ def _cmd_diagnose(args):
     z = _check_z(args.z)
     _check_ridge(args.tau, name="tau")
     etas = _check_heights(_parse_list(args.eta_list))
-    kernels = _given_kernels(args, ds, sigma, phi, n)
-    if kernels is None:  # one Monte Carlo pass gives the blocks and the score
-        kernels, centering = _kernels_and_centering(ds, sigma, phi, n, m, args.seed)
-    else:  # a closed form or a file drew no columns
-        centering = verify_centering(sigma, phi, ds, n, m, args.seed)
+    given = _file_kernels(args, ds)
     dims = (ds.n_train, cfg.d, ds.n_test)
 
-    dg = estimate_delta_gaussianity(ds, sigma, phi, cfg, z, args.tau, args.reps)
-    A, Ahat = sample_features(ds, sigma, phi, cfg.d, cfg.n,
-                              derive_seed(args.seed, "diagnose-features"))
-    G = build_pseudoresolvent(A, Ahat, cfg.delta, z)
-    M_theory = rf_solution_matrix(kernels, dims, cfg.delta, z)
-    gaps = []
-    for p in range(args.probes):
-        rng = substream(args.seed, "probe", p)
-        u = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
-        v = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        gaps.append(anisotropic_gap(G, M_theory, np.outer(u, v.conj())))
+    def kernel_half():
+        kernels = given or _closed_form_kernels(args, ds, sigma, phi, n)
+        if kernels is None:  # one Monte Carlo pass gives the blocks and the score
+            kernels, centering = _kernels_and_centering(ds, sigma, phi, n, m, args.seed)
+        else:  # a closed form or a file drew no columns
+            centering = verify_centering(sigma, phi, ds, n, m, args.seed)
+        A, Ahat = sample_features(ds, sigma, phi, cfg.d, cfg.n,
+                                  derive_seed(args.seed, "diagnose-features"))
+        G = build_pseudoresolvent(A, Ahat, cfg.delta, z)
+        M_theory = rf_solution_matrix(kernels, dims, cfg.delta, z)
+        gaps = []
+        for p in range(args.probes):
+            rng = substream(args.seed, "probe", p)
+            u = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
+            v = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
+            u /= np.linalg.norm(u)
+            v /= np.linalg.norm(v)
+            gaps.append(anisotropic_gap(G, M_theory, np.outer(u, v.conj())))
+        del G, M_theory  # the table's ell x ell solutions take their room
+        zm = zeroth_moment_check(kernels, dims, cfg.delta, etas)
+        return centering, gaps, zm
 
-    zm = zeroth_moment_check(kernels, dims, cfg.delta, etas)
+    def gaussianity_half():
+        return estimate_delta_gaussianity(ds, sigma, phi, cfg, z, args.tau, args.reps)
+
+    # the halves share no input: one map runs them side by side, every BLAS
+    # call on one thread, and where both fail the kernel half's error is
+    # raised, as the first index's
+    halves = (kernel_half, gaussianity_half)
+    (centering, gaps, zm), dg = _parallel_map(lambda i: halves[i](), 2)
 
     write_json(args.out, {
         "delta_gaussianity": asdict(dg),

@@ -183,11 +183,14 @@ class KernelSet:
 
 
 def _psd_eigh(B):
-    """``eigh((B + B^T) / 2)`` of ``K_aa`` or ``J`` of an accepted :class:`KernelSet`,
-    its eigenvalues clipped at 0.  The set's constructor alone decides
-    whether ``J`` is PSD up to rounding, so nothing here decides again: an
-    eigenvalue inside that tolerance is rounding, and clips to 0."""
-    w, V = np.linalg.eigh((B + B.T) / 2)
+    """``eigh(B / 2 + B^T / 2)`` of ``K_aa`` or ``J`` of an accepted
+    :class:`KernelSet`, its eigenvalues clipped at 0.  Halving first keeps
+    entries near the float limit finite, and equals ``(B + B^T) / 2`` bit
+    for bit wherever that sum does not overflow and no entry is subnormal.
+    The set's constructor alone decides whether ``J`` is PSD up to rounding,
+    so nothing here decides again: an eigenvalue inside that tolerance is
+    rounding, and clips to 0."""
+    w, V = np.linalg.eigh(B / 2 + B.T / 2)
     return np.clip(w, 0.0, None), V
 
 

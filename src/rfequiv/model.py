@@ -300,6 +300,7 @@ class _SingleThreadBlas:
 
 _SINGLE_THREAD_BLAS = _SingleThreadBlas()
 _SINGLE_THREAD_NUMPY_BLAS = _SingleThreadBlas(("numpy",))  # scipy's costs ~10 ms to load
+_TASK_SHARE = threading.local()  # .workers: the cap of a map started in a running task
 
 
 def _parallel_map(fn, count, workers=None):
@@ -315,6 +316,14 @@ def _parallel_map(fn, count, workers=None):
     the pool holds at most that window of tasks' results beside the
     caller's.  Index order keeps every fold bit-stable for any worker count.
 
+    A map started inside a task of another map, on a pool thread or on the
+    inline path, takes at most an even share of that map's workers,
+    ``cap // workers`` and at least 1, where ``cap`` is the outer map's
+    worker cap and ``workers`` the threads it runs on; a share of one runs
+    inline, on the task's own thread.  So nested maps never run more busy
+    pool threads than the outermost cap: at ``worker_count()`` = 2, each
+    task of a two-task map runs its own maps inline.
+
     While the map runs, from its first result until it is exhausted,
     closed or raises, numpy's and scipy's OpenBLAS run on one thread; the
     counts found at the start are then restored.  The pool is the one
@@ -323,8 +332,9 @@ def _parallel_map(fn, count, workers=None):
     slower (README, "Determinism and threads").  The pin holds on the
     inline path too, so a result depends neither on ``workers`` or
     ``RF_EQUIV_THREADS`` nor on the count the caller left set, although
-    OpenBLAS rounds differently with its thread count.  Calls outside a
-    map keep the caller's count, which ``OPENBLAS_NUM_THREADS`` sets.
+    OpenBLAS rounds differently with its thread count.  Calls outside any
+    map keep the caller's count, which ``OPENBLAS_NUM_THREADS`` sets;
+    ``diagnose`` runs all of its work inside one.
     Where a build lacks the thread-count symbols (a BLAS other than the
     bundled OpenBLAS) the pin is a no-op for it.
 
@@ -335,13 +345,21 @@ def _parallel_map(fn, count, workers=None):
     """
     tasks = max(1, min(64, count))
     bounds = [count * g // tasks for g in range(tasks + 1)]
+    cap = worker_count() if workers is None else int(workers)
+    outer = getattr(_TASK_SHARE, "workers", None)
+    if outer is not None:  # started inside a task of another map
+        cap = min(cap, outer)
+    workers = max(1, min(cap, tasks))
+    share = max(1, cap // workers)
 
     def task(g):
-        return [fn(i) for i in range(bounds[g], bounds[g + 1])]
+        held = getattr(_TASK_SHARE, "workers", None)
+        _TASK_SHARE.workers = share
+        try:
+            return [fn(i) for i in range(bounds[g], bounds[g + 1])]
+        finally:
+            _TASK_SHARE.workers = held
 
-    if workers is None:
-        workers = worker_count()
-    workers = max(1, min(int(workers), tasks))
     window = 2 * workers
     # a pool that is never handed a task starts no thread
     with _SINGLE_THREAD_BLAS, ThreadPoolExecutor(max_workers=workers) as ex:

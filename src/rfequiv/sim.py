@@ -411,8 +411,10 @@ def estimate_delta_gaussianity(ds, sigma, phi, cfg, z, tau, reps):
     ``sum_i ||T_i - T||_F^2`` from the same steps.  ``T`` is that mean, so
     the fold holds one (ell - t) x ell array besides the term it is
     folding.  ``value`` is ``||T||_2`` from
-    :func:`rfequiv.rdel.spectral_norm` outside the pool, at the caller's
-    BLAS thread count.
+    :func:`rfequiv.rdel.spectral_norm` after the pool, at the BLAS thread
+    count of the caller: one thread in ``diagnose``, which runs the whole
+    statistic as a task of its own map, so no byte of its report follows
+    ``OPENBLAS_NUM_THREADS``.
 
     Returns
     -------

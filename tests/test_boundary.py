@@ -15,6 +15,7 @@ import functools
 import inspect
 import json
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -604,6 +605,16 @@ CASE_ROWS = [
         ["predict", "--kernels", "{underflow4}", "--y", "{y4}", "--yhat", "{yhat}",
          "--d", "4", "--delta", "3.171139148026149e-09"],
         (4, "NonConvergence"), (), {})),
+    # a kernel entry near the float limit is halved before the symmetric
+    # sum that feeds the eigendecomposition, so the solve names the
+    # overflow; (B + B^T) / 2 was inf there, with a RuntimeWarning
+    *[(f"{verb}-kernel-entry-1e308", (
+        [verb, "--kernels", "{float-limit2}", *data, "--d", "2", "--delta", "1"],
+        (4, "NonConvergence"), (), {}))
+       for verb, data in (
+           ("predict", ["--y", "{y}", "--yhat", "{yhat}"]),
+           ("simulate", ["--synthetic", "2,1,3", "--reps", "3"]),
+           ("diagnose", ["--synthetic", "2,1,3", "--reps", "4", "--samples", "100"]))],
     # at a subnormal ridge g = 1 / delta overflows; the report is refused
     # by name, with no RuntimeWarning from the solve or from build_equiv
     ("predict-subnormal-ridge-g-overflow", (
@@ -847,7 +858,8 @@ def files(tmp_path, toy_kernels):
              "x4-ff": tmp_path / "x4-ff.csv", "y4-ff": tmp_path / "y4-ff.csv",
              "blank": tmp_path / "blank.csv",
              "x4-empty-cell": tmp_path / "x4-empty-cell.csv",
-             "underflow4": tmp_path / "u4.json", "zero2": tmp_path / "z2.json"}
+             "underflow4": tmp_path / "u4.json", "zero2": tmp_path / "z2.json",
+             "float-limit2": tmp_path / "fl2.json"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
@@ -861,6 +873,8 @@ def files(tmp_path, toy_kernels):
                  paths["underflow4"])
     save_kernels(KernelSet(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(1), 1),
                  paths["zero2"])
+    save_kernels(KernelSet(np.diag([1e308, 1.0]), np.zeros((2, 1)), np.eye(1), 1),
+                 paths["float-limit2"])
     paths["y"].write_text("1\n0\n")
     paths["y4"].write_text("1\n1\n1\n1\n")
     paths["yhat"].write_text("0.7\n")
@@ -938,6 +952,72 @@ def test_boundary(case, files, tmp_path, monkeypatch, capsys):
         assert json.loads(out.read_text())["error"] == text
     elif outcome == 2:
         assert not out.exists()
+
+
+# diagnose on each kernel route, with the DIAGNOSE_DRAWS call its kernel
+# half makes first
+DIAGNOSE_ROUTES = {
+    "exact": (DIAGNOSE, "exact_kernels"),
+    "monte-carlo": (DIAGNOSE + ["--sigma", "sign", "--phi", "sin"],
+                    "_kernels_and_centering"),
+    "kernel-file": (["diagnose", "--synthetic", "4,1,3", "--kernels", "{identity4}",
+                     "--d", "4", "--delta", "0.3", "--reps", "4", "--samples", "100"],
+                    "verify_centering"),
+}
+
+
+def _diagnose_failure(route, threads, fail, files, tmp_path, monkeypatch, capsys):
+    """Run diagnose on ``route`` at ``RF_EQUIV_THREADS`` = ``threads`` with
+    each DIAGNOSE_DRAWS call in ``fail`` raising its own ``RuntimeError``;
+    on two workers the kernel half raises only once the Gaussianity half
+    has.  Return the exit code, standard error and the report."""
+    raised = threading.Event()
+
+    def failing(name):
+        def call(*args, **kwargs):
+            if name == "estimate_delta_gaussianity":
+                raised.set()
+            elif threads == "2" and "estimate_delta_gaussianity" in fail:
+                assert raised.wait(timeout=30)
+            raise RuntimeError(f"{name} failed")
+        return call
+
+    monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+    for module, name in DIAGNOSE_DRAWS:
+        if name in fail:
+            monkeypatch.setattr(module, name, failing(name))
+    out = tmp_path / "out.json"
+    code = cli.main([a.format(**files) for a in DIAGNOSE_ROUTES[route][0]]
+                    + ["--out", str(out)])
+    return code, capsys.readouterr().err, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("route", list(DIAGNOSE_ROUTES))
+def test_diagnose_names_the_kernel_half_where_both_halves_fail(
+        route, threads, files, tmp_path, monkeypatch, capsys):
+    # the halves run side by side; the kernel half's error is raised, as a
+    # loop over the two would raise it, even where the other failed first
+    kernel_call = DIAGNOSE_ROUTES[route][1]
+    code, err, report = _diagnose_failure(
+        route, threads, {name for _, name in DIAGNOSE_DRAWS}, files, tmp_path,
+        monkeypatch, capsys)
+    assert code == 4
+    assert report == {"error": "RuntimeError", "message": f"{kernel_call} failed"}
+    assert f"RuntimeError: {kernel_call} failed" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("route", list(DIAGNOSE_ROUTES))
+def test_diagnose_reports_a_gaussianity_failure_alone(
+        route, threads, files, tmp_path, monkeypatch, capsys):
+    code, err, report = _diagnose_failure(
+        route, threads, {"estimate_delta_gaussianity"}, files, tmp_path,
+        monkeypatch, capsys)
+    assert code == 4
+    assert report == {"error": "RuntimeError",
+                      "message": "estimate_delta_gaussianity failed"}
+    assert "RuntimeError: estimate_delta_gaussianity failed" in err
 
 
 NUMBERS = st.one_of(

@@ -634,6 +634,29 @@ def test_diagnose_monte_carlo_route_bytes_ignore_worker_count(tmp_path,
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("route", ["monte-carlo", "exact"])
+def test_diagnose_bytes_ignore_caller_blas_and_pool_threads(tmp_path,
+                                                            monkeypatch, route):
+    # at ell = 240 OpenBLAS splits the pseudo-resolvent's products over its
+    # threads and rounds differently for each count, which moved
+    # anisotropic_gap while they ran at the caller's count; both halves of
+    # the verb now run inside one map, whose pin holds every BLAS call at
+    # one thread, with RF_EQUIV_THREADS = 3 above the map's two tasks
+    out = tmp_path / "d.json"
+    argv = ["diagnose", "--synthetic", "60,30,60", "--noise-sd", "0.5",
+            "--d", "60", "--delta", "0.1", "--seed", "77", "--out", str(out)]
+    if route == "monte-carlo":
+        argv += ["--sigma", "sign", "--phi", "sin"]
+    reports = set()
+    for blas in (1, 2):
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RF_EQUIV_THREADS", threads)
+            with caller_blas_threads(blas):
+                assert main(argv) == 0
+            reports.add(out.read_bytes())
+    assert len(reports) == 1
+
+
 def test_diagnose_monte_carlo_route_draws_its_columns_once(tmp_path,
                                                           monkeypatch):
     passes = _spy_chunk_passes(monkeypatch)

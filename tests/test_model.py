@@ -580,6 +580,63 @@ def test_nested_inline_map_keeps_the_outer_pin():
         assert blas_threads() == (2,) * len(ones)
 
 
+def test_nested_map_runs_inline_on_its_share_of_two_workers():
+    # a 2-task map on 2 workers leaves each task a share of 2 // 2 = 1: its
+    # own map runs inline on the task's thread and starts no pool thread
+    baseline = threading.active_count()
+    both = threading.Barrier(2, timeout=30)  # the two tasks run at once
+    seen = []
+
+    def square(k):
+        seen.append((k, threading.get_ident()))
+        return k * k
+
+    def task(i, fail=False):
+        both.wait()
+        me = threading.get_ident()
+        inner = list(_parallel_map(lambda j: square(5 * i + j), 5))
+        assert threading.active_count() == baseline + 2
+        assert {t for k, t in seen if k // 5 == i} == {me}
+        if fail and i:
+            raise KeyError(i)
+        return inner
+
+    nested = list(_parallel_map(task, 2, workers=2))
+    assert threading.active_count() == baseline
+    assert len({t for _, t in seen}) == 2
+    assert [v for inner in nested for v in inner] == list(
+        _parallel_map(square, 10, workers=2))
+    assert threading.active_count() == baseline
+
+    both.reset()
+    seen.clear()
+    with pytest.raises(KeyError):
+        list(_parallel_map(lambda i: task(i, fail=True), 2, workers=2))
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_nested_maps_never_run_more_busy_threads_than_the_cap(cap):
+    # each task of the outer map takes cap // 2 workers for its own map,
+    # so at most cap calls of the innermost function run at once
+    lock, busy, peak = threading.Lock(), [0], [0]
+
+    def call(j):
+        with lock:
+            busy[0] += 1
+            peak[0] = max(peak[0], busy[0])
+        time.sleep(0.002)
+        with lock:
+            busy[0] -= 1
+        return j
+
+    def task(i):
+        return list(_parallel_map(call, 8))
+
+    assert list(_parallel_map(task, 2, workers=cap)) == [list(range(8))] * 2
+    assert 1 <= peak[0] <= cap
+
+
 def test_concurrent_maps_share_one_pin():
     # maps and numpy-only pins (build_equiv's) started from several caller
     # threads: every worker and holder reads one thread, and the last

@@ -26,7 +26,6 @@ import json
 import os
 import platform
 import warnings
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,6 @@ import scipy
 
 from rfequiv import synthetic_regression, write_matrix
 from rfequiv.cli import main
-
-from conftest import caller_blas_threads
 
 TABLE = Path(__file__).with_name("report_digests.json")
 # the fingerprints' tolerance on another host, relative to the sum of the
@@ -72,15 +69,15 @@ def _runs(root):
 def report_files(root):
     """Run the canonical set in the new directory ``root`` and return the
     bytes of each report, by file name.  ``predict`` reads the labels of
-    the synthetic set from CSV files; ``diagnose`` runs with the caller's
-    BLAS at one thread, because its bytes follow that count (README)."""
+    the synthetic set from CSV files.  Every verb runs at the BLAS thread
+    count the caller left set, since no report follows that count
+    (README, "Determinism and threads")."""
     root.mkdir()
     ds = synthetic_regression(40, 20, 30, 0.5, seed=11)
     write_matrix(root / "y.csv", ds.y.reshape(-1, 1))
     write_matrix(root / "yhat.csv", ds.yhat.reshape(-1, 1))
     for argv in _runs(root):
-        with caller_blas_threads(1) if argv[0] == "diagnose" else nullcontext():
-            assert main(argv) == 0, argv
+        assert main(argv) == 0, argv
     return {path.name: path.read_bytes() for path in sorted(root.iterdir())
             if path.name not in ("y.csv", "yhat.csv")}
 
