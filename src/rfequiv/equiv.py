@@ -166,7 +166,7 @@ def build_equiv(K, y, yhat, d, delta):
     yhat = _vector(yhat, "yhat", K.n_test)
     _check_ridge(delta, d)
 
-    w, V, W = K._eigenbasis()
+    w, V, W = K._eigenbasis
     with _SINGLE_THREAD_NUMPY_BLAS:  # OpenBLAS rounds GEMV by its thread count
         x, g, denom, iterations = _solve_nu(w, d, delta, 0.0)
         alpha = -1.0 / x
@@ -220,7 +220,7 @@ def solve_subdel(K, d, delta, z):
     """
     z = _check_z(z)
     _check_ridge(delta, d)
-    w, V, _ = K._eigenbasis()
+    w, V, _ = K._eigenbasis
     # real arithmetic on the axis, so that nu(0) is build_equiv's alpha
     x, g = _solve_nu(w, d, delta, z if z.imag else z.real)[:2]
     if not np.isfinite(g).all():

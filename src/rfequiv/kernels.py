@@ -11,7 +11,10 @@ for any pair of activations and is the closed forms' test oracle.  Both
 routes give blocks that are symmetric bit for bit, with no pass to make
 them so: numpy forms ``D D^T`` and each chunk's ``U U^T`` by BLAS syrk,
 every closed form is a symmetric function of ``(c_ij, s_i, s_j)``, and a
-sum of symmetric partials in a fixed order stays symmetric.  A kernel
+sum of symmetric partials in a fixed order stays symmetric.  A block from
+outside (a file, a library caller) that is symmetric only to rounding is
+averaged once, at the door (:func:`rfequiv.model._matrix`), so every solve
+reads the same exactly symmetric set and none averages again.  A kernel
 file records ``samples``, the Monte Carlo budget, and ``"exact": true`` when
 its blocks are a closed form (no draw); a file without the key is Monte Carlo.
 """
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +53,6 @@ __all__ = [
 _CHUNK = 512  # Monte Carlo draws per reduction chunk (fixed, worker-independent)
 _U, _ETA = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least positive double
 _IDENTITY = Activation("identity")
-_BASIS_LOCK = threading.Lock()
 _last_file = [None, None]  # [bytes, KernelSet] of the last file accepted
 
 
@@ -70,6 +71,12 @@ class KernelSet:
     closed form, the budget a draw would have had.  ``K_ha`` is derived, a
     C-contiguous copy of ``K_ah^T``.  The set is immutable: its blocks are read-only
     copies, but a read-only C-contiguous array that owns its memory is kept.
+
+    ``K_aa`` and ``K_hh`` are symmetric bit for bit: a block made inside
+    the package is so by construction, and one from outside that is
+    symmetric to 1e-12 relative but not exactly is kept as
+    ``B / 2 + B^T / 2`` (:func:`rfequiv.model._matrix`), the one average
+    every reader of the set sees.
 
     The joint matrix ``J = [[K_aa, K_ah], [K_ha, K_hh]]`` must be PSD up to
     rounding: ``lam_min(J) >= -1e-10 lam_max - 1e-300``, or ``ValueError``
@@ -92,7 +99,6 @@ class KernelSet:
             raise ValueError(f"exact must be True or False, not {self.exact!r}")
         set_ = functools.partial(object.__setattr__, self)
         set_("samples", int(self.samples))
-        set_("_basis", None)
         blocks = {name: _matrix(getattr(self, name), name, square=name != "K_ah")
                   for name in ("K_aa", "K_ah", "K_hh")}
         for name, block in (*blocks.items(), ("K_ha", blocks["K_ah"].T)):
@@ -106,19 +112,16 @@ class KernelSet:
             raise ValueError("kernel block shapes are inconsistent")
         self._check_psd()
 
+    @functools.cached_property
     def _eigenbasis(self):
-        """``(lam, V, V^T K_ah)`` of ``K_aa`` by :func:`_psd_eigh`, made by
-        the first call on one numpy BLAS thread, since OpenBLAS rounds eigh
-        by its thread count: every solve on the set reads this one
-        spectrum."""
-        # sweep predicts before its pool, so only a library caller's own
-        # threads can ask at once: one of them computes
-        with _BASIS_LOCK:
-            if self._basis is None:
-                with _SINGLE_THREAD_NUMPY_BLAS:
-                    w, V = _psd_eigh(self.K_aa)
-                    object.__setattr__(self, "_basis", (w, V, V.T @ self.K_ah))
-        return self._basis
+        """``(lam, V, V^T K_ah)`` of ``K_aa`` by :func:`_psd_eigh`, made on
+        one numpy BLAS thread, since OpenBLAS rounds eigh by its thread
+        count, and kept: every solve on the set reads this one spectrum.
+        Threads that ask at once may each compute it, and each gets the
+        same bytes."""
+        with _SINGLE_THREAD_NUMPY_BLAS:
+            w, V = _psd_eigh(self.K_aa)
+            return w, V, V.T @ self.K_ah
 
     @property
     def n_train(self):
@@ -134,7 +137,9 @@ class KernelSet:
 
     def _check_psd(self):
         """Raise unless ``lam_min(J) >= -1e-10 lam_max - 1e-300`` for the
-        joint matrix J, whose lower triangle alone is read.
+        joint matrix J, which is symmetric bit for bit (its diagonal blocks
+        are averaged at the door where they were not), so the verdict is
+        taken on the J every solve reads.
 
         A shifted Cholesky proves the rule for almost every set, at any
         size.  With ``tau = fl((1e-10 - 2u) max J_ii)`` and
@@ -183,14 +188,13 @@ class KernelSet:
 
 
 def _psd_eigh(B):
-    """``eigh(B / 2 + B^T / 2)`` of ``K_aa`` or ``J`` of an accepted
-    :class:`KernelSet`, its eigenvalues clipped at 0.  Halving first keeps
-    entries near the float limit finite, and equals ``(B + B^T) / 2`` bit
-    for bit wherever that sum does not overflow and no entry is subnormal.
-    The set's constructor alone decides whether ``J`` is PSD up to rounding,
-    so nothing here decides again: an eigenvalue inside that tolerance is
-    rounding, and clips to 0."""
-    w, V = np.linalg.eigh(B / 2 + B.T / 2)
+    """``eigh(B)`` of ``K_aa`` or ``J`` of an accepted :class:`KernelSet`,
+    its eigenvalues clipped at 0.  ``B`` is symmetric bit for bit, as every
+    block of a set is, so nothing is averaged here.  The set's constructor
+    alone decides whether ``J`` is PSD up to rounding, so nothing here
+    decides again: an eigenvalue inside that tolerance is rounding, and
+    clips to 0."""
+    w, V = np.linalg.eigh(B)
     return np.clip(w, 0.0, None), V
 
 
@@ -260,31 +264,36 @@ def _chunk_fold(ds, sigma, phi, n, m, seed, label, *, gram=False, moments=False)
     pool worker to what is asked for and no more, and the partials are
     folded in chunk order, so neither result depends on the worker count.
     An ``m`` below 1, or below 2 with ``moments``, raises ``ValueError``
-    before any draw.
+    before any draw.  Finite features whose products or sums overflow
+    raise ``ValueError`` ("non-finite activation output"), as a feature
+    that is not finite does in :func:`rfequiv.model._features`, with no
+    ``RuntimeWarning``.
     """
     _check_count(m, "m", 1 + moments)
 
     def reduce(U):
-        return (U @ U.T if gram else None,
-                (U.sum(axis=1), float(np.sum(U * U))) if moments else None)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            return (U @ U.T if gram else None,
+                    (U.sum(axis=1), float(np.sum(U * U))) if moments else None)
 
     k = ds.n_train + ds.n_test
     total = np.zeros((k, k)) if gram else None
     col_sum, sq_sum = np.zeros(k), 0.0
-    for part, sums in _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
-        if gram:
-            total += part
-        if moments:
-            col_sum += sums[0]
-            sq_sum += sums[1]
-    kernels = centering = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, sums in _feature_chunks(ds, sigma, phi, n, m, seed, label, reduce):
+            if gram:
+                total += part
+            if moments:
+                col_sum += sums[0]
+                sq_sum += sums[1]
+    # an overflow in a partial or in the fold leaves inf or NaN in the sums
+    if not all(np.isfinite(a).all() for a in (sq_sum, col_sum, total) if a is not None):
+        raise ValueError("non-finite activation output (the features' products overflow)")
     if gram:
         total /= m
-        kernels = _split(ds, total, m)
-    if moments:
-        rms = np.sqrt(sq_sum / m)
-        centering = 0.0 if rms == 0.0 else float(np.linalg.norm(col_sum / m) / rms)
-    return kernels, centering
+    rms = np.sqrt(sq_sum / m)
+    centering = 0.0 if rms == 0.0 else float(np.linalg.norm(col_sum / m) / rms)
+    return _split(ds, total, m) if gram else None, centering if moments else None
 
 
 def _kernels_and_centering(ds, sigma, phi, n, m, seed):

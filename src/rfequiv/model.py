@@ -121,7 +121,15 @@ def _matrix(x, name, square=False):
     """``x`` as a finite 2-D float array with at least one row and one column,
     never reshaped; with ``square``, also square and symmetric to 1e-12
     relative in Frobenius norm, taken on ``b = x / max(1, max|x|)`` so that no
-    norm overflows.  Faults name ``name``."""
+    norm overflows.  Faults name ``name``.
+
+    This is the one place that decides how a square input is read: one that
+    is exactly symmetric is returned as given, and one inside the tolerance
+    but not exactly symmetric is returned as ``x / 2 + x^T / 2``, which is
+    exactly symmetric and cannot overflow.  Equality, not a positive gap,
+    picks the average, since the norm of a subnormal asymmetry is 0.  So
+    every square matrix past this door is symmetric bit for bit, and no
+    consumer averages or picks a triangle again."""
     a = _real(x, name)
     if a.ndim != 2:
         raise ValueError(f"{name} is {a.ndim}-D, not 2-D")
@@ -132,11 +140,13 @@ def _matrix(x, name, square=False):
     if square:
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"{name} must be square, not {a.shape}")
-        s = max(1.0, float(np.abs(a).max(initial=0.0)))
-        b = a / s
-        gap = float(np.linalg.norm(b - b.T))
-        if gap > 1e-12 * max(1.0 / s, np.linalg.norm(b)):
-            raise ValueError(f"{name} is not symmetric (asymmetry {gap * s:.3e})")
+        if not np.array_equal(a, a.T):
+            s = max(1.0, float(np.abs(a).max(initial=0.0)))
+            b = a / s
+            gap = float(np.linalg.norm(b - b.T))
+            if gap > 1e-12 * max(1.0 / s, np.linalg.norm(b)):
+                raise ValueError(f"{name} is not symmetric (asymmetry {gap * s:.3e})")
+            a = a / 2 + a.T / 2
     return a
 
 
@@ -168,10 +178,12 @@ def _positive_definite(A):
 
 def _ridge_solve(gram, ridge, y):
     """``(gram + ridge I)^{-1} y`` for a symmetric PSD ``gram`` and a positive
-    ridge, by Cholesky of the symmetrized matrix; no inverse is formed."""
+    ridge, by Cholesky; no inverse is formed.  The factorisation reads the
+    lower triangle alone, and ``gram`` is symmetric bit for bit where it is
+    made (``A A^T`` by syrk, ``d K_aa`` of a set's averaged block), so
+    nothing is averaged here."""
     from scipy.linalg import cho_factor, cho_solve  # only the ridge solves pay for it
-    G = gram + ridge * np.eye(gram.shape[0])
-    return cho_solve(cho_factor((G + G.T) / 2, lower=True), y)
+    return cho_solve(cho_factor(gram + ridge * np.eye(len(gram)), lower=True), y)
 
 
 # ---------------------------------------------------------------------------

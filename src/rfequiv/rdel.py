@@ -100,7 +100,9 @@ class LinearizationSpec:
     Parameters
     ----------
     expectation : ndarray
-        Real symmetric ell x ell matrix ``E``.
+        Real symmetric ell x ell matrix ``E``, kept as a copy; one that is
+        symmetric only to rounding is averaged once, by
+        ``model._matrix``.
     lambda_mask : ndarray
         Length-ell 0/1 vector; ``z`` multiplies the identity restricted to
         the 1 entries.  At least one entry must be 1.
@@ -118,7 +120,7 @@ class LinearizationSpec:
 
     def __post_init__(self):
         E = _matrix(self.expectation, "expectation", square=True)
-        self.expectation = (E + E.T) / 2
+        self.expectation = E.copy()
         mask = _vector(self.lambda_mask, "lambda_mask", E.shape[0])
         if not (np.all((mask == 0) | (mask == 1)) and np.any(mask == 1)):
             raise ValueError("lambda_mask entries must be 0 or 1, at least one of them 1")

@@ -17,7 +17,8 @@ from rfequiv.sim import _replicates
 
 def joint_root(K):
     """``V diag(sqrt(lam)) V^T`` of ``J = V diag(lam) V^T`` of the set ``K``
-    by ``_psd_eigh``, the symmetric PSD square root that surrogate features
+    (symmetric bit for bit, as the set holds it) by ``_psd_eigh``, which
+    averages nothing, the symmetric PSD square root that surrogate features
     are drawn with, made on one numpy BLAS thread as
     ``KernelSet._eigenbasis`` is, since OpenBLAS rounds ``eigh`` by its
     thread count."""

@@ -39,6 +39,7 @@ from rfequiv import (
     sim,
     synthetic_regression,
     verify_centering,
+    write_json,
     zeroth_moment_check,
 )
 from rfequiv.model import _check_ridge, _check_z
@@ -53,6 +54,9 @@ DIAGNOSE = ["diagnose", "--synthetic", "12,6,4", "--d", "4", "--delta", "0.1",
 # routes and the Gaussianity draws; options must be checked before any
 DIAGNOSE_DRAWS = ((cli, "exact_kernels"), (cli, "_kernels_and_centering"),
                   (cli, "verify_centering"), (cli, "estimate_delta_gaussianity"))
+# diagnose's grid on a design whose entry of 1e154 makes the features'
+# squares overflow
+DIAGNOSE_1E154 = ["--d", "2", "--delta", "1", "--reps", "4"]
 PREDICT = ["predict", "--kernels", "{kernels}", "--y", "{y}", "--yhat", "{yhat}",
            "--d", "2", "--delta", "1"]
 NAN = float("nan")
@@ -303,6 +307,15 @@ def _gap(shapes, nan_probe=False):
                    for s in shapes)
         sim.anisotropic_gap(G, M, np.full_like(U, NAN) if nan_probe else U)
     return run
+
+
+def _averaged_near_float_limit():
+    """A set whose ``K_aa`` has an entry of 1e308 and is symmetric to 1e-12
+    relative but not exactly: it keeps ``B / 2 + B^T / 2``, finite, where
+    ``(B + B^T) / 2`` overflows."""
+    K = KernelSet(np.array([[1e308, 1.0], [0.0, 1.0]]), np.zeros((2, 1)),
+                  np.eye(1), 1)
+    assert np.array_equal(K.K_aa, [[1e308, 0.5], [0.5, 1.0]])
 
 
 def _gaussianity(z):
@@ -605,9 +618,10 @@ CASE_ROWS = [
         ["predict", "--kernels", "{underflow4}", "--y", "{y4}", "--yhat", "{yhat}",
          "--d", "4", "--delta", "3.171139148026149e-09"],
         (4, "NonConvergence"), (), {})),
-    # a kernel entry near the float limit is halved before the symmetric
-    # sum that feeds the eigendecomposition, so the solve names the
-    # overflow; (B + B^T) / 2 was inf there, with a RuntimeWarning
+    # a kernel entry near the float limit reaches the eigendecomposition as
+    # given, since the block is exactly symmetric (model._matrix halves one
+    # that is symmetric only to rounding), so the solve names the overflow;
+    # (B + B^T) / 2 was inf there, with a RuntimeWarning
     *[(f"{verb}-kernel-entry-1e308", (
         [verb, "--kernels", "{float-limit2}", *data, "--d", "2", "--delta", "1"],
         (4, "NonConvergence"), (), {}))
@@ -615,6 +629,24 @@ CASE_ROWS = [
            ("predict", ["--y", "{y}", "--yhat", "{yhat}"]),
            ("simulate", ["--synthetic", "2,1,3", "--reps", "3"]),
            ("diagnose", ["--synthetic", "2,1,3", "--reps", "4", "--samples", "100"]))],
+    # a block symmetric only to rounding is averaged once, at the door, as
+    # B / 2 + B^T / 2, which keeps an entry near the float limit finite
+    ("kernelset-asymmetric-entry-1e308", (_averaged_near_float_limit, None, (), {})),
+    ("predict-kernel-asymmetric-entry-1e308", (
+        ["predict", "--kernels", "{float-limit2-asym}", "--y", "{y}", "--yhat",
+         "{yhat}", "--d", "2", "--delta", "1"], (4, "NonConvergence"), (), {})),
+    # finite features whose products overflow, in the centering moments of
+    # the closed-form route and in the chunk products of the Monte Carlo
+    # route, are refused as a non-finite feature is (the closed-form route
+    # exited 4 at the pseudo-resolvent before, after two RuntimeWarnings)
+    *[(f"{name}-feature-products-overflow", (
+        [verb, "--x", "{x4-1e154}", "--xhat", "{xhat1}", "--sigma", "identity",
+         "--n", "1", "--samples", "100", *extra],
+        (2, "non-finite activation output"), (), {}))
+       for name, verb, extra in (
+           ("diagnose-exact", "diagnose", DIAGNOSE_1E154),
+           ("diagnose-monte-carlo", "diagnose", DIAGNOSE_1E154 + ["--phi", "sign"]),
+           ("estimate-kernels-monte-carlo", "estimate-kernels", ["--phi", "sign"]))],
     # at a subnormal ridge g = 1 / delta overflows; the report is refused
     # by name, with no RuntimeWarning from the solve or from build_equiv
     ("predict-subnormal-ridge-g-overflow", (
@@ -859,7 +891,9 @@ def files(tmp_path, toy_kernels):
              "blank": tmp_path / "blank.csv",
              "x4-empty-cell": tmp_path / "x4-empty-cell.csv",
              "underflow4": tmp_path / "u4.json", "zero2": tmp_path / "z2.json",
-             "float-limit2": tmp_path / "fl2.json"}
+             "float-limit2": tmp_path / "fl2.json",
+             "float-limit2-asym": tmp_path / "fl2a.json",
+             "x4-1e154": tmp_path / "x4-1e154.csv"}
     save_kernels(toy_kernels, paths["kernels"])
     save_kernels(KernelSet(np.eye(4), np.zeros((4, 1)), np.eye(1), 1),
                  paths["identity4"])
@@ -875,6 +909,10 @@ def files(tmp_path, toy_kernels):
                  paths["zero2"])
     save_kernels(KernelSet(np.diag([1e308, 1.0]), np.zeros((2, 1)), np.eye(1), 1),
                  paths["float-limit2"])
+    # K_aa within the symmetry tolerance but not exactly symmetric
+    write_json(paths["float-limit2-asym"], {
+        "n_train": 2, "n_test": 1, "samples": 1, "K_aa": [[1e308, 1.0], [0.0, 1.0]],
+        "K_ah": [[0.0], [0.0]], "K_hh": [[1.0]]})
     paths["y"].write_text("1\n0\n")
     paths["y4"].write_text("1\n1\n1\n1\n")
     paths["yhat"].write_text("0.7\n")
@@ -883,6 +921,7 @@ def files(tmp_path, toy_kernels):
     paths["yhat3"].write_text("0\n" * 3)
     paths["x4"].write_text("1,0,0\n0,1,0\n0,0,1\n1,1,0\n")
     paths["xhat1"].write_text("1,0,1\n")
+    paths["x4-1e154"].write_text("1e154,0,0\n0,1,0\n0,0,1\n1,1,0\n")
     # four labels in two columns would fill y4 if flattened
     paths["y2x2"].write_text("1,1\n1,1\n")
     paths["y4-inf"].write_text("1\ninf\n1\n1\n")

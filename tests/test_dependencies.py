@@ -5,7 +5,9 @@ module defines is read somewhere.  The count and seed rules have one
 owner: no module but ``model`` writes their texts.  So has the matrix
 container: no module but ``model`` names ``.npy`` or ``numpy.lib.format``,
 and none loads through ``np.load`` or imports ``pickle``.  And so has the
-matrix 2-norm: no function but ``rdel.spectral_norm`` takes one."""
+matrix 2-norm: no function but ``rdel.spectral_norm`` takes one.  And so
+has the symmetric reading of a square input: no function but
+``model._matrix`` averages a matrix with its transpose."""
 
 import ast
 import functools
@@ -279,5 +281,78 @@ def test_matrix_two_norm_has_one_owner():
     one routine, with one error bound, answers for all of them."""
     hits = {path.name: [hit for hit in _two_norms(path.read_text(encoding="utf-8"))
                         if (path.name, hit[1]) != ("rdel.py", "spectral_norm")]
+            for path in sorted((ROOT / "src" / "rfequiv").glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+def _unscaled(node):
+    """``node`` without a product or quotient by a constant around it."""
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        if isinstance(node.right, ast.Constant):
+            node = node.left
+        elif isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant):
+            node = node.right
+        else:
+            break
+    return node
+
+
+def _transposed(node):
+    """The text of the matrix that ``node`` transposes (``a.T``,
+    ``a.transpose()``, ``np.transpose(a)``), or None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return ast.unparse(node.value)
+    if isinstance(node, ast.Call) and not node.keywords:
+        func = ast.unparse(node.func)
+        if func.endswith(".transpose") and not node.args:
+            return func[:-len(".transpose")]
+        if func in ("np.transpose", "numpy.transpose") and len(node.args) == 1:
+            return ast.unparse(node.args[0])
+    return None
+
+
+def _symmetrisations(source):
+    """``(line, function, text)`` of each sum in ``source`` of a matrix and
+    its own transpose, each term perhaps scaled by a constant, ``function``
+    the innermost ``def`` around it.  A Hermitian part through
+    ``a.conj().T`` transposes another expression than ``a``, so it is none."""
+    hits = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add):
+                left, right = _unscaled(child.left), _unscaled(child.right)
+                if ast.unparse(left) == _transposed(right) or \
+                        ast.unparse(right) == _transposed(left):
+                    hits.append((child.lineno, function, ast.unparse(child)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return sorted(hits)
+
+
+def test_symmetrisation_scan_finds_a_second_owner():
+    source = ('import numpy as np\n'
+              'def _matrix(a):\n    return a / 2 + a.T / 2\n'
+              'def other(E, G, B, S):\n'
+              '    E = (E + E.T) / 2\n    G = 0.5 * (G.T + G)\n'
+              '    B = B.transpose() * 0.5 + B * 0.5\n'
+              '    S = (S + np.transpose(S)) / 2\n'
+              '    return ((S + S.conj().T) / 2, (S - S.conj().T) / 2j, E - E.T,\n'
+              '            G @ G.T, E + G.T, B.T / 2 + B.T / 2)\n'
+              'x = (np.eye(2) + np.eye(2).T) / 2\n')
+    assert _symmetrisations(source) == [
+        (3, "_matrix", "a / 2 + a.T / 2"), (5, "other", "E + E.T"),
+        (6, "other", "G.T + G"), (7, "other", "B.transpose() * 0.5 + B * 0.5"),
+        (8, "other", "S + np.transpose(S)"), (11, None, "np.eye(2) + np.eye(2).T")]
+
+
+def test_square_inputs_are_averaged_by_one_owner():
+    """``model._matrix`` alone turns a square input that is symmetric only
+    to rounding into an exactly symmetric one; every other reader takes its
+    bytes as they are."""
+    hits = {path.name: [hit for hit in _symmetrisations(path.read_text(encoding="utf-8"))
+                        if (path.name, hit[1]) != ("model.py", "_matrix")]
             for path in sorted((ROOT / "src" / "rfequiv").glob("*.py"))}
     assert {name: found for name, found in hits.items() if found} == {}

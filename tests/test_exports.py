@@ -4,6 +4,7 @@ modules list in ``__all__``, so neither side can drift from the other."""
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -48,3 +49,9 @@ def test_package_reexports_exactly_each_module_all():
 def test_package_surface_stays_within_its_bound():
     names = [name for name, _ in _exports()]
     assert len(names) <= MAX_EXPORTS, sorted(names)
+
+
+def test_readme_states_the_export_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`rfequiv` exports (\d+) names", readme)
+    assert stated == [str(len(_exports()))], stated

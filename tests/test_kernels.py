@@ -356,6 +356,52 @@ def test_kernelset_rejects_asymmetric_block():
         KernelSet(bad, np.zeros((2, 1)), np.eye(1), 1)
 
 
+def test_every_reader_of_a_near_symmetric_set_sees_the_averaged_set(tmp_path,
+                                                                    empty_memo):
+    """A set whose diagonal blocks are symmetric only to rounding is read
+    as ``B / 2 + B^T / 2`` by every solve, through the library and through
+    a kernel file: each result is, bit for bit, that of the set averaged by
+    hand."""
+    ds = synthetic_regression(30, 10, 20, 0.5, seed=4)
+    K = exact_kernels(ds, ERF, IDENTITY, 30)
+    nudged = [B + 1e-14 * np.tril(np.ones_like(B), -1) for B in (K.K_aa, K.K_hh)]
+    averaged = [B / 2 + B.T / 2 for B in nudged]
+    assert not np.array_equal(averaged[0], nudged[0])
+    sets = [KernelSet(aa, K.K_ah, hh, 100, exact=True)
+            for aa, hh in (nudged, averaged)]
+    for name in ("K_aa", "K_hh"):
+        assert getattr(sets[0], name).tobytes() == getattr(sets[1], name).tobytes()
+    d, delta, dims = 15, 0.1, (30, 15, 10)
+
+    def results(ks):
+        return (json.dumps(rfequiv.build_equiv(ks, ds.y, ds.yhat, d, delta).to_report()),
+                rfequiv.kernel_ridge_error(ks, ds.y, ds.yhat, d, 0.3),
+                rfequiv.rf_solution_matrix(ks, dims, delta, 0.5j).tobytes(),
+                json.dumps(rfequiv.zeroth_moment_check(ks, dims, delta, [10.0, 100.0])
+                           .to_report(), default=lambda a: a.tobytes().hex()))
+
+    assert results(sets[0]) == results(sets[1])
+    # through a kernel file: one written with the nudged blocks by hand
+    files = {name: tmp_path / f"{name}.json" for name in ("nudged", "averaged")}
+    write_json(files["nudged"], {"n_train": 30, "n_test": 10, "samples": 100,
+                                 "exact": True, "K_aa": nudged[0],
+                                 "K_ah": K.K_ah, "K_hh": nudged[1]})
+    save_kernels(sets[1], files["averaged"])
+    y, yhat = tmp_path / "y.csv", tmp_path / "yhat.csv"
+    rfequiv.write_matrix(y, ds.y[:, None])
+    rfequiv.write_matrix(yhat, ds.yhat[:, None])
+    verbs = {"predict": ["--y", str(y), "--yhat", str(yhat)],
+             "diagnose": ["--synthetic", "30,10,20", "--reps", "4",
+                          "--samples", "100", "--eta-list", "10,100"]}
+    for verb, args in verbs.items():
+        outs = []
+        for name, path in files.items():
+            outs.append(tmp_path / f"{verb}-{name}.json")
+            assert main([verb, "--kernels", str(path), *args, "--d", str(d),
+                         "--delta", str(delta), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes(), verb
+
+
 def test_kernelset_derives_k_ha_from_k_ah():
     rng = np.random.default_rng(5)
     K_ah = 0.1 * rng.standard_normal((3, 2))
@@ -760,7 +806,8 @@ def test_predict_grid_parses_and_factorises_once(tmp_path, monkeypatch, empty_me
 
 def test_threads_share_one_eigendecomposition(monkeypatch):
     """More threads than cores ask a new set for its basis at once, with a
-    short switch interval: one eigendecomposition, and equal reports."""
+    short switch interval: equal reports, and one eigendecomposition where
+    ``functools.cached_property`` holds a lock (before Python 3.12)."""
     ds = synthetic_regression(40, 10, 20, 0.5, seed=5)
     ks = exact_kernels(ds, ERF, IDENTITY, 40)
     calls = []
@@ -782,5 +829,29 @@ def test_threads_share_one_eigendecomposition(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1
+    assert len(calls) == 1 or sys.version_info >= (3, 12) and calls
     assert len(reports) == len(threads) and all(r == reports[0] for r in reports)
+
+
+def test_threads_reading_a_fresh_basis_get_the_same_bytes():
+    """Threads that read ``_eigenbasis`` of a new set at once each get
+    ``(lam, V, V^T K_ah)`` with the bytes of one serial read; how many of
+    them compute it is left to ``functools.cached_property``."""
+    ds = synthetic_regression(60, 20, 30, 0.5, seed=6)
+    want = [a.tobytes() for a in exact_kernels(ds, ERF, IDENTITY, 60)._eigenbasis]
+    ks = exact_kernels(ds, ERF, IDENTITY, 60)
+    assert "_eigenbasis" not in vars(ks)
+    start, seen = threading.Barrier(8), []
+
+    def work():
+        start.wait(timeout=60)
+        seen.append([a.tobytes() for a in ks._eigenbasis])
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == len(threads) and all(got == want for got in seen)
+    assert ks._eigenbasis is ks._eigenbasis  # kept on the set

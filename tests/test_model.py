@@ -311,9 +311,13 @@ def test_matrix_and_vector_return_their_promise_or_raise_value_error(a, shift):
     sq = _value_or_none(lambda: model._matrix(a, "a", square=True))
     if sq is not None:
         assert sq.shape == a.shape == a.shape[::-1] and np.all(np.isfinite(sq))
+        # every square matrix past the door is symmetric bit for bit
+        assert np.array_equal(sq, sq.T)
+        assert np.array_equal(sq, a if np.array_equal(a, a.T) else a / 2 + a.T / 2)
     if m is not None and a.shape[0] == a.shape[1]:
         sym = np.triu(a) + np.triu(a, 1).T  # each sum has a zero term
-        assert _value_or_none(lambda: model._matrix(sym, "a", square=True)) is not None
+        got = _value_or_none(lambda: model._matrix(sym, "a", square=True))
+        assert got is not None and got.tobytes() == sym.tobytes()
     n = a.size + shift
     v = _value_or_none(lambda: model._vector(a, "a", n))
     one_axis = a.ndim == 1 or a.ndim == 2 and 1 in a.shape
